@@ -75,13 +75,8 @@ let pipeline_backed ~name ~telemetry_scope p run =
     state_digests = uarch_digests p;
   }
 
-let create_pipeline ?config prog =
-  match config with
-  | Some c -> Pipeline.create ~config:c prog
-  | None -> Pipeline.create prog
-
-let detailed ?config ?max_cycles prog =
-  let p = create_pipeline ?config prog in
+let detailed ?config ?mem ?max_cycles prog =
+  let p = Pipeline.create ?config ?mem prog in
   pipeline_backed ~name:"detailed" ~telemetry_scope:"pipeline" p (fun () ->
       guard (fun () ->
           match Pipeline.run ?max_cycles p with
@@ -89,7 +84,7 @@ let detailed ?config ?max_cycles prog =
           | Error e -> Error e))
 
 let warming ?config ?max_steps prog =
-  let p = create_pipeline ?config prog in
+  let p = Pipeline.create ?config prog in
   let b =
     pipeline_backed ~name:"warming" ~telemetry_scope:"pipeline" p (fun () ->
         guard (fun () ->
@@ -103,7 +98,7 @@ let warming ?config ?max_steps prog =
 
 let sampled ?config ?plan ?domains ?rank_bands ?ci_target ?runner ?max_cycles
     prog =
-  let p = create_pipeline ?config prog in
+  let p = Pipeline.create ?config prog in
   let b =
     pipeline_backed ~name:"sampled" ~telemetry_scope:"sampling" p (fun () ->
         match
@@ -120,7 +115,7 @@ let sampled ?config ?plan ?domains ?rank_bands ?ci_target ?runner ?max_cycles
   }
 
 let resume ?config ?max_cycles ck prog =
-  let p = create_pipeline ?config prog in
+  let p = Pipeline.create ?config prog in
   match Checkpoint.restore ck ~program_digest:(Checkpoint.program_digest prog) p with
   | Error e -> Error e
   | Ok () ->

@@ -44,7 +44,13 @@ val functional :
   ?brr_mode:Bor_sim.Machine.brr_mode -> ?max_steps:int -> Bor_isa.Program.t -> t
 
 val detailed :
-  ?config:Bor_uarch.Config.t -> ?max_cycles:int -> Bor_isa.Program.t -> t
+  ?config:Bor_uarch.Config.t ->
+  ?mem:Bor_sim.Memory.t ->
+  ?max_cycles:int ->
+  Bor_isa.Program.t ->
+  t
+(** [mem] is passed to {!Bor_uarch.Pipeline.create}: the pipeline's
+    oracle reuses it (cleared) instead of allocating its own. *)
 
 val warming :
   ?config:Bor_uarch.Config.t -> ?max_steps:int -> Bor_isa.Program.t -> t

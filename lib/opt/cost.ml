@@ -52,26 +52,47 @@ let make_vectors ~count ~seed ~data_len =
         { v_regs = regs; v_data = Some data }
       end)
 
+(* Scratch memories for filter and oracle runs. A candidate of a few
+   hundred instructions dirties a handful of pages, so scrubbing a used
+   memory ([Machine.create ~mem] clears it) is far cheaper than
+   zero-filling a fresh 8 MiB one. Callers run on [Pool] domains and on
+   systhreads alike, and each needs a memory of its own for the length
+   of one run, hence a locked free list rather than a per-domain slot;
+   it grows to the peak number of concurrent evaluations. *)
+let scratch_lock = Mutex.create ()
+let scratch_free : Memory.t list ref = ref []
+
+let with_scratch f =
+  let mem =
+    match
+      Mutex.protect scratch_lock (fun () ->
+          match !scratch_free with
+          | m :: rest ->
+            scratch_free := rest;
+            Some m
+          | [] -> None)
+    with
+    | Some m -> m
+    | None -> Memory.create ~size:Machine.default_mem_size
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect scratch_lock (fun () -> scratch_free := mem :: !scratch_free))
+    (fun () -> f mem)
+
 (* Run [prog] from one vector on the functional simulator; [None] when
    it faults, trips the sanitizer or exhausts the step budget. *)
 let run_vector ~max_steps ~data_len prog vec =
-  let m = Machine.create prog in
+  with_scratch @@ fun mem ->
+  let m = Machine.create ~mem prog in
   List.iter (fun (r, v) -> Machine.set_reg m (Reg.of_int r) v) vec.v_regs;
-  (match vec.v_data with
-  | None -> ()
-  | Some d ->
-    let mem = Machine.memory m in
-    let base = prog.Program.data_base in
-    for i = 0 to Bytes.length d - 1 do
-      Memory.write_byte mem (base + i) (Char.code (Bytes.get d i))
-    done);
+  let base = prog.Program.data_base in
+  Option.iter (Memory.load_segment mem ~base) vec.v_data;
   match Machine.run ~max_steps m with
   | exception Bor_check.Check.Violation _ -> None
   | Error _ -> None
   | Ok _ ->
     let regs = Array.copy (Machine.unsafe_regs m) in
-    let mem = Machine.memory m in
-    let base = prog.Program.data_base in
     let data =
       Bytes.init data_len (fun i -> Char.chr (Memory.read_byte mem (base + i)))
     in
@@ -119,7 +140,8 @@ let oracle_cycles ~max_cycles o prog =
   let prog = defuse_markers prog in
   match o with
   | Detailed -> (
-    let b = Backend.detailed ~max_cycles prog in
+    with_scratch @@ fun mem ->
+    let b = Backend.detailed ~mem ~max_cycles prog in
     match b.Backend.run () with
     | Ok (Backend.Detailed st) -> Some st.Bor_uarch.Pipeline.cycles
     | Ok _ | Error _ -> None)

@@ -86,10 +86,21 @@ let build_code (p : Bor_isa.Program.t) mode =
   in
   Array.map encode_slot p.text
 
-let create ?(mem_size = 8 * 1024 * 1024)
-    ?(brr_mode = Hardware (Bor_core.Engine.create ())) (p : Bor_isa.Program.t)
-    =
-  let mem = Memory.create ~size:mem_size in
+let default_mem_size = 8 * 1024 * 1024
+
+let create ?mem_size ?mem ?(brr_mode = Hardware (Bor_core.Engine.create ()))
+    (p : Bor_isa.Program.t) =
+  let mem =
+    match (mem, mem_size) with
+    | None, _ ->
+      Memory.create ~size:(Option.value mem_size ~default:default_mem_size)
+    | Some m, Some size when size <> Memory.size m ->
+      invalid_arg "Machine.create: ~mem_size disagrees with ~mem"
+    | Some m, _ ->
+      Memory.clear m;
+      m
+  in
+  let mem_size = Memory.size mem in
   Memory.load_segment mem ~base:p.data_base p.data;
   let regs = Array.make Bor_isa.Reg.count 0 in
   regs.(Bor_isa.Reg.to_int Bor_isa.Reg.sp) <- mem_size - 16;

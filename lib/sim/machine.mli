@@ -39,13 +39,25 @@ type stats = {
 
 type t
 
-val create : ?mem_size:int -> ?brr_mode:brr_mode -> Bor_isa.Program.t -> t
+val default_mem_size : int
+(** Memory size {!create} allocates when given neither [mem_size] nor
+    [mem]: 8 MiB. *)
+
+val create :
+  ?mem_size:int -> ?mem:Memory.t -> ?brr_mode:brr_mode -> Bor_isa.Program.t -> t
 (** [create program] loads the image: registers cleared, [sp] at the top
     of memory, [gp] at the data base, PC at the entry point. Default
     memory is 8 MiB; default [brr_mode] is [Hardware] with a fresh
     default engine.
 
-    @raise Invalid_argument if the data segment does not fit. *)
+    With [~mem], the machine runs on that memory instead of allocating
+    one: it is {!Memory.clear}ed first, so the machine behaves exactly
+    like a fresh one, and only the pages an earlier run dirtied are
+    zeroed. The caller must not touch [mem] through any other machine
+    while this one is in use.
+
+    @raise Invalid_argument if the data segment does not fit, or if
+    [mem_size] is given and differs from [Memory.size mem]. *)
 
 val program : t -> Bor_isa.Program.t
 val pc : t -> int

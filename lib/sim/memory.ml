@@ -127,19 +127,27 @@ let snapshot t =
   done;
   { s_size = size; s_dirty = Bytes.copy t.dirty; s_pages = pages }
 
+(* Zero every page dirty in [t] but not in [keep] (a bitmap of the same
+   length). Pages clean in [t] were never written and are already zero. *)
+let zero_dirty_pages t ~keep =
+  let size = Bytes.length t.bytes in
+  for p = 0 to pages_of size - 1 do
+    if page_dirty t.dirty p && not (page_dirty keep p) then begin
+      let base = p * page_bytes in
+      Bytes.fill t.bytes base (min page_bytes (size - base)) '\000'
+    end
+  done
+
+let clear t =
+  zero_dirty_pages t ~keep:(Bytes.make (Bytes.length t.dirty) '\000');
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
+
 let restore t s =
   if Bytes.length t.bytes <> s.s_size then
     invalid_arg "Memory.restore: size mismatch";
   (* Pages the target wrote but the snapshot never did must go back to
-     zero; pages dirty in neither were never written on either side and
-     are already zero. *)
-  let npages = pages_of s.s_size in
-  for p = 0 to npages - 1 do
-    if page_dirty t.dirty p && not (page_dirty s.s_dirty p) then begin
-      let base = p * page_bytes in
-      Bytes.fill t.bytes base (min page_bytes (s.s_size - base)) '\000'
-    end
-  done;
+     zero; the snapshot's own pages are overwritten below. *)
+  zero_dirty_pages t ~keep:s.s_dirty;
   Array.iter
     (fun (p, bytes) ->
       Bytes.blit bytes 0 t.bytes (p * page_bytes) (Bytes.length bytes))

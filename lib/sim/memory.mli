@@ -32,6 +32,12 @@ val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit
 val copy : t -> t
 
+val clear : t -> unit
+(** Return the memory to the state {!create} left it in: zero every
+    dirty page, then clear the dirty bitmap. Costs time proportional to
+    the pages written since creation (or the last [clear]), not to the
+    memory size, which is what makes a memory worth reusing. *)
+
 (** {1 Snapshots} *)
 
 type snapshot

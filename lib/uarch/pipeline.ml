@@ -347,7 +347,7 @@ let pow2_at_least n =
   done;
   !c
 
-let create ?(config = Config.default) (program : Bor_isa.Program.t) =
+let create ?(config = Config.default) ?mem (program : Bor_isa.Program.t) =
   let pending_brr = ref None in
   let decide _freq =
     match !pending_brr with
@@ -373,7 +373,7 @@ let create ?(config = Config.default) (program : Bor_isa.Program.t) =
     code = program.Bor_isa.Program.text;
     code_base = program.Bor_isa.Program.text_base;
     oracle =
-      Bor_sim.Machine.create ~brr_mode:(Bor_sim.Machine.External decide)
+      Bor_sim.Machine.create ?mem ~brr_mode:(Bor_sim.Machine.External decide)
         program;
     engine;
     hier = Hierarchy.create config;

@@ -61,7 +61,11 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type t
 
-val create : ?config:Config.t -> Bor_isa.Program.t -> t
+val create : ?config:Config.t -> ?mem:Bor_sim.Memory.t -> Bor_isa.Program.t -> t
+(** A pipeline at the program's entry point. [mem] is handed to the
+    oracle machine ({!Bor_sim.Machine.create}): it is cleared and reused
+    instead of allocating a fresh 8 MiB memory, and belongs to this
+    pipeline until the caller is done with it. *)
 
 val cycle : t -> int
 (** Current cycle number. *)

@@ -1,8 +1,9 @@
 (* Tests for Bor_opt, the stochastic superoptimizer (docs/OPT.md):
    Metropolis acceptance-math hand vectors (including the exact
    PRNG-draw discipline), cost-function units (mismatch weighting and
-   the cycle tie-break between equivalent candidates), move-based
-   mutator well-formedness (terminating skeleton, write-pool
+   the cycle tie-break between equivalent candidates), isolation of
+   the reused scratch memories (sequentially and across threads),
+   move-based mutator well-formedness (terminating skeleton, write-pool
    discipline, insert/delete length bounds), end-to-end determinism
    (same seed -> identical best program, counters, trajectory and
    telemetry JSON; domain count changes wall-clock only), and the
@@ -149,8 +150,8 @@ let wrong_two_src =
   \  bne s7, zero, loop\n\
   \  halt\n"
 
-let evaluator () =
-  match Cost.create (asm target_src) with
+let evaluator ?(src = target_src) () =
+  match Cost.create (asm src) with
   | Ok e -> e
   | Error e -> Alcotest.failf "evaluator: %s" e
 
@@ -234,6 +235,132 @@ let test_cost_immune_to_roi_markers () =
   check Alcotest.bool "whole-program cycles are loop-sized" true (base > 100);
   check Alcotest.int "ROI markers charge the same" base (cycles roi);
   check Alcotest.int "inverted markers charge the same" base (cycles inverted)
+
+(* ------------------------------------------------ scratch isolation *)
+
+(* Filter and oracle runs reuse scrubbed scratch memories. The target
+   loads from a stack slot and from past its data segment, both zero
+   on a clean machine, so leftovers from an earlier candidate would
+   change its final [a0]. *)
+let reader_src body =
+  Printf.sprintf
+    "main:\n\
+    \  lw a1, -1000(sp)\n\
+    \  lw a2, 64(gp)\n\
+    \  li s7, 64\n\
+     loop:\n\
+    \  addi a0, a0, 1\n\
+     %s\
+    \  addi s7, s7, -1\n\
+    \  bne s7, zero, loop\n\
+    \  add a0, a0, a1\n\
+    \  add a0, a0, a2\n\
+    \  halt\n\
+    \  .data\n\
+    \  .word 5\n"
+    body
+
+let reader_target = reader_src "  nop\n"
+
+(* Equivalent to the target, so it reaches the oracle, but leaves a0
+   in the very slots the target loads from. *)
+let scribbler = reader_src "  sw a0, -1000(sp)\n  sw a0, 64(gp)\n"
+
+(* Pushes onto the stack until the step budget runs out. *)
+let spinner =
+  "main:\n\
+  \  li t0, 1\n\
+   spin:\n\
+  \  addi sp, sp, -4\n\
+  \  sw t0, 0(sp)\n\
+  \  j spin\n"
+
+(* Dirties the stack and data pages, then faults on a misaligned load. *)
+let faulter =
+  "main:\n\
+  \  li t0, -1\n\
+  \  sw t0, -1000(sp)\n\
+  \  sw t0, 0(gp)\n\
+  \  sw t0, 64(gp)\n\
+  \  lw a0, 2(gp)\n\
+  \  halt\n\
+  \  .data\n\
+  \  .word 5\n"
+
+let test_scratch_isolation () =
+  let target = asm reader_target in
+  let ev = evaluator ~src:reader_target () in
+  let cap = 64 * Cost.vector_count ev in
+  let s = Cost.evaluate ev (asm scribbler) in
+  check Alcotest.bool "scribbler is equivalent and paid the oracle" true
+    (s.Cost.ev_mismatches = 0 && s.Cost.ev_oracle);
+  check Alcotest.int "spinner charges the full cap" cap
+    (Cost.evaluate ev (asm spinner)).Cost.ev_mismatches;
+  check Alcotest.int "faulter charges the full cap" cap
+    (Cost.evaluate ev (asm faulter)).Cost.ev_mismatches;
+  let after = Cost.evaluate ev target in
+  let fresh = Cost.evaluate (evaluator ~src:reader_target ()) target in
+  check Alcotest.int "target still equivalent" 0 after.Cost.ev_mismatches;
+  check Alcotest.bool "same eval as a fresh evaluator" true (after = fresh)
+
+(* A long loop, then the target's two loads: runs long enough to be
+   preempted between its [Machine.create] and the loads. Never
+   equivalent (a0 counts to 40000), so it costs no oracle run. *)
+let slow_src body =
+  Printf.sprintf
+    "main:\n\
+    \  li s7, 40000\n\
+     loop:\n\
+    \  addi a0, a0, 1\n\
+     %s\
+    \  addi s7, s7, -1\n\
+    \  bne s7, zero, loop\n\
+    \  lw a1, -1000(sp)\n\
+    \  lw a2, 64(gp)\n\
+    \  halt\n\
+    \  .data\n\
+    \  .word 5\n"
+    body
+
+(* Each caller owns its scratch memory: three systhreads of one domain
+   evaluating the same candidates in different orders get the records
+   a sequential run does. A memory shared between threads would let a
+   slow scribbler's stores reach a preempted slow reader's loads. *)
+let test_scratch_threads () =
+  let ev = evaluator ~src:reader_target () in
+  let progs =
+    Array.map asm
+      [|
+        reader_target;
+        scribbler;
+        slow_src "  nop\n";
+        slow_src "  sw a0, -1000(sp)\n  sw a0, 64(gp)\n";
+        faulter;
+      |]
+  in
+  let n = Array.length progs in
+  let sequential = Array.map (Cost.evaluate ev) progs in
+  (* Thread [k] evaluates every candidate three times, starting at a
+     different one each round; results are checked after the join. *)
+  let worker k =
+    List.init (3 * n) (fun j ->
+        let i = (j + k + (j / n)) mod n in
+        (i, Cost.evaluate ev progs.(i)))
+  in
+  let results = Array.make 3 [] in
+  List.init 3 (fun k -> Thread.create (fun () -> results.(k) <- worker k) ())
+  |> List.iter Thread.join;
+  Array.iteri
+    (fun k r ->
+      check Alcotest.int (Printf.sprintf "thread %d finished" k) (3 * n)
+        (List.length r);
+      List.iter
+        (fun (i, e) ->
+          check Alcotest.bool
+            (Printf.sprintf "thread %d candidate %d" k i)
+            true (e = sequential.(i)))
+        r)
+    results
 
 (* --------------------------------------------------- mutator moves *)
 
@@ -495,6 +622,10 @@ let () =
           Alcotest.test_case "evaluate is pure" `Quick test_cost_evaluate_is_pure;
           Alcotest.test_case "immune to ROI markers" `Quick
             test_cost_immune_to_roi_markers;
+          Alcotest.test_case "scratch memory isolation" `Quick
+            test_scratch_isolation;
+          Alcotest.test_case "scratch memory per thread" `Quick
+            test_scratch_threads;
         ] );
       ( "mutator",
         [

@@ -37,6 +37,34 @@ let test_memory_faults () =
   check Alcotest.bool "misaligned" true
     (faults (fun () -> ignore (Bor_sim.Memory.read_word m 2)))
 
+(* A cleared memory is indistinguishable from a fresh one, whatever
+   wrote to it: word and byte stores, a segment load and a snapshot
+   restore are all undone, and the dirty bitmap starts empty again. *)
+let test_memory_clear () =
+  let module M = Bor_sim.Memory in
+  let page = M.page_bytes in
+  let size = 16 * page in
+  let dirty_pages m =
+    Array.to_list (Array.map fst (M.snapshot_pages (M.snapshot m)))
+  in
+  let src = M.create ~size in
+  M.write_word src (9 * page) 0x5a5a5a5a;
+  let m = M.create ~size in
+  M.restore m (M.snapshot src);
+  M.write_word m (page + 4) (-1);
+  M.write_byte m ((4 * page) - 1) 0xff;
+  M.load_segment m ~base:((5 * page) + 100) (Bytes.make page '\x77');
+  check Alcotest.(list int) "pages dirtied" [ 1; 3; 5; 6; 9 ] (dirty_pages m);
+  M.clear m;
+  let fresh = M.create ~size in
+  for addr = 0 to size - 1 do
+    if M.read_byte m addr <> M.read_byte fresh addr then
+      Alcotest.failf "byte 0x%x not scrubbed" addr
+  done;
+  check Alcotest.(list int) "no dirty pages" [] (dirty_pages m);
+  M.write_byte m 10 1;
+  check Alcotest.(list int) "tracking resumes" [ 0 ] (dirty_pages m)
+
 (* ------------------------------------------------------------- Machine *)
 
 let test_arith_loop () =
@@ -153,6 +181,79 @@ loop:   site 1
   Bor_sim.Machine.on_site m (fun id -> if id = 1 then incr hits);
   ignore (run_ok m);
   check Alcotest.int "site hit per iteration" 4 !hits
+
+(* [Machine.create ~mem] on a memory another program already scribbled
+   on (stack and data pages) runs exactly like a fresh machine: the
+   reader loads from addresses the scribbler wrote, so any leftover
+   byte would show in its registers. *)
+let test_reused_memory () =
+  let scribbler =
+    assemble
+      {|
+        .text
+main:   li   t0, 200
+        mv   t1, sp
+        la   t2, buf
+fill:   addi t1, t1, -4
+        sw   t0, 0(t1)
+        sb   t0, 0(t2)
+        addi t2, t2, 1
+        addi t0, t0, -1
+        bne  t0, zero, fill
+        halt
+        .data
+buf:    .word 1, 2, 3, 4
+      |}
+  in
+  let reader =
+    assemble
+      {|
+        .text
+main:   lw   a0, -4(sp)
+        lw   a1, -400(sp)
+        la   t0, arr
+        lw   a2, 4(t0)
+        lb   a3, 100(t0)
+        sw   a2, -8(sp)
+        sb   a0, 50(t0)
+        halt
+        .data
+arr:    .word 7, 8
+      |}
+  in
+  let mem = Bor_sim.Memory.create ~size:Bor_sim.Machine.default_mem_size in
+  ignore (run_ok (Bor_sim.Machine.create ~mem scribbler));
+  let reused = Bor_sim.Machine.create ~mem reader in
+  check Alcotest.bool "runs on the given memory" true
+    (Bor_sim.Machine.memory reused == mem);
+  let fresh = Bor_sim.Machine.create reader in
+  ignore (run_ok reused);
+  ignore (run_ok fresh);
+  let regs m =
+    List.init Bor_isa.Reg.count (fun i ->
+        Bor_sim.Machine.reg m (Bor_isa.Reg.of_int i))
+  in
+  check Alcotest.(list int) "registers" (regs fresh) (regs reused);
+  check Alcotest.int "a2 read the data segment" 8
+    (Bor_sim.Machine.reg fresh (Bor_isa.Reg.a 2));
+  check Alcotest.bool "stats" true
+    (Bor_sim.Machine.stats fresh = Bor_sim.Machine.stats reused);
+  let bytes m lo hi =
+    let mm = Bor_sim.Machine.memory m in
+    String.init (hi - lo) (fun i ->
+        Char.chr (Bor_sim.Memory.read_byte mm (lo + i)))
+  in
+  let db = reader.Bor_isa.Program.data_base in
+  let top = Bor_sim.Machine.default_mem_size in
+  check Alcotest.string "data pages"
+    (bytes fresh db (db + 512))
+    (bytes reused db (db + 512));
+  check Alcotest.string "stack pages"
+    (bytes fresh (top - 1024) top)
+    (bytes reused (top - 1024) top);
+  Alcotest.check_raises "size mismatch rejected"
+    (Invalid_argument "Machine.create: ~mem_size disagrees with ~mem")
+    (fun () -> ignore (Bor_sim.Machine.create ~mem_size:4096 ~mem reader))
 
 (* ------------------------------------------------- branch-on-random *)
 
@@ -407,6 +508,7 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_memory_rw;
           Alcotest.test_case "faults" `Quick test_memory_faults;
+          Alcotest.test_case "clear = fresh" `Quick test_memory_clear;
         ] );
       ( "machine",
         [
@@ -418,6 +520,7 @@ let () =
           Alcotest.test_case "step budget" `Quick test_fetch_fault;
           Alcotest.test_case "marker hook" `Quick test_marker_hook;
           Alcotest.test_case "site hook" `Quick test_site_hook;
+          Alcotest.test_case "reused memory = fresh" `Quick test_reused_memory;
         ] );
       ( "patching (§7)",
         [
