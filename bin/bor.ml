@@ -27,8 +27,9 @@
    the timing run to SMARTS-style sampled simulation (functional
    warming plus periodic detailed windows of D instructions after a W
    warmup, every P instructions, optional random window phase).
-   --domains N runs the detailed windows of a sampled run in parallel
-   on N OCaml domains — results are byte-identical to --domains 1.
+   --domains N runs the detailed windows of a sampled run on N OCaml
+   domains (the sweep thread and N-1 workers sharing one window queue)
+   — results and telemetry are byte-identical to --domains 1.
    --rank-bands K switches window selection to ranked sets: every K
    consecutive candidate boundaries are scored by a cheap warming
    signature and contribute one detailed window (~K-fold fewer
@@ -55,8 +56,8 @@
    prints it), fanned across a domain worker pool (--domains N), and
    memoized in an on-disk store (--store DIR [--cache-max-bytes N]).
    bor submit is the matching client: it assembles FILE, submits it
-   with --backend/--sample/--window-domains, and with --wait blocks
-   and prints the deterministic result payload on stdout (key,
+   with --backend/--sample/--rank-bands/--ci-target, and with --wait
+   blocks and prints the deterministic result payload on stdout (key,
    disposition and source go to stderr, so payloads can be compared
    byte-for-byte). bor submit --shutdown / --stats drive a running
    server without submitting. *)
@@ -94,7 +95,7 @@ let usage () =
      \       bor serve --socket PATH [--metrics-socket PATH] [--domains N] \
      [--store DIR [--cache-max-bytes N]] [--stats[=json]] [--sanitize]\n\
      \       bor submit --socket PATH FILE [--backend NAME] [--sample W:D:P[:SEED]] \
-     [--window-domains N] [--rank-bands K] [--ci-target PCT] [--wait] | --stats | --shutdown\n\
+     [--rank-bands K] [--ci-target PCT] [--wait] | --stats | --shutdown\n\
      \       bor digest FILE [--backend NAME] [--sample W:D:P[:SEED]] \
      [--rank-bands K] [--ci-target PCT] [--explain]\n\
      FILE may be assembly (.s), minic (.c for cc*) or a BOR1 object image";
@@ -688,7 +689,6 @@ let run_submit rest =
   and file = ref None
   and backend = ref "detailed"
   and plan = ref None
-  and window_domains = ref None
   and rank_bands = ref None
   and ci_target = ref None
   and wait = ref false
@@ -704,13 +704,6 @@ let run_submit rest =
       parse r
     | "--sample" :: v :: r ->
       plan := Some v;
-      parse r
-    | "--window-domains" :: v :: r ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> window_domains := Some n
-      | _ ->
-        Printf.eprintf "bor: --window-domains %s: expected a positive integer\n" v;
-        exit 2);
       parse r
     | "--rank-bands" :: v :: r ->
       rank_bands := Some (parse_rank_bands v);
@@ -760,8 +753,7 @@ let run_submit rest =
     let prog = assemble file in
     let resp =
       request
-        (Bor_serve.Client.submit_request ?plan:!plan
-           ?window_domains:!window_domains ?rank_bands:!rank_bands
+        (Bor_serve.Client.submit_request ?plan:!plan ?rank_bands:!rank_bands
            ?ci_target:!ci_target ~backend:!backend prog)
     in
     let key =

@@ -128,34 +128,26 @@ let resume ?config ?max_cycles ck prog =
 
 let names = [ "functional"; "detailed"; "warming"; "sampled" ]
 
-let of_name ?config ?plan ?domains ?rank_bands ?ci_target ?runner name prog =
-  match name with
-  | "sampled" ->
-    Ok (sampled ?config ?plan ?domains ?rank_bands ?ci_target ?runner prog)
-  | _ when Option.is_some runner ->
+let of_name ?config ?plan ?rank_bands ?ci_target ?runner name prog =
+  let sampled_only =
+    [
+      ("runner", Option.is_some runner);
+      ("plan", Option.is_some plan);
+      ("rank_bands", Option.is_some rank_bands);
+      ("ci_target", Option.is_some ci_target);
+    ]
+  in
+  match (name, List.find_opt snd sampled_only) with
+  | "sampled", _ ->
+    Ok (sampled ?config ?plan ?rank_bands ?ci_target ?runner prog)
+  | _, Some (arg, _) ->
     Error
-      (Printf.sprintf
-         "backend %S does not take a window runner (only \"sampled\" does)"
-         name)
-  | _ when Option.is_some plan ->
-    Error
-      (Printf.sprintf
-         "backend %S does not take a sampling plan (only \"sampled\" does)"
-         name)
-  | _ when Option.is_some rank_bands ->
-    Error
-      (Printf.sprintf
-         "backend %S does not take --rank-bands (only \"sampled\" does)"
-         name)
-  | _ when Option.is_some ci_target ->
-    Error
-      (Printf.sprintf
-         "backend %S does not take --ci-target (only \"sampled\" does)"
-         name)
-  | "functional" -> Ok (functional prog)
-  | "detailed" -> Ok (detailed ?config prog)
-  | "warming" -> Ok (warming ?config prog)
-  | _ ->
+      (Printf.sprintf "backend %S does not take ?%s (only \"sampled\" does)"
+         name arg)
+  | "functional", None -> Ok (functional prog)
+  | "detailed", None -> Ok (detailed ?config prog)
+  | "warming", None -> Ok (warming ?config prog)
+  | _, None ->
     Error
       (Printf.sprintf "unknown backend %S (expected %s)" name
          (String.concat "|" names))

@@ -82,7 +82,6 @@ val names : string list
 val of_name :
   ?config:Bor_uarch.Config.t ->
   ?plan:Bor_uarch.Sampling_plan.t ->
-  ?domains:int ->
   ?rank_bands:int ->
   ?ci_target:float ->
   ?runner:(Sampled.exec_ctx -> Sampled.runner) ->
@@ -92,10 +91,10 @@ val of_name :
 (** Construct a backend from its kind name — the dispatch used by the
     serve scheduler and [bor submit], where the kind arrives as data
     (and doubles as the cache key's [kind] component). [plan],
-    [domains], [rank_bands], [ci_target] and [runner] only make sense
-    for ["sampled"]; passing a plan, rank-bands, CI target or window
-    runner to any other kind is an [Error] rather than a silently
-    ignored — and therefore cache-aliasing — argument. *)
+    [rank_bands], [ci_target] and [runner] only make sense for
+    ["sampled"]; passing any of them to another kind is an [Error]
+    naming the first offending argument, rather than a silently
+    ignored — and therefore cache-aliasing — one. *)
 
 val run_cached :
   ?store:Bor_store.Store.t ->

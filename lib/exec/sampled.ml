@@ -29,70 +29,9 @@ let pp ppf s =
     s.sp_detailed_cycles s.sp_cpi s.sp_cpi_ci95 s.sp_cycles_estimate
     (if s.sp_stopped then " [stopped at CI target]" else "")
 
-(* Bounded blocking queue: the sweep produces checkpoints, worker
-   domains consume them. The bound keeps only a handful of checkpoints
-   (each ~a predictor table's worth of arrays) alive at once, however
-   far the sweep runs ahead of the windows. *)
-module Bqueue = struct
-  type 'a t = {
-    buf : 'a Queue.t;
-    cap : int;
-    m : Mutex.t;
-    nonempty : Condition.t;
-    nonfull : Condition.t;
-    mutable closed : bool;
-  }
-
-  let create cap =
-    {
-      buf = Queue.create ();
-      cap;
-      m = Mutex.create ();
-      nonempty = Condition.create ();
-      nonfull = Condition.create ();
-      closed = false;
-    }
-
-  let push q x =
-    Mutex.lock q.m;
-    while Queue.length q.buf >= q.cap do
-      Condition.wait q.nonfull q.m
-    done;
-    Queue.add x q.buf;
-    Condition.signal q.nonempty;
-    Mutex.unlock q.m
-
-  let close q =
-    Mutex.lock q.m;
-    q.closed <- true;
-    Condition.broadcast q.nonempty;
-    Mutex.unlock q.m
-
-  let pop q =
-    Mutex.lock q.m;
-    let rec go () =
-      if not (Queue.is_empty q.buf) then begin
-        let x = Queue.take q.buf in
-        Condition.signal q.nonfull;
-        Some x
-      end
-      else if q.closed then None
-      else begin
-        Condition.wait q.nonempty q.m;
-        go ()
-      end
-    in
-    let r = go () in
-    Mutex.unlock q.m;
-    r
-end
-
-type window_entry = {
+type window_entry = Window.window_entry = {
   e_result : (Pipeline.window_result, string) result;
   e_tel : Telemetry.export option;
-      (** the window's telemetry delta, shipped home by worker domains;
-          [None] in sequential mode, where windows share the sweep's
-          registry *)
 }
 
 (* One detailed window: a throwaway pipeline seeded from the
@@ -110,42 +49,26 @@ let window_job ~config ~plan ~max_cycles ~digest prog ck =
 
    [run_on] below plans the schedule (the warming sweep) and folds the
    results (the schedule-ordered merge); executing the detailed
-   windows in between goes through a [runner]. The two built-in
-   runners reproduce the historical behavior byte for byte: inline
-   execution at [domains = 1], the round-robin domain pool otherwise.
-   An external runner — the serve global window queue — receives the
-   [exec_ctx] (the pure window function plus a thread-safe delivery
-   callback and everything that identifies a window as a content-
-   addressed work unit) and may execute windows on any thread or
-   domain, in any order, interleaved with other jobs' windows. The
-   fold does not care: results are merged strictly by window index. *)
+   windows in between goes through a [runner] (see {!Window}): inline
+   at [domains = 1], a private window queue otherwise, or an external
+   one — the serve global window queue — that may execute windows on
+   any thread or domain, in any order, interleaved with other jobs'
+   windows. The fold does not care: results are merged strictly by
+   window index. *)
 
-type exec_ctx = {
+type exec_ctx = Window.exec_ctx = {
   xc_window : Checkpoint.t -> (Pipeline.window_result, string) result;
-      (** the window as a pure function of its checkpoint *)
   xc_deliver : int -> window_entry -> unit;
-      (** hand back window [index]'s entry; thread-safe, call exactly
-          once per dispatched index *)
-  xc_digest : string;  (** program image digest (shard-key component) *)
+  xc_digest : string;
   xc_plan : Sampling_plan.t;
   xc_max_cycles : int;
   xc_telemetry : bool;
-      (** whether the job wants per-window telemetry deltas; part of a
-          work unit's identity, since shared entries carry them *)
   xc_stopped : unit -> bool;
-      (** the job's advisory stop flag: true once the online stopping
-          rule fired. Already-dispatched windows must still be
-          delivered (overrun is discarded at merge), but a scheduler
-          may deprioritize them in favor of live jobs *)
 }
 
-type runner = {
+type runner = Window.runner = {
   r_dispatch : index:int -> boundary:int -> Checkpoint.t -> unit;
-      (** window [index] (dense dispatch order) at schedule [boundary]
-          (the period index, which names the checkpoint even when
-          ranked selection dispatches a sparse subset) *)
   r_drain : unit -> unit;
-      (** block until every dispatched window has been delivered *)
 }
 
 let seq_runner ctx =
@@ -156,53 +79,41 @@ let seq_runner ctx =
     r_drain = (fun () -> ());
   }
 
-(* Window [i] always runs on domain [i mod domains]: dedicated
-   per-worker queues make the work assignment — and hence the
-   windows_per_domain histogram — a pure function of the schedule, not
-   of which domain won a race for a shared queue. Windows all cost the
-   same (restore + warmup + window commits), so round-robin loses
-   nothing to work stealing. *)
-let par_runner ~domains ctx =
-  let qs = Array.init domains (fun _ -> Bqueue.create 2) in
-  let tel_on = ctx.xc_telemetry in
-  let worker q () =
-    (* Fresh domain: its telemetry registry starts empty and disabled.
-       Mirror the parent's enablement so window instruments register
-       locally, and ship each window's delta home inside its result. *)
-    if tel_on then Telemetry.set_enabled true;
-    let rec loop () =
-      match Bqueue.pop q with
-      | None -> ()
-      | Some (i, ck) ->
-        let r = ctx.xc_window ck in
-        let tel =
-          if tel_on then begin
-            let e = Telemetry.export () in
-            Telemetry.reset ();
-            Some e
-          end
-          else None
-        in
-        ctx.xc_deliver i { e_result = r; e_tel = tel };
-        loop ()
-    in
-    loop ()
+(* [domains > 1] without an external runner: a private window queue,
+   executed by [domains - 1] worker domains plus the sweep thread,
+   which help-executes whenever it reaches the in-flight cap and while
+   draining. No store and nothing kept once delivered: a run's work
+   units never repeat. Windows take exactly a served job's path, so
+   results and telemetry match the inline runner's by construction. *)
+let queue_runner ~domains ~config ctx =
+  let mu = Mutex.create () and cond = Condition.create () in
+  let wq =
+    Wqueue.create ~monitor:(mu, cond) ~inflight_cap:(max 4 (2 * domains))
+      ~finished_cap:0 ()
   in
-  let workers = Array.init domains (fun w -> Domain.spawn (worker qs.(w))) in
-  let drained = ref false in
-  {
-    r_dispatch =
-      (fun ~index ~boundary:_ ck -> Bqueue.push qs.(index mod domains) (index, ck));
-    r_drain =
-      (* Close the queues and join even when the sweep dies, so no
-         domain outlives the run. *)
-      (fun () ->
-        if not !drained then begin
-          drained := true;
-          Array.iter Bqueue.close qs;
-          Array.iter Domain.join workers
-        end);
-  }
+  let closed = ref false in
+  let rec work () =
+    Mutex.lock mu;
+    while not (!closed || Wqueue.pending_locked wq) do
+      Condition.wait cond mu
+    done;
+    match Wqueue.steal_locked wq with
+    | Some h ->
+      Mutex.unlock mu;
+      Wqueue.execute wq h;
+      work ()
+    | None -> Mutex.unlock mu
+  in
+  let workers = List.init (domains - 1) (fun _ -> Domain.spawn work) in
+  let r = Wqueue.runner wq ~job:"sampled" ~config ctx in
+  let close () =
+    Mutex.lock mu;
+    closed := true;
+    Condition.broadcast cond;
+    Mutex.unlock mu;
+    List.iter Domain.join workers
+  in
+  { r with r_drain = (fun () -> Fun.protect ~finally:close r.r_drain) }
 
 let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
     ?(rank_bands = 1) ?(ci_target = 0.) ?runner t =
@@ -300,12 +211,6 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
       let halted () = Machine.halted oracle in
       let results : (int, window_entry) Hashtbl.t = Hashtbl.create 64 in
       let njobs = ref 0 in
-      (* Windows the schedule selects, whether or not the stop flag
-         suppressed their dispatch. A pure function of the sweep, so
-         [n_scheduled - merged] (the overrun counter) is deterministic
-         even though the racy dispatch cutoff makes [njobs] itself
-         timing-dependent once the flag is up. *)
-      let n_scheduled = ref 0 in
       let seed =
         match plan.Sampling_plan.seed with Some s -> s | None -> 0
       in
@@ -320,11 +225,10 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
          raised by [advance_stopping], an in-order fold over the
          contiguous prefix of completed window results — exactly the
          fold the merge below re-runs from scratch — so it can fire no
-         earlier than the true stop index. Sequentially the fold runs
-         after every window, making the flag exact; in parallel it runs
-         under the results mutex as windows land, so a few extra
-         windows may get dispatched first (they are discarded at
-         merge). Either way the sweep itself always warms to the end of
+         earlier than the true stop index. Inline the fold runs after
+         every window, making the flag exact; off-thread it runs under
+         the results mutex as windows land, so a few extra windows may
+         get dispatched first (they are discarded at merge). Either way the sweep itself always warms to the end of
          the program: the savings are skipped windows, never skipped
          warming, and [sp_instructions]/[sp_warmed] stay identical at
          every domain count and stop target. *)
@@ -353,8 +257,8 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
             | Some { e_result = Error _; _ } | None -> continue := false
           done
       in
-      (* Every delivery — inline, worker-domain or external-queue —
-         funnels through here: insert under the results mutex, then
+      (* Every delivery — inline or from the window queue — funnels
+         through here: insert under the results mutex, then
          advance the advisory stopping fold. Sequentially the mutex is
          uncontended, so this is exactly the historical inline path. *)
       let rm = Mutex.create () in
@@ -375,7 +279,6 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
           xc_stopped = (fun () -> Atomic.get stop_flag);
         }
       in
-      let parallel = Option.is_none runner && domains > 1 in
       (* The warming signature of the stretch starting at a candidate
          boundary: deltas of the oracle's architectural counters, the
          warmed hierarchy's per-level miss counters and the warming
@@ -430,7 +333,6 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
         in
         let select (sel_ck, boundary) =
           incr n_selected;
-          incr n_scheduled;
           match sel_ck with Some ck -> dispatch_ck ~boundary ck | None -> ()
         in
         let pending = ref None in
@@ -452,7 +354,6 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
             | None ->
               let boundary = !n_bound in
               incr n_bound;
-              incr n_scheduled;
               if not (Atomic.get stop_flag) then
                 dispatch_ck ~boundary
                   (Checkpoint.capture ~program_digest:digest t)
@@ -481,13 +382,13 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
         let r =
           match runner with
           | Some make -> make ctx
-          | None ->
-            if domains = 1 then seq_runner ctx else par_runner ~domains ctx
+          | None when domains = 1 -> seq_runner ctx
+          | None -> queue_runner ~domains ~config ctx
         in
         (* Plan, then execute: the sweep pushes work units through the
            runner; [r_drain] blocks until every dispatched window has
            been delivered — also on the error path, so no work unit
-           (or built-in worker domain) outlives the run. *)
+           (or private worker domain) outlives the run. *)
         let sweep_err =
           try
             sweep r.r_dispatch;
@@ -501,7 +402,6 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
         let windows = ref 0 in
         let detailed = ref 0 in
         let dcycles = ref 0 in
-        let merge_checks = ref 0 in
         let err = ref None in
         (* Merge strictly in window order: CPI samples join the
            estimate in schedule order, telemetry deltas absorb in the
@@ -511,7 +411,7 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
            here from scratch over the same in-order stream the advisory
            fold saw, so the merged prefix — hence every reported number
            and every absorbed delta — is a pure function of the
-           schedule. Results past the stop index (parallel dispatch
+           schedule. Results past the stop index (off-thread dispatch
            overrun) are dropped wholesale, telemetry included. *)
         let merge_stop =
           if ci_target > 0. then
@@ -525,7 +425,6 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
           | None -> err := Some "internal error: window result missing"
           | Some { e_result = Error e; _ } -> err := Some e
           | Some { e_result = Ok w; e_tel } ->
-            incr merge_checks;
             (match e_tel with Some e -> Telemetry.absorb e | None -> ());
             (match w.Pipeline.w_sample with
             | Some (cycles, instrs) ->
@@ -571,46 +470,6 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
               (int_of_float ((ci_target *. 1000.) +. 0.5));
             Telemetry.add tc_obs !windows;
             Telemetry.add tc_stopped (if !stopped then 1 else 0));
-          (* The sampling.parallel.* family registers only when worker
-             domains actually ran, keeping sequential sampled telemetry
-             byte-identical to what it was before parallelism existed.
-             Every value is derived from the merged (schedule-ordered)
-             prefix and the round-robin assignment, never from racy
-             completion accounting, so the family is reproducible at any
-             fixed domain count. *)
-          (if parallel then
-            let psc = Telemetry.scope "sampling.parallel" in
-            let pc_domains =
-              Telemetry.counter psc ~unit_:"domains"
-                ~doc:"worker domains used for detailed windows" "domains"
-            in
-            let ph_per_domain =
-              Telemetry.histogram psc ~unit_:"windows"
-                ~doc:
-                  "merged detailed windows per worker domain \
-                   (round-robin dispatch)"
-                "windows_per_domain"
-            in
-            let pc_merge =
-              Telemetry.counter psc
-                ~doc:"window results verified to merge in window order"
-                "merge_checks"
-            in
-            let pc_overrun =
-              Telemetry.counter psc ~unit_:"windows"
-                ~doc:
-                  "scheduled windows past the stop index, skipped or \
-                   discarded at merge"
-                "overrun"
-            in
-            Telemetry.add pc_domains domains;
-            let counts = Array.make domains 0 in
-            for i = 0 to !merged - 1 do
-              counts.(i mod domains) <- counts.(i mod domains) + 1
-            done;
-            Array.iter (fun n -> Telemetry.observe ph_per_domain n) counts;
-            Telemetry.add pc_merge !merge_checks;
-            Telemetry.add pc_overrun (!n_scheduled - !merged));
           Ok
             {
               sp_windows = !windows;

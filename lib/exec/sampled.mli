@@ -1,5 +1,5 @@
 (** SMARTS-style sampled simulation over checkpointed windows,
-    optionally parallel across OCaml 5 domains.
+    optionally spread across OCaml 5 domains.
 
     One pipeline — the {e sweep} — executes the whole program under
     functional warming. At each period's window boundary it emits a
@@ -7,11 +7,11 @@
     created pipeline seeded from its checkpoint and discarded
     afterwards. A window is therefore a pure function of its
     checkpoint, so the windows can execute in any order on any number
-    of domains: CPI samples are reassembled in window order, per-domain
-    telemetry registries are merged in window order, and the results —
-    CPI, confidence interval, telemetry totals — are identical at every
-    domain count, including [domains = 1] (which runs the same
-    capture/restore path inline).
+    of domains: CPI samples are reassembled in window order, each
+    window's telemetry delta is absorbed in window order, and the
+    results — CPI, confidence interval, the whole telemetry registry —
+    are identical at every domain count, including [domains = 1]
+    (which runs the same capture/restore path inline).
 
     Two variance-reduction refinements ride on the same schedule (see
     [docs/SAMPLING.md]):
@@ -27,69 +27,38 @@
       dispatching windows once the 95% CI half-width falls below the
       target percentage of the mean. The stop index is re-derived at
       merge time from the in-order sample stream, so early-stopped runs
-      are byte-identical at every domain count; parallel dispatch may
+      are byte-identical at every domain count; off-thread dispatch may
       overrun the stop index, and those windows (results and telemetry
       deltas both) are discarded. The sweep always warms to the end of
       the program either way. *)
 
-type window_entry = {
+(** {2 Window execution}
+
+    The runner interface, documented field by field in {!Window}. *)
+
+type window_entry = Window.window_entry = {
   e_result : (Bor_uarch.Pipeline.window_result, string) result;
   e_tel : Bor_telemetry.Telemetry.export option;
-      (** the window's telemetry delta, shipped home by whichever
-          thread/domain executed it; [None] when the window ran
-          inline on the job's own registry *)
 }
-(** One delivered window result: what {!exec_ctx.xc_deliver} accepts. *)
 
-type exec_ctx = {
+type exec_ctx = Window.exec_ctx = {
   xc_window :
     Checkpoint.t -> (Bor_uarch.Pipeline.window_result, string) result;
-      (** the detailed window as a {e pure function} of its checkpoint
-          (PR 5's purity contract): safe to execute on any thread or
-          domain, any number of times, with identical results *)
   xc_deliver : int -> window_entry -> unit;
-      (** deliver window [index]'s entry; thread-safe; must be called
-          exactly once per dispatched index before [r_drain] returns *)
   xc_digest : string;
-      (** the program image's SHA-256 — with the config and plan, the
-          shard-key component of a window's content address *)
-  xc_plan : Bor_uarch.Sampling_plan.t;  (** the resolved sampling plan *)
-  xc_max_cycles : int;  (** per-window cycle budget *)
+  xc_plan : Bor_uarch.Sampling_plan.t;
+  xc_max_cycles : int;
   xc_telemetry : bool;
-      (** whether the job records telemetry; an external runner must
-          key shared work units on this, since a shared entry's
-          [e_tel] is absorbed verbatim by every job that receives it *)
   xc_stopped : unit -> bool;
-      (** the job's advisory stop flag: true once the online stopping
-          rule fired. Already-dispatched windows must still be
-          delivered (overrun is discarded at merge, so execution order
-          cannot change the payload), but a scheduler may deprioritize
-          them in favor of live jobs *)
 }
-(** Everything an external runner needs to execute this run's windows
-    as first-class work units. Handed to the [?runner] factory of
-    {!run_on}. *)
 
-type runner = {
+type runner = Window.runner = {
   r_dispatch : index:int -> boundary:int -> Checkpoint.t -> unit;
-      (** execute window [index] (dense dispatch order — the merge
-          key) whose checkpoint was captured at schedule [boundary]
-          (the period index; under ranked selection the dispatched
-          subset is sparse in boundaries but dense in indices).
-          [(program digest, config, plan, boundary)] identifies the
-          checkpoint content-addressably; [(that, max_cycles,
-          telemetry)] identifies the work unit. May execute inline,
-          enqueue, or deduplicate against an identical unit from
-          another job — as long as every index is eventually
-          delivered. *)
   r_drain : unit -> unit;
-      (** block until every dispatched window has been delivered;
-          called once, after the sweep (also when the sweep failed) *)
 }
-(** How {!run_on} executes detailed windows. The built-in runners
-    (inline at [domains = 1], a round-robin domain pool otherwise)
-    reproduce the historical behavior byte for byte; the serve global
-    window queue provides an external one ([Bor_serve.Wqueue]). *)
+(** How {!run_on} executes detailed windows: inline at [domains = 1],
+    on a private {!Wqueue} at [domains > 1], or through an external
+    runner such as the serve global window queue. *)
 
 type stats = {
   sp_windows : int;  (** detailed windows that produced a CPI sample *)
@@ -118,8 +87,11 @@ val run_on :
   (stats, string) result
 (** Run the whole program under the sampling schedule ([?plan], falling
     back to the pipeline's [Config.sample]; an error when neither is
-    set) on a freshly created pipeline, farming detailed windows out to
-    [domains] worker domains ([1], the default, runs them inline).
+    set) on a freshly created pipeline. [domains] (default [1], capped
+    at 64) is how many threads execute detailed windows: [1] runs them
+    inline; [N > 1] runs them on a private {!Wqueue} with [N - 1]
+    worker domains plus the sweep thread, which help-executes whenever
+    it is [max 4 (2 * N)] windows ahead and while draining.
     [max_cycles] (default 2e9) bounds each window individually.
 
     [rank_bands] (default [1] = off) sets the ranked-set size [K];
@@ -131,20 +103,18 @@ val run_on :
 
     Registers the [sampling.*] telemetry counters — only in sampled
     runs, never in full-detail ones — plus [sampling.rank.*] when
-    [rank_bands > 1], [sampling.stop.*] when [ci_target > 0] (both
-    deterministic at any domain count), and the [sampling.parallel.*]
-    family when (and only when) [domains > 1]. Never raises; simulator
+    [rank_bands > 1] and [sampling.stop.*] when [ci_target > 0]; no
+    family depends on the domain count. Never raises; simulator
     errors, sanitizer violations and oracle faults from the sweep or
     any window come back as [Error] (first window in window order
     wins).
 
     [runner] swaps in an external window executor (built from the
     {!exec_ctx} handed to the factory); when given, [domains] is
-    ignored — worker provisioning is the runner's business — and the
-    [sampling.parallel.*] family is not registered. Results and every
-    other telemetry counter remain byte-identical to the built-in
-    runners: entries are merged strictly in window order, with each
-    entry's [e_tel] export absorbed at its in-order merge point. *)
+    ignored — worker provisioning is the runner's business. Results
+    and telemetry remain byte-identical to the built-in runners:
+    entries are merged strictly in window order, with each entry's
+    [e_tel] export absorbed at its in-order merge point. *)
 
 val run :
   ?max_cycles:int ->

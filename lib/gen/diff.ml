@@ -2,7 +2,7 @@ module Machine = Bor_sim.Machine
 module Pipeline = Bor_uarch.Pipeline
 module Backend = Bor_exec.Backend
 module Sampled = Bor_exec.Sampled
-module Wqueue = Bor_serve.Wqueue
+module Wqueue = Bor_exec.Wqueue
 module Check = Bor_check.Check
 module Program = Bor_isa.Program
 module Reg = Bor_isa.Reg
@@ -209,8 +209,8 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
         ranked_stats.Sampled.sp_windows ranked_par_stats.Sampled.sp_cpi
         ranked_stats.Sampled.sp_cpi ranked_par_stats.Sampled.sp_stopped
         ranked_stats.Sampled.sp_stopped;
-    (* Eighth and ninth legs: the serve-layer global window queue. The
-       same sampled run routed through a standalone Wqueue (zero pool
+    (* Eighth and ninth legs: one window queue shared by two jobs, as
+       in bor serve. The same sampled run routed through a standalone Wqueue (zero pool
        workers — the drain help-executes everything) must reproduce the
        sequential leg bit for bit; a second job with the same program
        prefix on the same queue must also reproduce it while executing

@@ -2,14 +2,13 @@
     under the functional simulator, the full-detail pipeline, functional
     warming (twice — through the block translation cache and with the
     cache forced off onto the single-step path), sequential sampled
-    simulation, domain-parallel sampled simulation (worker count
+    simulation, domain-parallel sampled simulation (domain count
     varied by the seed), sequential + parallel ranked-set sampled
     simulation with CI stopping on (band count varied by the seed),
-    and two sampled legs routed through the serve-layer global window
-    queue ({!Bor_serve.Wqueue}) as distinct jobs — the second must be
-    answered entirely by the first's shared work units — and demand
-    identical
-    final architectural state (all registers, the whole data segment,
+    and two sampled legs routed through one shared window queue
+    ({!Bor_exec.Wqueue}, as [bor serve] uses it) as distinct jobs —
+    the second must be answered entirely by the first's shared work
+    units — and demand identical final architectural state (all registers, the whole data segment,
     and the retirement statistics) — plus, for each parallel or
     window-queue leg, sampled statistics identical to the sequential
     leg's, CPI, CI and stop decision included, and for the ranked legs

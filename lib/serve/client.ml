@@ -21,8 +21,7 @@ let request ~socket req =
                    (Unix.error_message e))
           | exception Wire.Protocol_error m -> Error ("client: " ^ m)))
 
-let submit_request ?plan ?window_domains ?rank_bands ?ci_target ~backend
-    program =
+let submit_request ?plan ?rank_bands ?ci_target ~backend program =
   Json.Obj
     ([
        ("op", Json.String "submit");
@@ -30,9 +29,6 @@ let submit_request ?plan ?window_domains ?rank_bands ?ci_target ~backend
        ("backend", Json.String backend);
      ]
     @ (match plan with None -> [] | Some p -> [ ("plan", Json.String p) ])
-    @ (match window_domains with
-      | None -> []
-      | Some n -> [ ("window_domains", Json.Int n) ])
     @ (match rank_bands with
       | None -> []
       | Some k -> [ ("rank_bands", Json.Int k) ])

@@ -12,7 +12,6 @@ val request :
 
 val submit_request :
   ?plan:string ->
-  ?window_domains:int ->
   ?rank_bands:int ->
   ?ci_target:float ->
   backend:string ->

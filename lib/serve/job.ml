@@ -10,19 +10,17 @@ type spec = {
   sp_backend : string;
   sp_config : Bor_uarch.Config.t;
   sp_plan : Bor_uarch.Sampling_plan.t option;
-  sp_window_domains : int;
   sp_rank_bands : int;
   sp_ci_target : float;
 }
 
-let make ?(config = Bor_uarch.Config.default) ?plan ?(window_domains = 1)
-    ?(rank_bands = 1) ?(ci_target = 0.) ~backend program =
+let make ?(config = Bor_uarch.Config.default) ?plan ?(rank_bands = 1)
+    ?(ci_target = 0.) ~backend program =
   {
     sp_program = program;
     sp_backend = backend;
     sp_config = config;
     sp_plan = plan;
-    sp_window_domains = window_domains;
     sp_rank_bands = rank_bands;
     sp_ci_target = ci_target;
   }
@@ -125,27 +123,11 @@ let render_report = function
           ("stopped", Json.Bool sp_stopped);
         ]
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-(* sampling.parallel.* registers only when windows fan out across
-   domains; dropping it keeps the payload independent of
-   sp_window_domains, which is not part of the key. *)
-let telemetry_snapshot () =
-  match Telemetry.to_json () with
-  | Json.Obj fields ->
-      Json.Obj
-        (List.filter
-           (fun (name, _) -> not (starts_with ~prefix:"sampling.parallel." name))
-           fields)
-  | j -> j
-
 let run ?store ?runner spec =
   let k = key spec in
   let was_enabled = Telemetry.is_enabled () in
   let render report =
-    let telemetry = telemetry_snapshot () in
+    let telemetry = Telemetry.to_json () in
     Json.to_string
       (Json.Obj
          [
@@ -173,9 +155,8 @@ let run ?store ?runner spec =
     let ci_target =
       if spec.sp_ci_target = 0. then None else Some spec.sp_ci_target
     in
-    Backend.of_name ~config:spec.sp_config ?plan:spec.sp_plan
-      ~domains:spec.sp_window_domains ?rank_bands ?ci_target ?runner
-      spec.sp_backend spec.sp_program
+    Backend.of_name ~config:spec.sp_config ?plan:spec.sp_plan ?rank_bands
+      ?ci_target ?runner spec.sp_backend spec.sp_program
   in
   (* Telemetry on before [create]: instruments register at
      component-creation time. *)

@@ -5,21 +5,13 @@
     (schema ["bor-serve-result-v1"]): the key, the backend's report
     with every statistic rendered as an integer or a pre-formatted
     fixed-precision string (no float printing anywhere near a digest),
-    and the run's telemetry snapshot plus its SHA-256. The
-    [sampling.parallel.*] telemetry family is filtered out of the
-    snapshot — it exists only when a sampled job fans its windows
-    across domains, and the contract (docs/SERVE.md) is that the
-    payload is byte-identical at {e any} [window_domains], exactly as
-    the underlying merge guarantees for the measured counters. *)
+    and the run's telemetry snapshot plus its SHA-256. *)
 
 type spec = {
   sp_program : Bor_isa.Program.t;
   sp_backend : string;  (** a {!Bor_exec.Backend.of_name} kind *)
   sp_config : Bor_uarch.Config.t;
   sp_plan : Bor_uarch.Sampling_plan.t option;
-  sp_window_domains : int;
-      (** domains for a sampled job's per-window fan-out; affects
-          wall-clock only, never the payload bytes *)
   sp_rank_bands : int;
       (** ranked-set size for a sampled job (1 = fixed-period) *)
   sp_ci_target : float;
@@ -29,7 +21,6 @@ type spec = {
 val make :
   ?config:Bor_uarch.Config.t ->
   ?plan:Bor_uarch.Sampling_plan.t ->
-  ?window_domains:int ->
   ?rank_bands:int ->
   ?ci_target:float ->
   backend:string ->
@@ -40,9 +31,8 @@ val key : spec -> Bor_store.Key.t
 (** The job's content address: program bytes + full canonical config +
     plan + backend kind + (at non-default values) the ranked-set /
     stopping knobs ({!Bor_store.Key.make} with [~kind:sp_backend]).
-    [sp_window_domains] is deliberately {e not} part of the key — it
-    cannot change the bytes; [sp_rank_bands]/[sp_ci_target] {e are}
-    part of it, because they change which windows run. *)
+    [sp_rank_bands]/[sp_ci_target] are part of it because they change
+    which windows run. *)
 
 val run :
   ?store:Bor_store.Store.t ->
@@ -55,6 +45,6 @@ val run :
     snapshot covers exactly this job, then cleared again and the
     enabled flag restored — safe to call on scheduler worker domains,
     whose registries are job-scoped by construction. [runner] (sampled
-    jobs only — see {!Bor_exec.Backend.of_name}) swaps the per-window
-    fan-out for an external executor such as {!Wqueue}; the payload
+    jobs only — see {!Bor_exec.Backend.of_name}) swaps inline window
+    execution for an external executor such as {!Wqueue}; the payload
     bytes are identical either way. *)

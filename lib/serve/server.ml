@@ -36,9 +36,6 @@ let parse_spec req =
               let backend =
                 Option.value ~default:"detailed" (str_field "backend" req)
               in
-              let window_domains =
-                Option.value ~default:1 (int_field "window_domains" req)
-              in
               let rank_bands =
                 Option.value ~default:1 (int_field "rank_bands" req)
               in
@@ -60,16 +57,14 @@ let parse_spec req =
               | Ok ci_target -> (
                   match str_field "plan" req with
                   | None ->
-                      Ok
-                        (Job.make ~window_domains ~rank_bands ~ci_target
-                           ~backend program)
+                      Ok (Job.make ~rank_bands ~ci_target ~backend program)
                   | Some plan_s -> (
                       match Bor_uarch.Sampling_plan.of_string plan_s with
                       | Error e -> Error ("submit: plan: " ^ e)
                       | Ok plan ->
                           Ok
-                            (Job.make ~plan ~window_domains ~rank_bands
-                               ~ci_target ~backend program))))))
+                            (Job.make ~plan ~rank_bands ~ci_target ~backend
+                               program))))))
 
 let handle sched req =
   match str_field "op" req with

@@ -4,8 +4,9 @@
     Protocol (each request one JSON object; full spec in
     docs/SERVE.md):
 
-    - [submit]: program image as hex + backend kind + optional plan and
-      [window_domains] → key + disposition ([queued]/[joined]/[hit]).
+    - [submit]: program image as hex + backend kind + optional plan,
+      [rank_bands] and [ci_target] → key + disposition
+      ([queued]/[joined]/[hit]).
     - [status]: key → job state, plus a [serve.*] counter snapshot in
       every reply (the polling form of per-job telemetry streaming;
       the completed job's full registry snapshot is embedded in its

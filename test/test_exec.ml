@@ -1,8 +1,8 @@
 (* Tests for Bor_exec: the unified execution backends, versioned
    digest-stamped checkpoints (round trips, corruption and version
-   rejection — always [Error], never an exception) and domain-parallel
-   sampled simulation (statistics, telemetry and final architectural
-   state byte-identical at every domain count). *)
+   rejection — always [Error], never an exception) and sampled
+   simulation on the window queue (statistics, telemetry, errors and
+   final architectural state byte-identical at every domain count). *)
 
 module Backend = Bor_exec.Backend
 module Checkpoint = Bor_exec.Checkpoint
@@ -220,19 +220,24 @@ let snapshot_arch prog p =
       (Bytes.length prog.Bor_isa.Program.data)
       (fun i -> Bor_sim.Memory.read_byte mem (db + i)) )
 
-(* Registry snapshot as deterministic JSON text, with the
-   sampling.parallel.* family (present only in parallel runs, by
-   design) dropped so the rest can be compared across domain counts. *)
-let telemetry_without_parallel () =
+let registry_json () = Json.to_string (Telemetry.to_json ())
+
+(* The sampling-scope names a plain fixed-period run registers: any
+   name outside this list (a family keyed to the domain count, say)
+   fails the test. *)
+let sampling_names =
+  List.map
+    (fun n -> "sampling." ^ n)
+    [ "windows"; "warmed"; "detailed"; "cpi_milli"; "ci95_milli" ]
+
+let registered_sampling_names () =
   match Telemetry.to_json () with
   | Json.Obj fields ->
-    Json.to_string
-      (Json.Obj
-         (List.filter
-            (fun (n, _) ->
-              not (String.starts_with ~prefix:"sampling.parallel." n))
-            fields))
-  | j -> Json.to_string j
+    List.filter_map
+      (fun (n, _) ->
+        if String.starts_with ~prefix:"sampling." n then Some n else None)
+      fields
+  | _ -> []
 
 let test_parallel_matches_sequential () =
   let prog = Lazy.force micro_prog in
@@ -242,32 +247,56 @@ let test_parallel_matches_sequential () =
     Telemetry.set_enabled true;
     match Sampled.run ~plan ~domains prog with
     | Error e -> Alcotest.fail e
-    | Ok (s, t) -> (s, telemetry_without_parallel (), snapshot_arch prog t)
+    | Ok (s, t) ->
+      check
+        Alcotest.(slist string compare)
+        (Printf.sprintf "%d-domain sampling names" domains)
+        sampling_names
+        (registered_sampling_names ());
+      (s, registry_json (), snapshot_arch prog t)
   in
   let s1, tel1, a1 = run 1 in
-  check Alcotest.bool "sequential run registers no parallel counters" true
-    (Telemetry.find_counter "sampling.parallel.domains" = None);
-  let s4, tel4, a4 = run 4 in
-  check Alcotest.bool "4-domain stats = sequential stats" true (s1 = s4);
-  check Alcotest.string "4-domain telemetry = sequential telemetry" tel1 tel4;
-  check Alcotest.bool "4-domain final architectural state = sequential" true
-    (a1 = a4);
-  check
-    Alcotest.(option int)
-    "parallel run reports its domain count" (Some 4)
-    (Telemetry.find_counter "sampling.parallel.domains");
-  (match Telemetry.find_counter "sampling.parallel.merge_checks" with
-  | Some n when n > 0 -> ()
-  | other ->
-    Alcotest.failf "merge_checks = %s"
-      (match other with Some n -> string_of_int n | None -> "absent"));
-  let s3, tel3, a3 = run 3 in
-  check Alcotest.bool "3-domain stats = sequential stats" true (s1 = s3);
-  check Alcotest.string "3-domain telemetry = sequential telemetry" tel1 tel3;
-  check Alcotest.bool "3-domain final architectural state = sequential" true
-    (a1 = a3);
+  List.iter
+    (fun d ->
+      let s, tel, a = run d in
+      check Alcotest.bool
+        (Printf.sprintf "%d-domain stats = sequential stats" d)
+        true (s1 = s);
+      check Alcotest.string
+        (Printf.sprintf "%d-domain telemetry = sequential telemetry" d)
+        tel1 tel;
+      check Alcotest.bool
+        (Printf.sprintf "%d-domain final architectural state = sequential" d)
+        true (a1 = a))
+    [ 4; 3; 2 ];
   Telemetry.clear ();
   Telemetry.set_enabled false
+
+(* Every window fails its 1-cycle budget, so the run's error is the
+   first window's, whichever thread ran it. Back-to-back failing runs
+   outnumber the runtime's 128-domain limit, so a worker domain left
+   running after the error path would make [Domain.spawn] fail, and a
+   lost wakeup would hang the suite. *)
+let test_window_errors_at_any_domain_count () =
+  let prog =
+    (Bor_minic.Driver.compile_exn
+       "int main() { int i; int s = 0; for (i = 0; i < 2000; i = i + 1) s = \
+        s + i; return s; }")
+      .Bor_minic.Driver.program
+  in
+  let run ?(plan = plan_exn "20:30:2500") domains =
+    match Sampled.run_on ~max_cycles:1 ~plan ~domains (Pipeline.create prog) with
+    | Ok _ -> Alcotest.fail "a 1-cycle window budget succeeded"
+    | Error e -> e
+  in
+  let e1 = run 1 in
+  check Alcotest.string "2 domains: first window's error" e1 (run 2);
+  check Alcotest.string "4 domains: first window's error" e1 (run 4);
+  let two_windows = plan_exn "20:30:5000" in
+  for i = 1 to 150 do
+    let e = run ~plan:two_windows 2 in
+    if e <> e1 then Alcotest.failf "failing run %d: %S <> %S" i e e1
+  done
 
 let test_sampled_window_checkpoints_fresh_pipeline_only () =
   let prog = Lazy.force alu_prog in
@@ -309,6 +338,28 @@ let test_backend_reports () =
   | Ok _ -> Alcotest.fail "sampled: wrong report kind"
   | Error e -> Alcotest.fail e
 
+(* Each sampled-only argument handed to a non-sampled kind is an
+   [Error] naming that argument. *)
+let test_of_name_rejects_sampled_only_args () =
+  let prog = Lazy.force alu_prog in
+  let rejects arg result =
+    match result with
+    | Ok _ -> Alcotest.failf "detailed accepted ?%s" arg
+    | Error e ->
+      check Alcotest.bool
+        (Printf.sprintf "error %S names %s" e arg)
+        true (contains e arg)
+  in
+  let of_name = Backend.of_name in
+  rejects "plan" (of_name ~plan:(plan_exn "20:30:120") "detailed" prog);
+  rejects "rank_bands" (of_name ~rank_bands:2 "detailed" prog);
+  rejects "ci_target" (of_name ~ci_target:5. "detailed" prog);
+  rejects "runner"
+    (of_name ~runner:(fun _ -> Alcotest.fail "runner built") "detailed" prog);
+  match of_name "detailed" prog with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "bor_exec"
     [
@@ -330,9 +381,15 @@ let () =
         [
           Alcotest.test_case "parallel = sequential" `Quick
             test_parallel_matches_sequential;
+          Alcotest.test_case "window errors at any domain count" `Quick
+            test_window_errors_at_any_domain_count;
           Alcotest.test_case "requires fresh pipeline" `Quick
             test_sampled_window_checkpoints_fresh_pipeline_only;
         ] );
       ( "backend",
-        [ Alcotest.test_case "report kinds" `Quick test_backend_reports ] );
+        [
+          Alcotest.test_case "report kinds" `Quick test_backend_reports;
+          Alcotest.test_case "of_name rejects sampled-only args" `Quick
+            test_of_name_rejects_sampled_only_args;
+        ] );
     ]

@@ -1,6 +1,6 @@
 (* Tests for Bor_serve: wire framing, the domain pool, job payload
-   determinism (cold runs, window-domain counts, cache and dedup-join
-   paths all byte-identical — the digest-equality contract of
+   determinism (cold runs, cache and dedup-join paths all
+   byte-identical — the digest-equality contract of
    docs/SERVE.md), scheduler dispositions and counters, and the
    socket server end to end. *)
 
@@ -151,42 +151,17 @@ let test_job_payload_deterministic () =
       String.equal d (Bor_telemetry.Sha256.digest (Json.to_string t))
     | _ -> false)
 
-let test_job_payload_independent_of_window_domains () =
-  let plan = plan_exn "200:100:2000" in
-  let payload_at window_domains =
-    fst
-      (payload_exn
-         (Job.run
-            (Job.make ~plan ~window_domains ~backend:"sampled"
-               (Lazy.force alu_prog))))
-  in
-  check Alcotest.string
-    "sampled payload byte-identical at any window-domain count"
-    (payload_at 1) (payload_at 2)
-
-let test_job_key_ignores_window_domains () =
-  let k n =
-    Bor_store.Key.hex
-      (Job.key (Job.make ~window_domains:n ~backend:"detailed" (Lazy.force alu_prog)))
-  in
-  check Alcotest.string "window domains never alias the cache" (k 1) (k 4)
-
 let test_job_ci_target_all_paths_identical () =
   (* A ranked sampled job with a CI target: the standalone run, the
-     scheduler's cold path, a dedup join (submitted at a different
-     window-domain count, which the job id ignores) and a cross-restart
-     store hit must all produce the same payload bytes, and the payload
-     must record both knobs and the stop decision. *)
+     scheduler's cold path, a dedup join and a cross-restart store hit
+     must all produce the same payload bytes, and the payload must
+     record both knobs and the stop decision. *)
   let plan = plan_exn "200:100:2000:7" in
   let prog = Lazy.force alu_prog in
-  let spec wd =
-    Job.make ~plan ~window_domains:wd ~rank_bands:3 ~ci_target:5.
-      ~backend:"sampled" prog
+  let spec =
+    Job.make ~plan ~rank_bands:3 ~ci_target:5. ~backend:"sampled" prog
   in
-  let p_standalone, _ = payload_exn (Job.run (spec 1)) in
-  let p_wd2, _ = payload_exn (Job.run (spec 2)) in
-  check Alcotest.string "byte-identical at any window-domain count"
-    p_standalone p_wd2;
+  let p_standalone, _ = payload_exn (Job.run spec) in
   let j = Json.of_string p_standalone in
   check Alcotest.bool "payload records rank_bands" true
     (Json.member "rank_bands" j = Some (Json.Int 3));
@@ -204,9 +179,9 @@ let test_job_ci_target_all_paths_identical () =
   (* One worker busy on [slow]: the resubmission below is a
      deterministic dedup join. *)
   let _ = Scheduler.submit sched (Job.make ~backend:"detailed" (Lazy.force slow_prog)) in
-  let key, d1 = Scheduler.submit sched (spec 1) in
-  let key', d2 = Scheduler.submit sched (spec 2) in
-  check Alcotest.string "window domains never split the job id" key key';
+  let key, d1 = Scheduler.submit sched spec in
+  let key', d2 = Scheduler.submit sched spec in
+  check Alcotest.string "resubmission shares the job id" key key';
   check Alcotest.bool "first submission queued" true (d1 = `Queued);
   check Alcotest.bool "resubmission joined in flight" true (d2 = `Joined);
   let p_cold, src = payload_exn (Option.get (Scheduler.await sched key)) in
@@ -214,7 +189,7 @@ let test_job_ci_target_all_paths_identical () =
   check Alcotest.string "served cold bytes = standalone run" p_standalone p_cold;
   Scheduler.shutdown sched;
   let sched2 = Scheduler.create ~domains:1 ~store:(store_exn dir) () in
-  let key2, _ = Scheduler.submit sched2 (spec 1) in
+  let key2, _ = Scheduler.submit sched2 spec in
   let p_cached, src2 = payload_exn (Option.get (Scheduler.await sched2 key2)) in
   check Alcotest.bool "restart answered from the store" true (src2 = `Cached);
   check Alcotest.string "store bytes = standalone run" p_standalone p_cached;
@@ -598,10 +573,6 @@ let () =
         [
           Alcotest.test_case "payload deterministic" `Quick
             test_job_payload_deterministic;
-          Alcotest.test_case "payload independent of window domains" `Quick
-            test_job_payload_independent_of_window_domains;
-          Alcotest.test_case "key ignores window domains" `Quick
-            test_job_key_ignores_window_domains;
           Alcotest.test_case "ci-target job: all paths byte-identical" `Quick
             test_job_ci_target_all_paths_identical;
           Alcotest.test_case "rejects unknown backend" `Quick
