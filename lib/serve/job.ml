@@ -67,6 +67,12 @@ let render_report = function
         l1i_misses;
         l1d_misses;
         l2_misses;
+        (* the per-stage slot counts are in the telemetry registry *)
+        fetch_slots = _;
+        fetch_icache_stalls = _;
+        decode_slots = _;
+        issue_slots = _;
+        commit_slots = _;
       } =
         st
       in

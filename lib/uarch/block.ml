@@ -16,7 +16,6 @@ module Machine = Bor_sim.Machine
 module Instr = Bor_isa.Instr
 module Reg = Bor_isa.Reg
 module Bits = Bor_util.Bits
-module Telemetry = Bor_telemetry.Telemetry
 
 type mru = { mutable iline : int; mutable dline : int }
 
@@ -87,11 +86,6 @@ type t = {
   mutable gen : int;  (* Machine.code_generation at last (re)build *)
   mutable flush_pending : bool;  (* a store hit the text range *)
   stats : stats;
-  c_compiled : Telemetry.counter;
-  c_hits : Telemetry.counter;
-  c_instructions : Telemetry.counter;
-  c_invalidations : Telemetry.counter;
-  c_fallback : Telemetry.counter;
 }
 
 (* Bound on body length: keeps one block well under the warmer's 64k
@@ -102,7 +96,6 @@ let max_body = 512
 let create ~code ~code_base ~cfg ~machine ~hier ~pred ~btb ~ras ~engine ~mru
     ~on_brr =
   let ncode = Array.length code in
-  let sc = Telemetry.scope "warming.block" in
   {
     code;
     base = code_base;
@@ -136,18 +129,6 @@ let create ~code ~code_base ~cfg ~machine ~hier ~pred ~btb ~ras ~engine ~mru
         fallback_steps = 0;
         mispredicts = 0;
       };
-    c_compiled = Telemetry.counter sc ~unit_:"blocks" ~doc:"blocks specialized" "compiled";
-    c_hits = Telemetry.counter sc ~unit_:"blocks" ~doc:"block executions" "hits";
-    c_instructions =
-      Telemetry.counter sc ~unit_:"instructions"
-        ~doc:"instructions warmed through compiled blocks" "instructions";
-    c_invalidations =
-      Telemetry.counter sc ~doc:"whole-cache flushes (code patches, text-range stores)"
-        "invalidations";
-    c_fallback =
-      Telemetry.counter sc ~unit_:"instructions"
-        ~doc:"instructions single-stepped while the cache was active"
-        "fallback_steps";
   }
 
 let stats t = t.stats
@@ -156,15 +137,13 @@ let flush t =
   Array.fill t.entries 0 (Array.length t.entries) Unknown;
   t.flush_pending <- false;
   t.gen <- Machine.code_generation t.m;
-  t.stats.invalidations <- t.stats.invalidations + 1;
-  Telemetry.incr t.c_invalidations
+  t.stats.invalidations <- t.stats.invalidations + 1
 
 let note_store t addr =
   if addr >= t.text_lo && addr < t.text_hi then t.flush_pending <- true
 
 let note_fallback t n =
-  t.stats.fallback_steps <- t.stats.fallback_steps + n;
-  Telemetry.add t.c_fallback n
+  t.stats.fallback_steps <- t.stats.fallback_steps + n
 
 (* ------------------------------------------------------------ Compile *)
 
@@ -368,7 +347,6 @@ let compile t idx pc =
         }
       in
       t.stats.compiled <- t.stats.compiled + 1;
-      Telemetry.incr t.c_compiled;
       Compiled b
     end
   in
@@ -456,7 +434,7 @@ type status = Halted | Uncompilable | Out_of_budget
 (* The hot loop: chain block to block on the pc each terminator
    returns, so steady-state warming never leaves this function — no
    per-block [Machine.pc]/[code_generation] reads and no per-block
-   telemetry (hits and instruction counts are batched at exit). The
+   stats upkeep (hits and instruction counts are batched at exit). The
    code-generation check happens once at entry: nothing inside a block
    can patch code (marker hooks, the only patch vector, end blocks and
    run on the fallback path), and the driver re-enters [run] — and so
@@ -522,8 +500,4 @@ let run t ~budget =
   done;
   t.stats.hits <- t.stats.hits + !hits;
   t.stats.block_instructions <- t.stats.block_instructions + !n;
-  if !hits > 0 then begin
-    Telemetry.add t.c_hits !hits;
-    Telemetry.add t.c_instructions !n
-  end;
   (!n, !status)

@@ -71,9 +71,9 @@ val create :
   t
 (** Build an (empty) cache over the pipeline's decoded text. [on_brr]
     is called with each retired branch-on-random outcome, exactly as
-    the single-step path logs them. Creating a cache registers the
-    [warming.block.*] telemetry family (when telemetry is enabled), so
-    runs that never warm observe no new counters. *)
+    the single-step path logs them. The cache itself touches no
+    telemetry: {!Pipeline.run_warming} registers the [warming.block.*]
+    family when it creates a cache and publishes it from {!stats}. *)
 
 type status =
   | Halted  (** the program's [halt] retired inside a block *)
@@ -109,5 +109,6 @@ val flush : t -> unit
 (** Drop every compiled block (counted as one invalidation). *)
 
 val stats : t -> stats
-(** Live counters (plain fields, mirrored into [warming.block.*]
-    telemetry) — for tests and throughput reporting. *)
+(** Live counters (plain fields; {!Pipeline.run_warming} publishes all
+    but [mispredicts] as [warming.block.*] telemetry at every exit) —
+    for tests and throughput reporting. *)

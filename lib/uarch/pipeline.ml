@@ -20,6 +20,11 @@ type stats = {
   mutable l1i_misses : int;
   mutable l1d_misses : int;
   mutable l2_misses : int;
+  mutable fetch_slots : int;
+  mutable fetch_icache_stalls : int;
+  mutable decode_slots : int;
+  mutable issue_slots : int;
+  mutable commit_slots : int;
 }
 
 let fresh_stats () =
@@ -45,6 +50,11 @@ let fresh_stats () =
     l1i_misses = 0;
     l1d_misses = 0;
     l2_misses = 0;
+    fetch_slots = 0;
+    fetch_icache_stalls = 0;
+    decode_slots = 0;
+    issue_slots = 0;
+    commit_slots = 0;
   }
 
 let ipc s = if s.cycles = 0 then 0. else Float.of_int s.instructions /. Float.of_int s.cycles
@@ -73,98 +83,97 @@ let pp_stats ppf s =
 
 (* ------------------------------------------------------------------ *)
 
-(* Telemetry instruments, resolved once at pipeline creation so the
-   per-cycle hot paths never touch the registry. All pipeline.* event
-   counters honour the ROI markers exactly like the [stats] record;
-   component-scope counters (cache.*, btb.*, ...) are whole-run. *)
 module Telemetry = Bor_telemetry.Telemetry
 module Check = Bor_check.Check
 
-type tel = {
-  t_fetch_slots : Telemetry.counter;
-  t_fetch_full : Telemetry.counter;
-  t_icache_stalls : Telemetry.counter;
-  t_predecode : Telemetry.counter;
-  t_decode_slots : Telemetry.counter;
-  t_decode_starved : Telemetry.counter;
-  t_rob_full : Telemetry.counter;
-  t_issue_slots : Telemetry.counter;
-  t_commit_slots : Telemetry.counter;
-  t_brr_resolved : Telemetry.counter;
-  t_brr_taken : Telemetry.counter;
-  t_flush_frontend : Telemetry.counter;
-  t_flush_backend : Telemetry.counter;
-  t_squashed : Telemetry.counter;
-  t_mispredict_cond : Telemetry.counter;
-  t_mispredict_return : Telemetry.counter;
-  t_cycles : Telemetry.counter;
-  t_rob_occupancy : Telemetry.histogram;
-  t_run : Telemetry.span;
+(* Telemetry counter families backed by a plain stats record: the
+   record is the only per-event store, and [publish] adds what each
+   field gained since the last publish into its registry counter (so
+   publishing twice never double-counts). Counters register when the
+   family is created, not when it is first published: a component that
+   never runs still shows its zeros in the registry. *)
+type 's published = {
+  fields : ('s -> int) array;
+  counters : Telemetry.counter array;
+  last : int array;  (* each field's value at the last [publish] *)
 }
 
-let make_tel () =
-  let sc = Telemetry.scope "pipeline" in
+let register scope table =
+  let sc = Telemetry.scope scope in
   {
-    t_fetch_slots =
-      Telemetry.counter sc ~unit_:"slots"
-        ~doc:"instructions fetched into the fetch queue" "fetch.slots";
-    t_fetch_full =
-      Telemetry.counter sc ~unit_:"cycles"
-        ~doc:"cycles fetching a full packet" "fetch.full_packets";
-    t_icache_stalls =
-      Telemetry.counter sc ~doc:"fetch stalls on an L1I miss"
-        "fetch.icache_stalls";
-    t_predecode =
-      Telemetry.counter sc ~doc:"jal/j/brra fetch redirects via pre-decode"
-        "fetch.predecode_redirects";
-    t_decode_slots =
-      Telemetry.counter sc ~unit_:"slots" ~doc:"instructions decoded"
-        "decode.slots";
-    t_decode_starved =
-      Telemetry.counter sc ~unit_:"cycles"
-        ~doc:"cycles decode had nothing to do" "stall.decode_starved";
-    t_rob_full =
-      Telemetry.counter sc ~unit_:"cycles"
-        ~doc:"cycles decode blocked on a full ROB" "stall.rob_full";
-    t_issue_slots =
-      Telemetry.counter sc ~unit_:"slots"
-        ~doc:"instructions issued to execution" "issue.slots";
-    t_commit_slots =
-      Telemetry.counter sc ~unit_:"slots" ~doc:"instructions committed"
-        "commit.slots";
-    t_brr_resolved =
-      Telemetry.counter sc ~doc:"branch-on-randoms resolved (correct path)"
-        "brr.resolved";
-    t_brr_taken =
-      Telemetry.counter sc ~doc:"branch-on-random resolutions that took"
-        "brr.taken";
-    t_flush_frontend =
-      Telemetry.counter sc
-        ~doc:"front-end flushes from taken branch-on-randoms"
-        "flush.frontend";
-    t_flush_backend =
-      Telemetry.counter sc ~doc:"back-end squashes from mispredictions"
-        "flush.backend";
-    t_squashed =
-      Telemetry.counter sc ~unit_:"instructions"
-        ~doc:"wrong-path instructions removed by back-end squashes"
-        "flush.squashed";
-    t_mispredict_cond =
-      Telemetry.counter sc ~doc:"committed conditional-branch mispredictions"
-        "mispredict.cond";
-    t_mispredict_return =
-      Telemetry.counter sc ~doc:"committed returns the RAS mispredicted"
-        "mispredict.return";
-    t_cycles =
-      Telemetry.counter sc ~unit_:"cycles" ~doc:"simulated cycles"
-        "cycles";
-    t_rob_occupancy =
-      Telemetry.histogram sc ~unit_:"entries"
-        ~doc:"ROB occupancy, observed once per cycle" "rob.occupancy";
-    t_run =
-      Telemetry.span sc ~unit_:"cycles"
-        ~doc:"whole simulated runs, in cycles" "run";
+    fields = Array.map (fun (_, _, _, f) -> f) table;
+    counters =
+      Array.map
+        (fun (name, unit_, doc, _) -> Telemetry.counter sc ~unit_ ~doc name)
+        table;
+    last = Array.make (Array.length table) 0;
   }
+
+let publish p s =
+  Array.iteri
+    (fun i f ->
+      let v = f s in
+      Telemetry.add p.counters.(i) (v - p.last.(i));
+      p.last.(i) <- v)
+    p.fields
+
+(* The pipeline.* counters, one [stats] field each. They honour the ROI
+   markers exactly like the record, except that [marker 1] publishes
+   the pre-ROI prefix before resetting it; component-scope counters
+   (cache.*, btb.*, ...) are whole-run. *)
+let pipeline_counters =
+  [|
+    ("fetch.slots", "slots", "instructions fetched into the fetch queue",
+     fun s -> s.fetch_slots);
+    ("fetch.full_packets", "cycles", "cycles fetching a full packet",
+     fun s -> s.cycles_fetch_full);
+    ("fetch.icache_stalls", "events", "fetch stalls on an L1I miss",
+     fun s -> s.fetch_icache_stalls);
+    ("fetch.predecode_redirects", "events",
+     "jal/j/brra fetch redirects via pre-decode",
+     fun s -> s.predecode_redirects);
+    ("decode.slots", "slots", "instructions decoded", fun s -> s.decode_slots);
+    ("stall.decode_starved", "cycles", "cycles decode had nothing to do",
+     fun s -> s.cycles_decode_starved);
+    ("stall.rob_full", "cycles", "cycles decode blocked on a full ROB",
+     fun s -> s.cycles_rob_full);
+    ("issue.slots", "slots", "instructions issued to execution",
+     fun s -> s.issue_slots);
+    ("commit.slots", "slots", "instructions committed", fun s -> s.commit_slots);
+    ("brr.resolved", "events", "branch-on-randoms resolved (correct path)",
+     fun s -> s.brr_executed);
+    ("brr.taken", "events", "branch-on-random resolutions that took",
+     fun s -> s.brr_taken);
+    ("flush.frontend", "events",
+     "front-end flushes from taken branch-on-randoms",
+     fun s -> s.frontend_flushes);
+    ("flush.backend", "events", "back-end squashes from mispredictions",
+     fun s -> s.backend_flushes);
+    ("flush.squashed", "instructions",
+     "wrong-path instructions removed by back-end squashes",
+     fun s -> s.squashed);
+    ("mispredict.cond", "events", "committed conditional-branch mispredictions",
+     fun s -> s.cond_mispredicts);
+    ("mispredict.return", "events", "committed returns the RAS mispredicted",
+     fun s -> s.return_mispredicts);
+    ("cycles", "cycles", "simulated cycles", fun s -> s.cycles);
+  |]
+
+(* The warming.block.* counters, one [Block.stats] field each. *)
+let block_counters =
+  [|
+    ("compiled", "blocks", "blocks specialized", fun s -> s.Block.compiled);
+    ("hits", "blocks", "block executions", fun s -> s.Block.hits);
+    ("instructions", "instructions",
+     "instructions warmed through compiled blocks",
+     fun s -> s.Block.block_instructions);
+    ("invalidations", "events",
+     "whole-cache flushes (code patches, text-range stores)",
+     fun s -> s.Block.invalidations);
+    ("fallback_steps", "instructions",
+     "instructions single-stepped while the cache was active",
+     fun s -> s.Block.fallback_steps);
+  |]
 
 (* ------------------------------------------------------------------ *)
 
@@ -311,12 +320,15 @@ type t = {
          the block translation cache so the dedup carries across the
          block/single-step boundary *)
   warm_line_mask : int;  (* lnot (line_bytes - 1); 0 = not a power of two *)
-  mutable blockcache : Block.t option;
-      (* the warmer's block translation cache, built lazily on the
-         first block-mode [run_warming] (so plain full-detail runs
-         never create it, and its telemetry family never registers) *)
-  stats : stats;
-  tel : tel;
+  mutable blockcache : (Block.t * Block.stats published) option;
+      (* the warmer's block translation cache and its warming.block.*
+         family, built lazily on the first block-mode [run_warming] (so
+         plain full-detail runs never create it, and the family never
+         registers) *)
+  mutable stats : stats;  (* replaced, not cleared, at [marker 1] *)
+  tel : stats published;  (* pipeline.*, published from [stats] *)
+  tel_occupancy : Telemetry.histogram;
+  tel_run : Telemetry.span;
   (* Sanitizer bookkeeping (see [sanitize_cycle]). [san_dropped] is
      maintained unconditionally — [exit_detail] is per-window, not
      per-cycle — so the oracle-balance invariant holds no matter when
@@ -441,7 +453,13 @@ let create ?(config = Config.default) ?mem (program : Bor_isa.Program.t) =
          lnot (config.Config.line_bytes - 1)
        else 0);
     stats = fresh_stats ();
-    tel = make_tel ();
+    tel = register "pipeline" pipeline_counters;
+    tel_occupancy =
+      Telemetry.histogram (Telemetry.scope "pipeline") ~unit_:"entries"
+        ~doc:"ROB occupancy, observed once per cycle" "rob.occupancy";
+    tel_run =
+      Telemetry.span (Telemetry.scope "pipeline") ~unit_:"cycles"
+        ~doc:"whole simulated runs, in cycles" "run";
     san_prev_head = 0;
     san_prev_tail = 0;
     san_tail_cut = false;
@@ -789,7 +807,8 @@ let fetch t =
       let miss = Hierarchy.access_miss t.hier Hierarchy.I pc in
       if miss >= 0 then begin
         t.fetch_stall_until <- t.cycle + miss;
-        if roi t then Telemetry.incr t.tel.t_icache_stalls;
+        if roi t then
+          t.stats.fetch_icache_stalls <- t.stats.fetch_icache_stalls + 1;
         continue_ := false
       end
       else begin
@@ -810,16 +829,12 @@ let fetch t =
           match instr with
           | Bor_isa.Instr.Jal (rd, joff) ->
             if Bor_isa.Reg.equal rd Bor_isa.Reg.ra then Ras.push t.ras fall;
-            if roi t then begin
+            if roi t then
               t.stats.predecode_redirects <- t.stats.predecode_redirects + 1;
-              Telemetry.incr t.tel.t_predecode
-            end;
             pc + (4 * joff)
           | Bor_isa.Instr.Brr_always joff ->
-            if roi t then begin
+            if roi t then
               t.stats.predecode_redirects <- t.stats.predecode_redirects + 1;
-              Telemetry.incr t.tel.t_predecode
-            end;
             pc + (4 * joff)
           | Bor_isa.Instr.Jalr _ when is_return instr ->
             Ras.save_into t.ras t.fq_ras.(slot);
@@ -872,7 +887,7 @@ let fetch t =
         t.fq_ghist.(slot) <- ghist_at_fetch;
         t.fq_tail <- t.fq_tail + 1;
         incr fetched;
-        if roi t then Telemetry.incr t.tel.t_fetch_slots;
+        if roi t then t.stats.fetch_slots <- t.stats.fetch_slots + 1;
         if stream_next = -1 then begin
           t.fetch_pc <- -1;
           continue_ := false
@@ -887,10 +902,8 @@ let fetch t =
     end
   done;
   if !fetched > 0 then t.idle_cycle <- false;
-  if !fetched = t.cfg.Config.fetch_width && roi t then begin
-    t.stats.cycles_fetch_full <- t.stats.cycles_fetch_full + 1;
-    Telemetry.incr t.tel.t_fetch_full
-  end
+  if !fetched = t.cfg.Config.fetch_width && roi t then
+    t.stats.cycles_fetch_full <- t.stats.cycles_fetch_full + 1
 
 (* -------------------------------------------------------------- Decode *)
 
@@ -1032,11 +1045,7 @@ let decode_one t fslot =
       if roi t then begin
         t.stats.brr_executed <- t.stats.brr_executed + 1;
         t.stats.instructions <- t.stats.instructions + 1;
-        Telemetry.incr t.tel.t_brr_resolved;
-        if outcome then begin
-          t.stats.brr_taken <- t.stats.brr_taken + 1;
-          Telemetry.incr t.tel.t_brr_taken
-        end
+        if outcome then t.stats.brr_taken <- t.stats.brr_taken + 1
       end;
       log_retired_brr t outcome;
       t.committed <- t.committed + 1;
@@ -1056,10 +1065,8 @@ let decode_one t fslot =
         if outcome then Btb.insert t.btb ~pc:fpc ~target:actual_next
       end;
       if t.fq_stream_next.(fslot) <> actual_next then begin
-        if roi t then begin
+        if roi t then
           t.stats.frontend_flushes <- t.stats.frontend_flushes + 1;
-          Telemetry.incr t.tel.t_flush_frontend
-        end;
         frontend_redirect t fslot actual_next;
         (* The flush rewound the history to this brr's fetch point; with
            the pollution ablation its own direction is then replayed. *)
@@ -1086,11 +1093,7 @@ let decode_one t fslot =
         t.pending_brr := Some outcome;
         if roi t then begin
           t.stats.brr_executed <- t.stats.brr_executed + 1;
-          Telemetry.incr t.tel.t_brr_resolved;
-          if outcome then begin
-            t.stats.brr_taken <- t.stats.brr_taken + 1;
-            Telemetry.incr t.tel.t_brr_taken
-          end
+          if outcome then t.stats.brr_taken <- t.stats.brr_taken + 1
         end;
         log_retired_brr t outcome
       end;
@@ -1290,10 +1293,7 @@ let decode t =
       else if
         (not is_brr) && t.rob_tail - t.rob_head >= t.cfg.Config.rob_entries
       then begin
-        if roi t then begin
-          t.stats.cycles_rob_full <- t.stats.cycles_rob_full + 1;
-          Telemetry.incr t.tel.t_rob_full
-        end;
+        if roi t then t.stats.cycles_rob_full <- t.stats.cycles_rob_full + 1;
         continue_ := false
       end
       else if is_brr && !brr_decoded >= t.cfg.Config.lfsr_ports then
@@ -1303,17 +1303,15 @@ let decode t =
       else begin
         t.fq_head <- t.fq_head + 1;
         incr decoded;
-        if roi t then Telemetry.incr t.tel.t_decode_slots;
+        if roi t then t.stats.decode_slots <- t.stats.decode_slots + 1;
         if is_brr then incr brr_decoded;
         if not (decode_one t fslot) then continue_ := false
       end
     end
   done;
   if !decoded > 0 then t.idle_cycle <- false;
-  if !decoded = 0 && roi t then begin
-    t.stats.cycles_decode_starved <- t.stats.cycles_decode_starved + 1;
-    Telemetry.incr t.tel.t_decode_starved
-  end
+  if !decoded = 0 && roi t then
+    t.stats.cycles_decode_starved <- t.stats.cycles_decode_starved + 1
 
 (* --------------------------------------------------------------- Issue *)
 
@@ -1384,7 +1382,7 @@ let issue t =
           t.r_flags.(s) <- fl lor rf_issued;
           t.r_complete.(s) <- t.cycle + latency_of t s;
           incr issued;
-          if roi t then Telemetry.incr t.tel.t_issue_slots;
+          if roi t then t.stats.issue_slots <- t.stats.issue_slots + 1;
           if is_mem then incr mem
         end
       end
@@ -1469,9 +1467,7 @@ let squash t rp =
          { cycle = t.cycle; resolver_pc = t.r_epc.(rs); squashed = removed }));
   if roi t then begin
     t.stats.backend_flushes <- t.stats.backend_flushes + 1;
-    t.stats.squashed <- t.stats.squashed + removed;
-    Telemetry.incr t.tel.t_flush_backend;
-    Telemetry.add t.tel.t_squashed removed
+    t.stats.squashed <- t.stats.squashed + removed
   end
 
 let check_resolver t =
@@ -1489,29 +1485,14 @@ let check_resolver t =
 
 (* -------------------------------------------------------------- Commit *)
 
+(* [marker 1] opens the region of interest: publish the prefix the
+   reset is about to discard (telemetry counts whole runs), then start
+   the record over. *)
 let marker_commit t n =
   if n = 1 then begin
-    let s = t.stats in
-    let fresh = fresh_stats () in
-    s.cycles <- fresh.cycles;
-    s.instructions <- 0;
-    s.cond_branches <- 0;
-    s.cond_mispredicts <- 0;
-    s.returns <- 0;
-    s.return_mispredicts <- 0;
-    s.brr_executed <- 0;
-    s.brr_taken <- 0;
-    s.backend_flushes <- 0;
-    s.frontend_flushes <- 0;
-    s.predecode_redirects <- 0;
-    s.squashed <- 0;
-    s.loads <- 0;
-    s.stores <- 0;
-    s.cycles_fetch_full <- 0;
-    s.cycles_decode_starved <- 0;
-    s.cycles_rob_full <- 0;
-    s.rob_occupancy <- 0;
-    s.cycles <- 0;
+    publish t.tel t.stats;
+    t.stats <- fresh_stats ();
+    Array.fill t.tel.last 0 (Array.length t.tel.last) 0;
     Hierarchy.reset_stats t.hier;
     t.roi_active <- true;
     t.roi_frozen <- false
@@ -1550,7 +1531,7 @@ let commit t =
         if roi t then begin
           let st = t.stats in
           st.instructions <- st.instructions + 1;
-          Telemetry.incr t.tel.t_commit_slots;
+          st.commit_slots <- st.commit_slots + 1;
           if flags land rf_load <> 0 then st.loads <- st.loads + 1;
           if flags land rf_store <> 0 then st.stores <- st.stores + 1
         end;
@@ -1559,10 +1540,8 @@ let commit t =
           let actual_taken = flags land rf_btaken <> 0 in
           if roi t then begin
             t.stats.cond_branches <- t.stats.cond_branches + 1;
-            if flags land rf_mispredict <> 0 then begin
-              t.stats.cond_mispredicts <- t.stats.cond_mispredicts + 1;
-              Telemetry.incr t.tel.t_mispredict_cond
-            end
+            if flags land rf_mispredict <> 0 then
+              t.stats.cond_mispredicts <- t.stats.cond_mispredicts + 1
           end;
           Predictor.update t.pred ~pc:epc t.r_pred.(s) ~taken:actual_taken;
           if actual_taken then
@@ -1578,10 +1557,8 @@ let commit t =
         | 2 (* jalr *) ->
           if roi t then begin
             t.stats.returns <- t.stats.returns + 1;
-            if flags land rf_mispredict <> 0 then begin
-              t.stats.return_mispredicts <- t.stats.return_mispredicts + 1;
-              Telemetry.incr t.tel.t_mispredict_return
-            end
+            if flags land rf_mispredict <> 0 then
+              t.stats.return_mispredicts <- t.stats.return_mispredicts + 1
           end
         | _ -> ());
         (match instr with
@@ -1611,8 +1588,7 @@ let step_cycle t =
     if roi t then begin
       t.stats.cycles <- t.stats.cycles + 1;
       t.stats.rob_occupancy <- t.stats.rob_occupancy + rob_occ t;
-      Telemetry.incr t.tel.t_cycles;
-      Telemetry.observe t.tel.t_rob_occupancy (rob_occ t)
+      Telemetry.observe t.tel_occupancy (rob_occ t)
     end;
     if !Check.on then sanitize_cycle t;
     t.cycle <- t.cycle + 1
@@ -1705,16 +1681,17 @@ let quiesce_skip t ~limit =
       st.cycles_decode_starved <- st.cycles_decode_starved + k;
       if rob_full_blocked then st.cycles_rob_full <- st.cycles_rob_full + k;
       for _ = 1 to k do
-        Telemetry.incr t.tel.t_cycles;
-        Telemetry.observe t.tel.t_rob_occupancy occ;
-        Telemetry.incr t.tel.t_decode_starved;
-        if rob_full_blocked then Telemetry.incr t.tel.t_rob_full
+        Telemetry.observe t.tel_occupancy occ
       done
     end;
     t.cycle <- c + k
   end
 
+(* Every exit of [run] and [run_window], [Ok] or [Error], publishes
+   pipeline.*: a step-driven pipeline shows its events in the registry
+   at its next [run] exit. *)
 let run ?(max_cycles = 2_000_000_000) t =
+  Fun.protect ~finally:(fun () -> publish t.tel t.stats) @@ fun () ->
   try
     let rec go () =
       if t.halt_committed then begin
@@ -1723,7 +1700,7 @@ let run ?(max_cycles = 2_000_000_000) t =
           t.stats.l1d_misses <- (Cache.stats (Hierarchy.l1d t.hier)).misses;
           t.stats.l2_misses <- (Cache.stats (Hierarchy.l2 t.hier)).misses
         end;
-        Telemetry.record t.tel.t_run t.cycle;
+        Telemetry.record t.tel_run t.cycle;
         Ok t.stats
       end
       else if t.cycle >= max_cycles then Error "cycle budget exhausted"
@@ -1937,7 +1914,7 @@ let warm_run t budget =
           (* Keep the block cache's self-modification contract uniform:
              a fallback store into the text range flushes it too. *)
           (match t.blockcache with
-          | Some bc -> Block.note_store bc addr
+          | Some (bc, _) -> Block.note_store bc addr
           | None -> ());
           pc := fall;
           incr n
@@ -1965,7 +1942,7 @@ let warm_step t = ignore (warm_run t 1)
 
 let get_blockcache t =
   match t.blockcache with
-  | Some bc -> bc
+  | Some (bc, _) -> bc
   | None ->
     let bc =
       Block.create ~code:t.code ~code_base:t.code_base ~cfg:t.cfg
@@ -1973,10 +1950,10 @@ let get_blockcache t =
         ~engine:t.engine ~mru:t.warm_mru
         ~on_brr:(fun outcome -> log_retired_brr t outcome)
     in
-    t.blockcache <- Some bc;
+    t.blockcache <- Some (bc, register "warming.block" block_counters);
     bc
 
-let block_cache t = t.blockcache
+let block_cache t = Option.map fst t.blockcache
 
 (* Warming-model mispredict count — the ranked-sampling feature
    (docs/SAMPLING.md). Both warming paths count the same events
@@ -1984,7 +1961,9 @@ let block_cache t = t.blockcache
    path-independent, like the warmed state itself. *)
 let warm_mispredicts t =
   t.warm_mispred
-  + (match t.blockcache with Some bc -> (Block.stats bc).Block.mispredicts | None -> 0)
+  + (match t.blockcache with
+    | Some (bc, _) -> (Block.stats bc).Block.mispredicts
+    | None -> 0)
 
 (* Block-compiled warming: execute whole specialized blocks through the
    translation cache and fall back to [warm_run] — the single-step
@@ -2026,7 +2005,14 @@ let warm_blocks t bc budget =
   done;
   !n
 
+(* Every exit publishes warming.block.*, so a sweep that warms one
+   period at a time keeps the registry current. *)
 let run_warming ?max_steps t =
+  Fun.protect ~finally:(fun () ->
+      match t.blockcache with
+      | Some (bc, tel) -> publish tel (Block.stats bc)
+      | None -> ())
+  @@ fun () ->
   let budget = match max_steps with Some n -> n | None -> max_int in
   let total = ref 0 in
   let continue_ = ref true in
@@ -2105,6 +2091,7 @@ type window_result = {
    rests on. [max_cycles] is a per-window budget ([t] starts at cycle
    0). *)
 let run_window ?(max_cycles = 2_000_000_000) ~warmup ~window t =
+  Fun.protect ~finally:(fun () -> publish t.tel t.stats) @@ fun () ->
   enter_detail t;
   let finish sample =
     Ok

@@ -51,7 +51,22 @@ type stats = {
   mutable l1i_misses : int;
   mutable l1d_misses : int;
   mutable l2_misses : int;
+  mutable fetch_slots : int;
+      (** instructions fetched into the fetch queue, wrong path included *)
+  mutable fetch_icache_stalls : int;  (** fetch stalls on an L1I miss *)
+  mutable decode_slots : int;
+      (** instructions decoded, wrong path included *)
+  mutable issue_slots : int;
+      (** instructions issued to execution, wrong path included *)
+  mutable commit_slots : int;
+      (** instructions retired through the ROB: [instructions] minus the
+          branch-on-randoms that retire at decode *)
 }
+(** Every field counts inside the region of interest only. All but
+    [instructions], [returns], [cond_branches], [loads], [stores],
+    [rob_occupancy] and the three cache-miss fields are also the
+    [pipeline.*] telemetry counters, which read this record: see
+    {!run}. *)
 
 val ipc : stats -> float
 val branch_accuracy : stats -> float
@@ -81,7 +96,14 @@ val run : ?max_cycles:int -> t -> (stats, string) result
 (** Simulate until the program halts (or [max_cycles], default 2e9 —
     an error). When the program brackets a region of interest with
     [marker 1] / [marker 2], the returned statistics cover exactly that
-    region; otherwise the whole run. *)
+    region; otherwise the whole run.
+
+    The [pipeline.*] telemetry counters are published from the stats
+    record, not bumped per event: at every exit of [run] and
+    {!run_window} ([Ok] or [Error]), and at [marker 1] just before the
+    reset, so they also count the prefix the statistics discard. A
+    publish adds only what is new since the last one; a pipeline driven
+    by {!step_cycle} shows its events at its next [run] exit. *)
 
 val oracle : t -> Bor_sim.Machine.t
 (** The functional model, for reading final architectural state. *)

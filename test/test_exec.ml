@@ -310,6 +310,79 @@ let test_sampled_window_checkpoints_fresh_pipeline_only () =
     check Alcotest.bool "freshness named in diagnostic" true
       (contains e "freshly created")
 
+(* ------------------------------------------------ frozen registries *)
+
+(* The whole telemetry registry of two fixed runs, pinned by SHA-256:
+   a default-config sampled run (block-cache warming, windows on
+   throwaway pipelines) and a full-detail run whose region of interest
+   opens at [marker 1] after a warm-up loop and closes at [marker 2].
+   Any change to which events are counted, when they reach the
+   registry, or how they are named and documented moves a hex. *)
+let roi_src =
+  {|
+main:   li   s0, 3000       ; warm-up, outside the region of interest
+warm:   addi t0, t0, 1
+        bne  s0, t0, warm
+        marker 1
+        la   s2, buf
+        li   s1, 4000
+loop:   brr  1/4, tgt
+back:   andi t1, s1, 63
+        slli t1, t1, 2
+        add  t3, s2, t1
+        lw   t2, 0(t3)
+        add  t2, t2, s1
+        sw   t2, 0(t3)
+        andi t1, s1, 7
+        bne  t1, zero, skip
+        jal  leaf
+skip:   addi s1, s1, -1
+        bne  s1, zero, loop
+        marker 2
+        halt
+tgt:    xor  t4, t4, s1
+        brra back
+leaf:   addi t5, t5, 1
+        ret
+        .data
+buf:    .space 256
+|}
+
+let registry_sha f =
+  Telemetry.clear ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.set_enabled false;
+      Telemetry.clear ())
+    (fun () ->
+      f ();
+      Bor_telemetry.Sha256.digest (registry_json ()))
+
+let test_frozen_registries () =
+  let sampled =
+    registry_sha (fun () ->
+        let p = Pipeline.create (Lazy.force micro_prog) in
+        match Sampled.run_on ~plan:(plan_exn "500:300:5000:3") p with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+  in
+  check Alcotest.string "sampled run_on registry"
+    "5221193073e250d538988dc7dedb79c1ea9ccb94ea13f83bf91f00eac79b04b4" sampled;
+  let roi =
+    registry_sha (fun () ->
+        let prog =
+          match Bor_isa.Asm.assemble roi_src with
+          | Ok p -> p
+          | Error e -> Alcotest.failf "assembly failed: %a" Bor_isa.Asm.pp_error e
+        in
+        match Pipeline.run (Pipeline.create prog) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+  in
+  check Alcotest.string "marker 1 / marker 2 full-detail registry"
+    "01b625cf4abbfd250c6322380bc5b2046834e1beeb2a2334387aebb898b227ba" roi
+
 (* --------------------------------------------------------- backends *)
 
 let test_backend_reports () =
@@ -385,6 +458,10 @@ let () =
             test_window_errors_at_any_domain_count;
           Alcotest.test_case "requires fresh pipeline" `Quick
             test_sampled_window_checkpoints_fresh_pipeline_only;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "frozen registries" `Quick test_frozen_registries;
         ] );
       ( "backend",
         [

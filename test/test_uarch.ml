@@ -288,84 +288,214 @@ tgt:    addi t1, t1, 1
   check Alcotest.bool "backend flushes only from the loop branch" true
     (st.backend_flushes <= 5)
 
-let test_telemetry_matches_stats () =
-  (* pipeline.* telemetry increments at the same sites and under the
-     same ROI gating as the stats record, so on a marker-less program
-     the two views must agree exactly -- including the known penalty
-     identities (one front-end flush per taken brr, one back-end flush
-     per committed mispredict). *)
-  let module Telemetry = Bor_telemetry.Telemetry in
+module Telemetry = Bor_telemetry.Telemetry
+
+(* Every pipeline.* counter and the stats field it publishes, spelled
+   out here rather than read from the implementation's table. *)
+let pipeline_counters (st : Bor_uarch.Pipeline.stats) =
+  [
+    ("pipeline.fetch.slots", st.fetch_slots);
+    ("pipeline.fetch.full_packets", st.cycles_fetch_full);
+    ("pipeline.fetch.icache_stalls", st.fetch_icache_stalls);
+    ("pipeline.fetch.predecode_redirects", st.predecode_redirects);
+    ("pipeline.decode.slots", st.decode_slots);
+    ("pipeline.stall.decode_starved", st.cycles_decode_starved);
+    ("pipeline.stall.rob_full", st.cycles_rob_full);
+    ("pipeline.issue.slots", st.issue_slots);
+    ("pipeline.commit.slots", st.commit_slots);
+    ("pipeline.brr.resolved", st.brr_executed);
+    ("pipeline.brr.taken", st.brr_taken);
+    ("pipeline.flush.frontend", st.frontend_flushes);
+    ("pipeline.flush.backend", st.backend_flushes);
+    ("pipeline.flush.squashed", st.squashed);
+    ("pipeline.mispredict.cond", st.cond_mispredicts);
+    ("pipeline.mispredict.return", st.return_mispredicts);
+    ("pipeline.cycles", st.cycles);
+  ]
+
+let registered_with ~prefix =
+  List.filter
+    (fun (n, _) -> String.starts_with ~prefix n)
+    (Telemetry.counters ())
+
+let tel_counter name =
+  match Telemetry.find_counter name with
+  | Some v -> v
+  | None -> Alcotest.failf "counter %s not registered" name
+
+(* Run [f] against a fresh, enabled registry. *)
+let with_telemetry f =
   Telemetry.clear ();
   Telemetry.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Telemetry.set_enabled false;
       Telemetry.clear ())
-    (fun () ->
-      let src =
-        {|
-main:   li   s1, 20000
+    f
+
+(* The registry's pipeline.* counters are exactly [pipeline_counters st],
+   and the occupancy histogram agrees with the stats accumulators. *)
+let check_pipeline_telemetry what (st : Bor_uarch.Pipeline.stats) =
+  let expected = pipeline_counters st in
+  check
+    Alcotest.(list string)
+    (what ^ ": registered pipeline.* counters")
+    (List.sort compare (List.map fst expected))
+    (List.map fst (registered_with ~prefix:"pipeline."));
+  List.iter
+    (fun (name, v) ->
+      check Alcotest.int (what ^ ": " ^ name) v (tel_counter name))
+    expected;
+  (* The occupancy histogram is fed once per simulated cycle --
+     including cycles the quiescent-skip fast path replays in bulk --
+     so its count and sum must equal the stats accumulators. *)
+  let module Json = Bor_telemetry.Json in
+  let occ =
+    match Json.member "pipeline.rob.occupancy" (Telemetry.to_json ()) with
+    | Some h -> h
+    | None -> Alcotest.fail "histogram pipeline.rob.occupancy missing"
+  in
+  let field f =
+    match Json.member f occ with
+    | Some (Json.Int v) -> v
+    | _ -> Alcotest.failf "histogram field %s missing" f
+  in
+  check Alcotest.int (what ^ ": occupancy observed once per cycle") st.cycles
+    (field "count");
+  check Alcotest.int (what ^ ": occupancy sum = stats accumulator")
+    st.rob_occupancy (field "sum")
+
+(* A loop that fires every pipeline.* counter: taken branch-on-randoms,
+   loads and stores (a 4 KiB-strided walk over 1 MiB fills the ROB
+   behind misses), a branch on [rdlfsr] that mispredicts, calls, and a
+   recursion deeper than the RAS so some returns mispredict. [%s] sits
+   between the warm-up loop and the measured one. *)
+let penalty_src =
+  Printf.sprintf
+    {|
+main:   li   s0, 2000
+warm:   addi t0, t0, 1
+        bne  s0, t0, warm
+        %s
+        la   s2, buf
+        la   s3, big
+        li   s1, 6000
 loop:   brr  1/2, tgt
-back:   addi s1, s1, -1
+back:   andi t1, s1, 31
+        slli t1, t1, 2
+        add  t3, s2, t1
+        lw   t2, 0(t3)
+        add  t2, t2, s1
+        sw   t2, 0(t3)
+        andi t1, s1, 255
+        slli t1, t1, 12
+        add  t3, s3, t1
+        lw   t2, 0(t3)
+        rdlfsr t4
+        andi t4, t4, 1
+        bne  t4, zero, skip
+        jal  leaf
+skip:   andi t1, s1, 127
+        bne  t1, zero, next
+        li   a0, 40
+        jal  rec
+next:   addi s1, s1, -1
         bne  s1, zero, loop
         halt
-tgt:    addi t1, t1, 1
+tgt:    addi t5, t5, 1
         brra back
-      |}
-      in
-      let _, st = run_pipeline (assemble src) in
-      let tel name =
-        match Telemetry.find_counter name with
-        | Some v -> v
-        | None -> Alcotest.failf "counter %s not registered" name
-      in
-      check Alcotest.int "cycles" st.cycles (tel "pipeline.cycles");
+leaf:   addi t6, t6, 1
+        ret
+rec:    addi sp, sp, -4
+        sw   ra, 0(sp)
+        addi a0, a0, -1
+        beq  a0, zero, rdone
+        jal  rec
+rdone:  lw   ra, 0(sp)
+        addi sp, sp, 4
+        ret
+        .data
+buf:    .space 128
+big:    .space 1048576
+|}
+
+let test_telemetry_matches_stats () =
+  (* The stats record is the only per-event store; pipeline.* telemetry
+     is published from it, so on a marker-less program the two views
+     agree exactly. The known penalty identities (one front-end flush
+     per taken brr, one back-end flush per committed mispredict) hold
+     on top. *)
+  with_telemetry (fun () ->
+      let _, st = run_pipeline (assemble (penalty_src "nop")) in
+      check_pipeline_telemetry "no markers" st;
       (* brrs retire at decode resolution, not through the ROB, so they
          count in instructions but not in commit slots. *)
       check Alcotest.int "instructions = commit slots + resolved brrs"
         st.instructions
-        (tel "pipeline.commit.slots" + tel "pipeline.brr.resolved");
-      check Alcotest.int "brr resolved" st.brr_executed
-        (tel "pipeline.brr.resolved");
-      check Alcotest.int "brr taken" st.brr_taken (tel "pipeline.brr.taken");
+        (st.commit_slots + st.brr_executed);
       check Alcotest.int "one frontend flush per taken brr" st.brr_taken
-        (tel "pipeline.flush.frontend");
-      check Alcotest.int "frontend flushes" st.frontend_flushes
-        (tel "pipeline.flush.frontend");
+        st.frontend_flushes;
       check Alcotest.int "one backend flush per committed mispredict"
         (st.cond_mispredicts + st.return_mispredicts)
-        (tel "pipeline.flush.backend");
-      check Alcotest.int "cond mispredicts" st.cond_mispredicts
-        (tel "pipeline.mispredict.cond");
-      check Alcotest.int "squashed" st.squashed
-        (tel "pipeline.flush.squashed");
-      check Alcotest.int "fetch-full cycles" st.cycles_fetch_full
-        (tel "pipeline.fetch.full_packets");
-      check Alcotest.int "rob-full cycles" st.cycles_rob_full
-        (tel "pipeline.stall.rob_full");
+        st.backend_flushes;
+      List.iter
+        (fun (name, v) ->
+          if v = 0 then
+            Alcotest.failf "%s never fired: the program misses it" name)
+        (pipeline_counters st);
       check Alcotest.int "l1i misses" st.l1i_misses
-        (tel "cache.l1i.misses");
+        (tel_counter "cache.l1i.misses");
       check Alcotest.int "l1d misses" st.l1d_misses
-        (tel "cache.l1d.misses");
-      check Alcotest.int "l2 misses" st.l2_misses (tel "cache.l2.misses");
-      (* The occupancy histogram is fed once per simulated cycle --
-         including cycles the quiescent-skip fast path replays in bulk
-         -- so its count and sum must equal the stats accumulators. *)
-      let module Json = Bor_telemetry.Json in
-      let occ =
-        match Json.member "pipeline.rob.occupancy" (Telemetry.to_json ()) with
-        | Some h -> h
-        | None -> Alcotest.fail "histogram pipeline.rob.occupancy missing"
+        (tel_counter "cache.l1d.misses");
+      check Alcotest.int "l2 misses" st.l2_misses (tel_counter "cache.l2.misses"));
+  (* [marker 1] resets the stats but telemetry counts whole runs, so the
+     registry must hold what the stats of the same program would hold
+     with the marker replaced by a [nop]. Both complete at decode, so
+     the timing is identical. *)
+  let _, whole = run_pipeline (assemble (penalty_src "nop")) in
+  with_telemetry (fun () ->
+      let _, roi = run_pipeline (assemble (penalty_src "marker 1")) in
+      check Alcotest.bool "marker 1 reset the stats" true
+        (roi.cycles < whole.cycles);
+      check_pipeline_telemetry "marker 1" whole)
+
+(* Publishing happens at every exit of [run] and [run_window], [Ok] or
+   [Error], and adds only what is new. *)
+let test_telemetry_exit_paths () =
+  let spin = assemble "main: addi t0, t0, 1\n j main\n" in
+  with_telemetry (fun () ->
+      let t = Bor_uarch.Pipeline.create spin in
+      (match Bor_uarch.Pipeline.run ~max_cycles:5000 t with
+      | Ok _ -> Alcotest.fail "a non-terminating loop halted"
+      | Error _ -> ());
+      check Alcotest.int "budget error: pipeline.cycles = cycle"
+        (Bor_uarch.Pipeline.cycle t)
+        (tel_counter "pipeline.cycles"));
+  with_telemetry (fun () ->
+      let r, export =
+        Telemetry.isolated ~enabled:true (fun () ->
+            Bor_uarch.Pipeline.run_window ~max_cycles:1 ~warmup:10
+              ~window:100
+              (Bor_uarch.Pipeline.create (assemble (penalty_src "nop"))))
       in
-      let field f =
-        match Json.member f occ with
-        | Some (Json.Int v) -> v
-        | _ -> Alcotest.failf "histogram field %s missing" f
-      in
-      check Alcotest.int "occupancy observed once per cycle" st.cycles
-        (field "count");
-      check Alcotest.int "occupancy sum = stats accumulator" st.rob_occupancy
-        (field "sum"))
+      (match r with
+      | Ok _ -> Alcotest.fail "a 1-cycle window budget succeeded"
+      | Error _ -> ());
+      check Alcotest.(option int) "nothing leaked into the caller" None
+        (Telemetry.find_counter "pipeline.cycles");
+      Telemetry.absorb export;
+      check Alcotest.bool "failed window exports its cycles" true
+        (tel_counter "pipeline.cycles" > 0));
+  with_telemetry (fun () ->
+      let t, _ = run_pipeline (assemble (penalty_src "marker 1")) in
+      let first = registered_with ~prefix:"pipeline." in
+      (match Bor_uarch.Pipeline.run t with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      check
+        Alcotest.(list (pair string int))
+        "second run on a halted pipeline adds nothing" first
+        (registered_with ~prefix:"pipeline."))
 
 let test_roi_markers () =
   let src =
@@ -1210,6 +1340,58 @@ let test_block_codegen_invalidation () =
   check Alcotest.bool "the patch flushed the cache" true
     ((block_stats blocked).Bor_uarch.Block.invalidations >= 1)
 
+(* warming.block.* is published from [Block.stats] at every exit of
+   [run_warming]: after each [max_steps] slice the registry equals the
+   stats field for field, never double-counting across slices. The
+   program stores into its own text (invalidations) and reads the LFSR
+   (uncompilable, so fallback steps). *)
+let test_block_telemetry_matches_stats () =
+  let src =
+    {|
+main:   la   s2, main
+        li   s1, 300
+loop:   sw   t0, 0(s2)
+        addi t0, t0, 3
+        rdlfsr t1
+        xor  t0, t0, t1
+        andi t2, s1, 7
+        bne  t2, zero, skip
+        addi t3, t3, 1
+skip:   addi s1, s1, -1
+        bne  s1, zero, loop
+        halt
+      |}
+  in
+  with_telemetry (fun () ->
+      let t =
+        Bor_uarch.Pipeline.create ~config:(warm_cfg true) (assemble src)
+      in
+      let halted () = Bor_sim.Machine.halted (Bor_uarch.Pipeline.oracle t) in
+      let slices = ref 0 in
+      while not (halted ()) do
+        ignore (Bor_uarch.Pipeline.run_warming ~max_steps:37 t);
+        incr slices;
+        let s = block_stats t in
+        check
+          Alcotest.(list (pair string int))
+          (Printf.sprintf "warming.block.* after slice %d" !slices)
+          [
+            ("warming.block.compiled", s.Bor_uarch.Block.compiled);
+            ("warming.block.fallback_steps", s.Bor_uarch.Block.fallback_steps);
+            ("warming.block.hits", s.Bor_uarch.Block.hits);
+            ("warming.block.instructions", s.Bor_uarch.Block.block_instructions);
+            ("warming.block.invalidations", s.Bor_uarch.Block.invalidations);
+          ]
+          (registered_with ~prefix:"warming.block.")
+      done;
+      let s = block_stats t in
+      check Alcotest.bool "several slices" true (!slices > 10);
+      check Alcotest.bool "text stores invalidated" true
+        (s.Bor_uarch.Block.invalidations > 1);
+      check Alcotest.bool "rdlfsr fell back" true
+        (s.Bor_uarch.Block.fallback_steps > 0);
+      check Alcotest.bool "blocks ran" true (s.Bor_uarch.Block.hits > 0))
+
 (* ---------------------------------------------- Sampled acceptance *)
 
 (* The headline acceptance property, as a regression test: on real
@@ -1312,6 +1494,8 @@ let () =
             test_brr_taken_frontend_flush;
           Alcotest.test_case "telemetry matches stats" `Quick
             test_telemetry_matches_stats;
+          Alcotest.test_case "telemetry exit paths" `Quick
+            test_telemetry_exit_paths;
           Alcotest.test_case "roi markers" `Quick test_roi_markers;
           Alcotest.test_case "trace events" `Quick test_trace_events;
           Alcotest.test_case "dependent-miss latency" `Quick
@@ -1370,6 +1554,8 @@ let () =
             test_block_store_invalidation;
           Alcotest.test_case "code patch flushes the cache" `Quick
             test_block_codegen_invalidation;
+          Alcotest.test_case "telemetry matches block stats" `Quick
+            test_block_telemetry_matches_stats;
         ] );
       ( "sampled",
         [
