@@ -75,8 +75,8 @@ let pipeline_backed ~name ~telemetry_scope p run =
     state_digests = uarch_digests p;
   }
 
-let detailed ?config ?mem ?max_cycles prog =
-  let p = Pipeline.create ?config ?mem prog in
+let detailed ?config ?reuse ?max_cycles prog =
+  let p = Pipeline.create ?config ?reuse prog in
   pipeline_backed ~name:"detailed" ~telemetry_scope:"pipeline" p (fun () ->
       guard (fun () ->
           match Pipeline.run ?max_cycles p with

@@ -45,12 +45,15 @@ val functional :
 
 val detailed :
   ?config:Bor_uarch.Config.t ->
-  ?mem:Bor_sim.Memory.t ->
+  ?reuse:Bor_uarch.Pipeline.t ->
   ?max_cycles:int ->
   Bor_isa.Program.t ->
   t
-(** [mem] is passed to {!Bor_uarch.Pipeline.create}: the pipeline's
-    oracle reuses it (cleared) instead of allocating its own. *)
+(** [reuse] is passed to {!Bor_uarch.Pipeline.create}: the new pipeline
+    is built on that retired pipeline's memory, predictor tables and
+    cache arrays, refilled to their create-time values, instead of
+    allocating its own. The caller must be done with the retired
+    pipeline. *)
 
 val warming :
   ?config:Bor_uarch.Config.t -> ?max_steps:int -> Bor_isa.Program.t -> t

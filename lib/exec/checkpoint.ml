@@ -74,6 +74,12 @@ let w_array b a =
   w_int b (Array.length a);
   Array.iter (w_int b) a
 
+(* Predictor tables are bytes in memory but, like every other table,
+   one word per counter on disk. *)
+let w_counters b c =
+  w_int b (Bytes.length c);
+  Bytes.iter (fun v -> w_int b (Char.code v)) c
+
 let w_string b s =
   w_int b (String.length s);
   Buffer.add_string b s
@@ -88,9 +94,9 @@ let to_string ck =
   w_array b ck.ck_arch.Machine.a_regs;
   w_int b ck.ck_lfsr;
   w_int b ck.ck_pred.Predictor.s_ghist;
-  w_array b ck.ck_pred.Predictor.s_gshare;
-  w_array b ck.ck_pred.Predictor.s_bimodal;
-  w_array b ck.ck_pred.Predictor.s_chooser;
+  w_counters b ck.ck_pred.Predictor.s_gshare;
+  w_counters b ck.ck_pred.Predictor.s_bimodal;
+  w_counters b ck.ck_pred.Predictor.s_chooser;
   w_array b ck.ck_btb.Btb.s_tags;
   w_array b ck.ck_btb.Btb.s_targets;
   w_int b ck.ck_ras.Ras.s_top;
@@ -116,6 +122,7 @@ let to_string ck =
   payload ^ Sha256.digest payload
 
 exception Malformed
+exception Bad_counter of int
 
 let of_string s =
   let len = String.length s in
@@ -140,12 +147,19 @@ let of_string s =
       pos := !pos + n;
       v
     in
-    let r_array () =
+    let r_len () =
       let n = r_int () in
-      (* An absurd length means a corrupt header; fail before Array.init
-         tries to allocate it. *)
+      (* An absurd length means a corrupt header; fail before the table
+         is allocated. *)
       if n < 0 || n > 1 lsl 28 then raise Malformed;
-      Array.init n (fun _ -> r_int ())
+      n
+    in
+    let r_array () = Array.init (r_len ()) (fun _ -> r_int ()) in
+    let r_counters () =
+      Bytes.init (r_len ()) (fun _ ->
+          let v = r_int () in
+          if v < 0 || v > 3 then raise (Bad_counter v);
+          Char.unsafe_chr v)
     in
     try
       if Sha256.digest payload <> stamp then
@@ -165,9 +179,9 @@ let of_string s =
         let a_regs = r_array () in
         let ck_lfsr = r_int () in
         let s_ghist = r_int () in
-        let s_gshare = r_array () in
-        let s_bimodal = r_array () in
-        let s_chooser = r_array () in
+        let s_gshare = r_counters () in
+        let s_bimodal = r_counters () in
+        let s_chooser = r_counters () in
         let b_tags = r_array () in
         let b_targets = r_array () in
         let s_top = r_int () in
@@ -204,8 +218,13 @@ let of_string s =
           }
         end
       end
-    with Malformed | Invalid_argument _ ->
+    with
+    | Malformed | Invalid_argument _ ->
       Error "corrupted checkpoint (truncated or malformed payload)"
+    | Bad_counter v ->
+      Error
+        (Printf.sprintf
+           "corrupted checkpoint (predictor counter %d outside 0..3)" v)
   end
 
 let save_file path ck =

@@ -60,8 +60,9 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse and validate magic, version and digest stamp. All failures —
-    including truncated or malformed payloads — come back as [Error]
-    with a diagnostic naming what was wrong; never raises. *)
+    including truncated or malformed payloads and predictor counters
+    outside 0..3 — come back as [Error] with a diagnostic naming what
+    was wrong; never raises. *)
 
 val save_file : string -> t -> (unit, string) result
 val load_file : string -> (t, string) result

@@ -34,11 +34,15 @@ type window_entry = Window.window_entry = {
   e_tel : Telemetry.export option;
 }
 
-(* One detailed window: a throwaway pipeline seeded from the
-   checkpoint. Pure in the checkpoint (plus the shared config/plan), so
-   it runs identically on any domain in any order. *)
+(* One detailed window: a pipeline seeded from the checkpoint, built
+   on a retired one's buffers from the scratch pool and retired there
+   again on every exit. [Pipeline.create ~reuse] refills those buffers
+   to their create-time values, so the window is pure in the checkpoint
+   (plus the shared config/plan) and runs identically on any domain in
+   any order. *)
 let window_job ~config ~plan ~max_cycles ~digest prog ck =
-  let clone = Pipeline.create ~config prog in
+  let clone = Pipeline.create ~config ?reuse:(Scratch.take ()) prog in
+  Fun.protect ~finally:(fun () -> Scratch.give clone) @@ fun () ->
   match Checkpoint.restore ck ~program_digest:digest clone with
   | Error e -> Error e
   | Ok () ->

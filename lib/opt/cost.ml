@@ -52,38 +52,18 @@ let make_vectors ~count ~seed ~data_len =
         { v_regs = regs; v_data = Some data }
       end)
 
-(* Scratch memories for filter and oracle runs. A candidate of a few
-   hundred instructions dirties a handful of pages, so scrubbing a used
-   memory ([Machine.create ~mem] clears it) is far cheaper than
-   zero-filling a fresh 8 MiB one. Callers run on [Pool] domains and on
-   systhreads alike, and each needs a memory of its own for the length
-   of one run, hence a locked free list rather than a per-domain slot;
-   it grows to the peak number of concurrent evaluations. *)
-let scratch_lock = Mutex.create ()
-let scratch_free : Memory.t list ref = ref []
+(* Filter and oracle runs borrow their buffers from the scratch pool
+   ([Bor_exec.Scratch]) rather than allocating them. A candidate of a
+   few hundred instructions dirties a handful of pages and table
+   entries, so scrubbing a used 8 MiB memory ([Machine.create ~mem]) or
+   refilling a retired pipeline ([Backend.detailed ~reuse]) is far
+   cheaper than zero-filling new ones. The filter only needs a memory
+   and takes a pooled pipeline's.
 
-let with_scratch f =
-  let mem =
-    match
-      Mutex.protect scratch_lock (fun () ->
-          match !scratch_free with
-          | m :: rest ->
-            scratch_free := rest;
-            Some m
-          | [] -> None)
-    with
-    | Some m -> m
-    | None -> Memory.create ~size:Machine.default_mem_size
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect scratch_lock (fun () -> scratch_free := mem :: !scratch_free))
-    (fun () -> f mem)
-
-(* Run [prog] from one vector on the functional simulator; [None] when
+   Run [prog] from one vector on the functional simulator; [None] when
    it faults, trips the sanitizer or exhausts the step budget. *)
 let run_vector ~max_steps ~data_len prog vec =
-  with_scratch @@ fun mem ->
+  Bor_exec.Scratch.with_memory prog @@ fun mem ->
   let m = Machine.create ~mem prog in
   List.iter (fun (r, v) -> Machine.set_reg m (Reg.of_int r) v) vec.v_regs;
   let base = prog.Program.data_base in
@@ -140,8 +120,12 @@ let oracle_cycles ~max_cycles o prog =
   let prog = defuse_markers prog in
   match o with
   | Detailed -> (
-    with_scratch @@ fun mem ->
-    let b = Backend.detailed ~mem ~max_cycles prog in
+    let b =
+      Backend.detailed ?reuse:(Bor_exec.Scratch.take ()) ~max_cycles prog
+    in
+    Fun.protect ~finally:(fun () ->
+        Option.iter Bor_exec.Scratch.give b.Backend.pipeline)
+    @@ fun () ->
     match b.Backend.run () with
     | Ok (Backend.Detailed st) -> Some st.Bor_uarch.Pipeline.cycles
     | Ok _ | Error _ -> None)

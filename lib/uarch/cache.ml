@@ -18,7 +18,7 @@ type t = {
   tel_evictions : Telemetry.counter;
 }
 
-let create ?(name = "cache") ~size ~assoc ~line_bytes () =
+let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
   if size <= 0 || assoc <= 0 || line_bytes <= 0 then
     invalid_arg "Cache.create";
   let lines = size / line_bytes in
@@ -37,6 +37,15 @@ let create ?(name = "cache") ~size ~assoc ~line_bytes () =
       !s
     end
   in
+  let n = sets * assoc in
+  let tags, lru =
+    match reuse with
+    | Some old when Array.length old.tags = n ->
+      Array.fill old.tags 0 n (-1);
+      Array.fill old.lru 0 n 0;
+      (old.tags, old.lru)
+    | _ -> (Array.make n (-1), Array.make n 0)
+  in
   {
     name;
     sets;
@@ -44,8 +53,8 @@ let create ?(name = "cache") ~size ~assoc ~line_bytes () =
     line_bytes;
     line_shift = log2 line_bytes;
     sets_shift = log2 sets;
-    tags = Array.make (sets * assoc) (-1);
-    lru = Array.make (sets * assoc) 0;
+    tags;
+    lru;
     clock = 0;
     stats = { accesses = 0; misses = 0 };
     tel_hits = Telemetry.counter sc ~doc:"accesses that hit" "hits";

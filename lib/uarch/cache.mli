@@ -5,10 +5,15 @@ type t
 
 type stats = { mutable accesses : int; mutable misses : int }
 
-val create : ?name:string -> size:int -> assoc:int -> line_bytes:int -> unit -> t
+val create :
+  ?reuse:t -> ?name:string -> size:int -> assoc:int -> line_bytes:int -> unit -> t
 (** [size] must be divisible by [assoc * line_bytes] into a power-of-two
     set count. [name] (default ["cache"]) is the telemetry scope suffix:
-    counters register as [cache.<name>.{hits,misses,evictions}]. *)
+    counters register as [cache.<name>.{hits,misses,evictions}]. With
+    [~reuse:old] of the same line count, [old]'s tag and LRU arrays are
+    refilled to their empty state and shared instead of allocated;
+    statistics and telemetry instruments are always new. [old] must not
+    be used again. *)
 
 val access : t -> int -> bool
 (** [access t addr] touches the line containing [addr]; returns [true]

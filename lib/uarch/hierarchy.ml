@@ -9,17 +9,18 @@ type t = {
   mem_latency : int;
 }
 
-let create (c : Config.t) =
+let create ?reuse (c : Config.t) =
+  let old f = Option.map f reuse in
   {
     l1i =
-      Cache.create ~name:"l1i" ~size:c.l1_size ~assoc:c.l1_assoc
-        ~line_bytes:c.line_bytes ();
+      Cache.create ?reuse:(old (fun h -> h.l1i)) ~name:"l1i" ~size:c.l1_size
+        ~assoc:c.l1_assoc ~line_bytes:c.line_bytes ();
     l1d =
-      Cache.create ~name:"l1d" ~size:c.l1_size ~assoc:c.l1_assoc
-        ~line_bytes:c.line_bytes ();
+      Cache.create ?reuse:(old (fun h -> h.l1d)) ~name:"l1d" ~size:c.l1_size
+        ~assoc:c.l1_assoc ~line_bytes:c.line_bytes ();
     l2 =
-      Cache.create ~name:"l2" ~size:c.l2_size ~assoc:c.l2_assoc
-        ~line_bytes:c.line_bytes ();
+      Cache.create ?reuse:(old (fun h -> h.l2)) ~name:"l2" ~size:c.l2_size
+        ~assoc:c.l2_assoc ~line_bytes:c.line_bytes ();
     l1_latency = c.l1_latency;
     l2_latency = c.l2_latency;
     mem_latency = c.mem_latency;

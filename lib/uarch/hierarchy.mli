@@ -5,7 +5,9 @@ type t
 
 type port = I | D
 
-val create : Config.t -> t
+val create : ?reuse:t -> Config.t -> t
+(** Empty caches. [~reuse:old] hands each level [old]'s level as
+    {!Cache.create}'s [reuse]. *)
 
 val access : t -> port -> int -> int
 (** [access t port addr] returns the load-to-use latency in cycles and

@@ -301,7 +301,6 @@ type t = {
   mutable spec_brr_len : int;
   mutable halted_decoded : bool;
   mutable halt_committed : bool;
-  mutable roi_active : bool;
   mutable roi_frozen : bool;
   (* Sampled simulation (see [run_window] and [Bor_exec.Sampled]). All
      of this is inert in a plain full-detail run: [sampling] stays
@@ -359,7 +358,7 @@ let pow2_at_least n =
   done;
   !c
 
-let create ?(config = Config.default) ?mem (program : Bor_isa.Program.t) =
+let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
   let pending_brr = ref None in
   let decide _freq =
     match !pending_brr with
@@ -379,17 +378,19 @@ let create ?(config = Config.default) ?mem (program : Bor_isa.Program.t) =
      transiently overshoot; [rob_grow] covers the pathological rest. *)
   let rob_cap = pow2_at_least (max 4 (2 * config.Config.rob_entries)) in
   let dummy_pred = Predictor.none in
+  let old f = Option.map f reuse in
   {
     cfg = config;
     program;
     code = program.Bor_isa.Program.text;
     code_base = program.Bor_isa.Program.text_base;
     oracle =
-      Bor_sim.Machine.create ?mem ~brr_mode:(Bor_sim.Machine.External decide)
-        program;
+      Bor_sim.Machine.create
+        ?mem:(old (fun t -> Bor_sim.Machine.memory t.oracle))
+        ~brr_mode:(Bor_sim.Machine.External decide) program;
     engine;
-    hier = Hierarchy.create config;
-    pred = Predictor.create config;
+    hier = Hierarchy.create ?reuse:(old (fun t -> t.hier)) config;
+    pred = Predictor.create ?reuse:(old (fun t -> t.pred)) config;
     btb = Btb.create ~entries:config.Config.btb_entries;
     ras;
     pending_brr;
@@ -439,7 +440,6 @@ let create ?(config = Config.default) ?mem (program : Bor_isa.Program.t) =
     spec_brr_len = 0;
     halted_decoded = false;
     halt_committed = false;
-    roi_active = true;
     roi_frozen = false;
     sampling = false;
     committed = 0;
@@ -486,7 +486,7 @@ let retired_brr_outcomes t =
 
 let retired_brr_dropped t = t.retired_brr_total - t.retired_brr_len
 let set_tracer t f = t.tracer <- Some f
-let roi t = t.roi_active && not t.roi_frozen
+let roi t = not t.roi_frozen
 let rob_occ t = t.rob_tail - t.rob_head
 
 exception Sim_error of string
@@ -1494,7 +1494,6 @@ let marker_commit t n =
     t.stats <- fresh_stats ();
     Array.fill t.tel.last 0 (Array.length t.tel.last) 0;
     Hierarchy.reset_stats t.hier;
-    t.roi_active <- true;
     t.roi_frozen <- false
   end
   else if n = 2 then begin
@@ -2085,9 +2084,10 @@ type window_result = {
 
 (* Execute one detailed measurement window on [t], which the caller has
    just created fresh and seeded (architectural + warmed state) from a
-   window-boundary checkpoint. The pipeline is a throwaway: it is never
-   handed back to warming, which is what makes a window a pure function
-   of its checkpoint — the property the domain-parallel sampled runner
+   window-boundary checkpoint. The pipeline is never run again: it is
+   never handed back to warming (at most a later [create ~reuse] takes
+   its buffers), which is what makes a window a pure function of its
+   checkpoint — the property the domain-parallel sampled runner
    rests on. [max_cycles] is a per-window budget ([t] starts at cycle
    0). *)
 let run_window ?(max_cycles = 2_000_000_000) ~warmup ~window t =

@@ -76,11 +76,19 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type t
 
-val create : ?config:Config.t -> ?mem:Bor_sim.Memory.t -> Bor_isa.Program.t -> t
-(** A pipeline at the program's entry point. [mem] is handed to the
-    oracle machine ({!Bor_sim.Machine.create}): it is cleared and reused
-    instead of allocating a fresh 8 MiB memory, and belongs to this
-    pipeline until the caller is done with it. *)
+val create : ?config:Config.t -> ?reuse:t -> Bor_isa.Program.t -> t
+(** A pipeline at the program's entry point.
+
+    [~reuse:old] builds it on [old]'s largest buffers instead of
+    allocating new ones, refilled to exactly their create-time values:
+    the oracle's memory (scrubbed by {!Bor_sim.Machine.create}'s
+    [~mem]), the predictor's three counter tables and the three caches'
+    tag and LRU arrays. A table whose size differs under [config] is
+    allocated afresh. Everything else, every telemetry instrument
+    included, is new, so the result is indistinguishable from a fresh
+    [create] and its instruments bind to the registry current now.
+    The caller must be done with [old]: it shares those buffers with
+    the new pipeline and must never be run, read or reused again. *)
 
 val cycle : t -> int
 (** Current cycle number. *)
@@ -197,12 +205,14 @@ val run_window :
 (** Execute one detailed measurement window — [warmup] unmeasured
     commits, then [window] measured ones — on a throwaway pipeline the
     caller has just created and seeded from a window-boundary
-    checkpoint. Because the pipeline is discarded afterwards (never
-    handed back to warming), a window is a pure function of its
-    checkpoint: the foundation of {!Bor_exec.Sampled}'s domain-parallel
-    execution. [max_cycles] (default 2e9) is a per-window cycle budget.
-    Never raises; simulator errors, sanitizer violations and oracle
-    faults come back as [Error]. *)
+    checkpoint. Because the pipeline is never run again afterwards
+    (never handed back to warming; at most a later [create ~reuse]
+    takes its buffers), a window is a pure function of its checkpoint:
+    the foundation of {!Bor_exec.Sampled}'s domain-parallel execution.
+    [max_cycles] (default 2e9) is a per-window cycle budget. Simulator
+    errors, sanitizer violations and oracle faults come back as
+    [Error]; only a pipeline seeded with out-of-range state (a forged
+    checkpoint) can make it raise. *)
 
 (** {2 Tracing}
 

@@ -1,9 +1,12 @@
 module Telemetry = Bor_telemetry.Telemetry
 
+(* The three tables hold one 2-bit counter per byte: an [int array]
+   would be eight times the size, and every create, checkpoint capture
+   and restore copies or scans all of it. *)
 type t = {
-  gshare : int array;  (** 2-bit counters, 2^ghist_bits entries *)
-  bimodal : int array;
-  chooser : int array;  (** 2-bit: >=2 prefers gshare *)
+  gshare : Bytes.t;  (** 2-bit counters, 2^ghist_bits entries *)
+  bimodal : Bytes.t;
+  chooser : Bytes.t;  (** 2-bit: >=2 prefers gshare *)
   ghist_mask : int;
   bimodal_mask : int;  (** entries - 1 when a power of two, else -1 *)
   snap_shift : int;  (** bit offset of the history snapshot in a packed prediction *)
@@ -27,12 +30,22 @@ let taken (p : prediction) = p land 1 <> 0
 
 let none : prediction = 0
 
-let create (c : Config.t) =
+(* A table of [n] counters at [init]: [old]'s when it has that size,
+   refilled, else a new one. *)
+let table old n init =
+  match old with
+  | Some b when Bytes.length b = n ->
+    Bytes.fill b 0 n init;
+    b
+  | _ -> Bytes.make n init
+
+let create ?reuse (c : Config.t) =
   let sc = Telemetry.scope "predictor" in
+  let old f = Option.map f reuse in
   {
-    gshare = Array.make (1 lsl c.ghist_bits) 1;
-    bimodal = Array.make c.bimodal_entries 1;
-    chooser = Array.make c.bimodal_entries 2;
+    gshare = table (old (fun t -> t.gshare)) (1 lsl c.ghist_bits) '\001';
+    bimodal = table (old (fun t -> t.bimodal)) c.bimodal_entries '\001';
+    chooser = table (old (fun t -> t.chooser)) c.bimodal_entries '\002';
     ghist_mask = Bor_util.Bits.mask c.ghist_bits;
     bimodal_mask =
       (if Bor_util.Bits.is_power_of_two c.bimodal_entries then
@@ -60,23 +73,25 @@ let gshare_index t pc = ((pc lsr 2) lxor t.ghist) land t.ghist_mask
 
 let bimodal_index t pc =
   if t.bimodal_mask >= 0 then (pc lsr 2) land t.bimodal_mask
-  else (pc lsr 2) mod Array.length t.bimodal
+  else (pc lsr 2) mod Bytes.length t.bimodal
 
-let counter_taken v = v >= 2
+let[@inline] get a i = Char.code (Bytes.get a i)
+let[@inline] counter_taken a i = get a i >= 2
 
 let bump a i taken =
-  if taken then (if a.(i) < 3 then a.(i) <- a.(i) + 1)
-  else if a.(i) > 0 then a.(i) <- a.(i) - 1
+  let v = get a i in
+  if taken then (if v < 3 then Bytes.set a i (Char.unsafe_chr (v + 1)))
+  else if v > 0 then Bytes.set a i (Char.unsafe_chr (v - 1))
 
 let predict t ~pc =
   let gi = gshare_index t pc in
   let bi = bimodal_index t pc in
-  let use_gshare = counter_taken t.chooser.(bi) in
+  let use_gshare = counter_taken t.chooser bi in
   Telemetry.incr t.tel_predictions;
   Telemetry.incr
     (if use_gshare then t.tel_gshare_chosen else t.tel_bimodal_chosen);
-  let g = counter_taken t.gshare.(gi) in
-  let b = counter_taken t.bimodal.(bi) in
+  let g = counter_taken t.gshare gi in
+  let b = counter_taken t.bimodal bi in
   let dir = if use_gshare then g else b in
   let snapshot = t.ghist in
   t.ghist <- ((t.ghist lsl 1) lor Bool.to_int dir) land t.ghist_mask;
@@ -107,35 +122,37 @@ let shift_into t h ~taken =
   ((h lsl 1) lor Bool.to_int taken) land t.ghist_mask
 
 type state = {
-  s_gshare : int array;
-  s_bimodal : int array;
-  s_chooser : int array;
+  s_gshare : Bytes.t;
+  s_bimodal : Bytes.t;
+  s_chooser : Bytes.t;
   s_ghist : int;
 }
 
 let export_state t =
   {
-    s_gshare = Array.copy t.gshare;
-    s_bimodal = Array.copy t.bimodal;
-    s_chooser = Array.copy t.chooser;
+    s_gshare = Bytes.copy t.gshare;
+    s_bimodal = Bytes.copy t.bimodal;
+    s_chooser = Bytes.copy t.chooser;
     s_ghist = t.ghist;
   }
 
 let import_state t s =
   if
-    Array.length s.s_gshare <> Array.length t.gshare
-    || Array.length s.s_bimodal <> Array.length t.bimodal
-    || Array.length s.s_chooser <> Array.length t.chooser
+    Bytes.length s.s_gshare <> Bytes.length t.gshare
+    || Bytes.length s.s_bimodal <> Bytes.length t.bimodal
+    || Bytes.length s.s_chooser <> Bytes.length t.chooser
   then invalid_arg "Predictor.import_state: table-size mismatch";
-  Array.blit s.s_gshare 0 t.gshare 0 (Array.length t.gshare);
-  Array.blit s.s_bimodal 0 t.bimodal 0 (Array.length t.bimodal);
-  Array.blit s.s_chooser 0 t.chooser 0 (Array.length t.chooser);
+  Bytes.blit s.s_gshare 0 t.gshare 0 (Bytes.length t.gshare);
+  Bytes.blit s.s_bimodal 0 t.bimodal 0 (Bytes.length t.bimodal);
+  Bytes.blit s.s_chooser 0 t.chooser 0 (Bytes.length t.chooser);
   t.ghist <- s.s_ghist land t.ghist_mask
 
+(* One byte per counter, then a separator per table: the same bytes the
+   digest has always hashed. *)
 let state_digest t =
-  let b = Buffer.create (Array.length t.gshare * 2) in
+  let b = Buffer.create (Bytes.length t.gshare * 2) in
   let dump a =
-    Array.iter (fun v -> Buffer.add_char b (Char.chr (v land 0xff))) a;
+    Buffer.add_bytes b a;
     Buffer.add_char b '|'
   in
   dump t.gshare;

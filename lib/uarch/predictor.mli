@@ -23,7 +23,13 @@ val taken : prediction -> bool
 val none : prediction
 (** Placeholder for slots that carry no prediction. *)
 
-val create : Config.t -> t
+val create : ?reuse:t -> Config.t -> t
+(** A predictor at its initial state: weakly-not-taken direction
+    counters, a chooser weakly preferring gshare, empty history. With
+    [~reuse:old], each of [old]'s tables whose size matches [Config.t]
+    is refilled and shared instead of allocated (a mismatched one is
+    allocated afresh); telemetry instruments are always new. [old] must
+    not be used again. *)
 
 val predict : t -> pc:int -> prediction
 (** Also speculatively shifts the prediction into the global history
@@ -51,13 +57,14 @@ val shift_into : t -> int -> taken:bool -> int
     history during sampled simulation. *)
 
 type state = {
-  s_gshare : int array;
-  s_bimodal : int array;
-  s_chooser : int array;
+  s_gshare : Bytes.t;
+  s_bimodal : Bytes.t;
+  s_chooser : Bytes.t;
   s_ghist : int;
 }
 (** All three counter tables plus the global history — the complete
-    predictive state (the telemetry counters are excluded). *)
+    predictive state (the telemetry counters are excluded). Each table
+    holds one counter (0..3) per byte. *)
 
 val export_state : t -> state
 (** Deep copy of the tables and history. *)

@@ -155,15 +155,46 @@ let test_rejects_bad_input () =
   check Alcotest.bool "stamp named in diagnostic" true (contains e "SHA-256");
   ignore (expect_error "truncated" (String.sub s 0 (String.length s - 100)));
   ignore (expect_error "empty" "");
+  (* [s] with the word at [pos] replaced and the stamp recomputed. *)
+  let restamped pos v =
+    let payload = Bytes.of_string (String.sub s 0 (String.length s - 64)) in
+    Bytes.set_int64_le payload pos (Int64.of_int v);
+    let forged = Bytes.to_string payload in
+    forged ^ Bor_telemetry.Sha256.digest forged
+  in
   (* A future format version with a correctly recomputed stamp must be
      refused by the version check, not misparsed. *)
-  let payload = Bytes.of_string (String.sub s 0 (String.length s - 64)) in
-  Bytes.set_int64_le payload 8 (Int64.of_int (Checkpoint.version + 1));
-  let forged = Bytes.to_string payload in
-  let e =
-    expect_error "future version" (forged ^ Bor_telemetry.Sha256.digest forged)
+  let e = expect_error "future version" (restamped 8 (Checkpoint.version + 1)) in
+  check Alcotest.bool "version named in diagnostic" true (contains e "version");
+  (* A 2-bit predictor counter outside 0..3, correctly re-stamped, is
+     corrupt: the reader must refuse it rather than truncate it into a
+     byte. The first gshare word follows magic, version, the program
+     digest, pc, halt flag, register file, LFSR, history and the table
+     length. *)
+  let regs = Array.length ck.Checkpoint.ck_arch.Machine.a_regs in
+  let first_counter =
+    8 + 8 + (8 + String.length ck.Checkpoint.ck_program) + 8 + 8
+    + (8 + (8 * regs)) + 8 + 8 + 8
   in
-  check Alcotest.bool "version named in diagnostic" true (contains e "version")
+  List.iter
+    (fun v ->
+      let e =
+        expect_error
+          (Printf.sprintf "predictor counter %d" v)
+          (restamped first_counter v)
+      in
+      check Alcotest.bool
+        (Printf.sprintf "counter %d named in diagnostic %S" v e)
+        true
+        (contains e "corrupted checkpoint" && contains e "predictor counter"))
+    [ 4; -1; 256 ];
+  (* The same position holding a legal value parses: the offset above
+     really is a counter. *)
+  match Checkpoint.of_string (restamped first_counter 3) with
+  | Ok ck' ->
+    check Alcotest.int "re-stamped legal counter read back" 3
+      (Char.code (Bytes.get ck'.Checkpoint.ck_pred.s_gshare 0))
+  | Error e -> Alcotest.failf "legal re-stamped counter rejected: %s" e
 
 let test_rejects_wrong_program () =
   let _, _, ck = warmed_checkpoint (Lazy.force micro_prog) in
@@ -310,6 +341,86 @@ let test_sampled_window_checkpoints_fresh_pipeline_only () =
     check Alcotest.bool "freshness named in diagnostic" true
       (contains e "freshly created")
 
+(* ------------------------------------------------------ scratch pool *)
+
+(* The window function of a sampled run, taken from the context its
+   runner factory receives (the windows themselves run inline). *)
+let window_fn ?max_cycles plan prog =
+  let fn = ref None in
+  let runner (ctx : Sampled.exec_ctx) =
+    fn := Some ctx.xc_window;
+    {
+      Sampled.r_dispatch =
+        (fun ~index ~boundary:_ ck ->
+          ctx.xc_deliver index
+            { Sampled.e_result = ctx.xc_window ck; e_tel = None });
+      r_drain = ignore;
+    }
+  in
+  ignore (Sampled.run_on ?max_cycles ~plan ~runner (Pipeline.create prog));
+  Option.get !fn
+
+let rec drain_pool () =
+  match Bor_exec.Scratch.take () with
+  | Some _ -> drain_pool ()
+  | None -> ()
+
+(* Windows build their pipelines on retired ones from the scratch pool.
+   A window that fails, by a budget [Error] or by an exception escaping
+   [run_window], must still retire its pipeline there, and the next
+   window built on it must measure exactly what a window on a fresh
+   pipeline does. *)
+let test_pool_survives_failing_windows () =
+  let prog =
+    (Bor_workload.Apps.compile "bloat" brr64).Bor_minic.Driver.program
+  in
+  let plan = plan_exn "500:300:5000:3" in
+  let _, digest, ck = warmed_checkpoint prog in
+  let fresh =
+    let p = Pipeline.create prog in
+    (match Checkpoint.restore ck ~program_digest:digest p with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    Pipeline.run_window ~warmup:plan.Bor_uarch.Sampling_plan.warmup
+      ~window:plan.Bor_uarch.Sampling_plan.window p
+  in
+  check Alcotest.bool "the fresh window measured" true
+    (match fresh with Ok { Pipeline.w_sample = Some _; _ } -> true | _ -> false);
+  let window = window_fn plan prog in
+  let starved = window_fn ~max_cycles:1 plan prog in
+  (* A return stack whose top points past its end: the first call of
+     the window indexes out of bounds (or, under the sanitizer, fails
+     the RAS shape check). *)
+  let broken =
+    { ck with Checkpoint.ck_ras = { ck.ck_ras with s_top = 1 lsl 20 } }
+  in
+  let retired what =
+    match Bor_exec.Scratch.take () with
+    | None -> Alcotest.failf "%s: the window's pipeline was not retired" what
+    | Some p ->
+      check Alcotest.bool (what ^ ": exactly one pipeline retired") true
+        (Bor_exec.Scratch.take () = None);
+      Bor_exec.Scratch.give p
+  in
+  let same_as_fresh what =
+    check Alcotest.bool (what ^ ": next window = fresh window") true
+      (window ck = fresh)
+  in
+  drain_pool ();
+  (match starved ck with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a 1-cycle window succeeded");
+  retired "budget error";
+  same_as_fresh "after a budget error";
+  drain_pool ();
+  (match window broken with
+  | exception Invalid_argument _ -> ()
+  | Error _ when Bor_check.Check.enabled () -> ()
+  | Error e -> Alcotest.failf "expected an escaping exception, got %S" e
+  | Ok _ -> Alcotest.fail "a window with a broken return stack succeeded");
+  retired "exception";
+  same_as_fresh "after an exception"
+
 (* ------------------------------------------------ frozen registries *)
 
 (* The whole telemetry registry of two fixed runs, pinned by SHA-256:
@@ -383,6 +494,25 @@ let test_frozen_registries () =
   check Alcotest.string "marker 1 / marker 2 full-detail registry"
     "01b625cf4abbfd250c6322380bc5b2046834e1beeb2a2334387aebb898b227ba" roi
 
+(* ------------------------------------------------ frozen checkpoint *)
+
+(* The serialized bytes of one fixed capture and the predictor digest
+   at that point, pinned by SHA-256: a fixed functional-warming budget
+   into an app kernel. Any change to the BORCKPT layout, to how the
+   warmed structures are stored and exported, or to the warming
+   trajectory itself moves a hex. *)
+let test_frozen_checkpoint () =
+  let prog =
+    (Bor_workload.Apps.compile "bloat" brr64).Bor_minic.Driver.program
+  in
+  let p, _, ck = warmed_checkpoint ~steps:150_000 prog in
+  check Alcotest.bool "captured mid-run" false
+    (Machine.halted (Pipeline.oracle p));
+  check Alcotest.string "Checkpoint.to_string"
+    "4dab30d426e9b195f0566652875da075c0145bec6cee7adef03497b16b736bdb" (Bor_telemetry.Sha256.digest (Checkpoint.to_string ck));
+  check Alcotest.string "Predictor.state_digest"
+    "0ef1550b8a1dd47503584da555bb620ec981acee7775519805543c770ce7cf95" (Bor_uarch.Predictor.state_digest (Pipeline.predictor p))
+
 (* --------------------------------------------------------- backends *)
 
 let test_backend_reports () =
@@ -449,6 +579,8 @@ let () =
             test_checkpoint_rebuilds_block_cache;
           Alcotest.test_case "rejects wrong program" `Quick
             test_rejects_wrong_program;
+          Alcotest.test_case "frozen checkpoint bytes" `Quick
+            test_frozen_checkpoint;
         ] );
       ( "sampled",
         [
@@ -458,6 +590,8 @@ let () =
             test_window_errors_at_any_domain_count;
           Alcotest.test_case "requires fresh pipeline" `Quick
             test_sampled_window_checkpoints_fresh_pipeline_only;
+          Alcotest.test_case "scratch pool survives failing windows" `Quick
+            test_pool_survives_failing_windows;
         ] );
       ( "telemetry",
         [

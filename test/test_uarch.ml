@@ -1392,6 +1392,129 @@ skip:   addi s1, s1, -1
         (s.Bor_uarch.Block.fallback_steps > 0);
       check Alcotest.bool "blocks ran" true (s.Bor_uarch.Block.hits > 0))
 
+(* ----------------------------------------------- create ~reuse *)
+
+(* Dirties everything a retired pipeline hands on: it stores into its
+   own text and over 16 KiB above its data segment, trains the
+   predictor on a data-dependent branch and fills the caches. *)
+let reuse_dirty_src =
+  {|
+main:   la   s2, main
+        la   s3, buf
+        li   t4, 65536
+        add  s3, s3, t4
+        li   s1, 4096
+loop:   sw   s1, 0(s2)
+        slli t1, s1, 2
+        add  t2, s3, t1
+        sw   s1, 0(t2)
+        andi t3, s1, 5
+        bne  t3, zero, skip
+        jal  leaf
+skip:   addi s1, s1, -1
+        bne  s1, zero, loop
+        halt
+leaf:   addi t5, t5, 1
+        ret
+        .data
+buf:    .space 64
+|}
+
+(* Reads back the region the dirtying program wrote (zero on a fresh
+   memory) and branches on it, so an unscrubbed memory, an untrained
+   predictor or a warm cache would each change what it measures. A
+   line-strided walk over 192 KiB forces L1 evictions, so stale LRU
+   stamps would change victims too. *)
+let reuse_probe_src =
+  {|
+main:   la   s3, buf
+        li   t4, 65536
+        add  s3, s3, t4
+        add  s6, s3, t4
+        li   s1, 3000
+loop:   andi t1, s1, 2047
+        slli t1, t1, 2
+        add  t2, s3, t1
+        lw   t0, 0(t2)
+        add  s4, s4, t0
+        slli t6, s1, 6
+        add  t6, s6, t6
+        lw   t7, 0(t6)
+        bne  t0, zero, odd
+        andi t3, s1, 7
+        bne  t3, zero, skip
+        jal  leaf
+        j    skip
+odd:    addi s5, s5, 1
+skip:   addi s1, s1, -1
+        bne  s1, zero, loop
+        halt
+leaf:   addi t5, t5, 1
+        ret
+        .data
+buf:    .space 64
+|}
+
+let small_cfg =
+  { Bor_uarch.Config.default with bimodal_entries = 1024; l2_size = 256 * 1024 }
+
+(* [create ~reuse:old] must be indistinguishable from a fresh [create]
+   whatever [old] ran: the same warmed-state digests before and after a
+   run, the same stats and cycles, the same final registers and the
+   same telemetry registry — also when [old]'s geometry differs and the
+   mismatched tables are allocated afresh. The memory is always the
+   retired one. *)
+let test_create_reuse_matches_fresh () =
+  let probe = assemble reuse_probe_src in
+  let measure make =
+    with_telemetry (fun () ->
+        let t = make () in
+        let before = uarch_digests t in
+        match Bor_uarch.Pipeline.run t with
+        | Error e -> Alcotest.fail e
+        | Ok st ->
+          ( t,
+            ( before,
+              st,
+              Bor_uarch.Pipeline.cycle t,
+              uarch_digests t,
+              oracle_regs t,
+              Bor_telemetry.Json.to_string (Telemetry.to_json ()) ) ))
+  in
+  List.iter
+    (fun (what, old_config, config) ->
+      let old =
+        Bor_uarch.Pipeline.create ~config:old_config
+          (assemble reuse_dirty_src)
+      in
+      (match Bor_uarch.Pipeline.run old with
+      | Ok st ->
+        check Alcotest.bool (what ^ ": dirtied") true (st.cond_mispredicts > 0)
+      | Error e -> Alcotest.fail e);
+      let _, (fb, fst_, fc, fa, fr, fj) =
+        measure (fun () -> Bor_uarch.Pipeline.create ~config probe)
+      in
+      let t, (rb, rst, rc, ra, rr, rj) =
+        measure (fun () -> Bor_uarch.Pipeline.create ~config ~reuse:old probe)
+      in
+      let oracle_mem p = Bor_sim.Machine.memory (Bor_uarch.Pipeline.oracle p) in
+      check Alcotest.bool (what ^ ": memory reused") true
+        (oracle_mem t == oracle_mem old);
+      let digests = Alcotest.(list (pair string string)) in
+      check digests (what ^ ": digests at create") fb rb;
+      check Alcotest.bool (what ^ ": stats") true (fst_ = rst);
+      check Alcotest.int (what ^ ": cycles") fc rc;
+      check digests (what ^ ": digests after the run") fa ra;
+      check Alcotest.(array int) (what ^ ": registers") fr rr;
+      check Alcotest.int (what ^ ": probe read zeros") 0
+        rr.(Bor_isa.Reg.to_int (Bor_isa.Reg.s 4));
+      check Alcotest.string (what ^ ": telemetry registry") fj rj)
+    [
+      ("same geometry", Bor_uarch.Config.default, Bor_uarch.Config.default);
+      ("smaller retired geometry", small_cfg, Bor_uarch.Config.default);
+      ("larger retired geometry", Bor_uarch.Config.default, small_cfg);
+    ]
+
 (* ---------------------------------------------- Sampled acceptance *)
 
 (* The headline acceptance property, as a regression test: on real
@@ -1556,6 +1679,8 @@ let () =
             test_block_codegen_invalidation;
           Alcotest.test_case "telemetry matches block stats" `Quick
             test_block_telemetry_matches_stats;
+          Alcotest.test_case "create ~reuse = fresh create" `Quick
+            test_create_reuse_matches_fresh;
         ] );
       ( "sampled",
         [
