@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every figure of the paper's evaluation
    (there are no numbered tables), plus the §3.3 hardware-cost and §3.4
-   determinism results and a Bechamel microbenchmark suite for the
-   library's own primitives.
+   determinism results, ablations, width sweeps, and the simulator's
+   own warming and ranked-sampling checks. It pins simulated behaviour
+   by digest; host timing is bench/perf's job (BENCHMARK.json).
 
    Usage:
      bench/main.exe                 # every experiment, default sizes
@@ -10,27 +11,30 @@
      bench/main.exe --chars 100000 fig13
      bench/main.exe --csv out/ fig9 fig14   # also dump CSV per experiment
      bench/main.exe --json out/ fig9 fig14  # BENCH_<name>.json + DIGESTS.txt
-     bench/main.exe --jobs 4                # fork experiments in parallel
+     bench/main.exe --jobs 4                # experiments on 4 domains
    Experiments: fig6 fig9 fig10 sensitivity fig12 fig13 fig14 baseline
-                hwcost determinism bechamel perf sampled
-   --sample W:D:P[:SEED] sets the plan used by the sampled experiment.
+                hwcost determinism ablation widths accuracy-compiled
+                convergent warming ranked
+   An unknown experiment, a non-integer --scale/--chars/--seeds/--jobs
+   or a non-numeric BOR_WARM_FLOOR_MIPS exits 2 with the list of
+   experiments.
 
    --json DIR writes one BENCH_<name>.json per experiment (schema in
    docs/TELEMETRY.md: the printed tables plus the telemetry registry
    snapshot) and DIGESTS.txt with a SHA-256 per file. Everything in
    those files is a pure function of the simulated work, so two runs
    with the same arguments produce byte-identical digests -- that is
-   what the @bench-check dune alias asserts. bechamel and perf
-   (wall-clock timing of the host) are deliberately excluded.
+   what the @bench-check dune alias asserts. warming reports host
+   wall-clock throughput and is the one experiment excluded.
 
-   --jobs N runs independent experiments on a pool of N worker
-   domains, each writing its own BENCH_<name>.json; per-file output is
-   identical to running that experiment alone in one process
-   (cross-experiment caches and telemetry are reset before every
-   pooled experiment, so a file can differ from what a combined
-   sequential run of several experiments would produce -- the
-   @bench-check rule therefore stays sequential). Worker stdout is
-   buffered per experiment and replayed in canonical order. *)
+   --jobs N runs independent experiments on a pool of N domains, each
+   writing its own BENCH_<name>.json; per-file output is identical to
+   running that experiment alone (cross-experiment caches and
+   telemetry are reset before every pooled experiment, so a file can
+   differ from what a combined sequential run of several experiments
+   would produce -- the @bench-check rule therefore stays sequential).
+   Worker stdout is buffered per experiment and replayed in canonical
+   order. *)
 
 module Json = Bor_telemetry.Json
 module Telemetry = Bor_telemetry.Telemetry
@@ -882,70 +886,6 @@ let convergent () =
   table ~headers:[ "policy"; "samples"; "accuracy" ]
     [ fixed 2; fixed 64; fixed 1024; conv; per_site ]
 
-(* ----------------------------------------------------------------- perf *)
-
-(* Wall-clock throughput of the timing simulator. Everything here
-   measures the host, not simulated behavior, so like [bechamel] this
-   experiment is excluded from the --json digests. Best-of-3 timing
-   per kernel dampens scheduler noise. *)
-
-let throughput_row name prog =
-  let best = ref infinity in
-  let stats = ref None in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let t = Bor_uarch.Pipeline.create prog in
-    (match Bor_uarch.Pipeline.run t with
-    | Ok st -> stats := Some st
-    | Error e -> failwith e);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  match !stats with
-  | None -> assert false
-  | Some st ->
-    [
-      name;
-      string_of_int st.Bor_uarch.Pipeline.instructions;
-      string_of_int st.Bor_uarch.Pipeline.cycles;
-      Printf.sprintf "%.2f"
-        (Float.of_int st.Bor_uarch.Pipeline.instructions /. !best /. 1e6);
-      Printf.sprintf "%.2f"
-        (Float.of_int st.Bor_uarch.Pipeline.cycles /. !best /. 1e6);
-    ]
-
-let throughput_headers =
-  [ "kernel"; "instructions"; "cycles"; "M instr/s"; "M cycles/s" ]
-
-let alu_loop_src =
-  "int main() { int i; int s = 0; for (i = 0; i < 1000000; i = i + 1) s = \
-   s + i; return s; }"
-
-let perf () =
-  section "Simulator throughput (wall-clock)"
-    "Committed instructions and cycles simulated per second of\n\
-     wall-clock time, per experiment kernel (best of 3 runs). The\n\
-     digest-checked experiments depend only on simulated behavior;\n\
-     this table is where host timing is reported.";
-  let brr64 =
-    Bor_minic.Instrument.(
-      Sampled (Brr (Bor_core.Freq.of_period 64), No_duplication))
-  in
-  let rows =
-    throughput_row "alu-loop"
-      (Bor_minic.Driver.compile_exn alu_loop_src).Bor_minic.Driver.program
-    :: throughput_row
-         (Printf.sprintf "micro-%d" !chars)
-         (Bor_workload.Micro.compile ~chars:!chars brr64)
-           .Bor_minic.Driver.program
-    :: List.map
-         (fun n ->
-           throughput_row n
-             (Bor_workload.Apps.compile n brr64).Bor_minic.Driver.program)
-         Bor_workload.Apps.all_names
-  in
-  table ~headers:throughput_headers rows
-
 (* -------------------------------------------------------------- warming *)
 
 (* Functional-warming throughput: the block translation cache
@@ -956,6 +896,13 @@ let perf () =
    BOR_WARM_FLOOR_MIPS=<float> turns the alu-loop row into a smoke
    gate: the run fails if block-mode throughput drops below the floor
    (the committed floor lives in .github/workflows/ci.yml). *)
+
+(* BOR_WARM_FLOOR_MIPS, validated at start-up with the CLI flags. *)
+let warm_floor = ref None
+
+let alu_loop_src =
+  "int main() { int i; int s = 0; for (i = 0; i < 1000000; i = i + 1) s = \
+   s + i; return s; }"
 
 let warming_digests t =
   Bor_uarch.Hierarchy.state_digests (Bor_uarch.Pipeline.hierarchy t)
@@ -1042,10 +989,9 @@ let warming () =
         "identical"; "blocks"; "hits"; "fallback";
       ]
     (List.map snd rows);
-  match Sys.getenv_opt "BOR_WARM_FLOOR_MIPS" with
+  match !warm_floor with
   | None -> ()
-  | Some floor_s ->
-    let floor = float_of_string floor_s in
+  | Some floor ->
     let alu_mips = fst (List.hd rows) in
     if alu_mips < floor then
       failwith
@@ -1056,167 +1002,6 @@ let warming () =
     else
       printf "\n(smoke: alu-loop %.1f M instr/s >= floor %.1f)\n" alu_mips
         floor
-
-(* -------------------------------------------------------------- sampled *)
-
-(* Default plan: W=2000 warmup, D=1000 detailed, one window per 200k
-   instructions, phase seed 13 — the plan recorded in EXPERIMENTS.md
-   (every experiment kernel within 2% of full-detail CPI at >= 5x).
-   The estimate is deterministic for a fixed plan; only host wall
-   clock varies run to run. *)
-let sample_spec = ref "2000:1000:200000:13"
-
-(* Whole-run numbers on both sides (total cycles via [Pipeline.cycle],
-   total instructions via the oracle), so kernels that bracket a region
-   of interest with markers compare like for like. Wall-clock is the
-   best of two runs on each side, like [throughput_row] — the simulated
-   numbers are deterministic across runs, only host time varies. *)
-let sampled_row plan name prog =
-  (* Simulation time only: [Pipeline.create] happens outside the timed
-     region on both sides (as in bor time's host line) — construction
-     cost is identical for the two modes and would otherwise just
-     dilute the ratio on short kernels. *)
-  let best_of_2 run =
-    let measure () =
-      let t = Bor_uarch.Pipeline.create prog in
-      (* Level the GC field so earlier kernels' garbage is not charged
-         to this run. *)
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      let r = run t in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let r, d1 = measure () in
-    let _, d2 = measure () in
-    (r, Float.min d1 d2)
-  in
-  let full, t_full =
-    best_of_2 (fun full ->
-        match Bor_uarch.Pipeline.run full with
-        | Ok _ -> full
-        | Error e -> failwith (name ^ ": " ^ e))
-  in
-  let full_cycles = Float.of_int (Bor_uarch.Pipeline.cycle full) in
-  let full_instr =
-    (Bor_sim.Machine.stats (Bor_uarch.Pipeline.oracle full))
-      .Bor_sim.Machine.instructions
-  in
-  let full_cpi = full_cycles /. Float.of_int full_instr in
-  let s, t_samp =
-    best_of_2 (fun t ->
-        match Bor_exec.Sampled.run_on ~plan t with
-        | Ok s -> s
-        | Error e -> failwith (name ^ " (sampled): " ^ e))
-  in
-  let open Bor_exec.Sampled in
-  let err = (s.sp_cycles_estimate -. full_cycles) /. full_cycles in
-  [
-    name;
-    string_of_int full_instr;
-    Printf.sprintf "%.0f" full_cycles;
-    Printf.sprintf "%.0f" s.sp_cycles_estimate;
-    Printf.sprintf "%+.2f%%" (100. *. err);
-    Printf.sprintf "%.4f±%.4f" s.sp_cpi s.sp_cpi_ci95;
-    (if Float.abs (s.sp_cpi -. full_cpi) <= s.sp_cpi_ci95 then "yes"
-     else "no");
-    Printf.sprintf "%.3f" t_full;
-    Printf.sprintf "%.3f" t_samp;
-    Printf.sprintf "%.1fx" (t_full /. t_samp);
-  ]
-
-let sampled () =
-  section "Sampled simulation vs full detail"
-    "SMARTS-style sampling (functional warming plus periodic detailed\n\
-     windows, bor --sample W:D:P[:SEED]) against the full-detail run,\n\
-     per experiment kernel: extrapolated cycles, CPI error, whether\n\
-     the 95% confidence interval covers the full-detail CPI, and the\n\
-     wall-clock speedup. Host timing, so digest-excluded.";
-  let plan =
-    match Bor_uarch.Sampling_plan.of_string !sample_spec with
-    | Ok p -> p
-    | Error e -> failwith ("--sample " ^ !sample_spec ^ ": " ^ e)
-  in
-  printf "\n(plan %s)\n" (Bor_uarch.Sampling_plan.to_string plan);
-  let brr64 =
-    Bor_minic.Instrument.(
-      Sampled (Brr (Bor_core.Freq.of_period 64), No_duplication))
-  in
-  (* Sampling needs workloads spanning many periods; the default micro
-     size (2000 chars, ~73k instructions) is smaller than one period,
-     so the sampled experiment floors it. *)
-  let mchars = max !chars 200_000 in
-  let rows =
-    sampled_row plan "alu-loop"
-      (Bor_minic.Driver.compile_exn alu_loop_src).Bor_minic.Driver.program
-    :: sampled_row plan
-         (Printf.sprintf "micro-%d" mchars)
-         (Bor_workload.Micro.compile ~chars:mchars brr64)
-           .Bor_minic.Driver.program
-    :: List.map
-         (fun n ->
-           sampled_row plan n
-             (Bor_workload.Apps.compile n brr64).Bor_minic.Driver.program)
-         Bor_workload.Apps.all_names
-  in
-  table
-    ~headers:
-      [
-        "kernel"; "instructions"; "cycles"; "est cycles"; "err";
-        "CPI (95% CI)"; "covers"; "full s"; "sampled s"; "speedup";
-      ]
-    rows;
-  (* Domain-parallel windows: the same sampled run with its detailed
-     windows farmed over worker domains must report byte-identical
-     statistics at every domain count; wall-clock scaling additionally
-     needs at least as many host cores as domains (a 1-core host can
-     only lose to cross-domain coordination). A detail-heavy plan is
-     used so the parallelizable window work dominates the serial
-     warming sweep. *)
-  let heavy =
-    match
-      Bor_uarch.Sampling_plan.make ~seed:13 ~warmup:2000 ~window:50_000
-        ~period:60_000 ()
-    with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  let prog =
-    (Bor_workload.Micro.compile ~chars:mchars brr64).Bor_minic.Driver.program
-  in
-  let run_at domains =
-    let t = Bor_uarch.Pipeline.create prog in
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    match Bor_exec.Sampled.run_on ~plan:heavy ~domains t with
-    | Ok s -> (s, Unix.gettimeofday () -. t0)
-    | Error e -> failwith (Printf.sprintf "domains=%d: %s" domains e)
-  in
-  let base, t1 = run_at 1 in
-  printf
-    "\ndomain-parallel detailed windows (plan %s, micro-%d, host cores %d):\n\n"
-    (Bor_uarch.Sampling_plan.to_string heavy)
-    mchars
-    (Domain.recommended_domain_count ());
-  table
-    ~headers:
-      [
-        "domains"; "windows"; "CPI (95% CI)"; "detailed cycles"; "wall s";
-        "speedup"; "identical";
-      ]
-    (List.map
-       (fun d ->
-         let s, td = if d = 1 then (base, t1) else run_at d in
-         let open Bor_exec.Sampled in
-         [
-           string_of_int d;
-           string_of_int s.sp_windows;
-           Printf.sprintf "%.4f±%.4f" s.sp_cpi s.sp_cpi_ci95;
-           string_of_int s.sp_detailed_cycles;
-           Printf.sprintf "%.3f" td;
-           Printf.sprintf "%.2fx" (t1 /. td);
-           (if s = base then "yes" else "NO");
-         ])
-       [ 1; 2; 4 ])
 
 (* -------------------------------------------------------------- ranked *)
 
@@ -1242,11 +1027,10 @@ let phased_src =
    measured variance-reduction factor (the acceptance bar is >= 2x on
    the phase-heterogeneous kernels; a flat kernel like alu-loop is
    included as the control where ranking cannot help). Every number
-   here is simulated and plan-deterministic, but the experiment shares
-   kernels with host-timing tables, so it stays digest-excluded; the
-   determinism contract is asserted hard instead: each ranked run is
-   re-run at 2 window domains and any byte difference aborts the
-   bench. *)
+   here is simulated and plan-deterministic, so the tables are in
+   DIGESTS.txt; the determinism contract is also asserted hard: each
+   ranked run is re-run at 2 window domains and any byte difference
+   aborts the bench. *)
 let ranked () =
   section "Ranked-set window selection vs fixed-period sampling"
     "Cycle-estimate error of ranked-set selection (--rank-bands K,\n\
@@ -1379,243 +1163,6 @@ let ranked () =
      windows\n"
     !matched
 
-(* ------------------------------------------------------------- bechamel *)
-
-let bechamel () =
-  section "Bechamel micro-benchmarks of the library's primitives"
-    "Per-operation cost of the core mechanisms (ns/op via OLS).";
-  let open Bechamel in
-  let lfsr = Bor_lfsr.Lfsr.create (Bor_lfsr.Taps.maximal 20) in
-  let engine = Bor_core.Engine.create () in
-  let freq = Bor_core.Freq.of_period 1024 in
-  let sw = Bor_sampling.Sampler.software_counter ~reset:1024 () in
-  let profile = Bor_sampling.Profile.create () in
-  let small_prog =
-    Bor_minic.Driver.compile_exn
-      "int main() { int i; int s = 0; for (i = 0; i < 1000000; i = i + 1) s = s + i; return s; }"
-  in
-  let machine = Bor_sim.Machine.create small_prog.program in
-  let tests =
-    Test.make_grouped ~name:"bor"
-      [
-        Test.make ~name:"lfsr-step"
-          (Staged.stage (fun () -> ignore (Bor_lfsr.Lfsr.step lfsr)));
-        Test.make ~name:"engine-decide"
-          (Staged.stage (fun () ->
-               ignore (Bor_core.Engine.decide engine freq)));
-        Test.make ~name:"sw-counter-visit"
-          (Staged.stage (fun () -> ignore (Bor_sampling.Sampler.visit sw)));
-        Test.make ~name:"profile-record"
-          (Staged.stage (fun () -> Bor_sampling.Profile.record profile 7));
-        Test.make ~name:"functional-step"
-          (Staged.stage (fun () -> Bor_sim.Machine.step machine));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some (e :: _) -> Printf.sprintf "%.1f" e
-        | Some [] | None -> "?"
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols with
-        | Some r -> Printf.sprintf "%.4f" r
-        | None -> "?"
-      in
-      rows := [ name; ns; r2 ] :: !rows)
-    results;
-  table ~headers:[ "operation"; "ns/op"; "r2" ]
-    (List.sort compare !rows);
-  (* Timing-simulator throughput on two reference kernels; the full
-     per-kernel table is the [perf] experiment. *)
-  table ~headers:throughput_headers
-    [
-      throughput_row "pipeline alu-loop"
-        (Bor_minic.Driver.compile_exn alu_loop_src).Bor_minic.Driver.program;
-      throughput_row
-        (Printf.sprintf "pipeline micro-%d" (min !chars 60_000))
-        (Bor_workload.Micro.compile ~chars:(min !chars 60_000)
-           Bor_minic.Instrument.(
-             Sampled (Brr (Bor_core.Freq.of_period 64), No_duplication)))
-          .Bor_minic.Driver.program;
-    ]
-
-(* ------------------------------------------------------------- serve *)
-
-(* Cold vs warm-cache throughput through the serve scheduler
-   (docs/SERVE.md), one kernel, three answer paths: a cold submission
-   that actually simulates, a resubmission answered from the
-   scheduler's in-memory job table, and a store hit through a second
-   scheduler opened on the same cache directory (i.e. a server
-   restart). Payload byte-identity across all three is asserted here,
-   not just reported — it is the determinism contract.
-   BOR_SERVE_MAX_WARM_RATIO=<float> additionally turns the warm/cold
-   wall-clock ratio into a failing smoke (the acceptance bar is 0.05).
-   Host timing, so digest-excluded. *)
-let serve () =
-  section "Serve scheduler: cold vs warm-cache answer paths"
-    "Wall-clock to answer the same submission cold (simulated), from\n\
-     the scheduler's in-memory table (memory-warm), and from the\n\
-     content-addressed store via a fresh scheduler (store-warm, i.e.\n\
-     across a server restart), plus payload byte-identity between the\n\
-     paths. Host timing, so digest-excluded.";
-  let prog =
-    (Bor_minic.Driver.compile_exn alu_loop_src).Bor_minic.Driver.program
-  in
-  let spec = Bor_serve.Job.make ~backend:"detailed" prog in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bor-serve-bench-%d" (Unix.getpid ()))
-  in
-  let open_store () =
-    match Bor_store.Store.create dir with
-    | Ok s -> s
-    | Error e -> failwith ("serve: " ^ e)
-  in
-  let timed_submit sched =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let key, _ = Bor_serve.Scheduler.submit sched spec in
-    match Bor_serve.Scheduler.await sched key with
-    | Some (Ok (payload, source)) ->
-      (payload, source, Unix.gettimeofday () -. t0)
-    | Some (Error e) -> failwith ("serve: job failed: " ^ e)
-    | None -> failwith "serve: job vanished"
-  in
-  let sched = Bor_serve.Scheduler.create ~domains:2 ~store:(open_store ()) () in
-  let p_cold, src_cold, t_cold = timed_submit sched in
-  let p_warm, _, t_warm = timed_submit sched in
-  Bor_serve.Scheduler.shutdown sched;
-  let sched2 = Bor_serve.Scheduler.create ~domains:1 ~store:(open_store ()) () in
-  let p_store, src_store, t_store = timed_submit sched2 in
-  Bor_serve.Scheduler.shutdown sched2;
-  (* Best-effort cleanup of the throwaway cache directory. *)
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  if src_cold <> `Cold then failwith "serve: first submission was not cold";
-  if src_store <> `Cached then
-    failwith "serve: restart submission missed the store";
-  if not (String.equal p_cold p_warm && String.equal p_cold p_store) then
-    failwith "serve: payloads differ across answer paths";
-  let row name t identical =
-    [
-      name;
-      Printf.sprintf "%.4f" t;
-      Printf.sprintf "%.4f" (t /. t_cold);
-      string_of_int (String.length p_cold);
-      (if identical then "yes" else "NO");
-    ]
-  in
-  table
-    ~headers:[ "path"; "wall s"; "vs cold"; "payload bytes"; "identical" ]
-    [
-      row "cold (simulated)" t_cold true;
-      row "memory-warm" t_warm (String.equal p_cold p_warm);
-      row "store-warm (restart)" t_store (String.equal p_cold p_store);
-    ];
-  match Sys.getenv_opt "BOR_SERVE_MAX_WARM_RATIO" with
-  | None -> ()
-  | Some max_s ->
-    let max_ratio = float_of_string max_s in
-    let ratio = t_warm /. t_cold in
-    if ratio > max_ratio then
-      failwith
-        (Printf.sprintf
-           "serve warm-cache smoke: warm resubmission at %.4fs is %.1f%% of \
-            the %.4fs cold run (ceiling %.1f%%)"
-           t_warm (100. *. ratio) t_cold (100. *. max_ratio))
-    else
-      printf "\n(smoke: warm resubmission %.2f%% of cold <= ceiling %.1f%%)\n"
-        (100. *. ratio) (100. *. max_ratio)
-
-let opt () =
-  section "Superoptimizer throughput: oracle evaluations per second"
-    "Fixed-budget bor opt search (docs/OPT.md) over a small counted-loop\n\
-     target, single-chain vs multi-chain across 1 and N domains.\n\
-     Proposal and oracle-evaluation rates are host wall-clock, so the\n\
-     experiment is digest-excluded; the best program found must be\n\
-     byte-identical across domain counts at the same seed (checked\n\
-     with failwith, so the determinism contract still gates CI).";
-  let target =
-    Bor_isa.Asm.assemble_exn
-      "main:\n\
-      \  li s7, 64\n\
-       loop:\n\
-      \  addi a0, a0, 1\n\
-      \  nop\n\
-      \  nop\n\
-      \  addi s7, s7, -1\n\
-      \  bne s7, zero, loop\n\
-      \  halt\n"
-  in
-  let n = max 2 !jobs in
-  let run ~chains ~domains =
-    let params =
-      {
-        Bor_opt.Search.default_params with
-        Bor_opt.Search.p_seed = 11;
-        p_rounds = 3;
-        p_iters = 150;
-        p_chains = chains;
-        p_domains = domains;
-      }
-    in
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    match Bor_opt.Search.run params target with
-    | Error e -> failwith ("opt: " ^ e)
-    | Ok r -> (r, Unix.gettimeofday () -. t0)
-  in
-  let configs =
-    [
-      ("1 chain / 1 domain", 1, 1);
-      (Printf.sprintf "%d chains / 1 domain" n, n, 1);
-      (Printf.sprintf "%d chains / %d domains" n n, n, n);
-    ]
-  in
-  let results =
-    List.map (fun (name, c, d) -> (name, run ~chains:c ~domains:d)) configs
-  in
-  (* Determinism gate: same seed and chain count -> identical best
-     program regardless of how many domains ran the chains. *)
-  (match results with
-  | [ _; (_, (r1, _)); (name, (rn, _)) ] ->
-    let open Bor_opt.Search in
-    if Bor_gen.Corpus.to_asm rn.r_best <> Bor_gen.Corpus.to_asm r1.r_best then
-      failwith (Printf.sprintf "opt: %s best differs from 1-domain run" name);
-    if (rn.r_best_cost, rn.r_counters) <> (r1.r_best_cost, r1.r_counters) then
-      failwith
-        (Printf.sprintf "opt: %s cost/counters differ from 1-domain run" name)
-  | _ -> failwith "opt: unexpected config count");
-  table
-    ~headers:
-      [ "config"; "wall s"; "proposals/s"; "oracle evals/s"; "best cost"; "verified" ]
-    (List.map
-       (fun (name, (r, t)) ->
-         let open Bor_opt.Search in
-         [
-           name;
-           Printf.sprintf "%.3f" t;
-           Printf.sprintf "%.0f" (float_of_int r.r_counters.n_proposals /. t);
-           Printf.sprintf "%.0f" (float_of_int r.r_counters.n_oracle_evals /. t);
-           string_of_int r.r_best_cost;
-           (if r.r_verified then "yes" else "no");
-         ])
-       results)
-
 (* ----------------------------------------------------------- JSON dump *)
 
 let rec ensure_dir dir =
@@ -1675,34 +1222,39 @@ let experiments =
     ("widths", widths);
     ("accuracy-compiled", accuracy_compiled);
     ("convergent", convergent);
-    ("bechamel", bechamel);
-    ("perf", perf);
     ("warming", warming);
-    ("sampled", sampled);
     ("ranked", ranked);
-    ("serve", serve);
-    ("opt", opt);
   ]
 
-(* Host-timing experiments: never part of DIGESTS.txt. *)
-let digest_excluded =
-  [ "bechamel"; "perf"; "warming"; "sampled"; "ranked"; "serve"; "opt" ]
+(* Host-timing experiment: never part of DIGESTS.txt. *)
+let digest_excluded = [ "warming" ]
+
+(* Every malformed command line exits 2 with the same message. *)
+let usage_error msg =
+  Printf.eprintf "%s\nknown: %s\n" msg
+    (String.concat " " (List.map fst experiments));
+  exit 2
+
+let int_arg flag v =
+  match int_of_string_opt v with
+  | Some n -> n
+  | None -> usage_error (Printf.sprintf "%s expects an integer, got %S" flag v)
 
 let () =
   let selected = ref [] in
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
-      scale := int_of_string v;
+      scale := int_arg "--scale" v;
       parse rest
     | "--chars" :: v :: rest ->
-      chars := int_of_string v;
+      chars := int_arg "--chars" v;
       parse rest
     | "--seeds" :: v :: rest ->
-      seeds := int_of_string v;
+      seeds := int_arg "--seeds" v;
       parse rest
     | "--jobs" :: v :: rest ->
-      jobs := max 1 (int_of_string v);
+      jobs := max 1 (int_arg "--jobs" v);
       parse rest
     | "--csv" :: dir :: rest ->
       csv_dir := Some dir;
@@ -1710,19 +1262,21 @@ let () =
     | "--json" :: dir :: rest ->
       json_dir := Some dir;
       parse rest
-    | "--sample" :: spec :: rest ->
-      sample_spec := spec;
-      parse rest
     | "all" :: rest -> parse rest
     | name :: rest when List.mem_assoc name experiments ->
       selected := name :: !selected;
       parse rest
-    | name :: _ ->
-      Printf.eprintf "unknown experiment %s\nknown: %s\n" name
-        (String.concat " " (List.map fst experiments));
-      exit 2
+    | name :: _ -> usage_error ("unknown experiment " ^ name)
   in
   parse (List.tl (Array.to_list Sys.argv));
+  (match Sys.getenv_opt "BOR_WARM_FLOOR_MIPS" with
+  | None -> ()
+  | Some v -> (
+    match float_of_string_opt v with
+    | Some f -> warm_floor := Some f
+    | None ->
+      usage_error
+        (Printf.sprintf "BOR_WARM_FLOOR_MIPS expects a number, got %S" v)));
   let to_run =
     if !selected = [] then experiments
     else List.filter (fun (n, _) -> List.mem n !selected) experiments

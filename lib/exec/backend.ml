@@ -96,13 +96,13 @@ let warming ?config ?max_steps prog =
     halted = (fun () -> Machine.halted (Pipeline.oracle p));
   }
 
-let sampled ?config ?plan ?domains ?rank_bands ?ci_target ?runner ?max_cycles
+let sampled ?config ~plan ?domains ?rank_bands ?ci_target ?runner ?max_cycles
     prog =
   let p = Pipeline.create ?config prog in
   let b =
     pipeline_backed ~name:"sampled" ~telemetry_scope:"sampling" p (fun () ->
         match
-          Sampled.run_on ?max_cycles ?plan ?domains ?rank_bands ?ci_target
+          Sampled.run_on ?max_cycles ~plan ?domains ?rank_bands ?ci_target
             ?runner p
         with
         | Ok s -> Ok (Sampled s)
@@ -138,8 +138,11 @@ let of_name ?config ?plan ?rank_bands ?ci_target ?runner name prog =
     ]
   in
   match (name, List.find_opt snd sampled_only) with
-  | "sampled", _ ->
-    Ok (sampled ?config ?plan ?rank_bands ?ci_target ?runner prog)
+  | "sampled", _ -> (
+    match plan with
+    | Some plan ->
+      Ok (sampled ?config ~plan ?rank_bands ?ci_target ?runner prog)
+    | None -> Error "backend \"sampled\" needs a sampling ?plan")
   | _, Some (arg, _) ->
     Error
       (Printf.sprintf "backend %S does not take ?%s (only \"sampled\" does)"

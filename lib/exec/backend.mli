@@ -64,7 +64,7 @@ val warming :
 
 val sampled :
   ?config:Bor_uarch.Config.t ->
-  ?plan:Bor_uarch.Sampling_plan.t ->
+  plan:Bor_uarch.Sampling_plan.t ->
   ?domains:int ->
   ?rank_bands:int ->
   ?ci_target:float ->
@@ -97,7 +97,8 @@ val of_name :
     [rank_bands], [ci_target] and [runner] only make sense for
     ["sampled"]; passing any of them to another kind is an [Error]
     naming the first offending argument, rather than a silently
-    ignored — and therefore cache-aliasing — one. *)
+    ignored — and therefore cache-aliasing — one. ["sampled"] without
+    a [plan] is an [Error] too. *)
 
 val run_cached :
   ?store:Bor_store.Store.t ->

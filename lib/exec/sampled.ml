@@ -119,21 +119,11 @@ let queue_runner ~domains ~config ctx =
   in
   { r with r_drain = (fun () -> Fun.protect ~finally:close r.r_drain) }
 
-let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
+let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
     ?(rank_bands = 1) ?(ci_target = 0.) ?runner t =
-  let plan =
-    match plan with
-    | Some p -> Some p
-    | None -> (Pipeline.config t).Bor_uarch.Config.sample
-  in
-  match plan with
-  | None ->
-    Error "no sampling plan (pass ?plan or set Config.sample / --sample)"
-  | Some _ when rank_bands < 1 ->
-    Error "rank bands must be >= 1 (--rank-bands)"
-  | Some _ when ci_target < 0. ->
-    Error "CI target must be >= 0 (--ci-target)"
-  | Some plan ->
+  if rank_bands < 1 then Error "rank bands must be >= 1 (--rank-bands)"
+  else if ci_target < 0. then Error "CI target must be >= 0 (--ci-target)"
+  else
     let oracle = Pipeline.oracle t in
     if
       Pipeline.cycle t <> 0
@@ -492,13 +482,3 @@ let run_on ?(max_cycles = 2_000_000_000) ?plan ?(domains = 1)
         Error (Printf.sprintf "oracle fault at 0x%x: %s" pc message)
       | Bor_sim.Memory.Fault m -> Error m
     end
-
-let run ?max_cycles ?plan ?domains ?rank_bands ?ci_target ?config prog =
-  let t =
-    match config with
-    | Some c -> Pipeline.create ~config:c prog
-    | None -> Pipeline.create prog
-  in
-  match run_on ?max_cycles ?plan ?domains ?rank_bands ?ci_target t with
-  | Ok s -> Ok (s, t)
-  | Error e -> Error e

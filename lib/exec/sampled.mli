@@ -78,20 +78,19 @@ type stats = {
 
 val run_on :
   ?max_cycles:int ->
-  ?plan:Bor_uarch.Sampling_plan.t ->
+  plan:Bor_uarch.Sampling_plan.t ->
   ?domains:int ->
   ?rank_bands:int ->
   ?ci_target:float ->
   ?runner:(exec_ctx -> runner) ->
   Bor_uarch.Pipeline.t ->
   (stats, string) result
-(** Run the whole program under the sampling schedule ([?plan], falling
-    back to the pipeline's [Config.sample]; an error when neither is
-    set) on a freshly created pipeline. [domains] (default [1], capped
-    at 64) is how many threads execute detailed windows: [1] runs them
-    inline; [N > 1] runs them on a private {!Wqueue} with [N - 1]
-    worker domains plus the sweep thread, which help-executes whenever
-    it is [max 4 (2 * N)] windows ahead and while draining.
+(** Run the whole program under the sampling schedule [plan] on a
+    freshly created pipeline. [domains] (default [1], capped at 64) is
+    how many threads execute detailed windows: [1] runs them inline;
+    [N > 1] runs them on a private {!Wqueue} with [N - 1] worker
+    domains plus the sweep thread, which help-executes whenever it is
+    [max 4 (2 * N)] windows ahead and while draining.
     [max_cycles] (default 2e9) bounds each window individually.
 
     [rank_bands] (default [1] = off) sets the ranked-set size [K];
@@ -115,17 +114,5 @@ val run_on :
     and telemetry remain byte-identical to the built-in runners:
     entries are merged strictly in window order, with each entry's
     [e_tel] export absorbed at its in-order merge point. *)
-
-val run :
-  ?max_cycles:int ->
-  ?plan:Bor_uarch.Sampling_plan.t ->
-  ?domains:int ->
-  ?rank_bands:int ->
-  ?ci_target:float ->
-  ?config:Bor_uarch.Config.t ->
-  Bor_isa.Program.t ->
-  (stats * Bor_uarch.Pipeline.t, string) result
-(** {!run_on} on a pipeline created here; also hands back the sweep
-    pipeline so callers can read final architectural state. *)
 
 val pp : Format.formatter -> stats -> unit

@@ -40,7 +40,6 @@ let canon_config (c : Config.t) =
     brr_in_predictor;
     retired_brr_cap;
     warm_block_cache;
-    sample;
   } =
     c
   in
@@ -78,10 +77,8 @@ let canon_config (c : Config.t) =
       b "brr_in_predictor" brr_in_predictor;
       i "retired_brr_cap" retired_brr_cap;
       b "warm_block_cache" warm_block_cache;
-      Printf.sprintf "sample=%s"
-        (match sample with
-        | None -> "-"
-        | Some p -> Sampling_plan.to_string p);
+      (* Retired config field; the preimage is frozen, so the token stays. *)
+      "sample=-";
     ]
 
 let make ~program ?(config = Config.default) ?plan ?(rank_bands = 1)

@@ -65,8 +65,10 @@ val preimage : t -> string
 
 val canon_config : Bor_uarch.Config.t -> string
 (** One-line [field=value] rendering of every configuration field, in
-    declaration order. Destructures the record completely, so adding a
-    config field without extending the canonicalization is a compile
-    error, not a silent cache-aliasing bug. *)
+    declaration order, then a constant [sample=-] token kept from a
+    retired field so existing addresses do not move. Destructures the
+    record completely, so adding a config field without extending the
+    canonicalization is a compile error, not a silent cache-aliasing
+    bug. *)
 
 val pp : Format.formatter -> t -> unit

@@ -29,7 +29,6 @@ type t = {
   brr_in_predictor : bool;
   retired_brr_cap : int;
   warm_block_cache : bool;
-  sample : Sampling_plan.t option;
 }
 
 let default =
@@ -64,5 +63,4 @@ let default =
     brr_in_predictor = false;
     retired_brr_cap = 200_000;
     warm_block_cache = true;
-    sample = None;
   }

@@ -67,10 +67,6 @@ type t = {
           way (the warming-equivalence tests enforce it); [false]
           forces the single-step reference path, for those tests and
           for debugging. Full-detail runs never consult it. *)
-  sample : Sampling_plan.t option;
-      (** when set, [Bor_exec.Sampled] (without an explicit plan)
-          uses this schedule. [None] by default; plain {!Pipeline.run}
-          never reads it, so full-detail behavior is unaffected. *)
 }
 
 val default : t

@@ -276,9 +276,10 @@ let test_parallel_matches_sequential () =
   let run domains =
     Telemetry.clear ();
     Telemetry.set_enabled true;
-    match Sampled.run ~plan ~domains prog with
+    let t = Pipeline.create prog in
+    match Sampled.run_on ~plan ~domains t with
     | Error e -> Alcotest.fail e
-    | Ok (s, t) ->
+    | Ok s ->
       check
         Alcotest.(slist string compare)
         (Printf.sprintf "%d-domain sampling names" domains)
@@ -542,12 +543,12 @@ let test_backend_reports () =
   | Error e -> Alcotest.fail e
 
 (* Each sampled-only argument handed to a non-sampled kind is an
-   [Error] naming that argument. *)
+   [Error] naming that argument, and so is "sampled" without a plan. *)
 let test_of_name_rejects_sampled_only_args () =
   let prog = Lazy.force alu_prog in
   let rejects arg result =
     match result with
-    | Ok _ -> Alcotest.failf "detailed accepted ?%s" arg
+    | Ok _ -> Alcotest.failf "of_name accepted ?%s" arg
     | Error e ->
       check Alcotest.bool
         (Printf.sprintf "error %S names %s" e arg)
@@ -559,6 +560,7 @@ let test_of_name_rejects_sampled_only_args () =
   rejects "ci_target" (of_name ~ci_target:5. "detailed" prog);
   rejects "runner"
     (of_name ~runner:(fun _ -> Alcotest.fail "runner built") "detailed" prog);
+  rejects "plan" (of_name "sampled" prog);
   match of_name "detailed" prog with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e

@@ -610,9 +610,10 @@ let sampled_snapshot ?rank_bands ?ci_target ?domains plan prog =
       Bor_telemetry.Telemetry.clear ();
       Bor_telemetry.Telemetry.set_enabled was)
     (fun () ->
-      match Bor_exec.Sampled.run ?rank_bands ?ci_target ?domains ~plan prog with
+      let t = Bor_uarch.Pipeline.create prog in
+      match Bor_exec.Sampled.run_on ?rank_bands ?ci_target ?domains ~plan t with
       | Error e -> Alcotest.fail e
-      | Ok (st, _) ->
+      | Ok st ->
         ( st,
           Bor_telemetry.Json.to_string (Bor_telemetry.Telemetry.to_json ()) ))
 

@@ -150,6 +150,25 @@ let test_shard_key_covers_every_component () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The content-address formats themselves, frozen: any change to a
+   preimage (a config field added to or dropped from the canonical
+   rendering, a reordered component) re-addresses every stored result
+   and shard, so it must show up here as a failing hex, not silently. *)
+let test_frozen_key_hexes () =
+  let plan = plan_exn "200:100:2000:7" in
+  check Alcotest.string "bor-key-v1 detailed"
+    "c2556378d5fc8d2a18b0c3520c089c22eafb29334333d7f6b16f0611d9d8d10d"
+    (Key.hex (key "detailed"));
+  check Alcotest.string "bor-key-v1 sampled, ranked"
+    "e7b828c30b686d6d6a2fc0d8e614179d8203161d033d8bc54001ce146a6642a9"
+    (Key.hex (key ~plan ~rank_bands:4 "sampled"));
+  check Alcotest.string "bor-shard-v1 boundary 0"
+    "8dfad85b3f5a44ea48cff69722da2a4e24c1a48fa63c8d0013a25d6665102742"
+    (Key.hex
+       (Key.shard
+          ~program_digest:(Checkpoint.program_digest (Lazy.force prog))
+          ~plan ~boundary:0 ()))
+
 let loop_prog =
   lazy
     (Bor_minic.Driver.compile_exn
@@ -431,6 +450,8 @@ let () =
             test_key_covers_every_component;
           Alcotest.test_case "preimage and bad kinds" `Quick
             test_key_preimage_and_bad_kind;
+          Alcotest.test_case "frozen key and shard hexes" `Quick
+            test_frozen_key_hexes;
         ] );
       ( "shard",
         [
