@@ -10,7 +10,6 @@ type report =
 
 type t = {
   name : string;
-  telemetry_scope : string;
   machine : unit -> Machine.t;
   pipeline : Pipeline.t option;
   step : unit -> unit;
@@ -49,7 +48,6 @@ let functional ?brr_mode ?max_steps prog =
   in
   {
     name = "functional";
-    telemetry_scope = "machine";
     machine = (fun () -> m);
     pipeline = None;
     step = (fun () -> Machine.step m);
@@ -63,10 +61,9 @@ let functional ?brr_mode ?max_steps prog =
     state_digests = (fun () -> []);
   }
 
-let pipeline_backed ~name ~telemetry_scope p run =
+let pipeline_backed ~name p run =
   {
     name;
-    telemetry_scope;
     machine = (fun () -> Pipeline.oracle p);
     pipeline = Some p;
     step = (fun () -> Pipeline.step_cycle p);
@@ -77,7 +74,7 @@ let pipeline_backed ~name ~telemetry_scope p run =
 
 let detailed ?config ?reuse ?max_cycles prog =
   let p = Pipeline.create ?config ?reuse prog in
-  pipeline_backed ~name:"detailed" ~telemetry_scope:"pipeline" p (fun () ->
+  pipeline_backed ~name:"detailed" p (fun () ->
       guard (fun () ->
           match Pipeline.run ?max_cycles p with
           | Ok s -> Ok (Detailed s)
@@ -86,7 +83,7 @@ let detailed ?config ?reuse ?max_cycles prog =
 let warming ?config ?max_steps prog =
   let p = Pipeline.create ?config prog in
   let b =
-    pipeline_backed ~name:"warming" ~telemetry_scope:"pipeline" p (fun () ->
+    pipeline_backed ~name:"warming" p (fun () ->
         guard (fun () ->
             Ok (Warmed { instructions = Pipeline.run_warming ?max_steps p })))
   in
@@ -100,7 +97,7 @@ let sampled ?config ~plan ?domains ?rank_bands ?ci_target ?runner ?max_cycles
     prog =
   let p = Pipeline.create ?config prog in
   let b =
-    pipeline_backed ~name:"sampled" ~telemetry_scope:"sampling" p (fun () ->
+    pipeline_backed ~name:"sampled" p (fun () ->
         match
           Sampled.run_on ?max_cycles ~plan ?domains ?rank_bands ?ci_target
             ?runner p
@@ -120,7 +117,7 @@ let resume ?config ?max_cycles ck prog =
   | Error e -> Error e
   | Ok () ->
     Ok
-      (pipeline_backed ~name:"resume" ~telemetry_scope:"pipeline" p (fun () ->
+      (pipeline_backed ~name:"resume" p (fun () ->
            guard (fun () ->
                match Pipeline.run ?max_cycles p with
                | Ok s -> Ok (Detailed s)

@@ -19,8 +19,6 @@ type report =
 
 type t = {
   name : string;  (** substrate name: functional/detailed/warming/sampled *)
-  telemetry_scope : string;
-      (** root scope the substrate's instruments register under *)
   machine : unit -> Bor_sim.Machine.t;
       (** the architectural machine (the oracle, for pipeline-backed
           substrates) — final registers, memory, stats *)

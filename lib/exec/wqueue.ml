@@ -257,8 +257,8 @@ let runner t ~job ~config ctx =
   { Window.r_dispatch; r_drain = (fun () -> drain t ~job) }
 
 (* Lock-free counter reads: safe from any thread, including under the
-   shared monitor's lock (these are what Scheduler.sync mirrors into
-   the serve.windows.* / serve.shards.* telemetry). *)
+   shared monitor's lock (the serve scheduler publishes them as its
+   serve.windows.* / serve.shards.* telemetry). *)
 let dispatched t = Atomic.get t.a_dispatched
 let executed t = Atomic.get t.a_executed
 let shared_hits t = Atomic.get t.a_shared

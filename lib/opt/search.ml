@@ -64,6 +64,22 @@ let add_counters a b =
     n_oracle_evals = a.n_oracle_evals + b.n_oracle_evals;
   }
 
+(* opt.*, published once from the search's totals. *)
+let search_counters =
+  [|
+    ("proposals", "proposals", "mutator proposals evaluated",
+     fun c -> c.n_proposals);
+    ("inapplicable", "proposals", "moves with no applicable neighbour",
+     fun c -> c.n_inapplicable);
+    ("acceptances", "proposals", "Metropolis acceptances",
+     fun c -> c.n_acceptances);
+    ("filter_rejects", "proposals",
+     "proposals rejected by the functional filter",
+     fun c -> c.n_filter_rejects);
+    ("oracle_evals", "runs", "cost-oracle (pipeline/sampled) evaluations",
+     fun c -> c.n_oracle_evals);
+  |]
+
 type t = {
   r_target : Program.t;
   r_best : Program.t;
@@ -166,26 +182,7 @@ let run ?progress params target =
        report plain integers back, so the registry contents are
        identical at every domain count. *)
     let sc = Telemetry.scope "opt" in
-    let c_prop =
-      Telemetry.counter sc ~unit_:"proposals"
-        ~doc:"mutator proposals evaluated" "proposals"
-    in
-    let c_inap =
-      Telemetry.counter sc ~unit_:"proposals"
-        ~doc:"moves with no applicable neighbour" "inapplicable"
-    in
-    let c_acc =
-      Telemetry.counter sc ~unit_:"proposals" ~doc:"Metropolis acceptances"
-        "acceptances"
-    in
-    let c_filt =
-      Telemetry.counter sc ~unit_:"proposals"
-        ~doc:"proposals rejected by the functional filter" "filter_rejects"
-    in
-    let c_orac =
-      Telemetry.counter sc ~unit_:"runs"
-        ~doc:"cost-oracle (pipeline/sampled) evaluations" "oracle_evals"
-    in
+    let tel = Telemetry.family sc search_counters in
     let c_rounds =
       Telemetry.counter sc ~unit_:"rounds" ~doc:"synchronization rounds"
         "rounds"
@@ -237,11 +234,7 @@ let run ?progress params target =
       | None -> ()
     done;
     let t = !totals in
-    Telemetry.add c_prop t.n_proposals;
-    Telemetry.add c_inap t.n_inapplicable;
-    Telemetry.add c_acc t.n_acceptances;
-    Telemetry.add c_filt t.n_filter_rejects;
-    Telemetry.add c_orac t.n_oracle_evals;
+    Telemetry.publish tel t;
     let improved = !best_cost < target_cost in
     let verified, note =
       if improved then verify params target !best else (false, "no rewrite")

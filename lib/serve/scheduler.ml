@@ -6,23 +6,6 @@ type state = Queued | Running | Done of outcome
 
 type entry = { e_spec : Job.spec; mutable e_state : state }
 
-(* Telemetry instruments mirror the atomics; they belong to the domain
-   that created the scheduler and are only touched there (submit/stats
-   run on that domain), never by workers — instruments must not cross
-   domains. Worker-side counts reach them as deltas via [sync]. *)
-type mirror = {
-  mutable m_completed : int;
-  mutable m_failed : int;
-  mutable m_hits : int;
-  mutable m_misses : int;
-  mutable m_w_dispatched : int;
-  mutable m_w_executed : int;
-  mutable m_w_shared : int;
-  mutable m_w_failed : int;
-  mutable m_sh_published : int;
-  mutable m_sh_present : int;
-}
-
 type t = {
   mu : Mutex.t;
   cond : Condition.t;
@@ -43,24 +26,54 @@ type t = {
   a_cold : int Atomic.t;
   a_cached : int Atomic.t;
   a_busy : int Atomic.t;
-  (* serve.* telemetry *)
-  c_submitted : Telemetry.counter;
-  c_completed : Telemetry.counter;
-  c_failed : Telemetry.counter;
-  c_hits : Telemetry.counter;
-  c_misses : Telemetry.counter;
-  c_joins : Telemetry.counter;
+  (* serve.* telemetry: the counters are published from the counts
+     above (see [serve_counters]); they and the histograms belong to
+     the domain that created the scheduler and are only touched there
+     (submit/stats run on that domain), never by workers — instruments
+     must not cross domains. *)
+  tel : t Telemetry.family;
   h_queue_depth : Telemetry.histogram;
   h_busy : Telemetry.histogram;
-  (* serve.windows.* / serve.shards.* telemetry *)
-  c_w_dispatched : Telemetry.counter;
-  c_w_executed : Telemetry.counter;
-  c_w_shared : Telemetry.counter;
-  c_w_failed : Telemetry.counter;
-  c_sh_published : Telemetry.counter;
-  c_sh_present : Telemetry.counter;
-  mirror : mirror;
 }
+
+(* Memory hits and store hits both count as serve.cache.hits; only cold
+   runs are misses. *)
+let serve_counters =
+  [|
+    ("jobs.submitted", "jobs", "submissions accepted (all dispositions)",
+     fun t -> t.n_submitted);
+    ("jobs.completed", "jobs", "worker runs that returned Ok",
+     fun t -> Atomic.get t.a_completed);
+    ("jobs.failed", "jobs", "worker runs that returned an error",
+     fun t -> Atomic.get t.a_failed);
+    ("cache.hits", "jobs",
+     "submissions answered without a fresh run (memory or store)",
+     fun t -> t.n_mem_hits + Atomic.get t.a_cached);
+    ("cache.misses", "jobs", "jobs computed cold",
+     fun t -> Atomic.get t.a_cold);
+    ("dedup.joins", "jobs", "submissions that joined an in-flight job",
+     fun t -> t.n_joins);
+    ("windows.dispatched", "windows",
+     "window work units dispatched into the global queue",
+     fun t -> Wqueue.dispatched t.wq);
+    ("windows.executed", "windows",
+     "window work units executed (once each, however many jobs share them)",
+     fun t -> Wqueue.executed t.wq);
+    ("windows.shared_shard_hits", "windows",
+     "dispatches answered by an existing work unit (cross-job shard \
+      sharing)",
+     fun t -> Wqueue.shared_hits t.wq);
+    ("windows.failed", "windows",
+     "window executions that failed (fails the owning jobs only, never \
+      cached)",
+     fun t -> Wqueue.failed t.wq);
+    ("shards.published", "checkpoints",
+     "warming checkpoints published under shard keys",
+     fun t -> Wqueue.shards_published t.wq);
+    ("shards.present", "checkpoints",
+     "shard publications skipped: store already had the bytes",
+     fun t -> Wqueue.shards_present t.wq);
+  |]
 
 (* A sampled job's windows go through the global queue instead of its
    own domain fan-out; every other backend runs exactly as before.
@@ -120,8 +133,6 @@ let rec worker_loop t =
 let create ?(domains = 1) ?store () =
   if domains < 1 then invalid_arg "Scheduler.create: domains must be >= 1";
   let scope = Telemetry.scope "serve" in
-  let wscope = Telemetry.scope "serve.windows" in
-  let shscope = Telemetry.scope "serve.shards" in
   let mu = Mutex.create () in
   let cond = Condition.create () in
   let t =
@@ -148,99 +159,19 @@ let create ?(domains = 1) ?store () =
       a_cold = Atomic.make 0;
       a_cached = Atomic.make 0;
       a_busy = Atomic.make 0;
-      c_submitted =
-        Telemetry.counter scope ~unit_:"jobs"
-          ~doc:"submissions accepted (all dispositions)" "jobs.submitted";
-      c_completed =
-        Telemetry.counter scope ~unit_:"jobs" ~doc:"worker runs that returned Ok"
-          "jobs.completed";
-      c_failed =
-        Telemetry.counter scope ~unit_:"jobs"
-          ~doc:"worker runs that returned an error" "jobs.failed";
-      c_hits =
-        Telemetry.counter scope ~unit_:"jobs"
-          ~doc:"submissions answered without a fresh run (memory or store)"
-          "cache.hits";
-      c_misses =
-        Telemetry.counter scope ~unit_:"jobs" ~doc:"jobs computed cold"
-          "cache.misses";
-      c_joins =
-        Telemetry.counter scope ~unit_:"jobs"
-          ~doc:"submissions that joined an in-flight job" "dedup.joins";
+      tel = Telemetry.family scope serve_counters;
       h_queue_depth =
         Telemetry.histogram scope ~unit_:"jobs"
           ~doc:"queue depth observed at each submission" "queue.depth";
       h_busy =
         Telemetry.histogram scope ~unit_:"workers"
           ~doc:"busy workers observed at each submission" "workers.busy";
-      c_w_dispatched =
-        Telemetry.counter wscope ~unit_:"windows"
-          ~doc:"window work units dispatched into the global queue"
-          "dispatched";
-      c_w_executed =
-        Telemetry.counter wscope ~unit_:"windows"
-          ~doc:"window work units executed (once each, however many jobs \
-                share them)"
-          "executed";
-      c_w_shared =
-        Telemetry.counter wscope ~unit_:"windows"
-          ~doc:"dispatches answered by an existing work unit (cross-job \
-                shard sharing)"
-          "shared_shard_hits";
-      c_w_failed =
-        Telemetry.counter wscope ~unit_:"windows"
-          ~doc:"window executions that failed (fails the owning jobs only, \
-                never cached)"
-          "failed";
-      c_sh_published =
-        Telemetry.counter shscope ~unit_:"checkpoints"
-          ~doc:"warming checkpoints published under shard keys" "published";
-      c_sh_present =
-        Telemetry.counter shscope ~unit_:"checkpoints"
-          ~doc:"shard publications skipped: store already had the bytes"
-          "present";
-      mirror =
-        {
-          m_completed = 0;
-          m_failed = 0;
-          m_hits = 0;
-          m_misses = 0;
-          m_w_dispatched = 0;
-          m_w_executed = 0;
-          m_w_shared = 0;
-          m_w_failed = 0;
-          m_sh_published = 0;
-          m_sh_present = 0;
-        };
     }
   in
   for i = 0 to domains - 1 do
     t.workers.(i) <- Some (Domain.spawn (fun () -> worker_loop t))
   done;
   t
-
-(* Fold the worker-side atomics into the telemetry mirror. Memory hits
-   and store hits both count as serve.cache.hits; only cold runs are
-   misses. Owner domain only. *)
-let sync t =
-  let m = t.mirror in
-  let bump counter current stored =
-    if current > stored then Telemetry.add counter (current - stored);
-    current
-  in
-  m.m_completed <- bump t.c_completed (Atomic.get t.a_completed) m.m_completed;
-  m.m_failed <- bump t.c_failed (Atomic.get t.a_failed) m.m_failed;
-  m.m_hits <- bump t.c_hits (t.n_mem_hits + Atomic.get t.a_cached) m.m_hits;
-  m.m_misses <- bump t.c_misses (Atomic.get t.a_cold) m.m_misses;
-  m.m_w_dispatched <-
-    bump t.c_w_dispatched (Wqueue.dispatched t.wq) m.m_w_dispatched;
-  m.m_w_executed <- bump t.c_w_executed (Wqueue.executed t.wq) m.m_w_executed;
-  m.m_w_shared <- bump t.c_w_shared (Wqueue.shared_hits t.wq) m.m_w_shared;
-  m.m_w_failed <- bump t.c_w_failed (Wqueue.failed t.wq) m.m_w_failed;
-  m.m_sh_published <-
-    bump t.c_sh_published (Wqueue.shards_published t.wq) m.m_sh_published;
-  m.m_sh_present <-
-    bump t.c_sh_present (Wqueue.shards_present t.wq) m.m_sh_present
 
 let submit t spec =
   let key = Bor_store.Key.hex (Job.key spec) in
@@ -250,7 +181,6 @@ let submit t spec =
     invalid_arg "Scheduler.submit: scheduler is shut down"
   end;
   t.n_submitted <- t.n_submitted + 1;
-  Telemetry.incr t.c_submitted;
   Telemetry.observe t.h_queue_depth (Queue.length t.queue);
   Telemetry.observe t.h_busy (Atomic.get t.a_busy);
   let disposition =
@@ -260,7 +190,6 @@ let submit t spec =
         `Hit
     | Some _ ->
         t.n_joins <- t.n_joins + 1;
-        Telemetry.incr t.c_joins;
         `Joined
     | None ->
         Hashtbl.add t.jobs key { e_spec = spec; e_state = Queued };
@@ -268,7 +197,7 @@ let submit t spec =
         Condition.broadcast t.cond;
         `Queued
   in
-  sync t;
+  Telemetry.publish t.tel t;
   Mutex.unlock t.mu;
   (key, disposition)
 
@@ -302,7 +231,7 @@ let wqueue t = t.wq
 
 let stats t =
   Mutex.lock t.mu;
-  sync t;
+  Telemetry.publish t.tel t;
   let base =
     [
       ("submitted", t.n_submitted);

@@ -29,9 +29,10 @@
     serving, and the failed unit is never cached.
 
     Counters live in atomics (workers update them from their own
-    domains); {!stats} additionally mirrors them into the [serve.*]
-    telemetry family, whose instruments are registered on the creating
-    domain at {!create} time (enable telemetry first, as always). *)
+    domains) and in the window queue's counters; {!submit} and {!stats}
+    publish them as the [serve.*] telemetry counters (a
+    {!Bor_telemetry.Telemetry.family} registered on the creating domain
+    at {!create} time — enable telemetry first, as always). *)
 
 type t
 
@@ -69,8 +70,7 @@ val stats : t -> (string * int) list
     failures, cache hits/misses, dedup joins, instantaneous queue depth
     and busy workers, worker count, the window-queue counters
     ([windows_*], [shards_*]), and the store's counters when one is
-    configured. Also the point where worker-side counts are folded into
-    the [serve.*] telemetry instruments. *)
+    configured. Also publishes the [serve.*] telemetry counters. *)
 
 val metrics_text : t -> string
 (** The one-shot plaintext metrics dump behind

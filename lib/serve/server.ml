@@ -146,19 +146,25 @@ let serve_connection sched fd =
   loop ()
 
 (* Per-connection bookkeeping: handler threads update the atomics; the
-   accept thread alone folds them into the serve.conns.* instruments
-   (telemetry instruments are not thread-safe, the accept thread is
-   their single writer). *)
+   accept thread alone publishes them into serve.conns.* (telemetry
+   instruments are not thread-safe, the accept thread is their single
+   writer). *)
 type conns = {
   cn_accepted : int Atomic.t;
   cn_proto_errors : int Atomic.t;
   cn_active : int Atomic.t;
-  c_accepted : Telemetry.counter;
-  c_proto_errors : Telemetry.counter;
+  tel : conns Telemetry.family;
   h_active : Telemetry.histogram;
-  mutable cn_m_accepted : int;
-  mutable cn_m_errors : int;
 }
+
+let conns_counters =
+  [|
+    ("accepted", "connections", "client connections accepted",
+     fun c -> Atomic.get c.cn_accepted);
+    ("protocol_errors", "connections",
+     "connections dropped on malformed traffic",
+     fun c -> Atomic.get c.cn_proto_errors);
+  |]
 
 let conns_create () =
   let scope = Telemetry.scope "serve.conns" in
@@ -166,27 +172,11 @@ let conns_create () =
     cn_accepted = Atomic.make 0;
     cn_proto_errors = Atomic.make 0;
     cn_active = Atomic.make 0;
-    c_accepted =
-      Telemetry.counter scope ~unit_:"connections"
-        ~doc:"client connections accepted" "accepted";
-    c_proto_errors =
-      Telemetry.counter scope ~unit_:"connections"
-        ~doc:"connections dropped on malformed traffic" "protocol_errors";
+    tel = Telemetry.family scope conns_counters;
     h_active =
       Telemetry.histogram scope ~unit_:"connections"
         ~doc:"concurrent connections observed at each accept" "active";
-    cn_m_accepted = 0;
-    cn_m_errors = 0;
   }
-
-let conns_sync c =
-  let bump counter current stored =
-    if current > stored then Telemetry.add counter (current - stored);
-    current
-  in
-  c.cn_m_accepted <- bump c.c_accepted (Atomic.get c.cn_accepted) c.cn_m_accepted;
-  c.cn_m_errors <-
-    bump c.c_proto_errors (Atomic.get c.cn_proto_errors) c.cn_m_errors
 
 let listen_on socket =
   (try if Sys.file_exists socket then Sys.remove socket with Sys_error _ -> ());
@@ -281,7 +271,7 @@ let run ~socket ?metrics_socket ?(on_ready = fun () -> ()) sched =
                            with Unix.Unix_error _ -> ());
                           (try Unix.close fd with Unix.Unix_error _ -> ()))
                   readable;
-                conns_sync conns
+                Telemetry.publish conns.tel conns
           done;
           (* Shutdown: stop accepting, let queued jobs drain (unblocking
              every handler thread waiting in [result wait]), then EOF
@@ -306,5 +296,5 @@ let run ~socket ?metrics_socket ?(on_ready = fun () -> ()) sched =
               with Unix.Unix_error _ -> ())
             lingering;
           List.iter (fun (_, th) -> Thread.join th) lingering;
-          conns_sync conns;
+          Telemetry.publish conns.tel conns;
           Ok ())

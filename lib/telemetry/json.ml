@@ -148,9 +148,16 @@ let parse_int c =
   if c.pos = start then raise (Parse_error "expected a number");
   int_of_string (String.sub c.src start (c.pos - start))
 
-let rec parse_value c =
+(* Each '[' or '{' costs one stack frame, so the depth bound keeps a
+   hostile input (a wire frame can be hundreds of MiB) from exhausting
+   the stack or burning minutes before it fails. *)
+let max_depth = 512
+
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
+  | Some ('[' | '{') when depth >= max_depth ->
+    raise (Parse_error (Printf.sprintf "nesting deeper than %d" max_depth))
   | Some 'n' -> literal c "null" Null
   | Some 't' -> literal c "true" (Bool true)
   | Some 'f' -> literal c "false" (Bool false)
@@ -165,7 +172,7 @@ let rec parse_value c =
     else begin
       let items = ref [] in
       let rec go () =
-        items := parse_value c :: !items;
+        items := parse_value c (depth + 1) :: !items;
         skip_ws c;
         match peek c with
         | Some ',' ->
@@ -191,7 +198,7 @@ let rec parse_value c =
         let k = parse_string c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         fields := (k, v) :: !fields;
         skip_ws c;
         match peek c with
@@ -210,7 +217,7 @@ let rec parse_value c =
 
 let of_string s =
   let c = { src = s; pos = 0 } in
-  let v = parse_value c in
+  let v = parse_value c 0 in
   skip_ws c;
   if c.pos <> String.length s then
     raise (Parse_error "trailing garbage after JSON value");

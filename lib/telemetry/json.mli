@@ -20,7 +20,12 @@ val of_string : string -> t
 (** Inverse of {!to_string} (accepts any JSON built from the
     constructors above; floats are not part of the dialect — the
     harness stores pre-formatted strings instead, so that digests never
-    depend on float printing). Raises {!Parse_error}. *)
+    depend on float printing). Raises {!Parse_error}, also on input
+    nested more than {!max_depth} arrays/objects deep. *)
+
+val max_depth : int
+(** The deepest nesting {!of_string} accepts (512): far above anything
+    the repo writes, low enough that parsing stays within the stack. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] otherwise. *)

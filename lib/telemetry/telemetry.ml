@@ -156,6 +156,35 @@ let incr c = if c.c_live then c.c_value <- c.c_value + 1
 let add c n = if c.c_live then c.c_value <- c.c_value + n
 let value c = c.c_value
 
+(* Counter families backed by a component's own counts: those counts
+   are the only per-event store, and [last] is what makes [publish]
+   add deltas, so publishing twice never double-counts. *)
+type 's family = {
+  fields : ('s -> int) array;
+  f_counters : counter array;
+  last : int array;  (* each field's value at the last [publish] *)
+}
+
+let family sc table =
+  {
+    fields = Array.map (fun (_, _, _, f) -> f) table;
+    f_counters =
+      Array.map
+        (fun (name, unit_, doc, _) -> counter sc ~unit_ ~doc name)
+        table;
+    last = Array.make (Array.length table) 0;
+  }
+
+let publish p s =
+  Array.iteri
+    (fun i f ->
+      let v = f s in
+      add p.f_counters.(i) (v - p.last.(i));
+      p.last.(i) <- v)
+    p.fields
+
+let restart p = Array.fill p.last 0 (Array.length p.last) 0
+
 let bucket_of v =
   if v <= 0 then 0
   else

@@ -76,6 +76,35 @@ val observe : histogram -> int -> unit
 val record : span -> int -> unit
 (** Record one completed interval of the given duration. *)
 
+(** {2 Record-backed counter families}
+
+    A component that already keeps its own counts — a stats record, a
+    set of atomics — publishes them instead of bumping a counter per
+    event, so its counts have one store. This is the only way such
+    counts reach the registry. *)
+
+type 's family
+(** One registry counter per field of an ['s], and the value each field
+    had at the last {!publish}. *)
+
+val family :
+  scope -> (string * string * string * ('s -> int)) array -> 's family
+(** [family sc [| (name, unit_, doc, read); ... |]] registers the
+    counter ["<sc>.<name>"] for every field at once, as {!counter}
+    would: a family created while the registry is enabled shows its
+    zeros even if it is never published. *)
+
+val publish : 's family -> 's -> unit
+(** Add to each counter what its field ([read s]) gained since the
+    last publish (since creation or {!restart} the first time).
+    Publishing twice adds nothing the second time. Call it from the
+    domain that created the family. *)
+
+val restart : 's family -> unit
+(** The counts were just zeroed (e.g. at a region-of-interest reset):
+    the next {!publish} adds the fields' whole values. Publish first,
+    or what the reset discards never reaches the registry. *)
+
 (** {2 Snapshots} *)
 
 val counters : unit -> (string * int) list

@@ -72,8 +72,9 @@ val create :
 (** Build an (empty) cache over the pipeline's decoded text. [on_brr]
     is called with each retired branch-on-random outcome, exactly as
     the single-step path logs them. The cache itself touches no
-    telemetry: {!Pipeline.run_warming} registers the [warming.block.*]
-    family when it creates a cache and publishes it from {!stats}. *)
+    telemetry: {!stats} is published as the [warming.block.*] counters
+    (a {!Bor_telemetry.Telemetry.family} the pipeline registers when it
+    first builds a cache) at every exit of {!Pipeline.run_warming}. *)
 
 type status =
   | Halted  (** the program's [halt] retired inside a block *)

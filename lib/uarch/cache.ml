@@ -1,6 +1,8 @@
-module Telemetry = Bor_telemetry.Telemetry
-
-type stats = { mutable accesses : int; mutable misses : int }
+type stats = {
+  mutable accesses : int;
+  mutable misses : int;
+  mutable evictions : int;
+}
 
 type t = {
   name : string;
@@ -13,9 +15,6 @@ type t = {
   lru : int array;  (** smaller = older *)
   mutable clock : int;
   stats : stats;
-  tel_hits : Telemetry.counter;
-  tel_misses : Telemetry.counter;
-  tel_evictions : Telemetry.counter;
 }
 
 let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
@@ -26,7 +25,6 @@ let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
   let sets = lines / assoc in
   if not (Bor_util.Bits.is_power_of_two sets) then
     invalid_arg "Cache.create: set count must be a power of two";
-  let sc = Telemetry.scope ("cache." ^ name) in
   let log2 n =
     if not (Bor_util.Bits.is_power_of_two n) then -1
     else begin
@@ -56,12 +54,7 @@ let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
     tags;
     lru;
     clock = 0;
-    stats = { accesses = 0; misses = 0 };
-    tel_hits = Telemetry.counter sc ~doc:"accesses that hit" "hits";
-    tel_misses = Telemetry.counter sc ~doc:"accesses that missed" "misses";
-    tel_evictions =
-      Telemetry.counter sc ~doc:"misses that displaced a valid line"
-        "evictions";
+    stats = { accesses = 0; misses = 0; evictions = 0 };
   }
 
 (* The hot path avoids divisions (shifts when the geometry is a power
@@ -96,18 +89,16 @@ let access t addr =
   let slot = find t set tag in
   if slot >= 0 then begin
     t.lru.(slot) <- t.clock;
-    Telemetry.incr t.tel_hits;
     true
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    Telemetry.incr t.tel_misses;
     let base = set * t.assoc in
     let victim = ref base in
     for w = 1 to t.assoc - 1 do
       if t.lru.(base + w) < t.lru.(!victim) then victim := base + w
     done;
-    if t.tags.(!victim) >= 0 then Telemetry.incr t.tel_evictions;
+    if t.tags.(!victim) >= 0 then t.stats.evictions <- t.stats.evictions + 1;
     t.tags.(!victim) <- tag;
     t.lru.(!victim) <- t.clock;
     false
@@ -130,6 +121,9 @@ let check ?cycle t =
   if t.stats.misses > t.stats.accesses then
     fail "misses-bounded" "misses=%d > accesses=%d" t.stats.misses
       t.stats.accesses;
+  if t.stats.evictions < 0 || t.stats.evictions > t.stats.misses then
+    fail "evictions-bounded" "evictions=%d, misses=%d" t.stats.evictions
+      t.stats.misses;
   for set = 0 to t.sets - 1 do
     let base = set * t.assoc in
     for w = 0 to t.assoc - 1 do
@@ -175,7 +169,8 @@ let import_state t s =
 
 let reset_stats t =
   t.stats.accesses <- 0;
-  t.stats.misses <- 0
+  t.stats.misses <- 0;
+  t.stats.evictions <- 0
 
 let sets t = t.sets
 let line_bytes t = t.line_bytes

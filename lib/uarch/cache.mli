@@ -3,17 +3,22 @@
 
 type t
 
-type stats = { mutable accesses : int; mutable misses : int }
+type stats = {
+  mutable accesses : int;
+  mutable misses : int;
+  mutable evictions : int;  (** misses that displaced a valid line *)
+}
+(** The cache's only counters. [Pipeline] publishes them as the
+    [cache.<name>.{hits,misses,evictions}] telemetry counters. *)
 
 val create :
   ?reuse:t -> ?name:string -> size:int -> assoc:int -> line_bytes:int -> unit -> t
 (** [size] must be divisible by [assoc * line_bytes] into a power-of-two
-    set count. [name] (default ["cache"]) is the telemetry scope suffix:
-    counters register as [cache.<name>.{hits,misses,evictions}]. With
-    [~reuse:old] of the same line count, [old]'s tag and LRU arrays are
-    refilled to their empty state and shared instead of allocated;
-    statistics and telemetry instruments are always new. [old] must not
-    be used again. *)
+    set count. [name] (default ["cache"]) names the cache in sanitizer
+    diagnostics. With [~reuse:old] of the same line count, [old]'s tag
+    and LRU arrays are refilled to their empty state and shared instead
+    of allocated; statistics are always new. [old] must not be used
+    again. *)
 
 val access : t -> int -> bool
 (** [access t addr] touches the line containing [addr]; returns [true]
@@ -26,21 +31,21 @@ val probe : t -> int -> bool
 val stats : t -> stats
 
 val name : t -> string
-(** The telemetry/diagnostic name passed at creation. *)
+(** The diagnostic name passed at creation. *)
 
 val check : ?cycle:int -> t -> unit
 (** Sanitizer pass over the tag store: every set holds pairwise-distinct
     tags, every valid way carries an LRU stamp in [[0, clock]] with no
     two valid ways of a set sharing a nonzero stamp, and the stats
-    counters are non-negative with [misses <= accesses]. Raises
-    {!Bor_check.Check.Violation} (component [cache.<name>]) on the first
-    broken invariant. Unconditional — callers gate on
+    counters are non-negative with [evictions <= misses <= accesses].
+    Raises {!Bor_check.Check.Violation} (component [cache.<name>]) on
+    the first broken invariant. Unconditional — callers gate on
     [!Bor_check.Check.on]. *)
 
 type state = { s_tags : int array; s_lru : int array; s_clock : int }
 (** The replacement-relevant contents of the tag store: tags, LRU
-    stamps and the LRU clock. Stats and telemetry are excluded — a
-    restored cache counts from zero like a fresh one. *)
+    stamps and the LRU clock. Stats are excluded — a restored cache
+    counts from zero like a fresh one. *)
 
 val export_state : t -> state
 (** Deep copy of the tag store. *)

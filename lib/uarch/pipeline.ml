@@ -86,41 +86,10 @@ let pp_stats ppf s =
 module Telemetry = Bor_telemetry.Telemetry
 module Check = Bor_check.Check
 
-(* Telemetry counter families backed by a plain stats record: the
-   record is the only per-event store, and [publish] adds what each
-   field gained since the last publish into its registry counter (so
-   publishing twice never double-counts). Counters register when the
-   family is created, not when it is first published: a component that
-   never runs still shows its zeros in the registry. *)
-type 's published = {
-  fields : ('s -> int) array;
-  counters : Telemetry.counter array;
-  last : int array;  (* each field's value at the last [publish] *)
-}
-
-let register scope table =
-  let sc = Telemetry.scope scope in
-  {
-    fields = Array.map (fun (_, _, _, f) -> f) table;
-    counters =
-      Array.map
-        (fun (name, unit_, doc, _) -> Telemetry.counter sc ~unit_ ~doc name)
-        table;
-    last = Array.make (Array.length table) 0;
-  }
-
-let publish p s =
-  Array.iteri
-    (fun i f ->
-      let v = f s in
-      Telemetry.add p.counters.(i) (v - p.last.(i));
-      p.last.(i) <- v)
-    p.fields
-
-(* The pipeline.* counters, one [stats] field each. They honour the ROI
-   markers exactly like the record, except that [marker 1] publishes
-   the pre-ROI prefix before resetting it; component-scope counters
-   (cache.*, btb.*, ...) are whole-run. *)
+(* The record-backed telemetry families ([Telemetry.family]). pipeline.*
+   has one [stats] field per counter: it stops at [marker 2] like the
+   record, but [marker 1] publishes the pre-ROI prefix before resetting
+   it, so the counters include the prefix. *)
 let pipeline_counters =
   [|
     ("fetch.slots", "slots", "instructions fetched into the fetch queue",
@@ -174,6 +143,24 @@ let block_counters =
      "instructions single-stepped while the cache was active",
      fun s -> s.Block.fallback_steps);
   |]
+
+(* The cache.<level>.* counters, from each level's [Cache.stats]. Those
+   reset at [marker 1] only, after a publish, so the counters cover
+   whole runs, warming included. *)
+let cache_counters =
+  List.concat_map
+    (fun (level, cache) ->
+      let stats h = Cache.stats (cache h) in
+      [
+        (level ^ ".hits", "events", "accesses that hit",
+         fun h -> (stats h).Cache.accesses - (stats h).Cache.misses);
+        (level ^ ".misses", "events", "accesses that missed",
+         fun h -> (stats h).Cache.misses);
+        (level ^ ".evictions", "events", "misses that displaced a valid line",
+         fun h -> (stats h).Cache.evictions);
+      ])
+    [ ("l1i", Hierarchy.l1i); ("l1d", Hierarchy.l1d); ("l2", Hierarchy.l2) ]
+  |> Array.of_list
 
 (* ------------------------------------------------------------------ *)
 
@@ -319,13 +306,14 @@ type t = {
          the block translation cache so the dedup carries across the
          block/single-step boundary *)
   warm_line_mask : int;  (* lnot (line_bytes - 1); 0 = not a power of two *)
-  mutable blockcache : (Block.t * Block.stats published) option;
+  mutable blockcache : (Block.t * Block.stats Telemetry.family) option;
       (* the warmer's block translation cache and its warming.block.*
          family, built lazily on the first block-mode [run_warming] (so
          plain full-detail runs never create it, and the family never
          registers) *)
   mutable stats : stats;  (* replaced, not cleared, at [marker 1] *)
-  tel : stats published;  (* pipeline.*, published from [stats] *)
+  tel : stats Telemetry.family;  (* pipeline.*, published from [stats] *)
+  tel_cache : Hierarchy.t Telemetry.family;  (* cache.*, from [hier] *)
   tel_occupancy : Telemetry.histogram;
   tel_run : Telemetry.span;
   (* Sanitizer bookkeeping (see [sanitize_cycle]). [san_dropped] is
@@ -453,7 +441,8 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
          lnot (config.Config.line_bytes - 1)
        else 0);
     stats = fresh_stats ();
-    tel = register "pipeline" pipeline_counters;
+    tel = Telemetry.family (Telemetry.scope "pipeline") pipeline_counters;
+    tel_cache = Telemetry.family (Telemetry.scope "cache") cache_counters;
     tel_occupancy =
       Telemetry.histogram (Telemetry.scope "pipeline") ~unit_:"entries"
         ~doc:"ROB occupancy, observed once per cycle" "rob.occupancy";
@@ -1485,15 +1474,22 @@ let check_resolver t =
 
 (* -------------------------------------------------------------- Commit *)
 
+(* pipeline.* and cache.*: every exit of [run] and [run_window], [Ok]
+   or [Error], publishes both, so a step-driven pipeline shows its
+   events in the registry at its next [run] exit. *)
+let publish t =
+  Telemetry.publish t.tel t.stats;
+  Telemetry.publish t.tel_cache t.hier
+
 (* [marker 1] opens the region of interest: publish the prefix the
-   reset is about to discard (telemetry counts whole runs), then start
-   the record over. *)
+   resets are about to discard, then start the records over. *)
 let marker_commit t n =
   if n = 1 then begin
-    publish t.tel t.stats;
+    publish t;
     t.stats <- fresh_stats ();
-    Array.fill t.tel.last 0 (Array.length t.tel.last) 0;
     Hierarchy.reset_stats t.hier;
+    Telemetry.restart t.tel;
+    Telemetry.restart t.tel_cache;
     t.roi_frozen <- false
   end
   else if n = 2 then begin
@@ -1686,11 +1682,8 @@ let quiesce_skip t ~limit =
     t.cycle <- c + k
   end
 
-(* Every exit of [run] and [run_window], [Ok] or [Error], publishes
-   pipeline.*: a step-driven pipeline shows its events in the registry
-   at its next [run] exit. *)
 let run ?(max_cycles = 2_000_000_000) t =
-  Fun.protect ~finally:(fun () -> publish t.tel t.stats) @@ fun () ->
+  Fun.protect ~finally:(fun () -> publish t) @@ fun () ->
   try
     let rec go () =
       if t.halt_committed then begin
@@ -1949,7 +1942,9 @@ let get_blockcache t =
         ~engine:t.engine ~mru:t.warm_mru
         ~on_brr:(fun outcome -> log_retired_brr t outcome)
     in
-    t.blockcache <- Some (bc, register "warming.block" block_counters);
+    t.blockcache <-
+      Some
+        (bc, Telemetry.family (Telemetry.scope "warming.block") block_counters);
     bc
 
 let block_cache t = Option.map fst t.blockcache
@@ -2004,12 +1999,13 @@ let warm_blocks t bc budget =
   done;
   !n
 
-(* Every exit publishes warming.block.*, so a sweep that warms one
-   period at a time keeps the registry current. *)
+(* Every exit publishes warming.block.* and cache.*, so a sweep that
+   warms one period at a time keeps the registry current. *)
 let run_warming ?max_steps t =
   Fun.protect ~finally:(fun () ->
+      Telemetry.publish t.tel_cache t.hier;
       match t.blockcache with
-      | Some (bc, tel) -> publish tel (Block.stats bc)
+      | Some (bc, tel) -> Telemetry.publish tel (Block.stats bc)
       | None -> ())
   @@ fun () ->
   let budget = match max_steps with Some n -> n | None -> max_int in
@@ -2091,7 +2087,7 @@ type window_result = {
    rests on. [max_cycles] is a per-window budget ([t] starts at cycle
    0). *)
 let run_window ?(max_cycles = 2_000_000_000) ~warmup ~window t =
-  Fun.protect ~finally:(fun () -> publish t.tel t.stats) @@ fun () ->
+  Fun.protect ~finally:(fun () -> publish t) @@ fun () ->
   enter_detail t;
   let finish sample =
     Ok

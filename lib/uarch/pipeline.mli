@@ -106,12 +106,15 @@ val run : ?max_cycles:int -> t -> (stats, string) result
     [marker 1] / [marker 2], the returned statistics cover exactly that
     region; otherwise the whole run.
 
-    The [pipeline.*] telemetry counters are published from the stats
-    record, not bumped per event: at every exit of [run] and
-    {!run_window} ([Ok] or [Error]), and at [marker 1] just before the
-    reset, so they also count the prefix the statistics discard. A
-    publish adds only what is new since the last one; a pipeline driven
-    by {!step_cycle} shows its events at its next [run] exit. *)
+    The [pipeline.*] and [cache.*] telemetry counters are published
+    from the stats record and the {!Cache.stats} of each level, not
+    bumped per event (each is a {!Bor_telemetry.Telemetry.family}):
+    at every exit of [run] and {!run_window} ([Ok] or [Error]), and at
+    [marker 1] just before the resets, so they also count the prefix
+    the statistics discard. [cache.*] is also published at every exit
+    of {!run_warming}. A publish adds only what is new since the last
+    one, so a pipeline driven by {!step_cycle} or {!warm_step} shows
+    its events at its next publishing exit. *)
 
 val oracle : t -> Bor_sim.Machine.t
 (** The functional model, for reading final architectural state. *)

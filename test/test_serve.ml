@@ -398,6 +398,69 @@ let test_scheduler_reports_failures () =
   | _ -> Alcotest.fail "submit after shutdown accepted"
   | exception Invalid_argument _ -> ()
 
+(* The serve.* registry counters and [Scheduler.stats] are two views of
+   the same counts: after a cold detailed job, its memory hit and one
+   sampled job, every counter equals its stats entry. *)
+let test_scheduler_registry_matches_stats () =
+  let module Telemetry = Bor_telemetry.Telemetry in
+  Telemetry.clear ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.set_enabled false;
+      Telemetry.clear ())
+  @@ fun () ->
+  let sched =
+    Scheduler.create ~domains:2
+      ~store:(store_exn (fresh_path "bor-serve-registry"))
+      ()
+  in
+  let await key =
+    ignore (payload_exn (Option.get (Scheduler.await sched key)))
+  in
+  let detailed = Job.make ~backend:"detailed" (Lazy.force alu_prog) in
+  let k1, d1 = Scheduler.submit sched detailed in
+  await k1;
+  let k2, d2 = Scheduler.submit sched detailed in
+  await k2;
+  check Alcotest.bool "cold, then hit" true (d1 = `Queued && d2 = `Hit);
+  let sampled =
+    Job.make ~plan:(plan_exn "500:2000:20000:13") ~backend:"sampled"
+      (Lazy.force slow_prog)
+  in
+  let k3, _ = Scheduler.submit sched sampled in
+  await k3;
+  Scheduler.shutdown sched;
+  let stats = Scheduler.stats sched in
+  let registry name =
+    match Telemetry.find_counter ("serve." ^ name) with
+    | Some v -> v
+    | None -> Alcotest.failf "serve.%s not registered" name
+  in
+  List.iter
+    (fun (stat, name) ->
+      check Alcotest.int
+        (Printf.sprintf "serve.%s = stats %s" name stat)
+        (List.assoc stat stats) (registry name))
+    [
+      ("submitted", "jobs.submitted");
+      ("completed", "jobs.completed");
+      ("failed", "jobs.failed");
+      ("cache_hits", "cache.hits");
+      ("cache_misses", "cache.misses");
+      ("dedup_joins", "dedup.joins");
+      ("windows_dispatched", "windows.dispatched");
+      ("windows_executed", "windows.executed");
+      ("windows_shared_shard_hits", "windows.shared_shard_hits");
+      ("windows_failed", "windows.failed");
+      ("shards_published", "shards.published");
+      ("shards_present", "shards.present");
+    ];
+  List.iter
+    (fun name ->
+      check Alcotest.bool ("serve." ^ name ^ " > 0") true (registry name > 0))
+    [ "windows.dispatched"; "windows.executed"; "shards.published" ]
+
 (* ------------------------------------------------------------ server *)
 
 let test_server_end_to_end () =
@@ -451,6 +514,43 @@ let test_server_end_to_end () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   check Alcotest.bool "socket file removed" false (Sys.file_exists socket)
+
+(* A balanced but 10 000-deep JSON frame is malformed traffic: it costs
+   only its own connection (counted in serve.conns.protocol_errors),
+   and the server keeps answering. *)
+let test_server_drops_deep_frame () =
+  let module Telemetry = Bor_telemetry.Telemetry in
+  let socket = fresh_path "bor-serve-sock-deep" in
+  let sched = Scheduler.create ~domains:1 () in
+  let ready = Atomic.make false in
+  let server =
+    Domain.spawn (fun () ->
+        Telemetry.set_enabled true;
+        let r =
+          Server.run ~socket ~on_ready:(fun () -> Atomic.set ready true) sched
+        in
+        (r, Telemetry.find_counter "serve.conns.protocol_errors"))
+  in
+  while not (Atomic.get ready) do
+    Domain.cpu_relax ()
+  done;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let depth = 10_000 in
+  Wire.write_frame fd (String.make depth '[' ^ String.make depth ']');
+  (match Wire.read_frame fd with
+  | None | (exception (Wire.Protocol_error _ | Unix.Unix_error _)) -> ()
+  | Some reply -> Alcotest.failf "deep frame answered: %s" reply);
+  Unix.close fd;
+  (match Client.request ~socket Client.stats_request with
+  | Ok resp ->
+      check Alcotest.bool "stats still answered" true
+        (Json.member "ok" resp = Some (Json.Bool true))
+  | Error e -> Alcotest.fail e);
+  ignore (Client.request ~socket Client.shutdown_request);
+  let r, errors = Domain.join server in
+  (match r with Ok () -> () | Error e -> Alcotest.fail e);
+  check Alcotest.(option int) "serve.conns.protocol_errors" (Some 1) errors
 
 (* Two clients on two live connections, each submitting a sampled job
    and blocking in [result wait] while the other's windows share the
@@ -593,10 +693,14 @@ let () =
             test_scheduler_publishes_shards;
           Alcotest.test_case "failures and shutdown" `Quick
             test_scheduler_reports_failures;
+          Alcotest.test_case "registry matches stats" `Quick
+            test_scheduler_registry_matches_stats;
         ] );
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
+          Alcotest.test_case "drops a deep frame" `Quick
+            test_server_drops_deep_frame;
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
         ] );

@@ -150,6 +150,31 @@ let test_json_snapshot_roundtrip () =
       check Alcotest.bool "registry snapshot roundtrips" true
         (Json.of_string (Json.to_string j) = j))
 
+(* Parsing recurses once per array/object, so nesting is bounded: a
+   hostile 10 000-deep value fails fast with [Parse_error] instead of
+   running for minutes or overflowing the stack, while a value exactly
+   at the bound still round-trips. *)
+let test_json_depth_bound () =
+  let rejected what src =
+    match Json.of_string src with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Json.Parse_error _ -> ()
+  in
+  let arrays n = String.make n '[' ^ String.make n ']' in
+  rejected "10000-deep array" (arrays 10_000);
+  rejected "array one past the bound" (arrays (Json.max_depth + 1));
+  let objects n =
+    String.concat "" (List.init n (fun _ -> "{\"k\":")) ^ "1"
+    ^ String.make n '}'
+  in
+  rejected "10000-deep object" (objects 10_000);
+  let rec deep n = if n = 1 then Json.List [] else Json.List [ deep (n - 1) ] in
+  let v = deep Json.max_depth in
+  check Alcotest.bool "a value at the bound round-trips" true
+    (Json.of_string (Json.to_string v) = v);
+  check Alcotest.bool "compact form at the bound parses" true
+    (Json.of_string (arrays Json.max_depth) = v)
+
 (* -------------------------------------------------------------- SHA-256 *)
 
 let test_sha256_vectors () =
@@ -220,6 +245,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "snapshot roundtrip" `Quick
             test_json_snapshot_roundtrip;
+          Alcotest.test_case "nesting depth bound" `Quick
+            test_json_depth_bound;
         ] );
       ("sha256", [ Alcotest.test_case "vectors" `Quick test_sha256_vectors ]);
       ( "determinism",

@@ -323,6 +323,22 @@ let tel_counter name =
   | Some v -> v
   | None -> Alcotest.failf "counter %s not registered" name
 
+(* The cache.* counters [t]'s hierarchy should have published, sorted
+   by name: hits, misses and evictions per level, from [Cache.stats]. *)
+let cache_counters t =
+  let module H = Bor_uarch.Hierarchy in
+  let h = Bor_uarch.Pipeline.hierarchy t in
+  List.concat_map
+    (fun (level, c) ->
+      let s = Bor_uarch.Cache.stats c in
+      let n = "cache." ^ level ^ "." in
+      [
+        (n ^ "evictions", s.evictions);
+        (n ^ "hits", s.accesses - s.misses);
+        (n ^ "misses", s.misses);
+      ])
+    [ ("l1d", H.l1d h); ("l1i", H.l1i h); ("l2", H.l2 h) ]
+
 (* Run [f] against a fresh, enabled registry. *)
 let with_telemetry f =
   Telemetry.clear ();
@@ -426,8 +442,14 @@ let test_telemetry_matches_stats () =
      per taken brr, one back-end flush per committed mispredict) hold
      on top. *)
   with_telemetry (fun () ->
-      let _, st = run_pipeline (assemble (penalty_src "nop")) in
+      let t, st = run_pipeline (assemble (penalty_src "nop")) in
       check_pipeline_telemetry "no markers" st;
+      check
+        Alcotest.(list (pair string int))
+        "no markers: cache.* = Cache.stats" (cache_counters t)
+        (registered_with ~prefix:"cache.");
+      check Alcotest.bool "the strided walk evicts L1D lines" true
+        (tel_counter "cache.l1d.evictions" > 0);
       (* brrs retire at decode resolution, not through the ROB, so they
          count in instructions but not in commit slots. *)
       check Alcotest.int "instructions = commit slots + resolved brrs"
@@ -452,12 +474,17 @@ let test_telemetry_matches_stats () =
      registry must hold what the stats of the same program would hold
      with the marker replaced by a [nop]. Both complete at decode, so
      the timing is identical. *)
-  let _, whole = run_pipeline (assemble (penalty_src "nop")) in
+  let t_whole, whole = run_pipeline (assemble (penalty_src "nop")) in
   with_telemetry (fun () ->
       let _, roi = run_pipeline (assemble (penalty_src "marker 1")) in
       check Alcotest.bool "marker 1 reset the stats" true
         (roi.cycles < whole.cycles);
-      check_pipeline_telemetry "marker 1" whole)
+      check_pipeline_telemetry "marker 1" whole;
+      check
+        Alcotest.(list (pair string int))
+        "marker 1: cache.* = the whole run's Cache.stats"
+        (cache_counters t_whole)
+        (registered_with ~prefix:"cache."))
 
 (* Publishing happens at every exit of [run] and [run_window], [Ok] or
    [Error], and adds only what is new. *)
@@ -485,7 +512,9 @@ let test_telemetry_exit_paths () =
         (Telemetry.find_counter "pipeline.cycles");
       Telemetry.absorb export;
       check Alcotest.bool "failed window exports its cycles" true
-        (tel_counter "pipeline.cycles" > 0));
+        (tel_counter "pipeline.cycles" > 0);
+      check Alcotest.bool "failed window exports its L1I misses" true
+        (tel_counter "cache.l1i.misses" > 0));
   with_telemetry (fun () ->
       let t, _ = run_pipeline (assemble (penalty_src "marker 1")) in
       let first = registered_with ~prefix:"pipeline." in
