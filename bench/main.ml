@@ -904,17 +904,6 @@ let alu_loop_src =
   "int main() { int i; int s = 0; for (i = 0; i < 1000000; i = i + 1) s = \
    s + i; return s; }"
 
-let warming_digests t =
-  Bor_uarch.Hierarchy.state_digests (Bor_uarch.Pipeline.hierarchy t)
-  @ [
-      ("predictor", Bor_uarch.Predictor.state_digest (Bor_uarch.Pipeline.predictor t));
-      ("btb", Bor_uarch.Btb.state_digest (Bor_uarch.Pipeline.btb t));
-      ("ras", Bor_uarch.Ras.state_digest (Bor_uarch.Pipeline.ras t));
-      ( "lfsr",
-        string_of_int
-          (Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr (Bor_uarch.Pipeline.engine t))) );
-    ]
-
 let warming_row name prog =
   let best_of_3 block =
     let best = ref None in
@@ -937,7 +926,10 @@ let warming_row name prog =
   let t_bc, n_bc, d_bc = best_of_3 true in
   if n_ss <> n_bc then
     failwith (name ^ ": warmed instruction counts diverge between paths");
-  let equal = warming_digests t_ss = warming_digests t_bc in
+  let equal =
+    Bor_uarch.Pipeline.state_digests t_ss
+    = Bor_uarch.Pipeline.state_digests t_bc
+  in
   let bs =
     match Bor_uarch.Pipeline.block_cache t_bc with
     | Some bc -> Bor_uarch.Block.stats bc
@@ -1325,7 +1317,7 @@ let () =
     let telemetry_on = !json_dir <> None in
     flush stdout;
     let outputs =
-      Bor_serve.Pool.map ~domains:n
+      Bor_exec.Pool.map ~domains:n
         ~init:(fun () ->
           (* Fresh domain, fresh domain-local telemetry registry:
              mirror the enable flag before any simulator component

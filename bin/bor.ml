@@ -126,9 +126,10 @@ let parse_rank_bands v =
 
 let parse_ci_target v =
   match float_of_string_opt v with
-  | Some pct when pct >= 0. -> pct
+  | Some pct when Float.is_finite pct && pct >= 0. -> pct
   | _ ->
-    Printf.eprintf "bor: --ci-target %s: expected a percentage >= 0\n" v;
+    Printf.eprintf "bor: --ci-target %s: expected a finite percentage >= 0\n"
+      v;
     exit 2
 
 let read_file = Bor_isa.Toolchain.read_file
@@ -184,12 +185,12 @@ let run_functional ?(trace = 0) (program : Bor_isa.Program.t) =
   let b = Bor_exec.Backend.functional program in
   let m = b.Bor_exec.Backend.machine () in
   for _ = 1 to trace do
-    if not (b.Bor_exec.Backend.halted ()) then begin
+    if not (Bor_sim.Machine.halted m) then begin
       let pc = Bor_sim.Machine.pc m in
       (match Bor_isa.Program.instr_at program pc with
       | Some i -> Printf.printf "  0x%05x  %s\n" pc (Bor_isa.Instr.to_string i)
       | None -> Printf.printf "  0x%05x  <illegal-encoded>\n" pc);
-      b.Bor_exec.Backend.step ()
+      Bor_sim.Machine.step m
     end
   done;
   (match b.Bor_exec.Backend.run () with

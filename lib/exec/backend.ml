@@ -1,6 +1,5 @@
 module Machine = Bor_sim.Machine
 module Pipeline = Bor_uarch.Pipeline
-module Check = Bor_check.Check
 
 type report =
   | Functional of { instructions : int }
@@ -9,36 +8,10 @@ type report =
   | Sampled of Sampled.stats
 
 type t = {
-  name : string;
   machine : unit -> Machine.t;
   pipeline : Pipeline.t option;
-  step : unit -> unit;
-  halted : unit -> bool;
   run : unit -> (report, string) result;
-  state_digests : unit -> (string * string) list;
 }
-
-(* The [run] closures never raise: substrate-specific exceptions
-   (sanitizer violations, oracle faults) unify into the same [Error]
-   strings across backends, which is what lets the differential runner
-   compare legs without per-substrate handlers. *)
-let guard f =
-  try f () with
-  | Check.Violation v -> Error (Check.to_string v)
-  | Machine.Fault { pc; message } ->
-    Error (Printf.sprintf "oracle fault at 0x%x: %s" pc message)
-  | Bor_sim.Memory.Fault m -> Error m
-
-let uarch_digests p () =
-  Bor_uarch.Hierarchy.state_digests (Pipeline.hierarchy p)
-  @ [
-      ("predictor", Bor_uarch.Predictor.state_digest (Pipeline.predictor p));
-      ("btb", Bor_uarch.Btb.state_digest (Pipeline.btb p));
-      ("ras", Bor_uarch.Ras.state_digest (Pipeline.ras p));
-      ( "lfsr",
-        string_of_int (Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr (Pipeline.engine p)))
-      );
-    ]
 
 let functional ?brr_mode ?max_steps prog =
   let m =
@@ -47,69 +20,38 @@ let functional ?brr_mode ?max_steps prog =
     | None -> Machine.create prog
   in
   {
-    name = "functional";
     machine = (fun () -> m);
     pipeline = None;
-    step = (fun () -> Machine.step m);
-    halted = (fun () -> Machine.halted m);
     run =
       (fun () ->
-        guard (fun () ->
-            match Machine.run ?max_steps m with
-            | Ok n -> Ok (Functional { instructions = n })
-            | Error e -> Error e));
-    state_digests = (fun () -> []);
+        Pipeline.guard (fun () ->
+            Result.map
+              (fun n -> Functional { instructions = n })
+              (Machine.run ?max_steps m)));
   }
 
-let pipeline_backed ~name p run =
-  {
-    name;
-    machine = (fun () -> Pipeline.oracle p);
-    pipeline = Some p;
-    step = (fun () -> Pipeline.step_cycle p);
-    halted = (fun () -> Pipeline.halted p);
-    run;
-    state_digests = uarch_digests p;
-  }
+let pipeline_backed p run =
+  { machine = (fun () -> Pipeline.oracle p); pipeline = Some p; run }
 
 let detailed ?config ?reuse ?max_cycles prog =
   let p = Pipeline.create ?config ?reuse prog in
-  pipeline_backed ~name:"detailed" p (fun () ->
-      guard (fun () ->
-          match Pipeline.run ?max_cycles p with
-          | Ok s -> Ok (Detailed s)
-          | Error e -> Error e))
+  pipeline_backed p (fun () ->
+      Result.map (fun s -> Detailed s) (Pipeline.run ?max_cycles p))
 
 let warming ?config ?max_steps prog =
   let p = Pipeline.create ?config prog in
-  let b =
-    pipeline_backed ~name:"warming" p (fun () ->
-        guard (fun () ->
-            Ok (Warmed { instructions = Pipeline.run_warming ?max_steps p })))
-  in
-  {
-    b with
-    step = (fun () -> Pipeline.warm_step p);
-    halted = (fun () -> Machine.halted (Pipeline.oracle p));
-  }
+  pipeline_backed p (fun () ->
+      Pipeline.guard (fun () ->
+          Ok (Warmed { instructions = Pipeline.run_warming ?max_steps p })))
 
 let sampled ?config ~plan ?domains ?rank_bands ?ci_target ?runner ?max_cycles
     prog =
   let p = Pipeline.create ?config prog in
-  let b =
-    pipeline_backed ~name:"sampled" p (fun () ->
-        match
-          Sampled.run_on ?max_cycles ~plan ?domains ?rank_bands ?ci_target
-            ?runner p
-        with
-        | Ok s -> Ok (Sampled s)
-        | Error e -> Error e)
-  in
-  {
-    b with
-    step = (fun () -> Pipeline.warm_step p);
-    halted = (fun () -> Machine.halted (Pipeline.oracle p));
-  }
+  pipeline_backed p (fun () ->
+      Result.map
+        (fun s -> Sampled s)
+        (Sampled.run_on ?max_cycles ~plan ?domains ?rank_bands ?ci_target
+           ?runner p))
 
 let resume ?config ?max_cycles ck prog =
   let p = Pipeline.create ?config prog in
@@ -117,11 +59,8 @@ let resume ?config ?max_cycles ck prog =
   | Error e -> Error e
   | Ok () ->
     Ok
-      (pipeline_backed ~name:"resume" p (fun () ->
-           guard (fun () ->
-               match Pipeline.run ?max_cycles p with
-               | Ok s -> Ok (Detailed s)
-               | Error e -> Error e)))
+      (pipeline_backed p (fun () ->
+           Result.map (fun s -> Detailed s) (Pipeline.run ?max_cycles p)))
 
 let names = [ "functional"; "detailed"; "warming"; "sampled" ]
 

@@ -2,13 +2,12 @@
 
     The repo has four execution substrates — the functional oracle, the
     detailed ring-buffer pipeline, the functional-warming path, and
-    sampled simulation — and every driver ([bor time], [bor cctime],
-    [bench/main.ml], the fuzzer's differential runner, the QCheck
-    suite) used to wire them up by hand. A {!t} packages one substrate
-    behind a uniform surface: create (from a program, or from a
-    {!Checkpoint}), single-step, run to a budget, read the
-    architectural machine, and digest the warmed state, so all drivers
-    go through one code path. *)
+    sampled simulation. A {!t} packages one of them, created from a
+    program (or from a {!Checkpoint}), behind the three things its
+    callers read: the architectural machine, the timing pipeline (when
+    there is one), and a [run] that never raises. Callers that need
+    more — single-stepping, warmed-state digests — use {!Bor_sim.Machine}
+    and {!Bor_uarch.Pipeline} directly. *)
 
 type report =
   | Functional of { instructions : int }
@@ -18,24 +17,17 @@ type report =
       (** What a completed run measured, per substrate. *)
 
 type t = {
-  name : string;  (** substrate name: functional/detailed/warming/sampled *)
   machine : unit -> Bor_sim.Machine.t;
       (** the architectural machine (the oracle, for pipeline-backed
           substrates) — final registers, memory, stats *)
   pipeline : Bor_uarch.Pipeline.t option;
       (** the underlying timing pipeline, when the substrate has one —
-          for driver-specific extras (tracers, retired-brr logs) *)
-  step : unit -> unit;
-      (** advance one unit: an instruction (functional, warming) or a
-          cycle (detailed); may raise the substrate's own faults —
-          interactive drivers that step also handle *)
-  halted : unit -> bool;
+          for driver-specific extras (cycle counts, warmed-state
+          digests, retired-brr logs) *)
   run : unit -> (report, string) result;
       (** run to completion or budget; never raises — simulator errors,
-          sanitizer violations and oracle faults come back as [Error] *)
-  state_digests : unit -> (string * string) list;
-      (** named digests of the warmed microarchitectural structures;
-          empty for the purely functional substrate *)
+          sanitizer violations and oracle faults come back as [Error]
+          through {!Bor_uarch.Pipeline.guard} *)
 }
 
 val functional :
@@ -57,8 +49,9 @@ val warming :
   ?config:Bor_uarch.Config.t -> ?max_steps:int -> Bor_isa.Program.t -> t
 (** Pure functional warming to completion. [run] goes through
     {!Bor_uarch.Pipeline.run_warming} — and so, by default, the block
-    translation cache ([docs/WARMING.md]); [step] single-steps the
-    reference path. Either way the warmed state is bit-identical. *)
+    translation cache ([docs/WARMING.md]); the warmed state is
+    bit-identical to single-stepping with
+    {!Bor_uarch.Pipeline.warm_step}. *)
 
 val sampled :
   ?config:Bor_uarch.Config.t ->
@@ -71,8 +64,8 @@ val sampled :
   Bor_isa.Program.t ->
   t
 (** The sampled substrate: [run] drives {!Sampled.run_on} on the
-    backend's sweep pipeline; [step] single-steps functional warming;
-    [machine]/[state_digests] expose the sweep's final state.
+    backend's sweep pipeline; [machine]/[pipeline] expose the sweep's
+    final state.
     [rank_bands]/[ci_target] enable ranked-set window selection and
     online CI stopping, [runner] an external window executor such as
     the serve global window queue (see {!Sampled.run_on}). *)

@@ -4,7 +4,6 @@ module Hierarchy = Bor_uarch.Hierarchy
 module Cache = Bor_uarch.Cache
 module Sampling_plan = Bor_uarch.Sampling_plan
 module Telemetry = Bor_telemetry.Telemetry
-module Check = Bor_check.Check
 module Rank = Bor_sampling.Rank
 module Stopping = Bor_sampling.Stopping
 
@@ -122,7 +121,8 @@ let queue_runner ~domains ~config ctx =
 let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
     ?(rank_bands = 1) ?(ci_target = 0.) ?runner t =
   if rank_bands < 1 then Error "rank bands must be >= 1 (--rank-bands)"
-  else if ci_target < 0. then Error "CI target must be >= 0 (--ci-target)"
+  else if not (Float.is_finite ci_target && ci_target >= 0.) then
+    Error "CI target must be a finite number >= 0 (--ci-target)"
   else
     let oracle = Pipeline.oracle t in
     if
@@ -217,12 +217,13 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
       (* Early-stop machinery. [stop_flag] is advisory: it tells the
          sweep to stop capturing and dispatching further windows. It is
          raised by [advance_stopping], an in-order fold over the
-         contiguous prefix of completed window results — exactly the
-         fold the merge below re-runs from scratch — so it can fire no
-         earlier than the true stop index. Inline the fold runs after
-         every window, making the flag exact; off-thread it runs under
-         the results mutex as windows land, so a few extra windows may
-         get dispatched first (they are discarded at merge). Either way the sweep itself always warms to the end of
+         contiguous prefix of completed window results, so it fires
+         exactly at the stop index, after folding that window, with
+         [next_obs] one past it. Inline the fold runs after every
+         window, so nothing is dispatched past the stop; off-thread it
+         runs under the results mutex as windows land, so a few extra
+         windows may get dispatched first (they are discarded at
+         merge). Either way the sweep itself always warms to the end of
          the program: the savings are skipped windows, never skipped
          warming, and [sp_instructions]/[sp_warmed] stay identical at
          every domain count and stop target. *)
@@ -372,7 +373,7 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
           | Some sel_pay -> select sel_pay
           | None -> ())
       in
-      try
+      Pipeline.guard (fun () ->
         let r =
           match runner with
           | Some make -> make ctx
@@ -401,20 +402,17 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
            estimate in schedule order, telemetry deltas absorb in the
            same order, and the first failing window (by index, not by
            completion time) decides the error — all independent of
-           which domain ran what when. The stopping rule is re-folded
-           here from scratch over the same in-order stream the advisory
-           fold saw, so the merged prefix — hence every reported number
-           and every absorbed delta — is a pure function of the
-           schedule. Results past the stop index (off-thread dispatch
-           overrun) are dropped wholesale, telemetry included. *)
-        let merge_stop =
-          if ci_target > 0. then
-            Some (Stopping.create ~target_pct:ci_target ())
-          else None
-        in
-        let stopped = ref false in
+           which domain ran what when. Every index has been delivered
+           once [r_drain] returns, so the stopping fold has seen the
+           whole in-order prefix: the merge stops where it stopped, and
+           the merged prefix — hence every reported number and every
+           absorbed delta — is a pure function of the schedule. Results
+           past the stop index (off-thread dispatch overrun) are
+           dropped wholesale, telemetry included. *)
+        let stopped = Atomic.get stop_flag in
+        let bound = if stopped then !next_obs else !njobs in
         let merged = ref 0 in
-        while (not !stopped) && !err = None && !merged < !njobs do
+        while !err = None && !merged < bound do
           (match Hashtbl.find_opt results !merged with
           | None -> err := Some "internal error: window result missing"
           | Some { e_result = Error e; _ } -> err := Some e
@@ -424,12 +422,7 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
             | Some (cycles, instrs) ->
               let cpi = float_of_int cycles /. float_of_int instrs in
               samples := cpi :: !samples;
-              incr windows;
-              (match merge_stop with
-              | Some s ->
-                Stopping.observe s cpi;
-                if Stopping.satisfied s then stopped := true
-              | None -> ())
+              incr windows
             | None -> ());
             detailed := !detailed + w.Pipeline.w_detailed;
             dcycles := !dcycles + w.Pipeline.w_cycles);
@@ -463,7 +456,7 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
             Telemetry.add tc_target
               (int_of_float ((ci_target *. 1000.) +. 0.5));
             Telemetry.add tc_obs !windows;
-            Telemetry.add tc_stopped (if !stopped then 1 else 0));
+            Telemetry.add tc_stopped (if stopped then 1 else 0));
           Ok
             {
               sp_windows = !windows;
@@ -474,11 +467,6 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
               sp_cpi = est.Sampling_plan.cpi_mean;
               sp_cpi_ci95 = est.Sampling_plan.cpi_ci95;
               sp_cycles_estimate = est.Sampling_plan.cycles_estimate;
-              sp_stopped = !stopped;
-            }
-      with
-      | Check.Violation v -> Error (Check.to_string v)
-      | Machine.Fault { pc; message } ->
-        Error (Printf.sprintf "oracle fault at 0x%x: %s" pc message)
-      | Bor_sim.Memory.Fault m -> Error m
+              sp_stopped = stopped;
+            })
     end

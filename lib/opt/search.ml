@@ -3,7 +3,7 @@ module Program = Bor_isa.Program
 module Gen = Bor_gen.Gen
 module Diff = Bor_gen.Diff
 module Corpus = Bor_gen.Corpus
-module Pool = Bor_serve.Pool
+module Pool = Bor_exec.Pool
 module Telemetry = Bor_telemetry.Telemetry
 module Json = Bor_telemetry.Json
 

@@ -7,7 +7,7 @@
     best), each with a fresh seed drawn from the master PRNG {e before}
     the chains run; chains are pure functions of their seed, so the
     result is byte-identical at every [domains] setting — parallelism
-    ([Bor_serve.Pool]) only changes wall-clock. Proposals come from
+    ([Bor_exec.Pool]) only changes wall-clock. Proposals come from
     {!Bor_gen.Gen.apply_move}, costs from {!Cost}, and the best-so-far
     only ever moves to {e equivalent} candidates (zero filter
     mismatches, oracle-measured).

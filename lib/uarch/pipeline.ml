@@ -214,7 +214,6 @@ let reg_zero = Bor_isa.Reg.to_int Bor_isa.Reg.zero
 
 type t = {
   cfg : Config.t;
-  program : Bor_isa.Program.t;
   code : Bor_isa.Instr.t array; (* program.text, for option-free fetch *)
   code_base : int;
   oracle : Bor_sim.Machine.t;
@@ -289,18 +288,12 @@ type t = {
   mutable halted_decoded : bool;
   mutable halt_committed : bool;
   mutable roi_frozen : bool;
-  (* Sampled simulation (see [run_window] and [Bor_exec.Sampled]). All
-     of this is inert in a plain full-detail run: [sampling] stays
-     false, the shadows are never read, and [committed] is a plain
-     field increment. *)
-  mutable sampling : bool;  (* inside a detailed window of a sampled run *)
-  mutable committed : int;  (* retired instructions, whole run *)
+  mutable committed : int;
+      (* retired instructions, whole run: [run_window]'s commit target *)
   mutable warm_mispred : int;
       (* warming-model mispredicts on the single-step path; the block
          path counts its own in Block.stats — [warm_mispredicts] sums
          both. A ranked-sampling feature, not warmed state. *)
-  mutable arch_ghist : int;  (* retired-order shadow global history *)
-  arch_ras : Ras.snapshot;  (* retired-order shadow return stack *)
   warm_mru : Block.mru;
       (* last icache/dcache line bases touched by warming, shared with
          the block translation cache so the dedup carries across the
@@ -316,16 +309,12 @@ type t = {
   tel_cache : Hierarchy.t Telemetry.family;  (* cache.*, from [hier] *)
   tel_occupancy : Telemetry.histogram;
   tel_run : Telemetry.span;
-  (* Sanitizer bookkeeping (see [sanitize_cycle]). [san_dropped] is
-     maintained unconditionally — [exit_detail] is per-window, not
-     per-cycle — so the oracle-balance invariant holds no matter when
-     the sanitizer is switched on. The rest is only touched under
+  (* Sanitizer bookkeeping (see [sanitize_cycle]), only touched under
      [!Check.on] or in already-rare paths (squash). *)
   mutable san_prev_head : int;
   mutable san_prev_tail : int;
   mutable san_tail_cut : bool;  (* a squash truncated the tail this cycle *)
   mutable san_last_commit_seq : int;
-  mutable san_dropped : int;  (* correct-path entries [exit_detail] discarded *)
   mutable san_tick : int;
   mutable retired_brr : Bytes.t;  (* oldest first, grown up to the cap *)
   mutable retired_brr_len : int;  (* stored = min (total, cap) *)
@@ -369,7 +358,6 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
   let old f = Option.map f reuse in
   {
     cfg = config;
-    program;
     code = program.Bor_isa.Program.text;
     code_base = program.Bor_isa.Program.text_base;
     oracle =
@@ -429,10 +417,7 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
     halted_decoded = false;
     halt_committed = false;
     roi_frozen = false;
-    sampling = false;
     committed = 0;
-    arch_ghist = 0;
-    arch_ras = Ras.blank_snapshot ras;
     warm_mispred = 0;
     warm_mru = Block.fresh_mru ();
     blockcache = None;
@@ -453,7 +438,6 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
     san_prev_tail = 0;
     san_tail_cut = false;
     san_last_commit_seq = -1;
-    san_dropped = 0;
     san_tick = 0;
     retired_brr =
       Bytes.create (max 0 (min config.Config.retired_brr_cap 1024));
@@ -482,16 +466,31 @@ exception Sim_error of string
 
 let sim_error fmt = Printf.ksprintf (fun m -> raise (Sim_error m)) fmt
 
+let guard f =
+  try f () with
+  | Sim_error m -> Error m
+  | Check.Violation v -> Error (Check.to_string v)
+  | Bor_sim.Machine.Fault { pc; message } ->
+    Error (Printf.sprintf "oracle fault at 0x%x: %s" pc message)
+  | Bor_sim.Memory.Fault m -> Error m
+
 (* ------------------------------------------------------- Sanitizer *)
 
-(* State dump attached to every violation: the [state_digest] of each
-   long-lived structure plus the pipeline scalars that localize a bug. *)
-let san_state t =
+let state_digests t =
   Hierarchy.state_digests t.hier
   @ [
-      ("ras", Ras.state_digest t.ras);
-      ("pred", Predictor.state_digest t.pred);
+      ("predictor", Predictor.state_digest t.pred);
       ("btb", Btb.state_digest t.btb);
+      ("ras", Ras.state_digest t.ras);
+      ( "lfsr",
+        string_of_int (Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr t.engine)) );
+    ]
+
+(* State dump attached to every violation: the warmed-state digests
+   plus the pipeline scalars that localize a bug. *)
+let san_state t =
+  state_digests t
+  @ [
       ( "rob",
         Printf.sprintf "head=%d tail=%d mask=%d issue_scan=%d" t.rob_head
           t.rob_tail t.rob_mask t.issue_scan );
@@ -502,10 +501,8 @@ let san_state t =
           t.next_seq t.resolver t.resolver_pos t.wrong_path_decode
           t.spec_brr_len );
       ( "counts",
-        Printf.sprintf "committed=%d oracle=%d dropped=%d"
-          t.committed
-          (Bor_sim.Machine.stats t.oracle).Bor_sim.Machine.instructions
-          t.san_dropped );
+        Printf.sprintf "committed=%d oracle=%d" t.committed
+          (Bor_sim.Machine.stats t.oracle).Bor_sim.Machine.instructions );
     ]
 
 let san_fail t ?pos ~invariant fmt =
@@ -560,7 +557,6 @@ let sanitize_heavy t =
   san_enrich t (fun () ->
       Hierarchy.check ~cycle:t.cycle t.hier;
       Ras.check ~cycle:t.cycle t.ras;
-      Ras.check_snapshot ~cycle:t.cycle t.arch_ras;
       Bor_sim.Machine.check ~cycle:t.cycle t.oracle);
   Hashtbl.iter
     (fun word pos ->
@@ -589,9 +585,9 @@ let sanitize_heavy t =
   Check.count 3
 
 let sanitize_cycle t =
-  (* Ring shape and monotonicity. Head only advances (commit /
-     exit_detail); the tail only recedes through a squash, which
-     announces itself via [san_tail_cut]. *)
+  (* Ring shape and monotonicity. Head only advances (commit); the tail
+     only recedes through a squash, which announces itself via
+     [san_tail_cut]. *)
   if t.rob_head < 0 || t.rob_head > t.rob_tail then
     san_fail t ~invariant:"rob-shape" "head=%d tail=%d" t.rob_head t.rob_tail;
   if t.rob_tail - t.rob_head > t.rob_mask + 1 then
@@ -720,17 +716,15 @@ let sanitize_cycle t =
           "producer of x%d writes no register" r
   done;
   (* Oracle lockstep balance: every oracle step is accounted for by a
-     retirement, a live correct-path entry, or a window [exit_detail]
-     dropped. *)
+     retirement or a live correct-path entry. *)
   let oinsns =
     (Bor_sim.Machine.stats t.oracle).Bor_sim.Machine.instructions
   in
-  if oinsns <> t.committed + !live_correct + t.san_dropped then
+  if oinsns <> t.committed + !live_correct then
     san_fail t ~invariant:"oracle-balance"
-      "oracle ran %d instructions; committed %d + in-flight %d + dropped %d \
-       = %d"
-      oinsns t.committed !live_correct t.san_dropped
-      (t.committed + !live_correct + t.san_dropped);
+      "oracle ran %d instructions; committed %d + in-flight %d = %d" oinsns
+      t.committed !live_correct
+      (t.committed + !live_correct);
   Check.count (10 + (4 * (t.rob_tail - t.rob_head)) + Array.length t.producer);
   t.san_tick <- t.san_tick + 1;
   if t.san_tick land 1023 = 0 then sanitize_heavy t
@@ -1043,9 +1037,6 @@ let decode_one t fslot =
       | Some f ->
         f (Brr_resolved { cycle = t.cycle; pc = fpc; taken = outcome }));
       let actual_next = if outcome then fpc + (4 * boff) else fpc + 4 in
-      if t.sampling && fflags land fqf_pred <> 0 && t.cfg.Config.brr_in_predictor
-      then
-        t.arch_ghist <- Predictor.shift_into t.pred t.arch_ghist ~taken:outcome;
       (* Pollution ablation: even though resolution stays in decode, the
          predictor tables, history and BTB see this branch. *)
       if fflags land fqf_pred <> 0 && t.cfg.Config.brr_in_predictor
@@ -1151,23 +1142,6 @@ let decode_one t fslot =
     let actual_taken = !actual_taken in
     let actual_next = !actual_next in
     let mem_addr = !mem_addr in
-    (* Sampled-run shadows: retired-order history and return stack,
-       maintained at correct-path decode (= program order), so a
-       detailed window can be abandoned and warming resumed from a
-       consistent architectural point. *)
-    if t.sampling && not wrong_path then begin
-      match instr with
-      | Branch _ ->
-        t.arch_ghist <-
-          Predictor.shift_into t.pred t.arch_ghist ~taken:actual_taken
-      | Brr _ when fflags land fqf_pred <> 0 ->
-        t.arch_ghist <-
-          Predictor.shift_into t.pred t.arch_ghist ~taken:!brr_outcome
-      | Jal (rd, _) when Bor_isa.Reg.equal rd Bor_isa.Reg.ra ->
-        Ras.snapshot_push t.arch_ras (fpc + 4)
-      | Jalr _ when is_return instr -> Ras.snapshot_pop t.arch_ras
-      | _ -> ()
-    end;
     (* Memory dependencies: a load waits for the youngest in-flight
        store to the same word (store-to-load forwarding); a store
        becomes the new youngest. *)
@@ -1481,6 +1455,13 @@ let publish t =
   Telemetry.publish t.tel t.stats;
   Telemetry.publish t.tel_cache t.hier
 
+(* The region of interest closes — at [marker 2], or at a halt inside
+   it: the cache-miss fields take the caches' counts. *)
+let freeze_cache_misses t =
+  t.stats.l1i_misses <- (Cache.stats (Hierarchy.l1i t.hier)).misses;
+  t.stats.l1d_misses <- (Cache.stats (Hierarchy.l1d t.hier)).misses;
+  t.stats.l2_misses <- (Cache.stats (Hierarchy.l2 t.hier)).misses
+
 (* [marker 1] opens the region of interest: publish the prefix the
    resets are about to discard, then start the records over. *)
 let marker_commit t n =
@@ -1494,9 +1475,7 @@ let marker_commit t n =
   end
   else if n = 2 then begin
     t.roi_frozen <- true;
-    t.stats.l1i_misses <- (Cache.stats (Hierarchy.l1i t.hier)).misses;
-    t.stats.l1d_misses <- (Cache.stats (Hierarchy.l1d t.hier)).misses;
-    t.stats.l2_misses <- (Cache.stats (Hierarchy.l2 t.hier)).misses
+    freeze_cache_misses t
   end
 
 let commit t =
@@ -1569,7 +1548,6 @@ let commit t =
 (* ----------------------------------------------------------------- Run *)
 
 let cycle t = t.cycle
-let halted t = t.halt_committed
 
 let step_cycle t =
   if t.halt_committed then ()
@@ -1682,37 +1660,35 @@ let quiesce_skip t ~limit =
     t.cycle <- c + k
   end
 
+(* The detailed loop: run cycles until [t.committed] reaches [target],
+   the pipeline halts, or the budget runs out. [run] drives it with no
+   commit target, [run_window] once per window phase. *)
+let detail_until t ~target ~max_cycles =
+  let rec go () =
+    if t.halt_committed || t.committed >= target then Ok ()
+    else if t.cycle >= max_cycles then Error "cycle budget exhausted"
+    else if
+      rob_occ t = 0 && t.fq_head >= t.fq_tail && t.fetch_pc < 0
+      && not t.halted_decoded
+    then Error "front end deadlocked (fetch lost with empty ROB)"
+    else begin
+      step_cycle t;
+      if t.idle_cycle && not t.halt_committed then
+        quiesce_skip t ~limit:max_cycles;
+      go ()
+    end
+  in
+  go ()
+
 let run ?(max_cycles = 2_000_000_000) t =
   Fun.protect ~finally:(fun () -> publish t) @@ fun () ->
-  try
-    let rec go () =
-      if t.halt_committed then begin
-        if not t.roi_frozen then begin
-          t.stats.l1i_misses <- (Cache.stats (Hierarchy.l1i t.hier)).misses;
-          t.stats.l1d_misses <- (Cache.stats (Hierarchy.l1d t.hier)).misses;
-          t.stats.l2_misses <- (Cache.stats (Hierarchy.l2 t.hier)).misses
-        end;
-        Telemetry.record t.tel_run t.cycle;
-        Ok t.stats
-      end
-      else if t.cycle >= max_cycles then Error "cycle budget exhausted"
-      else if
-        rob_occ t = 0 && t.fq_head >= t.fq_tail && t.fetch_pc < 0
-        && not t.halted_decoded
-      then Error "front end deadlocked (fetch lost with empty ROB)"
-      else begin
-        step_cycle t;
-        if t.idle_cycle && not t.halt_committed then
-          quiesce_skip t ~limit:max_cycles;
-        go ()
-      end
-    in
-    go ()
-  with
-  | Sim_error m -> Error m
-  | Check.Violation v -> Error (Check.to_string v)
-  | Bor_sim.Machine.Fault { pc; message } ->
-    Error (Printf.sprintf "oracle fault at 0x%x: %s" pc message)
+  guard @@ fun () ->
+  match detail_until t ~target:max_int ~max_cycles with
+  | Error e -> Error e
+  | Ok () ->
+    if not t.roi_frozen then freeze_cache_misses t;
+    Telemetry.record t.tel_run t.cycle;
+    Ok t.stats
 
 (* ------------------------------------------- Sampled simulation *)
 
@@ -2035,9 +2011,6 @@ let run_warming ?max_steps t =
   done;
   !total
 
-(* Hand over from functional warming to the detailed pipeline: point
-   fetch at the oracle's pc and snapshot the architectural history and
-   return stack so [exit_detail] can restore them after the window. *)
 (* Point fetch at the oracle's pc — the handover after functional
    warming or a checkpoint restore, where the front end must start
    fetching from wherever the architectural state says execution is. *)
@@ -2045,32 +2018,6 @@ let resume_fetch t =
   t.fetch_pc <- Bor_sim.Machine.pc t.oracle;
   t.fetch_stall_until <- t.cycle;
   t.halted_decoded <- false
-
-let enter_detail t =
-  t.sampling <- true;
-  t.arch_ghist <- Predictor.ghist t.pred;
-  Ras.save_into t.ras t.arch_ras;
-  resume_fetch t
-
-(* Run detailed cycles until [t.committed] reaches [target], the
-   pipeline halts, or the budget runs out — the [run] loop with a
-   commit-count stopping condition. *)
-let detail_until t ~target ~max_cycles =
-  let rec go () =
-    if t.halt_committed || t.committed >= target then Ok ()
-    else if t.cycle >= max_cycles then Error "cycle budget exhausted"
-    else if
-      rob_occ t = 0 && t.fq_head >= t.fq_tail && t.fetch_pc < 0
-      && not t.halted_decoded
-    then Error "front end deadlocked (fetch lost with empty ROB)"
-    else begin
-      step_cycle t;
-      if t.idle_cycle && not t.halt_committed then
-        quiesce_skip t ~limit:max_cycles;
-      go ()
-    end
-  in
-  go ()
 
 type window_result = {
   w_sample : (int * int) option;
@@ -2088,7 +2035,7 @@ type window_result = {
    0). *)
 let run_window ?(max_cycles = 2_000_000_000) ~warmup ~window t =
   Fun.protect ~finally:(fun () -> publish t) @@ fun () ->
-  enter_detail t;
+  resume_fetch t;
   let finish sample =
     Ok
       {
@@ -2098,21 +2045,16 @@ let run_window ?(max_cycles = 2_000_000_000) ~warmup ~window t =
         w_cycles = t.cycle;
       }
   in
-  try
-    match detail_until t ~target:(t.committed + warmup) ~max_cycles with
-    | Error e -> Error e
-    | Ok () ->
-      if t.halt_committed then finish None
-      else begin
-        let c1 = t.cycle and i1 = t.committed in
-        match detail_until t ~target:(i1 + window) ~max_cycles with
-        | Error e -> Error e
-        | Ok () ->
-          let got = t.committed - i1 in
-          finish (if got > 0 then Some (t.cycle - c1, got) else None)
-      end
-  with
-  | Sim_error m -> Error m
-  | Check.Violation v -> Error (Check.to_string v)
-  | Bor_sim.Machine.Fault { pc; message } ->
-    Error (Printf.sprintf "oracle fault at 0x%x: %s" pc message)
+  guard @@ fun () ->
+  match detail_until t ~target:(t.committed + warmup) ~max_cycles with
+  | Error e -> Error e
+  | Ok () ->
+    if t.halt_committed then finish None
+    else begin
+      let c1 = t.cycle and i1 = t.committed in
+      match detail_until t ~target:(i1 + window) ~max_cycles with
+      | Error e -> Error e
+      | Ok () ->
+        let got = t.committed - i1 in
+        finish (if got > 0 then Some (t.cycle - c1, got) else None)
+    end

@@ -93,13 +93,6 @@ val create : ?config:Config.t -> ?reuse:t -> Bor_isa.Program.t -> t
 val cycle : t -> int
 (** Current cycle number. *)
 
-val halted : t -> bool
-(** The program's [halt] has committed. *)
-
-val step_cycle : t -> unit
-(** Advance the machine one cycle (no-op once halted) — for interactive
-    drivers; {!run} is the batch loop. *)
-
 val run : ?max_cycles:int -> t -> (stats, string) result
 (** Simulate until the program halts (or [max_cycles], default 2e9 —
     an error). When the program brackets a region of interest with
@@ -113,8 +106,16 @@ val run : ?max_cycles:int -> t -> (stats, string) result
     [marker 1] just before the resets, so they also count the prefix
     the statistics discard. [cache.*] is also published at every exit
     of {!run_warming}. A publish adds only what is new since the last
-    one, so a pipeline driven by {!step_cycle} or {!warm_step} shows
-    its events at its next publishing exit. *)
+    one, so a pipeline driven by {!warm_step} shows its events at its
+    next publishing exit. *)
+
+val guard : (unit -> ('a, string) result) -> ('a, string) result
+(** [guard f] runs [f], turning a simulator error, a sanitizer
+    violation ({!Bor_check.Check.Violation}), an oracle fault
+    ({!Bor_sim.Machine.Fault}, reported with its pc)
+    or a memory fault into [Error] — the one fault boundary behind
+    {!run}, {!run_window} and every [Bor_exec] backend, so each failure
+    reads the same whichever substrate hit it. *)
 
 val oracle : t -> Bor_sim.Machine.t
 (** The functional model, for reading final architectural state. *)
@@ -186,8 +187,15 @@ val predictor : t -> Predictor.t
 val btb : t -> Btb.t
 val ras : t -> Ras.t
 val hierarchy : t -> Hierarchy.t
-(** Warmed-structure accessors, for state-digest comparisons (and for
-    {!Bor_exec.Checkpoint}'s state export/import). *)
+(** Warmed-structure accessors, for {!Bor_exec.Checkpoint}'s state
+    export/import. *)
+
+val state_digests : t -> (string * string) list
+(** One named digest per warmed structure: [l1i], [l1d], [l2],
+    [predictor], [btb], [ras] and [lfsr] (the engine's register). Two
+    pipelines with equal digests hold the same warmed state — what the
+    warming-equivalence and checkpoint tests compare, and the head of
+    every sanitizer violation's state dump. *)
 
 val resume_fetch : t -> unit
 (** Point fetch at the oracle's current pc — the handover after seeding

@@ -118,9 +118,6 @@ let recover t (p : prediction) ~taken =
 let ghist t = t.ghist
 let restore_ghist t h = t.ghist <- h land t.ghist_mask
 
-let shift_into t h ~taken =
-  ((h lsl 1) lor Bool.to_int taken) land t.ghist_mask
-
 type state = {
   s_gshare : Bytes.t;
   s_bimodal : Bytes.t;

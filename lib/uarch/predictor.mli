@@ -50,12 +50,6 @@ val restore_ghist : t -> int -> unit
     resolvers that never consulted the direction predictor, e.g.
     mispredicted returns). *)
 
-val shift_into : t -> int -> taken:bool -> int
-(** [shift_into t h ~taken] appends one resolved direction to a history
-    value [h] under [t]'s mask, without touching [t]'s own speculative
-    history — used to maintain the architectural (retired-order) shadow
-    history during sampled simulation. *)
-
 type state = {
   s_gshare : Bytes.t;
   s_bimodal : Bytes.t;

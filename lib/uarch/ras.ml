@@ -83,23 +83,6 @@ let restore t s =
   t.top <- s.s_top;
   t.depth <- s.s_depth
 
-(* Shadow-stack operations on a snapshot, so the pipeline can maintain
-   an architectural (retired-order) RAS during sampled simulation
-   without touching the real stack or its telemetry. *)
-
-let snapshot_push s v =
-  let len = Array.length s.s_stack in
-  s.s_stack.(s.s_top) <- v;
-  s.s_top <- (s.s_top + 1) mod len;
-  s.s_depth <- min (s.s_depth + 1) len
-
-let snapshot_pop s =
-  if s.s_depth > 0 then begin
-    let len = Array.length s.s_stack in
-    s.s_top <- (s.s_top + len - 1) mod len;
-    s.s_depth <- s.s_depth - 1
-  end
-
 let check_shape ?cycle ~component ~what len top depth =
   let module Check = Bor_check.Check in
   if top < 0 || top >= len then

@@ -35,21 +35,14 @@ val save_into : t -> snapshot -> unit
 
 val restore : t -> snapshot -> unit
 
-val snapshot_push : snapshot -> int -> unit
-(** Push directly onto a snapshot (same wrap-on-overflow semantics as
-    {!push}, no telemetry) — the sampled-simulation shadow stack. *)
-
-val snapshot_pop : snapshot -> unit
-(** Pop a snapshot; no-op when empty. *)
-
 val check : ?cycle:int -> t -> unit
 (** Sanitizer pass: [top] is a valid index and [depth] lies in
     [[0, entries]]. Raises {!Bor_check.Check.Violation} (component
     ["ras"]). Unconditional — callers gate on [!Bor_check.Check.on]. *)
 
 val check_snapshot : ?cycle:int -> snapshot -> unit
-(** Same shape invariants for a snapshot (they mutate via
-    {!snapshot_push}/{!snapshot_pop}, so they can rot independently). *)
+(** Same shape invariants for a snapshot — the pipeline audits every
+    in-flight branch's saved stack with it. *)
 
 val snapshot_geometry_matches : t -> snapshot -> bool
 (** Whether the snapshot's buffer matches the stack's entry count —

@@ -33,17 +33,6 @@ let plan_exn s =
   | Ok p -> p
   | Error e -> Alcotest.fail e
 
-let lfsr_of p = Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr (Pipeline.engine p))
-
-let uarch_digests p =
-  Bor_uarch.Hierarchy.state_digests (Pipeline.hierarchy p)
-  @ [
-      ("predictor", Bor_uarch.Predictor.state_digest (Pipeline.predictor p));
-      ("btb", Bor_uarch.Btb.state_digest (Pipeline.btb p));
-      ("ras", Bor_uarch.Ras.state_digest (Pipeline.ras p));
-      ("lfsr", string_of_int (lfsr_of p));
-    ]
-
 (* Warm a fresh pipeline partway into the program and capture it. *)
 let warmed_checkpoint ?(steps = 20_000) prog =
   let p = Pipeline.create prog in
@@ -67,7 +56,9 @@ let test_restore_matches_capture () =
   | Error e -> Alcotest.fail e);
   check
     Alcotest.(list (pair string string))
-    "microarchitectural state digests" (uarch_digests src) (uarch_digests dst);
+    "microarchitectural state digests"
+    (Pipeline.state_digests src)
+    (Pipeline.state_digests dst);
   let ms = Pipeline.oracle src and md = Pipeline.oracle dst in
   check Alcotest.int "pc" (Machine.pc ms) (Machine.pc md);
   for i = 0 to Bor_isa.Reg.count - 1 do
@@ -92,7 +83,8 @@ let test_resumed_run_deterministic () =
     | Error e -> Alcotest.fail e
     | Ok b -> (
       match b.Backend.run () with
-      | Ok (Backend.Detailed st) -> (st, b.Backend.state_digests ())
+      | Ok (Backend.Detailed st) ->
+        (st, Pipeline.state_digests (Option.get b.Backend.pipeline))
       | Ok _ -> Alcotest.fail "resume reported a non-detailed result"
       | Error e -> Alcotest.fail e)
   in
@@ -232,11 +224,12 @@ let test_checkpoint_rebuilds_block_cache () =
   check
     Alcotest.(list (pair string string))
     "capture source finishes like an uninterrupted run"
-    (uarch_digests uninterrupted) (uarch_digests src);
+    (Pipeline.state_digests uninterrupted) (Pipeline.state_digests src);
   check
     Alcotest.(list (pair string string))
-    "restored pipeline finishes in the same state" (uarch_digests src)
-    (uarch_digests dst)
+    "restored pipeline finishes in the same state"
+    (Pipeline.state_digests src)
+    (Pipeline.state_digests dst)
 
 (* ------------------------------------------------- parallel sampled *)
 

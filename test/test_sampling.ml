@@ -630,6 +630,25 @@ let test_ci_target_zero_is_byte_identical () =
   check Alcotest.bool "full window set, not stopped" false
     st0.Bor_exec.Sampled.sp_stopped
 
+let test_ci_target_non_finite_rejected () =
+  (* [nan] slips past a plain [< 0.] test and [infinity] renders as
+     target_milli=0; both must be refused before any window runs, at
+     the one check the CLI, serve and the differential runner reach. *)
+  let prog = Lazy.force stop_prog in
+  let plan = plan_exn "50:100:1500:11" in
+  List.iter
+    (fun (what, ci_target) ->
+      let t = Bor_uarch.Pipeline.create prog in
+      match Bor_exec.Sampled.run_on ~ci_target ~plan t with
+      | Ok _ -> Alcotest.failf "ci_target %s accepted" what
+      | Error e ->
+        check Alcotest.string (what ^ " error")
+          "CI target must be a finite number >= 0 (--ci-target)" e;
+        check Alcotest.int (what ^ ": nothing simulated") 0
+          (Bor_sim.Machine.stats (Bor_uarch.Pipeline.oracle t))
+            .Bor_sim.Machine.instructions)
+    [ ("nan", Float.nan); ("infinity", Float.infinity) ]
+
 let test_ranked_stopping_domain_invariant () =
   (* The feature half: ranked selection + stopping on, sequential vs
      3 domains — stats records and the raw telemetry JSON must both be
@@ -737,6 +756,8 @@ let () =
             test_stopping_invalid_args;
           Alcotest.test_case "ci-target 0 is byte-identical" `Slow
             test_ci_target_zero_is_byte_identical;
+          Alcotest.test_case "non-finite ci-target rejected" `Quick
+            test_ci_target_non_finite_rejected;
           Alcotest.test_case "ranked stopping is domain-invariant" `Slow
             test_ranked_stopping_domain_invariant;
         ] );

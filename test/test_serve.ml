@@ -1,11 +1,12 @@
-(* Tests for Bor_serve: wire framing, the domain pool, job payload
+(* Tests for Bor_serve: wire framing, the domain pool ([Bor_exec.Pool],
+   which bor opt and bench --jobs fan out through), job payload
    determinism (cold runs, cache and dedup-join paths all
    byte-identical — the digest-equality contract of
    docs/SERVE.md), scheduler dispositions and counters, and the
    socket server end to end. *)
 
 module Wire = Bor_serve.Wire
-module Pool = Bor_serve.Pool
+module Pool = Bor_exec.Pool
 module Job = Bor_serve.Job
 module Wqueue = Bor_serve.Wqueue
 module Scheduler = Bor_serve.Scheduler
@@ -509,6 +510,21 @@ let test_server_end_to_end () =
     check Alcotest.bool "unknown op refused" true
       (List.assoc_opt "ok" fields = Some (Json.Bool false))
   | Ok _ | Error _ -> Alcotest.fail "unknown op should get a structured error");
+  (* "ci_target":"nan" parses (the field is a decimal string), but the
+     job must fail rather than run every window under a target that
+     renders as 0 and mints its own cache key. *)
+  let nan_job =
+    Client.submit_request ~plan:"200:100:2000:3" ~ci_target:Float.nan
+      ~backend:"sampled" prog
+  in
+  check Alcotest.bool "request carries \"nan\"" true
+    (Json.member "ci_target" nan_job = Some (Json.String "nan"));
+  let r =
+    request (Client.result_request ~wait:true (str "key" (request nan_job)))
+  in
+  check Alcotest.string "nan ci_target job fails"
+    "job failed: CI target must be a finite number >= 0 (--ci-target)"
+    (str "error" r);
   ignore (request Client.shutdown_request);
   (match Domain.join server with
   | Ok () -> ()

@@ -1127,18 +1127,6 @@ let straightline_src =
   Buffer.add_string b "        .data\nbuf:    .space 256\n";
   Buffer.contents b
 
-let uarch_digests t =
-  Bor_uarch.(
-    Hierarchy.state_digests (Pipeline.hierarchy t)
-    @ [
-        ("pred", Predictor.state_digest (Pipeline.predictor t));
-        ("btb", Btb.state_digest (Pipeline.btb t));
-        ("ras", Ras.state_digest (Pipeline.ras t));
-        ( "lfsr",
-          string_of_int
-            (Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr (Pipeline.engine t))) );
-      ])
-
 let test_warming_matches_full_detail () =
   let p = assemble straightline_src in
   let config =
@@ -1165,8 +1153,9 @@ let test_warming_matches_full_detail () =
     st.instructions steps;
   check
     Alcotest.(list (pair string string))
-    "warmed state = full-detail state" (uarch_digests detail)
-    (uarch_digests warm)
+    "warmed state = full-detail state"
+    (Bor_uarch.Pipeline.state_digests detail)
+    (Bor_uarch.Pipeline.state_digests warm)
 
 (* Batched warming ([run_warming]: plain-stretch fast-forward, line
    sweeps, MRU dedup) against the same program warmed one instruction
@@ -1208,7 +1197,9 @@ buf:    .space 64
   check Alcotest.int "same instruction count" nb !ns;
   check
     Alcotest.(list (pair string string))
-    "batched = single-stepped" (uarch_digests batched) (uarch_digests stepped);
+    "batched = single-stepped"
+    (Bor_uarch.Pipeline.state_digests batched)
+    (Bor_uarch.Pipeline.state_digests stepped);
   let ob = Bor_uarch.Pipeline.oracle batched
   and os = Bor_uarch.Pipeline.oracle stepped in
   for i = 0 to Bor_isa.Reg.count - 1 do
@@ -1282,8 +1273,8 @@ let assert_block_equivalence ?(budgets = [ max_int ]) src =
   check Alcotest.bool "single-step run also halted" true (halted stepped);
   check
     Alcotest.(list (pair string string))
-    "block-warmed = single-stepped" (uarch_digests blocked)
-    (uarch_digests stepped);
+    "block-warmed = single-stepped" (Bor_uarch.Pipeline.state_digests blocked)
+    (Bor_uarch.Pipeline.state_digests stepped);
   check
     Alcotest.(array int)
     "architectural registers" (oracle_regs blocked) (oracle_regs stepped);
@@ -1365,7 +1356,9 @@ let test_block_codegen_invalidation () =
   check Alcotest.int "same instruction count" nb ns;
   check
     Alcotest.(list (pair string string))
-    "patched runs agree" (uarch_digests blocked) (uarch_digests stepped);
+    "patched runs agree"
+    (Bor_uarch.Pipeline.state_digests blocked)
+    (Bor_uarch.Pipeline.state_digests stepped);
   check Alcotest.bool "the patch flushed the cache" true
     ((block_stats blocked).Bor_uarch.Block.invalidations >= 1)
 
@@ -1498,7 +1491,7 @@ let test_create_reuse_matches_fresh () =
   let measure make =
     with_telemetry (fun () ->
         let t = make () in
-        let before = uarch_digests t in
+        let before = Bor_uarch.Pipeline.state_digests t in
         match Bor_uarch.Pipeline.run t with
         | Error e -> Alcotest.fail e
         | Ok st ->
@@ -1506,7 +1499,7 @@ let test_create_reuse_matches_fresh () =
             ( before,
               st,
               Bor_uarch.Pipeline.cycle t,
-              uarch_digests t,
+              Bor_uarch.Pipeline.state_digests t,
               oracle_regs t,
               Bor_telemetry.Json.to_string (Telemetry.to_json ()) ) ))
   in
