@@ -891,8 +891,10 @@ let convergent () =
 (* Functional-warming throughput: the block translation cache
    (Config.warm_block_cache, docs/WARMING.md) against the single-step
    reference path, per experiment kernel. Host timing, so
-   digest-excluded — but the digest-equality column is simulated
-   behavior: both paths must leave bit-identical warmed structures.
+   digest-excluded — but the cross-check is simulated behavior: both
+   paths must leave bit-identical warmed structures and count the same
+   warming mispredicts, or the experiment fails (the "identical"
+   column can only read "yes").
    BOR_WARM_FLOOR_MIPS=<float> turns the alu-loop row into a smoke
    gate: the run fails if block-mode throughput drops below the floor
    (the committed floor lives in .github/workflows/ci.yml). *)
@@ -926,10 +928,14 @@ let warming_row name prog =
   let t_bc, n_bc, d_bc = best_of_3 true in
   if n_ss <> n_bc then
     failwith (name ^ ": warmed instruction counts diverge between paths");
-  let equal =
+  if
     Bor_uarch.Pipeline.state_digests t_ss
-    = Bor_uarch.Pipeline.state_digests t_bc
-  in
+    <> Bor_uarch.Pipeline.state_digests t_bc
+  then failwith (name ^ ": warmed state digests diverge between paths");
+  if
+    Bor_uarch.Pipeline.warm_mispredicts t_ss
+    <> Bor_uarch.Pipeline.warm_mispredicts t_bc
+  then failwith (name ^ ": warming mispredict counts diverge between paths");
   let bs =
     match Bor_uarch.Pipeline.block_cache t_bc with
     | Some bc -> Bor_uarch.Block.stats bc
@@ -943,7 +949,7 @@ let warming_row name prog =
       Printf.sprintf "%.1f" (Float.of_int n_ss /. d_ss /. 1e6);
       Printf.sprintf "%.1f" mips;
       Printf.sprintf "%.1fx" (d_ss /. d_bc);
-      (if equal then "yes" else "NO");
+      "yes";
       string_of_int bs.Bor_uarch.Block.compiled;
       string_of_int bs.Bor_uarch.Block.hits;
       string_of_int bs.Bor_uarch.Block.fallback_steps;

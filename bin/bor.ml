@@ -46,7 +46,7 @@
    format (DESIGN.md).
 
    bor fuzz mutates random/seeded BRISC programs (and minic sources,
-   for .c seed files) through the six-way differential property with
+   for .c seed files) through the ten-way differential property with
    the sanitizer on, guided by telemetry coverage; failures are
    auto-shrunk and written to the corpus directory. Options: --iters N,
    --seed N, --corpus DIR (default test/corpus), --max-cycles N.
@@ -113,24 +113,29 @@ let sample_usage v e =
     v e;
   exit 2
 
-(* Shared parsers for the variance-optimal sampling knobs
-   (docs/SAMPLING.md): --rank-bands K selects one detailed window per
-   ranked set of K candidates; --ci-target PCT stops dispatching
-   windows once the 95% CI half-width falls below PCT% of the mean. *)
-let parse_rank_bands v =
-  match int_of_string_opt v with
-  | Some k when k >= 1 -> k
-  | _ ->
-    Printf.eprintf "bor: --rank-bands %s: expected an integer >= 1\n" v;
-    exit 2
+(* Every numeric flag value parses through these two: a malformed or
+   out-of-range one prints the flag, the value and what was expected,
+   and exits 2 — never an uncaught [Failure]. *)
+let bad_flag flag v expected =
+  Printf.eprintf "bor: %s %s: expected %s\n" flag v expected;
+  exit 2
 
-let parse_ci_target v =
-  match float_of_string_opt v with
-  | Some pct when Float.is_finite pct && pct >= 0. -> pct
+let int_flag ?(min = min_int) flag v =
+  match int_of_string_opt v with
+  | Some n when n >= min -> n
   | _ ->
-    Printf.eprintf "bor: --ci-target %s: expected a finite percentage >= 0\n"
-      v;
-    exit 2
+    bad_flag flag v
+      (match min with
+      | 0 -> "a non-negative integer"
+      | 1 -> "a positive integer"
+      | _ -> "an integer")
+
+let float_flag ?(min = Float.neg_infinity) flag v =
+  match float_of_string_opt v with
+  | Some x when Float.is_finite x && x >= min -> x
+  | _ ->
+    bad_flag flag v
+      (if min = 0. then "a finite number >= 0" else "a finite number")
 
 let read_file = Bor_isa.Toolchain.read_file
 
@@ -278,7 +283,7 @@ let run_checkpoint rest =
     let rec parse = function
       | [] -> ()
       | "--at" :: v :: r ->
-        at := int_of_string v;
+        at := int_flag ~min:0 "--at" v;
         parse r
       | "-o" :: v :: r ->
         out := Some v;
@@ -333,7 +338,7 @@ let run_checkpoint rest =
         stats := Stats_json;
         parse r
       | "--max-cycles" :: v :: r ->
-        max_cycles := Some (int_of_string v);
+        max_cycles := Some (int_flag "--max-cycles" v);
         parse r
       | "--sanitize" :: r ->
         Bor_check.Check.set_enabled true;
@@ -369,16 +374,16 @@ let run_fuzz rest =
   let rec parse = function
     | [] -> ()
     | "--iters" :: v :: r ->
-      iters := int_of_string v;
+      iters := int_flag "--iters" v;
       parse r
     | "--seed" :: v :: r ->
-      seed := int_of_string v;
+      seed := int_flag "--seed" v;
       parse r
     | "--corpus" :: v :: r ->
       corpus := v;
       parse r
     | "--max-cycles" :: v :: r ->
-      max_cycles := int_of_string v;
+      max_cycles := int_flag "--max-cycles" v;
       parse r
     | f :: r when String.length f > 0 && f.[0] <> '-' ->
       seeds := f :: !seeds;
@@ -424,35 +429,31 @@ let run_opt rest =
   and progress = ref false
   and stats = ref Stats_off
   and files = ref [] in
-  let pos_int flag v =
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> n
-    | _ ->
-      Printf.eprintf "bor: %s %s: expected a positive integer\n" flag v;
-      exit 2
-  in
   let rec parse = function
     | [] -> ()
     | "--seed" :: v :: r ->
-      p := { !p with Bor_opt.Search.p_seed = int_of_string v };
+      p := { !p with Bor_opt.Search.p_seed = int_flag "--seed" v };
       parse r
     | "--rounds" :: v :: r ->
-      p := { !p with Bor_opt.Search.p_rounds = pos_int "--rounds" v };
+      p := { !p with Bor_opt.Search.p_rounds = int_flag ~min:1 "--rounds" v };
       parse r
     | "--iters" :: v :: r ->
-      p := { !p with Bor_opt.Search.p_iters = pos_int "--iters" v };
+      p := { !p with Bor_opt.Search.p_iters = int_flag ~min:1 "--iters" v };
       parse r
     | "--chains" :: v :: r ->
-      p := { !p with Bor_opt.Search.p_chains = pos_int "--chains" v };
+      p := { !p with Bor_opt.Search.p_chains = int_flag ~min:1 "--chains" v };
       parse r
     | "--domains" :: v :: r ->
-      p := { !p with Bor_opt.Search.p_domains = pos_int "--domains" v };
+      p :=
+        { !p with Bor_opt.Search.p_domains = int_flag ~min:1 "--domains" v };
       parse r
     | "--vectors" :: v :: r ->
-      p := { !p with Bor_opt.Search.p_vectors = pos_int "--vectors" v };
+      p :=
+        { !p with Bor_opt.Search.p_vectors = int_flag ~min:1 "--vectors" v };
       parse r
     | "--temp" :: v :: r ->
-      p := { !p with Bor_opt.Search.p_temperature = float_of_string v };
+      p :=
+        { !p with Bor_opt.Search.p_temperature = float_flag "--temp" v };
       parse r
     | "--sample" :: v :: r ->
       (match Bor_uarch.Sampling_plan.of_string v with
@@ -611,22 +612,13 @@ let run_serve rest =
       metrics_socket := Some v;
       parse r
     | "--domains" :: v :: r ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> domains := n
-      | _ ->
-        Printf.eprintf "bor: --domains %s: expected a positive integer\n" v;
-        exit 2);
+      domains := int_flag ~min:1 "--domains" v;
       parse r
     | "--store" :: v :: r ->
       store_dir := Some v;
       parse r
     | "--cache-max-bytes" :: v :: r ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> cache_max := Some n
-      | _ ->
-        Printf.eprintf
-          "bor: --cache-max-bytes %s: expected a positive integer\n" v;
-        exit 2);
+      cache_max := Some (int_flag ~min:1 "--cache-max-bytes" v);
       parse r
     | "--stats" :: r ->
       stats := Stats_text;
@@ -707,10 +699,10 @@ let run_submit rest =
       plan := Some v;
       parse r
     | "--rank-bands" :: v :: r ->
-      rank_bands := Some (parse_rank_bands v);
+      rank_bands := Some (int_flag ~min:1 "--rank-bands" v);
       parse r
     | "--ci-target" :: v :: r ->
-      ci_target := Some (parse_ci_target v);
+      ci_target := Some (float_flag ~min:0. "--ci-target" v);
       parse r
     | "--wait" :: r ->
       wait := true;
@@ -796,10 +788,10 @@ let run_digest rest =
       | Error e -> sample_usage v e);
       parse r
     | "--rank-bands" :: v :: r ->
-      rank_bands := Some (parse_rank_bands v);
+      rank_bands := Some (int_flag ~min:1 "--rank-bands" v);
       parse r
     | "--ci-target" :: v :: r ->
-      ci_target := Some (parse_ci_target v);
+      ci_target := Some (float_flag ~min:0. "--ci-target" v);
       parse r
     | "--explain" :: r ->
       explain := true;
@@ -853,7 +845,7 @@ let () =
         opts.framework <- v;
         parse r
       | "--interval" :: v :: r ->
-        opts.interval <- int_of_string v;
+        opts.interval <- int_flag "--interval" v;
         parse r
       | "--fulldup" :: r ->
         opts.fulldup <- true;
@@ -871,7 +863,7 @@ let () =
         opts.output <- Some v;
         parse r
       | "--trace" :: v :: r ->
-        opts.trace <- int_of_string v;
+        opts.trace <- int_flag "--trace" v;
         parse r
       | "--dot" :: r ->
         opts.dot <- true;
@@ -888,17 +880,13 @@ let () =
         | Error e -> sample_usage v e);
         parse r
       | "--domains" :: v :: r ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> opts.domains <- n
-        | _ ->
-          Printf.eprintf "bor: --domains %s: expected a positive integer\n" v;
-          exit 2);
+        opts.domains <- int_flag ~min:1 "--domains" v;
         parse r
       | "--rank-bands" :: v :: r ->
-        opts.rank_bands <- parse_rank_bands v;
+        opts.rank_bands <- int_flag ~min:1 "--rank-bands" v;
         parse r
       | "--ci-target" :: v :: r ->
-        opts.ci_target <- parse_ci_target v;
+        opts.ci_target <- float_flag ~min:0. "--ci-target" v;
         parse r
       | "--sanitize" :: r ->
         Bor_check.Check.set_enabled true;

@@ -1,4 +1,4 @@
-(** Coverage-guided mutation fuzzer over the six-way differential
+(** Coverage-guided mutation fuzzer over the ten-way differential
     property, with the pipeline sanitizer enabled.
 
     The feedback signal is the telemetry registry: after each case the

@@ -14,7 +14,7 @@
 
     A winning candidate is only reported [verified] after passing two
     independent checks the search itself never used: equivalence on a
-    {e fresh} vector set (different [vector_seed]) and the six-way
+    {e fresh} vector set (different [vector_seed]) and the ten-way
     differential ({!Bor_gen.Diff.run}). *)
 
 type params = {
@@ -51,7 +51,7 @@ type t = {
   r_best_cost : int;
   r_improved : bool;  (** [r_best_cost < r_target_cost] *)
   r_verified : bool;
-      (** improved {e and} fresh-vector equivalent {e and} six-way
+      (** improved {e and} fresh-vector equivalent {e and} ten-way
           differential [Pass] *)
   r_note : string;  (** why verification failed; [""] when verified *)
   r_counters : counters;

@@ -10,16 +10,55 @@
    executors — as single-stepping the same instructions through
    Pipeline.warm_step. Every compilation rule below exists to preserve
    that sequence; the speedup comes only from resolving dispatch,
-   operands, icache line boundaries and pc bookkeeping at compile time. *)
+   operands, icache line boundaries and pc bookkeeping at compile time.
+   The rules both paths must apply identically — a conditional
+   transfer's predictor/BTB step and a dcache probe — exist once, as
+   [warm_branch] and [touch_data], and both paths call them. *)
 
 module Machine = Bor_sim.Machine
 module Instr = Bor_isa.Instr
 module Reg = Bor_isa.Reg
 module Bits = Bor_util.Bits
 
-type mru = { mutable iline : int; mutable dline : int }
+type warm = {
+  lmask : int;
+  mutable iline : int;
+  mutable dline : int;
+  mutable mispredicts : int;
+}
 
-let fresh_mru () = { iline = -1; dline = -1 }
+let fresh_warm ~line_bytes =
+  { lmask = lnot (line_bytes - 1); iline = -1; dline = -1; mispredicts = 0 }
+
+let touch_data w hier addr =
+  let dl = addr land w.lmask in
+  if dl <> w.dline then begin
+    w.dline <- dl;
+    ignore (Hierarchy.access hier Hierarchy.D addr)
+  end
+
+(* Mirror full detail: history recovers only on a squash (stream
+   mismatch — a predicted-taken BTB miss that falls through to the
+   right place never squashes, leaving the speculative shift in place),
+   and the tables train at commit. [Predictor.update] writes only the
+   tables and [recover] only the history, so their order is free. *)
+let warm_branch pred btb w ~pc ~taken ~target =
+  let fall = pc + 4 in
+  let pr = Predictor.predict pred ~pc in
+  let stream_next =
+    if Predictor.taken pr then begin
+      let bt = Btb.lookup_target btb ~pc in
+      if bt >= 0 then bt else fall
+    end
+    else fall
+  in
+  let actual_next = if taken then target else fall in
+  if stream_next <> actual_next then begin
+    w.mispredicts <- w.mispredicts + 1;
+    Predictor.recover pred pr ~taken
+  end;
+  Predictor.update pred ~pc pr ~taken;
+  if taken then Btb.insert btb ~pc ~target
 
 type stats = {
   mutable compiled : int;
@@ -27,7 +66,6 @@ type stats = {
   mutable block_instructions : int;
   mutable invalidations : int;
   mutable fallback_steps : int;
-  mutable mispredicts : int;
 }
 
 (* The control transfer a block ends in, pre-destructured so executing
@@ -70,8 +108,6 @@ type t = {
   ncode : int;
   text_lo : int;
   text_hi : int;  (* [text_lo, text_hi): store-invalidation range *)
-  line : int;
-  lmask : int;  (* lnot (line_bytes - 1); 0 = not a power of two *)
   brr_in_pred : bool;
   m : Machine.t;
   regs : int array;  (* the machine's live register file *)
@@ -80,7 +116,7 @@ type t = {
   btb : Btb.t;
   ras : Ras.t;
   engine : Bor_core.Engine.t;
-  mru : mru;
+  warm : warm;
   on_brr : bool -> unit;
   entries : entry array;
   mutable gen : int;  (* Machine.code_generation at last (re)build *)
@@ -93,7 +129,7 @@ type t = {
    continues in the next block. *)
 let max_body = 512
 
-let create ~code ~code_base ~cfg ~machine ~hier ~pred ~btb ~ras ~engine ~mru
+let create ~code ~code_base ~cfg ~machine ~hier ~pred ~btb ~ras ~engine ~warm
     ~on_brr =
   let ncode = Array.length code in
   {
@@ -102,11 +138,6 @@ let create ~code ~code_base ~cfg ~machine ~hier ~pred ~btb ~ras ~engine ~mru
     ncode;
     text_lo = code_base;
     text_hi = code_base + (4 * ncode);
-    line = cfg.Config.line_bytes;
-    lmask =
-      (if Bits.is_power_of_two cfg.Config.line_bytes then
-         lnot (cfg.Config.line_bytes - 1)
-       else 0);
     brr_in_pred = cfg.Config.brr_in_predictor;
     m = machine;
     regs = Machine.unsafe_regs machine;
@@ -115,7 +146,7 @@ let create ~code ~code_base ~cfg ~machine ~hier ~pred ~btb ~ras ~engine ~mru
     btb;
     ras;
     engine;
-    mru;
+    warm;
     on_brr;
     entries = Array.make (max ncode 1) Unknown;
     gen = Machine.code_generation machine;
@@ -127,7 +158,6 @@ let create ~code ~code_base ~cfg ~machine ~hier ~pred ~btb ~ras ~engine ~mru
         block_instructions = 0;
         invalidations = 0;
         fallback_steps = 0;
-        mispredicts = 0;
       };
   }
 
@@ -146,8 +176,6 @@ let note_fallback t n =
   t.stats.fallback_steps <- t.stats.fallback_steps + n
 
 (* ------------------------------------------------------------ Compile *)
-
-let line_of t p = if t.lmask <> 0 then p land t.lmask else p / t.line
 
 (* Fused register op: exactly [Machine.exec_decoded]'s Alu/Alui/Lui
    arm minus stats and pc upkeep (batched at block end), with operand
@@ -210,18 +238,9 @@ let compile_regop t (i : Instr.t) : (unit -> unit) option =
 (* Specialize the block starting at [pc] (= base + 4*idx). Returns the
    entry to cache there. *)
 let compile t idx pc =
-  let mru = t.mru in
+  let w = t.warm in
   let hier = t.hier in
   let m = t.m in
-  let lmask = t.lmask and line = t.line in
-  let dtouch addr =
-    (* warm_run's [touch_data], verbatim *)
-    let dl = if lmask <> 0 then addr land lmask else addr / line in
-    if dl <> mru.dline then begin
-      mru.dline <- dl;
-      ignore (Hierarchy.access hier Hierarchy.D addr)
-    end
-  in
   let ops = ref [] in
   let emit op = ops := op :: !ops in
   (* Compile-time shadows: [cur_line] is the icache line the previous
@@ -234,13 +253,13 @@ let compile t idx pc =
   let n_plain = ref 0 in
   let count = ref 0 in
   let touch_step p =
-    let il = line_of t p in
+    let il = p land w.lmask in
     if !cur_line = min_int then
       (* First line of the block: the MRU tracker may or may not
          already hold it — the runtime check is warm_run's [touch]. *)
       emit (fun () ->
-          if il <> mru.iline then begin
-            mru.iline <- il;
+          if il <> w.iline then begin
+            w.iline <- il;
             ignore (Hierarchy.access hier Hierarchy.I p)
           end)
     else if il <> !cur_line then
@@ -248,7 +267,7 @@ let compile t idx pc =
          (lines of a straight-line block are distinct and increasing),
          so the probe always fires. *)
       emit (fun () ->
-          mru.iline <- il;
+          w.iline <- il;
           ignore (Hierarchy.access hier Hierarchy.I p));
     cur_line := il
   in
@@ -263,24 +282,25 @@ let compile t idx pc =
         incr n_plain;
         incr count;
         walk (j + 1) (p + 4)
-      | Instr.Load (w, rd, rs1, loff) ->
+      | Instr.Load (wd, rd, rs1, loff) ->
         touch_step p;
         let need_pc = !known_pc <> p in
         emit
           (if need_pc then fun () ->
              Machine.set_pc m p;
-             dtouch (Machine.exec_load m w rd rs1 loff)
-           else fun () -> dtouch (Machine.exec_load m w rd rs1 loff));
+             touch_data w hier (Machine.exec_load m wd rd rs1 loff)
+           else fun () ->
+             touch_data w hier (Machine.exec_load m wd rd rs1 loff));
         known_pc := p + 4;
         incr count;
         walk (j + 1) (p + 4)
-      | Instr.Store (w, rsrc, rbase, soff) ->
+      | Instr.Store (wd, rsrc, rbase, soff) ->
         touch_step p;
         let need_pc = !known_pc <> p in
         let store () =
-          let addr = Machine.exec_store m w rsrc rbase soff in
+          let addr = Machine.exec_store m wd rsrc rbase soff in
           if addr >= t.text_lo && addr < t.text_hi then t.flush_pending <- true;
-          dtouch addr
+          touch_data w hier addr
         in
         emit
           (if need_pc then fun () ->
@@ -369,25 +389,9 @@ let exec_term t (b : block) =
   let m = t.m in
   match b.b_term with
   | T_branch { cond; rs1; rs2; boff; target; fall } ->
-    let p = b.b_term_pc in
-    let pred = t.pred in
-    let pr = Predictor.predict pred ~pc:p in
-    let stream_next =
-      if Predictor.taken pr then begin
-        let bt = Btb.lookup_target t.btb ~pc:p in
-        if bt >= 0 then bt else fall
-      end
-      else fall
-    in
     let taken = Machine.exec_branch m cond rs1 rs2 boff in
-    let actual_next = if taken then target else fall in
-    if stream_next <> actual_next then begin
-      t.stats.mispredicts <- t.stats.mispredicts + 1;
-      Predictor.recover pred pr ~taken
-    end;
-    Predictor.update pred ~pc:p pr ~taken;
-    if taken then Btb.insert t.btb ~pc:p ~target:actual_next;
-    actual_next
+    warm_branch t.pred t.btb t.warm ~pc:b.b_term_pc ~taken ~target;
+    if taken then target else fall
   | T_jal { rd; joff; push; link; target } ->
     if push then Ras.push t.ras link;
     Machine.exec_jal m rd joff;
@@ -396,26 +400,9 @@ let exec_term t (b : block) =
     if ret then ignore (Ras.pop_target t.ras);
     Machine.exec_jalr m rd rs1 imm
   | T_brr { freq; boff; target; fall } ->
-    let p = b.b_term_pc in
     let outcome = Bor_core.Engine.decide t.engine freq in
-    if t.brr_in_pred then begin
-      let pred = t.pred in
-      let pr = Predictor.predict pred ~pc:p in
-      let stream_next =
-        if Predictor.taken pr then begin
-          let bt = Btb.lookup_target t.btb ~pc:p in
-          if bt >= 0 then bt else fall
-        end
-        else fall
-      in
-      let actual_next = if outcome then target else fall in
-      Predictor.update pred ~pc:p pr ~taken:outcome;
-      if outcome then Btb.insert t.btb ~pc:p ~target:actual_next;
-      if stream_next <> actual_next then begin
-        t.stats.mispredicts <- t.stats.mispredicts + 1;
-        Predictor.recover pred pr ~taken:outcome
-      end
-    end;
+    if t.brr_in_pred then
+      warm_branch t.pred t.btb t.warm ~pc:b.b_term_pc ~taken:outcome ~target;
     Machine.exec_brr_decided m ~taken:outcome ~offset:boff;
     t.on_brr outcome;
     if outcome then target else fall

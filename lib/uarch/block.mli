@@ -10,7 +10,10 @@
     icache probes, dcache probes, predictor/BTB/RAS operations and
     oracle effects the single-step path would perform, so the warmed
     state is bit-identical — the warming-equivalence tests compare
-    per-structure [state_digest]s to enforce it.
+    per-structure [state_digest]s to enforce it. The rules both paths
+    must apply the same way exist once, here, and the single-step path
+    calls them too: a conditional transfer's predictor/BTB step is
+    {!warm_branch}, a dcache probe is {!touch_data}.
 
     The cache is a pure throughput device. It holds no architectural or
     warmed state of its own: checkpoints never serialize it, and a
@@ -27,15 +30,41 @@
 
     See [docs/WARMING.md] for the full contract. *)
 
-type mru = { mutable iline : int; mutable dline : int }
-(** The warmer's most-recently-used line trackers (icache and dcache
-    ports), shared between the block path and the single-step fallback
-    so consecutive same-line probes stay deduplicated across the
-    boundary. [-1] = nothing touched yet. Re-touching the MRU line is a
-    strict no-op on cache state, which is why the dedup cannot perturb
-    digests. *)
+type warm = {
+  lmask : int;  (** [lnot (line_bytes - 1)]: maps an address to its line *)
+  mutable iline : int;
+  mutable dline : int;
+  mutable mispredicts : int;
+}
+(** The warming state both paths share, one record per pipeline. [iline]
+    and [dline] are the most-recently-used line trackers of the icache
+    and dcache ports, so consecutive same-line probes stay deduplicated
+    across the block/single-step boundary ([-1] = nothing touched yet).
+    Re-touching the MRU line is a strict no-op on cache state, which is
+    why the dedup cannot perturb digests. [mispredicts] counts
+    warming-model mispredicts on either path — predicted-stream
+    mismatches in {!warm_branch} — and is what
+    {!Pipeline.warm_mispredicts} reports: a ranked-sampling feature,
+    not warmed state, so checkpoints ignore it. *)
 
-val fresh_mru : unit -> mru
+val fresh_warm : line_bytes:int -> warm
+(** Nothing touched, nothing mispredicted. [line_bytes] must be a power
+    of two, as {!Cache.create} requires. *)
+
+val touch_data : warm -> Hierarchy.t -> int -> unit
+(** Probe the dcache port at an address unless its line is the port's
+    MRU line. *)
+
+val warm_branch :
+  Predictor.t -> Btb.t -> warm -> pc:int -> taken:bool -> target:int -> unit
+(** Warm the predictor and BTB on one retired conditional transfer at
+    [pc] with taken target [target] and fall-through [pc + 4]: predict,
+    compare the predicted stream (taken → the BTB's target or the
+    fall-through) with the actual successor, repair the history and
+    count a mispredict on a mismatch, train the tables and install a
+    taken target — a full-detail run's commit-path updates. Called for
+    every conditional branch, and for a branch-on-random only when
+    [Config.brr_in_predictor] is set (paper §3.3). *)
 
 type stats = {
   mutable compiled : int;  (** blocks specialized *)
@@ -45,13 +74,6 @@ type stats = {
   mutable fallback_steps : int;
       (** instructions the driver single-stepped while the cache was
           active (non-compilable stretches, step-budget tails) *)
-  mutable mispredicts : int;
-      (** warming-model mispredicts retired inside blocks:
-          predicted-stream mismatches on conditional branches and (when
-          [brr_in_predictor]) branch-on-randoms — the same events the
-          single-step path counts via
-          {!Pipeline.warm_mispredicts}. A ranked-sampling feature, not
-          warmed state: checkpoints ignore it. *)
 }
 
 type t
@@ -66,7 +88,7 @@ val create :
   btb:Btb.t ->
   ras:Ras.t ->
   engine:Bor_core.Engine.t ->
-  mru:mru ->
+  warm:warm ->
   on_brr:(bool -> unit) ->
   t
 (** Build an (empty) cache over the pipeline's decoded text. [on_brr]
@@ -110,6 +132,6 @@ val flush : t -> unit
 (** Drop every compiled block (counted as one invalidation). *)
 
 val stats : t -> stats
-(** Live counters (plain fields; {!Pipeline.run_warming} publishes all
-    but [mispredicts] as [warming.block.*] telemetry at every exit) —
-    for tests and throughput reporting. *)
+(** Live counters (plain fields; {!Pipeline.run_warming} publishes them
+    as [warming.block.*] telemetry at every exit) — for tests and
+    throughput reporting. *)

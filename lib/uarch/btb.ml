@@ -3,8 +3,6 @@ module Telemetry = Bor_telemetry.Telemetry
 type t = {
   tags : int array;
   targets : int array;
-  mutable lookups : int;
-  mutable hits : int;
   tel_lookups : Telemetry.counter;
   tel_hits : Telemetry.counter;
   tel_inserts : Telemetry.counter;
@@ -16,7 +14,6 @@ let create ~entries =
     invalid_arg "Btb.create";
   let sc = Telemetry.scope "btb" in
   { tags = Array.make entries (-1); targets = Array.make entries 0;
-    lookups = 0; hits = 0;
     tel_lookups = Telemetry.counter sc ~doc:"fetch-stage target lookups" "lookups";
     tel_hits = Telemetry.counter sc ~doc:"lookups returning a target" "hits";
     tel_inserts = Telemetry.counter sc ~doc:"targets installed at resolution" "inserts";
@@ -28,11 +25,9 @@ let slot t pc = (pc lsr 2) land (Array.length t.tags - 1)
 (* [lookup_target] is the hot-path variant: -1 instead of [None] so
    the fetch stage never allocates an option. *)
 let lookup_target t ~pc =
-  t.lookups <- t.lookups + 1;
   Telemetry.incr t.tel_lookups;
   let i = slot t pc in
   if t.tags.(i) = pc then begin
-    t.hits <- t.hits + 1;
     Telemetry.incr t.tel_hits;
     t.targets.(i)
   end
@@ -49,9 +44,6 @@ let insert t ~pc ~target =
     Telemetry.incr t.tel_alias_evictions;
   t.tags.(i) <- pc;
   t.targets.(i) <- target
-
-let hits t = t.hits
-let lookups t = t.lookups
 
 type state = { s_tags : int array; s_targets : int array }
 

@@ -17,11 +17,9 @@ val lookup_target : t -> pc:int -> int
     option allocation. *)
 
 val insert : t -> pc:int -> target:int -> unit
-val hits : t -> int
-val lookups : t -> int
 
 type state = { s_tags : int array; s_targets : int array }
-(** The full target store (lookup/hit statistics excluded). *)
+(** The full target store. *)
 
 val export_state : t -> state
 (** Deep copy of the target store. *)

@@ -9,8 +9,8 @@ type t = {
   sets : int;
   assoc : int;
   line_bytes : int;
-  line_shift : int;  (** log2 line_bytes, -1 when not a power of two *)
-  sets_shift : int;  (** log2 sets (always a power of two) *)
+  line_shift : int;  (** log2 line_bytes *)
+  sets_shift : int;  (** log2 sets *)
   tags : int array;  (** [set * assoc + way]; -1 = invalid *)
   lru : int array;  (** smaller = older *)
   mutable clock : int;
@@ -20,21 +20,14 @@ type t = {
 let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
   if size <= 0 || assoc <= 0 || line_bytes <= 0 then
     invalid_arg "Cache.create";
+  if not (Bor_util.Bits.is_power_of_two line_bytes) then
+    invalid_arg "Cache.create: line size must be a power of two";
   let lines = size / line_bytes in
   if lines mod assoc <> 0 then invalid_arg "Cache.create: geometry";
   let sets = lines / assoc in
   if not (Bor_util.Bits.is_power_of_two sets) then
     invalid_arg "Cache.create: set count must be a power of two";
-  let log2 n =
-    if not (Bor_util.Bits.is_power_of_two n) then -1
-    else begin
-      let s = ref 0 in
-      while 1 lsl !s < n do
-        incr s
-      done;
-      !s
-    end
-  in
+  let log2 n = Option.get (Bor_util.Bits.log2_exact n) in
   let n = sets * assoc in
   let tags, lru =
     match reuse with
@@ -57,11 +50,10 @@ let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
     stats = { accesses = 0; misses = 0; evictions = 0 };
   }
 
-(* The hot path avoids divisions (shifts when the geometry is a power
-   of two) and allocation: [find] yields a slot index, -1 on a miss. *)
+(* The hot path avoids divisions (the geometry is all powers of two)
+   and allocation: [find] yields a slot index, -1 on a miss. *)
 
-let line_of t addr =
-  if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.line_bytes
+let line_of t addr = addr lsr t.line_shift
 
 (* A [while] with a mutable index: a local [let rec] would cost a
    closure allocation per call on the non-flambda compiler. *)

@@ -13,12 +13,13 @@ type stats = {
 
 val create :
   ?reuse:t -> ?name:string -> size:int -> assoc:int -> line_bytes:int -> unit -> t
-(** [size] must be divisible by [assoc * line_bytes] into a power-of-two
-    set count. [name] (default ["cache"]) names the cache in sanitizer
-    diagnostics. With [~reuse:old] of the same line count, [old]'s tag
-    and LRU arrays are refilled to their empty state and shared instead
-    of allocated; statistics are always new. [old] must not be used
-    again. *)
+(** [line_bytes] must be a power of two, and [size] divisible by
+    [assoc * line_bytes] into a power-of-two set count
+    ([Invalid_argument] otherwise). [name] (default ["cache"]) names
+    the cache in sanitizer diagnostics. With [~reuse:old] of the same
+    line count, [old]'s tag and LRU arrays are refilled to their empty
+    state and shared instead of allocated; statistics are always new.
+    [old] must not be used again. *)
 
 val access : t -> int -> bool
 (** [access t addr] touches the line containing [addr]; returns [true]

@@ -22,12 +22,16 @@ type t = {
       (** extra cycles from resolve to refetch, tuned so the minimum
           back-end penalty is 11 *)
   ghist_bits : int;  (** 16 *)
-  bimodal_entries : int;  (** 64k *)
-  btb_entries : int;  (** 1024 *)
-  ras_entries : int;  (** 32 *)
+  bimodal_entries : int;  (** 64k; a power of two *)
+  btb_entries : int;  (** 1024; a power of two *)
+  ras_entries : int;  (** 32; a power of two *)
   l1_size : int;
   l1_assoc : int;
   line_bytes : int;
+      (** 64; a power of two, shared by every cache level. The
+          predictor, RAS, BTB and caches index their tables by mask,
+          so {!Pipeline.create} rejects any table size that is not a
+          power of two. *)
   l2_size : int;
   l2_assoc : int;
   l1_latency : int;  (** load-to-use on a hit *)

@@ -290,15 +290,10 @@ type t = {
   mutable roi_frozen : bool;
   mutable committed : int;
       (* retired instructions, whole run: [run_window]'s commit target *)
-  mutable warm_mispred : int;
-      (* warming-model mispredicts on the single-step path; the block
-         path counts its own in Block.stats — [warm_mispredicts] sums
-         both. A ranked-sampling feature, not warmed state. *)
-  warm_mru : Block.mru;
-      (* last icache/dcache line bases touched by warming, shared with
-         the block translation cache so the dedup carries across the
+  warm : Block.warm;
+      (* MRU line trackers and the mispredict count, shared with the
+         block translation cache so both carry across the
          block/single-step boundary *)
-  warm_line_mask : int;  (* lnot (line_bytes - 1); 0 = not a power of two *)
   mutable blockcache : (Block.t * Block.stats Telemetry.family) option;
       (* the warmer's block translation cache and its warming.block.*
          family, built lazily on the first block-mode [run_warming] (so
@@ -418,13 +413,8 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
     halt_committed = false;
     roi_frozen = false;
     committed = 0;
-    warm_mispred = 0;
-    warm_mru = Block.fresh_mru ();
+    warm = Block.fresh_warm ~line_bytes:config.Config.line_bytes;
     blockcache = None;
-    warm_line_mask =
-      (if Bor_util.Bits.is_power_of_two config.Config.line_bytes then
-         lnot (config.Config.line_bytes - 1)
-       else 0);
     stats = fresh_stats ();
     tel = Telemetry.family (Telemetry.scope "pipeline") pipeline_counters;
     tel_cache = Telemetry.family (Telemetry.scope "cache") cache_counters;
@@ -828,25 +818,15 @@ let fetch t =
             Ras.save_into t.ras t.fq_ras.(slot);
             flags := !flags lor fqf_ras;
             -1
-          | Bor_isa.Instr.Brr _ when t.cfg.Config.brr_in_predictor -> (
-            (* Ablation: the brr consults the direction predictor,
-               shifts the global history and uses the BTB, like any
-               conditional branch. *)
-            Ras.save_into t.ras t.fq_ras.(slot);
-            flags := !flags lor fqf_ras;
-            let p = Predictor.predict t.pred ~pc in
-            t.fq_pred.(slot) <- p;
-            flags := !flags lor fqf_pred;
-            if Predictor.taken p then begin
-              let target = Btb.lookup_target t.btb ~pc in
-              if target >= 0 then target else fall
-            end
-            else fall)
-          | Bor_isa.Instr.Brr _ ->
+          | Bor_isa.Instr.Brr _ when not t.cfg.Config.brr_in_predictor ->
             Ras.save_into t.ras t.fq_ras.(slot);
             flags := !flags lor fqf_ras;
             fall
-          | Bor_isa.Instr.Branch _ -> (
+          | Bor_isa.Instr.Branch _ | Bor_isa.Instr.Brr _ -> (
+            (* A brr gets here only under the pollution ablation: it
+               consults the direction predictor, shifts the global
+               history and uses the BTB, like any conditional
+               branch. *)
             Ras.save_into t.ras t.fq_ras.(slot);
             flags := !flags lor fqf_ras;
             let p = Predictor.predict t.pred ~pc in
@@ -1728,28 +1708,19 @@ let warm_run t budget =
     let code = t.code in
     let ncode = Array.length code in
     let base = t.code_base in
-    let lmask = t.warm_line_mask in
+    let w = t.warm in
+    let lmask = w.Block.lmask in
     let line = t.cfg.Config.line_bytes in
     let hier = t.hier in
-    let pred = t.pred in
-    let btb = t.btb in
     let brr_in_pred = t.cfg.Config.brr_in_predictor in
     let n = ref 0 in
     let pc = ref (Bor_sim.Machine.pc m) in
-    let mru = t.warm_mru in
-    let iline = ref mru.Block.iline in
+    let iline = ref w.Block.iline in
     let touch p =
-      let il = if lmask <> 0 then p land lmask else p / line in
+      let il = p land lmask in
       if il <> !iline then begin
         iline := il;
         ignore (Hierarchy.access hier Hierarchy.I p)
-      end
-    in
-    let touch_data addr =
-      let dl = if lmask <> 0 then addr land lmask else addr / line in
-      if dl <> mru.Block.dline then begin
-        mru.Block.dline <- dl;
-        ignore (Hierarchy.access hier Hierarchy.D addr)
       end
     in
     while !n < budget && !pc >= 0 do
@@ -1779,53 +1750,23 @@ let warm_run t budget =
           else begin
             (* Touch each icache line the stretch crossed, oldest
                first. *)
-            if lmask <> 0 then begin
-              let lastl = (p + (4 * (k - 1))) land lmask in
-              let a = ref (p land lmask) in
-              if !a = !iline then a := !a + line;
-              while !a <= lastl do
-                ignore (Hierarchy.access hier Hierarchy.I !a);
-                a := !a + line
-              done;
-              iline := lastl
-            end
-            else begin
-              let lastl = (p + (4 * (k - 1))) / line in
-              let a = ref (p / line) in
-              if !a = !iline then incr a;
-              while !a <= lastl do
-                ignore (Hierarchy.access hier Hierarchy.I (!a * line));
-                a := !a + 1
-              done;
-              iline := lastl
-            end;
+            let lastl = (p + (4 * (k - 1))) land lmask in
+            let a = ref (p land lmask) in
+            if !a = !iline then a := !a + line;
+            while !a <= lastl do
+              ignore (Hierarchy.access hier Hierarchy.I !a);
+              a := !a + line
+            done;
+            iline := lastl;
             pc := p + (4 * k);
             n := !n + k
           end
         | Branch (c, rs1, rs2, boff) ->
           touch p;
-          let pr = Predictor.predict pred ~pc:p in
-          (* Mirror full detail: history recovers only on a squash
-             (stream mismatch — a predicted-taken BTB miss that falls
-             through to the right place never squashes, leaving the
-             speculative shift in place), and the tables train at
-             commit. *)
-          let stream_next =
-            if Predictor.taken pr then begin
-              let target = Btb.lookup_target btb ~pc:p in
-              if target >= 0 then target else fall
-            end
-            else fall
-          in
           let taken = Bor_sim.Machine.exec_branch m c rs1 rs2 boff in
-          let actual_next = if taken then p + (4 * boff) else fall in
-          if stream_next <> actual_next then begin
-            t.warm_mispred <- t.warm_mispred + 1;
-            Predictor.recover pred pr ~taken
-          end;
-          Predictor.update pred ~pc:p pr ~taken;
-          if taken then Btb.insert btb ~pc:p ~target:actual_next;
-          pc := actual_next;
+          let target = p + (4 * boff) in
+          Block.warm_branch t.pred t.btb w ~pc:p ~taken ~target;
+          pc := (if taken then target else fall);
           incr n
         | Jal (rd, joff) ->
           touch p;
@@ -1841,44 +1782,30 @@ let warm_run t budget =
         | Brr (freq, boff) ->
           touch p;
           let outcome = Bor_core.Engine.decide t.engine freq in
-          if brr_in_pred then begin
-            let pr = Predictor.predict pred ~pc:p in
-            let stream_next =
-              if Predictor.taken pr then begin
-                let target = Btb.lookup_target btb ~pc:p in
-                if target >= 0 then target else fall
-              end
-              else fall
-            in
-            let actual_next = if outcome then p + (4 * boff) else fall in
-            Predictor.update pred ~pc:p pr ~taken:outcome;
-            if outcome then Btb.insert btb ~pc:p ~target:actual_next;
-            if stream_next <> actual_next then begin
-              t.warm_mispred <- t.warm_mispred + 1;
-              Predictor.recover pred pr ~taken:outcome
-            end
-          end;
+          let target = p + (4 * boff) in
+          if brr_in_pred then
+            Block.warm_branch t.pred t.btb w ~pc:p ~taken:outcome ~target;
           (* The outcome is applied directly — no [pending_brr] round
              trip through the oracle's decide hook, and no [Some]
              allocation per branch-on-random. *)
           Bor_sim.Machine.exec_brr_decided m ~taken:outcome ~offset:boff;
           log_retired_brr t outcome;
-          pc := (if outcome then p + (4 * boff) else fall);
+          pc := (if outcome then target else fall);
           incr n
         | Brr_always joff ->
           touch p;
           Bor_sim.Machine.exec_brr_decided m ~taken:true ~offset:joff;
           pc := p + (4 * joff);
           incr n
-        | Load (w, rd, rs1, loff) ->
+        | Load (wd, rd, rs1, loff) ->
           touch p;
-          touch_data (Bor_sim.Machine.exec_load m w rd rs1 loff);
+          Block.touch_data w hier (Bor_sim.Machine.exec_load m wd rd rs1 loff);
           pc := fall;
           incr n
-        | Store (w, rsrc, rbase, soff) ->
+        | Store (wd, rsrc, rbase, soff) ->
           touch p;
-          let addr = Bor_sim.Machine.exec_store m w rsrc rbase soff in
-          touch_data addr;
+          let addr = Bor_sim.Machine.exec_store m wd rsrc rbase soff in
+          Block.touch_data w hier addr;
           (* Keep the block cache's self-modification contract uniform:
              a fallback store into the text range flushes it too. *)
           (match t.blockcache with
@@ -1898,7 +1825,7 @@ let warm_run t budget =
           incr n
       end
     done;
-    mru.Block.iline <- !iline;
+    w.Block.iline <- !iline;
     t.committed <- t.committed + !n;
     !n
   end
@@ -1915,7 +1842,7 @@ let get_blockcache t =
     let bc =
       Block.create ~code:t.code ~code_base:t.code_base ~cfg:t.cfg
         ~machine:t.oracle ~hier:t.hier ~pred:t.pred ~btb:t.btb ~ras:t.ras
-        ~engine:t.engine ~mru:t.warm_mru
+        ~engine:t.engine ~warm:t.warm
         ~on_brr:(fun outcome -> log_retired_brr t outcome)
     in
     t.blockcache <-
@@ -1926,14 +1853,9 @@ let get_blockcache t =
 let block_cache t = Option.map fst t.blockcache
 
 (* Warming-model mispredict count — the ranked-sampling feature
-   (docs/SAMPLING.md). Both warming paths count the same events
-   (predicted-stream mismatches at retirement), so the sum is
-   path-independent, like the warmed state itself. *)
-let warm_mispredicts t =
-  t.warm_mispred
-  + (match t.blockcache with
-    | Some (bc, _) -> (Block.stats bc).Block.mispredicts
-    | None -> 0)
+   (docs/SAMPLING.md). Both warming paths count it in the one shared
+   record, through the one [Block.warm_branch]. *)
+let warm_mispredicts t = t.warm.Block.mispredicts
 
 (* Block-compiled warming: execute whole specialized blocks through the
    translation cache and fall back to [warm_run] — the single-step

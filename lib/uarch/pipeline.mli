@@ -176,12 +176,12 @@ val block_cache : t -> Block.t option
 val warm_mispredicts : t -> int
 (** Warming-model mispredicts retired so far: predicted-stream
     mismatches at retirement on conditional branches and (when
-    {!Config.brr_in_predictor}) branch-on-randoms, summed across the
-    single-step and block warming paths. Both paths count the same
-    events, so the total is path-independent like the warmed state
-    itself. This is a {e ranking feature} for ranked-set window
-    selection (docs/SAMPLING.md) — not warmed state: checkpoints
-    neither save nor restore it, and digests ignore it. *)
+    {!Config.brr_in_predictor}) branch-on-randoms. Both warming paths
+    count them in one field of the shared {!Block.warm} record, through
+    the one {!Block.warm_branch} step, so the total is path-independent
+    like the warmed state itself. This is a {e ranking feature} for
+    ranked-set window selection (docs/SAMPLING.md) — not warmed state:
+    checkpoints neither save nor restore it, and digests ignore it. *)
 
 val predictor : t -> Predictor.t
 val btb : t -> Btb.t

@@ -8,7 +8,7 @@ type t = {
   bimodal : Bytes.t;
   chooser : Bytes.t;  (** 2-bit: >=2 prefers gshare *)
   ghist_mask : int;
-  bimodal_mask : int;  (** entries - 1 when a power of two, else -1 *)
+  bimodal_mask : int;  (** entries - 1 *)
   snap_shift : int;  (** bit offset of the history snapshot in a packed prediction *)
   mutable ghist : int;
   tel_predictions : Telemetry.counter;
@@ -40,6 +40,8 @@ let table old n init =
   | _ -> Bytes.make n init
 
 let create ?reuse (c : Config.t) =
+  if not (Bor_util.Bits.is_power_of_two c.bimodal_entries) then
+    invalid_arg "Predictor.create: bimodal_entries must be a power of two";
   let sc = Telemetry.scope "predictor" in
   let old f = Option.map f reuse in
   {
@@ -47,10 +49,7 @@ let create ?reuse (c : Config.t) =
     bimodal = table (old (fun t -> t.bimodal)) c.bimodal_entries '\001';
     chooser = table (old (fun t -> t.chooser)) c.bimodal_entries '\002';
     ghist_mask = Bor_util.Bits.mask c.ghist_bits;
-    bimodal_mask =
-      (if Bor_util.Bits.is_power_of_two c.bimodal_entries then
-         c.bimodal_entries - 1
-       else -1);
+    bimodal_mask = c.bimodal_entries - 1;
     snap_shift = 3 + c.ghist_bits;
     ghist = 0;
     tel_predictions =
@@ -71,9 +70,7 @@ let create ?reuse (c : Config.t) =
 
 let gshare_index t pc = ((pc lsr 2) lxor t.ghist) land t.ghist_mask
 
-let bimodal_index t pc =
-  if t.bimodal_mask >= 0 then (pc lsr 2) land t.bimodal_mask
-  else (pc lsr 2) mod Bytes.length t.bimodal
+let bimodal_index t pc = (pc lsr 2) land t.bimodal_mask
 
 let[@inline] get a i = Char.code (Bytes.get a i)
 let[@inline] counter_taken a i = get a i >= 2

@@ -29,7 +29,9 @@ val create : ?reuse:t -> Config.t -> t
     [~reuse:old], each of [old]'s tables whose size matches [Config.t]
     is refilled and shared instead of allocated (a mismatched one is
     allocated afresh); telemetry instruments are always new. [old] must
-    not be used again. *)
+    not be used again.
+    @raise Invalid_argument unless [bimodal_entries] is a power of
+    two. *)
 
 val predict : t -> pc:int -> prediction
 (** Also speculatively shifts the prediction into the global history

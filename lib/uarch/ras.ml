@@ -2,7 +2,7 @@ module Telemetry = Bor_telemetry.Telemetry
 
 type t = {
   stack : int array;
-  mask : int;  (** entries - 1 when a power of two, else -1 *)
+  mask : int;  (** entries - 1 *)
   mutable top : int;
   mutable depth : int;
   tel_pushes : Telemetry.counter;
@@ -12,10 +12,11 @@ type t = {
 }
 
 let create ~entries =
-  if entries <= 0 then invalid_arg "Ras.create";
+  if not (Bor_util.Bits.is_power_of_two entries) then
+    invalid_arg "Ras.create: entries must be a power of two";
   let sc = Telemetry.scope "ras" in
   { stack = Array.make entries 0;
-    mask = (if Bor_util.Bits.is_power_of_two entries then entries - 1 else -1);
+    mask = entries - 1;
     top = 0; depth = 0;
     tel_pushes = Telemetry.counter sc ~doc:"call-site pushes" "pushes";
     tel_pops = Telemetry.counter sc ~doc:"successful return-target pops" "pops";
@@ -26,9 +27,9 @@ let create ~entries =
       Telemetry.counter sc ~doc:"pushes that wrapped, losing the oldest entry"
         "overflows" }
 
-(* Wrap indices with a mask when the geometry allows: push/pop are on
-   the warming and fetch hot paths, and [mod] is a hardware divide. *)
-let[@inline] wrap t i = if t.mask >= 0 then i land t.mask else i mod Array.length t.stack
+(* Wrap indices with a mask: push/pop are on the warming and fetch hot
+   paths, and [mod] is a hardware divide. *)
+let[@inline] wrap t i = i land t.mask
 
 let push t v =
   if t.depth = Array.length t.stack then Telemetry.incr t.tel_overflows;
@@ -118,9 +119,8 @@ let import_state t s =
 let state_digest t =
   let b = Buffer.create (t.depth * 8) in
   Buffer.add_string b (string_of_int t.depth);
-  let len = Array.length t.stack in
   for i = t.depth downto 1 do
     Buffer.add_char b ':';
-    Buffer.add_string b (string_of_int t.stack.((t.top - i + len + len) mod len))
+    Buffer.add_string b (string_of_int t.stack.(wrap t (t.top - i)))
   done;
   Bor_telemetry.Sha256.digest (Buffer.contents b)

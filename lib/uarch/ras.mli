@@ -5,6 +5,8 @@
 type t
 
 val create : entries:int -> t
+(** @raise Invalid_argument unless [entries] is a power of two. *)
+
 val push : t -> int -> unit
 val pop : t -> int option
 

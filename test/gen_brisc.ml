@@ -60,7 +60,7 @@ let check_case case_seed =
 (* Satellite property for the superoptimizer: on random generated
    targets, the search never reports a best cost above the target's,
    and any rewrite it reports as verified must be independently
-   accepted by the six-way differential (re-run here with a sampling
+   accepted by the ten-way differential (re-run here with a sampling
    plan the verifier never used) and must have survived the search's
    own enlarged fresh-vector equivalence check. Equivalence on
    arbitrary *other* input vectors is deliberately not asserted:

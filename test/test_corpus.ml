@@ -1,7 +1,7 @@
 (* Corpus replay + corpus round-trip.
 
    Every committed reproducer in test/corpus/ is reassembled and run
-   through the full six-way differential property with the sanitizer
+   through the full ten-way differential property with the sanitizer
    enabled — once a fuzzer-found bug is fixed, its reproducer stays
    here as a regression test forever. The suite passes trivially while
    the corpus is empty.

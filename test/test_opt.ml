@@ -571,7 +571,7 @@ let test_determinism_across_domains () =
 
 (* Every committed known-rewrite target must be rediscovered by a
    fixed-budget seeded search, and the reported rewrite must have
-   passed fresh-vector equivalence plus the six-way differential
+   passed fresh-vector equivalence plus the ten-way differential
    (Search sets r_verified only then). *)
 let test_corpus_rediscovery () =
   let files = Corpus.files ~dir:"opt_corpus" in

@@ -41,7 +41,24 @@ let test_cache_geometry_checks () =
   Alcotest.check_raises "non power-of-two sets"
     (Invalid_argument "Cache.create: set count must be a power of two")
     (fun () ->
-      ignore (Bor_uarch.Cache.create ~size:3072 ~assoc:4 ~line_bytes:64 ()))
+      ignore (Bor_uarch.Cache.create ~size:3072 ~assoc:4 ~line_bytes:64 ()));
+  (* 48-byte lines: 32 lines in 16 sets, a valid set count, but every
+     table indexes by mask, so the line size itself must be a power of
+     two. *)
+  Alcotest.check_raises "non power-of-two line size"
+    (Invalid_argument "Cache.create: line size must be a power of two")
+    (fun () ->
+      ignore (Bor_uarch.Cache.create ~size:1536 ~assoc:2 ~line_bytes:48 ()));
+  Alcotest.check_raises "non power-of-two RAS"
+    (Invalid_argument "Ras.create: entries must be a power of two")
+    (fun () -> ignore (Bor_uarch.Ras.create ~entries:12));
+  Alcotest.check_raises "non power-of-two bimodal table"
+    (Invalid_argument
+       "Predictor.create: bimodal_entries must be a power of two")
+    (fun () ->
+      ignore
+        (Bor_uarch.Predictor.create
+           { Bor_uarch.Config.default with bimodal_entries = 1000 }))
 
 let test_hierarchy_latencies () =
   let h = Bor_uarch.Hierarchy.create Bor_uarch.Config.default in
@@ -1294,6 +1311,26 @@ let test_block_warming_equivalence () =
   check Alcotest.bool "marker forced single-step fallbacks" true
     (s.Bor_uarch.Block.fallback_steps > 0)
 
+(* Both warming paths count mispredicts in one shared field through
+   one [Block.warm_branch], so block mode and single-step agree — on
+   conditional branches alone, and with branch-on-random in the
+   predictor (the §3.3 pollution ablation). *)
+let test_block_mispredicts_agree () =
+  let p = assemble blocky_src in
+  let mispredicts ~block brr_in_predictor =
+    let config = { (warm_cfg block) with Bor_uarch.Config.brr_in_predictor } in
+    let t = Bor_uarch.Pipeline.create ~config p in
+    ignore (Bor_uarch.Pipeline.run_warming t);
+    Bor_uarch.Pipeline.warm_mispredicts t
+  in
+  List.iter
+    (fun brr_in_predictor ->
+      let blocked = mispredicts ~block:true brr_in_predictor in
+      check Alcotest.bool "mispredicts counted" true (blocked > 0);
+      check Alcotest.int "block cache = single-stepped" blocked
+        (mispredicts ~block:false brr_in_predictor))
+    [ false; true ]
+
 (* Irregular step budgets, including 1, primes and a budget larger
    than most blocks — every boundary lands mid-block somewhere. *)
 let test_block_budget_exactness () =
@@ -1695,6 +1732,8 @@ let () =
             test_block_warming_equivalence;
           Alcotest.test_case "block cache budget exactness" `Quick
             test_block_budget_exactness;
+          Alcotest.test_case "block cache mispredicts = single-stepped"
+            `Quick test_block_mispredicts_agree;
           Alcotest.test_case "store into text flushes the cache" `Quick
             test_block_store_invalidation;
           Alcotest.test_case "code patch flushes the cache" `Quick
