@@ -64,6 +64,13 @@
 
 type stats_mode = Stats_off | Stats_text | Stats_json
 
+(* The sampled backend's knobs: --sample, --rank-bands, --ci-target. *)
+type sampling = {
+  mutable plan : Bor_uarch.Sampling_plan.t option;
+  mutable rank_bands : int;
+  mutable ci_target : float;
+}
+
 type cc_options = {
   mutable framework : string;
   mutable interval : int;
@@ -75,11 +82,25 @@ type cc_options = {
   mutable trace : int;  (* print the first N executed instructions *)
   mutable dot : bool;
   mutable stats : stats_mode;
-  mutable sample : Bor_uarch.Sampling_plan.t option;
+  sampling : sampling;
   mutable domains : int;
-  mutable rank_bands : int;
-  mutable ci_target : float;
 }
+
+let default_options () =
+  {
+    framework = "none";
+    interval = 1024;
+    fulldup = false;
+    edges = false;
+    yieldpoints = false;
+    empty_payload = false;
+    output = None;
+    trace = 0;
+    dot = false;
+    stats = Stats_off;
+    sampling = { plan = None; rank_bands = 1; ci_target = 0. };
+    domains = 1;
+  }
 
 let usage () =
   prerr_endline
@@ -136,6 +157,25 @@ let float_flag ?(min = Float.neg_infinity) flag v =
   | _ ->
     bad_flag flag v
       (if min = 0. then "a finite number >= 0" else "a finite number")
+
+let plan_flag v =
+  match Bor_uarch.Sampling_plan.of_string v with
+  | Ok plan -> plan
+  | Error e -> sample_usage v e
+
+(* The sampling flags parse the same way for time/cctime, submit and
+   digest: [Some rest] when [args] starts with one of them. *)
+let sampling_flag s = function
+  | "--sample" :: v :: r ->
+    s.plan <- Some (plan_flag v);
+    Some r
+  | "--rank-bands" :: v :: r ->
+    s.rank_bands <- int_flag ~min:1 "--rank-bands" v;
+    Some r
+  | "--ci-target" :: v :: r ->
+    s.ci_target <- float_flag ~min:0. "--ci-target" v;
+    Some r
+  | _ -> None
 
 let read_file = Bor_isa.Toolchain.read_file
 
@@ -220,21 +260,20 @@ let print_registry = function
     print_string
       (Bor_telemetry.Json.to_string (Bor_telemetry.Telemetry.to_json ()))
 
-let run_timing ?(stats = Stats_off) ?sample ?(domains = 1) ?(rank_bands = 1)
-    ?(ci_target = 0.) (program : Bor_isa.Program.t) =
+let run_timing opts (program : Bor_isa.Program.t) =
+  let stats = opts.stats and s = opts.sampling in
   (* Telemetry must be live before the backend is created: instruments
      register at component-creation time. *)
   if stats <> Stats_off then Bor_telemetry.Telemetry.set_enabled true;
-  (match sample with
-  | None when rank_bands <> 1 || ci_target <> 0. ->
-    Printf.eprintf
-      "bor: --rank-bands/--ci-target require --sample W:D:P[:SEED]\n";
-    exit 2
-  | _ -> ());
   let backend =
-    match sample with
+    match s.plan with
     | Some plan ->
-      Bor_exec.Backend.sampled ~plan ~domains ~rank_bands ~ci_target program
+      Bor_exec.Backend.sampled ~plan ~domains:opts.domains
+        ~rank_bands:s.rank_bands ~ci_target:s.ci_target program
+    | None when s.rank_bands <> 1 || s.ci_target <> 0. ->
+      Printf.eprintf
+        "bor: --rank-bands/--ci-target require --sample W:D:P[:SEED]\n";
+      exit 2
     | None -> Bor_exec.Backend.detailed program
   in
   let t0 = Unix.gettimeofday () in
@@ -456,10 +495,11 @@ let run_opt rest =
         { !p with Bor_opt.Search.p_temperature = float_flag "--temp" v };
       parse r
     | "--sample" :: v :: r ->
-      (match Bor_uarch.Sampling_plan.of_string v with
-      | Ok plan ->
-        p := { !p with Bor_opt.Search.p_oracle = Bor_opt.Cost.Sampled plan }
-      | Error e -> sample_usage v e);
+      p :=
+        {
+          !p with
+          Bor_opt.Search.p_oracle = Bor_opt.Cost.Sampled (plan_flag v);
+        };
       parse r
     | "-o" :: v :: r ->
       out_dir := Some v;
@@ -494,25 +534,7 @@ let run_opt rest =
       (fun file ->
         let prog =
           if Filename.check_suffix file ".c" then
-            (compile
-               {
-                 framework = "none";
-                 interval = 1024;
-                 fulldup = false;
-                 edges = false;
-                 yieldpoints = false;
-                 empty_payload = false;
-                 output = None;
-                 trace = 0;
-                 dot = false;
-                 stats = Stats_off;
-                 sample = None;
-                 domains = 1;
-                 rank_bands = 1;
-                 ci_target = 0.;
-               }
-               file)
-              .Bor_minic.Driver.program
+            (compile (default_options ()) file).Bor_minic.Driver.program
           else assemble file
         in
         let progress_fn =
@@ -681,9 +703,7 @@ let run_submit rest =
   let socket = ref None
   and file = ref None
   and backend = ref "detailed"
-  and plan = ref None
-  and rank_bands = ref None
-  and ci_target = ref None
+  and s = (default_options ()).sampling
   and wait = ref false
   and stats_only = ref false
   and shutdown = ref false in
@@ -694,15 +714,6 @@ let run_submit rest =
       parse r
     | "--backend" :: v :: r ->
       backend := v;
-      parse r
-    | "--sample" :: v :: r ->
-      plan := Some v;
-      parse r
-    | "--rank-bands" :: v :: r ->
-      rank_bands := Some (int_flag ~min:1 "--rank-bands" v);
-      parse r
-    | "--ci-target" :: v :: r ->
-      ci_target := Some (float_flag ~min:0. "--ci-target" v);
       parse r
     | "--wait" :: r ->
       wait := true;
@@ -716,7 +727,8 @@ let run_submit rest =
     | f :: r when String.length f > 0 && f.[0] <> '-' ->
       file := Some f;
       parse r
-    | _ -> usage ()
+    | args -> (
+      match sampling_flag s args with Some r -> parse r | None -> usage ())
   in
   parse rest;
   let socket = match !socket with Some s -> s | None -> usage () in
@@ -746,8 +758,10 @@ let run_submit rest =
     let prog = assemble file in
     let resp =
       request
-        (Bor_serve.Client.submit_request ?plan:!plan ?rank_bands:!rank_bands
-           ?ci_target:!ci_target ~backend:!backend prog)
+        (Bor_serve.Client.submit_request
+           ?plan:(Option.map Bor_uarch.Sampling_plan.to_string s.plan)
+           ~rank_bands:s.rank_bands ~ci_target:s.ci_target ~backend:!backend
+           prog)
     in
     let key =
       match json_str_field "key" resp with
@@ -773,25 +787,12 @@ let run_submit rest =
 let run_digest rest =
   let file = ref None
   and backend = ref "detailed"
-  and plan = ref None
-  and rank_bands = ref None
-  and ci_target = ref None
+  and s = (default_options ()).sampling
   and explain = ref false in
   let rec parse = function
     | [] -> ()
     | "--backend" :: v :: r ->
       backend := v;
-      parse r
-    | "--sample" :: v :: r ->
-      (match Bor_uarch.Sampling_plan.of_string v with
-      | Ok p -> plan := Some p
-      | Error e -> sample_usage v e);
-      parse r
-    | "--rank-bands" :: v :: r ->
-      rank_bands := Some (int_flag ~min:1 "--rank-bands" v);
-      parse r
-    | "--ci-target" :: v :: r ->
-      ci_target := Some (float_flag ~min:0. "--ci-target" v);
       parse r
     | "--explain" :: r ->
       explain := true;
@@ -799,14 +800,15 @@ let run_digest rest =
     | f :: r when String.length f > 0 && f.[0] <> '-' ->
       file := Some f;
       parse r
-    | _ -> usage ()
+    | args -> (
+      match sampling_flag s args with Some r -> parse r | None -> usage ())
   in
   parse rest;
   let file = match !file with Some f -> f | None -> usage () in
   let prog = assemble file in
   let key =
-    Bor_store.Key.make ~program:prog ?plan:!plan ?rank_bands:!rank_bands
-      ?ci_target:!ci_target ~kind:!backend ()
+    Bor_store.Key.make ~program:prog ?plan:s.plan ~rank_bands:s.rank_bands
+      ~ci_target:s.ci_target ~kind:!backend ()
   in
   print_endline (Bor_store.Key.hex key);
   if !explain then prerr_string (Bor_store.Key.preimage key)
@@ -821,24 +823,7 @@ let () =
   | _ :: "digest" :: rest -> run_digest rest
   | _ :: "checkpoint" :: rest -> run_checkpoint rest
   | _ :: cmd :: path :: rest ->
-    let opts =
-      {
-        framework = "none";
-        interval = 1024;
-        fulldup = false;
-        edges = false;
-        yieldpoints = false;
-        empty_payload = false;
-        output = None;
-        trace = 0;
-        dot = false;
-        stats = Stats_off;
-        sample = None;
-        domains = 1;
-        rank_bands = 1;
-        ci_target = 0.;
-      }
-    in
+    let opts = default_options () in
     let rec parse = function
       | [] -> ()
       | "--framework" :: v :: r ->
@@ -874,24 +859,16 @@ let () =
       | "--stats=json" :: r ->
         opts.stats <- Stats_json;
         parse r
-      | "--sample" :: v :: r ->
-        (match Bor_uarch.Sampling_plan.of_string v with
-        | Ok plan -> opts.sample <- Some plan
-        | Error e -> sample_usage v e);
-        parse r
       | "--domains" :: v :: r ->
         opts.domains <- int_flag ~min:1 "--domains" v;
-        parse r
-      | "--rank-bands" :: v :: r ->
-        opts.rank_bands <- int_flag ~min:1 "--rank-bands" v;
-        parse r
-      | "--ci-target" :: v :: r ->
-        opts.ci_target <- float_flag ~min:0. "--ci-target" v;
         parse r
       | "--sanitize" :: r ->
         Bor_check.Check.set_enabled true;
         parse r
-      | _ -> usage ()
+      | args -> (
+        match sampling_flag opts.sampling args with
+        | Some r -> parse r
+        | None -> usage ())
     in
     parse rest;
     (match cmd with
@@ -904,9 +881,7 @@ let () =
           (Bor_isa.Program.instr_count p)
       | None -> Format.printf "%a" Bor_isa.Program.pp_listing p)
     | "run" -> run_functional ~trace:opts.trace (assemble path)
-    | "time" ->
-      run_timing ~stats:opts.stats ?sample:opts.sample ~domains:opts.domains
-        ~rank_bands:opts.rank_bands ~ci_target:opts.ci_target (assemble path)
+    | "time" -> run_timing opts (assemble path)
     | "cc" when opts.dot -> (
       match Bor_minic.Driver.dot ~cfg:(driver_config opts) (read_file path) with
       | Ok d -> print_string d
@@ -923,9 +898,6 @@ let () =
           (List.length c.sites)
       | None -> print_string c.asm)
     | "ccrun" -> run_functional ~trace:opts.trace (compile opts path).program
-    | "cctime" ->
-      run_timing ~stats:opts.stats ?sample:opts.sample ~domains:opts.domains
-        ~rank_bands:opts.rank_bands ~ci_target:opts.ci_target
-        (compile opts path).program
+    | "cctime" -> run_timing opts (compile opts path).program
     | _ -> usage ())
   | _ -> usage ()

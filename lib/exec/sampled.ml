@@ -134,86 +134,79 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
       let prog = Machine.program oracle in
       let digest = Checkpoint.program_digest prog in
       let domains = max 1 (min domains 64) in
-      (* The sampling.* instruments exist only in sampled runs, so a
-         full-detail run's telemetry dump — part of the golden bench
-         digests — is byte-identical with or without this code. *)
-      let sc = Telemetry.scope "sampling" in
-      let c_windows =
-        Telemetry.counter sc ~doc:"measured detailed windows" "windows"
-      in
-      let c_warmed =
-        Telemetry.counter sc ~unit_:"instructions"
-          ~doc:"instructions fast-forwarded under functional warming"
-          "warmed"
-      in
-      let c_detailed =
-        Telemetry.counter sc ~unit_:"instructions"
-          ~doc:"instructions executed inside detailed windows" "detailed"
-      in
-      let c_cpi =
-        Telemetry.counter sc ~unit_:"mCPI"
-          ~doc:"extrapolated CPI, in thousandths" "cpi_milli"
-      in
-      let c_ci =
-        Telemetry.counter sc ~unit_:"mCPI"
-          ~doc:"95% confidence half-width of the CPI, in thousandths"
-          "ci95_milli"
-      in
-      (* The sampling.rank.* / sampling.stop.* families register up
-         front (so their export order is fixed), and only when their
-         feature is actually on: a plain fixed-period run's telemetry
-         stays byte-identical to what it was before ranking existed.
-         Every value they carry is a pure function of the sweep and the
-         merged window prefix — never of worker-domain timing. *)
-      let rank_tel =
-        if rank_bands <= 1 then None
-        else begin
-          let rsc = Telemetry.scope "sampling.rank" in
-          Some
-            ( Telemetry.counter rsc ~unit_:"bands"
-                ~doc:"ranked-set size K (--rank-bands)" "bands",
-              Telemetry.counter rsc
-                ~doc:"candidate window boundaries scored" "candidates",
-              Telemetry.counter rsc
-                ~doc:"ranked sets drained (including a partial last set)"
-                "sets",
-              Telemetry.counter rsc
-                ~doc:"windows selected for detailed simulation" "selected"
-            )
-        end
-      in
-      let stop_tel =
-        if ci_target <= 0. then None
-        else begin
-          let ssc = Telemetry.scope "sampling.stop" in
-          Some
-            ( Telemetry.counter ssc ~unit_:"m%"
-                ~doc:
-                  "CI target, in thousandths of a percent of the mean \
-                   (--ci-target)"
-                "target_milli",
-              Telemetry.counter ssc
-                ~doc:"CPI samples folded into the stopping rule" "observed",
-              Telemetry.counter ssc
-                ~doc:"1 when the run stopped before the full window set"
-                "stopped" )
-        end
-      in
       let phase = Sampling_plan.phase_stream plan in
       let period = plan.Sampling_plan.period in
-      let warmed = ref 0 in
       let halted () = Machine.halted oracle in
       let results : (int, window_entry) Hashtbl.t = Hashtbl.create 64 in
       let njobs = ref 0 in
-      let seed =
-        match plan.Sampling_plan.seed with Some s -> s | None -> 0
+      let seed = Option.value ~default:0 plan.Sampling_plan.seed in
+      (* One selector and one stopping rule, whatever the knobs: at
+         [bands = 1] the selector passes every candidate through (plain
+         fixed-period sampling), and at a target of 0 the rule never
+         fires (the full window set). *)
+      let selector = Rank.selector ~seed ~bands:rank_bands () in
+      let stopper = Stopping.create ~target_pct:ci_target () in
+      (* The sampling.* counters exist only in sampled runs, so a
+         full-detail run's telemetry dump — part of the golden bench
+         digests — is byte-identical with or without this code. They
+         are published once, from the run's final counts; every value
+         is a pure function of the sweep and the merged window prefix,
+         never of worker-domain timing. The sampling.rank.* /
+         sampling.stop.* families register only when their feature is
+         on, so a plain fixed-period run's telemetry stays what it was
+         before ranking and stopping existed. *)
+      let milli x = int_of_float ((x *. 1000.) +. 0.5) in
+      let family name on table =
+        Telemetry.family (Telemetry.scope name) (if on then table else [||])
       in
-      let selector =
-        if rank_bands > 1 then
-          Some (Rank.selector ~seed ~bands:rank_bands ())
-        else None
+      let tel =
+        family "sampling" true
+          [|
+            ("windows", "events", "measured detailed windows",
+             fun s -> s.sp_windows);
+            ("warmed", "instructions",
+             "instructions fast-forwarded under functional warming",
+             fun s -> s.sp_warmed);
+            ("detailed", "instructions",
+             "instructions executed inside detailed windows",
+             fun s -> s.sp_detailed);
+            ("cpi_milli", "mCPI", "extrapolated CPI, in thousandths",
+             fun s -> milli s.sp_cpi);
+            ("ci95_milli", "mCPI",
+             "95% confidence half-width of the CPI, in thousandths",
+             fun s -> milli s.sp_cpi_ci95);
+          |]
       in
-      let n_selected = ref 0 in
+      let rank_tel =
+        family "sampling.rank" (rank_bands > 1)
+          [|
+            ("bands", "bands", "ranked-set size K (--rank-bands)",
+             fun _ -> rank_bands);
+            ("candidates", "events", "candidate window boundaries scored",
+             Rank.candidates);
+            ("sets", "events",
+             "ranked sets drained (including a partial last set)",
+             Rank.sets);
+            (* Every selection drains exactly one set. *)
+            ("selected", "events",
+             "windows selected for detailed simulation", Rank.sets);
+          |]
+      in
+      let stop_tel =
+        family "sampling.stop" (ci_target > 0.)
+          [|
+            ("target_milli", "m%",
+             "CI target, in thousandths of a percent of the mean \
+              (--ci-target)",
+             fun _ -> milli ci_target);
+            ("observed", "events",
+             "CPI samples folded into the stopping rule",
+             fun s -> s.sp_windows);
+            ("stopped", "events",
+             "1 when the run stopped before the full window set",
+             fun s -> Bool.to_int s.sp_stopped);
+          |]
+      in
       (* Early-stop machinery. [stop_flag] is advisory: it tells the
          sweep to stop capturing and dispatching further windows. It is
          raised by [advance_stopping], an in-order fold over the
@@ -228,29 +221,21 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
          warming, and [sp_instructions]/[sp_warmed] stay identical at
          every domain count and stop target. *)
       let stop_flag = Atomic.make false in
-      let stopper =
-        if ci_target > 0. then
-          Some (Stopping.create ~target_pct:ci_target ())
-        else None
-      in
       let next_obs = ref 0 in
       let advance_stopping () =
-        match stopper with
-        | None -> ()
-        | Some stop ->
-          let continue = ref true in
-          while !continue && not (Atomic.get stop_flag) do
-            match Hashtbl.find_opt results !next_obs with
-            | Some { e_result = Ok w; _ } ->
-              incr next_obs;
-              (match w.Pipeline.w_sample with
-              | Some (cycles, instrs) ->
-                Stopping.observe stop
-                  (float_of_int cycles /. float_of_int instrs);
-                if Stopping.satisfied stop then Atomic.set stop_flag true
-              | None -> ())
-            | Some { e_result = Error _; _ } | None -> continue := false
-          done
+        let continue = ref true in
+        while !continue && not (Atomic.get stop_flag) do
+          match Hashtbl.find_opt results !next_obs with
+          | Some { e_result = Ok w; _ } ->
+            incr next_obs;
+            (match w.Pipeline.w_sample with
+            | Some (cycles, instrs) ->
+              Stopping.observe stopper
+                (float_of_int cycles /. float_of_int instrs);
+              if Stopping.satisfied stopper then Atomic.set stop_flag true
+            | None -> ())
+          | Some { e_result = Error _; _ } | None -> continue := false
+        done
       in
       (* Every delivery — inline or from the window queue — funnels
          through here: insert under the results mutex, then
@@ -295,14 +280,13 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
           mispredicts = Pipeline.warm_mispredicts t;
         }
       in
-      (* The sweep warms the whole program on [t]; at each window
-         boundary it either dispatches the checkpoint directly
-         (bands = 1: the classic fixed-period schedule, unchanged) or
-         treats the boundary as a ranked-set candidate (bands > 1).
-         A candidate is scored by the signature of its own stretch —
-         the counter delta up to the NEXT boundary — so it sits pending
-         until that snapshot exists, then enters the selector; the
-         selector buffers at most one set (K checkpoints). Selections
+      (* The sweep warms the whole program on [t]; every window
+         boundary is a candidate for the selector. A candidate is
+         scored by the signature of its own stretch — the counter delta
+         up to the NEXT boundary — so it sits pending until that
+         snapshot exists, then enters the selector, which buffers at
+         most one set (K checkpoints; at K = 1 it hands the candidate
+         straight back, one period after its capture). Selections
          drain in set order, so selected windows are dispatched in
          schedule order. Once the stop flag is up, checkpoints stop
          being captured, but candidates keep flowing with [None]
@@ -316,62 +300,42 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
          boundary the checkpoint was captured at — a pure function of
          the schedule that survives ranked selection's sparsification,
          so an external runner can content-address the work unit by
-         (program, config, plan, boundary) alone. Under ranked
-         selection the boundary rides inside the selector's payload. *)
-      let n_bound = ref 0 in
+         (program, config, plan, boundary) alone. The boundary rides
+         inside the selector's payload. *)
       let sweep dispatch =
-        let dispatch_ck ~boundary ck =
-          if not (Atomic.get stop_flag) then begin
+        let select = function
+          | Some (Some ck, boundary) when not (Atomic.get stop_flag) ->
             dispatch ~index:!njobs ~boundary ck;
             incr njobs
-          end
-        in
-        let select (sel_ck, boundary) =
-          incr n_selected;
-          match sel_ck with Some ck -> dispatch_ck ~boundary ck | None -> ()
+          | _ -> ()
         in
         let pending = ref None in
-        let flush_pending sel =
-          match !pending with
-          | None -> ()
-          | Some (pay, s0) ->
-            pending := None;
-            let sg = Rank.sub (snapshot ()) s0 in
-            (match Rank.push sel pay sg with
-            | Some sel_pay -> select sel_pay
-            | None -> ())
+        let flush_pending now =
+          Option.iter
+            (fun (pay, s0) ->
+              pending := None;
+              select (Rank.push selector pay (Rank.sub now s0)))
+            !pending
         in
         while not (halted ()) do
           let offset = phase () in
-          warmed := !warmed + Pipeline.run_warming ~max_steps:offset t;
+          ignore (Pipeline.run_warming ~max_steps:offset t);
           if not (halted ()) then begin
-            (match selector with
-            | None ->
-              let boundary = !n_bound in
-              incr n_bound;
-              if not (Atomic.get stop_flag) then
-                dispatch_ck ~boundary
-                  (Checkpoint.capture ~program_digest:digest t)
-            | Some sel ->
-              flush_pending sel;
-              let boundary = !n_bound in
-              incr n_bound;
-              let ck =
-                if Atomic.get stop_flag then None
-                else Some (Checkpoint.capture ~program_digest:digest t)
-              in
-              pending := Some ((ck, boundary), snapshot ()));
-            warmed :=
-              !warmed + Pipeline.run_warming ~max_steps:(period - offset) t
+            let now = snapshot () in
+            flush_pending now;
+            (* Pushed candidates plus none pending: this boundary's
+               period index. *)
+            let boundary = Rank.candidates selector in
+            let ck =
+              if Atomic.get stop_flag then None
+              else Some (Checkpoint.capture ~program_digest:digest t)
+            in
+            pending := Some ((ck, boundary), now);
+            ignore (Pipeline.run_warming ~max_steps:(period - offset) t)
           end
         done;
-        match selector with
-        | None -> ()
-        | Some sel ->
-          flush_pending sel;
-          (match Rank.drain sel with
-          | Some sel_pay -> select sel_pay
-          | None -> ())
+        flush_pending (snapshot ());
+        select (Rank.drain selector)
       in
       Pipeline.guard (fun () ->
         let r =
@@ -435,38 +399,23 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
             Sampling_plan.estimate ~cpi_samples:(List.rev !samples)
               ~instructions:total
           in
-          Telemetry.add c_windows !windows;
-          Telemetry.add c_warmed !warmed;
-          Telemetry.add c_detailed !detailed;
-          Telemetry.add c_cpi
-            (int_of_float ((est.Sampling_plan.cpi_mean *. 1000.) +. 0.5));
-          Telemetry.add c_ci
-            (int_of_float ((est.Sampling_plan.cpi_ci95 *. 1000.) +. 0.5));
-          (match rank_tel with
-          | None -> ()
-          | Some (tc_bands, tc_cands, tc_sets, tc_sel) ->
-            let sel = Option.get selector in
-            Telemetry.add tc_bands rank_bands;
-            Telemetry.add tc_cands (Rank.candidates sel);
-            Telemetry.add tc_sets (Rank.sets sel);
-            Telemetry.add tc_sel !n_selected);
-          (match stop_tel with
-          | None -> ()
-          | Some (tc_target, tc_obs, tc_stopped) ->
-            Telemetry.add tc_target
-              (int_of_float ((ci_target *. 1000.) +. 0.5));
-            Telemetry.add tc_obs !windows;
-            Telemetry.add tc_stopped (if stopped then 1 else 0));
-          Ok
+          (* [run_on] only accepts a fresh pipeline, so the sweep warmed
+             every instruction the oracle executed. *)
+          let st =
             {
               sp_windows = !windows;
               sp_instructions = total;
-              sp_warmed = !warmed;
+              sp_warmed = total;
               sp_detailed = !detailed;
               sp_detailed_cycles = !dcycles;
               sp_cpi = est.Sampling_plan.cpi_mean;
               sp_cpi_ci95 = est.Sampling_plan.cpi_ci95;
               sp_cycles_estimate = est.Sampling_plan.cycles_estimate;
               sp_stopped = stopped;
-            })
+            }
+          in
+          Telemetry.publish tel st;
+          Telemetry.publish rank_tel selector;
+          Telemetry.publish stop_tel st;
+          Ok st)
     end

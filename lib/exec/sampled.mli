@@ -13,24 +13,29 @@
     are identical at every domain count, including [domains = 1]
     (which runs the same capture/restore path inline).
 
-    Two variance-reduction refinements ride on the same schedule (see
-    [docs/SAMPLING.md]):
+    Every run takes one path: a ranked-set selector and an online
+    stopping rule, both always present (see [docs/SAMPLING.md]).
+    Fixed-period sampling is their degenerate case — [K = 1] and a
+    target of [0] — not a separate branch.
 
-    - {e Ranked-set selection} ([?rank_bands = K > 1]): window
-      boundaries become {e candidates}, scored by a cheap warming
-      signature ({!Bor_sampling.Rank}); each consecutive set of [K]
-      candidates contributes one detailed window, chosen by a cycling
-      order statistic, cutting the detailed-window count by ~[K] while
-      covering the program's behavior spectrum by construction.
-    - {e Online stopping} ([?ci_target > 0]): CPI samples fold into a
+    - {e Ranked-set selection} ([?rank_bands = K]): window boundaries
+      are {e candidates}, scored by a cheap warming signature
+      ({!Bor_sampling.Rank}); each consecutive set of [K] candidates
+      contributes one detailed window, chosen by a cycling order
+      statistic, cutting the detailed-window count by ~[K] while
+      covering the program's behavior spectrum by construction. A
+      candidate is scored by the stretch up to the next boundary, so
+      its checkpoint is dispatched one period after capture; at
+      [K = 1] every candidate is selected.
+    - {e Online stopping} ([?ci_target]): CPI samples fold into a
       streaming estimate ({!Bor_sampling.Stopping}) and the run stops
       dispatching windows once the 95% CI half-width falls below the
-      target percentage of the mean. The stop index is re-derived at
-      merge time from the in-order sample stream, so early-stopped runs
-      are byte-identical at every domain count; off-thread dispatch may
-      overrun the stop index, and those windows (results and telemetry
-      deltas both) are discarded. The sweep always warms to the end of
-      the program either way. *)
+      target percentage of the mean; a target of [0] never stops. The
+      stop index is re-derived at merge time from the in-order sample
+      stream, so early-stopped runs are byte-identical at every domain
+      count; off-thread dispatch may overrun the stop index, and those
+      windows (results and telemetry deltas both) are discarded. The
+      sweep always warms to the end of the program either way. *)
 
 (** {2 Window execution}
 
@@ -93,17 +98,18 @@ val run_on :
     [max 4 (2 * N)] windows ahead and while draining.
     [max_cycles] (default 2e9) bounds each window individually.
 
-    [rank_bands] (default [1] = off) sets the ranked-set size [K];
-    [ci_target] (default [0.] = off) sets the online-stopping CI
-    target, as a percent of the mean CPI. Both default to the exact
-    pre-existing fixed-period behavior — byte-identical output,
-    telemetry included. Errors (not exceptions) on [rank_bands < 1] or
-    [ci_target < 0].
+    [rank_bands] (default [1]: every candidate selected) sets the
+    ranked-set size [K]; [ci_target] (default [0.]: never stop) sets
+    the online-stopping CI target, as a percent of the mean CPI. The
+    defaults are plain fixed-period sampling. Errors (not exceptions)
+    on [rank_bands < 1] or a [ci_target] that is negative or not
+    finite.
 
     Registers the [sampling.*] telemetry counters — only in sampled
     runs, never in full-detail ones — plus [sampling.rank.*] when
-    [rank_bands > 1] and [sampling.stop.*] when [ci_target > 0]; no
-    family depends on the domain count. Never raises; simulator
+    [rank_bands > 1] and [sampling.stop.*] when [ci_target > 0], and
+    publishes them once, from the run's final counts; no value
+    depends on the domain count. Never raises; simulator
     errors, sanitizer violations and oracle faults from the sweep or
     any window come back as [Error] (first window in window order
     wins).

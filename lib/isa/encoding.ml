@@ -1,6 +1,5 @@
 open Bor_util
 
-let instr_bytes = 4
 let imm_bits_alui = 12
 let imm_bits_mem = 16
 let offset_bits_branch = 13

@@ -17,9 +17,6 @@ val encode_exn : Instr.t -> int
 val decode : int -> (Instr.t, string) result
 (** Exact inverse of {!encode} on its image. *)
 
-val instr_bytes : int
-(** 4: every instruction occupies one word. *)
-
 (** {2 Field widths (for assembler diagnostics and tests)} *)
 
 val imm_bits_alui : int

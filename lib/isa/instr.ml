@@ -54,9 +54,6 @@ let sources i =
   in
   List.filter (fun r -> not (Reg.equal r Reg.zero)) regs
 
-let is_load = function Load _ -> true | _ -> false
-let is_store = function Store _ -> true | _ -> false
-
 let branch_offset = function
   | Branch (_, _, _, off) | Jal (_, off) | Brr (_, off) | Brr_always off ->
     Some off

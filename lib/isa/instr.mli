@@ -65,9 +65,6 @@ val dest : t -> Reg.t option
 val sources : t -> Reg.t list
 (** Register operands read (without [zero]). *)
 
-val is_load : t -> bool
-val is_store : t -> bool
-
 val branch_offset : t -> int option
 (** Static target offset (in words) for direct control flow. *)
 

@@ -23,7 +23,6 @@ let instr_at t addr =
     let idx = off lsr 2 in
     if idx >= Array.length t.text then None else Some t.text.(idx)
 
-let text_end t = t.text_base + (4 * Array.length t.text)
 let find_symbol t name = List.assoc_opt name t.symbols
 let site_at t addr = List.assoc_opt addr t.sites
 let instr_count t = Array.length t.text

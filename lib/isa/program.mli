@@ -35,7 +35,6 @@ val instr_at : t -> int -> Instr.t option
 (** Instruction at a byte address; [None] outside the text segment or
     misaligned. *)
 
-val text_end : t -> int
 val find_symbol : t -> string -> int option
 val site_at : t -> int -> int option
 val instr_count : t -> int

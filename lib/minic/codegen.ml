@@ -4,9 +4,6 @@ type options = {
   roi_markers : bool;
 }
 
-let default_options =
-  { counter_interval = None; n_sites = 0; roi_markers = true }
-
 let sc1, sc2, sc3 = Regalloc.scratch
 let rname = Bor_isa.Reg.name
 

@@ -21,7 +21,5 @@ type options = {
   roi_markers : bool;  (** emit marker 1/2 around the [f_main] call *)
 }
 
-val default_options : options
-
 val program : Ast.global list -> Ir.func list -> options -> string
 (** Full assembly source: [.text] with all functions, then [.data]. *)

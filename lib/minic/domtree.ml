@@ -96,13 +96,6 @@ let backedges t =
              else None)
            (Ir.successors (Ir.block t.f src).Ir.term))
 
-let loop_headers t =
-  let headers = List.map snd (backedges t) in
-  List.filter
-    (fun l -> List.mem l headers)
-    (Array.to_list t.order)
-  |> List.sort_uniq compare
-
 let natural_loop t ~src ~header =
   let body = Hashtbl.create 8 in
   Hashtbl.replace body header ();

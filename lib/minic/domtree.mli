@@ -21,9 +21,6 @@ val backedges : t -> (Ir.label * Ir.label) list
 (** CFG edges [(src, dst)] where [dst] dominates [src] — the natural
     loop backedges. *)
 
-val loop_headers : t -> Ir.label list
-(** Targets of backedges, deduplicated, in layout order. *)
-
 val natural_loop : t -> src:Ir.label -> header:Ir.label -> Ir.label list
 (** The body of the natural loop of a backedge: every block that can
     reach [src] without passing through [header], plus the header. *)

@@ -212,14 +212,14 @@ let record s d =
 
 (* ------------------------------------------------------------ snapshots *)
 
+let name_of = function
+  | Counter c -> c.c_name
+  | Histogram h -> h.h_name
+  | Span s -> s.s_name
+
 let sorted_instruments () =
-  let name = function
-    | Counter c -> c.c_name
-    | Histogram h -> h.h_name
-    | Span s -> s.s_name
-  in
   Hashtbl.fold (fun _ i acc -> i :: acc) (state ()).registry []
-  |> List.sort (fun a b -> compare (name a) (name b))
+  |> List.sort (fun a b -> compare (name_of a) (name_of b))
 
 let counters () =
   List.filter_map
@@ -373,19 +373,19 @@ let scope_of_name n =
   | Some i -> String.sub n 0 i
   | None -> n
 
+(* Grouped by scope first: in plain name order a child scope can sort
+   into the middle of its parent's names ("a.b.y" between "a.x" and
+   "a.z") and split the parent's group in two. *)
 let pp ppf () =
-  let instruments = sorted_instruments () in
+  let key i = (scope_of_name (name_of i), name_of i) in
+  let instruments =
+    List.sort (fun a b -> compare (key a) (key b)) (sorted_instruments ())
+  in
   let current = ref "" in
   Format.fprintf ppf "@[<v>";
   List.iteri
     (fun i instr ->
-      let name =
-        match instr with
-        | Counter c -> c.c_name
-        | Histogram h -> h.h_name
-        | Span s -> s.s_name
-      in
-      let sc = scope_of_name name in
+      let sc = scope_of_name (name_of instr) in
       if sc <> !current then begin
         if i > 0 then Format.fprintf ppf "@,";
         Format.fprintf ppf "[%s]@," sc;

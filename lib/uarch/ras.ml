@@ -102,8 +102,6 @@ let check_snapshot ?cycle s =
   check_shape ?cycle ~component:"ras" ~what:"snapshot"
     (Array.length s.s_stack) s.s_top s.s_depth
 
-let snapshot_geometry_matches t s = Array.length t.stack = Array.length s.s_stack
-
 type state = { s_stack : int array; s_top : int; s_depth : int }
 
 let export_state t =

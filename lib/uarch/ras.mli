@@ -46,10 +46,6 @@ val check_snapshot : ?cycle:int -> snapshot -> unit
 (** Same shape invariants for a snapshot — the pipeline audits every
     in-flight branch's saved stack with it. *)
 
-val snapshot_geometry_matches : t -> snapshot -> bool
-(** Whether the snapshot's buffer matches the stack's entry count —
-    the precondition of {!restore} and {!save_into}. *)
-
 type state = { s_stack : int array; s_top : int; s_depth : int }
 (** Immutable copy of the full stack for checkpoints (unlike
     {!snapshot}, which is a mutable pooled buffer private to the

@@ -33,11 +33,3 @@ let int t bound =
 
 let float t = Float.of_int (next t) /. Float.of_int max_int
 let bool t = next t land 1 = 1
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

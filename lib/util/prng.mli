@@ -30,6 +30,3 @@ val float : t -> float
 
 val bool : t -> bool
 (** Fair coin. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -474,6 +474,20 @@ let test_frozen_registries () =
   in
   check Alcotest.string "sampled run_on registry"
     "5221193073e250d538988dc7dedb79c1ea9ccb94ea13f83bf91f00eac79b04b4" sampled;
+  (* The same schedule under ranked selection and the stopping rule:
+     pins the sampling.rank.* and sampling.stop.* bytes too. *)
+  let ranked =
+    registry_sha (fun () ->
+        let p = Pipeline.create (Lazy.force micro_prog) in
+        match
+          Sampled.run_on ~rank_bands:3 ~ci_target:2.
+            ~plan:(plan_exn "500:300:5000:3") p
+        with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+  in
+  check Alcotest.string "ranked, stopping run_on registry"
+    "004be5dbfbf93dd516252b0415946effdd17d6f9adcfb44c85899ebf2bf62faa" ranked;
   let roi =
     registry_sha (fun () ->
         let prog =

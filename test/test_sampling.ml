@@ -650,21 +650,39 @@ let test_ci_target_non_finite_rejected () =
     [ ("nan", Float.nan); ("infinity", Float.infinity) ]
 
 let test_ranked_stopping_domain_invariant () =
-  (* The feature half: ranked selection + stopping on, sequential vs
-     3 domains — stats records and the raw telemetry JSON must both be
-     identical; no telemetry family depends on the domain count. *)
+  (* The feature half, over the knob corners that share the one sweep:
+     fixed-period and ranked selection with stopping on, and ranked
+     selection with stopping off — sequential vs 3 domains, stats
+     records and the raw telemetry JSON must both be identical; no
+     telemetry family depends on the domain count. *)
   let prog = Lazy.force stop_prog in
   let plan = plan_exn "50:100:1500:11" in
-  let st1, tel1 =
-    sampled_snapshot ~rank_bands:3 ~ci_target:2. ~domains:1 plan prog
-  in
-  let st3, tel3 =
-    sampled_snapshot ~rank_bands:3 ~ci_target:2. ~domains:3 plan prog
-  in
-  check Alcotest.bool "stats identical across domains" true (st1 = st3);
-  check Alcotest.string "telemetry identical across domains" tel1 tel3;
-  check Alcotest.bool "ranked run uses fewer windows" true
-    (st1.Bor_exec.Sampled.sp_windows > 0)
+  List.iter
+    (fun (rank_bands, ci_target) ->
+      let what = Printf.sprintf "K=%d target=%g" rank_bands ci_target in
+      let st1, tel1 =
+        sampled_snapshot ~rank_bands ~ci_target ~domains:1 plan prog
+      in
+      let st3, tel3 =
+        sampled_snapshot ~rank_bands ~ci_target ~domains:3 plan prog
+      in
+      check Alcotest.bool (what ^ ": stats identical across domains") true
+        (st1 = st3);
+      check Alcotest.string (what ^ ": telemetry identical across domains")
+        tel1 tel3;
+      check Alcotest.bool (what ^ ": measured windows") true
+        (st1.Bor_exec.Sampled.sp_windows > 0);
+      check Alcotest.int (what ^ ": the sweep warms every instruction")
+        st1.Bor_exec.Sampled.sp_instructions st1.Bor_exec.Sampled.sp_warmed;
+      if rank_bands > 1 then
+        let counter name =
+          match Bor_telemetry.Json.(member name (of_string tel1)) with
+          | Some (Bor_telemetry.Json.Int n) -> n
+          | _ -> Alcotest.failf "%s: %s missing" what name
+        in
+        check Alcotest.int (what ^ ": one selection per ranked set")
+          (counter "sampling.rank.sets") (counter "sampling.rank.selected"))
+    [ (1, 2.); (3, 2.); (3, 0.) ]
 
 let () =
   Alcotest.run "bor_sampling"

@@ -83,6 +83,22 @@ let test_reset_keeps_registrations () =
       Telemetry.incr c;
       check Alcotest.int "still live" 1 (Telemetry.value c))
 
+let test_pp_groups_scopes () =
+  (* By full name "a.b.y" sorts between "a.a" and "a.x"; the text dump
+     must still print the [a] group once, with [a.b] after it. *)
+  with_registry (fun () ->
+      let a = Telemetry.scope "a" and ab = Telemetry.scope "a.b" in
+      List.iter
+        (fun (sc, n) -> ignore (Telemetry.counter sc n))
+        [ (a, "a"); (a, "x"); (ab, "y"); (a, "z") ];
+      let text = Format.asprintf "%a" Telemetry.pp () in
+      let headers =
+        String.split_on_char '\n' text
+        |> List.filter (fun l -> String.length l > 0 && l.[0] = '[')
+      in
+      check Alcotest.(list string) "one header per scope" [ "[a]"; "[a.b]" ]
+        headers)
+
 let test_histogram_buckets () =
   with_registry (fun () ->
       let h = Telemetry.histogram (Telemetry.scope "t") "lat" in
@@ -237,6 +253,7 @@ let () =
             test_disabled_records_nothing;
           Alcotest.test_case "reset keeps registrations" `Quick
             test_reset_keeps_registrations;
+          Alcotest.test_case "pp groups scopes" `Quick test_pp_groups_scopes;
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "span min/max" `Quick test_span_min_max;
         ] );
