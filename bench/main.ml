@@ -933,8 +933,8 @@ let warming_row name prog =
     <> Bor_uarch.Pipeline.state_digests t_bc
   then failwith (name ^ ": warmed state digests diverge between paths");
   if
-    Bor_uarch.Pipeline.warm_mispredicts t_ss
-    <> Bor_uarch.Pipeline.warm_mispredicts t_bc
+    (Bor_uarch.Pipeline.warm t_ss).mispredicts
+    <> (Bor_uarch.Pipeline.warm t_bc).mispredicts
   then failwith (name ^ ": warming mispredict counts diverge between paths");
   let bs =
     match Bor_uarch.Pipeline.block_cache t_bc with

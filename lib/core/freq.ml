@@ -1,7 +1,5 @@
 type t = int
 
-let field_bits = 4
-
 let of_field f =
   if f < 0 || f > 15 then invalid_arg "Freq.of_field: need 0..15";
   f

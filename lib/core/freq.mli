@@ -9,9 +9,6 @@
 
 type t = private int
 
-val field_bits : int
-(** Width of the instruction field: 4. *)
-
 val of_field : int -> t
 (** [of_field f] validates [f ∈ \[0, 15\]]. *)
 

@@ -6,8 +6,9 @@
     program (or from a {!Checkpoint}), behind the three things its
     callers read: the architectural machine, the timing pipeline (when
     there is one), and a [run] that never raises. Callers that need
-    more — single-stepping, warmed-state digests — use {!Bor_sim.Machine}
-    and {!Bor_uarch.Pipeline} directly. *)
+    more — single-stepping, the warm-state record and its digests — use
+    {!Bor_sim.Machine}, {!Bor_uarch.Pipeline.warm} and
+    {!Bor_uarch.Block} directly. *)
 
 type report =
   | Functional of { instructions : int }
@@ -48,10 +49,10 @@ val detailed :
 val warming :
   ?config:Bor_uarch.Config.t -> ?max_steps:int -> Bor_isa.Program.t -> t
 (** Pure functional warming to completion. [run] goes through
-    {!Bor_uarch.Pipeline.run_warming} — and so, by default, the block
-    translation cache ([docs/WARMING.md]); the warmed state is
-    bit-identical to single-stepping with
-    {!Bor_uarch.Pipeline.warm_step}. *)
+    {!Bor_uarch.Block.run_warming} on the pipeline's warm-state record
+    — and so, by default, the block translation cache
+    ([docs/WARMING.md]); the warmed state is bit-identical to
+    single-stepping with {!Bor_uarch.Block.warm_step}. *)
 
 val sampled :
   ?config:Bor_uarch.Config.t ->
@@ -113,7 +114,10 @@ val resume :
   Bor_isa.Program.t ->
   (t, string) result
 (** A detailed backend created from a checkpoint instead of the program
-    entry point: the pipeline is seeded via {!Checkpoint.restore} and
-    [run] simulates in full detail from the restored state to halt.
+    entry point: the pipeline's warm-state record is seeded via
+    {!Checkpoint.restore}, which hands over to detail through
+    {!Bor_uarch.Pipeline.resume_fetch}, and [run] simulates in full
+    detail from the restored state to halt — nothing at all when the
+    checkpoint was taken after the program halted.
     [Error] (never an exception) when the checkpoint does not match the
     program or configuration. *)

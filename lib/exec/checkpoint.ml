@@ -24,17 +24,16 @@ let magic = "BORCKPT\n"
 let program_digest prog = Sha256.digest (Bor_isa.Objfile.save prog)
 
 let capture ~program_digest p =
-  let oracle = Pipeline.oracle p in
+  let w = Pipeline.warm p in
   {
     ck_program = program_digest;
-    ck_arch = Machine.export_arch oracle;
-    ck_mem = Memory.snapshot (Machine.memory oracle);
-    ck_lfsr =
-      Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr (Pipeline.engine p));
-    ck_pred = Predictor.export_state (Pipeline.predictor p);
-    ck_btb = Btb.export_state (Pipeline.btb p);
-    ck_ras = Ras.export_state (Pipeline.ras p);
-    ck_hier = Hierarchy.export_state (Pipeline.hierarchy p);
+    ck_arch = Machine.export_arch w.oracle;
+    ck_mem = Memory.snapshot (Machine.memory w.oracle);
+    ck_lfsr = Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr w.engine);
+    ck_pred = Predictor.export_state w.pred;
+    ck_btb = Btb.export_state w.btb;
+    ck_ras = Ras.export_state w.ras;
+    ck_hier = Hierarchy.export_state w.hier;
   }
 
 let restore ck ~program_digest p =
@@ -46,16 +45,14 @@ let restore ck ~program_digest p =
          (String.sub program_digest 0 12))
   else
     try
-      let oracle = Pipeline.oracle p in
-      Machine.import_arch oracle ck.ck_arch;
-      Memory.restore (Machine.memory oracle) ck.ck_mem;
-      Bor_lfsr.Lfsr.set_state
-        (Bor_core.Engine.lfsr (Pipeline.engine p))
-        ck.ck_lfsr;
-      Predictor.import_state (Pipeline.predictor p) ck.ck_pred;
-      Btb.import_state (Pipeline.btb p) ck.ck_btb;
-      Ras.import_state (Pipeline.ras p) ck.ck_ras;
-      Hierarchy.import_state (Pipeline.hierarchy p) ck.ck_hier;
+      let w = Pipeline.warm p in
+      Machine.import_arch w.oracle ck.ck_arch;
+      Memory.restore (Machine.memory w.oracle) ck.ck_mem;
+      Bor_lfsr.Lfsr.set_state (Bor_core.Engine.lfsr w.engine) ck.ck_lfsr;
+      Predictor.import_state w.pred ck.ck_pred;
+      Btb.import_state w.btb ck.ck_btb;
+      Ras.import_state w.ras ck.ck_ras;
+      Hierarchy.import_state w.hier ck.ck_hier;
       Pipeline.resume_fetch p;
       Ok ()
     with Invalid_argument m ->

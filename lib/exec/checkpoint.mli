@@ -1,21 +1,21 @@
 (** Versioned, digest-stamped execution checkpoints.
 
-    A checkpoint carries the complete architectural state (register
-    file, pc, halt flag, written memory pages) plus the warm
-    microarchitectural state (L1/L2 tag stores, BTB, tournament
-    predictor, RAS, LFSR) of a pipeline at an instruction boundary —
-    everything needed to seed a freshly created pipeline such that
-    detailed execution from the checkpoint is a pure function of the
-    checkpoint. That purity is what {!Sampled} builds its
+    A checkpoint is the export of a pipeline's warm-state record
+    ({!Bor_uarch.Block.warm}: L1/L2 tag stores, BTB, tournament
+    predictor, RAS, LFSR) plus the complete architectural state of its
+    oracle (register file, pc, halt flag, written memory pages) at an
+    instruction boundary — everything needed to seed a freshly created
+    pipeline such that detailed execution from the checkpoint is a pure
+    function of the checkpoint. That purity is what {!Sampled} builds its
     domain-parallel window execution on, and what makes
     [bor checkpoint save/resume] reproducible.
 
-    The warmer's block translation cache is {e not} part of a
-    checkpoint: it holds no state beyond a memoization of the decoded
-    text, so a restored pipeline recompiles blocks on demand and
-    re-derives the identical warming trajectory (see
-    [docs/WARMING.md]). The format predates the cache and is
-    unchanged by it.
+    The record's block translation cache and its warming mispredict
+    count are {e not} part of a checkpoint: the cache holds no state
+    beyond a memoization of the decoded text, so a restored pipeline
+    recompiles blocks on demand and re-derives the identical warming
+    trajectory (see [docs/WARMING.md]). The format predates the cache
+    and is unchanged by it.
 
     The file format is stamped three ways: a magic string, a format
     version, and a trailing SHA-256 of the whole payload. {!of_string}
@@ -42,15 +42,18 @@ val program_digest : Bor_isa.Program.t -> string
     [ck_program]. *)
 
 val capture : program_digest:string -> Bor_uarch.Pipeline.t -> t
-(** Deep-copy the pipeline's architectural + warmed state. Meaningful
-    at an instruction boundary with nothing in flight (i.e. during
-    functional warming, or before the first cycle). *)
+(** Deep-copy the architectural and warmed state of the pipeline's
+    warm-state record. Meaningful at an instruction boundary with
+    nothing in flight (i.e. during functional warming, or before the
+    first cycle). *)
 
 val restore :
   t -> program_digest:string -> Bor_uarch.Pipeline.t -> (unit, string) result
-(** Seed a {e freshly created} pipeline (same program, same
-    configuration) from the checkpoint and point its fetch stage at the
-    restored pc. [Error] on a program-digest mismatch or a structure
+(** Seed a {e freshly created} pipeline's warm-state record (same
+    program, same configuration) from the checkpoint, then hand over to
+    detail with {!Bor_uarch.Pipeline.resume_fetch}: fetch starts at the
+    restored pc, and a checkpoint taken after the program halted leaves
+    nothing to run. [Error] on a program-digest mismatch or a structure
     geometry mismatch (pipeline built with a different configuration);
     never raises. The pipeline's statistics and telemetry start from
     zero, like any fresh pipeline's. *)

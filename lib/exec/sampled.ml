@@ -265,19 +265,19 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1)
          branch model's mispredicts between this boundary and the next.
          All monotonic counters on the sweep pipeline, so a delta is two
          cheap reads — no extra simulation. *)
+      let w = Pipeline.warm t in
       let snapshot () =
         let ms = Machine.stats oracle in
-        let h = Pipeline.hierarchy t in
-        let miss c = (Cache.stats c).Cache.misses in
+        let miss c = (Cache.stats (c w.hier)).Cache.misses in
         {
           Rank.instructions = ms.Machine.instructions;
           loads = ms.Machine.loads;
           stores = ms.Machine.stores;
           branches = ms.Machine.cond_branches + ms.Machine.brr_executed;
-          l1i_misses = miss (Hierarchy.l1i h);
-          l1d_misses = miss (Hierarchy.l1d h);
-          l2_misses = miss (Hierarchy.l2 h);
-          mispredicts = Pipeline.warm_mispredicts t;
+          l1i_misses = miss Hierarchy.l1i;
+          l1d_misses = miss Hierarchy.l1d;
+          l2_misses = miss Hierarchy.l2;
+          mispredicts = w.mispredicts;
         }
       in
       (* The sweep warms the whole program on [t]; every window

@@ -21,9 +21,6 @@ val data_bytes : int
 val counter : Bor_isa.Reg.t
 (** The loop-counter register ([s7]), excluded from every write pool. *)
 
-val gen_plain : Bor_util.Prng.t -> Bor_isa.Instr.t
-(** One computational (non-control) instruction. *)
-
 val gen_program : Bor_util.Prng.t -> Bor_isa.Program.t
 (** A fresh random terminating program (pure function of the generator
     state). *)

@@ -17,18 +17,7 @@ val encode_exn : Instr.t -> int
 val decode : int -> (Instr.t, string) result
 (** Exact inverse of {!encode} on its image. *)
 
-(** {2 Field widths (for assembler diagnostics and tests)} *)
-
-val imm_bits_alui : int
-val imm_bits_mem : int
-val offset_bits_branch : int
-val offset_bits_jal : int
-val offset_bits_brr : int
-
 (** {2 Invalid-opcode emulation form} *)
-
-val offset_bits_illegal_brr : int
-(** 18: the word-offset field of the emulation form. *)
 
 val illegal_brr_word : Bor_core.Freq.t -> offset:int -> (int, string) result
 (** The trap-causing word, carrying the frequency and an 18-bit word

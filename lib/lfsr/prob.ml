@@ -8,8 +8,6 @@ let create ?(max_k = 16) ~width select =
   in
   { masks = Array.init max_k (fun i -> mask_for (i + 1)) }
 
-let max_k t = Array.length t.masks
-
 let taken t ~state ~k =
   if k < 1 || k > Array.length t.masks then invalid_arg "Prob.taken: bad k";
   let m = t.masks.(k - 1) in

@@ -11,8 +11,6 @@ val create : ?max_k:int -> width:int -> Bit_select.t -> t
     [Invalid_argument] when the widest gate needs more bits than the
     register has. *)
 
-val max_k : t -> int
-
 val taken : t -> state:int -> k:int -> bool
 (** [taken t ~state ~k] is the output of the size-[k] AND gate over the
     current register value — 1 iff all [k] selected bits are set, i.e.

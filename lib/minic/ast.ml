@@ -66,15 +66,4 @@ type global = {
 
 type program = { globals : global list; funcs : func list }
 
-let rec ty_equal a b =
-  match (a, b) with
-  | Tint, Tint | Tchar, Tchar -> true
-  | Tarray (t1, n1), Tarray (t2, n2) -> n1 = n2 && ty_equal t1 t2
-  | (Tint | Tchar | Tarray _), _ -> false
-
-let rec pp_ty ppf = function
-  | Tint -> Format.pp_print_string ppf "int"
-  | Tchar -> Format.pp_print_string ppf "char"
-  | Tarray (t, n) -> Format.fprintf ppf "%a[%d]" pp_ty t n
-
 let find_func p name = List.find_opt (fun f -> f.fname = name) p.funcs

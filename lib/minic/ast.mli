@@ -75,6 +75,4 @@ type global = {
 
 type program = { globals : global list; funcs : func list }
 
-val ty_equal : ty -> ty -> bool
-val pp_ty : Format.formatter -> ty -> unit
 val find_func : program -> string -> func option

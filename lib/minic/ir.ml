@@ -185,17 +185,6 @@ let pp_term ppf = function
   | Ret None -> Format.pp_print_string ppf "ret"
   | Ret (Some o) -> Format.fprintf ppf "ret %a" pp_operand o
 
-let pp_func ppf f =
-  Format.fprintf ppf "func %s(%d params)@." f.name (List.length f.params);
-  iter_blocks f (fun b ->
-      Format.fprintf ppf "L%d:%s%s@." b.label
-        (if b.is_backedge then " (backedge)" else "")
-        (match b.site with
-        | Some s -> Printf.sprintf " (site %d)" s
-        | None -> "");
-      List.iter (fun i -> Format.fprintf ppf "  %a@." pp_inst i) b.body;
-      Format.fprintf ppf "  %a@." pp_term b.term)
-
 let to_dot f =
   let buf = Buffer.create 1024 in
   let put fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -98,8 +98,6 @@ val vregs_used : func -> int
 val iter_blocks : func -> (block -> unit) -> unit
 (** In layout order. *)
 
-val pp_func : Format.formatter -> func -> unit
-
 val to_dot : func -> string
 (** Graphviz rendering of the CFG: instrumentation-site blocks are
     shaded, branch-on-random edges dashed, backedges bold. *)

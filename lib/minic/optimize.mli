@@ -12,21 +12,6 @@
     structural anchors for the Arnold–Ryder transforms and for
     ground-truth profiling. *)
 
-val fold_constants : Ir.func -> int
-(** Returns the number of instructions simplified. *)
-
-val eliminate_dead_code : Ir.func -> int
-(** Remove pure instructions whose destinations are dead. Returns the
-    number removed. *)
-
-val thread_jumps : Ir.func -> int
-(** Retarget edges that point at empty, site-free, non-backedge
-    forwarding blocks. Returns the number of edges retargeted. *)
-
-val remove_unreachable : Ir.func -> int
-(** Drop blocks not reachable from the entry. Returns the number
-    removed. *)
-
 val run : Ir.func -> unit
 (** The full pre-instrumentation pipeline, iterated to a fixpoint. *)
 

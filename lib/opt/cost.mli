@@ -55,11 +55,6 @@ val target_cycles : t -> int
 val target_len : t -> int
 val vector_count : t -> int
 
-val infinite_cost : int
-(** Cost assigned when the oracle itself fails on a filter-passing
-    candidate (budget blowout under the oracle's branch-on-random
-    stream); large enough that such a candidate is never accepted. *)
-
 type eval = {
   ev_mismatches : int;
       (** summed state-difference units over all vectors (registers +
@@ -75,7 +70,8 @@ type eval = {
 val evaluate : t -> Bor_isa.Program.t -> eval
 (** Cost of one candidate against this evaluator's target. Never
     raises; simulator faults, sanitizer violations and budget blowouts
-    surface as mismatch units or {!infinite_cost}. *)
+    surface as mismatch units or, when the oracle itself fails on a
+    filter-passing candidate, a cost so large it is never accepted. *)
 
 val accept :
   Bor_util.Prng.t -> temperature:float -> current:int -> proposed:int -> bool

@@ -29,7 +29,8 @@ type signature = {
   l2_misses : int;
   mispredicts : int;
       (** warming-model branch mispredicts (predicted-stream
-          mismatches; {!Bor_uarch.Pipeline.warm_mispredicts}) *)
+          mismatches; the [mispredicts] field of the sweep's
+          {!Bor_uarch.Block.warm} record) *)
 }
 
 val zero : signature

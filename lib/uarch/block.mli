@@ -1,19 +1,29 @@
-(** Block translation cache for functional warming.
+(** The warm-state record and functional warming.
 
-    The warmer's single-step path ({!Pipeline.warm_step}) dispatches the
-    oracle one decoded event at a time; this module makes warming fast
-    by specializing each straight-line stretch of code once into a
-    fused array of OCaml closures — a {e block} — keyed by its start
-    address. A block is a run of plain register and memory instructions
-    ending in one control transfer (branch, jump, branch-on-random or
-    halt); executing it replays exactly the per-instruction sequence of
-    icache probes, dcache probes, predictor/BTB/RAS operations and
-    oracle effects the single-step path would perform, so the warmed
-    state is bit-identical — the warming-equivalence tests compare
-    per-structure [state_digest]s to enforce it. The rules both paths
-    must apply the same way exist once, here, and the single-step path
-    calls them too: a conditional transfer's predictor/BTB step is
-    {!warm_branch}, a dcache probe is {!touch_data}.
+    {!warm} is the one record of the state functional warming evolves:
+    the functional oracle, the LFSR engine, the cache hierarchy, the
+    direction predictor, the BTB and the RAS, plus what the warmer
+    needs to drive them — the decoded text, the two configuration flags
+    it reads, the MRU line trackers, the warming mispredict count and
+    the lazily built block translation cache. A {!Pipeline.t} embeds
+    one ({!Pipeline.warm}) and runs its detailed core on the same
+    structures; a {!Bor_exec.Checkpoint} is the record's export plus
+    the oracle's architectural state.
+
+    There are two warming paths. The single-step reference path
+    ({!warm_step}) dispatches the oracle one decoded event at a time;
+    the block translation cache makes warming fast by specializing each
+    straight-line stretch of code once into a fused array of OCaml
+    closures — a {e block} — keyed by its start address. A block is a
+    run of plain register and memory instructions ending in one control
+    transfer (branch, jump, branch-on-random or halt); executing it
+    replays exactly the per-instruction sequence of icache probes,
+    dcache probes, predictor/BTB/RAS operations and oracle effects the
+    single-step path would perform, so the warmed state is
+    bit-identical — the warming-equivalence tests compare {!state_digests}
+    to enforce it. The rules both paths must apply the same way (a
+    conditional transfer's predictor/BTB step, a dcache probe) exist
+    once in this module and both paths call them.
 
     The cache is a pure throughput device. It holds no architectural or
     warmed state of its own: checkpoints never serialize it, and a
@@ -22,49 +32,11 @@
     are invalidated when the decoded image changes
     ({!Bor_sim.Machine.patch_brr_freq} bumps the machine's code
     generation) and, conservatively, when a store lands in the text
-    address range (tracked per store; the page-dirty bitmap covers the
-    same pages for checkpoint delta purposes). Anything the specializer
-    cannot prove straight-line — [marker]/[rdlfsr] instructions,
-    instrumented site addresses, out-of-text pcs — falls back to the
-    single-step path.
+    address range. Anything the specializer cannot prove straight-line —
+    [marker]/[rdlfsr] instructions, instrumented site addresses,
+    out-of-text pcs — falls back to the single-step path.
 
     See [docs/WARMING.md] for the full contract. *)
-
-type warm = {
-  lmask : int;  (** [lnot (line_bytes - 1)]: maps an address to its line *)
-  mutable iline : int;
-  mutable dline : int;
-  mutable mispredicts : int;
-}
-(** The warming state both paths share, one record per pipeline. [iline]
-    and [dline] are the most-recently-used line trackers of the icache
-    and dcache ports, so consecutive same-line probes stay deduplicated
-    across the block/single-step boundary ([-1] = nothing touched yet).
-    Re-touching the MRU line is a strict no-op on cache state, which is
-    why the dedup cannot perturb digests. [mispredicts] counts
-    warming-model mispredicts on either path — predicted-stream
-    mismatches in {!warm_branch} — and is what
-    {!Pipeline.warm_mispredicts} reports: a ranked-sampling feature,
-    not warmed state, so checkpoints ignore it. *)
-
-val fresh_warm : line_bytes:int -> warm
-(** Nothing touched, nothing mispredicted. [line_bytes] must be a power
-    of two, as {!Cache.create} requires. *)
-
-val touch_data : warm -> Hierarchy.t -> int -> unit
-(** Probe the dcache port at an address unless its line is the port's
-    MRU line. *)
-
-val warm_branch :
-  Predictor.t -> Btb.t -> warm -> pc:int -> taken:bool -> target:int -> unit
-(** Warm the predictor and BTB on one retired conditional transfer at
-    [pc] with taken target [target] and fall-through [pc + 4]: predict,
-    compare the predicted stream (taken → the BTB's target or the
-    fall-through) with the actual successor, repair the history and
-    count a mispredict on a mismatch, train the tables and install a
-    taken target — a full-detail run's commit-path updates. Called for
-    every conditional branch, and for a branch-on-random only when
-    [Config.brr_in_predictor] is set (paper §3.3). *)
 
 type stats = {
   mutable compiled : int;  (** blocks specialized *)
@@ -77,61 +49,77 @@ type stats = {
 }
 
 type t
+(** A block translation cache over one record's decoded text. *)
 
-val create :
-  code:Bor_isa.Instr.t array ->
-  code_base:int ->
-  cfg:Config.t ->
-  machine:Bor_sim.Machine.t ->
-  hier:Hierarchy.t ->
-  pred:Predictor.t ->
-  btb:Btb.t ->
-  ras:Ras.t ->
-  engine:Bor_core.Engine.t ->
-  warm:warm ->
-  on_brr:(bool -> unit) ->
-  t
-(** Build an (empty) cache over the pipeline's decoded text. [on_brr]
-    is called with each retired branch-on-random outcome, exactly as
-    the single-step path logs them. The cache itself touches no
-    telemetry: {!stats} is published as the [warming.block.*] counters
-    (a {!Bor_telemetry.Telemetry.family} the pipeline registers when it
-    first builds a cache) at every exit of {!Pipeline.run_warming}. *)
+type warm = private {
+  oracle : Bor_sim.Machine.t;  (** the functional model *)
+  engine : Bor_core.Engine.t;  (** the branch-on-random LFSR engine *)
+  hier : Hierarchy.t;
+  pred : Predictor.t;
+  btb : Btb.t;
+  ras : Ras.t;
+  code : Bor_isa.Instr.t array;  (** the program's decoded text *)
+  code_base : int;
+  brr_in_pred : bool;  (** {!Config.brr_in_predictor} *)
+  use_blocks : bool;  (** {!Config.warm_block_cache} *)
+  lmask : int;  (** [lnot (line_bytes - 1)]: maps an address to its line *)
+  mutable iline : int;
+  mutable dline : int;
+  mutable mispredicts : int;
+  tel_cache : Hierarchy.t Bor_telemetry.Telemetry.family;
+      (** the [cache.*] counters, published from [hier] *)
+  mutable blocks : (t * stats Bor_telemetry.Telemetry.family) option;
+      (** the translation cache and its [warming.block.*] counters,
+          built by the first block-mode chunk of {!run_warming} ([None]
+          before then, and forever in full-detail or cache-disabled
+          runs, so the family never registers there) *)
+}
+(** [iline] and [dline] are the most-recently-used line trackers of the
+    icache and dcache ports, so consecutive same-line probes stay
+    deduplicated across the block/single-step boundary ([-1] = nothing
+    touched yet). Re-touching the MRU line is a strict no-op on cache
+    state, which is why the dedup cannot perturb digests.
+    [mispredicts] counts warming-model mispredicts on either path —
+    predicted-stream mismatches on conditional branches and, under
+    {!Config.brr_in_predictor}, branch-on-randoms. It is a
+    ranked-sampling feature (docs/SAMPLING.md), not warmed state:
+    checkpoints neither save nor restore it, and digests ignore it. *)
 
-type status =
-  | Halted  (** the program's [halt] retired inside a block *)
-  | Uncompilable
-      (** nothing cached or compilable at the stopping pc — the caller
-          must single-step one instruction on the reference path *)
-  | Out_of_budget
-      (** the budget is exhausted, or the next block would overshoot
-          it — the caller must single-step the remaining tail so step
-          budgets land on exact instruction boundaries *)
+val fresh_warm :
+  ?reuse:warm ->
+  brr_mode:Bor_sim.Machine.brr_mode ->
+  Config.t ->
+  Bor_isa.Program.t ->
+  warm
+(** Cold structures, the oracle at the program's entry, nothing touched
+    or mispredicted, no translation cache; registers the [cache.*]
+    family. [~reuse:old] builds the oracle on [old]'s memory and the
+    hierarchy and predictor on [old]'s tables (see
+    {!Pipeline.create}). *)
 
-val run : t -> budget:int -> int * status
-(** Execute compiled blocks starting at the machine's current pc,
-    chaining block to block, until the budget is reached or something
-    the cache cannot run comes up. Returns how many instructions
-    retired (the machine, hierarchy, predictor, BTB, RAS and LFSR have
-    advanced past all of them, and the machine's pc is at the stopping
-    point) and why the run stopped. The machine must not be halted on
-    entry. Raises {!Bor_sim.Machine.Fault} exactly where the
-    single-step path would. *)
+val state_digests : warm -> (string * string) list
+(** One named digest per warmed structure: [l1i], [l1d], [l2],
+    [predictor], [btb], [ras] and [lfsr] (the engine's register). Two
+    records with equal digests hold the same warmed state. *)
 
-val note_store : t -> int -> unit
-(** Tell the cache about a store executed outside a block (the
-    single-step fallback): a store into the text range schedules a
-    whole-cache flush, keeping the self-modification contract uniform
-    across both paths. *)
+val warm_step : warm -> unit
+(** Execute one instruction under functional warming, always on the
+    single-step reference path (never through the block cache) — the
+    unit the warming-equivalence tests compare against. The oracle must
+    not be halted. *)
 
-val note_fallback : t -> int -> unit
-(** Count [n] instructions the driver ran through the single-step
-    fallback while the cache was active. *)
-
-val flush : t -> unit
-(** Drop every compiled block (counted as one invalidation). *)
+val run_warming : ?max_steps:int -> warm -> int
+(** Warm until the program halts (or [max_steps]); returns the number
+    of instructions executed. Unless [use_blocks] is off (or the oracle
+    has site hooks registered), warming runs through the block
+    translation cache. [max_steps] is honored exactly: a block that
+    would overshoot the budget is single-stepped instead, so sampling
+    plans land their windows on the same instruction boundaries either
+    way. Under the sanitizer the oracle, hierarchy and RAS are audited
+    after every 64k-instruction chunk. Every exit publishes [cache.*]
+    and, once the cache exists, [warming.block.*]. *)
 
 val stats : t -> stats
-(** Live counters (plain fields; {!Pipeline.run_warming} publishes them
-    as [warming.block.*] telemetry at every exit) — for tests and
+(** Live counters (plain fields; {!run_warming} publishes them as
+    [warming.block.*] telemetry at every exit) — for tests and
     throughput reporting. *)

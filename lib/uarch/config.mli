@@ -60,13 +60,14 @@ type t = {
           the §3.3 point-6 pollution the paper avoids by keeping it
           out *)
   retired_brr_cap : int;
-      (** how many committed branch-on-random outcomes
+      (** how many branch-on-random outcomes of detailed commits only
           {!Pipeline.retired_brr_outcomes} keeps (the oldest ones;
-          200k by default). The first overflow of a run warns once on
-          stderr and {!Pipeline.retired_brr_dropped} counts the rest. *)
+          200k by default; warming logs none). The first overflow of a
+          run warns once on stderr and {!Pipeline.retired_brr_dropped}
+          counts the rest. *)
   warm_block_cache : bool;
       (** use the block translation cache ({!Block}) in
-          {!Pipeline.run_warming} ([true] by default). The cache is a
+          {!Block.run_warming} ([true] by default). The cache is a
           pure throughput device — warmed state is bit-identical either
           way (the warming-equivalence tests enforce it); [false]
           forces the single-step reference path, for those tests and

@@ -128,40 +128,6 @@ let pipeline_counters =
     ("cycles", "cycles", "simulated cycles", fun s -> s.cycles);
   |]
 
-(* The warming.block.* counters, one [Block.stats] field each. *)
-let block_counters =
-  [|
-    ("compiled", "blocks", "blocks specialized", fun s -> s.Block.compiled);
-    ("hits", "blocks", "block executions", fun s -> s.Block.hits);
-    ("instructions", "instructions",
-     "instructions warmed through compiled blocks",
-     fun s -> s.Block.block_instructions);
-    ("invalidations", "events",
-     "whole-cache flushes (code patches, text-range stores)",
-     fun s -> s.Block.invalidations);
-    ("fallback_steps", "instructions",
-     "instructions single-stepped while the cache was active",
-     fun s -> s.Block.fallback_steps);
-  |]
-
-(* The cache.<level>.* counters, from each level's [Cache.stats]. Those
-   reset at [marker 1] only, after a publish, so the counters cover
-   whole runs, warming included. *)
-let cache_counters =
-  List.concat_map
-    (fun (level, cache) ->
-      let stats h = Cache.stats (cache h) in
-      [
-        (level ^ ".hits", "events", "accesses that hit",
-         fun h -> (stats h).Cache.accesses - (stats h).Cache.misses);
-        (level ^ ".misses", "events", "accesses that missed",
-         fun h -> (stats h).Cache.misses);
-        (level ^ ".evictions", "events", "misses that displaced a valid line",
-         fun h -> (stats h).Cache.evictions);
-      ])
-    [ ("l1i", Hierarchy.l1i); ("l1d", Hierarchy.l1d); ("l2", Hierarchy.l2) ]
-  |> Array.of_list
-
 (* ------------------------------------------------------------------ *)
 
 (* The per-cycle core runs entirely over flat, preallocated rings: the
@@ -214,14 +180,7 @@ let reg_zero = Bor_isa.Reg.to_int Bor_isa.Reg.zero
 
 type t = {
   cfg : Config.t;
-  code : Bor_isa.Instr.t array; (* program.text, for option-free fetch *)
-  code_base : int;
-  oracle : Bor_sim.Machine.t;
-  engine : Bor_core.Engine.t;
-  hier : Hierarchy.t;
-  pred : Predictor.t;
-  btb : Btb.t;
-  ras : Ras.t;
+  warm : Block.warm;  (* the oracle and the warmed structures *)
   pending_brr : bool option ref;  (* decode -> oracle outcome channel *)
   mutable cycle : int;
   mutable fetch_pc : int;  (* -1 = fetch lost (wrong path / stalled) *)
@@ -289,19 +248,10 @@ type t = {
   mutable halt_committed : bool;
   mutable roi_frozen : bool;
   mutable committed : int;
-      (* retired instructions, whole run: [run_window]'s commit target *)
-  warm : Block.warm;
-      (* MRU line trackers and the mispredict count, shared with the
-         block translation cache so both carry across the
-         block/single-step boundary *)
-  mutable blockcache : (Block.t * Block.stats Telemetry.family) option;
-      (* the warmer's block translation cache and its warming.block.*
-         family, built lazily on the first block-mode [run_warming] (so
-         plain full-detail runs never create it, and the family never
-         registers) *)
+      (* retired instructions, whole run ([resume_fetch] starts it at
+         the oracle's count): [run_window]'s commit target *)
   mutable stats : stats;  (* replaced, not cleared, at [marker 1] *)
   tel : stats Telemetry.family;  (* pipeline.*, published from [stats] *)
-  tel_cache : Hierarchy.t Telemetry.family;  (* cache.*, from [hier] *)
   tel_occupancy : Telemetry.histogram;
   tel_run : Telemetry.span;
   (* Sanitizer bookkeeping (see [sanitize_cycle]), only touched under
@@ -340,30 +290,21 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
     | None ->
       failwith "Pipeline: oracle reached a brr without a timing decision"
   in
-  let engine =
-    Bor_core.Engine.create ~seed:config.Config.lfsr_seed ()
+  let warm =
+    Block.fresh_warm
+      ?reuse:(Option.map (fun t -> t.warm) reuse)
+      ~brr_mode:(Bor_sim.Machine.External decide) config program
   in
-  let ras = Ras.create ~entries:config.Config.ras_entries in
+  let ras = warm.ras in
   let fq_cap = pow2_at_least (max 2 config.Config.fetch_queue) in
   (* Twice [rob_entries]: the brr-in-backend ablation admits
      branch-on-randoms past the ROB-full gate, so occupancy can
      transiently overshoot; [rob_grow] covers the pathological rest. *)
   let rob_cap = pow2_at_least (max 4 (2 * config.Config.rob_entries)) in
   let dummy_pred = Predictor.none in
-  let old f = Option.map f reuse in
   {
     cfg = config;
-    code = program.Bor_isa.Program.text;
-    code_base = program.Bor_isa.Program.text_base;
-    oracle =
-      Bor_sim.Machine.create
-        ?mem:(old (fun t -> Bor_sim.Machine.memory t.oracle))
-        ~brr_mode:(Bor_sim.Machine.External decide) program;
-    engine;
-    hier = Hierarchy.create ?reuse:(old (fun t -> t.hier)) config;
-    pred = Predictor.create ?reuse:(old (fun t -> t.pred)) config;
-    btb = Btb.create ~entries:config.Config.btb_entries;
-    ras;
+    warm;
     pending_brr;
     cycle = 0;
     fetch_pc = program.entry;
@@ -413,11 +354,8 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
     halt_committed = false;
     roi_frozen = false;
     committed = 0;
-    warm = Block.fresh_warm ~line_bytes:config.Config.line_bytes;
-    blockcache = None;
     stats = fresh_stats ();
     tel = Telemetry.family (Telemetry.scope "pipeline") pipeline_counters;
-    tel_cache = Telemetry.family (Telemetry.scope "cache") cache_counters;
     tel_occupancy =
       Telemetry.histogram (Telemetry.scope "pipeline") ~unit_:"entries"
         ~doc:"ROB occupancy, observed once per cycle" "rob.occupancy";
@@ -436,8 +374,8 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
     tracer = None;
   }
 
-let oracle t = t.oracle
-let engine t = t.engine
+let oracle t = t.warm.oracle
+let warm t = t.warm
 let config t = t.cfg
 
 let retired_brr_outcomes t =
@@ -466,15 +404,7 @@ let guard f =
 
 (* ------------------------------------------------------- Sanitizer *)
 
-let state_digests t =
-  Hierarchy.state_digests t.hier
-  @ [
-      ("predictor", Predictor.state_digest t.pred);
-      ("btb", Btb.state_digest t.btb);
-      ("ras", Ras.state_digest t.ras);
-      ( "lfsr",
-        string_of_int (Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr t.engine)) );
-    ]
+let state_digests t = Block.state_digests t.warm
 
 (* State dump attached to every violation: the warmed-state digests
    plus the pipeline scalars that localize a bug. *)
@@ -492,7 +422,7 @@ let san_state t =
           t.spec_brr_len );
       ( "counts",
         Printf.sprintf "committed=%d oracle=%d" t.committed
-          (Bor_sim.Machine.stats t.oracle).Bor_sim.Machine.instructions );
+          (Bor_sim.Machine.stats t.warm.oracle).Bor_sim.Machine.instructions );
     ]
 
 let san_fail t ?pos ~invariant fmt =
@@ -535,7 +465,7 @@ let sanitize_commit t s epc =
     san_fail t ~pos:t.rob_head ~invariant:"commit-seq-order"
       "retiring seq %d after seq %d (pc 0x%x)" seq t.san_last_commit_seq epc;
   t.san_last_commit_seq <- seq;
-  san_enrich t (fun () -> Bor_sim.Machine.check ~cycle:t.cycle t.oracle);
+  san_enrich t (fun () -> Bor_sim.Machine.check ~cycle:t.cycle t.warm.oracle);
   Check.count 1
 
 (* The cheap tier, run at the end of every simulated cycle when the
@@ -545,9 +475,9 @@ let sanitize_commit t s epc =
    enough that sanitized differential runs stay usable. *)
 let sanitize_heavy t =
   san_enrich t (fun () ->
-      Hierarchy.check ~cycle:t.cycle t.hier;
-      Ras.check ~cycle:t.cycle t.ras;
-      Bor_sim.Machine.check ~cycle:t.cycle t.oracle);
+      Hierarchy.check ~cycle:t.cycle t.warm.hier;
+      Ras.check ~cycle:t.cycle t.warm.ras;
+      Bor_sim.Machine.check ~cycle:t.cycle t.warm.oracle);
   Hashtbl.iter
     (fun word pos ->
       if pos >= t.rob_tail then
@@ -708,7 +638,7 @@ let sanitize_cycle t =
   (* Oracle lockstep balance: every oracle step is accounted for by a
      retirement or a live correct-path entry. *)
   let oinsns =
-    (Bor_sim.Machine.stats t.oracle).Bor_sim.Machine.instructions
+    (Bor_sim.Machine.stats t.warm.oracle).Bor_sim.Machine.instructions
   in
   if oinsns <> t.committed + !live_correct then
     san_fail t ~invariant:"oracle-balance"
@@ -777,7 +707,7 @@ let fetch t =
     else begin
       (* Instruction cache, single tag walk: -1 = L1 hit, otherwise the
          miss latency blocks the front end. *)
-      let miss = Hierarchy.access_miss t.hier Hierarchy.I pc in
+      let miss = Hierarchy.access_miss t.warm.hier Hierarchy.I pc in
       if miss >= 0 then begin
         t.fetch_stall_until <- t.cycle + miss;
         if roi t then
@@ -785,23 +715,24 @@ let fetch t =
         continue_ := false
       end
       else begin
-      let off = pc - t.code_base in
-      if off < 0 || off land 3 <> 0 || off lsr 2 >= Array.length t.code
+      let off = pc - t.warm.code_base in
+      if off < 0 || off land 3 <> 0 || off lsr 2 >= Array.length t.warm.code
       then begin
         (* Wrong-path fetch wandered outside the text segment. *)
         t.fetch_pc <- -1;
         continue_ := false
       end
       else begin
-        let instr = Array.unsafe_get t.code (off lsr 2) in
+        let instr = Array.unsafe_get t.warm.code (off lsr 2) in
         let slot = t.fq_tail land t.fq_mask in
-        let ghist_at_fetch = Predictor.ghist t.pred in
+        let ghist_at_fetch = Predictor.ghist t.warm.pred in
         let fall = pc + 4 in
         let flags = ref 0 in
         let stream_next =
           match instr with
           | Bor_isa.Instr.Jal (rd, joff) ->
-            if Bor_isa.Reg.equal rd Bor_isa.Reg.ra then Ras.push t.ras fall;
+            if Bor_isa.Reg.equal rd Bor_isa.Reg.ra then
+              Ras.push t.warm.ras fall;
             if roi t then
               t.stats.predecode_redirects <- t.stats.predecode_redirects + 1;
             pc + (4 * joff)
@@ -810,16 +741,16 @@ let fetch t =
               t.stats.predecode_redirects <- t.stats.predecode_redirects + 1;
             pc + (4 * joff)
           | Bor_isa.Instr.Jalr _ when is_return instr ->
-            Ras.save_into t.ras t.fq_ras.(slot);
+            Ras.save_into t.warm.ras t.fq_ras.(slot);
             flags := !flags lor fqf_ras;
             (* -1 (underflow) = no prediction: stall fetch *)
-            Ras.pop_target t.ras
+            Ras.pop_target t.warm.ras
           | Bor_isa.Instr.Jalr _ ->
-            Ras.save_into t.ras t.fq_ras.(slot);
+            Ras.save_into t.warm.ras t.fq_ras.(slot);
             flags := !flags lor fqf_ras;
             -1
           | Bor_isa.Instr.Brr _ when not t.cfg.Config.brr_in_predictor ->
-            Ras.save_into t.ras t.fq_ras.(slot);
+            Ras.save_into t.warm.ras t.fq_ras.(slot);
             flags := !flags lor fqf_ras;
             fall
           | Bor_isa.Instr.Branch _ | Bor_isa.Instr.Brr _ -> (
@@ -827,15 +758,15 @@ let fetch t =
                consults the direction predictor, shifts the global
                history and uses the BTB, like any conditional
                branch. *)
-            Ras.save_into t.ras t.fq_ras.(slot);
+            Ras.save_into t.warm.ras t.fq_ras.(slot);
             flags := !flags lor fqf_ras;
-            let p = Predictor.predict t.pred ~pc in
+            let p = Predictor.predict t.warm.pred ~pc in
             t.fq_pred.(slot) <- p;
             flags := !flags lor fqf_pred;
             if Predictor.taken p then begin
               (* a BTB miss leaves a predicted-taken branch falling
                  through: no target known *)
-              let target = Btb.lookup_target t.btb ~pc in
+              let target = Btb.lookup_target t.warm.btb ~pc in
               if target >= 0 then target else fall
             end
             else fall)
@@ -870,7 +801,7 @@ let fetch t =
 
 (* -------------------------------------------------------------- Decode *)
 
-let oracle_reg t r = Bor_sim.Machine.reg t.oracle r
+let oracle_reg t r = Bor_sim.Machine.reg t.warm.oracle r
 
 let completes_at_decode (i : Bor_isa.Instr.t) =
   match i with
@@ -925,7 +856,7 @@ let rob_grow t =
   let mem_addr = Array.make cap (-1) in
   let ghist = Array.make cap 0 in
   let pred = Array.make cap t.r_pred.(0) in
-  let ras = Array.init cap (fun _ -> Ras.blank_snapshot t.ras) in
+  let ras = Array.init cap (fun _ -> Ras.blank_snapshot t.warm.ras) in
   let dep0 = Array.make cap (-1) in
   let dep1 = Array.make cap (-1) in
   let dep2 = Array.make cap (-1) in
@@ -977,9 +908,9 @@ let frontend_redirect t fslot target =
   | None -> ()
   | Some f -> f (Front_flush { cycle = t.cycle; target }));
   t.fq_head <- t.fq_tail;
-  Predictor.restore_ghist t.pred t.fq_ghist.(fslot);
+  Predictor.restore_ghist t.warm.pred t.fq_ghist.(fslot);
   if t.fq_flags.(fslot) land fqf_ras <> 0 then
-    Ras.restore t.ras t.fq_ras.(fslot);
+    Ras.restore t.warm.ras t.fq_ras.(fslot);
   t.fetch_pc <- target;
   t.fetch_stall_until <- t.cycle + 1
 
@@ -991,7 +922,7 @@ let decode_one t fslot =
   (* Returns [true] if decode may continue this cycle. *)
   match instr with
   | Brr (freq, boff) when not t.cfg.Config.brr_resolve_in_backend ->
-    let outcome, bank = Bor_core.Engine.decide_recorded t.engine freq in
+    let outcome, bank = Bor_core.Engine.decide_recorded t.warm.engine freq in
     if t.wrong_path_decode then begin
       if t.cfg.Config.deterministic_lfsr then push_spec_brr t bank;
       if outcome then begin
@@ -1004,7 +935,7 @@ let decode_one t fslot =
     end
     else begin
       t.pending_brr := Some outcome;
-      Bor_sim.Machine.step t.oracle;
+      Bor_sim.Machine.step t.warm.oracle;
       if roi t then begin
         t.stats.brr_executed <- t.stats.brr_executed + 1;
         t.stats.instructions <- t.stats.instructions + 1;
@@ -1021,8 +952,8 @@ let decode_one t fslot =
          predictor tables, history and BTB see this branch. *)
       if fflags land fqf_pred <> 0 && t.cfg.Config.brr_in_predictor
       then begin
-        Predictor.update t.pred ~pc:fpc t.fq_pred.(fslot) ~taken:outcome;
-        if outcome then Btb.insert t.btb ~pc:fpc ~target:actual_next
+        Predictor.update t.warm.pred ~pc:fpc t.fq_pred.(fslot) ~taken:outcome;
+        if outcome then Btb.insert t.warm.btb ~pc:fpc ~target:actual_next
       end;
       if t.fq_stream_next.(fslot) <> actual_next then begin
         if roi t then
@@ -1031,7 +962,7 @@ let decode_one t fslot =
         (* The flush rewound the history to this brr's fetch point; with
            the pollution ablation its own direction is then replayed. *)
         if fflags land fqf_pred <> 0 && t.cfg.Config.brr_in_predictor then
-          Predictor.recover t.pred t.fq_pred.(fslot) ~taken:outcome;
+          Predictor.recover t.warm.pred t.fq_pred.(fslot) ~taken:outcome;
         false
       end
       else true
@@ -1045,7 +976,7 @@ let decode_one t fslot =
     let brr_next = ref (-1) in
     (match instr with
     | Brr (freq, boff) ->
-      let outcome, bank = Bor_core.Engine.decide_recorded t.engine freq in
+      let outcome, bank = Bor_core.Engine.decide_recorded t.warm.engine freq in
       if t.wrong_path_decode then begin
         if t.cfg.Config.deterministic_lfsr then push_spec_brr t bank
       end
@@ -1093,13 +1024,13 @@ let decode_one t fslot =
     let mem_addr = ref (-1) in
     if wrong_path then ()
     else begin
-      if Bor_sim.Machine.pc t.oracle <> fpc then
+      if Bor_sim.Machine.pc t.warm.oracle <> fpc then
         sim_error "timing/functional divergence: decode pc 0x%x, oracle 0x%x"
-          fpc (Bor_sim.Machine.pc t.oracle);
+          fpc (Bor_sim.Machine.pc t.warm.oracle);
       if is_brr_i then begin
         (* Backend-resolution ablation: the recorded outcome is already
            in [pending_brr], which the oracle's decide hook replays. *)
-        Bor_sim.Machine.step t.oracle;
+        Bor_sim.Machine.step t.warm.oracle;
         actual_next := !brr_next
       end
       else begin
@@ -1109,14 +1040,14 @@ let decode_one t fslot =
       | _ -> ());
       (match instr with
       | Branch _ ->
-        let ost = Bor_sim.Machine.stats t.oracle in
+        let ost = Bor_sim.Machine.stats t.warm.oracle in
         let taken0 = ost.Bor_sim.Machine.cond_taken in
-        Bor_sim.Machine.step t.oracle;
+        Bor_sim.Machine.step t.warm.oracle;
         actual_taken := ost.Bor_sim.Machine.cond_taken > taken0
-      | _ -> Bor_sim.Machine.step t.oracle);
+      | _ -> Bor_sim.Machine.step t.warm.oracle);
       (* For a halt the oracle pc does not advance; the stored
          next-pc of a non-redirecting instruction is never read. *)
-        actual_next := Bor_sim.Machine.pc t.oracle
+        actual_next := Bor_sim.Machine.pc t.warm.oracle
       end
     end;
     let actual_taken = !actual_taken in
@@ -1264,10 +1195,10 @@ let latency_of t s =
   | Load _ ->
     if t.r_flags.(s) land rf_wrong <> 0 || t.r_mem_addr.(s) < 0 then
       t.cfg.Config.l1_latency
-    else Hierarchy.access t.hier Hierarchy.D t.r_mem_addr.(s)
+    else Hierarchy.access t.warm.hier Hierarchy.D t.r_mem_addr.(s)
   | Store _ ->
     if t.r_flags.(s) land rf_wrong = 0 && t.r_mem_addr.(s) >= 0 then
-      ignore (Hierarchy.access t.hier Hierarchy.D t.r_mem_addr.(s));
+      ignore (Hierarchy.access t.warm.hier Hierarchy.D t.r_mem_addr.(s));
     1
   | Alu (Mul, _, _, _) -> t.cfg.Config.mul_latency
   | _ -> t.cfg.Config.alu_latency
@@ -1372,7 +1303,7 @@ let squash t rp =
      speculative branch-on-random decode, newest first. *)
   if t.cfg.Config.deterministic_lfsr then
     for i = t.spec_brr_len - 1 downto 0 do
-      Bor_core.Engine.undo t.engine
+      Bor_core.Engine.undo t.warm.engine
         ~shifted_out:(Bytes.unsafe_get t.spec_brr_log i <> '\000')
     done;
   t.spec_brr_len <- 0;
@@ -1380,20 +1311,21 @@ let squash t rp =
   let flags = t.r_flags.(rs) in
   (match t.r_kind.(rs) with
   | 1 (* cond *) ->
-    Predictor.recover t.pred t.r_pred.(rs) ~taken:(flags land rf_btaken <> 0)
+    Predictor.recover t.warm.pred t.r_pred.(rs)
+      ~taken:(flags land rf_btaken <> 0)
   | 3 (* brr *) ->
     if flags land rf_pred <> 0 then
-      Predictor.recover t.pred t.r_pred.(rs)
+      Predictor.recover t.warm.pred t.r_pred.(rs)
         ~taken:(flags land rf_btaken <> 0)
-    else Predictor.restore_ghist t.pred t.r_ghist.(rs)
-  | 2 (* jalr *) -> Predictor.restore_ghist t.pred t.r_ghist.(rs)
+    else Predictor.restore_ghist t.warm.pred t.r_ghist.(rs)
+  | 2 (* jalr *) -> Predictor.restore_ghist t.warm.pred t.r_ghist.(rs)
   | _ -> ());
   if flags land rf_ras <> 0 then begin
-    Ras.restore t.ras t.r_ras.(rs);
+    Ras.restore t.warm.ras t.r_ras.(rs);
     (* Replay the resolver's own RAS effect. *)
     match t.r_instr.(rs) with
     | Bor_isa.Instr.Jalr _ when is_return t.r_instr.(rs) ->
-      ignore (Ras.pop t.ras)
+      ignore (Ras.pop t.warm.ras)
     | _ -> ()
   end;
   t.wrong_path_decode <- false;
@@ -1433,14 +1365,14 @@ let check_resolver t =
    events in the registry at its next [run] exit. *)
 let publish t =
   Telemetry.publish t.tel t.stats;
-  Telemetry.publish t.tel_cache t.hier
+  Telemetry.publish t.warm.tel_cache t.warm.hier
 
 (* The region of interest closes — at [marker 2], or at a halt inside
    it: the cache-miss fields take the caches' counts. *)
 let freeze_cache_misses t =
-  t.stats.l1i_misses <- (Cache.stats (Hierarchy.l1i t.hier)).misses;
-  t.stats.l1d_misses <- (Cache.stats (Hierarchy.l1d t.hier)).misses;
-  t.stats.l2_misses <- (Cache.stats (Hierarchy.l2 t.hier)).misses
+  t.stats.l1i_misses <- (Cache.stats (Hierarchy.l1i t.warm.hier)).misses;
+  t.stats.l1d_misses <- (Cache.stats (Hierarchy.l1d t.warm.hier)).misses;
+  t.stats.l2_misses <- (Cache.stats (Hierarchy.l2 t.warm.hier)).misses
 
 (* [marker 1] opens the region of interest: publish the prefix the
    resets are about to discard, then start the records over. *)
@@ -1448,9 +1380,9 @@ let marker_commit t n =
   if n = 1 then begin
     publish t;
     t.stats <- fresh_stats ();
-    Hierarchy.reset_stats t.hier;
+    Hierarchy.reset_stats t.warm.hier;
     Telemetry.restart t.tel;
-    Telemetry.restart t.tel_cache;
+    Telemetry.restart t.warm.tel_cache;
     t.roi_frozen <- false
   end
   else if n = 2 then begin
@@ -1497,16 +1429,17 @@ let commit t =
             if flags land rf_mispredict <> 0 then
               t.stats.cond_mispredicts <- t.stats.cond_mispredicts + 1
           end;
-          Predictor.update t.pred ~pc:epc t.r_pred.(s) ~taken:actual_taken;
+          Predictor.update t.warm.pred ~pc:epc t.r_pred.(s) ~taken:actual_taken;
           if actual_taken then
-            Btb.insert t.btb ~pc:epc ~target:t.r_actual_next.(s)
+            Btb.insert t.warm.btb ~pc:epc ~target:t.r_actual_next.(s)
         | 3 (* brr, backend-resolution ablation *) ->
           (* brr statistics were taken at decode; committed-instruction
              counting above, but the brr events are not re-counted. *)
           if flags land rf_pred <> 0 then begin
             let taken = flags land rf_btaken <> 0 in
-            Predictor.update t.pred ~pc:epc t.r_pred.(s) ~taken;
-            if taken then Btb.insert t.btb ~pc:epc ~target:t.r_actual_next.(s)
+            Predictor.update t.warm.pred ~pc:epc t.r_pred.(s) ~taken;
+            if taken then
+              Btb.insert t.warm.btb ~pc:epc ~target:t.r_actual_next.(s)
           end
         | 2 (* jalr *) ->
           if roi t then begin
@@ -1672,274 +1605,20 @@ let run ?(max_cycles = 2_000_000_000) t =
 
 (* ------------------------------------------- Sampled simulation *)
 
-let predictor t = t.pred
-let btb t = t.btb
-let ras t = t.ras
-let hierarchy t = t.hier
+let run_warming ?max_steps t = Block.run_warming ?max_steps t.warm
+let block_cache t = Option.map fst t.warm.blocks
 
-(* Functional warming: execute on the oracle while updating the
-   long-lived structures (caches, BTB, direction predictor, RAS, LFSR
-   engine) exactly as a full-detail run would on the correct path — no
-   ROB, issue, or flush modelling. Three throughput tricks, none of
-   which changes the warmed state:
-
-   - Consecutive accesses to the same cache line are deduplicated, on
-     both the icache and dcache ports: re-touching the most recently
-     used line is a strict no-op — it hits, changing neither contents
-     nor the relative recency order that decides future evictions.
-   - Straight-line stretches (ALU/immediate/LUI/NOP runs) fast-forward
-     through [Machine.run_plain], which executes them in the oracle's
-     own tight loop. A stretch is strictly sequential, so its icache
-     footprint is the contiguous line range it crossed: sweeping that
-     range once per line afterwards reproduces exactly what
-     per-instruction MRU-deduplicated probes would have done.
-   - The pc is tracked locally: every BRISC instruction except jalr
-     either falls through or has a statically known target, so the
-     per-instruction [Machine.pc] and [Machine.halted] calls disappear
-     from the common path. [pc] goes to -1 when the program halts.
-
-   Warms up to [budget] instructions; returns how many ran (short when
-   the program halted). *)
-let warm_run t budget =
-  if budget <= 0 || Bor_sim.Machine.halted t.oracle then 0
-  else begin
-    let open Bor_isa.Instr in
-    let m = t.oracle in
-    let code = t.code in
-    let ncode = Array.length code in
-    let base = t.code_base in
-    let w = t.warm in
-    let lmask = w.Block.lmask in
-    let line = t.cfg.Config.line_bytes in
-    let hier = t.hier in
-    let brr_in_pred = t.cfg.Config.brr_in_predictor in
-    let n = ref 0 in
-    let pc = ref (Bor_sim.Machine.pc m) in
-    let iline = ref w.Block.iline in
-    let touch p =
-      let il = p land lmask in
-      if il <> !iline then begin
-        iline := il;
-        ignore (Hierarchy.access hier Hierarchy.I p)
-      end
-    in
-    while !n < budget && !pc >= 0 do
-      let p = !pc in
-      let off = p - base in
-      if off < 0 || off land 3 <> 0 || off lsr 2 >= ncode then begin
-        touch p;
-        Bor_sim.Machine.step m;
-        (* unreachable: [step] faulted *)
-        pc := Bor_sim.Machine.pc m;
-        incr n
-      end
-      else begin
-        let fall = p + 4 in
-        match Array.unsafe_get code (off lsr 2) with
-        | Alu _ | Alui _ | Lui _ | Nop ->
-          let k = Bor_sim.Machine.run_plain ~max_steps:(budget - !n) m in
-          if k = 0 then begin
-            (* An instrumented site stopped the fast path before it ran
-               anything: execute that one instruction via [step] so its
-               hooks fire. *)
-            touch p;
-            Bor_sim.Machine.step m;
-            pc := Bor_sim.Machine.pc m;
-            incr n
-          end
-          else begin
-            (* Touch each icache line the stretch crossed, oldest
-               first. *)
-            let lastl = (p + (4 * (k - 1))) land lmask in
-            let a = ref (p land lmask) in
-            if !a = !iline then a := !a + line;
-            while !a <= lastl do
-              ignore (Hierarchy.access hier Hierarchy.I !a);
-              a := !a + line
-            done;
-            iline := lastl;
-            pc := p + (4 * k);
-            n := !n + k
-          end
-        | Branch (c, rs1, rs2, boff) ->
-          touch p;
-          let taken = Bor_sim.Machine.exec_branch m c rs1 rs2 boff in
-          let target = p + (4 * boff) in
-          Block.warm_branch t.pred t.btb w ~pc:p ~taken ~target;
-          pc := (if taken then target else fall);
-          incr n
-        | Jal (rd, joff) ->
-          touch p;
-          if Bor_isa.Reg.equal rd Bor_isa.Reg.ra then Ras.push t.ras fall;
-          Bor_sim.Machine.exec_jal m rd joff;
-          pc := p + (4 * joff);
-          incr n
-        | Jalr (rd, rs1, imm) as instr ->
-          touch p;
-          if is_return instr then ignore (Ras.pop_target t.ras);
-          pc := Bor_sim.Machine.exec_jalr m rd rs1 imm;
-          incr n
-        | Brr (freq, boff) ->
-          touch p;
-          let outcome = Bor_core.Engine.decide t.engine freq in
-          let target = p + (4 * boff) in
-          if brr_in_pred then
-            Block.warm_branch t.pred t.btb w ~pc:p ~taken:outcome ~target;
-          (* The outcome is applied directly — no [pending_brr] round
-             trip through the oracle's decide hook, and no [Some]
-             allocation per branch-on-random. *)
-          Bor_sim.Machine.exec_brr_decided m ~taken:outcome ~offset:boff;
-          log_retired_brr t outcome;
-          pc := (if outcome then target else fall);
-          incr n
-        | Brr_always joff ->
-          touch p;
-          Bor_sim.Machine.exec_brr_decided m ~taken:true ~offset:joff;
-          pc := p + (4 * joff);
-          incr n
-        | Load (wd, rd, rs1, loff) ->
-          touch p;
-          Block.touch_data w hier (Bor_sim.Machine.exec_load m wd rd rs1 loff);
-          pc := fall;
-          incr n
-        | Store (wd, rsrc, rbase, soff) ->
-          touch p;
-          let addr = Bor_sim.Machine.exec_store m wd rsrc rbase soff in
-          Block.touch_data w hier addr;
-          (* Keep the block cache's self-modification contract uniform:
-             a fallback store into the text range flushes it too. *)
-          (match t.blockcache with
-          | Some (bc, _) -> Block.note_store bc addr
-          | None -> ());
-          pc := fall;
-          incr n
-        | Halt as instr ->
-          touch p;
-          Bor_sim.Machine.exec_decoded m instr;
-          pc := -1;
-          incr n
-        | (Rdlfsr _ | Marker _) as instr ->
-          touch p;
-          Bor_sim.Machine.exec_decoded m instr;
-          pc := fall;
-          incr n
-      end
-    done;
-    w.Block.iline <- !iline;
-    t.committed <- t.committed + !n;
-    !n
-  end
-
-(* One instruction of functional warming — the single-step unit the
-   warming-equivalence tests exercise; [warm_run] is the batched
-   form and [warm_blocks] the block-compiled one. *)
-let warm_step t = ignore (warm_run t 1)
-
-let get_blockcache t =
-  match t.blockcache with
-  | Some (bc, _) -> bc
-  | None ->
-    let bc =
-      Block.create ~code:t.code ~code_base:t.code_base ~cfg:t.cfg
-        ~machine:t.oracle ~hier:t.hier ~pred:t.pred ~btb:t.btb ~ras:t.ras
-        ~engine:t.engine ~warm:t.warm
-        ~on_brr:(fun outcome -> log_retired_brr t outcome)
-    in
-    t.blockcache <-
-      Some
-        (bc, Telemetry.family (Telemetry.scope "warming.block") block_counters);
-    bc
-
-let block_cache t = Option.map fst t.blockcache
-
-(* Warming-model mispredict count — the ranked-sampling feature
-   (docs/SAMPLING.md). Both warming paths count it in the one shared
-   record, through the one [Block.warm_branch]. *)
-let warm_mispredicts t = t.warm.Block.mispredicts
-
-(* Block-compiled warming: execute whole specialized blocks through the
-   translation cache and fall back to [warm_run] — the single-step
-   reference — for anything else. The two paths share the MRU line
-   trackers and perform identical sequences of structure updates, so
-   which one ran any given instruction is unobservable in the warmed
-   state. Budget exactness: a block longer than the remaining budget is
-   never entered ([Block.run] stops with [Out_of_budget]); its
-   instructions are single-stepped instead, so [max_steps] lands on
-   exactly the same instruction boundary as the reference path —
-   sampling plans place their windows identically. *)
-let warm_blocks t bc budget =
-  let m = t.oracle in
-  let n = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !n < budget && not (Bor_sim.Machine.halted m) do
-    let ran, status = Block.run bc ~budget:(budget - !n) in
-    n := !n + ran;
-    t.committed <- t.committed + ran;
-    match status with
-    | Block.Halted -> stop := true
-    | Block.Uncompilable ->
-      (* Nothing compilable at this pc (marker/rdlfsr, out-of-text):
-         single-step one instruction on the reference path. *)
-      let k = warm_run t 1 in
-      Block.note_fallback bc k;
-      n := !n + k;
-      if k = 0 then stop := true
-    | Block.Out_of_budget ->
-      (* Budget reached, or the next block would overshoot it:
-         single-step the remaining tail exactly. *)
-      let want = budget - !n in
-      if want > 0 then begin
-        let k = warm_run t want in
-        Block.note_fallback bc k;
-        n := !n + k
-      end;
-      stop := true
-  done;
-  !n
-
-(* Every exit publishes warming.block.* and cache.*, so a sweep that
-   warms one period at a time keeps the registry current. *)
-let run_warming ?max_steps t =
-  Fun.protect ~finally:(fun () ->
-      Telemetry.publish t.tel_cache t.hier;
-      match t.blockcache with
-      | Some (bc, tel) -> Telemetry.publish tel (Block.stats bc)
-      | None -> ())
-  @@ fun () ->
-  let budget = match max_steps with Some n -> n | None -> max_int in
-  let total = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !total < budget do
-    let chunk = min 65536 (budget - !total) in
-    (* The block cache skips the per-instruction site lookup, so any
-       machine that could fire site hooks warms on the single-step
-       path (checked per chunk — hooks can be registered mid-run). *)
-    let ran =
-      if
-        t.cfg.Config.warm_block_cache
-        && not (Bor_sim.Machine.has_site_hooks t.oracle)
-      then warm_blocks t (get_blockcache t) chunk
-      else warm_run t chunk
-    in
-    total := !total + ran;
-    (* Warming has no cycles, so the per-cycle sanitizer never sees it:
-       audit the warmed structures once per chunk instead. *)
-    if !Check.on then
-      san_enrich t (fun () ->
-          Bor_sim.Machine.check t.oracle;
-          Hierarchy.check t.hier;
-          Ras.check t.ras);
-    if ran < chunk then continue_ := false
-  done;
-  !total
-
-(* Point fetch at the oracle's pc — the handover after functional
-   warming or a checkpoint restore, where the front end must start
-   fetching from wherever the architectural state says execution is. *)
+(* The one handover from the warm record into detail (after a
+   checkpoint restore): fetch starts at the oracle's pc, the commit
+   count at the oracle's instruction count, and an oracle that already
+   halted leaves nothing to run. *)
 let resume_fetch t =
-  t.fetch_pc <- Bor_sim.Machine.pc t.oracle;
+  let m = t.warm.oracle in
+  t.fetch_pc <- Bor_sim.Machine.pc m;
   t.fetch_stall_until <- t.cycle;
-  t.halted_decoded <- false
+  t.halted_decoded <- false;
+  t.halt_committed <- Bor_sim.Machine.halted m;
+  t.committed <- (Bor_sim.Machine.stats m).Bor_sim.Machine.instructions
 
 type window_result = {
   w_sample : (int * int) option;
@@ -1963,7 +1642,7 @@ let run_window ?(max_cycles = 2_000_000_000) ~warmup ~window t =
       {
         w_sample = sample;
         w_detailed =
-          (Bor_sim.Machine.stats t.oracle).Bor_sim.Machine.instructions;
+          (Bor_sim.Machine.stats t.warm.oracle).Bor_sim.Machine.instructions;
         w_cycles = t.cycle;
       }
   in

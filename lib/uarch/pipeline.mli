@@ -27,7 +27,12 @@
     Back end: register renaming via a producer table, dynamic issue of
     up to [issue_width] instructions per cycle ([mem_ports] memory
     operations), d-cache/L2/memory latencies on the correct path, and
-    in-order commit of [commit_width] per cycle. *)
+    in-order commit of [commit_width] per cycle.
+
+    The oracle and every structure warming also evolves — LFSR engine,
+    caches, predictor, BTB, RAS — live in one {!Block.warm} record that
+    the pipeline embeds ({!warm}); this module adds only the detailed
+    core (fetch queue, ROB, rename, issue, squash, commit). *)
 
 type stats = {
   mutable cycles : int;
@@ -106,8 +111,8 @@ val run : ?max_cycles:int -> t -> (stats, string) result
     [marker 1] just before the resets, so they also count the prefix
     the statistics discard. [cache.*] is also published at every exit
     of {!run_warming}. A publish adds only what is new since the last
-    one, so a pipeline driven by {!warm_step} shows its events at its
-    next publishing exit. *)
+    one, so a record driven by {!Block.warm_step} shows its events at
+    its next publishing exit. *)
 
 val guard : (unit -> ('a, string) result) -> ('a, string) result
 (** [guard f] runs [f], turning a simulator error, a sanitizer
@@ -120,15 +125,17 @@ val guard : (unit -> ('a, string) result) -> ('a, string) result
 val oracle : t -> Bor_sim.Machine.t
 (** The functional model, for reading final architectural state. *)
 
-val engine : t -> Bor_core.Engine.t
-(** The branch-on-random LFSR engine (decode stage hardware). *)
+val warm : t -> Block.warm
+(** The embedded warm-state record: the oracle and the warmed
+    structures the detailed core runs on, which {!run_warming} evolves
+    and {!Bor_exec.Checkpoint} exports and imports. *)
 
 val retired_brr_outcomes : t -> bool list
-(** The committed branch-on-random outcome sequence, oldest first —
-    used by the §3.4 determinism experiments. Only the first
-    [Config.retired_brr_cap] outcomes are kept (stored flat in a
-    preallocated byte buffer); the first overflow warns once on
-    stderr. *)
+(** The branch-on-random outcome sequence of detailed commits only,
+    oldest first — used by the §3.4 determinism experiments; warming
+    logs nothing. Only the first [Config.retired_brr_cap] outcomes are
+    kept (stored flat in a preallocated byte buffer); the first
+    overflow warns once on stderr. *)
 
 val retired_brr_dropped : t -> int
 (** How many branch-on-random outcomes were dropped after the log
@@ -150,58 +157,25 @@ val config : t -> Config.t
     and telemetry are byte-identical whether or not this code exists
     (the bench golden digests enforce it). *)
 
-val warm_step : t -> unit
-(** Execute one instruction under functional warming, always on the
-    single-step reference path (never through the block cache) — the
-    unit the warming-equivalence tests compare against. The oracle must
-    not be halted. *)
-
 val run_warming : ?max_steps:int -> t -> int
-(** Warm until the program halts (or [max_steps]); returns the number
-    of instructions executed. Unless {!Config.warm_block_cache} is off
-    (or the oracle has site hooks registered), warming runs through the
-    {!Block} translation cache: straight-line stretches are specialized
-    once into fused closures and replayed per block. The warmed state
-    is bit-identical to single-stepping — see [docs/WARMING.md] — and
-    [max_steps] is honored exactly: a block that would overshoot the
-    budget is single-stepped instead, so sampling plans land their
-    windows on the same instruction boundaries either way. *)
+(** {!Block.run_warming} on the embedded record. *)
 
 val block_cache : t -> Block.t option
-(** The warmer's block translation cache, once a block-mode
-    {!run_warming} has created it ([None] before then, and forever in
-    full-detail or cache-disabled runs) — for the invalidation tests
-    and throughput reporting. *)
-
-val warm_mispredicts : t -> int
-(** Warming-model mispredicts retired so far: predicted-stream
-    mismatches at retirement on conditional branches and (when
-    {!Config.brr_in_predictor}) branch-on-randoms. Both warming paths
-    count them in one field of the shared {!Block.warm} record, through
-    the one {!Block.warm_branch} step, so the total is path-independent
-    like the warmed state itself. This is a {e ranking feature} for
-    ranked-set window selection (docs/SAMPLING.md) — not warmed state:
-    checkpoints neither save nor restore it, and digests ignore it. *)
-
-val predictor : t -> Predictor.t
-val btb : t -> Btb.t
-val ras : t -> Ras.t
-val hierarchy : t -> Hierarchy.t
-(** Warmed-structure accessors, for {!Bor_exec.Checkpoint}'s state
-    export/import. *)
+(** The record's block translation cache, once a block-mode
+    {!run_warming} has created it — for the invalidation tests and
+    throughput reporting. *)
 
 val state_digests : t -> (string * string) list
-(** One named digest per warmed structure: [l1i], [l1d], [l2],
-    [predictor], [btb], [ras] and [lfsr] (the engine's register). Two
-    pipelines with equal digests hold the same warmed state — what the
+(** {!Block.state_digests} of the embedded record — what the
     warming-equivalence and checkpoint tests compare, and the head of
     every sanitizer violation's state dump. *)
 
 val resume_fetch : t -> unit
-(** Point fetch at the oracle's current pc — the handover after seeding
-    a fresh pipeline's architectural state from elsewhere (a checkpoint
-    restore), where the front end must start fetching from wherever the
-    restored state says execution is. *)
+(** The one handover from the warm record into detail, after seeding a
+    fresh pipeline's record from elsewhere (a checkpoint restore):
+    fetch starts at the oracle's pc, the commit count at the oracle's
+    instruction count, and an oracle that has already halted leaves the
+    pipeline halted, so a run from it simulates nothing. *)
 
 type window_result = {
   w_sample : (int * int) option;

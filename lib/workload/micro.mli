@@ -5,10 +5,8 @@
     The minic source is generated with the buffer size baked in; the
     text corpus ({!Text}) is patched into the [text] array after
     assembly. Edge-profile instrumentation ([Cond_edges]) reproduces the
-    paper's "collect edge profiles to compute branch biases". *)
-
-val chars_default : int
-(** 500_000, the paper's "half a million characters". *)
+    paper's "collect edge profiles to compute branch biases". [chars]
+    defaults to 500_000, the paper's "half a million characters". *)
 
 val source : chars:int -> string
 (** The minic program. *)
@@ -27,11 +25,8 @@ val compile :
 val reference_checksum : ?chars:int -> ?seed:int -> unit -> int
 (** The interpreter's answer, for validating simulated runs. *)
 
-val hand_asm : chars:int -> string
-(** A hand-scheduled BRISC assembly version of the same loop (register
-    pressure and layout chosen by hand), for comparing the minic
-    compiler's output quality against manual code. Patch the corpus in
-    with {!assemble_hand}. *)
-
 val assemble_hand : ?chars:int -> ?seed:int -> unit -> Bor_isa.Program.t
-(** Assemble {!hand_asm} and install the corpus. *)
+(** A hand-scheduled BRISC assembly version of the same loop (register
+    pressure and layout chosen by hand), with the corpus installed —
+    for comparing the minic compiler's output quality against manual
+    code. *)

@@ -81,8 +81,9 @@ let test_component_checks () =
   (match Pipeline.run p with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "pipeline: %s" e);
-  Bor_uarch.Hierarchy.check (Pipeline.hierarchy p);
-  Bor_uarch.Ras.check (Pipeline.ras p);
+  let w = Pipeline.warm p in
+  Bor_uarch.Hierarchy.check w.hier;
+  Bor_uarch.Ras.check w.ras;
   Bor_sim.Machine.check (Pipeline.oracle p)
 
 let test_sanitized_differential () =

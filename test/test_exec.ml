@@ -97,6 +97,34 @@ let test_resumed_run_deterministic () =
   check Alcotest.bool "the resumed run made progress" true
     (st1.Pipeline.instructions > 0)
 
+(* A checkpoint taken after the program halted resumes into a pipeline
+   with nothing left to run: no phantom fetch of the halt, and under
+   the sanitizer the oracle balance holds. *)
+let test_resume_after_halt () =
+  let prog = Lazy.force alu_prog in
+  let p = Pipeline.create prog in
+  ignore (Pipeline.run_warming p);
+  check Alcotest.bool "warmed to halt" true
+    (Machine.halted (Pipeline.oracle p));
+  let ck =
+    Checkpoint.capture ~program_digest:(Checkpoint.program_digest prog) p
+  in
+  let prev = Bor_check.Check.enabled () in
+  Bor_check.Check.set_enabled true;
+  let r =
+    Fun.protect ~finally:(fun () -> Bor_check.Check.set_enabled prev)
+    @@ fun () ->
+    match Backend.resume ck prog with
+    | Error e -> Error e
+    | Ok b -> b.Backend.run ()
+  in
+  match r with
+  | Ok (Backend.Detailed st) ->
+    check Alcotest.int "cycles" 0 st.Pipeline.cycles;
+    check Alcotest.int "instructions" 0 st.Pipeline.instructions
+  | Ok _ -> Alcotest.fail "resume reported a non-detailed result"
+  | Error e -> Alcotest.fail e
+
 let test_serialized_roundtrip () =
   let prog = Lazy.force micro_prog in
   let _, _, ck = warmed_checkpoint prog in
@@ -519,7 +547,7 @@ let test_frozen_checkpoint () =
   check Alcotest.string "Checkpoint.to_string"
     "4dab30d426e9b195f0566652875da075c0145bec6cee7adef03497b16b736bdb" (Bor_telemetry.Sha256.digest (Checkpoint.to_string ck));
   check Alcotest.string "Predictor.state_digest"
-    "0ef1550b8a1dd47503584da555bb620ec981acee7775519805543c770ce7cf95" (Bor_uarch.Predictor.state_digest (Pipeline.predictor p))
+    "0ef1550b8a1dd47503584da555bb620ec981acee7775519805543c770ce7cf95" (Bor_uarch.Predictor.state_digest (Pipeline.warm p).pred)
 
 (* --------------------------------------------------------- backends *)
 
@@ -581,6 +609,8 @@ let () =
             test_restore_matches_capture;
           Alcotest.test_case "resumed run deterministic" `Quick
             test_resumed_run_deterministic;
+          Alcotest.test_case "resume after halt runs nothing" `Quick
+            test_resume_after_halt;
           Alcotest.test_case "serialized round trip" `Quick
             test_serialized_roundtrip;
           Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;

@@ -344,7 +344,7 @@ let tel_counter name =
    by name: hits, misses and evictions per level, from [Cache.stats]. *)
 let cache_counters t =
   let module H = Bor_uarch.Hierarchy in
-  let h = Bor_uarch.Pipeline.hierarchy t in
+  let h = (Bor_uarch.Pipeline.warm t).hier in
   List.concat_map
     (fun (level, c) ->
       let s = Bor_uarch.Cache.stats c in
@@ -1208,7 +1208,7 @@ buf:    .space 64
   let stepped = Bor_uarch.Pipeline.create p in
   let ns = ref 0 in
   while not (Bor_sim.Machine.halted (Bor_uarch.Pipeline.oracle stepped)) do
-    Bor_uarch.Pipeline.warm_step stepped;
+    Bor_uarch.Block.warm_step (Bor_uarch.Pipeline.warm stepped);
     incr ns
   done;
   check Alcotest.int "same instruction count" nb !ns;
@@ -1311,17 +1311,17 @@ let test_block_warming_equivalence () =
   check Alcotest.bool "marker forced single-step fallbacks" true
     (s.Bor_uarch.Block.fallback_steps > 0)
 
-(* Both warming paths count mispredicts in one shared field through
-   one [Block.warm_branch], so block mode and single-step agree — on
-   conditional branches alone, and with branch-on-random in the
-   predictor (the §3.3 pollution ablation). *)
+(* Both warming paths count mispredicts in one field of the warm-state
+   record through one warm-branch step, so block mode and single-step
+   agree — on conditional branches alone, and with branch-on-random in
+   the predictor (the §3.3 pollution ablation). *)
 let test_block_mispredicts_agree () =
   let p = assemble blocky_src in
   let mispredicts ~block brr_in_predictor =
     let config = { (warm_cfg block) with Bor_uarch.Config.brr_in_predictor } in
     let t = Bor_uarch.Pipeline.create ~config p in
     ignore (Bor_uarch.Pipeline.run_warming t);
-    Bor_uarch.Pipeline.warm_mispredicts t
+    (Bor_uarch.Pipeline.warm t).mispredicts
   in
   List.iter
     (fun brr_in_predictor ->
@@ -1330,6 +1330,36 @@ let test_block_mispredicts_agree () =
       check Alcotest.int "block cache = single-stepped" blocked
         (mispredicts ~block:false brr_in_predictor))
     [ false; true ]
+
+(* The retired-brr log records detailed commits only: warming a brr
+   loop on either path logs nothing, and so drops nothing even past a
+   small cap. *)
+let test_warming_logs_no_brr () =
+  let p =
+    assemble
+      {|
+main:   li   t0, 300
+loop:   brr  1/16, skip
+        addi t1, t1, 1
+skip:   addi t0, t0, -1
+        bne  t0, zero, loop
+        halt
+|}
+  in
+  List.iter
+    (fun block ->
+      let config = { (warm_cfg block) with retired_brr_cap = 16 } in
+      let t = Bor_uarch.Pipeline.create ~config p in
+      ignore (Bor_uarch.Pipeline.run_warming t);
+      check Alcotest.bool "warmed to halt" true
+        (Bor_sim.Machine.halted (Bor_uarch.Pipeline.oracle t));
+      check
+        Alcotest.(list bool)
+        "no outcomes logged" []
+        (Bor_uarch.Pipeline.retired_brr_outcomes t);
+      check Alcotest.int "none dropped" 0
+        (Bor_uarch.Pipeline.retired_brr_dropped t))
+    [ true; false ]
 
 (* Irregular step budgets, including 1, primes and a budget larger
    than most blocks — every boundary lands mid-block somewhere. *)
@@ -1342,9 +1372,8 @@ let test_block_budget_exactness () =
 (* A store landing in the text range must flush the cache. The decoded
    image cannot actually change — the oracle fetches instructions from
    its decoded array, not from memory — but the contract is
-   deliberately conservative, and the single-step path shares it via
-   [Block.note_store], so the flush has to be invisible in the warmed
-   state. *)
+   deliberately conservative, and the single-step path shares it, so
+   the flush has to be invisible in the warmed state. *)
 let test_block_store_invalidation () =
   let src =
     {|
@@ -1734,6 +1763,8 @@ let () =
             test_block_budget_exactness;
           Alcotest.test_case "block cache mispredicts = single-stepped"
             `Quick test_block_mispredicts_agree;
+          Alcotest.test_case "warming logs no brr outcomes" `Quick
+            test_warming_logs_no_brr;
           Alcotest.test_case "store into text flushes the cache" `Quick
             test_block_store_invalidation;
           Alcotest.test_case "code patch flushes the cache" `Quick
