@@ -594,11 +594,17 @@ let determinism () =
       Bor_minic.Instrument.(
         Sampled (Brr (Bor_core.Freq.of_period 4), Full_duplication))
   in
+  (* The committed outcome stream, read off the tracer's [Brr_resolved]
+     events. *)
   let outcomes deterministic_lfsr =
     let config = { Bor_uarch.Config.default with deterministic_lfsr } in
     let t = Bor_uarch.Pipeline.create ~config src.program in
+    let taken = ref [] in
+    Bor_uarch.Pipeline.set_tracer t (function
+      | Bor_uarch.Pipeline.Brr_resolved { taken = o; _ } -> taken := o :: !taken
+      | _ -> ());
     match Bor_uarch.Pipeline.run t with
-    | Ok st -> (Bor_uarch.Pipeline.retired_brr_outcomes t, st)
+    | Ok st -> (List.rev !taken, st)
     | Error e -> failwith e
   in
   let det1, st1 = outcomes true in

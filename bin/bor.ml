@@ -173,7 +173,10 @@ let sampling_flag s = function
     s.rank_bands <- int_flag ~min:1 "--rank-bands" v;
     Some r
   | "--ci-target" :: v :: r ->
-    s.ci_target <- float_flag ~min:0. "--ci-target" v;
+    let pct = float_flag ~min:0. "--ci-target" v in
+    if not (Bor_store.Key.ci_target_exact pct) then
+      bad_flag "--ci-target" v "a number exact at 6 decimals";
+    s.ci_target <- pct;
     Some r
   | _ -> None
 

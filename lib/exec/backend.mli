@@ -24,7 +24,7 @@ type t = {
   pipeline : Bor_uarch.Pipeline.t option;
       (** the underlying timing pipeline, when the substrate has one —
           for driver-specific extras (cycle counts, warmed-state
-          digests, retired-brr logs) *)
+          digests, a tracer) *)
   run : unit -> (report, string) result;
       (** run to completion or budget; never raises — simulator errors,
           sanitizer violations and oracle faults come back as [Error]

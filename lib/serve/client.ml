@@ -22,6 +22,10 @@ let request ~socket req =
           | exception Wire.Protocol_error m -> Error ("client: " ^ m)))
 
 let submit_request ?plan ?rank_bands ?ci_target ~backend program =
+  (match ci_target with
+  | Some pct when not (Bor_store.Key.ci_target_exact pct) ->
+    invalid_arg "Client.submit_request: ci_target is not exact at 6 decimals"
+  | _ -> ());
   Json.Obj
     ([
        ("op", Json.String "submit");

@@ -185,14 +185,15 @@ let submit t spec =
   Telemetry.observe t.h_busy (Atomic.get t.a_busy);
   let disposition =
     match Hashtbl.find_opt t.jobs key with
-    | Some { e_state = Done _; _ } ->
+    | Some { e_state = Done (Ok _); _ } ->
         t.n_mem_hits <- t.n_mem_hits + 1;
         `Hit
-    | Some _ ->
+    | Some { e_state = Queued | Running; _ } ->
         t.n_joins <- t.n_joins + 1;
         `Joined
-    | None ->
-        Hashtbl.add t.jobs key { e_spec = spec; e_state = Queued };
+    | None | Some { e_state = Done (Error _); _ } ->
+        (* Errors are never memoized: a failed key runs again. *)
+        Hashtbl.replace t.jobs key { e_spec = spec; e_state = Queued };
         Queue.push key t.queue;
         Condition.broadcast t.cond;
         `Queued

@@ -4,11 +4,14 @@
     Every submission is addressed by its job's content key, which is
     what makes the three fast paths fall out of one table lookup:
 
-    - the key is already [Done] → answered immediately from memory
-      ([`Hit] — a warm resubmission never touches a worker);
+    - the key is already [Done] with a payload → answered immediately
+      from memory ([`Hit] — a warm resubmission never touches a
+      worker);
     - the key is queued or running → the submission {e joins} the
       in-flight job ([`Joined]) and will observe the same bytes;
-    - otherwise the job is enqueued ([`Queued]) and a worker runs it
+    - otherwise — a new key, or one whose last run failed, since
+      errors are never memoized — the job is enqueued ([`Queued]) and
+      a worker runs it
       through {!Job.run}, where the content-addressed store (when
       configured) supplies cross-process / cross-restart reuse.
 

@@ -38,7 +38,6 @@ let canon_config (c : Config.t) =
     lfsr_ports;
     brr_resolve_in_backend;
     brr_in_predictor;
-    retired_brr_cap;
     warm_block_cache;
   } =
     c
@@ -75,16 +74,27 @@ let canon_config (c : Config.t) =
       i "lfsr_ports" lfsr_ports;
       b "brr_resolve_in_backend" brr_resolve_in_backend;
       b "brr_in_predictor" brr_in_predictor;
-      i "retired_brr_cap" retired_brr_cap;
+      (* Retired config field; the preimage is frozen, so the token
+         stays at the old default. *)
+      "retired_brr_cap=200000";
       b "warm_block_cache" warm_block_cache;
       (* Retired config field; the preimage is frozen, so the token stays. *)
       "sample=-";
     ]
 
+let ci_target_exact x =
+  Float.equal (float_of_string (Printf.sprintf "%.6f" x)) x
+
 let make ~program ?(config = Config.default) ?plan ?(rank_bands = 1)
     ?(ci_target = 0.) ~kind () =
   if kind = "" || String.contains kind '\n' then
     invalid_arg "Bor_store.Key.make: kind must be a non-empty single line";
+  if not (ci_target_exact ci_target) then
+    invalid_arg
+      (Printf.sprintf
+         "Bor_store.Key.make: ci_target %.17g is not exact at 6 decimals \
+          (it reads as %.6f)"
+         ci_target ci_target);
   (* The variance-optimal sampling knobs join the preimage only at
      non-default values: every key minted before they existed keeps its
      exact hex, and a default-knob job still shares its address with

@@ -35,7 +35,15 @@ val make :
     or artifact family (["detailed"], ["sampled"], ["checkpoint"],
     ...).
     @raise Invalid_argument if [kind] is empty or contains a newline
-    (the preimage is line-framed). *)
+    (the preimage is line-framed), or if [ci_target] fails
+    {!ci_target_exact}. *)
+
+val ci_target_exact : float -> bool
+(** Whether [x]'s [%.6f] rendering — the form [ci_target] takes in the
+    preimage and on the wire — reads back as [x] itself. A target that
+    fails would share its key with every neighbour that rounds to the
+    same six decimals (2.0000001 and 2.0000004), or, below 5e-7, render
+    as the default [0.000000] while running a different job. *)
 
 val shard :
   program_digest:string ->

@@ -27,7 +27,6 @@ type t = {
   lfsr_ports : int;
   brr_resolve_in_backend : bool;
   brr_in_predictor : bool;
-  retired_brr_cap : int;
   warm_block_cache : bool;
 }
 
@@ -61,6 +60,5 @@ let default =
     lfsr_ports = 4;
     brr_resolve_in_backend = false;
     brr_in_predictor = false;
-    retired_brr_cap = 200_000;
     warm_block_cache = true;
   }

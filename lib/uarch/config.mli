@@ -59,12 +59,6 @@ type t = {
           global history and BTB like a conditional branch — quantifies
           the §3.3 point-6 pollution the paper avoids by keeping it
           out *)
-  retired_brr_cap : int;
-      (** how many branch-on-random outcomes of detailed commits only
-          {!Pipeline.retired_brr_outcomes} keeps (the oldest ones;
-          200k by default; warming logs none). The first overflow of a
-          run warns once on stderr and {!Pipeline.retired_brr_dropped}
-          counts the rest. *)
   warm_block_cache : bool;
       (** use the block translation cache ({!Block}) in
           {!Block.run_warming} ([true] by default). The cache is a

@@ -261,9 +261,6 @@ type t = {
   mutable san_tail_cut : bool;  (* a squash truncated the tail this cycle *)
   mutable san_last_commit_seq : int;
   mutable san_tick : int;
-  mutable retired_brr : Bytes.t;  (* oldest first, grown up to the cap *)
-  mutable retired_brr_len : int;  (* stored = min (total, cap) *)
-  mutable retired_brr_total : int;
   mutable tracer : (trace_event -> unit) option;
 }
 
@@ -367,10 +364,6 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
     san_tail_cut = false;
     san_last_commit_seq = -1;
     san_tick = 0;
-    retired_brr =
-      Bytes.create (max 0 (min config.Config.retired_brr_cap 1024));
-    retired_brr_len = 0;
-    retired_brr_total = 0;
     tracer = None;
   }
 
@@ -378,14 +371,6 @@ let oracle t = t.warm.oracle
 let warm t = t.warm
 let config t = t.cfg
 
-let retired_brr_outcomes t =
-  let acc = ref [] in
-  for i = t.retired_brr_len - 1 downto 0 do
-    acc := (Bytes.unsafe_get t.retired_brr i <> '\000') :: !acc
-  done;
-  !acc
-
-let retired_brr_dropped t = t.retired_brr_total - t.retired_brr_len
 let set_tracer t f = t.tracer <- Some f
 let roi t = not t.roi_frozen
 let rob_occ t = t.rob_tail - t.rob_head
@@ -648,31 +633,6 @@ let sanitize_cycle t =
   Check.count (10 + (4 * (t.rob_tail - t.rob_head)) + Array.length t.producer);
   t.san_tick <- t.san_tick + 1;
   if t.san_tick land 1023 = 0 then sanitize_heavy t
-
-let retired_brr_warned = ref false
-
-let log_retired_brr t outcome =
-  let cap = t.cfg.Config.retired_brr_cap in
-  if t.retired_brr_len < cap then begin
-    let len = Bytes.length t.retired_brr in
-    if t.retired_brr_len >= len then begin
-      let grown = Bytes.create (min cap (max 64 (2 * len))) in
-      Bytes.blit t.retired_brr 0 grown 0 len;
-      t.retired_brr <- grown
-    end;
-    Bytes.unsafe_set t.retired_brr t.retired_brr_len
-      (if outcome then '\001' else '\000');
-    t.retired_brr_len <- t.retired_brr_len + 1
-  end
-  else if t.retired_brr_total = cap && not !retired_brr_warned then begin
-    retired_brr_warned := true;
-    Printf.eprintf
-      "bor_uarch: branch-on-random outcome log hit its cap (%d); keeping \
-       the oldest, dropping the rest (raise Config.retired_brr_cap to \
-       keep more)\n%!"
-      cap
-  end;
-  t.retired_brr_total <- t.retired_brr_total + 1
 
 let push_spec_brr t bank =
   let len = Bytes.length t.spec_brr_log in
@@ -941,7 +901,6 @@ let decode_one t fslot =
         t.stats.instructions <- t.stats.instructions + 1;
         if outcome then t.stats.brr_taken <- t.stats.brr_taken + 1
       end;
-      log_retired_brr t outcome;
       t.committed <- t.committed + 1;
       (match t.tracer with
       | None -> ()
@@ -986,7 +945,10 @@ let decode_one t fslot =
           t.stats.brr_executed <- t.stats.brr_executed + 1;
           if outcome then t.stats.brr_taken <- t.stats.brr_taken + 1
         end;
-        log_retired_brr t outcome
+        match t.tracer with
+        | None -> ()
+        | Some f ->
+          f (Brr_resolved { cycle = t.cycle; pc = fpc; taken = outcome })
       end;
       brr_outcome := outcome;
       brr_next := (if outcome then fpc + (4 * boff) else fpc + 4)

@@ -130,17 +130,6 @@ val warm : t -> Block.warm
     structures the detailed core runs on, which {!run_warming} evolves
     and {!Bor_exec.Checkpoint} exports and imports. *)
 
-val retired_brr_outcomes : t -> bool list
-(** The branch-on-random outcome sequence of detailed commits only,
-    oldest first — used by the §3.4 determinism experiments; warming
-    logs nothing. Only the first [Config.retired_brr_cap] outcomes are
-    kept (stored flat in a preallocated byte buffer); the first
-    overflow warns once on stderr. *)
-
-val retired_brr_dropped : t -> int
-(** How many branch-on-random outcomes were dropped after the log
-    reached [Config.retired_brr_cap] (0 when nothing was lost). *)
-
 val config : t -> Config.t
 
 (** {2 Sampled simulation}
@@ -201,14 +190,20 @@ val run_window :
 
 (** {2 Tracing}
 
-    A lightweight observation stream for debugging and for building
-    custom analyses on top of the simulator. Events fire in commit
-    order for [Commit]; flush events fire when the redirect happens. *)
+    The one observation stream out of the detailed core, for debugging
+    and for analyses built on the simulator. [Commit] fires in commit
+    order; [Brr_resolved] fires once per correct-path branch-on-random
+    decision, in program order — so the [taken] fields of a run are its
+    committed outcome stream, the sequence the §3.4 determinism
+    experiments compare against a functional run. Flush events fire
+    when the redirect happens. Only the detailed core fires events:
+    warming ({!run_warming}) fires none. *)
 
 type trace_event =
   | Commit of { cycle : int; pc : int; instr : Bor_isa.Instr.t }
   | Brr_resolved of { cycle : int; pc : int; taken : bool }
-      (** a decode-stage branch-on-random resolution (correct path) *)
+      (** a correct-path branch-on-random decision, made at decode under
+          either [Config.brr_resolve_in_backend] setting *)
   | Front_flush of { cycle : int; target : int }
   | Back_flush of { cycle : int; resolver_pc : int; squashed : int }
 

@@ -399,6 +399,53 @@ let test_scheduler_reports_failures () =
   | _ -> Alcotest.fail "submit after shutdown accepted"
   | exception Invalid_argument _ -> ()
 
+(* Errors are never memoized (docs/SERVE.md): resubmitting a failed
+   key queues a fresh run instead of answering the stored error as a
+   memory hit. *)
+let test_scheduler_recomputes_failures () =
+  let sched = Scheduler.create ~domains:1 () in
+  let job = Job.make ~backend:"warp-drive" (Lazy.force alu_prog) in
+  let submit_and_fail () =
+    let key, disposition = Scheduler.submit sched job in
+    (match Scheduler.await sched key with
+    | Some (Error _) -> ()
+    | Some (Ok _) -> Alcotest.fail "bad backend reported success"
+    | None -> Alcotest.fail "job vanished");
+    disposition
+  in
+  check Alcotest.bool "first submit queued" true (submit_and_fail () = `Queued);
+  check Alcotest.bool "resubmit of a failure queued" true
+    (submit_and_fail () = `Queued);
+  let stats = Scheduler.stats sched in
+  check Alcotest.int "both runs failed" 2 (List.assoc "failed" stats);
+  check Alcotest.int "no cache hit" 0 (List.assoc "cache_hits" stats);
+  Scheduler.shutdown sched
+
+(* A ci_target that six decimals cannot hold would alias another
+   target's key, so submission refuses it before anything is queued,
+   and the client will not frame it. *)
+let test_scheduler_rejects_inexact_ci_target () =
+  let sched = Scheduler.create ~domains:1 () in
+  let prog = Lazy.force alu_prog in
+  let job =
+    Job.make ~plan:(plan_exn "200:100:2000:3") ~ci_target:2.0000001
+      ~backend:"sampled" prog
+  in
+  check Alcotest.bool "submit refused" true
+    (match Scheduler.submit sched job with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check Alcotest.int "nothing submitted" 0
+    (List.assoc "submitted" (Scheduler.stats sched));
+  check Alcotest.bool "client refuses to round it" true
+    (match
+       Client.submit_request ~plan:"200:100:2000:3" ~ci_target:2.0000001
+         ~backend:"sampled" prog
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Scheduler.shutdown sched
+
 (* The serve.* registry counters and [Scheduler.stats] are two views of
    the same counts: after a cold detailed job, its memory hit and one
    sampled job, every counter equals its stats entry. *)
@@ -525,6 +572,25 @@ let test_server_end_to_end () =
   check Alcotest.string "nan ci_target job fails"
     "job failed: CI target must be a finite number >= 0 (--ci-target)"
     (str "error" r);
+  (* A hand-written request with a target six decimals cannot hold is
+     a structured refusal from the key, not a job under an aliased
+     key. *)
+  (match
+     request
+       (Json.Obj
+          [
+            ("op", Json.String "submit");
+            ( "program",
+              Json.String (Wire.to_hex (Bor_isa.Objfile.save prog)) );
+            ("backend", Json.String "sampled");
+            ("plan", Json.String "200:100:2000:3");
+            ("ci_target", Json.String "2.0000001");
+          ])
+   with
+  | Json.Obj fields ->
+    check Alcotest.bool "inexact ci_target refused" true
+      (List.assoc_opt "ok" fields = Some (Json.Bool false))
+  | _ -> Alcotest.fail "inexact ci_target should get a structured error");
   ignore (request Client.shutdown_request);
   (match Domain.join server with
   | Ok () -> ()
@@ -709,6 +775,10 @@ let () =
             test_scheduler_publishes_shards;
           Alcotest.test_case "failures and shutdown" `Quick
             test_scheduler_reports_failures;
+          Alcotest.test_case "failed jobs are recomputed" `Quick
+            test_scheduler_recomputes_failures;
+          Alcotest.test_case "rejects an inexact ci target" `Quick
+            test_scheduler_rejects_inexact_ci_target;
           Alcotest.test_case "registry matches stats" `Quick
             test_scheduler_registry_matches_stats;
         ] );

@@ -109,6 +109,32 @@ let test_key_preimage_and_bad_kind () =
   check Alcotest.bool "multi-line kind rejected" true
     (match key "a\nb" with _ -> false | exception Invalid_argument _ -> true)
 
+(* [ci_target] enters the preimage as [%.6f]: a target that rendering
+   cannot hold exactly is refused instead of sharing a neighbour's key
+   (2.0000001 vs 2.0000004) or posing as the default (1e-7 renders as
+   0.000000). Targets that six decimals hold keep their keys. *)
+let test_key_rejects_inexact_ci_target () =
+  let rejected ci_target =
+    match key ~ci_target "sampled" with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun pct ->
+      check Alcotest.bool (Printf.sprintf "%g rejected" pct) true
+        (rejected pct))
+    [ 2.0000001; 2.0000004; 1e-7; 1. /. 3. ];
+  List.iter
+    (fun pct ->
+      check Alcotest.bool (Printf.sprintf "%g accepted" pct) false
+        (rejected pct))
+    [ 0.; 0.5; 2.; 5.; 0.000001; 12.345678 ];
+  if
+    String.equal
+      (Key.hex (key ~ci_target:2. "sampled"))
+      (Key.hex (key ~ci_target:2.000001 "sampled"))
+  then Alcotest.fail "targets one microunit apart alias"
+
 (* ----------------------------------------------------- shard keys *)
 
 let plan_exn s =
@@ -450,6 +476,8 @@ let () =
             test_key_covers_every_component;
           Alcotest.test_case "preimage and bad kinds" `Quick
             test_key_preimage_and_bad_kind;
+          Alcotest.test_case "rejects an inexact ci target" `Quick
+            test_key_rejects_inexact_ci_target;
           Alcotest.test_case "frozen key and shard hexes" `Quick
             test_frozen_key_hexes;
         ] );

@@ -595,12 +595,39 @@ tgt2:   addi t3, t3, 1
         brra back
       |}
 
-let retired_outcomes config =
-  let p = assemble determinism_src in
+(* A detailed run's committed branch-on-random stream, oldest first,
+   read off the tracer's [Brr_resolved] events. *)
+let traced_outcomes config p =
   let t = Bor_uarch.Pipeline.create ~config p in
+  let outcomes = ref [] in
+  Bor_uarch.Pipeline.set_tracer t (function
+    | Bor_uarch.Pipeline.Brr_resolved { taken; _ } ->
+      outcomes := taken :: !outcomes
+    | _ -> ());
   match Bor_uarch.Pipeline.run t with
-  | Ok st -> (Bor_uarch.Pipeline.retired_brr_outcomes t, st)
+  | Ok st -> (List.rev !outcomes, st)
   | Error e -> Alcotest.fail e
+
+let retired_outcomes config = traced_outcomes config (assemble determinism_src)
+
+(* The stream a purely functional (no speculation) run of [p] draws from
+   [seed], logged through the External hook (brra never consults the
+   engine). *)
+let functional_outcomes ~seed p =
+  let engine = Bor_core.Engine.create ~seed () in
+  let functional = ref [] in
+  let decide freq =
+    let o = Bor_core.Engine.decide engine freq in
+    functional := o :: !functional;
+    o
+  in
+  let m =
+    Bor_sim.Machine.create ~brr_mode:(Bor_sim.Machine.External decide) p
+  in
+  (match Bor_sim.Machine.run m with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  List.rev !functional
 
 let test_deterministic_lfsr_repeatable () =
   (* With §3.4 checkpointing, the retired outcome sequence is a pure
@@ -619,25 +646,35 @@ let test_deterministic_matches_functional () =
      (no speculation) run sees. *)
   let cfg = { Bor_uarch.Config.default with deterministic_lfsr = true } in
   let timing, _ = retired_outcomes cfg in
-  let p = assemble determinism_src in
-  (* Replay functionally with the same seed, logging each true
-     branch-on-random decision through the External hook (brra never
-     consults the engine). *)
-  let engine = Bor_core.Engine.create ~seed:cfg.lfsr_seed () in
-  let functional = ref [] in
-  let decide freq =
-    let o = Bor_core.Engine.decide engine freq in
-    functional := o :: !functional;
-    o
-  in
-  let m =
-    Bor_sim.Machine.create ~brr_mode:(Bor_sim.Machine.External decide) p
-  in
-  (match Bor_sim.Machine.run m with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
   check Alcotest.bool "timing (checkpointed) = functional stream" true
-    (timing = List.rev !functional)
+    (timing
+    = functional_outcomes ~seed:cfg.lfsr_seed (assemble determinism_src))
+
+(* [Brr_resolved] marks every correct-path branch-on-random decision in
+   program order whether the brr resolves in decode or, under the §3.3
+   ablation, in the back end — so either way the traced stream is the
+   committed one, and with checkpointing it is the functional one. *)
+let test_tracer_carries_brr_stream () =
+  let p = assemble determinism_src in
+  List.iter
+    (fun brr_resolve_in_backend ->
+      let cfg =
+        {
+          Bor_uarch.Config.default with
+          deterministic_lfsr = true;
+          brr_resolve_in_backend;
+        }
+      in
+      let traced, st = traced_outcomes cfg p in
+      let what = Printf.sprintf "resolve_in_backend=%b" brr_resolve_in_backend in
+      check Alcotest.int
+        (what ^ ": one event per committed brr")
+        st.brr_executed (List.length traced);
+      check Alcotest.bool
+        (what ^ ": traced = functional stream")
+        true
+        (traced = functional_outcomes ~seed:cfg.lfsr_seed p))
+    [ false; true ]
 
 let test_nondeterministic_loses_transitions () =
   (* Without checkpointing, wrong-path brr decodes consume transitions;
@@ -675,60 +712,15 @@ let test_minic_differential_matches_functional () =
             Sampled (Brr (Bor_core.Freq.of_period 64), No_duplication))
       in
       let p = compiled.Bor_minic.Driver.program in
-      let t = Bor_uarch.Pipeline.create ~config:cfg p in
-      let st =
-        match Bor_uarch.Pipeline.run t with
-        | Ok st -> st
-        | Error e -> Alcotest.fail e
-      in
-      let timing = Bor_uarch.Pipeline.retired_brr_outcomes t in
-      check Alcotest.int
-        (Printf.sprintf "seed %d: nothing truncated" seed)
-        0
-        (Bor_uarch.Pipeline.retired_brr_dropped t);
-      let engine = Bor_core.Engine.create ~seed:cfg.lfsr_seed () in
-      let functional = ref [] in
-      let decide freq =
-        let o = Bor_core.Engine.decide engine freq in
-        functional := o :: !functional;
-        o
-      in
-      let m =
-        Bor_sim.Machine.create ~brr_mode:(Bor_sim.Machine.External decide) p
-      in
-      (match Bor_sim.Machine.run m with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
+      let timing, st = traced_outcomes cfg p in
       check Alcotest.int
         (Printf.sprintf "seed %d: one retired outcome per executed brr" seed)
         st.brr_executed (List.length timing);
       check Alcotest.bool
         (Printf.sprintf "seed %d: timing = functional stream" seed)
         true
-        (timing = List.rev !functional))
+        (timing = functional_outcomes ~seed:cfg.lfsr_seed p))
     [ 1; 42; 2008 ]
-
-let test_retired_brr_cap_truncates () =
-  (* A small [retired_brr_cap] keeps only the oldest outcomes and counts
-     the overflow, without perturbing simulated behavior. *)
-  let cfg = { Bor_uarch.Config.default with deterministic_lfsr = true } in
-  let full, st = retired_outcomes cfg in
-  let p = assemble determinism_src in
-  let capped_cfg = { cfg with retired_brr_cap = 100 } in
-  let t = Bor_uarch.Pipeline.create ~config:capped_cfg p in
-  let st' =
-    match Bor_uarch.Pipeline.run t with
-    | Ok st' -> st'
-    | Error e -> Alcotest.fail e
-  in
-  let capped = Bor_uarch.Pipeline.retired_brr_outcomes t in
-  check Alcotest.int "cycles unchanged by the cap" st.cycles st'.cycles;
-  check Alcotest.int "kept exactly the cap" 100 (List.length capped);
-  check Alcotest.bool "kept the oldest outcomes" true
-    (capped = List.filteri (fun i _ -> i < 100) full);
-  check Alcotest.int "dropped count covers the rest"
-    (st'.brr_executed - 100)
-    (Bor_uarch.Pipeline.retired_brr_dropped t)
 
 let test_trace_events () =
   let p =
@@ -1331,10 +1323,9 @@ let test_block_mispredicts_agree () =
         (mispredicts ~block:false brr_in_predictor))
     [ false; true ]
 
-(* The retired-brr log records detailed commits only: warming a brr
-   loop on either path logs nothing, and so drops nothing even past a
-   small cap. *)
-let test_warming_logs_no_brr () =
+(* Only the detailed core fires trace events: warming a brr loop to
+   halt on either path fires none. *)
+let test_warming_fires_no_trace_events () =
   let p =
     assemble
       {|
@@ -1348,17 +1339,15 @@ skip:   addi t0, t0, -1
   in
   List.iter
     (fun block ->
-      let config = { (warm_cfg block) with retired_brr_cap = 16 } in
-      let t = Bor_uarch.Pipeline.create ~config p in
+      let t = Bor_uarch.Pipeline.create ~config:(warm_cfg block) p in
+      let events = ref 0 in
+      Bor_uarch.Pipeline.set_tracer t (fun _ -> incr events);
       ignore (Bor_uarch.Pipeline.run_warming t);
       check Alcotest.bool "warmed to halt" true
         (Bor_sim.Machine.halted (Bor_uarch.Pipeline.oracle t));
-      check
-        Alcotest.(list bool)
-        "no outcomes logged" []
-        (Bor_uarch.Pipeline.retired_brr_outcomes t);
-      check Alcotest.int "none dropped" 0
-        (Bor_uarch.Pipeline.retired_brr_dropped t))
+      check Alcotest.int
+        (Printf.sprintf "block=%b: no trace events" block)
+        0 !events)
     [ true; false ]
 
 (* Irregular step budgets, including 1, primes and a budget larger
@@ -1733,8 +1722,8 @@ let () =
             test_deterministic_matches_functional;
           Alcotest.test_case "minic differential = functional" `Quick
             test_minic_differential_matches_functional;
-          Alcotest.test_case "retired-brr cap truncates" `Quick
-            test_retired_brr_cap_truncates;
+          Alcotest.test_case "tracer carries the brr stream" `Quick
+            test_tracer_carries_brr_stream;
           Alcotest.test_case "lossy preserves rates" `Quick
             test_nondeterministic_loses_transitions;
         ] );
@@ -1763,8 +1752,8 @@ let () =
             test_block_budget_exactness;
           Alcotest.test_case "block cache mispredicts = single-stepped"
             `Quick test_block_mispredicts_agree;
-          Alcotest.test_case "warming logs no brr outcomes" `Quick
-            test_warming_logs_no_brr;
+          Alcotest.test_case "warming fires no trace events" `Quick
+            test_warming_fires_no_trace_events;
           Alcotest.test_case "store into text flushes the cache" `Quick
             test_block_store_invalidation;
           Alcotest.test_case "code patch flushes the cache" `Quick
