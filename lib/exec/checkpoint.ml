@@ -244,11 +244,3 @@ let load_file path =
   with
   | Error m -> Error m
   | Ok data -> of_string data
-
-let to_store store key ck = Bor_store.Store.put store key (to_string ck)
-
-let of_store store key =
-  match Bor_store.Store.find store key with
-  | None -> None
-  | Some payload -> (
-      match of_string payload with Ok ck -> Some ck | Error _ -> None)

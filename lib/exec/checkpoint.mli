@@ -70,13 +70,3 @@ val of_string : string -> (t, string) result
 val save_file : string -> t -> (unit, string) result
 val load_file : string -> (t, string) result
 (** {!to_string}/{!of_string} + file I/O; I/O errors become [Error]. *)
-
-val to_store :
-  Bor_store.Store.t -> Bor_store.Key.t -> t -> (unit, string) result
-(** Publish a serialized checkpoint into a content-addressed store
-    (conventionally under a key made with [~kind:"checkpoint"]). *)
-
-val of_store : Bor_store.Store.t -> Bor_store.Key.t -> t option
-(** Fetch and parse a checkpoint back out. [None] on a store miss or
-    on any validation failure — checkpoints are pure functions of
-    their key, so a failed fetch always has a recompute fallback. *)

@@ -85,9 +85,9 @@ let seq_runner ctx =
 (* [domains > 1] without an external runner: a private window queue,
    executed by [domains - 1] worker domains plus the sweep thread,
    which help-executes whenever it reaches the in-flight cap and while
-   draining. No store and nothing kept once delivered: a run's work
-   units never repeat. Windows take exactly a served job's path, so
-   results and telemetry match the inline runner's by construction. *)
+   draining. Nothing is kept once delivered: a run's work units never
+   repeat. Windows take exactly a served job's path, so results and
+   telemetry match the inline runner's by construction. *)
 let queue_runner ~domains ~config ctx =
   let mu = Mutex.create () and cond = Condition.create () in
   let wq =

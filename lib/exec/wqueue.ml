@@ -1,6 +1,5 @@
 module Telemetry = Bor_telemetry.Telemetry
 module Key = Bor_store.Key
-module Store = Bor_store.Store
 
 (* A waiter is one job's claim on a work unit: deliver the unit's entry
    under the job's own dispatch index. Several jobs can wait on one
@@ -39,16 +38,13 @@ type t = {
      and the drain condition *)
   inflight : (string, int) Hashtbl.t;
   inflight_cap : int;
-  w_store : Store.t option;
   a_dispatched : int Atomic.t;
   a_executed : int Atomic.t;
   a_shared : int Atomic.t;
   a_failed : int Atomic.t;
-  a_shard_put : int Atomic.t;
-  a_shard_present : int Atomic.t;
 }
 
-let create ?monitor ?store ?(inflight_cap = 8) ?(finished_cap = 512) () =
+let create ?monitor ?(inflight_cap = 8) ?(finished_cap = 512) () =
   if inflight_cap < 1 then invalid_arg "Wqueue.create: inflight_cap >= 1";
   if finished_cap < 0 then invalid_arg "Wqueue.create: finished_cap >= 0";
   let mu, cond =
@@ -65,13 +61,10 @@ let create ?monitor ?store ?(inflight_cap = 8) ?(finished_cap = 512) () =
     finished_cap;
     inflight = Hashtbl.create 16;
     inflight_cap;
-    w_store = store;
     a_dispatched = Atomic.make 0;
     a_executed = Atomic.make 0;
     a_shared = Atomic.make 0;
     a_failed = Atomic.make 0;
-    a_shard_put = Atomic.make 0;
-    a_shard_present = Atomic.make 0;
   }
 
 let inflight_of t job =
@@ -225,18 +218,6 @@ let runner t ~job ~config ctx =
       Key.shard ~program_digest:ctx.Window.xc_digest ~config
         ~plan:ctx.Window.xc_plan ~boundary ()
     in
-    (* Publish the captured checkpoint under its shard address so other
-       processes (bor checkpoint resume, future warm starts) can fetch
-       it; best-effort, like every store write. [mem] first: rewriting
-       identical bytes every job would churn the LRU for nothing. *)
-    (match t.w_store with
-    | None -> ()
-    | Some st ->
-        if Store.mem st sk then Atomic.incr t.a_shard_present
-        else begin
-          (match Checkpoint.to_store st sk ck with Ok () | Error _ -> ());
-          Atomic.incr t.a_shard_put
-        end);
     let wu_key =
       Printf.sprintf "%s mc=%d tel=%b" (Key.hex sk) ctx.Window.xc_max_cycles
         tel
@@ -258,13 +239,11 @@ let runner t ~job ~config ctx =
 
 (* Lock-free counter reads: safe from any thread, including under the
    shared monitor's lock (the serve scheduler publishes them as its
-   serve.windows.* / serve.shards.* telemetry). *)
+   serve.windows.* telemetry). *)
 let dispatched t = Atomic.get t.a_dispatched
 let executed t = Atomic.get t.a_executed
 let shared_hits t = Atomic.get t.a_shared
 let failed t = Atomic.get t.a_failed
-let shards_published t = Atomic.get t.a_shard_put
-let shards_present t = Atomic.get t.a_shard_present
 
 let depth t =
   Mutex.lock t.mu;

@@ -4,9 +4,9 @@
     Two kinds of owner drive it. [bor serve]'s scheduler shares one
     queue across every job on the server and its worker domains pull
     from it between jobs ([Bor_serve.Scheduler]). A standalone
-    {!Sampled.run_on} at [domains > 1] creates a private queue (no
-    store) and spawns [domains - 1] worker domains for the run; the
-    sweep thread is the remaining executor. Either way the job's
+    {!Sampled.run_on} at [domains > 1] creates a private queue and
+    spawns [domains - 1] worker domains for the run; the sweep thread
+    is the remaining executor. Either way the job's
     {!Window.runner} ({!val-runner}) pushes each window into the queue.
     A work unit is keyed by
 
@@ -32,20 +32,16 @@
 
     A unit whose execution raises completes with an [Error] entry: it
     fails the owning job(s) at their merge, is counted in
-    [serve.windows.failed], and is {e never} retained — neither in the
-    in-memory table nor the store — so a later identical dispatch
-    recomputes.
+    [serve.windows.failed], and is {e never} retained, so a later
+    identical dispatch recomputes.
 
-    When a store is configured, each captured checkpoint is also
-    published under its shard address (best-effort, [bor-shard-v1]
-    family) for cross-process reuse; [serve.shards.published] /
-    [serve.shards.present] count the writes and the dedup hits. *)
+    Checkpoints never leave memory: the shard key addresses a unit for
+    sharing, not an entry in a store. *)
 
 type t
 
 val create :
   ?monitor:Mutex.t * Condition.t ->
-  ?store:Bor_store.Store.t ->
   ?inflight_cap:int ->
   ?finished_cap:int ->
   unit ->
@@ -86,11 +82,11 @@ val runner :
   Window.exec_ctx ->
   Window.runner
 (** The runner a sampled job plugs into {!Sampled.run_on}:
-    dispatch publishes the checkpoint shard (when a store is
-    configured) and enqueues/joins the work unit; drain help-executes
-    until every one of [job]'s units has been delivered. [job] is any
-    stable identifier unique to the running job (the scheduler uses
-    the job key hex); [config] must be the job's pipeline config. *)
+    dispatch enqueues or joins the checkpoint's work unit; drain
+    help-executes until every one of [job]'s units has been delivered.
+    [job] is any stable identifier unique to the running job (the
+    scheduler uses the job key hex); [config] must be the job's
+    pipeline config. *)
 
 (** {2 Worker pool integration}
 
@@ -109,7 +105,7 @@ val execute : t -> handle -> unit
 
 (** {2 Counters}
 
-    The first six are lock-free atomic reads, safe anywhere (including
+    The first four are lock-free atomic reads, safe anywhere (including
     under the shared lock); the depth/in-flight views take the lock. *)
 
 val dispatched : t -> int
@@ -124,13 +120,6 @@ val shared_hits : t -> int
 
 val failed : t -> int
 (** Executions that produced an [Error] entry (including exceptions). *)
-
-val shards_published : t -> int
-(** Checkpoints published to the store under shard keys. *)
-
-val shards_present : t -> int
-(** Shard publications skipped because the store already had the
-    bytes. *)
 
 val depth : t -> int
 (** Pending (not yet claimed) units in the queue. *)

@@ -67,12 +67,6 @@ let serve_counters =
      "window executions that failed (fails the owning jobs only, never \
       cached)",
      fun t -> Wqueue.failed t.wq);
-    ("shards.published", "checkpoints",
-     "warming checkpoints published under shard keys",
-     fun t -> Wqueue.shards_published t.wq);
-    ("shards.present", "checkpoints",
-     "shard publications skipped: store already had the bytes",
-     fun t -> Wqueue.shards_present t.wq);
   |]
 
 (* A sampled job's windows go through the global queue instead of its
@@ -144,7 +138,7 @@ let create ?(domains = 1) ?store () =
       (* The queue shares the scheduler's monitor, so one wait in
          [worker_loop] covers "a job arrived or a window arrived". *)
       wq =
-        Wqueue.create ~monitor:(mu, cond) ?store
+        Wqueue.create ~monitor:(mu, cond)
           ~inflight_cap:(max 4 (2 * domains))
           ();
       stopping = false;
@@ -258,8 +252,6 @@ let stats t =
         ("windows_executed", Wqueue.executed t.wq);
         ("windows_shared_shard_hits", Wqueue.shared_hits t.wq);
         ("windows_failed", Wqueue.failed t.wq);
-        ("shards_published", Wqueue.shards_published t.wq);
-        ("shards_present", Wqueue.shards_present t.wq);
       ]
   in
   match t.s_store with

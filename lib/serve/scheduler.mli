@@ -26,10 +26,11 @@
     units from concurrent jobs (same program, config, plan, boundary)
     execute once and are shared; the payloads stay byte-identical to
     standalone runs at any worker count and any arrival interleaving
-    (the [serve.windows.*] / [serve.shards.*] telemetry families count
-    the traffic). A window execution failure fails only the jobs
-    waiting on that window — the scheduler and its workers keep
-    serving, and the failed unit is never cached.
+    (the [serve.windows.*] telemetry family counts the traffic).
+    Window checkpoints stay in memory; the store holds result payloads
+    only, one entry per job key. A window execution failure fails only
+    the jobs waiting on that window — the scheduler and its workers
+    keep serving, and the failed unit is never cached.
 
     Counters live in atomics (workers update them from their own
     domains) and in the window queue's counters; {!submit} and {!stats}
@@ -72,7 +73,7 @@ val stats : t -> (string * int) list
 (** Deterministically ordered counter snapshot: submissions, completions,
     failures, cache hits/misses, dedup joins, instantaneous queue depth
     and busy workers, worker count, the window-queue counters
-    ([windows_*], [shards_*]), and the store's counters when one is
+    ([windows_*]), and the store's counters when one is
     configured. Also publishes the [serve.*] telemetry counters. *)
 
 val metrics_text : t -> string

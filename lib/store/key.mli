@@ -7,8 +7,8 @@
     the sampling plan (or its absence), and the backend kind. Two jobs
     share a key exactly when PR 5's purity argument says they must
     produce byte-identical results — which is what lets {!Store}
-    memoize results and checkpoints, and lets the serve scheduler
-    dedupe in-flight work (docs/SERVE.md).
+    memoize results, and lets the serve scheduler dedupe in-flight
+    work (docs/SERVE.md).
 
     The preimage is kept alongside the digest so [bor digest --explain]
     and the tests can show {e why} two keys differ. *)
@@ -60,8 +60,10 @@ val shard :
     (the random offset is drawn from the plan's slack), while
     rank-bands, CI target and cycle budgets are deliberately excluded —
     they never move the sweep's capture points, so jobs differing only
-    in those knobs share shards. Uses a separate ["bor-shard-v1"]
-    preimage family; no existing ["bor-key-v1"] hex changes.
+    in those knobs share shards. The serve window queue keys its work
+    units by this address; nothing stores a shard under it. Uses a
+    separate ["bor-shard-v1"] preimage family; no existing
+    ["bor-key-v1"] hex changes.
     @raise Invalid_argument on a negative [boundary]. *)
 
 val hex : t -> string

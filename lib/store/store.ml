@@ -87,7 +87,7 @@ let validate raw =
 
 let remove_noerr path = try Sys.remove path with Sys_error _ -> ()
 
-let load t key ~touch =
+let find t key =
   let path = path_of t key in
   match read_file path with
   | exception Sys_error _ ->
@@ -96,7 +96,7 @@ let load t key ~touch =
   | raw -> (
       match validate raw with
       | Some payload ->
-          if touch then (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
+          (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
           Atomic.incr t.s_hits;
           Some payload
       | None ->
@@ -106,9 +106,6 @@ let load t key ~touch =
           Atomic.incr t.s_corrupt;
           Atomic.incr t.s_misses;
           None)
-
-let find t key = load t key ~touch:true
-let mem t key = Option.is_some (load t key ~touch:false)
 
 let evict t ~keep =
   match t.s_max_bytes with

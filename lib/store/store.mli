@@ -1,6 +1,6 @@
 (** A content-addressed store: a directory of immutable entries named
-    by their {!Key}, each holding an opaque payload (a serve result
-    payload, a serialized checkpoint, ...).
+    by their {!Key}, each holding an opaque payload (a rendered serve
+    result, written by [Bor_exec.Backend.run_cached]).
 
     Guarantees, in cache-speak (docs/SERVE.md has the full contract):
 
@@ -47,10 +47,6 @@ val find : t -> Key.t -> string option
 (** The validated payload, or [None] (absent or corrupt — corrupt
     entries are deleted and counted in {!stats}). A hit refreshes the
     entry's LRU position. *)
-
-val mem : t -> Key.t -> bool
-(** {!find} without reading the payload or touching LRU order (the
-    framing and stamp are still verified). *)
 
 val put : t -> Key.t -> string -> (unit, string) result
 (** Publish a payload under a key (atomic tmp-write + rename), then

@@ -46,8 +46,8 @@ let fresh_path prefix =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !tmp_counter)
 
-let store_exn dir =
-  match Store.create dir with Ok s -> s | Error e -> Alcotest.fail e
+let store_exn ?max_bytes dir =
+  match Store.create ?max_bytes dir with Ok s -> s | Error e -> Alcotest.fail e
 
 let payload_exn = function
   | Ok (payload, source) -> (payload, source)
@@ -303,45 +303,43 @@ let test_scheduler_concurrent_sampled_byte_identical () =
       Scheduler.shutdown sched)
     [ 1; 4 ]
 
-(* With a store attached, the queue publishes each captured checkpoint
-   under its shard key; a second scheduler on the same store finds the
-   shards already present instead of re-publishing. *)
-let test_scheduler_publishes_shards () =
-  let plan = plan_exn "200:100:2000:3" in
+(* The store holds result payloads only, one entry per job key: window
+   checkpoints never reach it, so they cannot evict a payload from a
+   small LRU budget. Two sampled jobs over distinct plans on one
+   scheduler; a restarted scheduler on the same store answers both from
+   disk, byte-identically. *)
+let test_scheduler_payloads_survive_small_budget () =
   let prog = Lazy.force alu_prog in
-  let spec = Job.make ~plan ~backend:"sampled" prog in
-  let dir = fresh_path "bor-serve-shards" in
-  let sched = Scheduler.create ~domains:1 ~store:(store_exn dir) () in
-  let key, _ = Scheduler.submit sched spec in
-  let p1, _ = payload_exn (Option.get (Scheduler.await sched key)) in
-  let stat s name = List.assoc name (Scheduler.stats s) in
-  let published = stat sched "shards_published" in
-  check Alcotest.bool "shards published to the store" true (published > 0);
-  check Alcotest.int "nothing was already present" 0
-    (stat sched "shards_present");
+  let sampled plan = Job.make ~plan:(plan_exn plan) ~backend:"sampled" prog in
+  let spec_a = sampled "200:100:2000:3" and spec_b = sampled "200:100:2000:5" in
+  let dir = fresh_path "bor-serve-budget" in
+  let scheduler () =
+    Scheduler.create ~domains:1 ~store:(store_exn ~max_bytes:(4 lsl 20) dir) ()
+  in
+  let sched = scheduler () in
+  let ka, _ = Scheduler.submit sched spec_a in
+  let pa, _ = payload_exn (Option.get (Scheduler.await sched ka)) in
+  let kb, _ = Scheduler.submit sched spec_b in
+  let pb, _ = payload_exn (Option.get (Scheduler.await sched kb)) in
+  check Alcotest.bool "distinct job keys" true (ka <> kb);
+  let stat name = List.assoc name (Scheduler.stats sched) in
+  check Alcotest.bool "windows ran through the queue" true
+    (stat "windows_executed" > 2);
+  check Alcotest.int "nothing evicted" 0 (stat "store_evictions");
   Scheduler.shutdown sched;
-  (* Same program+plan, different stopping knobs: a different job key,
-     but the very same shard addresses — the windows rewarm (the result
-     payload is keyed separately and must be computed), while every
-     shard write is deduplicated against the first job's. *)
-  let sched2 = Scheduler.create ~domains:1 ~store:(store_exn dir) () in
-  let spec2 = Job.make ~plan ~rank_bands:2 ~backend:"sampled" prog in
-  let key2, _ = Scheduler.submit sched2 spec2 in
-  (match Scheduler.await sched2 key2 with
-  | Some (Ok _) -> ()
-  | _ -> Alcotest.fail "ranked job failed");
-  check Alcotest.int "no new shards published" 0
-    (stat sched2 "shards_published");
-  check Alcotest.bool "shards found present" true
-    (stat sched2 "shards_present" > 0);
-  Scheduler.shutdown sched2;
-  (* Byte-identity survives the store round trip for the result too. *)
-  let sched3 = Scheduler.create ~domains:1 ~store:(store_exn dir) () in
-  let key3, _ = Scheduler.submit sched3 spec in
-  let p2, src = payload_exn (Option.get (Scheduler.await sched3 key3)) in
-  check Alcotest.bool "result answered from the store" true (src = `Cached);
-  check Alcotest.string "stored bytes identical" p1 p2;
-  Scheduler.shutdown sched3
+  check Alcotest.(list string) "one store entry per job key"
+    (List.sort compare [ ka; kb ])
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  let sched2 = scheduler () in
+  List.iter
+    (fun (name, spec, cold) ->
+      let key, _ = Scheduler.submit sched2 spec in
+      let p, src = payload_exn (Option.get (Scheduler.await sched2 key)) in
+      check Alcotest.bool (name ^ " answered from the store") true
+        (src = `Cached);
+      check Alcotest.string (name ^ " stored bytes identical") cold p)
+    [ ("first job", spec_a, pa); ("second job", spec_b, pb) ];
+  Scheduler.shutdown sched2
 
 let test_scheduler_paths_byte_identical () =
   let dir = fresh_path "bor-serve-store" in
@@ -501,13 +499,11 @@ let test_scheduler_registry_matches_stats () =
       ("windows_executed", "windows.executed");
       ("windows_shared_shard_hits", "windows.shared_shard_hits");
       ("windows_failed", "windows.failed");
-      ("shards_published", "shards.published");
-      ("shards_present", "shards.present");
     ];
   List.iter
     (fun name ->
       check Alcotest.bool ("serve." ^ name ^ " > 0") true (registry name > 0))
-    [ "windows.dispatched"; "windows.executed"; "shards.published" ]
+    [ "windows.dispatched"; "windows.executed"; "cache.misses" ]
 
 (* ------------------------------------------------------------ server *)
 
@@ -725,8 +721,8 @@ let test_server_concurrent_clients () =
     (has_line "bor_serve_windows_queued ");
   check Alcotest.bool "metrics dump has shared hits" true
     (has_line "bor_serve_windows_shared_shard_hits ");
-  check Alcotest.bool "metrics dump has store counters or shards" true
-    (has_line "bor_serve_shards_published ");
+  check Alcotest.bool "metrics dump has executed windows" true
+    (has_line "bor_serve_windows_executed ");
   ignore (Client.request ~socket Client.shutdown_request);
   (match Domain.join server with
   | Ok () -> ()
@@ -771,8 +767,8 @@ let () =
             test_scheduler_paths_byte_identical;
           Alcotest.test_case "concurrent sampled jobs byte-identical" `Quick
             test_scheduler_concurrent_sampled_byte_identical;
-          Alcotest.test_case "publishes and reuses shards" `Quick
-            test_scheduler_publishes_shards;
+          Alcotest.test_case "payloads survive a small store budget" `Quick
+            test_scheduler_payloads_survive_small_budget;
           Alcotest.test_case "failures and shutdown" `Quick
             test_scheduler_reports_failures;
           Alcotest.test_case "failed jobs are recomputed" `Quick
