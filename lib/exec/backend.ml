@@ -38,20 +38,26 @@ let detailed ?config ?reuse ?max_cycles prog =
   pipeline_backed p (fun () ->
       Result.map (fun s -> Detailed s) (Pipeline.run ?max_cycles p))
 
-let warming ?config ?max_steps prog =
-  let p = Pipeline.create ?config prog in
+let warming ?config ?reuse ?max_steps prog =
+  let p = Pipeline.create ?config ?reuse prog in
   pipeline_backed p (fun () ->
       Pipeline.guard (fun () ->
           Ok (Warmed { instructions = Pipeline.run_warming ?max_steps p })))
 
-let sampled ?config ~plan ?domains ?rank_bands ?ci_target ?runner ?max_cycles
-    prog =
-  let p = Pipeline.create ?config prog in
+let sampled ?config ?reuse ~plan ?domains ?rank_bands ?ci_target ?runner
+    ?max_cycles prog =
+  let p = Pipeline.create ?config ?reuse prog in
   pipeline_backed p (fun () ->
       Result.map
         (fun s -> Sampled s)
         (Sampled.run_on ?max_cycles ~plan ?domains ?rank_bands ?ci_target
            ?runner p))
+
+let pooled make f =
+  let b = make (Scratch.take ()) in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Scratch.give b.pipeline)
+    (fun () -> f b)
 
 let resume ?config ?max_cycles ck prog =
   let p = Pipeline.create ?config prog in

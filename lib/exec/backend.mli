@@ -47,15 +47,21 @@ val detailed :
     pipeline. *)
 
 val warming :
-  ?config:Bor_uarch.Config.t -> ?max_steps:int -> Bor_isa.Program.t -> t
+  ?config:Bor_uarch.Config.t ->
+  ?reuse:Bor_uarch.Pipeline.t ->
+  ?max_steps:int ->
+  Bor_isa.Program.t ->
+  t
 (** Pure functional warming to completion. [run] goes through
     {!Bor_uarch.Block.run_warming} on the pipeline's warm-state record
     — and so, by default, the block translation cache
     ([docs/WARMING.md]); the warmed state is bit-identical to
-    single-stepping with {!Bor_uarch.Block.warm_step}. *)
+    single-stepping with {!Bor_uarch.Block.warm_step}. [reuse] as in
+    {!detailed}. *)
 
 val sampled :
   ?config:Bor_uarch.Config.t ->
+  ?reuse:Bor_uarch.Pipeline.t ->
   plan:Bor_uarch.Sampling_plan.t ->
   ?domains:int ->
   ?rank_bands:int ->
@@ -69,7 +75,17 @@ val sampled :
     final state.
     [rank_bands]/[ci_target] enable ranked-set window selection and
     online CI stopping, [runner] an external window executor such as
-    the serve global window queue (see {!Sampled.run_on}). *)
+    the serve global window queue (see {!Sampled.run_on}). [reuse]
+    as in {!detailed}: it builds the sweep pipeline; the detailed
+    windows borrow theirs from {!Scratch} either way. *)
+
+val pooled : (Bor_uarch.Pipeline.t option -> t) -> (t -> 'a) -> 'a
+(** [pooled make f] builds a backend on a retired pipeline from
+    {!Scratch} ([make] receives it as its [?reuse]; [None] when the
+    pool is empty), applies [f] to it, and retires the backend's
+    pipeline into the pool when [f] returns or raises. [f] must not
+    let the backend, or anything reading its machine or pipeline,
+    escape. *)
 
 val names : string list
 (** The backend kinds {!of_name} accepts, in documentation order. *)

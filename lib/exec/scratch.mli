@@ -12,9 +12,9 @@
 
 val take : unit -> Bor_uarch.Pipeline.t option
 (** A retired pipeline, or [None] when the pool is empty. The caller
-    owns it: pass it as [Pipeline.create ~reuse] (or
-    [Backend.detailed ~reuse]) and give back the pipeline that
-    builds. *)
+    owns it: pass it as [Pipeline.create ~reuse] (or a backend's
+    [?reuse]) and give back the pipeline that builds.
+    [Backend.pooled] does both for a backend. *)
 
 val give : Bor_uarch.Pipeline.t -> unit
 (** Retire a pipeline into the pool. The caller must be done with it:

@@ -107,31 +107,44 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
       | Machine.Fault { pc; message } ->
         fail stage "oracle fault at pc 0x%x: %s" pc message
     in
-    let leg stage (b : Backend.t) =
-      guarded stage (fun () ->
-          match b.Backend.run () with
-          | Ok r -> r
-          | Error e when is_budget_error e -> raise (Budgeted e)
-          | Error e -> fail stage "%s" e)
+    (* Each leg builds its pipeline on a retired one from the scratch
+       pool and retires it there as soon as its final state has been
+       compared, on every exit path ([Backend.pooled]): refilling a
+       used 8 MiB memory and its tables costs a fraction of allocating
+       new ones, and only one leg's pipeline is out of the pool at a
+       time. The functional reference above stays unpooled. What a leg
+       returns (its report) is a plain value. *)
+    let leg stage make =
+      Backend.pooled make @@ fun b ->
+      let r =
+        guarded stage (fun () ->
+            match b.Backend.run () with
+            | Ok r -> r
+            | Error e when is_budget_error e -> raise (Budgeted e)
+            | Error e -> fail stage "%s" e)
+      in
+      against stage (snapshot prog (b.Backend.machine ()));
+      r
     in
-    let detail = Backend.detailed ~config ~max_cycles prog in
-    ignore (leg "pipeline" detail);
-    against "pipeline" (snapshot prog (detail.Backend.machine ()));
+    let sampled_leg stage make =
+      match leg stage make with
+      | Backend.Sampled s -> s
+      | _ -> fail stage "unexpected report kind"
+    in
+    ignore
+      (leg "pipeline" (fun reuse ->
+           Backend.detailed ~config ?reuse ~max_cycles prog));
     (* Two warming legs: the default one exercises the block
        translation cache (on by default), the second forces the
        single-step reference path — so a compilation bug in either
        shows up as a divergence from the functional machine. *)
-    let warming = Backend.warming ~config prog in
-    ignore (leg "warming" warming);
-    against "warming" (snapshot prog (warming.Backend.machine ()));
-    let warming_ss =
-      Backend.warming
-        ~config:{ config with Bor_uarch.Config.warm_block_cache = false }
-        prog
-    in
-    ignore (leg "warming-singlestep" warming_ss);
-    against "warming-singlestep"
-      (snapshot prog (warming_ss.Backend.machine ()));
+    ignore
+      (leg "warming" (fun reuse -> Backend.warming ~config ?reuse prog));
+    ignore
+      (leg "warming-singlestep" (fun reuse ->
+           Backend.warming
+             ~config:{ config with Bor_uarch.Config.warm_block_cache = false }
+             ?reuse prog));
     let plan =
       match
         Bor_uarch.Sampling_plan.make ~seed:plan_seed ~warmup:20 ~window:30
@@ -140,25 +153,19 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
       | Ok p -> p
       | Error e -> fail "plan" "%s" e
     in
-    let sampled = Backend.sampled ~config ~plan ~max_cycles ~domains:1 prog in
     let seq_stats =
-      match leg "sampled" sampled with
-      | Backend.Sampled s -> s
-      | _ -> fail "sampled" "unexpected report kind"
+      sampled_leg "sampled" (fun reuse ->
+          Backend.sampled ~config ?reuse ~plan ~max_cycles ~domains:1 prog)
     in
-    against "sampled" (snapshot prog (sampled.Backend.machine ()));
     (* Fifth leg: the same sampled run with detailed windows spread
        over worker domains (count varied by the seed) must reproduce
        the sequential leg bit for bit — same final architectural state
        and the same sampled statistics, CPI and CI included. *)
     let domains = 2 + (abs plan_seed mod 3) in
-    let par = Backend.sampled ~config ~plan ~max_cycles ~domains prog in
     let par_stats =
-      match leg "parallel-sampled" par with
-      | Backend.Sampled s -> s
-      | _ -> fail "parallel-sampled" "unexpected report kind"
+      sampled_leg "parallel-sampled" (fun reuse ->
+          Backend.sampled ~config ?reuse ~plan ~max_cycles ~domains prog)
     in
-    against "parallel-sampled" (snapshot prog (par.Backend.machine ()));
     if par_stats <> seq_stats then
       fail "parallel-sampled"
         "stats diverge from sequential at %d domains: windows %d vs %d, CPI \
@@ -176,31 +183,21 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
        the sequential one bit for bit, and ranked selection can never
        dispatch more detailed windows than the fixed-period leg did. *)
     let rank_bands = 2 + (abs plan_seed mod 3) in
-    let ranked =
-      Backend.sampled ~config ~plan ~rank_bands ~ci_target:5. ~max_cycles
-        ~domains:1 prog
-    in
     let ranked_stats =
-      match leg "ranked" ranked with
-      | Backend.Sampled s -> s
-      | _ -> fail "ranked" "unexpected report kind"
+      sampled_leg "ranked" (fun reuse ->
+          Backend.sampled ~config ?reuse ~plan ~rank_bands ~ci_target:5.
+            ~max_cycles ~domains:1 prog)
     in
-    against "ranked" (snapshot prog (ranked.Backend.machine ()));
     if ranked_stats.Sampled.sp_windows > seq_stats.Sampled.sp_windows then
       fail "ranked"
         "ranked-set selection dispatched more windows than fixed-period: %d \
          vs %d (bands %d)"
         ranked_stats.Sampled.sp_windows seq_stats.Sampled.sp_windows rank_bands;
-    let ranked_par =
-      Backend.sampled ~config ~plan ~rank_bands ~ci_target:5. ~max_cycles
-        ~domains prog
-    in
     let ranked_par_stats =
-      match leg "parallel-ranked" ranked_par with
-      | Backend.Sampled s -> s
-      | _ -> fail "parallel-ranked" "unexpected report kind"
+      sampled_leg "parallel-ranked" (fun reuse ->
+          Backend.sampled ~config ?reuse ~plan ~rank_bands ~ci_target:5.
+            ~max_cycles ~domains prog)
     in
-    against "parallel-ranked" (snapshot prog (ranked_par.Backend.machine ()));
     if ranked_par_stats <> ranked_stats then
       fail "parallel-ranked"
         "ranked stats diverge from sequential at %d domains (bands %d): \
@@ -218,16 +215,11 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
        finished work units (cross-job shard sharing). *)
     let wq = Wqueue.create () in
     let wq_leg stage job =
-      let b =
-        Backend.sampled ~config ~plan ~max_cycles
-          ~runner:(Wqueue.runner wq ~job ~config) prog
-      in
       let st =
-        match leg stage b with
-        | Backend.Sampled s -> s
-        | _ -> fail stage "unexpected report kind"
+        sampled_leg stage (fun reuse ->
+            Backend.sampled ~config ?reuse ~plan ~max_cycles
+              ~runner:(Wqueue.runner wq ~job ~config) prog)
       in
-      against stage (snapshot prog (b.Backend.machine ()));
       if st <> seq_stats then
         fail stage
           "stats diverge from sequential through the window queue: windows \

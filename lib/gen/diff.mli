@@ -14,7 +14,11 @@
     leg's, CPI, CI and stop decision included, and for the ranked legs
     a window budget no larger than fixed-period's. Every leg is driven
     through {!Bor_exec.Backend}, the same surface the CLI and bench
-    drivers use.
+    drivers use. Each timing leg builds its pipeline on a retired one
+    from {!Bor_exec.Scratch} and retires it there once its final state
+    has been compared, on every exit path, [Fail], [Budget] and
+    exceptions included ({!Bor_exec.Backend.pooled}); the functional
+    reference is built fresh.
 
     Used by both [test/gen_brisc.ml] (via QCheck) and the fuzzer, which
     additionally needs the three-way outcome split: a mutant that never

@@ -56,9 +56,9 @@ let make_vectors ~count ~seed ~data_len =
    ([Bor_exec.Scratch]) rather than allocating them. A candidate of a
    few hundred instructions dirties a handful of pages and table
    entries, so scrubbing a used 8 MiB memory ([Machine.create ~mem]) or
-   refilling a retired pipeline ([Backend.detailed ~reuse]) is far
-   cheaper than zero-filling new ones. The filter only needs a memory
-   and takes a pooled pipeline's.
+   refilling a retired pipeline ([Backend.pooled]) is far cheaper than
+   zero-filling new ones. The filter only needs a memory and takes a
+   pooled pipeline's.
 
    Run [prog] from one vector on the functional simulator; [None] when
    it faults, trips the sanitizer or exhausts the step budget. *)
@@ -118,23 +118,17 @@ let defuse_markers prog =
 
 let oracle_cycles ~max_cycles o prog =
   let prog = defuse_markers prog in
-  match o with
-  | Detailed -> (
-    let b =
-      Backend.detailed ?reuse:(Bor_exec.Scratch.take ()) ~max_cycles prog
-    in
-    Fun.protect ~finally:(fun () ->
-        Option.iter Bor_exec.Scratch.give b.Backend.pipeline)
-    @@ fun () ->
-    match b.Backend.run () with
-    | Ok (Backend.Detailed st) -> Some st.Bor_uarch.Pipeline.cycles
-    | Ok _ | Error _ -> None)
-  | Sampled plan -> (
-    let b = Backend.sampled ~plan ~max_cycles prog in
-    match b.Backend.run () with
-    | Ok (Backend.Sampled st) ->
-      Some (int_of_float (Float.round st.Bor_exec.Sampled.sp_cycles_estimate))
-    | Ok _ | Error _ -> None)
+  Backend.pooled
+    (fun reuse ->
+      match o with
+      | Detailed -> Backend.detailed ?reuse ~max_cycles prog
+      | Sampled plan -> Backend.sampled ?reuse ~plan ~max_cycles prog)
+  @@ fun b ->
+  match b.Backend.run () with
+  | Ok (Backend.Detailed st) -> Some st.Bor_uarch.Pipeline.cycles
+  | Ok (Backend.Sampled st) ->
+    Some (int_of_float (Float.round st.Bor_exec.Sampled.sp_cycles_estimate))
+  | Ok _ | Error _ -> None
 
 let create ?(vectors = 4) ?(vector_seed = 7) ?(max_steps = 200_000)
     ?(max_cycles = 2_000_000) ?(oracle = Detailed) target =

@@ -44,6 +44,7 @@ type counters = {
   n_acceptances : int;
   n_filter_rejects : int;
   n_oracle_evals : int;
+  n_memo_hits : int;
 }
 
 let zero_counters =
@@ -53,6 +54,7 @@ let zero_counters =
     n_acceptances = 0;
     n_filter_rejects = 0;
     n_oracle_evals = 0;
+    n_memo_hits = 0;
   }
 
 let add_counters a b =
@@ -62,6 +64,7 @@ let add_counters a b =
     n_acceptances = a.n_acceptances + b.n_acceptances;
     n_filter_rejects = a.n_filter_rejects + b.n_filter_rejects;
     n_oracle_evals = a.n_oracle_evals + b.n_oracle_evals;
+    n_memo_hits = a.n_memo_hits + b.n_memo_hits;
   }
 
 (* opt.*, published once from the search's totals. *)
@@ -76,8 +79,12 @@ let search_counters =
     ("filter_rejects", "proposals",
      "proposals rejected by the functional filter",
      fun c -> c.n_filter_rejects);
-    ("oracle_evals", "runs", "cost-oracle (pipeline/sampled) evaluations",
+    ("oracle_evals", "runs",
+     "filter-passing proposals (cost-oracle cycles, memo hits included)",
      fun c -> c.n_oracle_evals);
+    ("memo_hits", "proposals",
+     "proposals answered from the candidate memo, no simulation",
+     fun c -> c.n_memo_hits);
   |]
 
 type t = {
@@ -92,12 +99,45 @@ type t = {
   r_trajectory : (int * int) list;
 }
 
-(* One chain: a pure function of (evaluator, params, seed, start).
-   The current point may wander through non-equivalent programs (the
-   mismatch proxy gives MH a gradient there), but the chain's best only
-   moves to equivalent, oracle-measured candidates — that is what a
-   round's synchronization (and ultimately the report) picks from. *)
-let run_chain eval params ~seed ~start ~start_cost =
+(* The candidate memo's key: every field [Cost.evaluate] reads, as one
+   string. (The polymorphic hash of the record itself looks at only a
+   few words of it.) [No_sharing] makes structurally equal candidates
+   marshal to equal strings whatever sharing their values have. *)
+let memo_key (p : Program.t) =
+  Marshal.to_string
+    (p.Program.text, p.text_base, p.entry, p.data, p.data_base)
+    [ Marshal.No_sharing ]
+
+(* One chain: a pure function of (evaluator, params, seed, start,
+   seen). The current point may wander through non-equivalent programs
+   (the mismatch proxy gives MH a gradient there), but the chain's best
+   only moves to equivalent, oracle-measured candidates — that is what
+   a round's synchronization (and ultimately the report) picks from.
+
+   [Cost.evaluate] is a pure function of the candidate, so a candidate
+   met before is answered from the memo instead: [seen] holds earlier
+   rounds' candidates and is only read while chains run; this round's
+   new ones go into the chain's own table, returned for the barrier to
+   merge. A chain's hits therefore never depend on its siblings. *)
+let run_chain eval params ~seen ~seed ~start ~start_cost =
+  let mine = Hashtbl.create 256 in
+  let memo_hits = ref 0 in
+  let evaluate cand =
+    let k = memo_key cand in
+    let known =
+      match Hashtbl.find_opt mine k with
+      | None -> Hashtbl.find_opt seen k
+      | hit -> hit
+    in
+    match known with
+    | Some e ->
+      incr memo_hits;
+      e
+    | None ->
+      let e = Cost.evaluate eval cand in
+      Hashtbl.add mine k e;
+      e
+  in
   let rng = Prng.create ~seed in
   let cur = ref start and cur_cost = ref start_cost in
   let best = ref None and best_cost = ref start_cost in
@@ -112,7 +152,7 @@ let run_chain eval params ~seed ~start ~start_cost =
     | None -> incr inapplicable
     | Some cand ->
       incr proposals;
-      let e = Cost.evaluate eval cand in
+      let e = evaluate cand in
       if e.Cost.ev_oracle then incr oracle_evals;
       if e.Cost.ev_mismatches > 0 then incr filter_rejects;
       if
@@ -136,7 +176,9 @@ let run_chain eval params ~seed ~start ~start_cost =
       n_acceptances = !acceptances;
       n_filter_rejects = !filter_rejects;
       n_oracle_evals = !oracle_evals;
-    } )
+      n_memo_hits = !memo_hits;
+    },
+    mine )
 
 let verify params target best =
   (* Fresh vectors the search never saw: a different vector seed builds
@@ -178,9 +220,11 @@ let run ?progress params target =
   with
   | Error e -> Error e
   | Ok eval ->
-    (* The opt.* family registers in the calling domain only; chains
-       report plain integers back, so the registry contents are
-       identical at every domain count. *)
+    (* The opt.* family registers in the calling domain only. Chains
+       run with telemetry off in a throwaway registry, on whichever
+       domain runs them, and report plain integers back, so the
+       registry holds the same opt.* totals, target run and
+       verification runs at every domain count. *)
     let sc = Telemetry.scope "opt" in
     let tel = Telemetry.family sc search_counters in
     let c_rounds =
@@ -202,6 +246,10 @@ let run ?progress params target =
     let best = ref target and best_cost = ref target_cost in
     let totals = ref zero_counters in
     let trajectory = ref [] in
+    (* The candidate memo: earlier rounds' evaluations, grown only at
+       the round barrier and dropped when the search returns, so it
+       holds at most rounds x chains x iters entries. *)
+    let seen = Hashtbl.create 1024 in
     for round = 1 to params.p_rounds do
       (* Chain seeds are drawn before any chain runs, so the seed
          stream — and therefore every chain — is independent of how
@@ -212,14 +260,20 @@ let run ?progress params target =
       let results =
         Pool.map ~domains:params.p_domains
           (fun seed ->
-            run_chain eval params ~seed ~start:!best ~start_cost:!best_cost)
+            fst
+              (Telemetry.isolated ~enabled:false (fun () ->
+                   run_chain eval params ~seen ~seed ~start:!best
+                     ~start_cost:!best_cost)))
           seeds
       in
       (* Strict < in submission order: ties go to the earliest chain,
-         making the fold independent of completion order. *)
+         making the fold independent of completion order. The memo
+         grows in the same order; a candidate two chains both met has
+         the same evaluation in each. *)
       Array.iter
-        (fun (b, c, k) ->
+        (fun (b, c, k, mine) ->
           totals := add_counters !totals k;
+          Hashtbl.iter (Hashtbl.replace seen) mine;
           match b with
           | Some p when c < !best_cost ->
             best := p;
@@ -262,6 +316,7 @@ let report_json r =
         ("acceptances", Json.Int k.n_acceptances);
         ("filter_rejects", Json.Int k.n_filter_rejects);
         ("oracle_evals", Json.Int k.n_oracle_evals);
+        ("memo_hits", Json.Int k.n_memo_hits);
       ]
   in
   Json.Obj

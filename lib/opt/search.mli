@@ -12,6 +12,15 @@
     only ever moves to {e equivalent} candidates (zero filter
     mismatches, oracle-measured).
 
+    Each distinct candidate is paid for once per search. A memo keyed
+    on the candidate's encoded text, text base, entry point, data and
+    data base holds its {!Cost.eval}. Each chain adds to a table of its
+    own for its round and reads earlier rounds' union, which grows only
+    at the round barrier, in chain submission order; so every chain
+    sees the same hits at every [domains] and stays a pure function of
+    its seed. The memo lives for one {!run} and holds at most
+    [rounds x chains x iters] entries.
+
     A winning candidate is only reported [verified] after passing two
     independent checks the search itself never used: equivalence on a
     {e fresh} vector set (different [vector_seed]) and the ten-way
@@ -41,7 +50,12 @@ type counters = {
   n_inapplicable : int;  (** moves that returned no neighbour *)
   n_acceptances : int;
   n_filter_rejects : int;  (** proposals with filter mismatches *)
-  n_oracle_evals : int;  (** oracle (pipeline/sampled) runs paid for *)
+  n_oracle_evals : int;
+      (** proposals that passed the filter and so carry oracle cycles,
+          whether measured now or answered by the memo *)
+  n_memo_hits : int;
+      (** proposals answered from the candidate memo, with no filter
+          or oracle run; at most [n_proposals] *)
 }
 
 type t = {
@@ -67,9 +81,10 @@ val run :
 (** Search for a cheaper equivalent of one target. [Error] when the
     target itself fails its vectors or the oracle. Registers the
     [opt.*] telemetry family (docs/TELEMETRY.md) in the calling
-    domain's registry; worker-domain simulator instruments are
-    deliberately dropped so the registry is identical at every domain
-    count. Never raises. *)
+    domain's registry, next to the instruments of the target's own
+    oracle run and of the winner's verification. The chains run with
+    telemetry off at every domain count, so the registry is identical
+    at every [domains]. Never raises. *)
 
 val report_json : t -> Bor_telemetry.Json.t
 (** Machine-readable rewrite record (schema [bor-opt-rewrite-v1]):

@@ -443,6 +443,70 @@ let test_pool_survives_failing_windows () =
   retired "exception";
   same_as_fresh "after an exception"
 
+(* Every leg of the ten-way differential builds its pipeline on one
+   from the scratch pool and must retire it there again, however
+   [Diff.run] ends: a pass, a leg that exhausts its cycle budget, or a
+   failure raised between legs (a plan the run rejects). The pool is
+   filled beyond the differential's peak demand first (one leg plus at
+   most four window domains), so nothing has to be created and the
+   pool must end each run holding as many pipelines as it started
+   with, built on the same memories ([create ~reuse] hands back a new
+   pipeline record on the retired one's buffers). *)
+let diff_src =
+  {|
+main:   li   s7, 200
+loop:   addi a0, a0, 3
+        brr  1/4, skip
+        addi a1, a1, 1
+skip:   sw   a0, 0(gp)
+        addi s7, s7, -1
+        bne  s7, zero, loop
+        halt
+        .data
+        .word 0
+|}
+
+let test_diff_returns_pooled_pipelines () =
+  let prog = Bor_isa.Asm.assemble_exn diff_src in
+  let pooled () =
+    let rec drain acc =
+      match Bor_exec.Scratch.take () with
+      | Some p -> drain (p :: acc)
+      | None -> acc
+    in
+    let ps = drain [] in
+    List.iter Bor_exec.Scratch.give ps;
+    ps
+  in
+  let memory p = Machine.memory (Pipeline.oracle p) in
+  drain_pool ();
+  let own = List.init 8 (fun _ -> Pipeline.create prog) in
+  List.iter Bor_exec.Scratch.give own;
+  let back what =
+    let mems = List.map memory (pooled ()) in
+    check Alcotest.int (what ^ ": pool size") (List.length own)
+      (List.length mems);
+    List.iter
+      (fun p ->
+        if not (List.exists (( == ) (memory p)) mems) then
+          Alcotest.failf "%s: a borrowed pipeline was not retired" what)
+      own
+  in
+  (match Bor_gen.Diff.run prog with
+  | Bor_gen.Diff.Pass -> ()
+  | Bor_gen.Diff.Fail { stage; reason } -> Alcotest.failf "%s: %s" stage reason
+  | Bor_gen.Diff.Budget e -> Alcotest.failf "budget: %s" e);
+  back "pass";
+  (match Bor_gen.Diff.run ~max_cycles:50 prog with
+  | Bor_gen.Diff.Budget _ -> ()
+  | _ -> Alcotest.fail "a 50-cycle budget did not exhaust");
+  back "budget";
+  (match Bor_gen.Diff.run ~plan_seed:(-1) prog with
+  | Bor_gen.Diff.Fail { stage = "plan"; _ } -> ()
+  | _ -> Alcotest.fail "a negative plan seed did not fail the plan stage");
+  back "failure";
+  drain_pool ()
+
 (* ------------------------------------------------ frozen registries *)
 
 (* The whole telemetry registry of two fixed runs, pinned by SHA-256:
@@ -631,6 +695,8 @@ let () =
             test_sampled_window_checkpoints_fresh_pipeline_only;
           Alcotest.test_case "scratch pool survives failing windows" `Quick
             test_pool_survives_failing_windows;
+          Alcotest.test_case "differential legs retire their pipelines"
+            `Quick test_diff_returns_pooled_pipelines;
         ] );
       ( "telemetry",
         [

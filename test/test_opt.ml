@@ -6,9 +6,11 @@
    move-based mutator well-formedness (terminating skeleton, write-pool
    discipline, insert/delete length bounds), end-to-end determinism
    (same seed -> identical best program, counters, trajectory and
-   telemetry JSON; domain count changes wall-clock only), and the
-   known-rewrite regression corpus (test/opt_corpus), every file of
-   which a fixed-budget seeded search must rediscover. *)
+   telemetry JSON; domain count changes wall-clock only; frozen
+   results from before the candidate memo; memo hits independent of
+   the domain count and of earlier searches), and the known-rewrite
+   regression corpus (test/opt_corpus), every file of which a
+   fixed-budget seeded search must rediscover. *)
 
 module Prng = Bor_util.Prng
 module Instr = Bor_isa.Instr
@@ -557,15 +559,122 @@ let test_determinism_same_seed () =
     (Json.to_string (Search.report_json b))
 
 (* Domain count is parallelism only: the multi-domain search returns a
-   byte-identical result to the single-domain one at the same seed. *)
+   byte-identical result to the single-domain one at the same seed, and
+   leaves a byte-identical telemetry registry behind. *)
 let test_determinism_across_domains () =
   let target = asm target_src in
-  let a = run_search target in
-  let b =
-    run_search ~params:{ test_params with Search.p_domains = 3 } target
+  Telemetry.set_enabled true;
+  let search domains =
+    Telemetry.clear ();
+    let r =
+      run_search ~params:{ test_params with Search.p_domains = domains } target
+    in
+    let j = Json.to_string (Telemetry.to_json ()) in
+    Telemetry.clear ();
+    (r, j)
   in
+  let a, ja = search 1 in
+  let b, jb = search 3 in
+  Telemetry.set_enabled false;
   check Alcotest.bool "domains=3 = domains=1" true
-    (fingerprint a = fingerprint b)
+    (fingerprint a = fingerprint b);
+  check Alcotest.string "telemetry JSON at domains=3 = domains=1" ja jb
+
+(* Frozen results of [test_params] searches, taken before the candidate
+   memo existed: a memo hit must reproduce exactly the evaluation it
+   replaces, so every result and every pre-memo counter stays as it
+   was, at any domain count. Counts are (proposals, inapplicable,
+   acceptances, filter rejects, oracle evaluations). *)
+let frozen_searches =
+  [
+    ( "target_src",
+      (fun () -> asm target_src),
+      "; bor fuzz reproducer\n.text\nmain:\n  addi s7, zero, 64\nL1:\n  \
+       addi a0, a0, 1\n  addi s7, s7, -1\n  bne s7, zero, L1\n  halt\n",
+      (238, 301, [ (1, 238); (2, 238); (3, 238) ], true),
+      [ 498; 222; 63; 430; 68 ] );
+    ( "double_mask",
+      (fun () ->
+        match Corpus.load_file "opt_corpus/double_mask.s" with
+        | Ok p -> p
+        | Error e -> Alcotest.failf "double_mask: %s" e),
+      "; bor fuzz reproducer\n.text\nmain:\n  addi s7, zero, 48\nL1:\n  \
+       andi a0, a0, 15\n  addi s7, s7, -1\n  bne s7, zero, L1\n  halt\n",
+      (222, 306, [ (1, 222); (2, 222); (3, 222) ], true),
+      [ 518; 202; 104; 410; 108 ] );
+  ]
+
+let test_frozen_searches () =
+  List.iter
+    (fun (name, target, best_asm, (best, target_cost, traj, verified), counts) ->
+      let target = target () in
+      List.iter
+        (fun domains ->
+          let r =
+            run_search ~params:{ test_params with Search.p_domains = domains }
+              target
+          in
+          let what s = Printf.sprintf "%s at %d domain(s): %s" name domains s in
+          let open Search in
+          let k = r.r_counters in
+          check Alcotest.string (what "best program") best_asm
+            (Corpus.to_asm r.r_best);
+          check Alcotest.int (what "best cost") best r.r_best_cost;
+          check Alcotest.int (what "target cost") target_cost r.r_target_cost;
+          check
+            Alcotest.(list (pair int int))
+            (what "trajectory") traj r.r_trajectory;
+          check Alcotest.bool (what "verified") verified r.r_verified;
+          check
+            Alcotest.(list int)
+            (what "counters") counts
+            [
+              k.n_proposals;
+              k.n_inapplicable;
+              k.n_acceptances;
+              k.n_filter_rejects;
+              k.n_oracle_evals;
+            ])
+        [ 1; 2 ])
+    frozen_searches
+
+(* The candidate memo answers a repeated candidate without simulating
+   it. Its hits depend on the chains' seeds alone: the same at every
+   domain count, the same for a second search run right after the
+   first (no table outlives its search), and never more than the
+   proposals. The report and the registry carry the same count. *)
+let test_memo_hits () =
+  let target = asm target_src in
+  let search domains =
+    run_search ~params:{ test_params with Search.p_domains = domains } target
+  in
+  Telemetry.set_enabled true;
+  Telemetry.clear ();
+  let r = search 1 in
+  let registered = Telemetry.find_counter "opt.memo_hits" in
+  Telemetry.clear ();
+  Telemetry.set_enabled false;
+  let k = r.Search.r_counters in
+  let hits = k.Search.n_memo_hits in
+  check Alcotest.bool "the memo answered some proposals" true (hits > 0);
+  check Alcotest.bool "memo hits <= proposals" true
+    (hits <= k.Search.n_proposals);
+  check Alcotest.(option int) "opt.memo_hits" (Some hits) registered;
+  (match Search.report_json r with
+  | Json.Obj fields -> (
+    match List.assoc_opt "counters" fields with
+    | Some (Json.Obj c) ->
+      check Alcotest.bool "report counters.memo_hits" true
+        (List.assoc_opt "memo_hits" c = Some (Json.Int hits))
+    | _ -> Alcotest.fail "report has no counters object")
+  | _ -> Alcotest.fail "report is not an object");
+  List.iter
+    (fun domains ->
+      check Alcotest.int
+        (Printf.sprintf "memo hits at %d domains" domains)
+        hits
+        (search domains).Search.r_counters.Search.n_memo_hits)
+    [ 2; 3; 1 ]
 
 (* ------------------------------------------------ regression corpus *)
 
@@ -643,6 +752,10 @@ let () =
             test_determinism_same_seed;
           Alcotest.test_case "domain count changes wall-clock only" `Quick
             test_determinism_across_domains;
+          Alcotest.test_case "frozen pre-memo results" `Quick
+            test_frozen_searches;
+          Alcotest.test_case "memo hits are per search and domain-free"
+            `Quick test_memo_hits;
         ] );
       ( "corpus",
         [
