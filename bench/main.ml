@@ -1062,6 +1062,11 @@ let ranked () =
     | Ok p -> p
     | Error e -> failwith e
   in
+  let ranked =
+    match Bor_uarch.Sampling_plan.with_selection ~rank_bands:bands plan with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
   let matched = ref 0 in
   let row name prog =
     let full = Bor_uarch.Pipeline.create prog in
@@ -1073,16 +1078,16 @@ let ranked () =
       (Bor_sim.Machine.stats (Bor_uarch.Pipeline.oracle full))
         .Bor_sim.Machine.instructions
     in
-    let run_sampled ?rank_bands ?domains p =
+    let run_sampled ?domains p =
       let t = Bor_uarch.Pipeline.create prog in
-      match Bor_exec.Sampled.run_on ?rank_bands ?domains ~plan:p t with
+      match Bor_exec.Sampled.run_on ?domains ~plan:p t with
       | Ok s -> s
       | Error e -> failwith (name ^ " (sampled): " ^ e)
     in
     let open Bor_exec.Sampled in
     let err s = Float.abs (s.sp_cycles_estimate -. truth) /. truth in
-    let r = run_sampled ~rank_bands:bands plan in
-    if run_sampled ~rank_bands:bands ~domains:2 plan <> r then
+    let r = run_sampled ranked in
+    if run_sampled ~domains:2 ranked <> r then
       failwith
         (name ^ ": ranked stats diverge between 1 and 2 window domains");
     let fixed = List.map (fun k -> run_sampled (scale k)) [ 1; 2; 4 ] in

@@ -64,13 +64,6 @@
 
 type stats_mode = Stats_off | Stats_text | Stats_json
 
-(* The sampled backend's knobs: --sample, --rank-bands, --ci-target. *)
-type sampling = {
-  mutable plan : Bor_uarch.Sampling_plan.t option;
-  mutable rank_bands : int;
-  mutable ci_target : float;
-}
-
 type cc_options = {
   mutable framework : string;
   mutable interval : int;
@@ -82,7 +75,6 @@ type cc_options = {
   mutable trace : int;  (* print the first N executed instructions *)
   mutable dot : bool;
   mutable stats : stats_mode;
-  sampling : sampling;
   mutable domains : int;
 }
 
@@ -98,7 +90,6 @@ let default_options () =
     trace = 0;
     dot = false;
     stats = Stats_off;
-    sampling = { plan = None; rank_bands = 1; ci_target = 0. };
     domains = 1;
   }
 
@@ -151,34 +142,39 @@ let int_flag ?(min = min_int) flag v =
       | 1 -> "a positive integer"
       | _ -> "an integer")
 
-let float_flag ?(min = Float.neg_infinity) flag v =
+let float_flag flag v =
   match float_of_string_opt v with
-  | Some x when Float.is_finite x && x >= min -> x
-  | _ ->
-    bad_flag flag v
-      (if min = 0. then "a finite number >= 0" else "a finite number")
+  | Some x when Float.is_finite x -> x
+  | _ -> bad_flag flag v "a finite number"
 
 let plan_flag v =
   match Bor_uarch.Sampling_plan.of_string v with
   | Ok plan -> plan
   | Error e -> sample_usage v e
 
-(* The sampling flags parse the same way for time/cctime, submit and
-   digest: [Some rest] when [args] starts with one of them. *)
-let sampling_flag s = function
-  | "--sample" :: v :: r ->
-    s.plan <- Some (plan_flag v);
-    Some r
-  | "--rank-bands" :: v :: r ->
-    s.rank_bands <- int_flag ~min:1 "--rank-bands" v;
-    Some r
-  | "--ci-target" :: v :: r ->
-    let pct = float_flag ~min:0. "--ci-target" v in
-    if not (Bor_store.Key.ci_target_exact pct) then
-      bad_flag "--ci-target" v "a number exact at 6 decimals";
-    s.ci_target <- pct;
+(* --sample, --rank-bands and --ci-target, in any order, for time/cctime,
+   submit and digest: [sampling_flag] collects them, and once parsing is
+   done [sampling_plan] builds the one plan from the last of each. *)
+let sampling_flag flags = function
+  | (("--sample" | "--rank-bands" | "--ci-target") as f) :: v :: r ->
+    flags := (f, v) :: !flags;
     Some r
   | _ -> None
+
+let sampling_plan flags =
+  let knob f parse = Option.map (parse f) (List.assoc_opt f flags) in
+  let rank_bands = knob "--rank-bands" int_flag
+  and ci_target = knob "--ci-target" float_flag in
+  let refuse e = prerr_endline ("bor: " ^ e); exit 2 in
+  match List.assoc_opt "--sample" flags with
+  | None when rank_bands <> None || ci_target <> None ->
+    refuse "--rank-bands/--ci-target require --sample W:D:P[:SEED]"
+  | None -> None
+  | Some v -> (
+    let p = plan_flag v in
+    match Bor_uarch.Sampling_plan.with_selection ?rank_bands ?ci_target p with
+    | Ok plan -> Some plan
+    | Error e -> refuse e)
 
 let read_file = Bor_isa.Toolchain.read_file
 
@@ -263,20 +259,14 @@ let print_registry = function
     print_string
       (Bor_telemetry.Json.to_string (Bor_telemetry.Telemetry.to_json ()))
 
-let run_timing opts (program : Bor_isa.Program.t) =
-  let stats = opts.stats and s = opts.sampling in
+let run_timing opts plan (program : Bor_isa.Program.t) =
+  let stats = opts.stats in
   (* Telemetry must be live before the backend is created: instruments
      register at component-creation time. *)
   if stats <> Stats_off then Bor_telemetry.Telemetry.set_enabled true;
   let backend =
-    match s.plan with
-    | Some plan ->
-      Bor_exec.Backend.sampled ~plan ~domains:opts.domains
-        ~rank_bands:s.rank_bands ~ci_target:s.ci_target program
-    | None when s.rank_bands <> 1 || s.ci_target <> 0. ->
-      Printf.eprintf
-        "bor: --rank-bands/--ci-target require --sample W:D:P[:SEED]\n";
-      exit 2
+    match plan with
+    | Some plan -> Bor_exec.Backend.sampled ~plan ~domains:opts.domains program
     | None -> Bor_exec.Backend.detailed program
   in
   let t0 = Unix.gettimeofday () in
@@ -706,7 +696,7 @@ let run_submit rest =
   let socket = ref None
   and file = ref None
   and backend = ref "detailed"
-  and s = (default_options ()).sampling
+  and sampling = ref []
   and wait = ref false
   and stats_only = ref false
   and shutdown = ref false in
@@ -731,9 +721,12 @@ let run_submit rest =
       file := Some f;
       parse r
     | args -> (
-      match sampling_flag s args with Some r -> parse r | None -> usage ())
+      match sampling_flag sampling args with
+      | Some r -> parse r
+      | None -> usage ())
   in
   parse rest;
+  let plan = sampling_plan !sampling in
   let socket = match !socket with Some s -> s | None -> usage () in
   let request req =
     match Bor_serve.Client.request ~socket req with
@@ -759,12 +752,14 @@ let run_submit rest =
   else begin
     let file = match !file with Some f -> f | None -> usage () in
     let prog = assemble file in
+    let knob f = Option.map f plan in
     let resp =
       request
         (Bor_serve.Client.submit_request
-           ?plan:(Option.map Bor_uarch.Sampling_plan.to_string s.plan)
-           ~rank_bands:s.rank_bands ~ci_target:s.ci_target ~backend:!backend
-           prog)
+           ?plan:(knob Bor_uarch.Sampling_plan.to_string)
+           ?rank_bands:(knob (fun p -> p.Bor_uarch.Sampling_plan.rank_bands))
+           ?ci_target:(knob (fun p -> p.Bor_uarch.Sampling_plan.ci_target))
+           ~backend:!backend prog)
     in
     let key =
       match json_str_field "key" resp with
@@ -790,7 +785,7 @@ let run_submit rest =
 let run_digest rest =
   let file = ref None
   and backend = ref "detailed"
-  and s = (default_options ()).sampling
+  and sampling = ref []
   and explain = ref false in
   let rec parse = function
     | [] -> ()
@@ -804,15 +799,15 @@ let run_digest rest =
       file := Some f;
       parse r
     | args -> (
-      match sampling_flag s args with Some r -> parse r | None -> usage ())
+      match sampling_flag sampling args with
+      | Some r -> parse r
+      | None -> usage ())
   in
   parse rest;
+  let plan = sampling_plan !sampling in
   let file = match !file with Some f -> f | None -> usage () in
   let prog = assemble file in
-  let key =
-    Bor_store.Key.make ~program:prog ?plan:s.plan ~rank_bands:s.rank_bands
-      ~ci_target:s.ci_target ~kind:!backend ()
-  in
+  let key = Bor_store.Key.make ~program:prog ?plan ~kind:!backend () in
   print_endline (Bor_store.Key.hex key);
   if !explain then prerr_string (Bor_store.Key.preimage key)
 
@@ -826,7 +821,7 @@ let () =
   | _ :: "digest" :: rest -> run_digest rest
   | _ :: "checkpoint" :: rest -> run_checkpoint rest
   | _ :: cmd :: path :: rest ->
-    let opts = default_options () in
+    let opts = default_options () and sampling = ref [] in
     let rec parse = function
       | [] -> ()
       | "--framework" :: v :: r ->
@@ -869,11 +864,12 @@ let () =
         Bor_check.Check.set_enabled true;
         parse r
       | args -> (
-        match sampling_flag opts.sampling args with
+        match sampling_flag sampling args with
         | Some r -> parse r
         | None -> usage ())
     in
     parse rest;
+    let plan = sampling_plan !sampling in
     (match cmd with
     | "asm" -> (
       let p = assemble path in
@@ -884,7 +880,7 @@ let () =
           (Bor_isa.Program.instr_count p)
       | None -> Format.printf "%a" Bor_isa.Program.pp_listing p)
     | "run" -> run_functional ~trace:opts.trace (assemble path)
-    | "time" -> run_timing opts (assemble path)
+    | "time" -> run_timing opts plan (assemble path)
     | "cc" when opts.dot -> (
       match Bor_minic.Driver.dot ~cfg:(driver_config opts) (read_file path) with
       | Ok d -> print_string d
@@ -901,6 +897,6 @@ let () =
           (List.length c.sites)
       | None -> print_string c.asm)
     | "ccrun" -> run_functional ~trace:opts.trace (compile opts path).program
-    | "cctime" -> run_timing opts (compile opts path).program
+    | "cctime" -> run_timing opts plan (compile opts path).program
     | _ -> usage ())
   | _ -> usage ()

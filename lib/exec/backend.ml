@@ -44,14 +44,12 @@ let warming ?config ?reuse ?max_steps prog =
       Pipeline.guard (fun () ->
           Ok (Warmed { instructions = Pipeline.run_warming ?max_steps p })))
 
-let sampled ?config ?reuse ~plan ?domains ?rank_bands ?ci_target ?runner
-    ?max_cycles prog =
+let sampled ?config ?reuse ~plan ?domains ?runner ?max_cycles prog =
   let p = Pipeline.create ?config ?reuse prog in
   pipeline_backed p (fun () ->
       Result.map
         (fun s -> Sampled s)
-        (Sampled.run_on ?max_cycles ~plan ?domains ?rank_bands ?ci_target
-           ?runner p))
+        (Sampled.run_on ?max_cycles ~plan ?domains ?runner p))
 
 let pooled make f =
   let b = make (Scratch.take ()) in
@@ -70,29 +68,21 @@ let resume ?config ?max_cycles ck prog =
 
 let names = [ "functional"; "detailed"; "warming"; "sampled" ]
 
-let of_name ?config ?plan ?rank_bands ?ci_target ?runner name prog =
-  let sampled_only =
-    [
-      ("runner", Option.is_some runner);
-      ("plan", Option.is_some plan);
-      ("rank_bands", Option.is_some rank_bands);
-      ("ci_target", Option.is_some ci_target);
-    ]
-  in
-  match (name, List.find_opt snd sampled_only) with
-  | "sampled", _ -> (
-    match plan with
-    | Some plan ->
-      Ok (sampled ?config ~plan ?rank_bands ?ci_target ?runner prog)
-    | None -> Error "backend \"sampled\" needs a sampling ?plan")
-  | _, Some (arg, _) ->
+let of_name ?config ?plan ?runner name prog =
+  let only_sampled arg =
     Error
       (Printf.sprintf "backend %S does not take ?%s (only \"sampled\" does)"
          name arg)
-  | "functional", None -> Ok (functional prog)
-  | "detailed", None -> Ok (detailed ?config prog)
-  | "warming", None -> Ok (warming ?config prog)
-  | _, None ->
+  in
+  match (name, plan, runner) with
+  | "sampled", Some plan, _ -> Ok (sampled ?config ~plan ?runner prog)
+  | "sampled", None, _ -> Error "backend \"sampled\" needs a sampling ?plan"
+  | _, _, Some _ -> only_sampled "runner"
+  | _, Some _, _ -> only_sampled "plan"
+  | "functional", _, _ -> Ok (functional prog)
+  | "detailed", _, _ -> Ok (detailed ?config prog)
+  | "warming", _, _ -> Ok (warming ?config prog)
+  | _ ->
     Error
       (Printf.sprintf "unknown backend %S (expected %s)" name
          (String.concat "|" names))

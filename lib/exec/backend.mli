@@ -64,8 +64,6 @@ val sampled :
   ?reuse:Bor_uarch.Pipeline.t ->
   plan:Bor_uarch.Sampling_plan.t ->
   ?domains:int ->
-  ?rank_bands:int ->
-  ?ci_target:float ->
   ?runner:(Sampled.exec_ctx -> Sampled.runner) ->
   ?max_cycles:int ->
   Bor_isa.Program.t ->
@@ -73,9 +71,9 @@ val sampled :
 (** The sampled substrate: [run] drives {!Sampled.run_on} on the
     backend's sweep pipeline; [machine]/[pipeline] expose the sweep's
     final state.
-    [rank_bands]/[ci_target] enable ranked-set window selection and
-    online CI stopping, [runner] an external window executor such as
-    the serve global window queue (see {!Sampled.run_on}). [reuse]
+    The plan carries the ranked-set and online-stopping knobs;
+    [runner] swaps in an external window executor such as the serve
+    global window queue (see {!Sampled.run_on}). [reuse]
     as in {!detailed}: it builds the sweep pipeline; the detailed
     windows borrow theirs from {!Scratch} either way. *)
 
@@ -93,20 +91,17 @@ val names : string list
 val of_name :
   ?config:Bor_uarch.Config.t ->
   ?plan:Bor_uarch.Sampling_plan.t ->
-  ?rank_bands:int ->
-  ?ci_target:float ->
   ?runner:(Sampled.exec_ctx -> Sampled.runner) ->
   string ->
   Bor_isa.Program.t ->
   (t, string) result
 (** Construct a backend from its kind name — the dispatch used by the
     serve scheduler and [bor submit], where the kind arrives as data
-    (and doubles as the cache key's [kind] component). [plan],
-    [rank_bands], [ci_target] and [runner] only make sense for
-    ["sampled"]; passing any of them to another kind is an [Error]
-    naming the first offending argument, rather than a silently
-    ignored — and therefore cache-aliasing — one. ["sampled"] without
-    a [plan] is an [Error] too. *)
+    (and doubles as the cache key's [kind] component). [plan] and
+    [runner] only make sense for ["sampled"]; passing either to another
+    kind is an [Error] naming the first offending argument, rather
+    than a silently ignored — and therefore cache-aliasing — one.
+    ["sampled"] without a [plan] is an [Error] too. *)
 
 val run_cached :
   ?store:Bor_store.Store.t ->

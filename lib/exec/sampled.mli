@@ -14,11 +14,12 @@
     (which runs the same capture/restore path inline).
 
     Every run takes one path: a ranked-set selector and an online
-    stopping rule, both always present (see [docs/SAMPLING.md]).
-    Fixed-period sampling is their degenerate case — [K = 1] and a
-    target of [0] — not a separate branch.
+    stopping rule, both always present (see [docs/SAMPLING.md]), set
+    by the plan's two knobs. Fixed-period sampling is their degenerate
+    case — [K = 1] and a target of [0], the defaults — not a separate
+    branch.
 
-    - {e Ranked-set selection} ([?rank_bands = K]): window boundaries
+    - {e Ranked-set selection} ([plan.rank_bands = K]): window boundaries
       are {e candidates}, scored by a cheap warming signature
       ({!Bor_sampling.Rank}); each consecutive set of [K] candidates
       contributes one detailed window, chosen by a cycling order
@@ -27,7 +28,7 @@
       candidate is scored by the stretch up to the next boundary, so
       its checkpoint is dispatched one period after capture; at
       [K = 1] every candidate is selected.
-    - {e Online stopping} ([?ci_target]): CPI samples fold into a
+    - {e Online stopping} ([plan.ci_target]): CPI samples fold into a
       streaming estimate ({!Bor_sampling.Stopping}) and the run stops
       dispatching windows once the 95% CI half-width falls below the
       target percentage of the mean; a target of [0] never stops. The
@@ -78,15 +79,13 @@ type stats = {
   sp_cycles_estimate : float;  (** extrapolated whole-run cycles *)
   sp_stopped : bool;
       (** the stopping rule truncated the window set before the
-          schedule ran out (always [false] when [ci_target = 0]) *)
+          schedule ran out (always [false] at a CI target of [0]) *)
 }
 
 val run_on :
   ?max_cycles:int ->
   plan:Bor_uarch.Sampling_plan.t ->
   ?domains:int ->
-  ?rank_bands:int ->
-  ?ci_target:float ->
   ?runner:(exec_ctx -> runner) ->
   Bor_uarch.Pipeline.t ->
   (stats, string) result
@@ -97,13 +96,6 @@ val run_on :
     domains plus the sweep thread, which help-executes whenever it is
     [max 4 (2 * N)] windows ahead and while draining.
     [max_cycles] (default 2e9) bounds each window individually.
-
-    [rank_bands] (default [1]: every candidate selected) sets the
-    ranked-set size [K]; [ci_target] (default [0.]: never stop) sets
-    the online-stopping CI target, as a percent of the mean CPI. The
-    defaults are plain fixed-period sampling. Errors (not exceptions)
-    on [rank_bands < 1] or a [ci_target] that is negative or not
-    finite.
 
     Registers the [sampling.*] telemetry counters — only in sampled
     runs, never in full-detail ones — plus [sampling.rank.*] when

@@ -145,14 +145,15 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
            Backend.warming
              ~config:{ config with Bor_uarch.Config.warm_block_cache = false }
              ?reuse prog));
-    let plan =
+    let make_plan ?rank_bands ?ci_target () =
       match
-        Bor_uarch.Sampling_plan.make ~seed:plan_seed ~warmup:20 ~window:30
-          ~period:120 ()
+        Bor_uarch.Sampling_plan.make ~seed:plan_seed ?rank_bands ?ci_target
+          ~warmup:20 ~window:30 ~period:120 ()
       with
       | Ok p -> p
       | Error e -> fail "plan" "%s" e
     in
+    let plan = make_plan () in
     let seq_stats =
       sampled_leg "sampled" (fun reuse ->
           Backend.sampled ~config ?reuse ~plan ~max_cycles ~domains:1 prog)
@@ -183,10 +184,11 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
        the sequential one bit for bit, and ranked selection can never
        dispatch more detailed windows than the fixed-period leg did. *)
     let rank_bands = 2 + (abs plan_seed mod 3) in
+    let ranked = make_plan ~rank_bands ~ci_target:5. () in
     let ranked_stats =
       sampled_leg "ranked" (fun reuse ->
-          Backend.sampled ~config ?reuse ~plan ~rank_bands ~ci_target:5.
-            ~max_cycles ~domains:1 prog)
+          Backend.sampled ~config ?reuse ~plan:ranked ~max_cycles ~domains:1
+            prog)
     in
     if ranked_stats.Sampled.sp_windows > seq_stats.Sampled.sp_windows then
       fail "ranked"
@@ -195,8 +197,8 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
         ranked_stats.Sampled.sp_windows seq_stats.Sampled.sp_windows rank_bands;
     let ranked_par_stats =
       sampled_leg "parallel-ranked" (fun reuse ->
-          Backend.sampled ~config ?reuse ~plan ~rank_bands ~ci_target:5.
-            ~max_cycles ~domains prog)
+          Backend.sampled ~config ?reuse ~plan:ranked ~max_cycles ~domains
+            prog)
     in
     if ranked_par_stats <> ranked_stats then
       fail "parallel-ranked"

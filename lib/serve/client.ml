@@ -22,10 +22,6 @@ let request ~socket req =
           | exception Wire.Protocol_error m -> Error ("client: " ^ m)))
 
 let submit_request ?plan ?rank_bands ?ci_target ~backend program =
-  (match ci_target with
-  | Some pct when not (Bor_store.Key.ci_target_exact pct) ->
-    invalid_arg "Client.submit_request: ci_target is not exact at 6 decimals"
-  | _ -> ());
   Json.Obj
     ([
        ("op", Json.String "submit");
@@ -40,9 +36,10 @@ let submit_request ?plan ?rank_bands ?ci_target ~backend program =
     match ci_target with
     | None -> []
     | Some pct ->
-      (* Fixed precision, like the payload's floats: the request text
-         for a given target is one exact byte string. *)
-      [ ("ci_target", Json.String (Printf.sprintf "%.6f" pct)) ])
+      (* Seventeen significant digits read back as [pct] itself, so the
+         server validates the target the caller gave, never a rounded
+         neighbour. *)
+      [ ("ci_target", Json.String (Printf.sprintf "%.17g" pct)) ])
 
 let status_request key =
   Json.Obj [ ("op", Json.String "status"); ("key", Json.String key) ]

@@ -21,9 +21,9 @@ val submit_request :
     the same bytes the cache key digests. [rank_bands]/[ci_target]
     (sampled jobs only) travel only when given, so old servers keep
     accepting requests that don't use them; [ci_target] is framed as a
-    fixed-precision (6-digit) decimal string.
-    @raise Invalid_argument if [ci_target] fails
-    {!Bor_store.Key.ci_target_exact}: the framing would round it. *)
+    decimal string that reads back exactly. Nothing is validated here:
+    the server refuses what {!Bor_uarch.Sampling_plan.with_selection}
+    refuses. *)
 
 val status_request : string -> Bor_telemetry.Json.t
 val result_request : ?wait:bool -> string -> Bor_telemetry.Json.t

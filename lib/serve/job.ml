@@ -4,31 +4,31 @@ module Sha256 = Bor_telemetry.Sha256
 module Backend = Bor_exec.Backend
 module Pipeline = Bor_uarch.Pipeline
 module Sampled = Bor_exec.Sampled
+module Sampling_plan = Bor_uarch.Sampling_plan
 
 type spec = {
   sp_program : Bor_isa.Program.t;
   sp_backend : string;
   sp_config : Bor_uarch.Config.t;
-  sp_plan : Bor_uarch.Sampling_plan.t option;
-  sp_rank_bands : int;
-  sp_ci_target : float;
+  sp_plan : Sampling_plan.t option;
 }
 
-let make ?(config = Bor_uarch.Config.default) ?plan ?(rank_bands = 1)
-    ?(ci_target = 0.) ~backend program =
-  {
-    sp_program = program;
-    sp_backend = backend;
-    sp_config = config;
-    sp_plan = plan;
-    sp_rank_bands = rank_bands;
-    sp_ci_target = ci_target;
-  }
+let make ?(config = Bor_uarch.Config.default) ?plan ?rank_bands ?ci_target
+    ~backend program =
+  let sp_plan =
+    match (plan, rank_bands, ci_target) with
+    | None, None, None -> None
+    | None, _, _ -> invalid_arg "Job.make: rank_bands/ci_target need a ?plan"
+    | Some p, _, _ -> (
+      match Sampling_plan.with_selection ?rank_bands ?ci_target p with
+      | Ok p -> Some p
+      | Error e -> invalid_arg ("Job.make: " ^ e))
+  in
+  { sp_program = program; sp_backend = backend; sp_config = config; sp_plan }
 
 let key spec =
   Bor_store.Key.make ~program:spec.sp_program ~config:spec.sp_config
-    ?plan:spec.sp_plan ~rank_bands:spec.sp_rank_bands
-    ~ci_target:spec.sp_ci_target ~kind:spec.sp_backend ()
+    ?plan:spec.sp_plan ~kind:spec.sp_backend ()
 
 (* Fixed-precision strings keep float formatting out of the digested
    bytes, same policy as the bench harness's JSON files. *)
@@ -131,6 +131,11 @@ let render_report = function
 
 let run ?store ?runner spec =
   let k = key spec in
+  (* A plan-less job reports the default knobs. *)
+  let rank_bands, ci_target =
+    Option.fold spec.sp_plan ~none:(1, 0.) ~some:(fun p ->
+        (p.Sampling_plan.rank_bands, p.Sampling_plan.ci_target))
+  in
   let was_enabled = Telemetry.is_enabled () in
   let render report =
     let telemetry = Telemetry.to_json () in
@@ -143,26 +148,17 @@ let run ?store ?runner spec =
            ( "plan",
              match spec.sp_plan with
              | None -> Json.Null
-             | Some p -> Json.String (Bor_uarch.Sampling_plan.to_string p) );
-           ("rank_bands", Json.Int spec.sp_rank_bands);
-           ("ci_target", flt spec.sp_ci_target);
+             | Some p -> Json.String (Sampling_plan.to_string p) );
+           ("rank_bands", Json.Int rank_bands);
+           ("ci_target", flt ci_target);
            ("report", render_report report);
            ("telemetry", telemetry);
            ("telemetry_digest", Json.String (Sha256.digest (Json.to_string telemetry)));
          ])
   in
   let create () =
-    (* rank_bands/ci_target ride through only at non-default values so
-       of_name's only-for-sampled rejection fires exactly when a caller
-       actually asked for the feature on the wrong backend. *)
-    let rank_bands =
-      if spec.sp_rank_bands = 1 then None else Some spec.sp_rank_bands
-    in
-    let ci_target =
-      if spec.sp_ci_target = 0. then None else Some spec.sp_ci_target
-    in
-    Backend.of_name ~config:spec.sp_config ?plan:spec.sp_plan ?rank_bands
-      ?ci_target ?runner spec.sp_backend spec.sp_program
+    Backend.of_name ~config:spec.sp_config ?plan:spec.sp_plan ?runner
+      spec.sp_backend spec.sp_program
   in
   (* Telemetry on before [create]: instruments register at
      component-creation time. *)

@@ -12,10 +12,7 @@ type spec = {
   sp_backend : string;  (** a {!Bor_exec.Backend.of_name} kind *)
   sp_config : Bor_uarch.Config.t;
   sp_plan : Bor_uarch.Sampling_plan.t option;
-  sp_rank_bands : int;
-      (** ranked-set size for a sampled job (1 = fixed-period) *)
-  sp_ci_target : float;
-      (** online-stopping CI target, percent of mean (0 = off) *)
+      (** the whole sampling spec, selection knobs included *)
 }
 
 val make :
@@ -26,13 +23,16 @@ val make :
   backend:string ->
   Bor_isa.Program.t ->
   spec
+(** [rank_bands]/[ci_target] replace the plan's knobs through
+    {!Bor_uarch.Sampling_plan.with_selection}.
+    @raise Invalid_argument if it refuses them, or they come without a
+    [plan]. *)
 
 val key : spec -> Bor_store.Key.t
 (** The job's content address: program bytes + full canonical config +
-    plan + backend kind + (at non-default values) the ranked-set /
-    stopping knobs ({!Bor_store.Key.make} with [~kind:sp_backend]).
-    [sp_rank_bands]/[sp_ci_target] are part of it because they change
-    which windows run. *)
+    plan + backend kind ({!Bor_store.Key.make} with [~kind:sp_backend]).
+    The plan's selection knobs are part of it, at non-default values,
+    because they change which windows run. *)
 
 val run :
   ?store:Bor_store.Store.t ->

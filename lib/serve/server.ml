@@ -7,9 +7,6 @@ let err msg = Json.Obj [ ("ok", Json.Bool false); ("error", Json.String msg) ]
 let str_field name j =
   match Json.member name j with Some (Json.String s) -> Some s | _ -> None
 
-let int_field name j =
-  match Json.member name j with Some (Json.Int n) -> Some n | _ -> None
-
 let bool_field name j =
   match Json.member name j with Some (Json.Bool b) -> Some b | _ -> None
 
@@ -23,48 +20,52 @@ let disposition_string = function
 
 let source_string = function `Cold -> "cold" | `Cached -> "cached"
 
+(* A submit field that is present must have its type: a wrong-typed
+   one is a refusal, never a silent default that keys some other job. *)
+let field name expected conv req =
+  match Option.map conv (Json.member name req) with
+  | Some None -> Error (Printf.sprintf "submit: %s: expected %s" name expected)
+  | v -> Ok (Option.join v)
+
+let string_of = function Json.String s -> Some s | _ -> None
+let int_of = function Json.Int n -> Some n | _ -> None
+
 let parse_spec req =
-  match str_field "program" req with
-  | None -> Error "submit: missing \"program\" (hex object image)"
-  | Some hex -> (
-      match Wire.of_hex hex with
-      | Error e -> Error ("submit: program: " ^ e)
-      | Ok bytes -> (
-          match Bor_isa.Objfile.load bytes with
-          | Error e -> Error ("submit: program: " ^ e)
-          | Ok program -> (
-              let backend =
-                Option.value ~default:"detailed" (str_field "backend" req)
-              in
-              let rank_bands =
-                Option.value ~default:1 (int_field "rank_bands" req)
-              in
-              (* ci_target arrives as a fixed-precision decimal string
-                 (see Client.submit_request); a bare JSON int is
-                 accepted too, for hand-written clients. *)
-              let ci_target =
-                match Json.member "ci_target" req with
-                | Some (Json.String s) -> (
-                    match float_of_string_opt s with
-                    | Some v -> Ok v
-                    | None -> Error ("submit: ci_target: bad float " ^ s))
-                | Some (Json.Int n) -> Ok (float_of_int n)
-                | Some _ -> Error "submit: ci_target: expected a number"
-                | None -> Ok 0.
-              in
-              match ci_target with
-              | Error e -> Error e
-              | Ok ci_target -> (
-                  match str_field "plan" req with
-                  | None ->
-                      Ok (Job.make ~rank_bands ~ci_target ~backend program)
-                  | Some plan_s -> (
-                      match Bor_uarch.Sampling_plan.of_string plan_s with
-                      | Error e -> Error ("submit: plan: " ^ e)
-                      | Ok plan ->
-                          Ok
-                            (Job.make ~plan ~rank_bands ~ci_target ~backend
-                               program))))))
+  let ( let* ) = Result.bind in
+  let* hex = field "program" "a hex string" string_of req in
+  let* hex =
+    Option.to_result ~none:"submit: missing \"program\" (hex object image)" hex
+  in
+  let* program =
+    Result.map_error (( ^ ) "submit: program: ")
+      (Result.bind (Wire.of_hex hex) Bor_isa.Objfile.load)
+  in
+  let* backend = field "backend" "a string" string_of req in
+  let* plan = field "plan" "a W:D:P[:SEED] string" string_of req in
+  let* rank_bands = field "rank_bands" "an integer" int_of req in
+  (* ci_target arrives as a decimal string (see Client.submit_request);
+     a bare JSON int is accepted too, for hand-written clients. *)
+  let* ci_target =
+    field "ci_target" "a decimal string or an integer"
+      (function
+        | Json.String s -> float_of_string_opt s
+        | Json.Int n -> Some (float_of_int n)
+        | _ -> None)
+      req
+  in
+  let* plan =
+    match plan with
+    | None when rank_bands <> None || ci_target <> None ->
+        Error "submit: rank_bands/ci_target need a \"plan\""
+    | None -> Ok None
+    | Some s ->
+        Bor_uarch.Sampling_plan.(
+          Result.bind (of_string s) (with_selection ?rank_bands ?ci_target))
+        |> Result.map Option.some
+        |> Result.map_error (( ^ ) "submit: ")
+  in
+  let backend = Option.value ~default:"detailed" backend in
+  Ok (Job.make ?plan ~backend program)
 
 let handle sched req =
   match str_field "op" req with

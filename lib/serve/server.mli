@@ -6,7 +6,8 @@
 
     - [submit]: program image as hex + backend kind + optional plan,
       [rank_bands] and [ci_target] → key + disposition
-      ([queued]/[joined]/[hit]).
+      ([queued]/[joined]/[hit]); a malformed field is refused here
+      ({!parse_spec}).
     - [status]: key → job state, plus a [serve.*] counter snapshot in
       every reply (the polling form of per-job telemetry streaming;
       the completed job's full registry snapshot is embedded in its
@@ -27,6 +28,11 @@
     The optional metrics socket answers every connection with one
     plaintext {!Scheduler.metrics_text} dump and closes — no framing,
     scrapable with [nc -U]. *)
+
+val parse_spec : Bor_telemetry.Json.t -> (Job.spec, string) result
+(** Decode a [submit] request. A present field of the wrong type, or a
+    plan and knobs {!Bor_uarch.Sampling_plan.with_selection} refuses,
+    is an [Error] naming it, before any key is minted. *)
 
 val run :
   socket:string ->

@@ -82,31 +82,9 @@ let canon_config (c : Config.t) =
       "sample=-";
     ]
 
-let ci_target_exact x =
-  Float.equal (float_of_string (Printf.sprintf "%.6f" x)) x
-
-let make ~program ?(config = Config.default) ?plan ?(rank_bands = 1)
-    ?(ci_target = 0.) ~kind () =
+let make ~program ?(config = Config.default) ?plan ~kind () =
   if kind = "" || String.contains kind '\n' then
     invalid_arg "Bor_store.Key.make: kind must be a non-empty single line";
-  if not (ci_target_exact ci_target) then
-    invalid_arg
-      (Printf.sprintf
-         "Bor_store.Key.make: ci_target %.17g is not exact at 6 decimals \
-          (it reads as %.6f)"
-         ci_target ci_target);
-  (* The variance-optimal sampling knobs join the preimage only at
-     non-default values: every key minted before they existed keeps its
-     exact hex, and a default-knob job still shares its address with
-     the historical writes. No aliasing the other way either — any
-     non-default value adds a line the old preimages never contain. *)
-  let extras =
-    (if rank_bands <> 1 then [ Printf.sprintf "rank_bands=%d" rank_bands ]
-     else [])
-    @
-    if ci_target <> 0. then [ Printf.sprintf "ci_target=%.6f" ci_target ]
-    else []
-  in
   let k_preimage =
     String.concat "\n"
       ([
@@ -114,11 +92,9 @@ let make ~program ?(config = Config.default) ?plan ?(rank_bands = 1)
          "kind=" ^ kind;
          "program=" ^ Sha256.digest (Bor_isa.Objfile.save program);
          "config=" ^ canon_config config;
-         ( "plan="
-         ^ match plan with None -> "-" | Some p -> Sampling_plan.to_string p
-         );
        ]
-      @ extras @ [ "" ])
+      @ Sampling_plan.key_lines plan
+      @ [ "" ])
   in
   { k_hex = Sha256.digest k_preimage; k_preimage }
 
@@ -132,8 +108,8 @@ let shard ~program_digest ?(config = Config.default) ~plan ~boundary () =
      draws each boundary's offset in [0, slack+1) where slack depends on
      warmup and window too, so two plans agreeing on (period, seed) can
      still place boundary [i] at different instruction counts. Jobs
-     differing only in rank_bands / ci_target / max_cycles DO share
-     shards: none of those move the sweep's capture points. *)
+     differing only in the plan's knobs or max_cycles DO share shards:
+     none of those move the sweep's capture points. *)
   let k_preimage =
     String.concat "\n"
       [

@@ -19,15 +19,12 @@ val make :
   program:Bor_isa.Program.t ->
   ?config:Bor_uarch.Config.t ->
   ?plan:Bor_uarch.Sampling_plan.t ->
-  ?rank_bands:int ->
-  ?ci_target:float ->
   kind:string ->
   unit ->
   t
 (** [config] defaults to {!Bor_uarch.Config.default}; [plan] defaults
-    to absent (canonicalized as ["-"]). [rank_bands] (default [1]) and
-    [ci_target] (default [0.]) are the sampled backend's ranked-set /
-    online-stopping knobs; they join the preimage {e only} at
+    to absent. The plan contributes {!Bor_uarch.Sampling_plan.key_lines}:
+    its schedule, plus its ranked-set / online-stopping knobs only at
     non-default values, so every pre-existing key hex is unchanged and
     a default-knob job shares its address with historical results —
     which is sound, because the defaults reproduce the historical
@@ -35,15 +32,7 @@ val make :
     or artifact family (["detailed"], ["sampled"], ["checkpoint"],
     ...).
     @raise Invalid_argument if [kind] is empty or contains a newline
-    (the preimage is line-framed), or if [ci_target] fails
-    {!ci_target_exact}. *)
-
-val ci_target_exact : float -> bool
-(** Whether [x]'s [%.6f] rendering — the form [ci_target] takes in the
-    preimage and on the wire — reads back as [x] itself. A target that
-    fails would share its key with every neighbour that rounds to the
-    same six decimals (2.0000001 and 2.0000004), or, below 5e-7, render
-    as the default [0.000000] while running a different job. *)
+    (the preimage is line-framed). *)
 
 val shard :
   program_digest:string ->
@@ -55,12 +44,13 @@ val shard :
 (** The address of one warmed window checkpoint — a {e shard} — in a
     sampled run: the sweep state captured at schedule position
     [boundary] (the period index, 0-based). A shard is a pure function
-    of (program image, config, plan, boundary): the plan is included
-    {e whole} because boundary placement depends on every plan field
-    (the random offset is drawn from the plan's slack), while
-    rank-bands, CI target and cycle budgets are deliberately excluded —
-    they never move the sweep's capture points, so jobs differing only
-    in those knobs share shards. The serve window queue keys its work
+    of (program image, config, plan schedule, boundary): the whole
+    schedule ({!Bor_uarch.Sampling_plan.to_string}) is included because
+    boundary placement depends on every schedule field (the random
+    offset is drawn from the plan's slack), while the plan's selection
+    knobs and cycle budgets are deliberately excluded — they never move
+    the sweep's capture points, so jobs differing only in those knobs
+    share shards. The serve window queue keys its work
     units by this address; nothing stores a shard under it. Uses a
     separate ["bor-shard-v1"] preimage family; no existing
     ["bor-key-v1"] hex changes.

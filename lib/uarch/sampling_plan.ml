@@ -3,17 +3,40 @@ type t = {
   window : int;
   period : int;
   seed : int option;
+  rank_bands : int;
+  ci_target : float;
 }
 
-let make ?seed ~warmup ~window ~period () =
-  if warmup < 0 then Error "sampling plan: warmup must be >= 0"
-  else if window < 1 then Error "sampling plan: window must be >= 1"
-  else if period < warmup + window then
-    Error "sampling plan: period must be >= warmup + window"
+let max_rank_bands = 64
+
+(* The one validator. The period test is a difference, so huge fields
+   cannot overflow past it. The target is keyed as [%.6f]: one that
+   rendering cannot hold would share a neighbour's key (2.0000001 and
+   2.0000004) or, below 5e-7, pose as the default. [+. 0.] folds -0
+   into 0, which it keys as. *)
+let make ?seed ?(rank_bands = 1) ?(ci_target = 0.) ~warmup ~window ~period () =
+  let fail fmt = Printf.ksprintf Result.error fmt in
+  if warmup < 0 then fail "sampling plan: warmup must be >= 0"
+  else if window < 1 then fail "sampling plan: window must be >= 1"
+  else if period < warmup || period - warmup < window then
+    fail "sampling plan: period must be >= warmup + window"
+  else if Option.fold ~none:false ~some:(fun s -> s < 0) seed then
+    fail "sampling plan: seed must be >= 0"
+  else if rank_bands < 1 || rank_bands > max_rank_bands then
+    fail "rank bands must be between 1 and %d (--rank-bands)" max_rank_bands
+  else if not (Float.is_finite ci_target && ci_target >= 0.) then
+    fail "CI target must be a finite number >= 0 (--ci-target)"
+  else if float_of_string (Printf.sprintf "%.6f" ci_target) <> ci_target then
+    fail "CI target %s is not exact at 6 decimals (--ci-target)"
+      (Float.to_string ci_target)
   else
-    match seed with
-    | Some s when s < 0 -> Error "sampling plan: seed must be >= 0"
-    | _ -> Ok { warmup; window; period; seed }
+    Ok { warmup; window; period; seed; rank_bands; ci_target = ci_target +. 0. }
+
+let with_selection ?rank_bands ?ci_target t =
+  make ?seed:t.seed
+    ~rank_bands:(Option.value rank_bands ~default:t.rank_bands)
+    ~ci_target:(Option.value ci_target ~default:t.ci_target)
+    ~warmup:t.warmup ~window:t.window ~period:t.period ()
 
 let of_string s =
   match String.split_on_char ':' s with
@@ -35,6 +58,17 @@ let to_string t =
   | Some s -> Printf.sprintf "%d:%d:%d:%d" t.warmup t.window t.period s
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
+
+(* Knobs join a key only at non-default values: every key minted
+   before they existed keeps its hex. *)
+let key_lines = function
+  | None -> [ "plan=-" ]
+  | Some t ->
+    ("plan=" ^ to_string t)
+    :: (if t.rank_bands = 1 then []
+        else [ Printf.sprintf "rank_bands=%d" t.rank_bands ])
+    @ if t.ci_target = 0. then []
+      else [ Printf.sprintf "ci_target=%.6f" t.ci_target ]
 
 let slack t = t.period - t.warmup - t.window
 

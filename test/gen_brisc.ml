@@ -120,8 +120,8 @@ let check_ranked_case case_seed =
   in
   let plan =
     match
-      Bor_uarch.Sampling_plan.make ~seed:case_seed ~warmup:20 ~window:30
-        ~period:120 ()
+      Bor_uarch.Sampling_plan.make ~seed:case_seed ~rank_bands:4 ~ci_target:2.
+        ~warmup:20 ~window:30 ~period:120 ()
     with
     | Ok p -> p
     | Error e -> QCheck.Test.fail_reportf "case seed %d: plan: %s" case_seed e
@@ -137,8 +137,8 @@ let check_ranked_case case_seed =
         Bor_telemetry.Telemetry.set_enabled was)
       (fun () ->
         let b =
-          Bor_exec.Backend.sampled ~config ~plan ~rank_bands:4 ~ci_target:2.
-            ~max_cycles:20_000_000 ~domains prog
+          Bor_exec.Backend.sampled ~config ~plan ~max_cycles:20_000_000
+            ~domains prog
         in
         match b.Bor_exec.Backend.run () with
         | Ok (Bor_exec.Backend.Sampled s) ->

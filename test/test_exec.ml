@@ -28,8 +28,12 @@ let alu_prog =
         s + i; return s; }")
       .Bor_minic.Driver.program
 
-let plan_exn s =
-  match Bor_uarch.Sampling_plan.of_string s with
+let plan_exn ?rank_bands ?ci_target s =
+  match
+    Result.bind
+      (Bor_uarch.Sampling_plan.of_string s)
+      (Bor_uarch.Sampling_plan.with_selection ?rank_bands ?ci_target)
+  with
   | Ok p -> p
   | Error e -> Alcotest.fail e
 
@@ -572,8 +576,8 @@ let test_frozen_registries () =
     registry_sha (fun () ->
         let p = Pipeline.create (Lazy.force micro_prog) in
         match
-          Sampled.run_on ~rank_bands:3 ~ci_target:2.
-            ~plan:(plan_exn "500:300:5000:3") p
+          Sampled.run_on
+            ~plan:(plan_exn ~rank_bands:3 ~ci_target:2. "500:300:5000:3") p
         with
         | Ok _ -> ()
         | Error e -> Alcotest.fail e)
@@ -642,7 +646,8 @@ let test_backend_reports () =
   | Error e -> Alcotest.fail e
 
 (* Each sampled-only argument handed to a non-sampled kind is an
-   [Error] naming that argument, and so is "sampled" without a plan. *)
+   [Error] naming that argument, and so is "sampled" without a plan.
+   The ranked-set and stopping knobs ride inside the plan. *)
 let test_of_name_rejects_sampled_only_args () =
   let prog = Lazy.force alu_prog in
   let rejects arg result =
@@ -655,8 +660,6 @@ let test_of_name_rejects_sampled_only_args () =
   in
   let of_name = Backend.of_name in
   rejects "plan" (of_name ~plan:(plan_exn "20:30:120") "detailed" prog);
-  rejects "rank_bands" (of_name ~rank_bands:2 "detailed" prog);
-  rejects "ci_target" (of_name ~ci_target:5. "detailed" prog);
   rejects "runner"
     (of_name ~runner:(fun _ -> Alcotest.fail "runner built") "detailed" prog);
   rejects "plan" (of_name "sampled" prog);

@@ -611,7 +611,11 @@ let sampled_snapshot ?rank_bands ?ci_target ?domains plan prog =
       Bor_telemetry.Telemetry.set_enabled was)
     (fun () ->
       let t = Bor_uarch.Pipeline.create prog in
-      match Bor_exec.Sampled.run_on ?rank_bands ?ci_target ?domains ~plan t with
+      match
+        Result.bind
+          (Bor_uarch.Sampling_plan.with_selection ?rank_bands ?ci_target plan)
+          (fun plan -> Bor_exec.Sampled.run_on ?domains ~plan t)
+      with
       | Error e -> Alcotest.fail e
       | Ok st ->
         ( st,
@@ -632,21 +636,18 @@ let test_ci_target_zero_is_byte_identical () =
 
 let test_ci_target_non_finite_rejected () =
   (* [nan] slips past a plain [< 0.] test and [infinity] renders as
-     target_milli=0; both must be refused before any window runs, at
-     the one check the CLI, serve and the differential runner reach. *)
-  let prog = Lazy.force stop_prog in
+     target_milli=0; both must be refused before any window runs, by
+     the plan constructor the CLI, serve and the differential runner
+     all build their plans through — no plan, so no run, can carry
+     them. *)
   let plan = plan_exn "50:100:1500:11" in
   List.iter
     (fun (what, ci_target) ->
-      let t = Bor_uarch.Pipeline.create prog in
-      match Bor_exec.Sampled.run_on ~ci_target ~plan t with
+      match Bor_uarch.Sampling_plan.with_selection ~ci_target plan with
       | Ok _ -> Alcotest.failf "ci_target %s accepted" what
       | Error e ->
         check Alcotest.string (what ^ " error")
-          "CI target must be a finite number >= 0 (--ci-target)" e;
-        check Alcotest.int (what ^ ": nothing simulated") 0
-          (Bor_sim.Machine.stats (Bor_uarch.Pipeline.oracle t))
-            .Bor_sim.Machine.instructions)
+          "CI target must be a finite number >= 0 (--ci-target)" e)
     [ ("nan", Float.nan); ("infinity", Float.infinity) ]
 
 let test_ranked_stopping_domain_invariant () =
@@ -683,6 +684,133 @@ let test_ranked_stopping_domain_invariant () =
         check Alcotest.int (what ^ ": one selection per ranked set")
           (counter "sampling.rank.sets") (counter "sampling.rank.selected"))
     [ (1, 2.); (3, 2.); (3, 0.) ]
+
+(* ----------------------------------------------------- plan decoder *)
+
+module Sp = Bor_uarch.Sampling_plan
+
+(* Mutated W:D:P[:SEED] strings: a plan-shaped string, then up to
+   three bit flips, truncations, or field swaps to huge, negative or
+   oddly spelled numbers. *)
+let gen_plan_string =
+  let open QCheck.Gen in
+  let odd_field =
+    oneofl
+      [
+        string_of_int max_int; string_of_int min_int; "-1"; "0"; "-0"; "+7";
+        "0x1f"; "1_000"; "99999999999999999999"; ""; " 5"; "nan";
+      ]
+  in
+  let mutate s =
+    if s = "" then return s
+    else
+      let n = String.length s in
+      frequency
+        [
+          ( 3,
+            map2
+              (fun i bit ->
+                String.mapi
+                  (fun j c ->
+                    if j = i mod n then Char.chr (Char.code c lxor (1 lsl bit))
+                    else c)
+                  s)
+              nat (int_bound 7) );
+          (2, map (fun k -> String.sub s 0 (k mod (n + 1))) nat);
+          ( 3,
+            map2
+              (fun i f ->
+                let fields = String.split_on_char ':' s in
+                let i = i mod List.length fields in
+                String.concat ":"
+                  (List.mapi (fun j x -> if j = i then f else x) fields))
+              nat odd_field );
+        ]
+  in
+  let* warmup = int_bound 1000 in
+  let* window = int_bound 1000 in
+  let* period = int_bound 5000 in
+  let* seed = opt (int_bound 100) in
+  let base =
+    String.concat ":"
+      (List.map string_of_int
+         ([ warmup; window; period ] @ Option.to_list seed))
+  in
+  let* rounds = int_bound 3 in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go rounds base
+
+let gen_rank_bands =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_range (-3) 70);
+        (1, oneofl [ 0; 1; 64; 65; 1_000_000; max_int; min_int ]);
+      ])
+
+let gen_ci_target =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map (fun k -> float_of_int k /. 1e6) (int_range (-1000) 10_000_000)
+        );
+        ( 1,
+          oneofl
+            [
+              Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.; -5.;
+              2.0000001; 1e-7; 1. /. 3.; 1e300; Float.max_float;
+            ] );
+      ])
+
+(* Decode the lines [Sp.key_lines] renders back into a plan. *)
+let plan_of_key_lines = function
+  | plan_line :: knobs ->
+    let value prefix line =
+      let n = String.length prefix in
+      if String.length line > n && String.sub line 0 n = prefix then
+        Some (String.sub line n (String.length line - n))
+      else None
+    in
+    let knob prefix parse =
+      List.find_map (fun l -> Option.map parse (value prefix l)) knobs
+    in
+    Result.bind
+      (Sp.of_string (Option.value ~default:"" (value "plan=" plan_line)))
+      (Sp.with_selection
+         ?rank_bands:(knob "rank_bands=" int_of_string)
+         ?ci_target:(knob "ci_target=" float_of_string))
+  | [] -> Error "no key lines"
+
+(* The plan decoder and constructor never raise; every accepted spec
+   keeps the schedule invariants and round-trips through
+   [to_string]/[of_string] and through its key lines; and every
+   out-of-range knob comes back as [Error]. *)
+let prop_plan_decoder =
+  QCheck.Test.make ~name:"plan decoder and constructor" ~count:2000
+    (QCheck.make
+       ~print:(fun (s, k, t) -> Printf.sprintf "%S K=%d target=%h" s k t)
+       QCheck.Gen.(triple gen_plan_string gen_rank_bands gen_ci_target))
+    (fun (s, rank_bands, ci_target) ->
+      let in_range =
+        rank_bands >= 1 && rank_bands <= Sp.max_rank_bands
+        && Float.is_finite ci_target && ci_target >= 0.
+        && float_of_string (Printf.sprintf "%.6f" ci_target) = ci_target
+      in
+      match Sp.of_string s with
+      | Error _ -> true
+      | Ok p -> (
+        p.Sp.rank_bands = 1 && p.Sp.ci_target = 0.
+        (* the schedule invariants hold without overflow *)
+        && p.Sp.warmup >= 0 && p.Sp.window >= 1
+        && Sp.slack p >= 0 && Sp.slack p <= p.Sp.period
+        && Sp.of_string (Sp.to_string p) = Ok p
+        &&
+        match Sp.with_selection ~rank_bands ~ci_target p with
+        | Error _ -> not in_range
+        | Ok q ->
+          in_range && Sp.to_string q = Sp.to_string p
+          && plan_of_key_lines (Sp.key_lines (Some q)) = Ok q))
 
 let () =
   Alcotest.run "bor_sampling"
@@ -779,4 +907,5 @@ let () =
           Alcotest.test_case "ranked stopping is domain-invariant" `Slow
             test_ranked_stopping_domain_invariant;
         ] );
+      ("plan", [ qtest prop_plan_decoder ]);
     ]

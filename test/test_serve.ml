@@ -38,6 +38,11 @@ let plan_exn s =
   | Ok p -> p
   | Error e -> Alcotest.fail e
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let tmp_counter = ref 0
 
 let fresh_path prefix =
@@ -202,11 +207,6 @@ let test_job_ci_target_all_paths_identical () =
     <> Bor_store.Key.hex (Job.key (Job.make ~plan ~backend:"sampled" prog)))
 
 let test_job_rejects_unknown_backend () =
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   match Job.run (Job.make ~backend:"warp-drive" (Lazy.force alu_prog)) with
   | Error e -> check Alcotest.bool "names the backend" true (contains e "warp-drive")
   | Ok _ -> Alcotest.fail "unknown backend accepted"
@@ -420,28 +420,27 @@ let test_scheduler_recomputes_failures () =
   Scheduler.shutdown sched
 
 (* A ci_target that six decimals cannot hold would alias another
-   target's key, so submission refuses it before anything is queued,
-   and the client will not frame it. *)
+   target's key, so no job can carry it — the plan's constructor
+   refuses it before anything reaches the scheduler. The client frames
+   it exactly, so the server refuses it too, rather than reading a
+   rounded neighbour. *)
 let test_scheduler_rejects_inexact_ci_target () =
   let sched = Scheduler.create ~domains:1 () in
   let prog = Lazy.force alu_prog in
-  let job =
-    Job.make ~plan:(plan_exn "200:100:2000:3") ~ci_target:2.0000001
-      ~backend:"sampled" prog
-  in
-  check Alcotest.bool "submit refused" true
-    (match Scheduler.submit sched job with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  check Alcotest.int "nothing submitted" 0
-    (List.assoc "submitted" (Scheduler.stats sched));
-  check Alcotest.bool "client refuses to round it" true
+  check Alcotest.bool "job refused" true
     (match
-       Client.submit_request ~plan:"200:100:2000:3" ~ci_target:2.0000001
+       Job.make ~plan:(plan_exn "200:100:2000:3") ~ci_target:2.0000001
          ~backend:"sampled" prog
      with
     | _ -> false
     | exception Invalid_argument _ -> true);
+  check Alcotest.int "nothing submitted" 0
+    (List.assoc "submitted" (Scheduler.stats sched));
+  check Alcotest.bool "the client's framing is refused, not rounded" true
+    (Result.is_error
+       (Server.parse_spec
+          (Client.submit_request ~plan:"200:100:2000:3" ~ci_target:2.0000001
+             ~backend:"sampled" prog)));
   Scheduler.shutdown sched
 
 (* The serve.* registry counters and [Scheduler.stats] are two views of
@@ -553,45 +552,94 @@ let test_server_end_to_end () =
     check Alcotest.bool "unknown op refused" true
       (List.assoc_opt "ok" fields = Some (Json.Bool false))
   | Ok _ | Error _ -> Alcotest.fail "unknown op should get a structured error");
-  (* "ci_target":"nan" parses (the field is a decimal string), but the
-     job must fail rather than run every window under a target that
-     renders as 0 and mints its own cache key. *)
-  let nan_job =
-    Client.submit_request ~plan:"200:100:2000:3" ~ci_target:Float.nan
-      ~backend:"sampled" prog
-  in
-  check Alcotest.bool "request carries \"nan\"" true
-    (Json.member "ci_target" nan_job = Some (Json.String "nan"));
-  let r =
-    request (Client.result_request ~wait:true (str "key" (request nan_job)))
-  in
-  check Alcotest.string "nan ci_target job fails"
-    "job failed: CI target must be a finite number >= 0 (--ci-target)"
-    (str "error" r);
-  (* A hand-written request with a target six decimals cannot hold is
-     a structured refusal from the key, not a job under an aliased
-     key. *)
-  (match
-     request
-       (Json.Obj
-          [
-            ("op", Json.String "submit");
-            ( "program",
-              Json.String (Wire.to_hex (Bor_isa.Objfile.save prog)) );
-            ("backend", Json.String "sampled");
-            ("plan", Json.String "200:100:2000:3");
-            ("ci_target", Json.String "2.0000001");
-          ])
-   with
-  | Json.Obj fields ->
-    check Alcotest.bool "inexact ci_target refused" true
-      (List.assoc_opt "ok" fields = Some (Json.Bool false))
-  | _ -> Alcotest.fail "inexact ci_target should get a structured error");
+  (* Hand-written requests with a target that is not a finite number,
+     or that six decimals cannot hold, are structured refusals at
+     submit — never a queued job under a key of its own. *)
+  let submitted = List.assoc "submitted" (Scheduler.stats sched) in
+  List.iter
+    (fun (target, error) ->
+      check Alcotest.string
+        (Printf.sprintf "ci_target %S refused at submit" target)
+        error
+        (str "error"
+           (request
+              (Json.Obj
+                 [
+                   ("op", Json.String "submit");
+                   ( "program",
+                     Json.String (Wire.to_hex (Bor_isa.Objfile.save prog)) );
+                   ("backend", Json.String "sampled");
+                   ("plan", Json.String "200:100:2000:3");
+                   ("ci_target", Json.String target);
+                 ]))))
+    [
+      ("nan", "submit: CI target must be a finite number >= 0 (--ci-target)");
+      ( "2.0000001",
+        "submit: CI target 2.0000001 is not exact at 6 decimals (--ci-target)"
+      );
+    ];
+  check Alcotest.int "nothing queued" submitted
+    (List.assoc "submitted" (Scheduler.stats sched));
   ignore (request Client.shutdown_request);
   (match Domain.join server with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   check Alcotest.bool "socket file removed" false (Sys.file_exists socket)
+
+(* A present submit field of the wrong type, or out of range, is
+   refused at decode time with an error naming the field — never
+   silently defaulted into some other job's key, and never queued to
+   fail at run time. *)
+let test_server_refuses_malformed_fields () =
+  let prog =
+    Json.String (Wire.to_hex (Bor_isa.Objfile.save (Lazy.force alu_prog)))
+  in
+  let submit fields =
+    Server.parse_spec
+      (Json.Obj (("op", Json.String "submit") :: ("program", prog) :: fields))
+  in
+  let sampled fields =
+    submit
+      (("backend", Json.String "sampled")
+      :: ("plan", Json.String "200:100:2000:3")
+      :: fields)
+  in
+  let refused what names = function
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+      if not (contains e names) then
+        Alcotest.failf "%s: error %S does not name %S" what e names
+  in
+  refused "string rank_bands" "rank_bands"
+    (sampled [ ("rank_bands", Json.String "4") ]);
+  refused "integer backend" "backend" (submit [ ("backend", Json.Int 3) ]);
+  refused "integer plan" "plan"
+    (submit [ ("backend", Json.String "sampled"); ("plan", Json.Int 5) ]);
+  refused "boolean ci_target" "ci_target"
+    (sampled [ ("ci_target", Json.Bool true) ]);
+  refused "nan ci_target" "CI target"
+    (sampled [ ("ci_target", Json.String "nan") ]);
+  refused "negative ci_target" "CI target"
+    (sampled [ ("ci_target", Json.String "-5") ]);
+  refused "zero rank_bands" "rank bands"
+    (sampled [ ("rank_bands", Json.Int 0) ]);
+  refused "rank_bands past the bound" "rank bands"
+    (sampled [ ("rank_bands", Json.Int 1_000_000) ]);
+  refused "rank_bands without a plan" "plan"
+    (submit [ ("rank_bands", Json.Int 4) ]);
+  (* In range, every form is accepted, and the knobs land in the plan
+     the job is keyed by. *)
+  match
+    sampled [ ("rank_bands", Json.Int 64); ("ci_target", Json.Int 2) ]
+  with
+  | Error e -> Alcotest.fail e
+  | Ok spec ->
+    check Alcotest.string "keyed like the library-built job"
+      (Bor_store.Key.hex
+         (Job.key
+            (Job.make ~plan:(plan_exn "200:100:2000:3") ~rank_bands:64
+               ~ci_target:2. ~backend:"sampled" (Lazy.force alu_prog))))
+      (Bor_store.Key.hex (Job.key spec))
 
 (* A balanced but 10 000-deep JSON frame is malformed traffic: it costs
    only its own connection (counted in serve.conns.protocol_errors),
@@ -781,6 +829,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
+          Alcotest.test_case "refuses malformed submit fields" `Quick
+            test_server_refuses_malformed_fields;
           Alcotest.test_case "drops a deep frame" `Quick
             test_server_drops_deep_frame;
           Alcotest.test_case "concurrent clients" `Quick

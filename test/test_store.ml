@@ -23,9 +23,14 @@ let prog2 =
     (Bor_minic.Driver.compile_exn "int main() { return 8; }")
       .Bor_minic.Driver.program
 
-let key ?config ?plan ?rank_bands ?ci_target kind =
-  Key.make ~program:(Lazy.force prog) ?config ?plan ?rank_bands ?ci_target
-    ~kind ()
+let key ?config ?plan kind =
+  Key.make ~program:(Lazy.force prog) ?config ?plan ~kind ()
+
+(* [plan] with its ranked-set / stopping knobs replaced. *)
+let with_knobs ?rank_bands ?ci_target plan =
+  match Bor_uarch.Sampling_plan.with_selection ?rank_bands ?ci_target plan with
+  | Ok p -> p
+  | Error e -> Alcotest.fail e
 
 let tmp_counter = ref 0
 
@@ -80,21 +85,26 @@ let test_key_covers_every_component () =
        (key ~config:{ Bor_uarch.Config.default with ghist_bits = 4 } "detailed"));
   different "program"
     (Key.hex (Key.make ~program:(Lazy.force prog2) ~kind:"detailed" ()));
-  (* The ranked-set / CI-stopping knobs change the measured result, so
-     they must change the address — but their default values must leave
-     every pre-existing key untouched (no preimage line at all, so old
-     cache entries stay valid). *)
-  different "rank bands" (Key.hex (key ~rank_bands:4 "detailed"));
-  different "ci target" (Key.hex (key ~ci_target:2. "detailed"));
-  check Alcotest.string "default rank bands is the unextended preimage" base
-    (Key.hex (key ~rank_bands:1 "detailed"));
-  check Alcotest.string "default ci target is the unextended preimage" base
-    (Key.hex (key ~ci_target:0. "detailed"));
-  if
-    String.equal
-      (Key.hex (key ~rank_bands:4 "detailed"))
-      (Key.hex (key ~ci_target:2. "detailed"))
-  then Alcotest.fail "rank bands and ci target alias each other"
+  (* The plan's ranked-set / CI-stopping knobs change the measured
+     result, so they must change the address — but their default values
+     must leave every pre-existing key untouched (no preimage line at
+     all, so old cache entries stay valid). *)
+  let sampled = Key.hex (key ~plan "sampled") in
+  let knobs ?rank_bands ?ci_target () =
+    Key.hex (key ~plan:(with_knobs ?rank_bands ?ci_target plan) "sampled")
+  in
+  let different name hex =
+    if String.equal sampled hex then
+      Alcotest.fail (name ^ ": key did not change")
+  in
+  different "rank bands" (knobs ~rank_bands:4 ());
+  different "ci target" (knobs ~ci_target:2. ());
+  check Alcotest.string "default rank bands is the unextended preimage"
+    sampled (knobs ~rank_bands:1 ());
+  check Alcotest.string "default ci target is the unextended preimage"
+    sampled (knobs ~ci_target:0. ());
+  if String.equal (knobs ~rank_bands:4 ()) (knobs ~ci_target:2. ()) then
+    Alcotest.fail "rank bands and ci target alias each other"
 
 let test_key_preimage_and_bad_kind () =
   let k = key "detailed" in
@@ -109,15 +119,20 @@ let test_key_preimage_and_bad_kind () =
     (match key "a\nb" with _ -> false | exception Invalid_argument _ -> true)
 
 (* [ci_target] enters the preimage as [%.6f]: a target that rendering
-   cannot hold exactly is refused instead of sharing a neighbour's key
-   (2.0000001 vs 2.0000004) or posing as the default (1e-7 renders as
-   0.000000). Targets that six decimals hold keep their keys. *)
+   cannot hold exactly is refused — by the plan's constructor, so no
+   key can carry it — instead of sharing a neighbour's key (2.0000001
+   vs 2.0000004) or posing as the default (1e-7 renders as 0.000000).
+   Targets that six decimals hold keep their keys. *)
 let test_key_rejects_inexact_ci_target () =
-  let rejected ci_target =
-    match key ~ci_target "sampled" with
-    | _ -> false
-    | exception Invalid_argument _ -> true
+  let plan =
+    match Bor_uarch.Sampling_plan.of_string "200:100:2000" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
   in
+  let rejected ci_target =
+    Result.is_error (Bor_uarch.Sampling_plan.with_selection ~ci_target plan)
+  in
+  let key ~ci_target kind = key ~plan:(with_knobs ~ci_target plan) kind in
   List.iter
     (fun pct ->
       check Alcotest.bool (Printf.sprintf "%g rejected" pct) true
@@ -186,7 +201,7 @@ let test_frozen_key_hexes () =
     (Key.hex (key "detailed"));
   check Alcotest.string "bor-key-v1 sampled, ranked"
     "e7b828c30b686d6d6a2fc0d8e614179d8203161d033d8bc54001ce146a6642a9"
-    (Key.hex (key ~plan ~rank_bands:4 "sampled"));
+    (Key.hex (key ~plan:(with_knobs ~rank_bands:4 plan) "sampled"));
   check Alcotest.string "bor-shard-v1 boundary 0"
     "8dfad85b3f5a44ea48cff69722da2a4e24c1a48fa63c8d0013a25d6665102742"
     (Key.hex

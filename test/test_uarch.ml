@@ -1020,6 +1020,8 @@ let test_plan_edge_cases () =
   rejected_with "10:10:19" "period";
   rejected_with "10:10:0" "period";
   rejected_with "10:10:-100" "period";
+  (* warmup + window would overflow past the period check *)
+  rejected_with (Printf.sprintf "%d:1:5" max_int) "period";
   rejected_with "10:10:100:-1" "seed";
   rejected_with "a:b:c" "integers";
   rejected_with "1:2" "WARMUP:WINDOW:PERIOD";
@@ -1031,6 +1033,39 @@ let test_plan_edge_cases () =
      and the minimal 0:1:1 plan. *)
   check Alcotest.int "tight period accepted" 0 (Sp.slack (plan_exn "10:10:20"));
   check Alcotest.string "minimal plan" "0:1:1" (Sp.to_string (plan_exn "0:1:1"))
+
+(* The selection knobs ride in the plan and pass the same validator.
+   K is bounded: the ranked-set selector buffers K captured
+   checkpoints before it picks one, so an unbounded K from the wire
+   would be an unbounded heap. The schedule string stays K- and
+   target-free; only the key lines name them. *)
+let test_plan_selection_knobs () =
+  let p = plan_exn "200:100:2000:3" in
+  check Alcotest.int "parsed plans are fixed-period" 1 p.Sp.rank_bands;
+  check (Alcotest.float 0.) "parsed plans never stop" 0. p.Sp.ci_target;
+  let knobs ?rank_bands ?ci_target () =
+    Sp.with_selection ?rank_bands ?ci_target p
+  in
+  List.iter
+    (fun k ->
+      check Alcotest.bool (Printf.sprintf "K=%d refused" k) true
+        (Result.is_error (knobs ~rank_bands:k ())))
+    [ 0; -1; Sp.max_rank_bands + 1; 1_000_000 ];
+  check Alcotest.int "the bound is the --domains ceiling" 64 Sp.max_rank_bands;
+  match knobs ~rank_bands:Sp.max_rank_bands ~ci_target:2.5 () with
+  | Error e -> Alcotest.fail e
+  | Ok q ->
+    check Alcotest.string "schedule only" "200:100:2000:3" (Sp.to_string q);
+    check Alcotest.(list string) "key lines"
+      [ "plan=200:100:2000:3"; "rank_bands=64"; "ci_target=2.500000" ]
+      (Sp.key_lines (Some q));
+    check Alcotest.(list string) "default knobs add no key line"
+      [ "plan=200:100:2000:3" ] (Sp.key_lines (Some p));
+    check Alcotest.(list string) "no plan" [ "plan=-" ] (Sp.key_lines None);
+    check Alcotest.bool "-0 folds into the default" true
+      (match knobs ~ci_target:(-0.) () with
+      | Ok z -> z = p && 1. /. z.Sp.ci_target > 0.
+      | Error _ -> false)
 
 let test_plan_phase_stream () =
   (* Seeded streams are deterministic, bounded by the slack, and two
@@ -1734,6 +1769,7 @@ let () =
             test_plan_rejects_malformed;
           Alcotest.test_case "edge cases and error clarity" `Quick
             test_plan_edge_cases;
+          Alcotest.test_case "selection knobs" `Quick test_plan_selection_knobs;
           Alcotest.test_case "phase stream" `Quick test_plan_phase_stream;
           Alcotest.test_case "estimate hand vectors" `Quick
             test_plan_estimate_hand_vectors;
