@@ -125,12 +125,13 @@ let sample_usage v e =
     v e;
   exit 2
 
+let refuse e = prerr_endline ("bor: " ^ e); exit 2
+
 (* Every numeric flag value parses through these two: a malformed or
    out-of-range one prints the flag, the value and what was expected,
    and exits 2 — never an uncaught [Failure]. *)
 let bad_flag flag v expected =
-  Printf.eprintf "bor: %s %s: expected %s\n" flag v expected;
-  exit 2
+  refuse (Printf.sprintf "%s %s: expected %s" flag v expected)
 
 let int_flag ?(min = min_int) flag v =
   match int_of_string_opt v with
@@ -165,7 +166,6 @@ let sampling_plan flags =
   let knob f parse = Option.map (parse f) (List.assoc_opt f flags) in
   let rank_bands = knob "--rank-bands" int_flag
   and ci_target = knob "--ci-target" float_flag in
-  let refuse e = prerr_endline ("bor: " ^ e); exit 2 in
   match List.assoc_opt "--sample" flags with
   | None when rank_bands <> None || ci_target <> None ->
     refuse "--rank-bands/--ci-target require --sample W:D:P[:SEED]"
@@ -683,6 +683,35 @@ let json_str_field name j =
   | Some (Bor_telemetry.Json.String s) -> Some s
   | _ -> None
 
+(* FILE, --backend and the sampling flags, shared by submit and digest;
+   [extra] takes the command's own flags. The kind is decoded here,
+   once: a refusal exits 2 before anything is keyed or a socket is
+   opened. Returns the job, built (FILE assembled) on demand. *)
+let job_flags ~extra rest =
+  let file = ref None and backend = ref "detailed" and sampling = ref [] in
+  let rec parse = function
+    | [] -> ()
+    | "--backend" :: v :: r ->
+      backend := v;
+      parse r
+    | f :: r when String.length f > 0 && f.[0] <> '-' ->
+      file := Some f;
+      parse r
+    | args -> (
+      let flag =
+        match extra args with None -> sampling_flag sampling args | r -> r
+      in
+      match flag with Some r -> parse r | None -> usage ())
+  in
+  parse rest;
+  let plan = sampling_plan !sampling in
+  match Bor_exec.Backend.Kind.of_name !backend plan with
+  | Error e -> refuse e
+  | Ok _ ->
+    fun () ->
+      let file = match !file with Some f -> f | None -> usage () in
+      Bor_serve.Job.make ?plan ~backend:!backend (assemble file)
+
 (* bor submit: payload on stdout (byte-comparable), bookkeeping on
    stderr — the CI smoke diffs the former and greps the latter. *)
 let run_submit rest =
@@ -694,39 +723,25 @@ let run_submit rest =
       fmt
   in
   let socket = ref None
-  and file = ref None
-  and backend = ref "detailed"
-  and sampling = ref []
   and wait = ref false
   and stats_only = ref false
   and shutdown = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--socket" :: v :: r ->
-      socket := Some v;
-      parse r
-    | "--backend" :: v :: r ->
-      backend := v;
-      parse r
-    | "--wait" :: r ->
-      wait := true;
-      parse r
-    | "--stats" :: r ->
-      stats_only := true;
-      parse r
-    | "--shutdown" :: r ->
-      shutdown := true;
-      parse r
-    | f :: r when String.length f > 0 && f.[0] <> '-' ->
-      file := Some f;
-      parse r
-    | args -> (
-      match sampling_flag sampling args with
-      | Some r -> parse r
-      | None -> usage ())
+  let job =
+    job_flags rest ~extra:(function
+      | "--socket" :: v :: r ->
+        socket := Some v;
+        Some r
+      | "--wait" :: r ->
+        wait := true;
+        Some r
+      | "--stats" :: r ->
+        stats_only := true;
+        Some r
+      | "--shutdown" :: r ->
+        shutdown := true;
+        Some r
+      | _ -> None)
   in
-  parse rest;
-  let plan = sampling_plan !sampling in
   let socket = match !socket with Some s -> s | None -> usage () in
   let request req =
     match Bor_serve.Client.request ~socket req with
@@ -750,16 +765,15 @@ let run_submit rest =
     | None -> fail "malformed stats response"
   end
   else begin
-    let file = match !file with Some f -> f | None -> usage () in
-    let prog = assemble file in
-    let knob f = Option.map f plan in
+    let spec = job () in
+    let knob f = Option.map f spec.Bor_serve.Job.sp_plan in
     let resp =
       request
         (Bor_serve.Client.submit_request
            ?plan:(knob Bor_uarch.Sampling_plan.to_string)
            ?rank_bands:(knob (fun p -> p.Bor_uarch.Sampling_plan.rank_bands))
            ?ci_target:(knob (fun p -> p.Bor_uarch.Sampling_plan.ci_target))
-           ~backend:!backend prog)
+           ~backend:spec.sp_backend spec.sp_program)
     in
     let key =
       match json_str_field "key" resp with
@@ -781,33 +795,18 @@ let run_submit rest =
   end
 
 (* bor digest: predict/debug the cache key of a submission without a
-   server. --explain shows the canonical preimage field by field. *)
+   server, keyed by the same function serve keys it with. --explain
+   shows the canonical preimage field by field. *)
 let run_digest rest =
-  let file = ref None
-  and backend = ref "detailed"
-  and sampling = ref []
-  and explain = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--backend" :: v :: r ->
-      backend := v;
-      parse r
-    | "--explain" :: r ->
-      explain := true;
-      parse r
-    | f :: r when String.length f > 0 && f.[0] <> '-' ->
-      file := Some f;
-      parse r
-    | args -> (
-      match sampling_flag sampling args with
-      | Some r -> parse r
-      | None -> usage ())
+  let explain = ref false in
+  let job =
+    job_flags rest ~extra:(function
+      | "--explain" :: r ->
+        explain := true;
+        Some r
+      | _ -> None)
   in
-  parse rest;
-  let plan = sampling_plan !sampling in
-  let file = match !file with Some f -> f | None -> usage () in
-  let prog = assemble file in
-  let key = Bor_store.Key.make ~program:prog ?plan ~kind:!backend () in
+  let key = Bor_serve.Job.key (job ()) in
   print_endline (Bor_store.Key.hex key);
   if !explain then prerr_string (Bor_store.Key.preimage key)
 

@@ -14,11 +14,7 @@ type t = {
 }
 
 let functional ?brr_mode ?max_steps prog =
-  let m =
-    match brr_mode with
-    | Some b -> Machine.create ~brr_mode:b prog
-    | None -> Machine.create prog
-  in
+  let m = Machine.create ?brr_mode prog in
   {
     machine = (fun () -> m);
     pipeline = None;
@@ -33,10 +29,12 @@ let functional ?brr_mode ?max_steps prog =
 let pipeline_backed p run =
   { machine = (fun () -> Pipeline.oracle p); pipeline = Some p; run }
 
-let detailed ?config ?reuse ?max_cycles prog =
-  let p = Pipeline.create ?config ?reuse prog in
+let detailed_on ?max_cycles p =
   pipeline_backed p (fun () ->
       Result.map (fun s -> Detailed s) (Pipeline.run ?max_cycles p))
+
+let detailed ?config ?reuse ?max_cycles prog =
+  detailed_on ?max_cycles (Pipeline.create ?config ?reuse prog)
 
 let warming ?config ?reuse ?max_steps prog =
   let p = Pipeline.create ?config ?reuse prog in
@@ -59,33 +57,41 @@ let pooled make f =
 
 let resume ?config ?max_cycles ck prog =
   let p = Pipeline.create ?config prog in
-  match Checkpoint.restore ck ~program_digest:(Checkpoint.program_digest prog) p with
-  | Error e -> Error e
-  | Ok () ->
-    Ok
-      (pipeline_backed p (fun () ->
-           Result.map (fun s -> Detailed s) (Pipeline.run ?max_cycles p)))
+  Checkpoint.restore ck ~program_digest:(Checkpoint.program_digest prog) p
+  |> Result.map (fun () -> detailed_on ?max_cycles p)
 
-let names = [ "functional"; "detailed"; "warming"; "sampled" ]
+module Kind = struct
+  type t =
+    | Functional | Detailed | Warming | Sampled of Bor_uarch.Sampling_plan.t
 
-let of_name ?config ?plan ?runner name prog =
-  let only_sampled arg =
-    Error
-      (Printf.sprintf "backend %S does not take ?%s (only \"sampled\" does)"
-         name arg)
-  in
-  match (name, plan, runner) with
-  | "sampled", Some plan, _ -> Ok (sampled ?config ~plan ?runner prog)
-  | "sampled", None, _ -> Error "backend \"sampled\" needs a sampling ?plan"
-  | _, _, Some _ -> only_sampled "runner"
-  | _, Some _, _ -> only_sampled "plan"
-  | "functional", _, _ -> Ok (functional prog)
-  | "detailed", _, _ -> Ok (detailed ?config prog)
-  | "warming", _, _ -> Ok (warming ?config prog)
-  | _ ->
-    Error
-      (Printf.sprintf "unknown backend %S (expected %s)" name
-         (String.concat "|" names))
+  let name = function
+    | Functional -> "functional"
+    | Detailed -> "detailed"
+    | Warming -> "warming"
+    | Sampled _ -> "sampled"
+
+  let of_name name plan =
+    match (name, plan) with
+    | "functional", None -> Ok Functional
+    | "detailed", None -> Ok Detailed
+    | "warming", None -> Ok Warming
+    | "sampled", Some p -> Ok (Sampled p)
+    | "sampled", None -> Error "backend \"sampled\" needs a sampling plan"
+    | ("functional" | "detailed" | "warming"), Some _ ->
+      Error (Printf.sprintf "backend %S takes no sampling plan" name)
+    | _ ->
+      Error
+        (Printf.sprintf
+           "unknown backend %S (expected functional|detailed|warming|sampled)"
+           name)
+end
+
+let create ?config ?runner kind prog =
+  match kind with
+  | Kind.Functional -> functional prog
+  | Kind.Detailed -> detailed ?config prog
+  | Kind.Warming -> warming ?config prog
+  | Kind.Sampled plan -> sampled ?config ~plan ?runner prog
 
 let run_cached ?store ~key ~render create =
   let compute () =

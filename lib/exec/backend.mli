@@ -85,23 +85,27 @@ val pooled : (Bor_uarch.Pipeline.t option -> t) -> (t -> 'a) -> 'a
     let the backend, or anything reading its machine or pipeline,
     escape. *)
 
-val names : string list
-(** The backend kinds {!of_name} accepts, in documentation order. *)
+(** A backend kind as it arrives as data ([bor submit], [bor digest],
+    the serve wire), decoded once. *)
+module Kind : sig
+  type t =
+    | Functional | Detailed | Warming | Sampled of Bor_uarch.Sampling_plan.t
 
-val of_name :
+  val of_name : string -> Bor_uarch.Sampling_plan.t option -> (t, string) result
+  (** The one decoder: [Error] for an unknown name, a plan on a kind
+      other than ["sampled"], or ["sampled"] without one. *)
+
+  val name : t -> string
+  (** The name {!of_name} decodes: the cache key's [kind] component. *)
+end
+
+val create :
   ?config:Bor_uarch.Config.t ->
-  ?plan:Bor_uarch.Sampling_plan.t ->
   ?runner:(Sampled.exec_ctx -> Sampled.runner) ->
-  string ->
+  Kind.t ->
   Bor_isa.Program.t ->
-  (t, string) result
-(** Construct a backend from its kind name — the dispatch used by the
-    serve scheduler and [bor submit], where the kind arrives as data
-    (and doubles as the cache key's [kind] component). [plan] and
-    [runner] only make sense for ["sampled"]; passing either to another
-    kind is an [Error] naming the first offending argument, rather
-    than a silently ignored — and therefore cache-aliasing — one.
-    ["sampled"] without a [plan] is an [Error] too. *)
+  t
+(** The kind's constructor above; only [Sampled] reads [runner]. *)
 
 val run_cached :
   ?store:Bor_store.Store.t ->

@@ -15,15 +15,15 @@ type spec = {
 
 let make ?(config = Bor_uarch.Config.default) ?plan ?rank_bands ?ci_target
     ~backend program =
+  let ok = function Ok v -> v | Error e -> invalid_arg ("Job.make: " ^ e) in
   let sp_plan =
     match (plan, rank_bands, ci_target) with
     | None, None, None -> None
     | None, _, _ -> invalid_arg "Job.make: rank_bands/ci_target need a ?plan"
-    | Some p, _, _ -> (
-      match Sampling_plan.with_selection ?rank_bands ?ci_target p with
-      | Ok p -> Some p
-      | Error e -> invalid_arg ("Job.make: " ^ e))
+    | Some p, _, _ ->
+      Some (ok (Sampling_plan.with_selection ?rank_bands ?ci_target p))
   in
+  ignore (ok (Backend.Kind.of_name backend sp_plan));
   { sp_program = program; sp_backend = backend; sp_config = config; sp_plan }
 
 let key spec =
@@ -157,8 +157,9 @@ let run ?store ?runner spec =
          ])
   in
   let create () =
-    Backend.of_name ~config:spec.sp_config ?plan:spec.sp_plan ?runner
-      spec.sp_backend spec.sp_program
+    Backend.Kind.of_name spec.sp_backend spec.sp_plan
+    |> Result.map (fun kind ->
+           Backend.create ~config:spec.sp_config ?runner kind spec.sp_program)
   in
   (* Telemetry on before [create]: instruments register at
      component-creation time. *)

@@ -7,9 +7,9 @@
     fixed-precision string (no float printing anywhere near a digest),
     and the run's telemetry snapshot plus its SHA-256. *)
 
-type spec = {
+type spec = private {
   sp_program : Bor_isa.Program.t;
-  sp_backend : string;  (** a {!Bor_exec.Backend.of_name} kind *)
+  sp_backend : string;  (** a {!Bor_exec.Backend.Kind.name} *)
   sp_config : Bor_uarch.Config.t;
   sp_plan : Bor_uarch.Sampling_plan.t option;
       (** the whole sampling spec, selection knobs included *)
@@ -23,10 +23,11 @@ val make :
   backend:string ->
   Bor_isa.Program.t ->
   spec
-(** [rank_bands]/[ci_target] replace the plan's knobs through
-    {!Bor_uarch.Sampling_plan.with_selection}.
-    @raise Invalid_argument if it refuses them, or they come without a
-    [plan]. *)
+(** The only constructor: [rank_bands]/[ci_target] replace the plan's
+    knobs through {!Bor_uarch.Sampling_plan.with_selection}, then
+    {!Bor_exec.Backend.Kind.of_name} decodes [backend] with the plan.
+    @raise Invalid_argument if either refuses, or the knobs come
+    without a [plan]. *)
 
 val key : spec -> Bor_store.Key.t
 (** The job's content address: program bytes + full canonical config +
@@ -45,6 +46,6 @@ val run :
     snapshot covers exactly this job, then cleared again and the
     enabled flag restored — safe to call on scheduler worker domains,
     whose registries are job-scoped by construction. [runner] (sampled
-    jobs only — see {!Bor_exec.Backend.of_name}) swaps inline window
+    jobs only — see {!Bor_exec.Backend.create}) swaps inline window
     execution for an external executor such as {!Wqueue}; the payload
     bytes are identical either way. *)

@@ -69,15 +69,6 @@ let serve_counters =
      fun t -> Wqueue.failed t.wq);
   |]
 
-(* A sampled job's windows go through the global queue instead of its
-   own domain fan-out; every other backend runs exactly as before.
-   [key] doubles as the queue's job id, so per-job in-flight gauges and
-   stop flags are addressable by the same hex the client polls. *)
-let runner_for t ~key spec =
-  if String.equal spec.Job.sp_backend "sampled" then
-    Some (Wqueue.runner t.wq ~job:key ~config:spec.Job.sp_config)
-  else None
-
 let rec worker_loop t =
   Mutex.lock t.mu;
   while
@@ -104,10 +95,14 @@ let rec worker_loop t =
         entry.e_state <- Running;
         Atomic.incr t.a_busy;
         Mutex.unlock t.mu;
-        let outcome =
-          Job.run ?store:t.s_store ?runner:(runner_for t ~key entry.e_spec)
-            entry.e_spec
-        in
+        (* A sampled job's windows go through the global queue instead
+           of its own domain fan-out; every other backend ignores the
+           runner. [key] doubles as the queue's job id, so per-job
+           in-flight gauges and stop flags are addressable by the same
+           hex the client polls. *)
+        let spec = entry.e_spec in
+        let runner = Wqueue.runner t.wq ~job:key ~config:spec.Job.sp_config in
+        let outcome = Job.run ?store:t.s_store ~runner spec in
         (match outcome with
         | Ok (_, `Cold) ->
             Atomic.incr t.a_completed;
@@ -219,10 +214,6 @@ let await t key =
       let outcome = wait () in
       Mutex.unlock t.mu;
       Some outcome
-
-let store t = t.s_store
-let domains t = t.s_domains
-let wqueue t = t.wq
 
 let stats t =
   Mutex.lock t.mu;

@@ -63,12 +63,6 @@ val job_state : t -> string -> state option
 val await : t -> string -> outcome option
 (** Block until the keyed job completes. [None] for an unknown key. *)
 
-val store : t -> Bor_store.Store.t option
-val domains : t -> int
-
-val wqueue : t -> Wqueue.t
-(** The global window queue the scheduler's workers feed from. *)
-
 val stats : t -> (string * int) list
 (** Deterministically ordered counter snapshot: submissions, completions,
     failures, cache hits/misses, dedup joins, instantaneous queue depth

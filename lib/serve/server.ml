@@ -53,19 +53,20 @@ let parse_spec req =
         | _ -> None)
       req
   in
-  let* plan =
-    match plan with
-    | None when rank_bands <> None || ci_target <> None ->
-        Error "submit: rank_bands/ci_target need a \"plan\""
-    | None -> Ok None
-    | Some s ->
-        Bor_uarch.Sampling_plan.(
-          Result.bind (of_string s) (with_selection ?rank_bands ?ci_target))
-        |> Result.map Option.some
-        |> Result.map_error (( ^ ) "submit: ")
-  in
   let backend = Option.value ~default:"detailed" backend in
-  Ok (Job.make ?plan ~backend program)
+  Result.map_error (( ^ ) "submit: ")
+  @@ let* plan =
+       match plan with
+       | None when rank_bands <> None || ci_target <> None ->
+           Error "rank_bands/ci_target need a \"plan\""
+       | None -> Ok None
+       | Some s ->
+           Bor_uarch.Sampling_plan.(
+             Result.bind (of_string s) (with_selection ?rank_bands ?ci_target))
+           |> Result.map Option.some
+     in
+     let* _ = Bor_exec.Backend.Kind.of_name backend plan in
+     Ok (Job.make ?plan ~backend program)
 
 let handle sched req =
   match str_field "op" req with

@@ -31,8 +31,9 @@
 
 val parse_spec : Bor_telemetry.Json.t -> (Job.spec, string) result
 (** Decode a [submit] request. A present field of the wrong type, or a
-    plan and knobs {!Bor_uarch.Sampling_plan.with_selection} refuses,
-    is an [Error] naming it, before any key is minted. *)
+    spec {!Bor_uarch.Sampling_plan.with_selection} or
+    {!Bor_exec.Backend.Kind.of_name} refuses, is an [Error] naming it,
+    before any key is minted. *)
 
 val run :
   socket:string ->

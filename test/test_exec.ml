@@ -645,27 +645,51 @@ let test_backend_reports () =
   | Ok _ -> Alcotest.fail "sampled: wrong report kind"
   | Error e -> Alcotest.fail e
 
-(* Each sampled-only argument handed to a non-sampled kind is an
-   [Error] naming that argument, and so is "sampled" without a plan.
-   The ranked-set and stopping knobs ride inside the plan. *)
-let test_of_name_rejects_sampled_only_args () =
-  let prog = Lazy.force alu_prog in
-  let rejects arg result =
-    match result with
-    | Ok _ -> Alcotest.failf "of_name accepted ?%s" arg
-    | Error e ->
-      check Alcotest.bool
-        (Printf.sprintf "error %S names %s" e arg)
-        true (contains e arg)
-  in
-  let of_name = Backend.of_name in
-  rejects "plan" (of_name ~plan:(plan_exn "20:30:120") "detailed" prog);
-  rejects "runner"
-    (of_name ~runner:(fun _ -> Alcotest.fail "runner built") "detailed" prog);
-  rejects "plan" (of_name "sampled" prog);
-  match of_name "detailed" prog with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e
+(* [Kind.of_name] over every name x {no plan, plan}: only "sampled"
+   takes a plan and it needs one, an unknown name is refused either
+   way, and each refusal names the backend. [Kind.name] gives back the
+   four names — the key's [kind] component and the payload's
+   [backend] field — and [create] builds the substrate each names. *)
+let test_kind_of_name_table () =
+  let plan = plan_exn "20:30:120" in
+  List.iter
+    (fun (name, plan, accepted) ->
+      let what =
+        Printf.sprintf "%s %s a plan" name
+          (if plan = None then "without" else "with")
+      in
+      match (Backend.Kind.of_name name plan, accepted) with
+      | Ok k, true ->
+        check Alcotest.string (what ^ ": name") name (Backend.Kind.name k);
+        check Alcotest.string (what ^ ": create builds it") name
+          (match (Backend.create k (Lazy.force alu_prog)).Backend.run () with
+          | Ok (Backend.Functional _) -> "functional"
+          | Ok (Backend.Detailed _) -> "detailed"
+          | Ok (Backend.Warmed _) -> "warming"
+          | Ok (Backend.Sampled _) -> "sampled"
+          | Error e -> e)
+      | Error e, false ->
+        check Alcotest.bool
+          (Printf.sprintf "%s: error %S names the backend" what e)
+          true (contains e name)
+      | Ok _, false -> Alcotest.failf "%s accepted" what
+      | Error e, true -> Alcotest.failf "%s refused: %s" what e)
+    [
+      ("functional", None, true);
+      ("functional", Some plan, false);
+      ("detailed", None, true);
+      ("detailed", Some plan, false);
+      ("warming", None, true);
+      ("warming", Some plan, false);
+      ("sampled", None, false);
+      ("sampled", Some plan, true);
+      ("warp", None, false);
+      ("warp", Some plan, false);
+    ];
+  match Backend.Kind.of_name "sampled" (Some plan) with
+  | Ok (Backend.Kind.Sampled p) ->
+    check Alcotest.bool "sampled carries its plan" true (p == plan)
+  | Ok _ | Error _ -> Alcotest.fail "sampled decoded to another kind"
 
 let () =
   Alcotest.run "bor_exec"
@@ -708,7 +732,7 @@ let () =
       ( "backend",
         [
           Alcotest.test_case "report kinds" `Quick test_backend_reports;
-          Alcotest.test_case "of_name rejects sampled-only args" `Quick
-            test_of_name_rejects_sampled_only_args;
+          Alcotest.test_case "Kind.of_name table" `Quick
+            test_kind_of_name_table;
         ] );
     ]

@@ -43,6 +43,19 @@ let contains hay needle =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* A run that genuinely faults: the detailed backend's oracle takes a
+   misaligned load, so the job fails at run time, not at submit. *)
+let fault_prog =
+  lazy
+    (Bor_isa.Asm.assemble_exn
+       "main:\n  lw a0, 2(gp)\n  halt\n  .data\n  .word 5\n")
+
+let check_faulted = function
+  | Some (Error e) ->
+    check Alcotest.bool "the run faulted" true (contains e "misaligned")
+  | Some (Ok _) -> Alcotest.fail "faulting run reported success"
+  | None -> Alcotest.fail "job vanished"
+
 let tmp_counter = ref 0
 
 let fresh_path prefix =
@@ -207,9 +220,10 @@ let test_job_ci_target_all_paths_identical () =
     <> Bor_store.Key.hex (Job.key (Job.make ~plan ~backend:"sampled" prog)))
 
 let test_job_rejects_unknown_backend () =
-  match Job.run (Job.make ~backend:"warp-drive" (Lazy.force alu_prog)) with
-  | Error e -> check Alcotest.bool "names the backend" true (contains e "warp-drive")
-  | Ok _ -> Alcotest.fail "unknown backend accepted"
+  match Job.make ~backend:"warp-drive" (Lazy.force alu_prog) with
+  | exception Invalid_argument e ->
+    check Alcotest.bool "names the backend" true (contains e "warp-drive")
+  | _ -> Alcotest.fail "unknown backend accepted"
 
 (* ------------------------------------------------------ window queue *)
 
@@ -381,12 +395,9 @@ let test_scheduler_paths_byte_identical () =
 let test_scheduler_reports_failures () =
   let sched = Scheduler.create ~domains:1 () in
   let key, _ =
-    Scheduler.submit sched (Job.make ~backend:"warp-drive" (Lazy.force alu_prog))
+    Scheduler.submit sched (Job.make ~backend:"detailed" (Lazy.force fault_prog))
   in
-  (match Scheduler.await sched key with
-  | Some (Error _) -> ()
-  | Some (Ok _) -> Alcotest.fail "bad backend reported success"
-  | None -> Alcotest.fail "job vanished");
+  check_faulted (Scheduler.await sched key);
   check Alcotest.int "failure counted" 1
     (List.assoc "failed" (Scheduler.stats sched));
   check Alcotest.bool "unknown key" true (Scheduler.await sched "beef" = None);
@@ -402,13 +413,10 @@ let test_scheduler_reports_failures () =
    memory hit. *)
 let test_scheduler_recomputes_failures () =
   let sched = Scheduler.create ~domains:1 () in
-  let job = Job.make ~backend:"warp-drive" (Lazy.force alu_prog) in
+  let job = Job.make ~backend:"detailed" (Lazy.force fault_prog) in
   let submit_and_fail () =
     let key, disposition = Scheduler.submit sched job in
-    (match Scheduler.await sched key with
-    | Some (Error _) -> ()
-    | Some (Ok _) -> Alcotest.fail "bad backend reported success"
-    | None -> Alcotest.fail "job vanished");
+    check_faulted (Scheduler.await sched key);
     disposition
   in
   check Alcotest.bool "first submit queued" true (submit_and_fail () = `Queued);
@@ -553,30 +561,43 @@ let test_server_end_to_end () =
       (List.assoc_opt "ok" fields = Some (Json.Bool false))
   | Ok _ | Error _ -> Alcotest.fail "unknown op should get a structured error");
   (* Hand-written requests with a target that is not a finite number,
-     or that six decimals cannot hold, are structured refusals at
+     or that six decimals cannot hold, or with a backend that does not
+     exist or does not take their plan, are structured refusals at
      submit — never a queued job under a key of its own. *)
   let submitted = List.assoc "submitted" (Scheduler.stats sched) in
+  let target t =
+    [
+      ("backend", Json.String "sampled");
+      ("plan", Json.String "200:100:2000:3");
+      ("ci_target", Json.String t);
+    ]
+  in
   List.iter
-    (fun (target, error) ->
+    (fun (fields, error) ->
       check Alcotest.string
-        (Printf.sprintf "ci_target %S refused at submit" target)
+        (Json.to_string (Json.Obj fields) ^ " refused at submit")
         error
         (str "error"
            (request
               (Json.Obj
-                 [
-                   ("op", Json.String "submit");
-                   ( "program",
-                     Json.String (Wire.to_hex (Bor_isa.Objfile.save prog)) );
-                   ("backend", Json.String "sampled");
-                   ("plan", Json.String "200:100:2000:3");
-                   ("ci_target", Json.String target);
-                 ]))))
+                 (("op", Json.String "submit")
+                 :: ( "program",
+                      Json.String (Wire.to_hex (Bor_isa.Objfile.save prog)) )
+                 :: fields)))))
     [
-      ("nan", "submit: CI target must be a finite number >= 0 (--ci-target)");
-      ( "2.0000001",
+      ( target "nan",
+        "submit: CI target must be a finite number >= 0 (--ci-target)" );
+      ( target "2.0000001",
         "submit: CI target 2.0000001 is not exact at 6 decimals (--ci-target)"
       );
+      ( [
+          ("backend", Json.String "detailed");
+          ("plan", Json.String "200:100:2000:3");
+        ],
+        "submit: backend \"detailed\" takes no sampling plan" );
+      ( [ ("backend", Json.String "warp") ],
+        "submit: unknown backend \"warp\" \
+         (expected functional|detailed|warming|sampled)" );
     ];
   check Alcotest.int "nothing queued" submitted
     (List.assoc "submitted" (Scheduler.stats sched));
@@ -627,6 +648,14 @@ let test_server_refuses_malformed_fields () =
     (sampled [ ("rank_bands", Json.Int 1_000_000) ]);
   refused "rank_bands without a plan" "plan"
     (submit [ ("rank_bands", Json.Int 4) ]);
+  refused "plan on a detailed backend" "\"detailed\""
+    (submit
+       [
+         ("backend", Json.String "detailed");
+         ("plan", Json.String "200:100:2000:3");
+       ]);
+  refused "unknown backend" "\"warp\""
+    (submit [ ("backend", Json.String "warp") ]);
   (* In range, every form is accepted, and the knobs land in the plan
      the job is keyed by. *)
   match
