@@ -47,12 +47,13 @@ let csv_dir = ref None
 let json_dir = ref None
 
 (* Per-domain experiment context. The --jobs pool runs experiments on
-   worker domains concurrently, so everything an experiment mutates
+   several domains concurrently, so everything an experiment mutates
    while it runs — the section/table capture for --json, the CSV
    truncate-once bookkeeping, and the printed text itself — lives in
-   domain-local storage. [out = None] (the sequential path, and the
-   @bench-check one) writes straight to stdout; a worker installs a
-   buffer and the parent replays it in canonical order. *)
+   domain-local storage. [out = None] (the sequential path) writes
+   straight to stdout; under --jobs every participant, the calling
+   domain included, installs a buffer and the caller replays the
+   buffers in canonical order. *)
 type ctx = {
   mutable out : Buffer.t option;
   mutable experiment : string;
@@ -1320,11 +1321,11 @@ let () =
     | _ -> ()
   in
   let read_file = Bor_isa.Toolchain.read_file in
-  (* --jobs: run experiments through the serve library's domain pool
-     (the ad-hoc worker loop this file used to carry is gone). A
-     worker buffers its experiment's output in its domain-local
+  (* --jobs: run experiments through Bor_exec.Pool, whose caller runs
+     experiments too and whose workers are reused across calls. A
+     participant buffers its experiment's output in its domain-local
      context; Pool.map lands each buffer in its submission-order slot,
-     so replaying after the join can never interleave worker output.
+     so replaying after the map can never interleave output.
      Caches are reset before every pooled experiment so each
      BENCH_<name>.json is identical to running that experiment alone —
      the guarantee the fork-based pool this replaced got from one
@@ -1336,9 +1337,8 @@ let () =
     let outputs =
       Bor_exec.Pool.map ~domains:n
         ~init:(fun () ->
-          (* Fresh domain, fresh domain-local telemetry registry:
-             mirror the enable flag before any simulator component
-             registers. *)
+          (* A pool helper starts with telemetry off: mirror the
+             enable flag before any simulator component registers. *)
           if telemetry_on then Telemetry.set_enabled true)
         (fun ((name, _) as job) ->
           let c = ctx () in

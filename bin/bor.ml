@@ -133,15 +133,24 @@ let refuse e = prerr_endline ("bor: " ^ e); exit 2
 let bad_flag flag v expected =
   refuse (Printf.sprintf "%s %s: expected %s" flag v expected)
 
-let int_flag ?(min = min_int) flag v =
+let int_flag ?(min = min_int) ?(max = max_int) flag v =
   match int_of_string_opt v with
-  | Some n when n >= min -> n
+  | Some n when n >= min && n <= max -> n
   | _ ->
     bad_flag flag v
-      (match min with
-      | 0 -> "a non-negative integer"
-      | 1 -> "a positive integer"
+      (match (min, max) with
+      | _, m when m < max_int -> Printf.sprintf "an integer from %d to %d" min m
+      | 0, _ -> "a non-negative integer"
+      | 1, _ -> "a positive integer"
       | _ -> "an integer")
+
+(* --domains for time/cctime, opt and serve: the calling domain plus
+   the pool's worker cap. The runtime itself stops at 128 domains with
+   an uncaught [Failure], so larger values are refused here, before
+   anything runs. *)
+let max_domains = Bor_exec.Pool.max_workers + 1
+
+let domains_flag v = int_flag ~min:1 ~max:max_domains "--domains" v
 
 let float_flag flag v =
   match float_of_string_opt v with
@@ -477,7 +486,7 @@ let run_opt rest =
       parse r
     | "--domains" :: v :: r ->
       p :=
-        { !p with Bor_opt.Search.p_domains = int_flag ~min:1 "--domains" v };
+        { !p with Bor_opt.Search.p_domains = domains_flag v };
       parse r
     | "--vectors" :: v :: r ->
       p :=
@@ -614,7 +623,8 @@ let run_opt rest =
 let run_serve rest =
   let socket = ref None
   and metrics_socket = ref None
-  and domains = ref (max 1 (Domain.recommended_domain_count () - 1))
+  and domains =
+    ref (max 1 (min max_domains (Domain.recommended_domain_count () - 1)))
   and store_dir = ref None
   and cache_max = ref None
   and stats = ref Stats_off in
@@ -627,7 +637,7 @@ let run_serve rest =
       metrics_socket := Some v;
       parse r
     | "--domains" :: v :: r ->
-      domains := int_flag ~min:1 "--domains" v;
+      domains := domains_flag v;
       parse r
     | "--store" :: v :: r ->
       store_dir := Some v;
@@ -857,7 +867,7 @@ let () =
         opts.stats <- Stats_json;
         parse r
       | "--domains" :: v :: r ->
-        opts.domains <- int_flag ~min:1 "--domains" v;
+        opts.domains <- domains_flag v;
         parse r
       | "--sanitize" :: r ->
         Bor_check.Check.set_enabled true;

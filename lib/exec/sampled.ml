@@ -83,11 +83,13 @@ let seq_runner ctx =
   }
 
 (* [domains > 1] without an external runner: a private window queue,
-   executed by [domains - 1] worker domains plus the sweep thread,
-   which help-executes whenever it reaches the in-flight cap and while
-   draining. Nothing is kept once delivered: a run's work units never
-   repeat. Windows take exactly a served job's path, so results and
-   telemetry match the inline runner's by construction. *)
+   executed by up to [domains - 1] {!Pool} helpers plus the sweep
+   thread, which help-executes whenever it reaches the in-flight cap
+   and while draining. Closing cancels the helpers no worker has
+   claimed and waits for the rest to leave the loop. Nothing is kept
+   once delivered: a run's work units never repeat. Windows take
+   exactly a served job's path, so results and telemetry match the
+   inline runner's by construction. *)
 let queue_runner ~domains ~config ctx =
   let mu = Mutex.create () and cond = Condition.create () in
   let wq =
@@ -107,14 +109,14 @@ let queue_runner ~domains ~config ctx =
       work ()
     | None -> Mutex.unlock mu
   in
-  let workers = List.init (domains - 1) (fun _ -> Domain.spawn work) in
+  let helpers = Pool.help (domains - 1) work in
   let r = Wqueue.runner wq ~job:"sampled" ~config ctx in
   let close () =
     Mutex.lock mu;
     closed := true;
     Condition.broadcast cond;
     Mutex.unlock mu;
-    List.iter Domain.join workers
+    Pool.join helpers
   in
   { r with r_drain = (fun () -> Fun.protect ~finally:close r.r_drain) }
 
@@ -129,7 +131,7 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1) ?runner t =
     let config = Pipeline.config t in
     let prog = Machine.program oracle in
     let digest = Checkpoint.program_digest prog in
-    let domains = max 1 (min domains 64) in
+    let domains = max 1 (min domains (Pool.max_workers + 1)) in
     let phase = Sampling_plan.phase_stream plan in
     let halted () = Machine.halted oracle in
     let results : (int, window_entry) Hashtbl.t = Hashtbl.create 64 in
@@ -342,7 +344,7 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1) ?runner t =
       (* Plan, then execute: the sweep pushes work units through the
          runner; [r_drain] blocks until every dispatched window has
          been delivered — also on the error path, so no work unit
-         (or private worker domain) outlives the run. *)
+         (or pool helper) outlives the run. *)
       let sweep_err =
         try
           sweep r.r_dispatch;

@@ -92,9 +92,9 @@ val run_on :
 (** Run the whole program under the sampling schedule [plan] on a
     freshly created pipeline. [domains] (default [1], capped at 64) is
     how many threads execute detailed windows: [1] runs them inline;
-    [N > 1] runs them on a private {!Wqueue} with [N - 1] worker
-    domains plus the sweep thread, which help-executes whenever it is
-    [max 4 (2 * N)] windows ahead and while draining.
+    [N > 1] runs them on a private {!Wqueue} with up to [N - 1]
+    {!Pool} helpers plus the sweep thread, which help-executes whenever
+    it is [max 4 (2 * N)] windows ahead and while draining.
     [max_cycles] (default 2e9) bounds each window individually.
 
     Registers the [sampling.*] telemetry counters — only in sampled

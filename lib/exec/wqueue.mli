@@ -5,8 +5,9 @@
     queue across every job on the server and its worker domains pull
     from it between jobs ([Bor_serve.Scheduler]). A standalone
     {!Sampled.run_on} at [domains > 1] creates a private queue and
-    spawns [domains - 1] worker domains for the run; the sweep thread
-    is the remaining executor. Either way the job's
+    offers [domains - 1] helpers to the process-wide {!Pool} for the
+    run; the sweep thread is the remaining executor, so the run
+    completes even if no pool worker is free to help. Either way the job's
     {!Window.runner} ({!val-runner}) pushes each window into the queue.
     A work unit is keyed by
 

@@ -33,7 +33,8 @@ val set_enabled : bool -> unit
     instruments that were created while enabled.
 
     The registry (and this flag) is {e domain-local}: a freshly spawned
-    domain starts disabled and empty, enables its own registry, and
+    domain (and every {!Bor_exec.Pool} helper, on a reused worker)
+    starts disabled and empty, enables its own registry, and
     ships its instruments back to the parent with {!export}/{!absorb}.
     Single-domain programs see exactly the historical global-registry
     behavior. Instruments must never be shared across domains. *)

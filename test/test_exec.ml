@@ -330,10 +330,11 @@ let test_parallel_matches_sequential () =
   Telemetry.set_enabled false
 
 (* Every window fails its 1-cycle budget, so the run's error is the
-   first window's, whichever thread ran it. Back-to-back failing runs
-   outnumber the runtime's 128-domain limit, so a worker domain left
-   running after the error path would make [Domain.spawn] fail, and a
-   lost wakeup would hang the suite. *)
+   first window's, whichever thread ran it. Back-to-back failing runs,
+   more of them than the runtime's 128-domain limit, check that the
+   error path releases every helper: one left running would pin a pool
+   worker (or, spawned per run, exhaust the limit), and a lost wakeup
+   would hang the suite. *)
 let test_window_errors_at_any_domain_count () =
   let prog =
     (Bor_minic.Driver.compile_exn

@@ -142,16 +142,116 @@ let test_pool_propagates_first_failure () =
     (* Items 3, 8 and 13 fail; submission order pins which wins. *)
     check Alcotest.string "earliest item's exception wins" "3" msg
 
-let test_pool_runs_init_per_domain () =
+(* [init] is per-participant setup: once per call in the caller and in
+   each helper that starts, never carried over from an earlier call on
+   a reused worker. Every item sees the tag its own participant's
+   [init] set in this call. *)
+let test_pool_runs_init_per_participant () =
+  let tag = Domain.DLS.new_key (fun () -> 0) in
+  for call = 1 to 20 do
+    let inits = Atomic.make 0 in
+    let out =
+      Pool.map ~domains:3
+        ~init:(fun () ->
+          Atomic.incr inits;
+          Domain.DLS.set tag call)
+        (fun i -> (i + 1, Domain.DLS.get tag))
+        (Array.init 12 (fun i -> i))
+    in
+    Array.iteri
+      (fun i (v, t) ->
+        check Alcotest.int "all items mapped" (i + 1) v;
+        check Alcotest.int "init ran this call, on the item's participant"
+          call t)
+      out;
+    check Alcotest.bool "the caller plus at most two started helpers" true
+      (Atomic.get inits >= 1 && Atomic.get inits <= 3)
+  done;
   let inits = Atomic.make 0 in
+  ignore
+    (Pool.map ~domains:1 ~init:(fun () -> Atomic.incr inits) Fun.id
+       (Array.init 5 Fun.id));
+  check Alcotest.int "sequential: one init, in the caller" 1 (Atomic.get inits)
+
+let test_pool_nested_map () =
   let out =
-    Pool.map ~domains:3
-      ~init:(fun () -> Atomic.incr inits)
-      (fun i -> i + 1)
-      (Array.init 12 (fun i -> i))
+    Pool.map ~domains:2
+      (fun i ->
+        Array.fold_left ( + ) 0
+          (Pool.map ~domains:3 (fun j -> i * j) (Array.init 10 Fun.id)))
+      (Array.init 6 Fun.id)
   in
-  check Alcotest.int "all items mapped" 12 (Array.length out);
-  check Alcotest.int "one init per worker domain" 3 (Atomic.get inits)
+  Array.iteri (fun i v -> check Alcotest.int "nested map" (45 * i) v) out
+
+(* Two items that each wait (up to a second) for the other to start, so
+   on a warm pool they run on two participants at once. *)
+let on_two_participants f =
+  let started = Atomic.make 0 in
+  Pool.map ~domains:2
+    (fun i ->
+      Atomic.incr started;
+      let t0 = Unix.gettimeofday () in
+      while Atomic.get started < 2 && Unix.gettimeofday () -. t0 < 1. do
+        Domain.cpu_relax ()
+      done;
+      f i)
+    [| 0; 1 |]
+
+let test_pool_workers_start_clean () =
+  let module Telemetry = Bor_telemetry.Telemetry in
+  let caller = Domain.self () in
+  let checked = ref 0 in
+  for _ = 1 to 20 do
+    (* A task on a worker enables telemetry and registers an
+       instrument, and leaves both behind... *)
+    ignore
+      (on_two_participants (fun _ ->
+           if Domain.self () <> caller then begin
+             Telemetry.set_enabled true;
+             Telemetry.incr (Telemetry.counter (Telemetry.scope "leak") "left")
+           end));
+    (* ...and no later task on a worker sees either. *)
+    on_two_participants (fun _ ->
+        if Domain.self () = caller then None
+        else
+          Some (Telemetry.is_enabled (), Telemetry.find_counter "leak.left"))
+    |> Array.iter (function
+         | None -> ()
+         | Some (enabled, found) ->
+           incr checked;
+           check Alcotest.bool "telemetry flag starts off" false enabled;
+           check Alcotest.bool "no instrument from an earlier task" true
+             (found = None))
+  done;
+  check Alcotest.bool "some task ran on a worker" true (!checked > 0)
+
+let sampled_stats ~plan domains =
+  match
+    Sampled.run_on ~plan ~domains (Pipeline.create (Lazy.force alu_prog))
+  with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+let test_pool_sampled_inside_item () =
+  let plan = plan_exn "20:30:500" in
+  let seq = sampled_stats ~plan 1 in
+  Pool.map ~domains:2 (fun d -> sampled_stats ~plan d) [| 3; 3; 1 |]
+  |> Array.iter (fun s ->
+         check Alcotest.bool "domains:3 inside a pool item = domains:1" true
+           (s = seq))
+
+let test_pool_back_to_back () =
+  let plan = plan_exn "20:30:2500" in
+  let seq = sampled_stats ~plan 1 in
+  for call = 1 to 200 do
+    if call mod 2 = 0 then begin
+      let out = Pool.map ~domains:4 (fun i -> i + call) (Array.init 8 Fun.id) in
+      Array.iteri (fun i v -> check Alcotest.int "map slot" (i + call) v) out
+    end
+    else
+      check Alcotest.bool "sampled run at 3 domains = 1 domain" true
+        (sampled_stats ~plan 3 = seq)
+  done
 
 (* --------------------------------------------------------------- job *)
 
@@ -822,7 +922,14 @@ let () =
           Alcotest.test_case "propagates first failure" `Quick
             test_pool_propagates_first_failure;
           Alcotest.test_case "init per domain" `Quick
-            test_pool_runs_init_per_domain;
+            test_pool_runs_init_per_participant;
+          Alcotest.test_case "nested map completes" `Quick test_pool_nested_map;
+          Alcotest.test_case "workers start each task clean" `Quick
+            test_pool_workers_start_clean;
+          Alcotest.test_case "sampled run inside a pool item" `Quick
+            test_pool_sampled_inside_item;
+          Alcotest.test_case "200 back-to-back calls" `Quick
+            test_pool_back_to_back;
         ] );
       ( "job",
         [
