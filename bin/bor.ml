@@ -195,6 +195,16 @@ let assemble path =
     Printf.eprintf "%s\n" e;
     exit 1
 
+(* Building a backend loads the program into simulated memory, which
+   faults on an image whose data lies past it: report that like a
+   failed run, not with an uncaught exception. *)
+let build make =
+  match Bor_uarch.Pipeline.guard (fun () -> Ok (make ())) with
+  | Ok b -> b
+  | Error e ->
+    prerr_endline ("bor: " ^ e);
+    exit 1
+
 let driver_config opts =
   let check =
     match opts.framework with
@@ -235,7 +245,7 @@ let compile opts path =
     exit 1
 
 let run_functional ?(trace = 0) (program : Bor_isa.Program.t) =
-  let b = Bor_exec.Backend.functional program in
+  let b = build (fun () -> Bor_exec.Backend.functional program) in
   let m = b.Bor_exec.Backend.machine () in
   for _ = 1 to trace do
     if not (Bor_sim.Machine.halted m) then begin
@@ -274,9 +284,11 @@ let run_timing opts plan (program : Bor_isa.Program.t) =
      register at component-creation time. *)
   if stats <> Stats_off then Bor_telemetry.Telemetry.set_enabled true;
   let backend =
-    match plan with
-    | Some plan -> Bor_exec.Backend.sampled ~plan ~domains:opts.domains program
-    | None -> Bor_exec.Backend.detailed program
+    build (fun () ->
+        match plan with
+        | Some plan ->
+          Bor_exec.Backend.sampled ~plan ~domains:opts.domains program
+        | None -> Bor_exec.Backend.detailed program)
   in
   let t0 = Unix.gettimeofday () in
   match backend.Bor_exec.Backend.run () with
@@ -338,7 +350,7 @@ let run_checkpoint rest =
     if !at < 0 then ck_usage ();
     let out = match !out with Some o -> o | None -> ck_usage () in
     let prog = assemble path in
-    let b = Bor_exec.Backend.warming ~max_steps:!at prog in
+    let b = build (fun () -> Bor_exec.Backend.warming ~max_steps:!at prog) in
     let warmed =
       match b.Bor_exec.Backend.run () with
       | Ok (Bor_exec.Backend.Warmed { instructions }) -> instructions
@@ -393,7 +405,10 @@ let run_checkpoint rest =
     (match Bor_exec.Checkpoint.load_file from with
     | Error e -> fail "%s" e
     | Ok ck -> (
-      match Bor_exec.Backend.resume ?max_cycles:!max_cycles ck prog with
+      match
+        Bor_uarch.Pipeline.guard (fun () ->
+            Bor_exec.Backend.resume ?max_cycles:!max_cycles ck prog)
+      with
       | Error e -> fail "%s" e
       | Ok b -> (
         match b.Bor_exec.Backend.run () with
@@ -568,11 +583,16 @@ let run_opt rest =
                 Filename.remove_extension (Filename.basename file) ^ "_opt"
               in
               let path =
-                Bor_gen.Corpus.write ~dir ~name ~tool:"bor opt" ~seed:!p.p_seed
-                  ~note:
-                    (Printf.sprintf "bor opt rewrite of %s: cost %d -> %d" file
-                       r.r_target_cost r.r_best_cost)
-                  r.r_best
+                try
+                  Bor_gen.Corpus.write ~dir ~name ~tool:"bor opt"
+                    ~seed:!p.p_seed
+                    ~note:
+                      (Printf.sprintf "bor opt rewrite of %s: cost %d -> %d"
+                         file r.r_target_cost r.r_best_cost)
+                    r.r_best
+                with Sys_error e ->
+                  prerr_endline ("bor: opt: " ^ e);
+                  exit 1
               in
               Printf.printf "bor opt: wrote %s\n" path
           end

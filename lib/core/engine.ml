@@ -70,4 +70,3 @@ let undo t ~shifted_out =
   Bor_lfsr.Lfsr.shift_back t.lfsr ~recovered_msb:shifted_out
 
 let lfsr t = t.lfsr
-let copy t = { t with lfsr = Bor_lfsr.Lfsr.copy t.lfsr }

@@ -44,5 +44,3 @@ val lfsr : t -> Bor_lfsr.Lfsr.t
 (** The underlying register (software-visible in the Section 3.4
     deterministic variant: context switch save/restore, seeding, or use
     as a fast user-level PRNG). *)
-
-val copy : t -> t

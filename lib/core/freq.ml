@@ -15,7 +15,6 @@ let of_period n =
 let period f = 1 lsl (f + 1)
 let probability f = 1. /. Float.of_int (period f)
 let and_width f = f + 1
-let all = List.init 16 (fun f -> f)
 let equal = Int.equal
 let compare = Int.compare
 let pp ppf f = Format.fprintf ppf "1/%d" (period f)

@@ -28,9 +28,6 @@ val and_width : t -> int
 (** Number of LFSR bits ANDed to realise this probability:
     [field + 1]. *)
 
-val all : t list
-(** All sixteen frequencies, most-frequent first. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

@@ -84,10 +84,3 @@ let meets_paper_claims () =
   && si.gates_total < 100
   && fw.state_bits <= 100
   && fw.gates_total <= 400
-
-let pp ppf b =
-  Format.fprintf ppf
-    "@[<v>state bits: %d@,\
-     gates: feedback %d + and-tree %d + mux %d + arb %d + control %d = %d@]"
-    b.state_bits b.gates_lfsr_feedback b.gates_and_tree b.gates_mux
-    b.gates_arbitration b.gates_control b.gates_total

@@ -52,5 +52,3 @@ val meets_paper_claims : unit -> bool
 (** True when the model reproduces both headline claims: single-issue
     within 20 bits / 100 gates and 4-wide within 100 bits / 400
     gates. *)
-
-val pp : Format.formatter -> breakdown -> unit

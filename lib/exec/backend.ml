@@ -95,10 +95,13 @@ let create ?config ?runner kind prog =
 
 let run_cached ?store ~key ~render create =
   let compute () =
-    match create () with
-    | Error e -> Error e
-    | Ok b -> (
-      match b.run () with Error e -> Error e | Ok report -> Ok (render report))
+    Pipeline.guard (fun () ->
+        match create () with
+        | Error e -> Error e
+        | Ok b -> (
+          match b.run () with
+          | Error e -> Error e
+          | Ok report -> Ok (render report)))
   in
   match store with
   | None -> Result.map (fun payload -> (payload, `Cold)) (compute ())

@@ -119,8 +119,10 @@ val run_cached :
     a caller sees are identical either way — that is the whole
     determinism contract, and what the digest-equality tests pin. A
     failed cache write is deliberately non-fatal (the result is still
-    returned); a failed run is never cached. With no [store], always
-    computes and reports [`Cold]. *)
+    returned); a failed run is never cached. A fault while the backend
+    is built (say, a data segment past simulated memory) is an [Error]
+    through {!Bor_uarch.Pipeline.guard}, like a fault in the run. With
+    no [store], always computes and reports [`Cold]. *)
 
 val resume :
   ?config:Bor_uarch.Config.t ->

@@ -228,8 +228,11 @@ let save_file path ck =
   try
     let oc = Out_channel.open_bin path in
     Fun.protect
-      ~finally:(fun () -> Out_channel.close oc)
-      (fun () -> Out_channel.output_string oc (to_string ck));
+      ~finally:(fun () -> Out_channel.close_noerr oc)
+      (fun () ->
+        Out_channel.output_string oc (to_string ck);
+        (* The raising close: its flush reports a full disk. *)
+        Out_channel.close oc);
     Ok ()
   with Sys_error m -> Error m
 

@@ -98,7 +98,9 @@ let write ~dir ~name ?tool ?seed ?note p =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_asm ?tool ?seed ?note p));
+    (fun () ->
+      output_string oc (to_asm ?tool ?seed ?note p);
+      close_out oc);
   path
 
 let load_file = Bor_isa.Toolchain.load_program_file

@@ -23,7 +23,9 @@ val write :
   dir:string -> name:string -> ?tool:string -> ?seed:int -> ?note:string ->
   Bor_isa.Program.t -> string
 (** [write ~dir ~name p] saves [to_asm p] as [dir/name.s] (creating
-    [dir] if needed) and returns the path. *)
+    [dir] if needed) and returns the path.
+    @raise Sys_error when the file cannot be written, a full disk
+    included. *)
 
 val load_file : string -> (Bor_isa.Program.t, string) result
 (** Assemble one corpus file back into a program

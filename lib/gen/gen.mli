@@ -15,9 +15,6 @@
     may loop forever or fault, which the differential harness
     classifies as a skipped budget case rather than a failure. *)
 
-val data_bytes : int
-(** Size of the generated data segment (256). *)
-
 val counter : Bor_isa.Reg.t
 (** The loop-counter register ([s7]), excluded from every write pool. *)
 

@@ -18,8 +18,6 @@ type t =
   | Halt
   | Nop
 
-let equal (a : t) (b : t) = a = b
-
 type control = Not_control | Cond_branch | Front_end_branch | Indirect
 
 let control = function
@@ -29,8 +27,6 @@ let control = function
   | Alu _ | Alui _ | Lui _ | Load _ | Store _ | Rdlfsr _ | Marker _ | Halt
   | Nop ->
     Not_control
-
-let is_brr = function Brr _ | Brr_always _ -> true | _ -> false
 
 let dest i =
   let some r = if Reg.equal r Reg.zero then None else Some r in

@@ -43,8 +43,6 @@ type t =
   | Halt
   | Nop
 
-val equal : t -> t -> bool
-
 (** {2 Classification, shared by both simulators} *)
 
 type control =
@@ -54,9 +52,6 @@ type control =
   | Indirect  (** jalr: needs a register, resolved in the back end *)
 
 val control : t -> control
-
-val is_brr : t -> bool
-(** [Brr] or [Brr_always]. *)
 
 val dest : t -> Reg.t option
 (** Destination register, if any ([zero] destinations are reported as

@@ -52,30 +52,40 @@ let load s =
     pos := !pos + n;
     v
   in
+  (* A count whose entries (at least [bytes] each) cannot fit in what
+     is left of the image is refused before anything is allocated for
+     it, so a short image cannot claim a huge table. *)
+  let read_count bytes what =
+    let n = read_u32 what in
+    if n > (String.length s - !pos) / bytes then
+      raise (Bad (Printf.sprintf "%s %d exceeds the image" what n));
+    n
+  in
   try
     if read_string 4 "magic" <> magic then raise (Bad "bad magic");
     let text_base = read_u32 "text base" in
     let data_base = read_u32 "data base" in
     let entry = read_u32 "entry" in
-    let n_text = read_u32 "text size" in
-    if n_text < 0 || n_text > 16 * 1024 * 1024 then
-      raise (Bad "unreasonable text size");
+    let n_text = read_count 4 "text size" in
     let text =
       Array.init n_text (fun i ->
-          match Encoding.decode (read_u32 "instruction") with
-          | Ok instr -> instr
+          let word = read_u32 "instruction" in
+          match Encoding.decode word with
+          | Ok instr when Encoding.encode instr = Ok word -> instr
+          | Ok _ ->
+            raise (Bad (Printf.sprintf "word %d: non-canonical encoding" i))
           | Error e -> raise (Bad (Printf.sprintf "word %d: %s" i e)))
     in
     let data_len = read_u32 "data size" in
     let data = Bytes.of_string (read_string data_len "data") in
-    let n_sym = read_u32 "symbol count" in
+    let n_sym = read_count 8 "symbol count" in
     let symbols =
       List.init n_sym (fun _ ->
           let len = read_u32 "symbol name length" in
           let name = read_string len "symbol name" in
           (name, read_u32 "symbol address"))
     in
-    let n_sites = read_u32 "site count" in
+    let n_sites = read_count 8 "site count" in
     let sites =
       List.init n_sites (fun _ ->
           let addr = read_u32 "site address" in
@@ -90,13 +100,6 @@ let write_file path p =
   let oc = open_out_bin path in
   output_string oc (save p);
   close_out oc
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  load s
 
 let is_object_file s =
   String.length s >= 4 && String.sub s 0 4 = magic

@@ -4,8 +4,6 @@
     of {!Encoding}; symbols and the instrumentation site table travel
     with the image. *)
 
-val magic : string
-
 val save : Program.t -> string
 (** Serialise to bytes.
     @raise Invalid_argument if an instruction cannot be encoded (the
@@ -13,10 +11,12 @@ val save : Program.t -> string
 
 val load : string -> (Program.t, string) result
 (** Parse an image produced by {!save}; checks the magic, bounds and
-    instruction decodings. *)
+    instruction decodings. A table count that the bytes left cannot
+    hold is refused before anything is allocated for it, and so is an
+    instruction word that does not re-encode to itself: every [Ok]
+    image re-saves to the same bytes. *)
 
 val write_file : string -> Program.t -> unit
-val read_file : string -> (Program.t, string) result
 
 val is_object_file : string -> bool
-(** True when the string (or file contents) begins with {!magic}. *)
+(** True when the string (or file contents) begins with the magic ["BOR1"]. *)

@@ -71,4 +71,3 @@ let caller_saved = List.init 8 (fun i -> 8 + i) @ List.init 8 (fun i -> 24 + i)
 let callee_saved = List.init 8 (fun i -> 16 + i)
 let equal = Int.equal
 let compare = Int.compare
-let pp ppf r = Format.pp_print_string ppf (name r)

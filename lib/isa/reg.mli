@@ -37,4 +37,3 @@ val caller_saved : t list
 val callee_saved : t list
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

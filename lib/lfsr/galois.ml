@@ -18,7 +18,6 @@ let create ?(seed = 1) (taps : Taps.t) =
   if state = 0 then invalid_arg "Galois.create: seed reduces to all-zeros";
   { width = taps.width; toggle_mask = toggle_mask_of taps; state }
 
-let width t = t.width
 let peek t = t.state
 
 let step t =
@@ -30,7 +29,6 @@ let step t =
      else shifted);
   t.state
 
-let bit t i = Bor_util.Bits.bit t.state i
 let copy t = { t with state = t.state }
 
 let period t =

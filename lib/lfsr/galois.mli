@@ -15,13 +15,8 @@ val create : ?seed:int -> Taps.t -> t
 (** Same contract as {!Lfsr.create}: non-zero seed, reduced to the
     width. *)
 
-val width : t -> int
-val peek : t -> int
 val step : t -> int
 (** Clock once; returns the new value. *)
-
-val bit : t -> int -> bool
-val copy : t -> t
 
 val period : t -> int
 (** Walk the register through a full cycle and count it (exponential in

@@ -19,7 +19,6 @@ let create ?(seed = 1) (taps : Taps.t) =
   { width = taps.width; taps; tap_mask = right_shift_mask taps; state; updates = 0 }
 
 let width t = t.width
-let taps t = t.taps
 let peek t = t.state
 
 let step t =
@@ -27,8 +26,6 @@ let step t =
   t.state <- (fb lsl (t.width - 1)) lor (t.state lsr 1);
   t.updates <- t.updates + 1;
   t.state
-
-let bit t i = Bor_util.Bits.bit t.state i
 
 let set_state t v =
   if v <= 0 || v > Bor_util.Bits.mask t.width then
@@ -43,8 +40,3 @@ let shift_back t ~recovered_msb =
   let recovered = if recovered_msb then 1 else 0 in
   t.state <- ((t.state lsl 1) lor recovered) land Bor_util.Bits.mask t.width;
   t.updates <- t.updates - 1
-
-let copy t = { t with state = t.state }
-
-let pp ppf t =
-  Format.fprintf ppf "lfsr%d%a=0x%x" t.width Taps.pp t.taps t.state

@@ -14,16 +14,12 @@ val create : ?seed:int -> Taps.t -> t
     reduction — the all-zeros state is the LFSR's single fixed point. *)
 
 val width : t -> int
-val taps : t -> Taps.t
 
 val peek : t -> int
 (** Current register value, LSB = flip-flop 0 in Figure 6's drawing. *)
 
 val step : t -> int
 (** Clock the register once and return the {e new} value. *)
-
-val bit : t -> int -> bool
-(** [bit t i] is bit [i] of the current value. *)
 
 val set_state : t -> int -> unit
 (** Software write of the register (Section 3.4's OS save/restore path).
@@ -43,6 +39,3 @@ val shifted_out_bit : t -> int -> bool
 (** [shifted_out_bit t before] is the bit that a [step] from state
     [before] discards, i.e. the value the deterministic implementation
     must bank to allow {!shift_back}. *)
-
-val copy : t -> t
-val pp : Format.formatter -> t -> unit

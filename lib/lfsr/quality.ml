@@ -116,8 +116,3 @@ let poker_chi2 lfsr ~samples ~m =
     Array.make (1 lsl m) (Float.of_int words /. Float.of_int (1 lsl m))
   in
   Bor_util.Stats.chi_square ~expected ~observed:counts
-
-let pp ppf r =
-  Format.fprintf ppf
-    "@[samples=%d ones=%.4f corr=%.4f longest_run=%d chi2=%.2f@]" r.samples
-    r.ones_fraction r.serial_correlation r.longest_run r.chi2_pairs

@@ -27,8 +27,6 @@ val conditional_take_rate :
     adjacent-bit ANDing, where the conditional rate for k = 2 inflates
     to 50% instead of 25%. *)
 
-val pp : Format.formatter -> report -> unit
-
 val runs_chi2 : Lfsr.t -> samples:int -> max_run:int -> float
 (** Chi-squared of the distribution of run lengths (runs of equal bits,
     capped at [max_run]) of the LSB stream against the geometric

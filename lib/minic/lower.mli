@@ -7,8 +7,5 @@
     placement later consumes — no dominator analysis needed for
     structured minic code. *)
 
-val func : Ast.program -> Ast.func -> Ir.func
-(** Lower one (typechecked) function. *)
-
 val program : Ast.program -> Ir.func list
 (** Lower every function of a typechecked program, in source order. *)

@@ -164,7 +164,6 @@ let create ?(vectors = 4) ?(vector_seed = 7) ?(max_steps = 200_000)
         }
 
 let target_cycles t = t.c_cycles
-let target_len t = t.c_len
 let vector_count t = Array.length t.c_vectors
 
 type eval = {

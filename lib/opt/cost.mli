@@ -52,7 +52,6 @@ val create :
 val target_cycles : t -> int
 (** The target's own oracle cycles — also its cost (mismatches = 0). *)
 
-val target_len : t -> int
 val vector_count : t -> int
 
 type eval = {

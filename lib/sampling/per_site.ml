@@ -70,5 +70,4 @@ let estimated_counts t =
   Hashtbl.fold (fun site s acc -> (site, s.estimate) :: acc) t.table []
   |> List.sort compare
 
-let visits t = t.visits
 let samples t = t.samples

@@ -38,5 +38,4 @@ val estimated_counts : t -> (int * float) list
     the period that was in force when it was taken (Horvitz–Thompson),
     so sites sampled at different rates remain comparable. *)
 
-val visits : t -> int
 val samples : t -> int

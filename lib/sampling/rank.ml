@@ -9,18 +9,6 @@ type signature = {
   mispredicts : int;
 }
 
-let zero =
-  {
-    instructions = 0;
-    loads = 0;
-    stores = 0;
-    branches = 0;
-    l1i_misses = 0;
-    l1d_misses = 0;
-    l2_misses = 0;
-    mispredicts = 0;
-  }
-
 let sub a b =
   {
     instructions = a.instructions - b.instructions;

@@ -33,8 +33,6 @@ type signature = {
           {!Bor_uarch.Block.warm} record) *)
 }
 
-val zero : signature
-
 val sub : signature -> signature -> signature
 (** [sub a b] is the per-field difference — the delta of two cumulative
     counter snapshots, i.e. one candidate period's worth of features. *)

@@ -102,7 +102,12 @@ let rec worker_loop t =
            hex the client polls. *)
         let spec = entry.e_spec in
         let runner = Wqueue.runner t.wq ~job:key ~config:spec.Job.sp_config in
-        let outcome = Job.run ?store:t.s_store ~runner spec in
+        (* No exception may end the worker: the job fails instead, and
+           its error is not memoized. *)
+        let outcome =
+          try Job.run ?store:t.s_store ~runner spec
+          with e -> Error (Printexc.to_string e)
+        in
         (match outcome with
         | Ok (_, `Cold) ->
             Atomic.incr t.a_completed;

@@ -8,11 +8,6 @@
     ([read_frame] returns [None]), while closing mid-frame is a
     protocol error. *)
 
-val max_frame : int
-(** Upper bound on a frame payload (256 MiB) — a sanity limit so a
-    corrupt or hostile length header cannot make the reader allocate
-    unboundedly. *)
-
 exception Protocol_error of string
 (** Raised on malformed traffic: oversized or negative lengths, EOF
     mid-frame, or a frame that is not parseable JSON. I/O failures

@@ -98,8 +98,6 @@ let write_byte t addr v =
   mark_page t addr;
   Bytes.set t.bytes addr (Char.chr (v land 0xFF))
 
-let copy t = { bytes = Bytes.copy t.bytes; dirty = Bytes.copy t.dirty }
-
 (* ---------------------------------------------------------- snapshots *)
 
 type snapshot = {

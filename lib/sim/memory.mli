@@ -30,7 +30,6 @@ val read_byte : t -> int -> int
 (** Zero-extended byte read. *)
 
 val write_byte : t -> int -> int -> unit
-val copy : t -> t
 
 val clear : t -> unit
 (** Return the memory to the state {!create} left it in: zero every

@@ -126,4 +126,3 @@ let shard ~program_digest ?(config = Config.default) ~plan ~boundary () =
 
 let hex k = k.k_hex
 let preimage k = k.k_preimage
-let pp ppf k = Format.pp_print_string ppf k.k_hex

@@ -70,5 +70,3 @@ val canon_config : Bor_uarch.Config.t -> string
     record completely, so adding a config field without extending the
     canonicalization is a compile error, not a silent cache-aliasing
     bug. *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,8 +56,6 @@ let create ?max_bytes dir =
           Error (Printf.sprintf "store: cannot create %s: %s %s" dir (Unix.error_message e) arg)
       | exception Sys_error msg -> Error ("store: " ^ msg))
 
-let dir t = t.s_dir
-let max_bytes t = t.s_max_bytes
 let path_of t key = Filename.concat t.s_dir (Key.hex key)
 
 (* An entry file name is a 64-char content address; anything else in
@@ -151,6 +149,8 @@ let put t key payload =
          (Atomic.fetch_and_add t.s_seq 1))
   in
   let final = path_of t key in
+  (* The raising close on success: its flush is where a full disk
+     shows, and a truncated entry must never be renamed into place. *)
   let write () =
     let oc = open_out_bin tmp in
     Fun.protect
@@ -158,7 +158,8 @@ let put t key payload =
       (fun () ->
         output_string oc magic;
         output_string oc payload;
-        output_string oc (Sha256.digest payload))
+        output_string oc (Sha256.digest payload);
+        close_out oc)
   in
   match write () with
   | exception Sys_error msg ->
@@ -182,7 +183,3 @@ let stats t =
     st_puts = Atomic.get t.s_puts;
     st_evictions = Atomic.get t.s_evictions;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "hits=%d misses=%d corrupt=%d puts=%d evictions=%d"
-    s.st_hits s.st_misses s.st_corrupt s.st_puts s.st_evictions

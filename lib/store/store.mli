@@ -40,9 +40,6 @@ val create : ?max_bytes:int -> string -> (t, string) result
     bytes of on-disk entry files. [Error] on unusable paths; never
     raises. *)
 
-val dir : t -> string
-val max_bytes : t -> int option
-
 val find : t -> Key.t -> string option
 (** The validated payload, or [None] (absent or corrupt — corrupt
     entries are deleted and counted in {!stats}). A hit refreshes the
@@ -55,4 +52,3 @@ val put : t -> Key.t -> string -> (unit, string) result
     entry. *)
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

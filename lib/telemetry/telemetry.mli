@@ -35,7 +35,7 @@ val set_enabled : bool -> unit
     The registry (and this flag) is {e domain-local}: a freshly spawned
     domain (and every {!Bor_exec.Pool} helper, on a reused worker)
     starts disabled and empty, enables its own registry, and
-    ships its instruments back to the parent with {!export}/{!absorb}.
+    ships its instruments back to the parent with {!isolated}/{!absorb}.
     Single-domain programs see exactly the historical global-registry
     behavior. Instruments must never be shared across domains. *)
 
@@ -127,9 +127,6 @@ val pp : Format.formatter -> unit -> unit
 type export
 (** A deep copy of one registry's instruments, sharing no mutable state
     with it — safe to move between domains. *)
-
-val export : unit -> export
-(** Snapshot the calling domain's registry. *)
 
 val isolated : enabled:bool -> (unit -> 'a) -> 'a * export
 (** Run [f] against a fresh, private registry (with the given enabled

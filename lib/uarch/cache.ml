@@ -97,7 +97,6 @@ let access t addr =
   end
 
 let stats t = t.stats
-let name t = t.name
 
 (* Sanitizer pass over the tag store. O(sets * assoc^2): the quadratic
    factor is over associativity only (<= 8 in every configuration we
@@ -165,7 +164,6 @@ let reset_stats t =
   t.stats.evictions <- 0
 
 let sets t = t.sets
-let line_bytes t = t.line_bytes
 
 (* The resident-line digest deliberately excludes recency (the [lru]
    clock values): functional warming collapses consecutive same-line

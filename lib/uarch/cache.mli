@@ -31,9 +31,6 @@ val probe : t -> int -> bool
 
 val stats : t -> stats
 
-val name : t -> string
-(** The diagnostic name passed at creation. *)
-
 val check : ?cycle:int -> t -> unit
 (** Sanitizer pass over the tag store: every set holds pairwise-distinct
     tags, every valid way carries an LRU stamp in [[0, clock]] with no
@@ -57,7 +54,6 @@ val import_state : t -> state -> unit
 
 val reset_stats : t -> unit
 val sets : t -> int
-val line_bytes : t -> int
 
 val state_digest : t -> string
 (** SHA-256 of the resident line set: the sorted valid tags of every

@@ -69,8 +69,6 @@ type snapshot = {
   mutable s_depth : int;
 }
 
-let save t = { s_stack = Array.copy t.stack; s_top = t.top; s_depth = t.depth }
-
 let blank_snapshot t =
   { s_stack = Array.make (Array.length t.stack) 0; s_top = 0; s_depth = 0 }
 

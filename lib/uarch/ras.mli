@@ -24,15 +24,13 @@ val depth : t -> int
 
 type snapshot
 
-val save : t -> snapshot
-
 val blank_snapshot : t -> snapshot
 (** A fresh buffer matching [t]'s geometry, for {!save_into} — lets a
-    caller pool snapshots instead of allocating one per {!save}. *)
+    caller pool snapshots instead of allocating one per save. *)
 
 val save_into : t -> snapshot -> unit
 (** [save_into t s] overwrites [s] with the current state; [s] must
-    come from {!blank_snapshot} (or {!save}) on a stack of the same
+    come from {!blank_snapshot} on a stack of the same
     size. Allocation-free. *)
 
 val restore : t -> snapshot -> unit

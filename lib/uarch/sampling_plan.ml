@@ -57,8 +57,6 @@ let to_string t =
   | None -> Printf.sprintf "%d:%d:%d" t.warmup t.window t.period
   | Some s -> Printf.sprintf "%d:%d:%d:%d" t.warmup t.window t.period s
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* Knobs join a key only at non-default values: every key minted
    before they existed keeps its hex. *)
 let key_lines = function

@@ -52,8 +52,6 @@ val to_string : t -> string
     the sweep's capture points, so shard keys print just this and jobs
     differing only in a knob share window units. *)
 
-val pp : Format.formatter -> t -> unit
-
 val key_lines : t option -> string list
 (** The plan's lines in a result key's preimage: [plan=W:D:P[:SEED]]
     ([plan=-] for none), then [rank_bands=K] and [ci_target=%.6f] only

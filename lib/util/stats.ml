@@ -22,8 +22,6 @@ let summarize = function
       max = List.fold_left Float.max Float.neg_infinity xs;
     }
 
-let mean xs = (summarize xs).mean
-let stddev xs = (summarize xs).stddev
 let ci95_halfwidth s = 1.96 *. s.stddev /. sqrt (Float.of_int s.n)
 
 let overlaps a b =

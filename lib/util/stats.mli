@@ -12,9 +12,6 @@ type summary = {
 val summarize : float list -> summary
 (** Raises [Invalid_argument] on the empty list. *)
 
-val mean : float list -> float
-val stddev : float list -> float
-
 val ci95_halfwidth : summary -> float
 (** Half-width of the normal-approximation 95% confidence interval of the
     mean ([1.96 * stddev / sqrt n]). *)

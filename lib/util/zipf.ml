@@ -16,7 +16,6 @@ let create ~n ~alpha =
   cdf.(n - 1) <- 1.;
   { cdf; pmf }
 
-let n t = Array.length t.cdf
 let probability t k = t.pmf.(k)
 
 let sample t rng =

@@ -11,8 +11,6 @@ val create : n:int -> alpha:float -> t
     [n] ranks. [n] must be positive and [alpha] non-negative ([alpha = 0]
     is the uniform distribution). *)
 
-val n : t -> int
-
 val probability : t -> int -> float
 (** [probability t k] is the exact probability of rank [k]. *)
 

@@ -61,8 +61,6 @@ let spec ?(scale = 64) name =
       seed = Hashtbl.hash name;
     }
 
-let with_seed spec seed = { spec with seed }
-
 let events spec f =
   if spec.invocations <= 0 then invalid_arg "Dacapo.events: empty stream";
   let rng = Bor_util.Prng.create ~seed:spec.seed in

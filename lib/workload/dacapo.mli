@@ -37,6 +37,3 @@ val spec : ?scale:int -> string -> spec
 val events : spec -> (int -> unit) -> unit
 (** Stream the method ids, calling the function once per invocation.
     Deterministic in [spec.seed]. *)
-
-val with_seed : spec -> int -> spec
-(** Same workload shape with a different stream seed. *)

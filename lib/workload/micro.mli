@@ -8,9 +8,6 @@
     paper's "collect edge profiles to compute branch biases". [chars]
     defaults to 500_000, the paper's "half a million characters". *)
 
-val source : chars:int -> string
-(** The minic program. *)
-
 val compile :
   ?chars:int ->
   ?seed:int ->

@@ -37,15 +37,3 @@ let generate ~seed ~length =
   done;
   out
 
-let class_fractions bytes =
-  let upper = ref 0 and lower = ref 0 and other = ref 0 in
-  Bytes.iter
-    (fun c ->
-      if c >= 'A' && c <= 'Z' then incr upper
-      else if c >= 'a' && c <= 'z' then incr lower
-      else incr other)
-    bytes;
-  let n = Float.of_int (max 1 (Bytes.length bytes)) in
-  ( Float.of_int !upper /. n,
-    Float.of_int !lower /. n,
-    Float.of_int !other /. n )

@@ -10,7 +10,3 @@
 
 val generate : seed:int -> length:int -> Bytes.t
 (** Exactly [length] bytes of printable ASCII text. *)
-
-val class_fractions : Bytes.t -> float * float * float
-(** Fractions of (upper, lower, other) characters — the three paths of
-    the microbenchmark's classification branch. *)

@@ -39,7 +39,7 @@ let roundtrip seed () =
       (Array.length t');
     Array.iteri
       (fun i ins ->
-        if not (Instr.equal ins t'.(i)) then
+        if ins <> t'.(i) then
           Alcotest.failf "instruction %d: %s <> %s" i (Instr.to_string ins)
             (Instr.to_string t'.(i)))
       t;

@@ -4,7 +4,7 @@
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let instr = Alcotest.testable Bor_isa.Instr.pp Bor_isa.Instr.equal
+let instr = Alcotest.testable Bor_isa.Instr.pp ( = )
 
 (* ----------------------------------------------------------------- Reg *)
 
@@ -201,7 +201,7 @@ let prop_encode_decode =
       | Ok w -> (
         match Bor_isa.Encoding.decode w with
         | Error _ -> false
-        | Ok i' -> Bor_isa.Instr.equal i i'))
+        | Ok i' -> i = i'))
 
 let prop_encode_is_32bit =
   QCheck.Test.make ~name:"encodings fit 32 bits" ~count:1000 arb_instr

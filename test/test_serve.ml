@@ -123,6 +123,123 @@ let test_hex_roundtrip () =
   check Alcotest.bool "non-hex rejected" true
     (match Wire.of_hex "zz" with Error _ -> true | Ok _ -> false)
 
+(* ---------------------------------------------- object image decoder *)
+
+module Objfile = Bor_isa.Objfile
+
+(* A valid image: a generated program, given random symbols and
+   instrumentation sites so every table of the format is present. *)
+let gen_valid_image =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* symbols =
+      list_size (int_bound 4)
+        (pair (string_size ~gen:printable (int_bound 12)) (int_bound 0xffff))
+    in
+    let* sites =
+      list_size (int_bound 4) (pair (int_bound 0xffff) (int_bound 99))
+    in
+    let p = Bor_gen.Gen.gen_program (Bor_util.Prng.create ~seed) in
+    return
+      (Objfile.save
+         (Bor_isa.Program.make ~text_base:p.text_base ~data_base:p.data_base
+            ~entry:p.entry ~symbols ~sites ~data:p.data p.text)))
+
+let u32_at s pos v =
+  let b = Bytes.of_string s in
+  if pos + 4 <= Bytes.length b then Bytes.set_int32_le b pos (Int32.of_int v);
+  Bytes.to_string b
+
+(* The hex a submit carries: a valid image after one to three
+   mutations (a bit flip, a truncation, an extension, a splice of the
+   image into itself, or an oversized count or length written over one
+   of the header's u32 fields), sometimes with the hex itself damaged
+   (a dropped digit, a non-hex character, upper case). *)
+let gen_hex =
+  let open QCheck.Gen in
+  let mutate s =
+    let n = String.length s in
+    if n = 0 then return s
+    else
+      frequency
+        [
+          ( 3,
+            map2
+              (fun i bit ->
+                String.mapi
+                  (fun j c ->
+                    if j = i mod n then Char.chr (Char.code c lxor (1 lsl bit))
+                    else c)
+                  s)
+              nat (int_bound 7) );
+          (2, map (fun k -> String.sub s 0 (k mod (n + 1))) nat);
+          (1, map (fun tail -> s ^ tail) (string_size (int_range 1 16)));
+          ( 1,
+            map3
+              (fun a b len ->
+                let a = a mod n and b = b mod n in
+                let len = min len (n - b) in
+                String.sub s 0 a ^ String.sub s b len ^ String.sub s a (n - a))
+              nat nat (int_bound 64) );
+          ( 3,
+            map2 (fun field v -> u32_at s (4 * field) v)
+              (int_bound 7)
+              (oneofl
+                 [ 0xffffffff; 0x7fffffff; 0x1000000; 0x10000; n; n / 4 ]) );
+        ]
+  in
+  let* image = gen_valid_image in
+  let* rounds = int_range 1 3 in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  let* hex = map Wire.to_hex (go rounds image) in
+  let n = String.length hex in
+  frequency
+    [
+      (8, return hex);
+      (1, return (String.sub hex 0 (max 0 (n - 1))));
+      ( 1,
+        map
+          (fun i ->
+            String.mapi (fun j c -> if j = i mod max 1 n then 'g' else c) hex)
+          nat );
+      (1, return (String.uppercase_ascii hex));
+    ]
+
+(* Bytes allocated so far. [Gc.minor_words] is exact where the
+   counters' minor total moves only at a minor collection; direct major
+   allocations (a large array) count at once. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  float_of_int (Sys.word_size / 8) *. (Gc.minor_words () +. major -. promoted)
+
+(* The submit path's program decoder ([Wire.of_hex], then
+   [Objfile.load]) never raises, never allocates more than a small
+   multiple of its input (a header cannot claim a table the bytes do
+   not hold), and every image it accepts re-saves to the same bytes. *)
+let prop_object_image_decoder =
+  QCheck.Test.make ~name:"object image decoder" ~count:1000
+    (QCheck.make ~print:Fun.id gen_hex)
+    (fun hex ->
+      Gc.minor ();
+      let before = allocated_bytes () in
+      match Wire.of_hex hex with
+      | exception e ->
+        QCheck.Test.fail_reportf "hex decoder raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok image -> (
+        match Objfile.load image with
+        | exception e ->
+          QCheck.Test.fail_reportf "image decoder raised %s"
+            (Printexc.to_string e)
+        | decoded -> (
+          let allocated = allocated_bytes () -. before in
+          if allocated > float_of_int ((64 * String.length image) + 4096) then
+            QCheck.Test.fail_reportf "allocated %.0f bytes for a %d-byte image"
+              allocated (String.length image);
+          match decoded with
+          | Error _ -> true
+          | Ok p -> Objfile.save p = image)))
+
 (* -------------------------------------------------------------- pool *)
 
 let test_pool_preserves_order () =
@@ -527,6 +644,52 @@ let test_scheduler_recomputes_failures () =
   check Alcotest.int "no cache hit" 0 (List.assoc "cache_hits" stats);
   Scheduler.shutdown sched
 
+(* A job that raises while its backend is built — here loading a data
+   segment that lies past simulated memory, an image [Objfile.load]
+   accepts — fails with the fault's text instead of ending the worker
+   domain: on one worker, the next job still completes, and the failure
+   is not memoized. Waits are bounded, so a dead worker fails the test
+   rather than hanging it. *)
+let test_scheduler_survives_construction_fault () =
+  let await sched key =
+    let deadline = Unix.gettimeofday () +. 30. in
+    let rec poll () =
+      match Scheduler.job_state sched key with
+      | Some (Scheduler.Done outcome) -> outcome
+      | _ when Unix.gettimeofday () > deadline ->
+        Alcotest.fail "job still pending after 30 s: its worker died"
+      | _ ->
+        Unix.sleepf 0.005;
+        poll ()
+    in
+    poll ()
+  in
+  let bad =
+    Bor_isa.Program.make ~data_base:0x7ffffff0 ~data:(Bytes.make 64 'x')
+      [| Bor_isa.Instr.Halt |]
+  in
+  let bad = Job.make ~backend:"detailed" bad in
+  let sched = Scheduler.create ~domains:1 () in
+  let submit_and_fail () =
+    let key, disposition = Scheduler.submit sched bad in
+    (match await sched key with
+    | Error e ->
+      check Alcotest.bool "the fault's text" true
+        (contains e "does not fit memory")
+    | Ok _ -> Alcotest.fail "faulting job reported success");
+    disposition
+  in
+  check Alcotest.bool "first submit queued" true (submit_and_fail () = `Queued);
+  let key, _ =
+    Scheduler.submit sched (Job.make ~backend:"detailed" (Lazy.force alu_prog))
+  in
+  (match await sched key with Ok _ -> () | Error e -> Alcotest.fail e);
+  check Alcotest.bool "the failure is not memoized" true
+    (submit_and_fail () = `Queued);
+  check Alcotest.int "both faulting runs failed" 2
+    (List.assoc "failed" (Scheduler.stats sched));
+  Scheduler.shutdown sched
+
 (* A ci_target that six decimals cannot hold would alias another
    target's key, so no job can carry it — the plan's constructor
    refuses it before anything reaches the scheduler. The client frames
@@ -915,6 +1078,7 @@ let () =
           Alcotest.test_case "frame round trip" `Quick test_wire_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
           Alcotest.test_case "hex round trip" `Quick test_hex_roundtrip;
+          QCheck_alcotest.to_alcotest prop_object_image_decoder;
         ] );
       ( "pool",
         [
@@ -957,6 +1121,8 @@ let () =
             test_scheduler_reports_failures;
           Alcotest.test_case "failed jobs are recomputed" `Quick
             test_scheduler_recomputes_failures;
+          Alcotest.test_case "a construction fault fails only its job" `Quick
+            test_scheduler_survives_construction_fault;
           Alcotest.test_case "rejects an inexact ci target" `Quick
             test_scheduler_rejects_inexact_ci_target;
           Alcotest.test_case "registry matches stats" `Quick

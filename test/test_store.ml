@@ -54,7 +54,7 @@ let store_exn ?max_bytes dir =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-let entry_path st k = Filename.concat (Store.dir st) (Key.hex k)
+let entry_path dir k = Filename.concat dir (Key.hex k)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -261,7 +261,8 @@ let test_shard_bit_exact_vs_rewarming () =
 (* ------------------------------------------------------------ store *)
 
 let test_hit_miss_roundtrip () =
-  let st = store_exn (fresh_dir ()) in
+  let dir = fresh_dir () in
+  let st = store_exn dir in
   let k = key "detailed" in
   check Alcotest.bool "fresh store misses" true (Store.find st k = None);
   (match Store.put st k "payload-bytes" with
@@ -277,7 +278,29 @@ let test_hit_miss_roundtrip () =
   check Alcotest.int "puts" 1 s.Store.st_puts;
   check Alcotest.int "corrupt" 0 s.Store.st_corrupt;
   check Alcotest.bool "entry file named by the key hex" true
-    (Sys.file_exists (entry_path st k))
+    (Sys.file_exists (entry_path dir k))
+
+(* A full disk is an error, not a false success. /dev/full stands in
+   for the disk through a symlink at the store's next temp name: the
+   write's flush fails at close, so [put] returns [Error], counts no put
+   and renames nothing into place. *)
+let test_full_disk_is_an_error () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let dir = fresh_dir () in
+  let st = store_exn dir in
+  let k = key "detailed" in
+  Unix.symlink "/dev/full"
+    (Filename.concat dir
+       (Printf.sprintf ".tmp.%d.%d.0" (Unix.getpid ()) (Domain.self () :> int)));
+  (match Store.put st k "payload-bytes" with
+  | Ok () -> Alcotest.fail "a put to a full disk reported success"
+  | Error e ->
+    check Alcotest.bool "names the failed write" true
+      (contains e "No space left on device"));
+  check Alcotest.int "no put counted" 0 (Store.stats st).Store.st_puts;
+  check Alcotest.bool "no entry renamed into place" false
+    (Sys.file_exists (entry_path dir k));
+  check Alcotest.bool "still a miss" true (Store.find st k = None)
 
 let corrupt_file path f =
   let ic = open_in_bin path in
@@ -305,23 +328,25 @@ let test_corrupt_entry_is_a_miss () =
   in
   List.iteri
     (fun i (name, mutate) ->
-      let st = store_exn (fresh_dir ()) in
+      let dir = fresh_dir () in
+      let st = store_exn dir in
       let k = key "detailed" in
       (match Store.put st k "precious payload" with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
-      corrupt_file (entry_path st k) mutate;
+      corrupt_file (entry_path dir k) mutate;
       check Alcotest.bool (name ^ ": never serves bad bytes") true
         (Store.find st k = None);
       check Alcotest.bool (name ^ ": offender deleted") false
-        (Sys.file_exists (entry_path st k));
+        (Sys.file_exists (entry_path dir k));
       let s = Store.stats st in
       check Alcotest.int (name ^ ": counted corrupt") 1 s.Store.st_corrupt;
       ignore i)
     cases
 
 let test_corrupt_falls_back_to_recompute () =
-  let st = store_exn (fresh_dir ()) in
+  let dir = fresh_dir () in
+  let st = store_exn dir in
   let k = key "detailed" in
   let computes = ref 0 in
   let run () =
@@ -335,7 +360,7 @@ let test_corrupt_falls_back_to_recompute () =
   | Ok (p, `Cold) -> check Alcotest.string "cold bytes" "recomputed-bytes" p
   | Ok (_, `Cached) -> Alcotest.fail "fresh store cannot hit"
   | Error e -> Alcotest.fail e);
-  corrupt_file (entry_path st k) (fun raw -> String.sub raw 0 20);
+  corrupt_file (entry_path dir k) (fun raw -> String.sub raw 0 20);
   (match run () with
   | Ok (p, `Cold) ->
     check Alcotest.string "recomputed after corruption" "recomputed-bytes" p
@@ -382,7 +407,8 @@ let test_lru_eviction () =
   let payload = String.make 100 'x' in
   (* Entry file = 10 (magic) + 100 (payload) + 64 (stamp) = 174 bytes;
      budget of 550 holds three entries, never four. *)
-  let st = store_exn ~max_bytes:550 (fresh_dir ()) in
+  let dir = fresh_dir () in
+  let st = store_exn ~max_bytes:550 dir in
   let ka = key "a" and kb = key "b" and kc = key "c" in
   List.iter
     (fun k ->
@@ -392,9 +418,9 @@ let test_lru_eviction () =
     [ ka; kb; kc ];
   (* Pin distinct access times so the LRU order is explicit, oldest
      first: a, then b, then c. *)
-  Unix.utimes (entry_path st ka) 1000. 1000.;
-  Unix.utimes (entry_path st kb) 2000. 2000.;
-  Unix.utimes (entry_path st kc) 3000. 3000.;
+  Unix.utimes (entry_path dir ka) 1000. 1000.;
+  Unix.utimes (entry_path dir kb) 2000. 2000.;
+  Unix.utimes (entry_path dir kc) 3000. 3000.;
   (match Store.put st (key "d") payload with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -404,15 +430,15 @@ let test_lru_eviction () =
   check Alcotest.int "one eviction" 1 (Store.stats st).Store.st_evictions;
   (* A hit refreshes LRU order: touch b, age c, and the next put must
      evict c, not b. *)
-  Unix.utimes (entry_path st kc) 100. 100.;
+  Unix.utimes (entry_path dir kc) 100. 100.;
   ignore (Store.find st kb);
   (match Store.put st (key "e") payload with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   check Alcotest.bool "hit-refreshed entry survives" true
-    (Sys.file_exists (entry_path st kb));
+    (Sys.file_exists (entry_path dir kb));
   check Alcotest.bool "aged entry evicted instead" false
-    (Sys.file_exists (entry_path st kc))
+    (Sys.file_exists (entry_path dir kc))
 
 let test_create_validates () =
   check Alcotest.bool "non-positive budget rejected" true
@@ -421,7 +447,8 @@ let test_create_validates () =
     | Ok _ -> false);
   let nested = Filename.concat (fresh_dir ()) "a/b/c" in
   match Store.create nested with
-  | Ok st -> check Alcotest.string "creates nested dirs" nested (Store.dir st)
+  | Ok _ ->
+    check Alcotest.bool "creates nested dirs" true (Sys.is_directory nested)
   | Error e -> Alcotest.fail e
 
 (* -------------------------------------------------- exec adapters *)
@@ -500,6 +527,8 @@ let () =
           Alcotest.test_case "LRU eviction by byte budget" `Quick
             test_lru_eviction;
           Alcotest.test_case "create validates" `Quick test_create_validates;
+          Alcotest.test_case "a full disk is an error" `Quick
+            test_full_disk_is_an_error;
         ] );
       ( "exec",
         [
