@@ -131,9 +131,13 @@ let of_string s =
     let stamp = String.sub s (len - 64) 64 in
     let payload = String.sub s 0 (len - 64) in
     let pos = ref mlen in
+    (* A word outside OCaml's 63-bit ints would not re-encode to
+       itself, so it is malformed like any other. *)
     let r_int () =
       if !pos + 8 > len - 64 then raise Malformed;
-      let v = Int64.to_int (String.get_int64_le s !pos) in
+      let w = String.get_int64_le s !pos in
+      let v = Int64.to_int w in
+      if not (Int64.equal (Int64.of_int v) w) then raise Malformed;
       pos := !pos + 8;
       v
     in
@@ -144,16 +148,18 @@ let of_string s =
       pos := !pos + n;
       v
     in
-    let r_len () =
+    (* A table length whose entries, at least [entry] bytes each, cannot
+       fit in the bytes left is refused before anything is allocated
+       for it: whatever a header claims, decoding allocates in
+       proportion to the input. *)
+    let r_len entry =
       let n = r_int () in
-      (* An absurd length means a corrupt header; fail before the table
-         is allocated. *)
-      if n < 0 || n > 1 lsl 28 then raise Malformed;
+      if n < 0 || n > (len - 64 - !pos) / entry then raise Malformed;
       n
     in
-    let r_array () = Array.init (r_len ()) (fun _ -> r_int ()) in
+    let r_array () = Array.init (r_len 8) (fun _ -> r_int ()) in
     let r_counters () =
-      Bytes.init (r_len ()) (fun _ ->
+      Bytes.init (r_len 8) (fun _ ->
           let v = r_int () in
           if v < 0 || v > 3 then raise (Bad_counter v);
           Char.unsafe_chr v)
@@ -172,7 +178,9 @@ let of_string s =
         else begin
         let ck_program = r_string () in
         let a_pc = r_int () in
-        let a_halted = r_int () <> 0 in
+        let a_halted =
+          match r_int () with 0 -> false | 1 -> true | _ -> raise Malformed
+        in
         let a_regs = r_array () in
         let ck_lfsr = r_int () in
         let s_ghist = r_int () in
@@ -193,11 +201,14 @@ let of_string s =
         let s_l1i = r_cache () in
         let s_l1d = r_cache () in
         let s_l2 = r_cache () in
+        (* The size sets the snapshot's dirty bitmap (one bit per
+           page), so it is bounded before that is allocated: memory
+           past 2^31 bytes is beyond what a 32-bit machine addresses. *)
         let mem_size = r_int () in
-        let npages = r_int () in
-        if npages < 0 || npages > 1 lsl 28 then raise Malformed;
+        if mem_size < 1 || mem_size > 1 lsl 31 then raise Malformed;
         let pages =
-          Array.init npages (fun _ ->
+          (* index and length words, at least *)
+          Array.init (r_len 16) (fun _ ->
               let idx = r_int () in
               (idx, Bytes.of_string (r_string ())))
         in

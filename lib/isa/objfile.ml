@@ -96,10 +96,5 @@ let load s =
       (Program.make ~text_base ~data_base ~entry ~symbols ~sites ~data text)
   with Bad m -> Error m
 
-let write_file path p =
-  let oc = open_out_bin path in
-  output_string oc (save p);
-  close_out oc
-
 let is_object_file s =
   String.length s >= 4 && String.sub s 0 4 = magic

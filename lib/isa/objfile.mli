@@ -16,7 +16,5 @@ val load : string -> (Program.t, string) result
     instruction word that does not re-encode to itself: every [Ok]
     image re-saves to the same bytes. *)
 
-val write_file : string -> Program.t -> unit
-
 val is_object_file : string -> bool
 (** True when the string (or file contents) begins with the magic ["BOR1"]. *)

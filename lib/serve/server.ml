@@ -36,9 +36,12 @@ let parse_spec req =
   let* hex =
     Option.to_result ~none:"submit: missing \"program\" (hex object image)" hex
   in
+  (* An image the simulators cannot load is refused here, before it is
+     keyed or queued, not left to fail its run. *)
   let* program =
     Result.map_error (( ^ ) "submit: program: ")
-      (Result.bind (Wire.of_hex hex) Bor_isa.Objfile.load)
+      (let* p = Result.bind (Wire.of_hex hex) Bor_isa.Objfile.load in
+       Result.map (fun () -> p) (Bor_sim.Machine.check_data p))
   in
   let* backend = field "backend" "a string" string_of req in
   let* plan = field "plan" "a W:D:P[:SEED] string" string_of req in

@@ -88,6 +88,10 @@ let build_code (p : Bor_isa.Program.t) mode =
 
 let default_mem_size = 8 * 1024 * 1024
 
+let check_data (p : Bor_isa.Program.t) =
+  Memory.check_segment ~size:default_mem_size ~base:p.data_base
+    (Bytes.length p.data)
+
 let create ?mem_size ?mem ?(brr_mode = Hardware (Bor_core.Engine.create ()))
     (p : Bor_isa.Program.t) =
   let mem =

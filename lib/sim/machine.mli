@@ -43,6 +43,11 @@ val default_mem_size : int
 (** Memory size {!create} allocates when given neither [mem_size] nor
     [mem]: 8 MiB. *)
 
+val check_data : Bor_isa.Program.t -> (unit, string) result
+(** [Ok ()] when the program's data segment fits a default-size memory;
+    otherwise the fault {!create} would raise loading it. Lets a caller
+    refuse such an image before it keys or queues anything. *)
+
 val create :
   ?mem_size:int -> ?mem:Memory.t -> ?brr_mode:brr_mode -> Bor_isa.Program.t -> t
 (** [create program] loads the image: registers cleared, [sp] at the top
@@ -56,8 +61,10 @@ val create :
     zeroed. The caller must not touch [mem] through any other machine
     while this one is in use.
 
-    @raise Invalid_argument if the data segment does not fit, or if
-    [mem_size] is given and differs from [Memory.size mem]. *)
+    @raise Memory.Fault if the data segment does not fit
+    ({!check_data}).
+    @raise Invalid_argument if [mem_size] is given and differs from
+    [Memory.size mem]. *)
 
 val program : t -> Bor_isa.Program.t
 val pc : t -> int

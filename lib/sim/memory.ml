@@ -41,10 +41,18 @@ let[@inline] mark_page t addr =
 let[@inline] page_dirty dirty p =
   Char.code (Bytes.unsafe_get dirty (p lsr 3)) land (1 lsl (p land 7)) <> 0
 
+let check_segment ~size ~base len =
+  if base < 0 || base + len > size then
+    Error
+      (Printf.sprintf "data segment [0x%x, 0x%x) does not fit memory" base
+         (base + len))
+  else Ok ()
+
 let load_segment t ~base seg =
   let len = Bytes.length seg in
-  if base < 0 || base + len > Bytes.length t.bytes then
-    fault "data segment [0x%x, 0x%x) does not fit memory" base (base + len);
+  Result.iter_error
+    (fun m -> raise (Fault m))
+    (check_segment ~size:(Bytes.length t.bytes) ~base len);
   Bytes.blit seg 0 t.bytes base len;
   (* Mark the whole range so snapshots are self-contained over a blank
      image: a restore target need not have the segment pre-loaded. *)

@@ -17,9 +17,15 @@ exception Fault of string
 val create : size:int -> t
 val size : t -> int
 
+val check_segment : size:int -> base:int -> int -> (unit, string) result
+(** [check_segment ~size ~base len] is [Ok ()] when [len] bytes at
+    [base] fit a memory of [size] bytes, and otherwise the message
+    {!load_segment} raises with. *)
+
 val load_segment : t -> base:int -> Bytes.t -> unit
 (** Copy a program's data segment to [base] (marks the range dirty, so
-    snapshots are self-contained over a blank image). *)
+    snapshots are self-contained over a blank image).
+    @raise Fault if it does not fit ({!check_segment}). *)
 
 val read_word : t -> int -> int
 (** Aligned 4-byte little-endian read, sign-extended to 32-bit. *)

@@ -158,6 +158,117 @@ let test_serialized_roundtrip () =
         | Ok () -> ()
         | Error e -> Alcotest.fail e))
 
+(* [Checkpoint.of_string s] and the bytes it allocated. The decoder may
+   allocate a small multiple of its input plus a fixed allowance (the
+   dirty bitmap of the largest memory a checkpoint may claim is 64 KiB),
+   whatever lengths the bytes claim. *)
+let decode_counted s =
+  (* Start from an empty minor heap: on OCaml 5.1 a minor collection
+     inside the measured span inflates [Gc.allocated_bytes]. *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let r = Checkpoint.of_string s in
+  (r, Gc.allocated_bytes () -. before)
+
+let allocation_bound s = float_of_int ((8 * String.length s) + (1 lsl 17))
+
+let restamp payload = payload ^ Bor_telemetry.Sha256.digest payload
+
+(* A small checkpoint (tiny tables, a short program) keeps each case
+   cheap: every case hashes its input twice. *)
+let small_checkpoint =
+  lazy
+    (let config =
+       {
+         Bor_uarch.Config.default with
+         ghist_bits = 6;
+         bimodal_entries = 64;
+         btb_entries = 16;
+         l1_size = 2048;
+         l2_size = 8192;
+       }
+     in
+     let prog = Lazy.force alu_prog in
+     let p = Pipeline.create ~config prog in
+     ignore (Pipeline.run_warming ~max_steps:5_000 p);
+     Checkpoint.to_string
+       (Checkpoint.capture ~program_digest:(Checkpoint.program_digest prog) p))
+
+type mutation =
+  | Flip of (int * int) list  (** byte positions and bits *)
+  | Truncate of int
+  | Splice of int * int * int  (** copy [n] bytes from [src] in at [dst] *)
+  | Word of int * int64  (** overwrite one aligned payload word *)
+
+let show_mutation = function
+  | Flip l ->
+    "flip " ^ String.concat "," (List.map (fun (i, b) -> Printf.sprintf "%d.%d" i b) l)
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Splice (src, n, dst) -> Printf.sprintf "splice %d+%d at %d" src n dst
+  | Word (w, v) -> Printf.sprintf "word %d := %Ld" w v
+
+(* Positions are drawn large and wrapped to the payload's length. *)
+let mutate payload m =
+  let len = String.length payload in
+  match m with
+  | Flip flips ->
+    let b = Bytes.of_string payload in
+    List.iter
+      (fun (i, bit) ->
+        let i = i mod len in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
+      flips;
+    Bytes.to_string b
+  | Truncate n -> String.sub payload 0 (n mod (len + 1))
+  | Splice (src, n, dst) ->
+    let src = src mod len and dst = dst mod len in
+    let n = min n (len - src) in
+    String.sub payload 0 dst ^ String.sub payload src n
+    ^ String.sub payload dst (len - dst)
+  | Word (w, v) ->
+    (* every field after the 8-byte magic is a whole number of words *)
+    let b = Bytes.of_string payload in
+    Bytes.set_int64_le b (8 + (8 * (w mod ((len - 8) / 8)))) v;
+    Bytes.to_string b
+
+let arb_mutation =
+  let pos = QCheck.Gen.int_bound (1 lsl 30) in
+  QCheck.make ~print:show_mutation
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun l -> Flip l) (list_size (int_range 1 8) (pair pos (int_bound 7)));
+          map (fun n -> Truncate n) pos;
+          map
+            (fun (src, n, dst) -> Splice (src, n, dst))
+            (triple pos (int_bound 512) pos);
+          map2
+            (fun w v -> Word (w, v))
+            pos
+            (oneofl
+               [
+                 0L; 1L; 4096L; Int64.shift_left 1L 22; Int64.shift_left 1L 28;
+                 Int64.shift_left 1L 40; Int64.shift_left 1L 62; Int64.max_int;
+                 -1L; Int64.min_int;
+               ]);
+        ])
+
+let prop_decoder_hostile_bytes =
+  QCheck.Test.make ~count:400
+    ~name:"decoder: re-stamped hostile bytes are Ok or Error, bounded"
+    arb_mutation (fun m ->
+      let s = Lazy.force small_checkpoint in
+      let input = restamp (mutate (String.sub s 0 (String.length s - 64)) m) in
+      match decode_counted input with
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | _, bytes when bytes > allocation_bound input ->
+        QCheck.Test.fail_reportf "allocated %.0f bytes for a %d-byte input" bytes
+          (String.length input)
+      | Ok ck, _ when Checkpoint.to_string ck <> input ->
+        QCheck.Test.fail_report "Ok, but does not re-encode to its input"
+      | (Ok _ | Error _), _ -> true)
+
 let test_rejects_bad_input () =
   let prog = Lazy.force micro_prog in
   let _, _, ck = warmed_checkpoint prog in
@@ -186,6 +297,20 @@ let test_rejects_bad_input () =
     let forged = Bytes.to_string payload in
     forged ^ Bor_telemetry.Sha256.digest forged
   in
+  (* A register-file length of 2^28 with a correctly recomputed stamp is
+     refused before the table is allocated. The length follows magic,
+     version, the program digest, pc and halt flag. *)
+  let regs_len = 8 + 8 + (8 + String.length ck.Checkpoint.ck_program) + 8 + 8 in
+  let huge = restamped regs_len (1 lsl 28) in
+  (match decode_counted huge with
+  | Ok _, _ -> Alcotest.fail "2^28 register-file length accepted"
+  | Error _, bytes ->
+    if bytes > allocation_bound huge then
+      Alcotest.failf "2^28 length: allocated %.0f bytes" bytes);
+  (* A halt flag other than 0 or 1 would read back as [true] and
+     re-encode as 1: refused, so every accepted file re-encodes to
+     itself. The flag precedes the register-file length. *)
+  ignore (expect_error "halt flag 2" (restamped (regs_len - 8) 2));
   (* A future format version with a correctly recomputed stamp must be
      refused by the version check, not misparsed. *)
   let e = expect_error "future version" (restamped 8 (Checkpoint.version + 1)) in
@@ -706,6 +831,9 @@ let () =
           Alcotest.test_case "serialized round trip" `Quick
             test_serialized_roundtrip;
           Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2026 |])
+            prop_decoder_hostile_bytes;
           Alcotest.test_case "rebuilds the block cache on resume" `Quick
             test_checkpoint_rebuilds_block_cache;
           Alcotest.test_case "rejects wrong program" `Quick

@@ -919,6 +919,21 @@ let test_server_refuses_malformed_fields () =
        ]);
   refused "unknown backend" "\"warp\""
     (submit [ ("backend", Json.String "warp") ]);
+  (* An image whose data lies past memory is refused before it is keyed,
+     with the fault its run would have raised. *)
+  refused "data past memory" "does not fit memory"
+    (Server.parse_spec
+       (Json.Obj
+          [
+            ("op", Json.String "submit");
+            ( "program",
+              Json.String
+                (Wire.to_hex
+                   (Bor_isa.Objfile.save
+                      (Bor_isa.Program.make ~data_base:0x7ffffff0
+                         ~data:(Bytes.make 64 'x') [| Bor_isa.Instr.Halt |])))
+            );
+          ]));
   (* In range, every form is accepted, and the knobs land in the plan
      the job is keyed by. *)
   match
