@@ -129,7 +129,6 @@ let of_string s =
   else if len < mlen + 8 + 64 then Error "corrupted checkpoint (truncated)"
   else begin
     let stamp = String.sub s (len - 64) 64 in
-    let payload = String.sub s 0 (len - 64) in
     let pos = ref mlen in
     (* A word outside OCaml's 63-bit ints would not re-encode to
        itself, so it is malformed like any other. *)
@@ -165,7 +164,7 @@ let of_string s =
           Char.unsafe_chr v)
     in
     try
-      if Sha256.digest payload <> stamp then
+      if Sha256.digest_prefix s (len - 64) <> stamp then
         Error "corrupted checkpoint (SHA-256 stamp mismatch)"
       else begin
         let v = r_int () in

@@ -4,18 +4,18 @@ let max_frame = 256 * 1024 * 1024
 
 exception Protocol_error of string
 
-let rec write_all fd buf pos len =
+let rec write_all fd s pos len =
   if len > 0 then begin
-    let n = Unix.write fd buf pos len in
-    write_all fd buf (pos + n) (len - n)
+    let n = Unix.write_substring fd s pos len in
+    write_all fd s (pos + n) (len - n)
   end
 
 let write_frame fd payload =
   let len = String.length payload in
   let header = Bytes.create 8 in
   Bytes.set_int64_le header 0 (Int64.of_int len);
-  write_all fd header 0 8;
-  write_all fd (Bytes.of_string payload) 0 len
+  write_all fd (Bytes.unsafe_to_string header) 0 8;
+  write_all fd payload 0 len
 
 (* [None] only when EOF lands exactly between frames; inside a frame it
    is a torn conversation and raises. *)
@@ -54,28 +54,45 @@ let read_json fd =
       | exception Json.Parse_error m ->
           raise (Protocol_error ("frame is not valid JSON: " ^ m)))
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let b = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set out (2 * i) (String.unsafe_get hex_digits (b lsr 4));
+    Bytes.unsafe_set out ((2 * i) + 1)
+      (String.unsafe_get hex_digits (b land 15))
+  done;
+  Bytes.unsafe_to_string out
+
+(* Each character's nibble value, or 0xff for a character that is not a
+   hex digit (either case). *)
+let nibbles =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '0' .. '9' -> Char.chr (i - Char.code '0')
+      | 'a' .. 'f' -> Char.chr (i - Char.code 'a' + 10)
+      | 'A' .. 'F' -> Char.chr (i - Char.code 'A' + 10)
+      | _ -> '\xff')
 
 let of_hex s =
   let len = String.length s in
   if len mod 2 <> 0 then Error "hex string has odd length"
   else
-    let nib c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-      | _ -> -1
+    let nib i =
+      Char.code (String.unsafe_get nibbles (Char.code (String.unsafe_get s i)))
     in
-    let buf = Bytes.create (len / 2) in
-    let bad = ref false in
-    for i = 0 to (len / 2) - 1 do
-      let hi = nib s.[2 * i] and lo = nib s.[(2 * i) + 1] in
-      if hi < 0 || lo < 0 then bad := true
-      else Bytes.set buf i (Char.chr ((hi lsl 4) lor lo))
-    done;
-    if !bad then Error "hex string has non-hex characters"
-    else Ok (Bytes.unsafe_to_string buf)
+    let out = Bytes.create (len / 2) in
+    let rec go i =
+      if i = len / 2 then Ok (Bytes.unsafe_to_string out)
+      else
+        let hi = nib (2 * i) and lo = nib ((2 * i) + 1) in
+        if hi lor lo > 15 then Error "hex string has non-hex characters"
+        else begin
+          Bytes.unsafe_set out i (Char.unsafe_chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
+    in
+    go 0

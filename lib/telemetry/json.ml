@@ -6,43 +6,63 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let hex_digits = "0123456789abcdef"
+
+(* A string goes out in runs: each run of characters that need no
+   escape is one [add_substring], so a string with nothing to escape
+   (a hex image, a key) is copied once. *)
+let add_escaped buf s =
+  let flush start i =
+    if i > start then Buffer.add_substring buf s start (i - start)
+  in
+  let rec go start i =
+    if i = String.length s then flush start i
+    else
+      match String.unsafe_get s i with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+        flush start i;
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+          Buffer.add_char buf hex_digits.[Char.code c land 15]);
+        go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
+
+let pad buf n =
+  for _ = 1 to n do
+    Buffer.add_char buf ' '
+  done
 
 let rec write buf indent v =
-  let pad n = String.make n ' ' in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | String s -> add_quoted buf s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
     Buffer.add_string buf "[\n";
     List.iteri
       (fun i item ->
         if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (pad (indent + 2));
+        pad buf (indent + 2);
         write buf (indent + 2) item)
       items;
     Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
+    pad buf indent;
     Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
   | Obj fields ->
@@ -50,14 +70,13 @@ let rec write buf indent v =
     List.iteri
       (fun i (k, item) ->
         if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (pad (indent + 2));
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
+        pad buf (indent + 2);
+        add_quoted buf k;
+        Buffer.add_string buf ": ";
         write buf (indent + 2) item)
       fields;
     Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
+    pad buf indent;
     Buffer.add_char buf '}'
 
 let to_string v =
@@ -72,22 +91,27 @@ exception Parse_error of string
 
 type cursor = { src : string; mutable pos : int }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let at_end c = c.pos >= String.length c.src
+
+(* The character under the cursor, or '\000' at the end of the input:
+   a NUL is never valid outside a string literal, so the scanner needs
+   no option per character. *)
+let peek c = if at_end c then '\000' else String.unsafe_get c.src c.pos
 
 let advance c = c.pos <- c.pos + 1
 
+let got c = if at_end c then "eof" else String.make 1 (peek c)
+
 let rec skip_ws c =
   match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
+  | ' ' | '\t' | '\n' | '\r' ->
     advance c;
     skip_ws c
   | _ -> ()
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> raise (Parse_error (Printf.sprintf "expected %c, got %c" ch x))
-  | None -> raise (Parse_error (Printf.sprintf "expected %c, got eof" ch))
+  if peek c = ch then advance c
+  else raise (Parse_error (Printf.sprintf "expected %c, got %s" ch (got c)))
 
 let literal c word v =
   if
@@ -99,54 +123,72 @@ let literal c word v =
   end
   else raise (Parse_error ("bad literal at " ^ string_of_int c.pos))
 
+let hex_digit ch =
+  match ch with
+  | '0' .. '9' -> Char.code ch - Char.code '0'
+  | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
+  | _ -> raise (Parse_error "bad \\u escape")
+
+(* A literal without a backslash is cut out with one [String.sub];
+   only one with escapes is rebuilt, a run at a time. *)
 let parse_string c =
   expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> raise (Parse_error "unterminated string")
-    | Some '"' -> advance c
-    | Some '\\' -> (
-      advance c;
-      match peek c with
-      | Some 'n' -> advance c; Buffer.add_char buf '\n'; go ()
-      | Some 'r' -> advance c; Buffer.add_char buf '\r'; go ()
-      | Some 't' -> advance c; Buffer.add_char buf '\t'; go ()
-      | Some '"' -> advance c; Buffer.add_char buf '"'; go ()
-      | Some '\\' -> advance c; Buffer.add_char buf '\\'; go ()
-      | Some '/' -> advance c; Buffer.add_char buf '/'; go ()
-      | Some 'u' ->
-        advance c;
-        if c.pos + 4 > String.length c.src then
-          raise (Parse_error "bad \\u escape");
-        let hex = String.sub c.src c.pos 4 in
-        c.pos <- c.pos + 4;
-        let code = int_of_string ("0x" ^ hex) in
-        (* Only the control-character range we ever emit. *)
-        Buffer.add_char buf (Char.chr (code land 0xFF));
-        go ()
-      | _ -> raise (Parse_error "bad escape"))
-    | Some ch ->
-      advance c;
-      Buffer.add_char buf ch;
-      go ()
+  let s = c.src and n = String.length c.src in
+  let rec scan i =
+    if i >= n then raise (Parse_error "unterminated string")
+    else match String.unsafe_get s i with '"' | '\\' -> i | _ -> scan (i + 1)
   in
-  go ();
-  Buffer.contents buf
+  let start = c.pos in
+  let stop = scan start in
+  if s.[stop] = '"' then begin
+    c.pos <- stop + 1;
+    String.sub s start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    let rec go start stop =
+      Buffer.add_substring buf s start (stop - start);
+      if s.[stop] = '"' then c.pos <- stop + 1
+      else begin
+        if stop + 1 >= n then raise (Parse_error "bad escape");
+        let next =
+          match s.[stop + 1] with
+          | 'n' -> Buffer.add_char buf '\n'; stop + 2
+          | 'r' -> Buffer.add_char buf '\r'; stop + 2
+          | 't' -> Buffer.add_char buf '\t'; stop + 2
+          | ('"' | '\\' | '/') as ch -> Buffer.add_char buf ch; stop + 2
+          | 'u' ->
+            if stop + 6 > n then raise (Parse_error "bad \\u escape");
+            let code =
+              (hex_digit s.[stop + 2] lsl 12)
+              lor (hex_digit s.[stop + 3] lsl 8)
+              lor (hex_digit s.[stop + 4] lsl 4)
+              lor hex_digit s.[stop + 5]
+            in
+            (* Only the control-character range we ever emit. *)
+            Buffer.add_char buf (Char.chr (code land 0xFF));
+            stop + 6
+          | _ -> raise (Parse_error "bad escape")
+        in
+        go next (scan next)
+      end
+    in
+    go start stop;
+    Buffer.contents buf
+  end
 
 let parse_int c =
   let start = c.pos in
-  (match peek c with Some '-' -> advance c | _ -> ());
-  let rec digits () =
-    match peek c with
-    | Some '0' .. '9' ->
-      advance c;
-      digits ()
-    | _ -> ()
-  in
-  digits ();
-  if c.pos = start then raise (Parse_error "expected a number");
-  int_of_string (String.sub c.src start (c.pos - start))
+  if peek c = '-' then advance c;
+  let first = c.pos in
+  while match peek c with '0' .. '9' -> true | _ -> false do
+    advance c
+  done;
+  if c.pos = first then raise (Parse_error "expected a number");
+  match int_of_string_opt (String.sub c.src start (c.pos - start)) with
+  | Some i -> i
+  | None -> raise (Parse_error "integer out of range")
 
 (* Each '[' or '{' costs one stack frame, so the depth bound keeps a
    hostile input (a wire frame can be hundreds of MiB) from exhausting
@@ -156,16 +198,16 @@ let max_depth = 512
 let rec parse_value c depth =
   skip_ws c;
   match peek c with
-  | Some ('[' | '{') when depth >= max_depth ->
+  | ('[' | '{') when depth >= max_depth ->
     raise (Parse_error (Printf.sprintf "nesting deeper than %d" max_depth))
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' -> String (parse_string c)
-  | Some '[' ->
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' -> String (parse_string c)
+  | '[' ->
     advance c;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if peek c = ']' then begin
       advance c;
       List []
     end
@@ -175,19 +217,19 @@ let rec parse_value c depth =
         items := parse_value c (depth + 1) :: !items;
         skip_ws c;
         match peek c with
-        | Some ',' ->
+        | ',' ->
           advance c;
           go ()
-        | Some ']' -> advance c
+        | ']' -> advance c
         | _ -> raise (Parse_error "expected , or ] in array")
       in
       go ();
       List (List.rev !items)
     end
-  | Some '{' ->
+  | '{' ->
     advance c;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if peek c = '}' then begin
       advance c;
       Obj []
     end
@@ -202,18 +244,17 @@ let rec parse_value c depth =
         fields := (k, v) :: !fields;
         skip_ws c;
         match peek c with
-        | Some ',' ->
+        | ',' ->
           advance c;
           go ()
-        | Some '}' -> advance c
+        | '}' -> advance c
         | _ -> raise (Parse_error "expected , or } in object")
       in
       go ();
       Obj (List.rev !fields)
     end
-  | Some ('-' | '0' .. '9') -> Int (parse_int c)
-  | Some ch -> raise (Parse_error (Printf.sprintf "unexpected %c" ch))
-  | None -> raise (Parse_error "unexpected eof")
+  | '-' | '0' .. '9' -> Int (parse_int c)
+  | _ -> raise (Parse_error ("unexpected " ^ got c))
 
 let of_string s =
   let c = { src = s; pos = 0 } in

@@ -20,8 +20,11 @@ val of_string : string -> t
 (** Inverse of {!to_string} (accepts any JSON built from the
     constructors above; floats are not part of the dialect — the
     harness stores pre-formatted strings instead, so that digests never
-    depend on float printing). Raises {!Parse_error}, also on input
-    nested more than {!max_depth} arrays/objects deep. *)
+    depend on float printing). Raises {!Parse_error} and nothing else,
+    whatever the input: on malformed syntax, a lone [-] or an integer
+    past 63 bits, a [\u] escape whose four characters are not hex
+    digits, and input nested more than {!max_depth} arrays/objects
+    deep. *)
 
 val max_depth : int
 (** The deepest nesting {!of_string} accepts (512): far above anything

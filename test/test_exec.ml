@@ -172,6 +172,19 @@ let decode_counted s =
 
 let allocation_bound s = float_of_int ((8 * String.length s) + (1 lsl 17))
 
+(* A valid checkpoint is hashed where it lies: decoding allocates the
+   state it returns, and no copy of its input on top. *)
+let test_decode_allocates_once () =
+  let _, _, ck = warmed_checkpoint (Lazy.force micro_prog) in
+  let s = Checkpoint.to_string ck in
+  match decode_counted s with
+  | Error e, _ -> Alcotest.fail e
+  | Ok _, bytes ->
+    let ratio = bytes /. float_of_int (String.length s) in
+    if ratio >= 1.5 then
+      Alcotest.failf "decoding %d bytes allocated %.0f (%.2fx its size)"
+        (String.length s) bytes ratio
+
 let restamp payload = payload ^ Bor_telemetry.Sha256.digest payload
 
 (* A small checkpoint (tiny tables, a short program) keeps each case
@@ -830,6 +843,8 @@ let () =
             test_resume_after_halt;
           Alcotest.test_case "serialized round trip" `Quick
             test_serialized_roundtrip;
+          Alcotest.test_case "decoding allocates its state only" `Quick
+            test_decode_allocates_once;
           Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 2026 |])

@@ -123,6 +123,25 @@ let test_hex_roundtrip () =
   check Alcotest.bool "non-hex rejected" true
     (match Wire.of_hex "zz" with Error _ -> true | Ok _ -> false)
 
+(* Arbitrary bytes, quotes, backslashes, controls and bytes from 0x80
+   included: the hex is two lowercase digits per byte, exactly what
+   [Printf "%02x"] writes, and decodes back, in either case. *)
+let prop_hex_roundtrip =
+  QCheck.Test.make ~name:"hex codec on any bytes" ~count:500
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         string_size
+           ~gen:(frequency [ (3, char); (1, oneofl [ '"'; '\\'; '\000'; '\255' ]) ])
+           (int_bound 300)))
+    (fun s ->
+      let hex = Wire.to_hex s in
+      hex
+      = String.concat ""
+          (List.init (String.length s) (fun i ->
+               Printf.sprintf "%02x" (Char.code s.[i])))
+      && Wire.of_hex hex = Ok s
+      && Wire.of_hex (String.uppercase_ascii hex) = Ok s)
+
 (* ---------------------------------------------- object image decoder *)
 
 module Objfile = Bor_isa.Objfile
@@ -948,10 +967,15 @@ let test_server_refuses_malformed_fields () =
                ~ci_target:2. ~backend:"sampled" (Lazy.force alu_prog))))
       (Bor_store.Key.hex (Job.key spec))
 
-(* A balanced but 10 000-deep JSON frame is malformed traffic: it costs
-   only its own connection (counted in serve.conns.protocol_errors),
-   and the server keeps answering. *)
-let test_server_drops_deep_frame () =
+(* Malformed frames cost only their own connection (each counted in
+   serve.conns.protocol_errors), and the server keeps answering: a
+   balanced but 10 000-deep frame, and the frames whose numbers or
+   escapes are malformed (a lone minus, an integer past 63 bits, a
+   [\u] escape of non-hex digits). Each is sent on a fresh
+   connection, which must be closed without an answer; a receive
+   timeout turns a server that neither answers nor closes into a
+   failure rather than a hang. *)
+let test_server_drops_malformed_frames () =
   let module Telemetry = Bor_telemetry.Telemetry in
   let socket = fresh_path "bor-serve-sock-deep" in
   let sched = Scheduler.create ~domains:1 () in
@@ -967,14 +991,28 @@ let test_server_drops_deep_frame () =
   while not (Atomic.get ready) do
     Domain.cpu_relax ()
   done;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX socket);
   let depth = 10_000 in
-  Wire.write_frame fd (String.make depth '[' ^ String.make depth ']');
-  (match Wire.read_frame fd with
-  | None | (exception (Wire.Protocol_error _ | Unix.Unix_error _)) -> ()
-  | Some reply -> Alcotest.failf "deep frame answered: %s" reply);
-  Unix.close fd;
+  let frames =
+    [
+      ("deep", String.make depth '[' ^ String.make depth ']');
+      ("lone minus", {|{"op": -}|});
+      ("64-bit integer", {|{"op": "stats", "n": 9223372036854775807}|});
+      ("non-hex \\u escape", {|{"op": "\uzzzz"}|});
+    ]
+  in
+  List.iter
+    (fun (name, frame) ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Wire.write_frame fd frame;
+      (match Wire.read_frame fd with
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.failf "%s frame: neither answered nor closed" name
+      | None | (exception (Wire.Protocol_error _ | Unix.Unix_error _)) -> ()
+      | Some reply -> Alcotest.failf "%s frame answered: %s" name reply);
+      Unix.close fd)
+    frames;
   (match Client.request ~socket Client.stats_request with
   | Ok resp ->
       check Alcotest.bool "stats still answered" true
@@ -983,7 +1021,8 @@ let test_server_drops_deep_frame () =
   ignore (Client.request ~socket Client.shutdown_request);
   let r, errors = Domain.join server in
   (match r with Ok () -> () | Error e -> Alcotest.fail e);
-  check Alcotest.(option int) "serve.conns.protocol_errors" (Some 1) errors
+  check Alcotest.(option int) "serve.conns.protocol_errors"
+    (Some (List.length frames)) errors
 
 (* Two clients on two live connections, each submitting a sampled job
    and blocking in [result wait] while the other's windows share the
@@ -1093,6 +1132,9 @@ let () =
           Alcotest.test_case "frame round trip" `Quick test_wire_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
           Alcotest.test_case "hex round trip" `Quick test_hex_roundtrip;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 30 |])
+            prop_hex_roundtrip;
           QCheck_alcotest.to_alcotest prop_object_image_decoder;
         ] );
       ( "pool",
@@ -1148,8 +1190,8 @@ let () =
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
           Alcotest.test_case "refuses malformed submit fields" `Quick
             test_server_refuses_malformed_fields;
-          Alcotest.test_case "drops a deep frame" `Quick
-            test_server_drops_deep_frame;
+          Alcotest.test_case "drops malformed frames" `Quick
+            test_server_drops_malformed_frames;
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
         ] );

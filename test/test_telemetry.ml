@@ -156,6 +156,174 @@ let test_json_roundtrip () =
   check Alcotest.bool "roundtrip" true
     (Json.of_string (Json.to_string v) = v)
 
+(* The emitted bytes of one value that uses every escape class (quote,
+   backslash, the three named controls, the other controls as \u00XX)
+   beside characters that go out raw (DEL, bytes from 0x80, '/'), in a
+   key and a value, with the layout's every case: frozen, so neither
+   the escaping nor the indentation can drift. *)
+let test_json_frozen_rendering () =
+  let v =
+    Json.Obj
+      [
+        ( "k\"ey\\",
+          Json.String
+            "q\" b\\ n\n r\r t\t c\000\001\031 del\127 hi\128\255 /" );
+        ( "list",
+          Json.List
+            [
+              Json.Int (-42); Json.Bool false; Json.Null; Json.List [];
+              Json.Obj [];
+            ]
+        );
+        ("nested", Json.Obj [ ("x", Json.List [ Json.String "" ]) ]);
+      ]
+  in
+  let expected =
+    String.concat ""
+      [
+        {|{
+  "k\"ey\\": "q\" b\\ n\n r\r t\t c\u0000\u0001\u001f del|};
+        "\127 hi\128\255 /";
+        {|",
+  "list": [
+    -42,
+    false,
+    null,
+    [],
+    {}
+  ],
+  "nested": {
+    "x": [
+      ""
+    ]
+  }
+}
+|};
+      ]
+  in
+  check Alcotest.string "rendering" expected (Json.to_string v);
+  check Alcotest.bool "parses back" true (Json.of_string expected = v)
+
+(* Strings drawn to hit both of the emitter's paths: mostly plain
+   characters (copied a run at a time), with quotes, backslashes,
+   control characters and bytes from 0x7f up among them. *)
+let gen_json_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (6, printable);
+             (1, oneofl [ '"'; '\\' ]);
+             (1, map Char.chr (int_bound 0x1f));
+             (1, map Char.chr (int_range 0x7f 0xff));
+           ])
+      (int_bound 32))
+
+let prop_json_string_roundtrip =
+  QCheck.Test.make ~name:"string round trip" ~count:1000
+    (QCheck.make ~print:String.escaped gen_json_string)
+    (fun s ->
+      let v = Json.Obj [ (s, Json.String s) ] in
+      Json.of_string (Json.to_string v) = v)
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return Json.Null);
+                 (1, map (fun b -> Json.Bool b) bool);
+                 ( 2,
+                   map (fun i -> Json.Int i) (oneof [ int; small_signed_int ])
+                 );
+                 (3, map (fun s -> Json.String s) gen_json_string);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map
+                     (fun l -> Json.List l)
+                     (list_size (int_bound 4) (self (n - 1))) );
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 4)
+                        (pair gen_json_string (self (n - 1)))) );
+               ]))
+
+(* A frame as the wire might deliver it: a rendered value after one to
+   three mutations (a bit flip, a truncation, a splice of the frame into
+   itself, or a run of digits, a lone minus or a [\u] escape written in
+   at some position). *)
+let gen_frame =
+  let open QCheck.Gen in
+  let insert s at piece =
+    let at = at mod (String.length s + 1) in
+    String.sub s 0 at ^ piece ^ String.sub s at (String.length s - at)
+  in
+  let mutate s =
+    let n = String.length s in
+    if n = 0 then return s
+    else
+      frequency
+        [
+          ( 3,
+            map2
+              (fun i bit ->
+                String.mapi
+                  (fun j c ->
+                    if j = i mod n then Char.chr (Char.code c lxor (1 lsl bit))
+                    else c)
+                  s)
+              nat (int_bound 7) );
+          (2, map (fun k -> String.sub s 0 (k mod (n + 1))) nat);
+          ( 1,
+            map3
+              (fun a b len ->
+                let a = a mod n and b = b mod n in
+                let len = min len (n - b) in
+                String.sub s 0 a ^ String.sub s b len ^ String.sub s a (n - a))
+              nat nat (int_bound 64) );
+          ( 2,
+            map3 insert (return s) nat
+              (oneof
+                 [
+                   string_size ~gen:numeral (int_range 15 40);
+                   map (( ^ ) "-") (string_size ~gen:numeral (int_range 18 22));
+                   return "-";
+                   map (( ^ ) "\\u") (string_size ~gen:char (return 4));
+                 ]) );
+        ]
+  in
+  let* v = gen_json in
+  let* rounds = int_range 1 3 in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go rounds (Json.to_string v)
+
+(* [Json.of_string] on hostile frames: it raises [Parse_error] and
+   nothing else, and whatever it accepts re-encodes and re-parses to
+   itself. *)
+let prop_json_decoder =
+  QCheck.Test.make ~name:"decoder: mutated frames" ~count:2000
+    (QCheck.make ~print:String.escaped gen_frame)
+    (fun frame ->
+      match Json.of_string frame with
+      | exception Json.Parse_error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | v -> (
+        match Json.of_string (Json.to_string v) with
+        | v' -> v' = v
+        | exception e ->
+          QCheck.Test.fail_reportf "re-parse raised %s" (Printexc.to_string e)))
+
 let test_json_snapshot_roundtrip () =
   with_registry (fun () ->
       let sc = Telemetry.scope "t" in
@@ -203,7 +371,37 @@ let test_sha256_vectors () =
     (Sha256.digest "abc");
   check Alcotest.string "448-bit"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
+    (Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  check Alcotest.string "896-bit"
+    "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+    (Sha256.digest
+       "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu");
+  check Alcotest.string "one million a"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Sha256.digest (String.make 1_000_000 'a'))
+
+(* The bytes 0, 1, ..., n-1 at every length where the padding changes
+   shape: the last length that pads within one block (55), the first
+   that needs a second (56), and either side of one and two full
+   blocks. Expected values from Python's hashlib. [digest_prefix] of a
+   longer string must agree, at every cut. *)
+let test_sha256_boundaries () =
+  let long = String.init 200 Char.chr in
+  List.iter
+    (fun (n, hex) ->
+      let name = string_of_int n ^ " bytes" in
+      check Alcotest.string name hex (Sha256.digest (String.sub long 0 n));
+      check Alcotest.string (name ^ ", prefix") hex (Sha256.digest_prefix long n))
+    [
+      (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+      (128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5");
+    ]
 
 (* --------------------------------------------------------- determinism *)
 
@@ -260,12 +458,25 @@ let () =
       ( "json",
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "frozen rendering" `Quick
+            test_json_frozen_rendering;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 30 |])
+            prop_json_string_roundtrip;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 31 |])
+            prop_json_decoder;
           Alcotest.test_case "snapshot roundtrip" `Quick
             test_json_snapshot_roundtrip;
           Alcotest.test_case "nesting depth bound" `Quick
             test_json_depth_bound;
         ] );
-      ("sha256", [ Alcotest.test_case "vectors" `Quick test_sha256_vectors ]);
+      ( "sha256",
+        [
+          Alcotest.test_case "vectors" `Quick test_sha256_vectors;
+          Alcotest.test_case "block and padding boundaries" `Quick
+            test_sha256_boundaries;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "same-seed runs identical" `Quick
