@@ -146,10 +146,11 @@ let sanitize_flag =
     Switch (fun () -> Bor_check.Check.set_enabled true),
     "[--sanitize]" )
 
-(* The calling domain plus the pool's worker cap. The runtime itself
-   stops at 128 domains with an uncaught [Failure], so larger values
-   are refused here, before anything runs. *)
-let max_domains = Bor_exec.Pool.max_workers + 1
+(* The pool's worker cap: a run's calling domain plus its helpers, or a
+   serve scheduler's workers. The runtime itself stops at 128 domains
+   with an uncaught [Failure], so larger values are refused here, before
+   anything runs. *)
+let max_domains = Bor_exec.Pool.max_workers
 
 let domains_flag set =
   ("--domains", int ~min:1 ~max:max_domains set, "[--domains N]")
@@ -215,6 +216,17 @@ let fail e =
 
 let read_file path =
   try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error e -> fail e
+
+(* An output is probed before the work it will hold, so that an
+   unwritable path fails at once instead of discarding that work: the
+   file is opened for writing without truncation, and removed again if
+   the probe created it. *)
+let probe_output path =
+  try
+    let existed = Sys.file_exists path in
+    close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path);
+    if not existed then Sys.remove path
   with Sys_error e -> fail e
 
 (* The flush inside reports a full disk: [with_open_bin]'s own close
@@ -412,6 +424,7 @@ let checkpoint_save () =
         let path = one_operand operands in
         let at = required !at and out = required !out in
         let prog = assemble path in
+        probe_output out;
         let b = build (fun () -> Bor_exec.Backend.warming ~max_steps:at prog) in
         let warmed =
           match b.Bor_exec.Backend.run () with
@@ -547,6 +560,19 @@ let opt () =
           (sampling_plan s);
         if files = [] then raise Usage;
         if !stats <> Stats_off then Bor_telemetry.Telemetry.set_enabled true;
+        let rewrite_name file =
+          Filename.remove_extension (Filename.basename file) ^ "_opt"
+        in
+        (* A search can take minutes: probe every output first. *)
+        Option.iter probe_output !json_out;
+        Option.iter
+          (fun dir ->
+            Bor_gen.Corpus.mkdirs dir;
+            List.iter
+              (fun file ->
+                probe_output (Filename.concat dir (rewrite_name file ^ ".s")))
+              files)
+          !out_dir;
         let failed = ref false in
         let reports =
           List.map
@@ -581,14 +607,10 @@ let opt () =
                   match !out_dir with
                   | None -> ()
                   | Some dir ->
-                    let name =
-                      Filename.remove_extension (Filename.basename file)
-                      ^ "_opt"
-                    in
                     let path =
                       try
-                        Bor_gen.Corpus.write ~dir ~name ~tool:"bor opt"
-                          ~seed:!p.p_seed
+                        Bor_gen.Corpus.write ~dir ~name:(rewrite_name file)
+                          ~tool:"bor opt" ~seed:!p.p_seed
                           ~note:
                             (Printf.sprintf
                                "bor opt rewrite of %s: cost %d -> %d" file

@@ -1,13 +1,13 @@
 module Telemetry = Bor_telemetry.Telemetry
 
 (* The process-wide worker set. Workers are spawned lazily, by the
-   first call that offers helper copies, and grown only to the largest
-   number of copies one call has offered (never past [max_workers]);
-   they live until the process exits, parked on [work] while [queue]
-   is empty. One mutex guards the queue, the worker count and every
-   crew's [finished]/[failure]. *)
+   calls that offer copies, and only when a call's copies would
+   otherwise find no free worker (never past [max_workers]); they live
+   until the process exits, parked on [work] while [queue] is empty.
+   One mutex guards the queue, the worker counts and every crew's
+   [finished]/[failure]. *)
 
-let max_workers = 63
+let max_workers = 64
 
 type crew = {
   claims : bool Atomic.t array;  (* one per copy; set by whoever takes it *)
@@ -22,6 +22,7 @@ let work = Condition.create ()
 let returned = Condition.create ()
 let queue : copy Queue.t = Queue.create ()
 let spawned = ref 0
+let busy = ref 0  (* workers running a copy *)
 
 (* A reused worker starts every copy as a freshly spawned domain would:
    telemetry off and an empty registry, whatever an earlier copy
@@ -33,6 +34,7 @@ let run_copy c =
   Mutex.lock mu;
   if Option.is_none c.crew.failure then c.crew.failure <- failure;
   c.crew.finished <- c.crew.finished + 1;
+  decr busy;
   Condition.broadcast returned;
   Mutex.unlock mu
 
@@ -44,8 +46,10 @@ let rec worker () =
     Condition.wait work mu
   done;
   let c = Queue.pop queue in
+  let claimed = Atomic.compare_and_set c.claim false true in
+  if claimed then incr busy;
   Mutex.unlock mu;
-  if Atomic.compare_and_set c.claim false true then run_copy c;
+  if claimed then run_copy c;
   worker ()
 
 let help copies body =
@@ -60,8 +64,12 @@ let help copies body =
       Queue.push { claim; crew; body } queue;
       Condition.signal work)
     crew.claims;
-  let grow = copies - !spawned in
-  spawned := max !spawned copies;
+  (* Grow until every queued copy has a worker not running one: a copy
+     that runs until its owner closes (a serve scheduler's) must never
+     wait behind another call's. An idle pool grows to [copies]. *)
+  let unclaimed = Queue.length queue - (!spawned - !busy) in
+  let grow = max 0 (min (max_workers - !spawned) unclaimed) in
+  spawned := !spawned + grow;
   Mutex.unlock mu;
   (* Spawned outside the lock. A spawn the runtime refuses (its own
      domain limit, reached with domains this pool does not own) only
@@ -101,7 +109,7 @@ let join crew =
 
 let map ?(domains = 1) ?(init = fun () -> ()) f items =
   let n = Array.length items in
-  let participants = min domains n in
+  let participants = min (min domains n) max_workers in
   if participants <= 1 then begin
     init ();
     Array.map f items

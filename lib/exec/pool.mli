@@ -1,14 +1,15 @@
 (** Help-first parallelism over one process-wide set of long-lived
-    OCaml 5 worker domains — the fan-out shared by [bor opt]'s search
-    chains ({!Bor_opt.Search}), [bench --jobs] and the private window
-    queue of a standalone {!Sampled.run_on} at [domains > 1].
+    OCaml 5 worker domains. Three kinds of caller share it: {!map}'s
+    fan-out ([bor opt]'s search chains in {!Bor_opt.Search}, and
+    [bench --jobs]), the private window queue of a standalone
+    {!Sampled.run_on} at [domains > 1], and the [bor serve] scheduler,
+    whose worker domains are copies of {!Wqueue.work}.
 
-    Workers are spawned lazily, by the first call that asks for
-    helpers, and grown only to the largest number of helpers one call
-    has asked for, never past {!max_workers} — with the calling domain,
-    the 64 participants that [--domains] allows. Idle workers park on
-    one mutex and condition and live until the process exits; they
-    never keep it from exiting.
+    Workers are spawned lazily, so that every copy a call offers finds
+    a worker not already running one (an idle pool grows to the call's
+    copies), never past {!max_workers}. Idle workers park on one mutex
+    and condition and live until the process exits; they never keep it
+    from exiting.
 
     The one primitive is {b help-first}: a caller offers copies of a
     body to the workers ({!help}), does its own share of the work, and
@@ -17,20 +18,27 @@
     never depends on a free worker, so a call made from inside another
     call's body (a nested map, a sampled run inside a map item) cannot
     deadlock. A reused worker starts every copy as a freshly spawned
-    domain would: telemetry disabled and an empty registry. *)
+    domain would: telemetry disabled and an empty registry.
+
+    A copy may run until its owner stops it, as the scheduler's copies
+    of {!Wqueue.work} run until {!Wqueue.close}. Such an owner stops
+    them, then does their remaining work itself, then joins: {!join}
+    waits for started copies and cancels unclaimed ones. *)
 
 val max_workers : int
-(** [63]: the most worker domains the pool ever spawns. *)
+(** [64]: the most worker domains the pool spawns, and the most
+    participants of one call — the 64 that [--domains] allows: a
+    {!map}'s caller plus 63 helpers, or a scheduler's 64 copies. *)
 
 val map : ?domains:int -> ?init:(unit -> unit) -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~domains f items] applies [f] to every item, with up to
-    [domains] participants: the calling domain plus [domains - 1]
-    helpers ([1], the default, runs sequentially in the calling domain
-    and touches no worker). Items are claimed dynamically off a shared
-    atomic cursor, so uneven item costs balance across participants;
-    results land in the slot of the item that produced them, so the
-    output order is the submission order regardless of completion
-    order.
+    [domains] participants, at most {!max_workers}: the calling domain
+    plus [domains - 1] helpers ([1], the default, runs sequentially in
+    the calling domain and touches no worker). Items are claimed
+    dynamically off a shared atomic cursor, so uneven item costs
+    balance across participants; results land in the slot of the item
+    that produced them, so the output order is the submission order
+    regardless of completion order.
 
     [init] is per-participant setup, run once per call before that
     participant claims an item: in the caller, and in each helper that

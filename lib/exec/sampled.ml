@@ -83,39 +83,21 @@ let seq_runner ctx =
   }
 
 (* [domains > 1] without an external runner: a private window queue,
-   executed by up to [domains - 1] {!Pool} helpers plus the sweep
-   thread, which help-executes whenever it reaches the in-flight cap
-   and while draining. Closing cancels the helpers no worker has
-   claimed and waits for the rest to leave the loop. Nothing is kept
-   once delivered: a run's work units never repeat. Windows take
-   exactly a served job's path, so results and telemetry match the
-   inline runner's by construction. *)
+   executed by up to [domains - 1] {!Pool} copies of its work loop plus
+   the sweep thread, which help-executes whenever it reaches the
+   in-flight cap and while draining. Closing lets the copies leave the
+   loop; joining cancels those no worker has claimed and waits for the
+   rest. Nothing is kept once delivered: a run's work units never
+   repeat. Windows take exactly a served job's path, so results and
+   telemetry match the inline runner's by construction. *)
 let queue_runner ~domains ~config ctx =
-  let mu = Mutex.create () and cond = Condition.create () in
   let wq =
-    Wqueue.create ~monitor:(mu, cond) ~inflight_cap:(max 4 (2 * domains))
-      ~finished_cap:0 ()
+    Wqueue.create ~inflight_cap:(max 4 (2 * domains)) ~finished_cap:0 ()
   in
-  let closed = ref false in
-  let rec work () =
-    Mutex.lock mu;
-    while not (!closed || Wqueue.pending_locked wq) do
-      Condition.wait cond mu
-    done;
-    match Wqueue.steal_locked wq with
-    | Some h ->
-      Mutex.unlock mu;
-      Wqueue.execute wq h;
-      work ()
-    | None -> Mutex.unlock mu
-  in
-  let helpers = Pool.help (domains - 1) work in
+  let helpers = Pool.help (domains - 1) (fun () -> Wqueue.work wq) in
   let r = Wqueue.runner wq ~job:"sampled" ~config ctx in
   let close () =
-    Mutex.lock mu;
-    closed := true;
-    Condition.broadcast cond;
-    Mutex.unlock mu;
+    Wqueue.close wq;
     Pool.join helpers
   in
   { r with r_drain = (fun () -> Fun.protect ~finally:close r.r_drain) }
@@ -131,7 +113,7 @@ let run_on ?(max_cycles = 2_000_000_000) ~plan ?(domains = 1) ?runner t =
     let config = Pipeline.config t in
     let prog = Machine.program oracle in
     let digest = Checkpoint.program_digest prog in
-    let domains = max 1 (min domains (Pool.max_workers + 1)) in
+    let domains = max 1 (min domains Pool.max_workers) in
     let phase = Sampling_plan.phase_stream plan in
     let halted () = Machine.halted oracle in
     let results : (int, window_entry) Hashtbl.t = Hashtbl.create 64 in

@@ -22,12 +22,13 @@ type wu = {
   mutable wu_waiters : waiter list;  (* arrival order, reversed *)
 }
 
-type handle = wu * (unit -> Window.window_entry)
-
 type t = {
   mu : Mutex.t;
   cond : Condition.t;
   q : wu Queue.t;
+  (* posted jobs: run by {!work} only when no window unit is pending *)
+  jobs : (unit -> unit) Queue.t;
+  mutable closed : bool;
   table : (string, wu) Hashtbl.t;
   (* completion order of successful units; bounds [table] so a
      long-lived server does not accumulate every checkpoint result it
@@ -44,18 +45,15 @@ type t = {
   a_failed : int Atomic.t;
 }
 
-let create ?monitor ?(inflight_cap = 8) ?(finished_cap = 512) () =
+let create ?(inflight_cap = 8) ?(finished_cap = 512) () =
   if inflight_cap < 1 then invalid_arg "Wqueue.create: inflight_cap >= 1";
   if finished_cap < 0 then invalid_arg "Wqueue.create: finished_cap >= 0";
-  let mu, cond =
-    match monitor with
-    | Some (m, c) -> (m, c)
-    | None -> (Mutex.create (), Condition.create ())
-  in
   {
-    mu;
-    cond;
+    mu = Mutex.create ();
+    cond = Condition.create ();
     q = Queue.create ();
+    jobs = Queue.create ();
+    closed = false;
     table = Hashtbl.create 256;
     finished = Queue.create ();
     finished_cap;
@@ -78,15 +76,13 @@ let decr_inflight t job =
   | Some _ -> Hashtbl.remove t.inflight job
   | None -> ()
 
-let pending_locked t = not (Queue.is_empty t.q)
-
 (* Pop the next Pending unit, preferring one that a live (not
    advisory-stopped) job is waiting on: a stopped job's overrun windows
    are discarded at merge anyway, so they yield the pool to jobs whose
    windows still count. Stopped-only units are rotated to the back, not
    skipped — every dispatched unit still executes, which is what keeps
    [drain] and payload byte-identity independent of scheduling. *)
-let steal_locked t =
+let steal t =
   let live wu =
     match wu.wu_state with
     | Pending _ -> List.exists (fun w -> not (w.w_stopped ())) wu.wu_waiters
@@ -110,7 +106,7 @@ let steal_locked t =
       match wu.wu_state with
       | Pending exec ->
           wu.wu_state <- Running;
-          Some ((wu, exec) : handle)
+          Some (wu, exec)
       | Running | Finished _ ->
           (* unreachable: units leave the queue exactly once *)
           None)
@@ -147,7 +143,7 @@ let complete t wu entry =
   Condition.broadcast t.cond;
   Mutex.unlock t.mu
 
-let execute t ((wu, exec) : handle) =
+let execute t (wu, exec) =
   let entry =
     try exec ()
     with e ->
@@ -163,14 +159,15 @@ let execute t ((wu, exec) : handle) =
   Atomic.incr t.a_executed;
   complete t wu entry
 
-(* Help-first: while blocked (on backpressure or drain), run queued
-   units ourselves instead of waiting. Guarantees progress even with
-   zero pool workers — a standalone Wqueue degenerates to inline
-   execution — and makes deadlock structurally impossible: the only
-   wait is for units Running on other threads, which never block. *)
+(* Help-first: while blocked (on backpressure, drain, or in [work]),
+   run queued units ourselves instead of waiting. Guarantees progress
+   even with zero pool workers — a standalone Wqueue degenerates to
+   inline execution — and makes deadlock structurally impossible:
+   dispatch and drain wait only for units Running on other threads,
+   which never block. This is the queue's one wait. *)
 let rec help_while t pred =
   if pred () then begin
-    match steal_locked t with
+    match steal t with
     | Some h ->
         Mutex.unlock t.mu;
         execute t h;
@@ -211,6 +208,39 @@ let drain t ~job =
   help_while t (fun () -> inflight_of t job > 0);
   Mutex.unlock t.mu
 
+(* Posted jobs are the low-priority queue: {!work} takes one only when
+   no window unit is pending. *)
+let post t job =
+  Mutex.protect t.mu (fun () ->
+      if t.closed then invalid_arg "Wqueue.post: the queue is closed";
+      Queue.push job t.jobs;
+      Condition.broadcast t.cond)
+
+let close t =
+  Mutex.protect t.mu (fun () ->
+      t.closed <- true;
+      Condition.broadcast t.cond)
+
+(* The one work loop: window units first (finishing the jobs already in
+   flight beats widening the working set, and a unit's waiters may
+   include a client blocked on its result), then posted jobs, parked in
+   [help_while] otherwise. It returns once the queue is closed and both
+   queues are empty. *)
+let work t =
+  Mutex.lock t.mu;
+  let rec loop () =
+    help_while t (fun () ->
+        not (Queue.is_empty t.q && (t.closed || not (Queue.is_empty t.jobs))));
+    match Queue.take_opt t.jobs with
+    | Some job ->
+        Mutex.unlock t.mu;
+        job ();
+        Mutex.lock t.mu;
+        loop ()
+    | None -> Mutex.unlock t.mu
+  in
+  loop ()
+
 let runner t ~job ~config ctx =
   let tel = ctx.Window.xc_telemetry in
   let r_dispatch ~index ~boundary ck =
@@ -237,28 +267,20 @@ let runner t ~job ~config ctx =
   in
   { Window.r_dispatch; r_drain = (fun () -> drain t ~job) }
 
-(* Lock-free counter reads: safe from any thread, including under the
-   shared monitor's lock (the serve scheduler publishes them as its
-   serve.windows.* telemetry). *)
+(* Lock-free counter reads: safe from any thread (the serve scheduler
+   publishes them as its serve.windows.* telemetry). *)
 let dispatched t = Atomic.get t.a_dispatched
 let executed t = Atomic.get t.a_executed
 let shared_hits t = Atomic.get t.a_shared
 let failed t = Atomic.get t.a_failed
 
-let depth t =
-  Mutex.lock t.mu;
-  let n = Queue.length t.q in
-  Mutex.unlock t.mu;
-  n
+let depth t = Mutex.protect t.mu (fun () -> Queue.length t.q)
 
 let inflight_total t =
-  Mutex.lock t.mu;
-  let n = Hashtbl.fold (fun _ n acc -> acc + n) t.inflight 0 in
-  Mutex.unlock t.mu;
-  n
+  Mutex.protect t.mu (fun () ->
+      Hashtbl.fold (fun _ n acc -> acc + n) t.inflight 0)
 
 let inflight_by_job t =
-  Mutex.lock t.mu;
-  let l = Hashtbl.fold (fun job n acc -> (job, n) :: acc) t.inflight [] in
-  Mutex.unlock t.mu;
-  List.sort compare l
+  Mutex.protect t.mu (fun () ->
+      Hashtbl.fold (fun job n acc -> (job, n) :: acc) t.inflight [])
+  |> List.sort compare

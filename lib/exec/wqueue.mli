@@ -1,14 +1,20 @@
 (** The window queue: the one off-thread executor for detailed
-    windows, as first-class, content-addressed work units.
+    windows, as first-class, content-addressed work units, and the one
+    loop that picks up work ({!work}).
 
-    Two kinds of owner drive it. [bor serve]'s scheduler shares one
-    queue across every job on the server and its worker domains pull
-    from it between jobs ([Bor_serve.Scheduler]). A standalone
-    {!Sampled.run_on} at [domains > 1] creates a private queue and
-    offers [domains - 1] helpers to the process-wide {!Pool} for the
-    run; the sweep thread is the remaining executor, so the run
-    completes even if no pool worker is free to help. Either way the job's
-    {!Window.runner} ({!val-runner}) pushes each window into the queue.
+    Two kinds of owner drive it, both through {!Pool}. [bor serve]'s
+    scheduler shares one queue across every job on the server: it
+    {!post}s each queued job, and its worker domains are [domains] pool
+    copies of {!work}, which run window units in preference to starting
+    new jobs ([Bor_serve.Scheduler]). A standalone {!Sampled.run_on} at
+    [domains > 1] creates a private queue and offers [domains - 1]
+    copies of {!work} for the run; the sweep thread is the remaining
+    executor, so the run completes even if no pool worker is free to
+    help. Either way the job's {!Window.runner} ({!val-runner}) pushes
+    each window into the queue. The scheduler's copies run until it
+    closes the queue; the pool grows so that they never wait for a
+    worker.
+
     A work unit is keyed by
 
     {v (shard key hex) ^ " mc=" ^ max_cycles ^ " tel=" ^ telemetry v}
@@ -24,8 +30,9 @@
     Scheduling is {b help-first}: a job's executor blocked on
     backpressure (per-job in-flight cap) or in {!val-runner}'s drain
     executes queued units itself instead of waiting. Progress is
-    guaranteed with zero pool workers, and the only blocking wait is
-    for units already running on another thread. Per-job {e advisory
+    guaranteed with zero pool workers: a blocked job waits only for
+    units already running on another thread, and {!work} parks only
+    when there is nothing to run. Per-job {e advisory
     stop flags} ({!Window.exec_ctx.xc_stopped}) deprioritize a
     CI-stopped job's leftover windows — rotated behind live jobs'
     units, never skipped, since every dispatched unit must still
@@ -41,16 +48,8 @@
 
 type t
 
-val create :
-  ?monitor:Mutex.t * Condition.t ->
-  ?inflight_cap:int ->
-  ?finished_cap:int ->
-  unit ->
-  t
-(** [monitor] shares a mutex/condition pair with the caller (the
-    scheduler passes its own, so one [Condition.wait] covers "a job or
-    a window arrived"); omitted, the queue owns a private one.
-    [inflight_cap] (default 8, >= 1) bounds each job's undelivered
+val create : ?inflight_cap:int -> ?finished_cap:int -> unit -> t
+(** [inflight_cap] (default 8, >= 1) bounds each job's undelivered
     units — the sweep's backpressure. [finished_cap] (default 512)
     bounds how many completed units stay addressable for sharing. *)
 
@@ -89,25 +88,26 @@ val runner :
     scheduler uses the job key hex); [config] must be the job's
     pipeline config. *)
 
-(** {2 Worker pool integration}
+(** {2 The work loop} *)
 
-    [pending_locked]/[steal_locked] require the caller to hold the
-    shared monitor's mutex (the serve scheduler's worker loop checks
-    both its job queue and this queue under one lock; {!Sampled}'s
-    private workers wait on the same monitor); {!execute} must be
-    called {e without} it. *)
+val post : t -> (unit -> unit) -> unit
+(** Queue a job behind every window unit: {!work} starts it only when
+    no unit is pending. @raise Invalid_argument after {!close}. *)
 
-type handle
-(** A claimed Pending unit, to be run by {!execute} exactly once. *)
+val close : t -> unit
+(** Let every {!work} return once both queues are empty. *)
 
-val pending_locked : t -> bool
-val steal_locked : t -> handle option
-val execute : t -> handle -> unit
+val work : t -> unit
+(** Run window units first, then posted jobs, and park while there is
+    neither; return once the queue is closed and both are empty. Any
+    number of domains may run it at once, the owner's included (that
+    is how it drains the queue before joining its pool copies). An
+    exception from a posted job ends the loop. *)
 
 (** {2 Counters}
 
-    The first four are lock-free atomic reads, safe anywhere (including
-    under the shared lock); the depth/in-flight views take the lock. *)
+    The first four are lock-free atomic reads, safe anywhere; the
+    depth/in-flight views take the queue's lock. *)
 
 val dispatched : t -> int
 (** Units requested, including shared and immediate hits. *)

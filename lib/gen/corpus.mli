@@ -19,6 +19,10 @@ val to_asm :
     [[0, instruction count]] — such an image cannot be expressed with
     labels (and cannot execute the branch without faulting either). *)
 
+val mkdirs : string -> unit
+(** [mkdir -p]: create a directory and its missing parents; a directory
+    that cannot be made is left for the first write into it to report. *)
+
 val write :
   dir:string -> name:string -> ?tool:string -> ?seed:int -> ?note:string ->
   Bor_isa.Program.t -> string

@@ -10,10 +10,10 @@ type t = {
   mu : Mutex.t;
   cond : Condition.t;
   jobs : (string, entry) Hashtbl.t;
-  queue : string Queue.t;
+  (* the jobs posted to [wq] that no worker has started yet *)
+  mutable n_queued : int;
   wq : Wqueue.t;
-  mutable stopping : bool;
-  mutable workers : unit Domain.t option array;
+  mutable workers : Bor_exec.Pool.crew option;  (* [None] once shut down *)
   s_store : Bor_store.Store.t option;
   s_domains : int;
   (* submit-side counts (owner domain, under [mu]) *)
@@ -69,113 +69,87 @@ let serve_counters =
      fun t -> Wqueue.failed t.wq);
   |]
 
-let rec worker_loop t =
+(* One queued job, posted to the window queue and run by whichever
+   domain's [Wqueue.work] takes it: a worker, or the one shutting the
+   scheduler down. *)
+let run_job t key entry () =
   Mutex.lock t.mu;
-  while
-    Queue.is_empty t.queue
-    && (not (Wqueue.pending_locked t.wq))
-    && not t.stopping
-  do
-    Condition.wait t.cond t.mu
-  done;
-  (* Window units take priority over queued jobs: finishing the jobs
-     already in flight beats widening the working set, and a unit's
-     waiters may include a client already blocked on [result wait]. *)
-  match Wqueue.steal_locked t.wq with
-  | Some h ->
-      Mutex.unlock t.mu;
-      Wqueue.execute t.wq h;
-      worker_loop t
-  | None ->
-      if Queue.is_empty t.queue then (* stopping, both queues drained *)
-        Mutex.unlock t.mu
-      else begin
-        let key = Queue.pop t.queue in
-        let entry = Hashtbl.find t.jobs key in
-        entry.e_state <- Running;
-        Atomic.incr t.a_busy;
-        Mutex.unlock t.mu;
-        (* A sampled job's windows go through the global queue instead
-           of its own domain fan-out; every other backend ignores the
-           runner. [key] doubles as the queue's job id, so per-job
-           in-flight gauges and stop flags are addressable by the same
-           hex the client polls. *)
-        let spec = entry.e_spec in
-        let runner = Wqueue.runner t.wq ~job:key ~config:spec.Job.sp_config in
-        (* No exception may end the worker: the job fails instead, and
-           its error is not memoized. *)
-        let outcome =
-          try Job.run ?store:t.s_store ~runner spec
-          with e -> Error (Printexc.to_string e)
-        in
-        (match outcome with
-        | Ok (_, `Cold) ->
-            Atomic.incr t.a_completed;
-            Atomic.incr t.a_cold
-        | Ok (_, `Cached) ->
-            Atomic.incr t.a_completed;
-            Atomic.incr t.a_cached
-        | Error _ -> Atomic.incr t.a_failed);
-        Atomic.decr t.a_busy;
-        Mutex.lock t.mu;
-        entry.e_state <- Done outcome;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.mu;
-        worker_loop t
-      end
+  entry.e_state <- Running;
+  t.n_queued <- t.n_queued - 1;
+  Atomic.incr t.a_busy;
+  Mutex.unlock t.mu;
+  (* A sampled job's windows go through the global queue instead of its
+     own domain fan-out; every other backend ignores the runner. [key]
+     doubles as the queue's job id, so per-job in-flight gauges and stop
+     flags are addressable by the same hex the client polls. *)
+  let spec = entry.e_spec in
+  let runner = Wqueue.runner t.wq ~job:key ~config:spec.Job.sp_config in
+  (* No exception may end the work loop: the job fails instead, and its
+     error is not memoized. The job runs on a private registry, so one
+     drained by the shutting-down domain leaves that domain's own
+     telemetry as it was. *)
+  let outcome =
+    try
+      fst
+        (Telemetry.isolated ~enabled:false (fun () ->
+             Job.run ?store:t.s_store ~runner spec))
+    with e -> Error (Printexc.to_string e)
+  in
+  (match outcome with
+  | Ok (_, `Cold) ->
+      Atomic.incr t.a_completed;
+      Atomic.incr t.a_cold
+  | Ok (_, `Cached) ->
+      Atomic.incr t.a_completed;
+      Atomic.incr t.a_cached
+  | Error _ -> Atomic.incr t.a_failed);
+  Atomic.decr t.a_busy;
+  Mutex.lock t.mu;
+  entry.e_state <- Done outcome;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mu
 
 let create ?(domains = 1) ?store () =
   if domains < 1 then invalid_arg "Scheduler.create: domains must be >= 1";
   let scope = Telemetry.scope "serve" in
-  let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let t =
-    {
-      mu;
-      cond;
-      jobs = Hashtbl.create 64;
-      queue = Queue.create ();
-      (* The queue shares the scheduler's monitor, so one wait in
-         [worker_loop] covers "a job arrived or a window arrived". *)
-      wq =
-        Wqueue.create ~monitor:(mu, cond)
-          ~inflight_cap:(max 4 (2 * domains))
-          ();
-      stopping = false;
-      workers = Array.make domains None;
-      s_store = store;
-      s_domains = domains;
-      n_submitted = 0;
-      n_joins = 0;
-      n_mem_hits = 0;
-      a_completed = Atomic.make 0;
-      a_failed = Atomic.make 0;
-      a_cold = Atomic.make 0;
-      a_cached = Atomic.make 0;
-      a_busy = Atomic.make 0;
-      tel = Telemetry.family scope serve_counters;
-      h_queue_depth =
-        Telemetry.histogram scope ~unit_:"jobs"
-          ~doc:"queue depth observed at each submission" "queue.depth";
-      h_busy =
-        Telemetry.histogram scope ~unit_:"workers"
-          ~doc:"busy workers observed at each submission" "workers.busy";
-    }
-  in
-  for i = 0 to domains - 1 do
-    t.workers.(i) <- Some (Domain.spawn (fun () -> worker_loop t))
-  done;
-  t
+  let wq = Wqueue.create ~inflight_cap:(max 4 (2 * domains)) () in
+  {
+    mu = Mutex.create ();
+    cond = Condition.create ();
+    jobs = Hashtbl.create 64;
+    n_queued = 0;
+    wq;
+    (* The workers: [domains] pool copies of the queue's work loop,
+       which runs window units before starting queued jobs. *)
+    workers = Some (Bor_exec.Pool.help domains (fun () -> Wqueue.work wq));
+    s_store = store;
+    s_domains = domains;
+    n_submitted = 0;
+    n_joins = 0;
+    n_mem_hits = 0;
+    a_completed = Atomic.make 0;
+    a_failed = Atomic.make 0;
+    a_cold = Atomic.make 0;
+    a_cached = Atomic.make 0;
+    a_busy = Atomic.make 0;
+    tel = Telemetry.family scope serve_counters;
+    h_queue_depth =
+      Telemetry.histogram scope ~unit_:"jobs"
+        ~doc:"queue depth observed at each submission" "queue.depth";
+    h_busy =
+      Telemetry.histogram scope ~unit_:"workers"
+        ~doc:"busy workers observed at each submission" "workers.busy";
+  }
 
 let submit t spec =
   let key = Bor_store.Key.hex (Job.key spec) in
   Mutex.lock t.mu;
-  if t.stopping then begin
+  if Option.is_none t.workers then begin
     Mutex.unlock t.mu;
     invalid_arg "Scheduler.submit: scheduler is shut down"
   end;
   t.n_submitted <- t.n_submitted + 1;
-  Telemetry.observe t.h_queue_depth (Queue.length t.queue);
+  Telemetry.observe t.h_queue_depth t.n_queued;
   Telemetry.observe t.h_busy (Atomic.get t.a_busy);
   let disposition =
     match Hashtbl.find_opt t.jobs key with
@@ -187,9 +161,10 @@ let submit t spec =
         `Joined
     | None | Some { e_state = Done (Error _); _ } ->
         (* Errors are never memoized: a failed key runs again. *)
-        Hashtbl.replace t.jobs key { e_spec = spec; e_state = Queued };
-        Queue.push key t.queue;
-        Condition.broadcast t.cond;
+        let entry = { e_spec = spec; e_state = Queued } in
+        Hashtbl.replace t.jobs key entry;
+        t.n_queued <- t.n_queued + 1;
+        Wqueue.post t.wq (run_job t key entry);
         `Queued
   in
   Telemetry.publish t.tel t;
@@ -197,10 +172,8 @@ let submit t spec =
   (key, disposition)
 
 let job_state t key =
-  Mutex.lock t.mu;
-  let st = Option.map (fun e -> e.e_state) (Hashtbl.find_opt t.jobs key) in
-  Mutex.unlock t.mu;
-  st
+  Mutex.protect t.mu (fun () ->
+      Option.map (fun e -> e.e_state) (Hashtbl.find_opt t.jobs key))
 
 let await t key =
   Mutex.lock t.mu;
@@ -231,14 +204,12 @@ let stats t =
       ("cache_hits", t.n_mem_hits + Atomic.get t.a_cached);
       ("cache_misses", Atomic.get t.a_cold);
       ("dedup_joins", t.n_joins);
-      ("queue_depth", Queue.length t.queue);
+      ("queue_depth", t.n_queued);
       ("workers_busy", Atomic.get t.a_busy);
       ("workers", t.s_domains);
     ]
   in
   Mutex.unlock t.mu;
-  (* Window-queue depth/in-flight lock the shared monitor — read them
-     after releasing it (the counters themselves are atomics). *)
   let base =
     base
     @ [
@@ -279,18 +250,16 @@ let metrics_text t =
     (Wqueue.inflight_by_job t.wq);
   Buffer.contents b
 
+(* Close the queue, drain it here (so every queued job runs even if no
+   worker claimed a copy of the loop), then join the copies that did. *)
 let shutdown t =
   Mutex.lock t.mu;
-  let already = t.stopping in
-  t.stopping <- true;
-  Condition.broadcast t.cond;
+  let workers = t.workers in
+  t.workers <- None;
   Mutex.unlock t.mu;
-  if not already then
-    Array.iteri
-      (fun i d ->
-        match d with
-        | Some d ->
-            Domain.join d;
-            t.workers.(i) <- None
-        | None -> ())
-      t.workers
+  Option.iter
+    (fun crew ->
+      Wqueue.close t.wq;
+      Wqueue.work t.wq;
+      Bor_exec.Pool.join crew)
+    workers

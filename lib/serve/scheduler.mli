@@ -1,5 +1,5 @@
-(** The serve scheduler: a keyed job table in front of a long-lived
-    domain worker pool.
+(** The serve scheduler: a keyed job table in front of a window queue
+    ({!Wqueue}) and its worker domains.
 
     Every submission is addressed by its job's content key, which is
     what makes the three fast paths fall out of one table lookup:
@@ -19,14 +19,16 @@
     store-hit, dedup-join — per the determinism contract the
     digest-equality tests pin (docs/SERVE.md).
 
-    Sampled jobs do not fan their windows out privately: each worker
-    running a sampled job pushes its detailed windows into the global
-    {!Wqueue} shared by every job on this scheduler, and idle workers
-    pull window units in preference to starting new jobs. Identical
-    units from concurrent jobs (same program, config, plan, boundary)
-    execute once and are shared; the payloads stay byte-identical to
-    standalone runs at any worker count and any arrival interleaving
-    (the [serve.windows.*] telemetry family counts the traffic).
+    Queued jobs are posted to one {!Wqueue}, and the workers are
+    {!Bor_exec.Pool} copies of its work loop ({!Wqueue.work}). Sampled
+    jobs do not fan their windows out privately: they push them into
+    the same queue, shared by every job on this scheduler, and idle
+    workers pull window units in preference to starting new jobs.
+    Identical units from concurrent jobs (same program, config, plan,
+    boundary) execute once and are shared; the payloads stay
+    byte-identical to standalone runs at any worker count and any
+    arrival interleaving (the [serve.windows.*] telemetry family counts
+    the traffic).
     Window checkpoints stay in memory; the store holds result payloads
     only, one entry per job key. A window execution failure fails only
     the jobs waiting on that window — the scheduler and its workers
@@ -51,7 +53,8 @@ type outcome = (string * [ `Cold | `Cached ], string) result
 type state = Queued | Running | Done of outcome
 
 val create : ?domains:int -> ?store:Bor_store.Store.t -> unit -> t
-(** Spawn [domains] worker domains (default 1; must be >= 1). *)
+(** Offer [domains] workers (default 1, >= 1, at most
+    {!Bor_exec.Pool.max_workers}) to the pool, as copies of the loop. *)
 
 val submit : t -> Job.spec -> string * disposition
 (** Returns the job's key (64-char hex), which is also its job id.
@@ -77,5 +80,5 @@ val metrics_text : t -> string
     [bor_serve_job_inflight_windows{job="<key>"}] gauge. *)
 
 val shutdown : t -> unit
-(** Drain the queue (every queued job still runs), join the workers.
-    Idempotent. *)
+(** Close the queue, drain it in the calling domain too (every queued
+    job still runs), join the workers. Idempotent. *)

@@ -198,6 +198,9 @@ let listen_on socket =
            (Unix.error_message e))
 
 let run ~socket ?metrics_socket ?(on_ready = fun () -> ()) sched =
+  (* A reply to a client that has gone fails as EPIPE, costing only its
+     connection, instead of a SIGPIPE that ends the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match listen_on socket with
   | Error e -> Error e
   | Ok listener -> (

@@ -46,4 +46,6 @@ val run :
     [shutdown] request. On the way out: stop accepting, drain the
     scheduler (queued jobs still run, blocked [result wait]s get their
     answers), unblock and join every handler thread, remove the socket
-    files. [Error] only for setup failures (unbindable path). *)
+    files. [Error] only for setup failures (unbindable path). Ignores
+    SIGPIPE for the whole process, so a reply to a client that has gone
+    fails as [EPIPE] and costs only that connection. *)

@@ -1,5 +1,5 @@
 include Bor_exec.Wqueue
 
 (* [?store] is ignored; only bench/perf passes it. Goes with this alias. *)
-let create ?monitor ?store:_ ?inflight_cap ?finished_cap () =
-  create ?monitor ?inflight_cap ?finished_cap ()
+let create ?store:_ ?inflight_cap ?finished_cap () =
+  create ?inflight_cap ?finished_cap ()

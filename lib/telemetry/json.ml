@@ -130,6 +130,13 @@ let hex_digit ch =
   | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
   | _ -> raise (Parse_error "bad \\u escape")
 
+let hex4 s i =
+  if i + 4 > String.length s then raise (Parse_error "bad \\u escape");
+  (hex_digit s.[i] lsl 12)
+  lor (hex_digit s.[i + 1] lsl 8)
+  lor (hex_digit s.[i + 2] lsl 4)
+  lor hex_digit s.[i + 3]
+
 (* A literal without a backslash is cut out with one [String.sub];
    only one with escapes is rebuilt, a run at a time. *)
 let parse_string c =
@@ -159,16 +166,26 @@ let parse_string c =
           | 't' -> Buffer.add_char buf '\t'; stop + 2
           | ('"' | '\\' | '/') as ch -> Buffer.add_char buf ch; stop + 2
           | 'u' ->
-            if stop + 6 > n then raise (Parse_error "bad \\u escape");
-            let code =
-              (hex_digit s.[stop + 2] lsl 12)
-              lor (hex_digit s.[stop + 3] lsl 8)
-              lor (hex_digit s.[stop + 4] lsl 4)
-              lor hex_digit s.[stop + 5]
+            (* A code point, written out as UTF-8; above U+FFFF it is a
+               high surrogate escape followed by a low one. *)
+            let u = hex4 s (stop + 2) in
+            let code, next =
+              if
+                u land 0xFC00 = 0xD800
+                && stop + 7 < n && s.[stop + 6] = '\\' && s.[stop + 7] = 'u'
+              then begin
+                let lo = hex4 s (stop + 8) in
+                if lo land 0xFC00 <> 0xDC00 then
+                  raise (Parse_error "bad surrogate pair");
+                (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00), stop + 12)
+              end
+              else (u, stop + 6)
             in
-            (* Only the control-character range we ever emit. *)
-            Buffer.add_char buf (Char.chr (code land 0xFF));
-            stop + 6
+            (* What is left invalid is a surrogate without its pair. *)
+            if not (Uchar.is_valid code) then
+              raise (Parse_error "lone surrogate in \\u escape");
+            Buffer.add_utf_8_uchar buf (Uchar.of_int code);
+            next
           | _ -> raise (Parse_error "bad escape")
         in
         go next (scan next)

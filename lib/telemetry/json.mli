@@ -23,8 +23,11 @@ val of_string : string -> t
     depend on float printing). Raises {!Parse_error} and nothing else,
     whatever the input: on malformed syntax, a lone [-] or an integer
     past 63 bits, a [\u] escape whose four characters are not hex
-    digits, and input nested more than {!max_depth} arrays/objects
-    deep. *)
+    digits or that leaves a UTF-16 surrogate unpaired (a lone or
+    reversed one), and input nested more than {!max_depth}
+    arrays/objects deep. A [\u] escape decodes to the UTF-8 bytes of
+    its code point, a high and low surrogate pair to the one code point
+    they encode. *)
 
 val max_depth : int
 (** The deepest nesting {!of_string} accepts (512): far above anything

@@ -389,6 +389,86 @@ let test_pool_back_to_back () =
         (sampled_stats ~plan 3 = seq)
   done
 
+(* The one wait protocol under repetition: pool copies of
+   [Wqueue.work], the window queue's help-first waits and [Pool.join],
+   in three shapes that each finish in a few milliseconds. Never more
+   than four domains take part: the caller, a scheduler's one or two
+   workers, and in the last shape a sampled run's two helpers beside one
+   worker. A watchdog thread ends the binary when one iteration takes
+   ten seconds, so a lost wakeup fails the suite instead of hanging it. *)
+let test_stress_one_protocol () =
+  let plan = plan_exn "10:20:400" in
+  let prog =
+    (Bor_minic.Driver.compile_exn
+       "int main() { int i; int s = 0; for (i = 0; i < 100; i = i + 1) s = \
+        s + i; return s; }")
+      .Bor_minic.Driver.program
+  in
+  let spec_a = Job.make ~plan ~backend:"sampled" prog in
+  let spec_b = Job.make ~plan ~rank_bands:2 ~backend:"sampled" prog in
+  let spec_d = Job.make ~backend:"detailed" prog in
+  let solo spec = fst (payload_exn (Job.run spec)) in
+  let solo_a = solo spec_a and solo_b = solo spec_b and solo_d = solo spec_d in
+  let sampled domains =
+    match Sampled.run_on ~plan ~domains (Pipeline.create prog) with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let seq = sampled 1 in
+  let deadline = Atomic.make infinity and stage = Atomic.make "" in
+  let finished = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get finished) do
+          Thread.delay 0.05;
+          if Unix.gettimeofday () > Atomic.get deadline then begin
+            prerr_endline ("stress: stalled in " ^ Atomic.get stage);
+            Unix._exit 3
+          end
+        done)
+      ()
+  in
+  let payload sched key =
+    fst (payload_exn (Option.get (Scheduler.await sched key)))
+  in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set finished true;
+      Thread.join watchdog)
+  @@ fun () ->
+  for i = 1 to 120 do
+    Atomic.set deadline (Unix.gettimeofday () +. 10.);
+    match i mod 5 with
+    | 0 ->
+      Atomic.set stage (Printf.sprintf "overlapping jobs, iteration %d" i);
+      let sched = Scheduler.create ~domains:2 () in
+      let ka, _ = Scheduler.submit sched spec_a in
+      let kb, _ = Scheduler.submit sched spec_b in
+      let _, again = Scheduler.submit sched spec_a in
+      check Alcotest.string "job A" solo_a (payload sched ka);
+      check Alcotest.string "job B" solo_b (payload sched kb);
+      check Alcotest.bool "the resubmission joined or hit" true (again <> `Queued);
+      Scheduler.shutdown sched
+    | 1 | 2 | 3 ->
+      Atomic.set stage (Printf.sprintf "shutdown after submit, iteration %d" i);
+      let sched = Scheduler.create ~domains:(1 + (i mod 2)) () in
+      let spec, solo = if i mod 3 = 0 then (spec_a, solo_a) else (spec_d, solo_d) in
+      let key, _ = Scheduler.submit sched spec in
+      Scheduler.shutdown sched;
+      check Alcotest.string "a queued job runs before shutdown returns" solo
+        (match Scheduler.job_state sched key with
+        | Some (Scheduler.Done outcome) -> fst (payload_exn outcome)
+        | _ -> Alcotest.fail "shutdown returned before its queued job")
+    | _ ->
+      Atomic.set stage (Printf.sprintf "sampled beside a scheduler, iteration %d" i);
+      let sched = Scheduler.create ~domains:1 () in
+      let kd, _ = Scheduler.submit sched spec_d in
+      check Alcotest.bool "domains:3 beside a live scheduler = domains:1" true
+        (sampled 3 = seq);
+      check Alcotest.string "the scheduler's job" solo_d (payload sched kd);
+      Scheduler.shutdown sched
+  done
+
 (* --------------------------------------------------------------- job *)
 
 let test_job_payload_deterministic () =
@@ -1024,6 +1104,73 @@ let test_server_drops_malformed_frames () =
   check Alcotest.(option int) "serve.conns.protocol_errors"
     (Some (List.length frames)) errors
 
+(* A client that submits a slow job, asks for its result with [wait]
+   and closes its socket before the answer: when the job finishes, the
+   reply fails as EPIPE and costs only that connection (without
+   [Server.run] ignoring SIGPIPE, the signal would end this whole test
+   binary). Afterwards stats still answers, and later connections find
+   the vanished one gone: [serve.conns.active] observes 0 at an accept
+   after it, not only at the first. *)
+let test_server_survives_vanished_waiter () =
+  let module Telemetry = Bor_telemetry.Telemetry in
+  let socket = fresh_path "bor-serve-sock-gone" in
+  let sched = Scheduler.create ~domains:1 () in
+  let ready = Atomic.make false in
+  let server =
+    Domain.spawn (fun () ->
+        Telemetry.set_enabled true;
+        let r =
+          Server.run ~socket ~on_ready:(fun () -> Atomic.set ready true) sched
+        in
+        ( r,
+          Telemetry.find_counter "serve.conns.protocol_errors",
+          Json.member "serve.conns.active" (Telemetry.to_json ()) ))
+  in
+  while not (Atomic.get ready) do
+    Domain.cpu_relax ()
+  done;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Wire.write_json fd
+    (Client.submit_request ~backend:"detailed" (Lazy.force slow_prog));
+  let key =
+    match Option.bind (Wire.read_json fd) (Json.member "key") with
+    | Some (Json.String k) -> k
+    | _ -> Alcotest.fail "submit answered without a key"
+  in
+  Wire.write_json fd (Client.result_request ~wait:true key);
+  Unix.close fd;
+  let t0 = Unix.gettimeofday () in
+  let rec until_done () =
+    match Scheduler.job_state sched key with
+    | Some (Scheduler.Done outcome) -> ignore (payload_exn outcome)
+    | _ when Unix.gettimeofday () -. t0 > 30. -> Alcotest.fail "job never finished"
+    | _ ->
+      Unix.sleepf 0.005;
+      until_done ()
+  in
+  until_done ();
+  for _ = 1 to 10 do
+    Unix.sleepf 0.02;
+    match Client.request ~socket Client.stats_request with
+    | Ok resp ->
+      check Alcotest.bool "stats still answered" true
+        (Json.member "ok" resp = Some (Json.Bool true))
+    | Error e -> Alcotest.fail e
+  done;
+  ignore (Client.request ~socket Client.shutdown_request);
+  let r, errors, active = Domain.join server in
+  (match r with Ok () -> () | Error e -> Alcotest.fail e);
+  check Alcotest.(option int) "the failed reply cost one connection" (Some 1)
+    errors;
+  let zeros =
+    match Option.bind active (Json.member "buckets") with
+    | Some (Json.List (b :: _)) when Json.member "le" b = Some (Json.Int 0) -> (
+      match Json.member "count" b with Some (Json.Int n) -> n | _ -> 0)
+    | _ -> 0
+  in
+  check Alcotest.bool "a later accept saw no live connection" true (zeros >= 2)
+
 (* Two clients on two live connections, each submitting a sampled job
    and blocking in [result wait] while the other's windows share the
    queue: the concurrent-connection front end plus the window queue,
@@ -1151,6 +1298,8 @@ let () =
             test_pool_sampled_inside_item;
           Alcotest.test_case "200 back-to-back calls" `Quick
             test_pool_back_to_back;
+          Alcotest.test_case "one wait protocol under stress" `Quick
+            test_stress_one_protocol;
         ] );
       ( "job",
         [
@@ -1194,5 +1343,7 @@ let () =
             test_server_drops_malformed_frames;
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
+          Alcotest.test_case "a client gone mid-wait costs its connection"
+            `Quick test_server_survives_vanished_waiter;
         ] );
     ]

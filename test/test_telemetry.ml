@@ -324,6 +324,78 @@ let prop_json_decoder =
         | exception e ->
           QCheck.Test.fail_reportf "re-parse raised %s" (Printexc.to_string e)))
 
+(* A string literal as a client may write it: plain characters and
+   [\u] escapes in either hex case, the escapes drawn to hit the
+   surrogate ranges (paired, lone and reversed) as often as the rest. *)
+type piece = Lit of char | Esc of int
+
+let gen_escaped =
+  QCheck.Gen.(
+    list_size (int_bound 8)
+      (frequency
+         [
+           (2, map (fun c -> Lit c) (oneofl [ 'a'; 'Z'; '0'; ' '; '~' ]));
+           (2, map (fun u -> Esc u) (int_bound 0xFFFF));
+           (1, map (fun u -> Esc u) (int_bound 0x7F));
+           (2, map (fun u -> Esc u) (int_range 0xD800 0xDBFF));
+           (2, map (fun u -> Esc u) (int_range 0xDC00 0xDFFF));
+           ( 1,
+             map (fun u -> Esc u)
+               (oneofl [ 0x7F; 0x80; 0x7FF; 0x800; 0xFFFF; 0xD7FF; 0xE000 ]) );
+         ]))
+
+let render_escaped pieces =
+  let b = Buffer.create 64 in
+  Buffer.add_char b '"';
+  List.iteri
+    (fun i -> function
+      | Lit c -> Buffer.add_char b c
+      | Esc u -> Printf.bprintf b (if i mod 2 = 0 then "\\u%04x" else "\\u%04X") u)
+    pieces;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* The reference: UTF-16 units to code points, each written out as
+   UTF-8 by hand; [None] for a surrogate without its pair. *)
+let reference_decode pieces =
+  let b = Buffer.create 64 in
+  let utf8 cp =
+    let byte x = Buffer.add_char b (Char.chr x) in
+    if cp < 0x80 then byte cp
+    else if cp < 0x800 then (
+      byte (0xC0 lor (cp lsr 6));
+      byte (0x80 lor (cp land 0x3F)))
+    else if cp < 0x10000 then (
+      byte (0xE0 lor (cp lsr 12));
+      byte (0x80 lor ((cp lsr 6) land 0x3F));
+      byte (0x80 lor (cp land 0x3F)))
+    else (
+      byte (0xF0 lor (cp lsr 18));
+      byte (0x80 lor ((cp lsr 12) land 0x3F));
+      byte (0x80 lor ((cp lsr 6) land 0x3F));
+      byte (0x80 lor (cp land 0x3F)))
+  in
+  let high u = u >= 0xD800 && u <= 0xDBFF and low u = u >= 0xDC00 && u <= 0xDFFF in
+  let rec go = function
+    | [] -> Some (Buffer.contents b)
+    | Lit c :: rest -> Buffer.add_char b c; go rest
+    | Esc h :: Esc l :: rest when high h && low l ->
+      utf8 (0x10000 + ((h - 0xD800) * 0x400) + (l - 0xDC00));
+      go rest
+    | Esc u :: _ when high u || low u -> None
+    | Esc u :: rest -> utf8 u; go rest
+  in
+  go pieces
+
+let prop_json_unicode_escapes =
+  QCheck.Test.make ~name:"\\u escapes decode to UTF-8" ~count:2000
+    (QCheck.make ~print:render_escaped gen_escaped)
+    (fun pieces ->
+      match (Json.of_string (render_escaped pieces), reference_decode pieces) with
+      | Json.String s, Some r -> s = r
+      | exception Json.Parse_error _ -> reference_decode pieces = None
+      | _ -> false)
+
 let test_json_snapshot_roundtrip () =
   with_registry (fun () ->
       let sc = Telemetry.scope "t" in
@@ -466,6 +538,9 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 31 |])
             prop_json_decoder;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 32 |])
+            prop_json_unicode_escapes;
           Alcotest.test_case "snapshot roundtrip" `Quick
             test_json_snapshot_roundtrip;
           Alcotest.test_case "nesting depth bound" `Quick
