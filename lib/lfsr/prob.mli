@@ -9,7 +9,9 @@ val create : ?max_k:int -> width:int -> Bit_select.t -> t
 (** [create ~width select] precomputes the AND-input masks for
     [k = 1 .. max_k] (default 16, the paper's 4-bit field). Raises
     [Invalid_argument] when the widest gate needs more bits than the
-    register has. *)
+    register has. For [Contiguous] and [Spaced] the table is built once
+    per [(select, width, max_k)] and shared by every later call, from
+    any domain; a [Custom] selector's is built on every call. *)
 
 val taken : t -> state:int -> k:int -> bool
 (** [taken t ~state ~k] is the output of the size-[k] AND gate over the

@@ -109,7 +109,7 @@ let create ?mem_size ?mem ?(brr_mode = Hardware (Bor_core.Engine.create ()))
   let regs = Array.make Bor_isa.Reg.count 0 in
   regs.(Bor_isa.Reg.to_int Bor_isa.Reg.sp) <- mem_size - 16;
   regs.(Bor_isa.Reg.to_int Bor_isa.Reg.gp) <- p.data_base;
-  let site_index = Hashtbl.create 64 in
+  let site_index = Hashtbl.create (max 1 (List.length p.sites)) in
   List.iter (fun (addr, id) -> Hashtbl.replace site_index addr id) p.sites;
   {
     program = p;

@@ -41,6 +41,20 @@ let[@inline] mark_page t addr =
 let[@inline] page_dirty dirty p =
   Char.code (Bytes.unsafe_get dirty (p lsr 3)) land (1 lsl (p land 7)) <> 0
 
+let rec lowest_bit b n = if b land 1 <> 0 then n else lowest_bit (b lsr 1) (n + 1)
+
+(* The dirty-page walker: the first page at or after [p] whose bit is
+   set in [dirty], or a page past the end when none is. It reads the
+   bitmap a byte at a time and skips zero bytes, so walking a mostly
+   clean 8 MiB memory costs 256 byte loads rather than 2048 bit tests.
+   Bits past the last page are never set. *)
+let rec next_dirty dirty p =
+  let i = p lsr 3 in
+  if i >= Bytes.length dirty then Bytes.length dirty lsl 3
+  else
+    let b = Char.code (Bytes.unsafe_get dirty i) lsr (p land 7) in
+    if b = 0 then next_dirty dirty ((i + 1) lsl 3) else lowest_bit b p
+
 let check_segment ~size ~base len =
   if base < 0 || base + len > size then
     Error
@@ -114,38 +128,38 @@ type snapshot = {
   s_pages : (int * Bytes.t) array;  (** (page index, page contents) *)
 }
 
+let page_len t p = min page_bytes (Bytes.length t.bytes - (p * page_bytes))
+
 let snapshot t =
-  let size = Bytes.length t.bytes in
-  let npages = pages_of size in
+  let npages = pages_of (Bytes.length t.bytes) in
   let count = ref 0 in
-  for p = 0 to npages - 1 do
-    if page_dirty t.dirty p then incr count
+  let p = ref (next_dirty t.dirty 0) in
+  while !p < npages do
+    incr count;
+    p := next_dirty t.dirty (!p + 1)
   done;
   let pages = Array.make !count (0, Bytes.empty) in
-  let i = ref 0 in
-  for p = 0 to npages - 1 do
-    if page_dirty t.dirty p then begin
-      let base = p * page_bytes in
-      let len = min page_bytes (size - base) in
-      pages.(!i) <- (p, Bytes.sub t.bytes base len);
-      incr i
-    end
+  let p = ref (next_dirty t.dirty 0) in
+  for i = 0 to !count - 1 do
+    pages.(i) <- (!p, Bytes.sub t.bytes (!p * page_bytes) (page_len t !p));
+    p := next_dirty t.dirty (!p + 1)
   done;
-  { s_size = size; s_dirty = Bytes.copy t.dirty; s_pages = pages }
+  { s_size = Bytes.length t.bytes; s_dirty = Bytes.copy t.dirty; s_pages = pages }
 
 (* Zero every page dirty in [t] but not in [keep] (a bitmap of the same
-   length). Pages clean in [t] were never written and are already zero. *)
-let zero_dirty_pages t ~keep =
-  let size = Bytes.length t.bytes in
-  for p = 0 to pages_of size - 1 do
-    if page_dirty t.dirty p && not (page_dirty keep p) then begin
-      let base = p * page_bytes in
-      Bytes.fill t.bytes base (min page_bytes (size - base)) '\000'
-    end
+   length; none keeps nothing). Pages clean in [t] were never written
+   and are already zero. *)
+let zero_dirty_pages ?keep t =
+  let npages = pages_of (Bytes.length t.bytes) in
+  let p = ref (next_dirty t.dirty 0) in
+  while !p < npages do
+    let kept = match keep with Some k -> page_dirty k !p | None -> false in
+    if not kept then Bytes.fill t.bytes (!p * page_bytes) (page_len t !p) '\000';
+    p := next_dirty t.dirty (!p + 1)
   done
 
 let clear t =
-  zero_dirty_pages t ~keep:(Bytes.make (Bytes.length t.dirty) '\000');
+  zero_dirty_pages t;
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
 
 let restore t s =

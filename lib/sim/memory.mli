@@ -40,8 +40,10 @@ val write_byte : t -> int -> int -> unit
 val clear : t -> unit
 (** Return the memory to the state {!create} left it in: zero every
     dirty page, then clear the dirty bitmap. Costs time proportional to
-    the pages written since creation (or the last [clear]), not to the
-    memory size, which is what makes a memory worth reusing. *)
+    the pages written since creation (or the last [clear]) plus one
+    byte load per eight pages of the bitmap, not to the memory size,
+    and allocates nothing, which is what makes a memory worth
+    reusing. *)
 
 (** {1 Snapshots} *)
 

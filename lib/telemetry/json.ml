@@ -164,6 +164,8 @@ let parse_string c =
           | 'n' -> Buffer.add_char buf '\n'; stop + 2
           | 'r' -> Buffer.add_char buf '\r'; stop + 2
           | 't' -> Buffer.add_char buf '\t'; stop + 2
+          | 'b' -> Buffer.add_char buf '\b'; stop + 2
+          | 'f' -> Buffer.add_char buf '\012'; stop + 2
           | ('"' | '\\' | '/') as ch -> Buffer.add_char buf ch; stop + 2
           | 'u' ->
             (* A code point, written out as UTF-8; above U+FFFF it is a

@@ -112,11 +112,25 @@ let register st name instr same =
     Hashtbl.replace st.registry name instr;
     (match same instr with Some v -> v | None -> assert false)
 
+(* Instruments made while the registry is disabled are never
+   registered and never written (every recorder checks [live] first),
+   so each kind has one shared dead record and making one allocates
+   nothing: per-run components are made per test vector and per oracle
+   run with telemetry off. *)
+let dead_counter =
+  { c_name = ""; c_unit = ""; c_doc = ""; c_value = 0; c_live = false }
+
+let dead_histogram =
+  { h_name = ""; h_unit = ""; h_doc = ""; h_counts = [||];
+    h_count = 0; h_sum = 0; h_max = 0; h_live = false }
+
+let dead_span =
+  { s_name = ""; s_unit = ""; s_doc = "";
+    s_count = 0; s_total = 0; s_min = max_int; s_max = 0; s_live = false }
+
 let counter sc ?(unit_ = "events") ?(doc = "") name =
   let st = state () in
-  if not st.enabled then
-    { c_name = full_name sc name; c_unit = unit_; c_doc = doc;
-      c_value = 0; c_live = false }
+  if not st.enabled then dead_counter
   else
     let n = full_name sc name in
     let fresh =
@@ -126,12 +140,9 @@ let counter sc ?(unit_ = "events") ?(doc = "") name =
 
 let histogram sc ?(unit_ = "events") ?(doc = "") name =
   let st = state () in
-  let n = full_name sc name in
-  if not st.enabled then
-    { h_name = n; h_unit = unit_; h_doc = doc;
-      h_counts = Array.make histogram_buckets 0;
-      h_count = 0; h_sum = 0; h_max = 0; h_live = false }
+  if not st.enabled then dead_histogram
   else
+    let n = full_name sc name in
     let fresh =
       { h_name = n; h_unit = unit_; h_doc = doc;
         h_counts = Array.make histogram_buckets 0;
@@ -141,11 +152,9 @@ let histogram sc ?(unit_ = "events") ?(doc = "") name =
 
 let span sc ?(unit_ = "cycles") ?(doc = "") name =
   let st = state () in
-  let n = full_name sc name in
-  if not st.enabled then
-    { s_name = n; s_unit = unit_; s_doc = doc;
-      s_count = 0; s_total = 0; s_min = max_int; s_max = 0; s_live = false }
+  if not st.enabled then dead_span
   else
+    let n = full_name sc name in
     let fresh =
       { s_name = n; s_unit = unit_; s_doc = doc;
         s_count = 0; s_total = 0; s_min = max_int; s_max = 0; s_live = true }

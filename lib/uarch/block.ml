@@ -137,7 +137,7 @@ let fresh_warm ?reuse ~brr_mode (config : Config.t)
     engine = Bor_core.Engine.create ~seed:config.lfsr_seed ();
     hier = Hierarchy.create ?reuse:(old (fun w -> w.hier)) config;
     pred = Predictor.create ?reuse:(old (fun w -> w.pred)) config;
-    btb = Btb.create ~entries:config.btb_entries;
+    btb = Btb.create ?reuse:(old (fun w -> w.btb)) ~entries:config.btb_entries ();
     ras = Ras.create ~entries:config.ras_entries;
     code = program.text;
     code_base = program.text_base;

@@ -94,7 +94,7 @@ val fresh_warm :
 (** Cold structures, the oracle at the program's entry, nothing touched
     or mispredicted, no translation cache; registers the [cache.*]
     family. [~reuse:old] builds the oracle on [old]'s memory and the
-    hierarchy and predictor on [old]'s tables (see
+    hierarchy, predictor and BTB on [old]'s tables (see
     {!Pipeline.create}). *)
 
 val state_digests : warm -> (string * string) list

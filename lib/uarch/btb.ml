@@ -9,11 +9,19 @@ type t = {
   tel_alias_evictions : Telemetry.counter;
 }
 
-let create ~entries =
+let create ?reuse ~entries () =
   if entries <= 0 || not (Bor_util.Bits.is_power_of_two entries) then
     invalid_arg "Btb.create";
   let sc = Telemetry.scope "btb" in
-  { tags = Array.make entries (-1); targets = Array.make entries 0;
+  let tags, targets =
+    match reuse with
+    | Some old when Array.length old.tags = entries ->
+      Array.fill old.tags 0 entries (-1);
+      Array.fill old.targets 0 entries 0;
+      (old.tags, old.targets)
+    | _ -> (Array.make entries (-1), Array.make entries 0)
+  in
+  { tags; targets;
     tel_lookups = Telemetry.counter sc ~doc:"fetch-stage target lookups" "lookups";
     tel_hits = Telemetry.counter sc ~doc:"lookups returning a target" "hits";
     tel_inserts = Telemetry.counter sc ~doc:"targets installed at resolution" "inserts";

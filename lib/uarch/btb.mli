@@ -9,7 +9,11 @@
 
 type t
 
-val create : entries:int -> t
+val create : ?reuse:t -> entries:int -> unit -> t
+(** An empty BTB. With [~reuse:old] of the same size, [old]'s arrays
+    are refilled and taken over (fresh instruments; [old] must not be
+    used again). *)
+
 val lookup : t -> pc:int -> int option
 
 val lookup_target : t -> pc:int -> int

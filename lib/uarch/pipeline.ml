@@ -194,7 +194,7 @@ type t = {
   fq_pred : Predictor.prediction array;  (* valid iff fqf_pred *)
   fq_stream_next : int array;  (* where fetch went after this slot *)
   fq_ghist : int array;
-  fq_ras : Ras.snapshot array;  (* pooled buffers; valid iff fqf_ras *)
+  fq_ras : int array;  (* a [ras_pool] index; its buffer valid iff fqf_ras *)
   mutable fq_head : int;
   mutable fq_tail : int;
   (* ROB: a struct-of-arrays ring (fields mutable only for rob_grow). *)
@@ -209,7 +209,11 @@ type t = {
   mutable r_mem_addr : int array;  (* -1 when not a memory op *)
   mutable r_ghist : int array;
   mutable r_pred : Predictor.prediction array;  (* valid iff rf_pred *)
-  mutable r_ras : Ras.snapshot array;  (* valid iff rf_ras *)
+  mutable r_ras : int array;  (* a [ras_pool] index; valid iff rf_ras *)
+  mutable ras_pool : Ras.snapshot array;
+      (* one RAS snapshot buffer per fetch-queue and ROB slot, named by
+         index: a slot hands its buffer on by swapping two ints, so the
+         cycle loop never stores a pointer into a ring (see [create]) *)
   mutable r_dep0 : int array;  (* producer positions; -1 = free slot *)
   mutable r_dep1 : int array;
   mutable r_dep2 : int array;
@@ -298,7 +302,32 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
      branch-on-randoms past the ROB-full gate, so occupancy can
      transiently overshoot; [rob_grow] covers the pathological rest. *)
   let rob_cap = pow2_at_least (max 4 (2 * config.Config.rob_entries)) in
+  (* [reuse]'s array of the same length, refilled with [v]; a new one
+     otherwise (another geometry, or a ROB that [rob_grow] doubled).
+     The two instruction rings are always new: they are the only rings
+     the cycle loop stores pointers into, every fetch and decode, and a
+     store into a reused array, which lives on the major heap, takes
+     the write barrier's slow path (runs measured ~5% slower); a new
+     one stays young for the whole run, since the loop allocates
+     nothing. RAS snapshots move between the rings as [ras_pool]
+     indices for the same reason. *)
+  let ring field n v =
+    match reuse with
+    | Some old when Array.length (field old) = n ->
+      let a = field old in
+      Array.fill a 0 n v;
+      a
+    | _ -> Array.make n v
+  in
+  let ids field n first =
+    let a = ring field n 0 in
+    for i = 0 to n - 1 do
+      a.(i) <- first + i
+    done;
+    a
+  in
   let dummy_pred = Predictor.none in
+  let nop = Bor_isa.Instr.Nop in
   {
     cfg = config;
     warm;
@@ -307,40 +336,49 @@ let create ?(config = Config.default) ?reuse (program : Bor_isa.Program.t) =
     fetch_pc = program.entry;
     fetch_stall_until = 0;
     fq_mask = fq_cap - 1;
-    fq_pc = Array.make fq_cap 0;
-    fq_instr = Array.make fq_cap Bor_isa.Instr.Nop;
-    fq_cycle = Array.make fq_cap 0;
-    fq_flags = Array.make fq_cap 0;
-    fq_pred = Array.make fq_cap dummy_pred;
-    fq_stream_next = Array.make fq_cap 0;
-    fq_ghist = Array.make fq_cap 0;
-    fq_ras = Array.init fq_cap (fun _ -> Ras.blank_snapshot ras);
+    fq_pc = ring (fun t -> t.fq_pc) fq_cap 0;
+    fq_instr = Array.make fq_cap nop;
+    fq_cycle = ring (fun t -> t.fq_cycle) fq_cap 0;
+    fq_flags = ring (fun t -> t.fq_flags) fq_cap 0;
+    fq_pred = ring (fun t -> t.fq_pred) fq_cap dummy_pred;
+    fq_stream_next = ring (fun t -> t.fq_stream_next) fq_cap 0;
+    fq_ghist = ring (fun t -> t.fq_ghist) fq_cap 0;
+    fq_ras = ids (fun t -> t.fq_ras) fq_cap 0;
     fq_head = 0;
     fq_tail = 0;
     rob_mask = rob_cap - 1;
-    r_seq = Array.make rob_cap 0;
-    r_epc = Array.make rob_cap 0;
-    r_instr = Array.make rob_cap Bor_isa.Instr.Nop;
-    r_flags = Array.make rob_cap 0;
-    r_kind = Array.make rob_cap k_none;
-    r_complete = Array.make rob_cap 0;
-    r_actual_next = Array.make rob_cap 0;
-    r_mem_addr = Array.make rob_cap (-1);
-    r_ghist = Array.make rob_cap 0;
-    r_pred = Array.make rob_cap dummy_pred;
-    r_ras = Array.init rob_cap (fun _ -> Ras.blank_snapshot ras);
-    r_dep0 = Array.make rob_cap (-1);
-    r_dep1 = Array.make rob_cap (-1);
-    r_dep2 = Array.make rob_cap (-1);
-    r_nwait = Array.make rob_cap 0;
-    r_ready_at = Array.make rob_cap 0;
+    r_seq = ring (fun t -> t.r_seq) rob_cap 0;
+    r_epc = ring (fun t -> t.r_epc) rob_cap 0;
+    r_instr = Array.make rob_cap nop;
+    r_flags = ring (fun t -> t.r_flags) rob_cap 0;
+    r_kind = ring (fun t -> t.r_kind) rob_cap k_none;
+    r_complete = ring (fun t -> t.r_complete) rob_cap 0;
+    r_actual_next = ring (fun t -> t.r_actual_next) rob_cap 0;
+    r_mem_addr = ring (fun t -> t.r_mem_addr) rob_cap (-1);
+    r_ghist = ring (fun t -> t.r_ghist) rob_cap 0;
+    r_pred = ring (fun t -> t.r_pred) rob_cap dummy_pred;
+    r_ras = ids (fun t -> t.r_ras) rob_cap fq_cap;
+    ras_pool =
+      Ras.blank_snapshots
+        ?reuse:(Option.map (fun t -> t.ras_pool) reuse)
+        ras (fq_cap + rob_cap);
+    r_dep0 = ring (fun t -> t.r_dep0) rob_cap (-1);
+    r_dep1 = ring (fun t -> t.r_dep1) rob_cap (-1);
+    r_dep2 = ring (fun t -> t.r_dep2) rob_cap (-1);
+    r_nwait = ring (fun t -> t.r_nwait) rob_cap 0;
+    r_ready_at = ring (fun t -> t.r_ready_at) rob_cap 0;
     rob_head = 0;
     rob_tail = 0;
     issue_scan = 0;
     idle_cycle = false;
-    producer = Array.make Bor_isa.Reg.count (-1);
-    snap_producer = Array.make Bor_isa.Reg.count (-1);
-    last_store = Hashtbl.create 64;
+    producer = ring (fun t -> t.producer) Bor_isa.Reg.count (-1);
+    snap_producer = ring (fun t -> t.snap_producer) Bor_isa.Reg.count (-1);
+    last_store =
+      (match reuse with
+      | Some old ->
+        Hashtbl.reset old.last_store;
+        old.last_store
+      | None -> Hashtbl.create 64);
     next_seq = 0;
     wrong_path_decode = false;
     resolver = -1;
@@ -463,6 +501,20 @@ let sanitize_heavy t =
       Hierarchy.check ~cycle:t.cycle t.warm.hier;
       Ras.check ~cycle:t.cycle t.warm.ras;
       Bor_sim.Machine.check ~cycle:t.cycle t.warm.oracle);
+  (* Every RAS snapshot buffer belongs to exactly one ring slot. *)
+  let held = Array.make (Array.length t.ras_pool) false in
+  let hold id =
+    if id < 0 || id >= Array.length held || held.(id) then
+      san_fail t ~invariant:"ras-buffer-owner"
+        "RAS buffer %d held twice or out of range" id;
+    held.(id) <- true
+  in
+  Array.iter hold t.fq_ras;
+  Array.iter hold t.r_ras;
+  if Array.length t.fq_ras + Array.length t.r_ras <> Array.length held then
+    san_fail t ~invariant:"ras-buffer-owner" "%d RAS buffers for %d slots"
+      (Array.length held)
+      (Array.length t.fq_ras + Array.length t.r_ras);
   Hashtbl.iter
     (fun word pos ->
       if pos >= t.rob_tail then
@@ -600,7 +652,7 @@ let sanitize_cycle t =
           "unissued entry below issue_scan=%d" t.issue_scan
     end;
     if fl land rf_ras <> 0 then
-      san_enrich t (fun () -> Ras.check_snapshot ~cycle:t.cycle t.r_ras.(s));
+      san_enrich t (fun () -> Ras.check_snapshot ~cycle:t.cycle t.ras_pool.(t.r_ras.(s)));
     incr pos
   done;
   (* Rename table: every live mapping names a live producer whose
@@ -701,16 +753,16 @@ let fetch t =
               t.stats.predecode_redirects <- t.stats.predecode_redirects + 1;
             pc + (4 * joff)
           | Bor_isa.Instr.Jalr _ when is_return instr ->
-            Ras.save_into t.warm.ras t.fq_ras.(slot);
+            Ras.save_into t.warm.ras t.ras_pool.(t.fq_ras.(slot));
             flags := !flags lor fqf_ras;
             (* -1 (underflow) = no prediction: stall fetch *)
             Ras.pop_target t.warm.ras
           | Bor_isa.Instr.Jalr _ ->
-            Ras.save_into t.warm.ras t.fq_ras.(slot);
+            Ras.save_into t.warm.ras t.ras_pool.(t.fq_ras.(slot));
             flags := !flags lor fqf_ras;
             -1
           | Bor_isa.Instr.Brr _ when not t.cfg.Config.brr_in_predictor ->
-            Ras.save_into t.warm.ras t.fq_ras.(slot);
+            Ras.save_into t.warm.ras t.ras_pool.(t.fq_ras.(slot));
             flags := !flags lor fqf_ras;
             fall
           | Bor_isa.Instr.Branch _ | Bor_isa.Instr.Brr _ -> (
@@ -718,7 +770,7 @@ let fetch t =
                consults the direction predictor, shifts the global
                history and uses the BTB, like any conditional
                branch. *)
-            Ras.save_into t.warm.ras t.fq_ras.(slot);
+            Ras.save_into t.warm.ras t.ras_pool.(t.fq_ras.(slot));
             flags := !flags lor fqf_ras;
             let p = Predictor.predict t.warm.pred ~pc in
             t.fq_pred.(slot) <- p;
@@ -816,7 +868,7 @@ let rob_grow t =
   let mem_addr = Array.make cap (-1) in
   let ghist = Array.make cap 0 in
   let pred = Array.make cap t.r_pred.(0) in
-  let ras = Array.init cap (fun _ -> Ras.blank_snapshot t.warm.ras) in
+  let ras = Array.make cap (-1) in
   let dep0 = Array.make cap (-1) in
   let dep1 = Array.make cap (-1) in
   let dep2 = Array.make cap (-1) in
@@ -841,6 +893,26 @@ let rob_grow t =
     nwait.(ns) <- t.r_nwait.(os);
     ready_at.(ns) <- t.r_ready_at.(os)
   done;
+  (* Live entries keep their RAS buffers; every other slot takes one no
+     slot holds: the old ring's free ones, then buffers new to the
+     pool. *)
+  let old_cap = old_mask + 1 and pooled = Array.length t.ras_pool in
+  t.ras_pool <-
+    Array.append t.ras_pool (Ras.blank_snapshots t.warm.ras (cap - old_cap));
+  let spare = ref (List.init (cap - old_cap) (fun i -> pooled + i)) in
+  for s = 0 to old_mask do
+    if (s - t.rob_head) land old_mask >= t.rob_tail - t.rob_head then
+      spare := t.r_ras.(s) :: !spare
+  done;
+  Array.iteri
+    (fun ns id ->
+      if id < 0 then
+        match !spare with
+        | free :: rest ->
+          ras.(ns) <- free;
+          spare := rest
+        | [] -> assert false)
+    ras;
   t.rob_mask <- mask;
   t.r_seq <- seq;
   t.r_epc <- epc;
@@ -870,7 +942,7 @@ let frontend_redirect t fslot target =
   t.fq_head <- t.fq_tail;
   Predictor.restore_ghist t.warm.pred t.fq_ghist.(fslot);
   if t.fq_flags.(fslot) land fqf_ras <> 0 then
-    Ras.restore t.warm.ras t.fq_ras.(fslot);
+    Ras.restore t.warm.ras t.ras_pool.(t.fq_ras.(fslot));
   t.fetch_pc <- target;
   t.fetch_stall_until <- t.cycle + 1
 
@@ -1091,7 +1163,8 @@ let decode_one t fslot =
     let flags =
       if fflags land fqf_ras <> 0 then begin
         (* Hand the pooled snapshot buffer over to the ROB slot (and
-           take its old one back for the fetch queue): O(1), no copy. *)
+           take its old one back for the fetch queue): an index swap,
+           no copy. *)
         let snap = t.fq_ras.(fslot) in
         t.fq_ras.(fslot) <- t.r_ras.(rslot);
         t.r_ras.(rslot) <- snap;
@@ -1283,7 +1356,7 @@ let squash t rp =
   | 2 (* jalr *) -> Predictor.restore_ghist t.warm.pred t.r_ghist.(rs)
   | _ -> ());
   if flags land rf_ras <> 0 then begin
-    Ras.restore t.warm.ras t.r_ras.(rs);
+    Ras.restore t.warm.ras t.ras_pool.(t.r_ras.(rs));
     (* Replay the resolver's own RAS effect. *)
     match t.r_instr.(rs) with
     | Bor_isa.Instr.Jalr _ when is_return t.r_instr.(rs) ->

@@ -84,14 +84,16 @@ type t
 val create : ?config:Config.t -> ?reuse:t -> Bor_isa.Program.t -> t
 (** A pipeline at the program's entry point.
 
-    [~reuse:old] builds it on [old]'s largest buffers instead of
-    allocating new ones, refilled to exactly their create-time values:
-    the oracle's memory (scrubbed by {!Bor_sim.Machine.create}'s
-    [~mem]), the predictor's three counter tables and the three caches'
-    tag and LRU arrays. A table whose size differs under [config] is
-    allocated afresh. Everything else, every telemetry instrument
-    included, is new, so the result is indistinguishable from a fresh
-    [create] and its instruments bind to the registry current now.
+    [~reuse:old] builds it on [old]'s buffers instead of allocating
+    new ones, refilled to exactly their create-time values: the
+    oracle's memory (scrubbed by {!Bor_sim.Machine.create}'s [~mem]),
+    the predictor's three counter tables, the three caches' tag and LRU
+    arrays, the BTB, the fetch-queue and ROB rings with their RAS
+    snapshots, and the rename and store-forwarding tables. A buffer
+    whose size differs under [config] is allocated afresh. Only the
+    records around them are new, every telemetry instrument included,
+    so the result is indistinguishable from a fresh [create] and its
+    instruments bind to the registry current now.
     The caller must be done with [old]: it shares those buffers with
     the new pipeline and must never be run, read or reused again. *)
 

@@ -1,7 +1,13 @@
 module Telemetry = Bor_telemetry.Telemetry
 
+(* The stack (and every snapshot of it) is raw bytes, 8 per entry in
+   native order, rather than an [int array]: a snapshot is saved at
+   every fetched branch and restored at every squash, and a [Bytes.blit]
+   is one memmove wherever the two buffers live, while an array blit
+   into a buffer on the major heap (a pooled snapshot, a stack that
+   survived a minor GC) goes through the write barrier per element. *)
 type t = {
-  stack : int array;
+  stack : Bytes.t;
   mask : int;  (** entries - 1 *)
   mutable top : int;
   mutable depth : int;
@@ -15,7 +21,7 @@ let create ~entries =
   if not (Bor_util.Bits.is_power_of_two entries) then
     invalid_arg "Ras.create: entries must be a power of two";
   let sc = Telemetry.scope "ras" in
-  { stack = Array.make entries 0;
+  { stack = Bytes.make (8 * entries) '\000';
     mask = entries - 1;
     top = 0; depth = 0;
     tel_pushes = Telemetry.counter sc ~doc:"call-site pushes" "pushes";
@@ -27,16 +33,23 @@ let create ~entries =
       Telemetry.counter sc ~doc:"pushes that wrapped, losing the oldest entry"
         "overflows" }
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let[@inline] get b i = Int64.to_int (get64 b (8 * i))
+let[@inline] set b i v = set64 b (8 * i) (Int64.of_int v)
+let entries t = t.mask + 1
+
 (* Wrap indices with a mask: push/pop are on the warming and fetch hot
    paths, and [mod] is a hardware divide. *)
 let[@inline] wrap t i = i land t.mask
 
 let push t v =
-  if t.depth = Array.length t.stack then Telemetry.incr t.tel_overflows;
+  if t.depth = entries t then Telemetry.incr t.tel_overflows;
   Telemetry.incr t.tel_pushes;
-  t.stack.(t.top) <- v;
+  set t.stack t.top v;
   t.top <- wrap t (t.top + 1);
-  t.depth <- min (t.depth + 1) (Array.length t.stack)
+  t.depth <- min (t.depth + 1) (entries t)
 
 (* [pop_target] is the hot-path variant: -1 instead of [None] so the
    fetch stage never allocates an option (return addresses are always
@@ -48,9 +61,9 @@ let pop_target t =
   end
   else begin
     Telemetry.incr t.tel_pops;
-    t.top <- wrap t (t.top + Array.length t.stack - 1);
+    t.top <- wrap t (t.top + entries t - 1);
     t.depth <- t.depth - 1;
-    t.stack.(t.top)
+    get t.stack t.top
   end
 
 let pop t =
@@ -64,21 +77,35 @@ let depth t = t.depth
    counters on purpose. *)
 
 type snapshot = {
-  s_stack : int array;
+  s_stack : Bytes.t;
   mutable s_top : int;
   mutable s_depth : int;
 }
 
-let blank_snapshot t =
-  { s_stack = Array.make (Array.length t.stack) 0; s_top = 0; s_depth = 0 }
+let blank_snapshots ?reuse t n =
+  let len = Bytes.length t.stack in
+  match reuse with
+  | Some old
+    when Array.length old = n
+         && Array.for_all (fun s -> Bytes.length s.s_stack = len) old ->
+    Array.iter
+      (fun s ->
+        Bytes.fill s.s_stack 0 len '\000';
+        s.s_top <- 0;
+        s.s_depth <- 0)
+      old;
+    old
+  | _ ->
+    Array.init n (fun _ ->
+        { s_stack = Bytes.make len '\000'; s_top = 0; s_depth = 0 })
 
 let save_into t s =
-  Array.blit t.stack 0 s.s_stack 0 (Array.length t.stack);
+  Bytes.blit t.stack 0 s.s_stack 0 (Bytes.length t.stack);
   s.s_top <- t.top;
   s.s_depth <- t.depth
 
 let restore t s =
-  Array.blit s.s_stack 0 t.stack 0 (Array.length t.stack);
+  Bytes.blit s.s_stack 0 t.stack 0 (Bytes.length t.stack);
   t.top <- s.s_top;
   t.depth <- s.s_depth
 
@@ -93,22 +120,22 @@ let check_shape ?cycle ~component ~what len top depth =
   Check.count 2
 
 let check ?cycle t =
-  check_shape ?cycle ~component:"ras" ~what:"stack" (Array.length t.stack)
-    t.top t.depth
+  check_shape ?cycle ~component:"ras" ~what:"stack" (entries t) t.top t.depth
 
 let check_snapshot ?cycle s =
   check_shape ?cycle ~component:"ras" ~what:"snapshot"
-    (Array.length s.s_stack) s.s_top s.s_depth
+    (Bytes.length s.s_stack / 8) s.s_top s.s_depth
 
 type state = { s_stack : int array; s_top : int; s_depth : int }
 
 let export_state t =
-  { s_stack = Array.copy t.stack; s_top = t.top; s_depth = t.depth }
+  { s_stack = Array.init (entries t) (get t.stack); s_top = t.top;
+    s_depth = t.depth }
 
 let import_state t s =
-  if Array.length s.s_stack <> Array.length t.stack then
+  if Array.length s.s_stack <> entries t then
     invalid_arg "Ras.import_state: entry-count mismatch";
-  Array.blit s.s_stack 0 t.stack 0 (Array.length t.stack);
+  Array.iteri (set t.stack) s.s_stack;
   t.top <- s.s_top;
   t.depth <- s.s_depth
 
@@ -117,6 +144,6 @@ let state_digest t =
   Buffer.add_string b (string_of_int t.depth);
   for i = t.depth downto 1 do
     Buffer.add_char b ':';
-    Buffer.add_string b (string_of_int t.stack.(wrap t (t.top - i)))
+    Buffer.add_string b (string_of_int (get t.stack (wrap t (t.top - i))))
   done;
   Bor_telemetry.Sha256.digest (Buffer.contents b)

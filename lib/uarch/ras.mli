@@ -24,13 +24,15 @@ val depth : t -> int
 
 type snapshot
 
-val blank_snapshot : t -> snapshot
-(** A fresh buffer matching [t]'s geometry, for {!save_into} — lets a
-    caller pool snapshots instead of allocating one per save. *)
+val blank_snapshots : ?reuse:snapshot array -> t -> int -> snapshot array
+(** [n] blank buffers matching [t]'s geometry, for {!save_into} — lets
+    a caller pool snapshots instead of allocating one per save. With
+    [~reuse:old], [n] buffers of that geometry, [old] is blanked in
+    place and returned; otherwise the buffers are new. *)
 
 val save_into : t -> snapshot -> unit
 (** [save_into t s] overwrites [s] with the current state; [s] must
-    come from {!blank_snapshot} on a stack of the same
+    come from {!blank_snapshots} on a stack of the same
     size. Allocation-free. *)
 
 val restore : t -> snapshot -> unit

@@ -201,6 +201,94 @@ let test_prob_needs_width () =
     (Invalid_argument "Bit_select.positions: bad k") (fun () ->
       ignore (Bor_lfsr.Prob.create ~width:8 Bor_lfsr.Bit_select.Contiguous))
 
+(* The AND-input masks as [Prob.create] built them before tables were
+   shared: one fold over [Bit_select.positions] per gate. *)
+let fresh_masks ~width select =
+  List.init 16 (fun i ->
+      List.fold_left
+        (fun m p -> m lor (1 lsl p))
+        0
+        (Bor_lfsr.Bit_select.positions select ~width ~k:(i + 1)))
+
+let prob_masks p = List.init 16 (fun i -> Bor_lfsr.Prob.mask p ~k:(i + 1))
+
+(* Named selectors get one shared table per width, equal to a freshly
+   computed one at every width the register can hold; a custom
+   selector is still built per call; a bad width raises every time, so
+   a failed build publishes nothing. *)
+let test_prob_shared_masks () =
+  for width = 16 to 62 do
+    List.iter
+      (fun (name, select) ->
+        let p = Bor_lfsr.Prob.create ~width select in
+        check
+          Alcotest.(list int)
+          (Printf.sprintf "%s width %d" name width)
+          (fresh_masks ~width select) (prob_masks p);
+        check Alcotest.bool
+          (Printf.sprintf "%s width %d shared" name width)
+          true
+          (Bor_lfsr.Prob.create ~width select == p))
+      [ ("contiguous", Bor_lfsr.Bit_select.Contiguous);
+        ("spaced", Bor_lfsr.Bit_select.Spaced) ]
+  done;
+  let custom = Bor_lfsr.Bit_select.Custom (fun k -> List.init k (fun j -> 39 - (2 * j))) in
+  let p = Bor_lfsr.Prob.create ~width:40 custom in
+  check Alcotest.(list int) "custom" (fresh_masks ~width:40 custom) (prob_masks p);
+  check Alcotest.bool "custom built per call" false
+    (Bor_lfsr.Prob.create ~width:40 custom == p);
+  for _ = 1 to 2 do
+    Alcotest.check_raises "spaced width 8 raises every call"
+      (Invalid_argument "Bit_select.positions: bad k") (fun () ->
+        ignore (Bor_lfsr.Prob.create ~width:8 Bor_lfsr.Bit_select.Spaced))
+  done
+
+(* The masks an engine's mux applies, read back through the register:
+   at [state = m] gate k fires, and clearing any bit of the width stops
+   it iff that bit is in the gate's mask. *)
+let engine_masks e ~width =
+  let lfsr = Bor_core.Engine.lfsr e in
+  let full = Bor_util.Bits.mask width in
+  List.init 16 (fun i ->
+      let f = Bor_core.Freq.of_field i in
+      let m = ref 0 in
+      for b = 0 to width - 1 do
+        Bor_lfsr.Lfsr.set_state lfsr (full lxor (1 lsl b));
+        if not (Bor_core.Engine.would_take e f) then m := !m lor (1 lsl b)
+      done;
+      Bor_lfsr.Lfsr.set_state lfsr !m;
+      if not (Bor_core.Engine.would_take e f) then
+        Alcotest.failf "width %d gate %d misses its own mask" width (i + 1);
+      !m)
+
+(* Four domains make engines at once, each first to ask for some of the
+   tables (widths no earlier case touched), so they race to publish;
+   every engine still applies the freshly computed masks. *)
+let test_engine_masks_across_domains () =
+  let widths = List.init 12 (fun i -> 21 + i) in
+  let selects = [ Bor_lfsr.Bit_select.Contiguous; Bor_lfsr.Bit_select.Spaced ] in
+  let ready = Atomic.make 0 in
+  let make () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do Domain.cpu_relax () done;
+    List.concat_map
+      (fun width ->
+        List.map
+          (fun select -> (width, select, Bor_core.Engine.create ~width ~select ()))
+          selects)
+      widths
+  in
+  let engines =
+    List.concat_map Domain.join (List.init 4 (fun _ -> Domain.spawn make))
+  in
+  check Alcotest.int "engines" (4 * 12 * 2) (List.length engines);
+  List.iter
+    (fun (width, select, e) ->
+      check Alcotest.(list int)
+        (Printf.sprintf "width %d" width)
+        (fresh_masks ~width select) (engine_masks e ~width))
+    engines
+
 (* --------------------------------------------------------------- Galois *)
 
 let test_galois_period () =
@@ -359,6 +447,10 @@ let () =
           Alcotest.test_case "exact rate over a full period" `Slow
             test_prob_rate_over_full_period;
           Alcotest.test_case "width guard" `Quick test_prob_needs_width;
+          Alcotest.test_case "engines on four domains" `Quick
+            test_engine_masks_across_domains;
+          Alcotest.test_case "shared masks = fresh table" `Quick
+            test_prob_shared_masks;
         ] );
       ( "quality",
         [

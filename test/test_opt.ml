@@ -364,6 +364,89 @@ let test_scratch_threads () =
         r)
     results
 
+(* The retired pipeline [test_uarch]'s "create ~reuse = fresh create"
+   hands on, verbatim: it stores into its own text and above its data
+   segment, trains the predictor, fills the caches, fills the ROB with
+   missing loads and halts 40 calls deep, past the 32-entry RAS. *)
+let dirtying_src =
+  {|
+main:   la   s2, main
+        la   s3, buf
+        li   t4, 65536
+        add  s3, s3, t4
+        li   s1, 4096
+loop:   sw   s1, 0(s2)
+        slli t1, s1, 2
+        add  t2, s3, t1
+        sw   s1, 0(t2)
+        andi t3, s1, 5
+        bne  t3, zero, skip
+        jal  leaf
+skip:   addi s1, s1, -1
+        bne  s1, zero, loop
+        add  s6, s3, t4
+        add  s6, s6, t4
+        li   s1, 200
+fill:   lw   t0, 0(s6)
+        addi s6, s6, 64
+        addi s1, s1, -1
+        bne  s1, zero, fill
+        li   s7, 40
+deep:   addi s7, s7, -1
+        beq  s7, zero, done
+        jal  deep
+done:   halt
+leaf:   addi t5, t5, 1
+        ret
+        .data
+buf:    .space 64
+|}
+
+(* Every filter and oracle run borrows a retired pipeline from the
+   scratch pool, so an evaluation must not depend on what ran on it
+   before: the same candidates give the same records on an empty pool
+   (fresh buffers) and on a pool holding only a pipeline that ran the
+   dirtying program, whose buffers they then run on. *)
+let test_scratch_history_independent () =
+  let module Scratch = Bor_exec.Scratch in
+  let module Pipeline = Bor_uarch.Pipeline in
+  let rec drain acc =
+    match Scratch.take () with Some p -> drain (p :: acc) | None -> acc
+  in
+  let pooled = drain [] in
+  let cases =
+    List.map
+      (fun (target, srcs) -> (evaluator ~src:target (), List.map asm srcs))
+      [
+        ( target_src,
+          [ target_src; one_nop_src; no_nop_src; wrong_a0_src; wrong_two_src ] );
+        (reader_target, [ reader_target; scribbler; spinner; faulter ]);
+      ]
+  in
+  let evaluate_all () =
+    List.concat_map (fun (ev, progs) -> List.map (Cost.evaluate ev) progs) cases
+  in
+  let fresh = evaluate_all () in
+  ignore (drain []);
+  let dirty = Pipeline.create (asm dirtying_src) in
+  (match Pipeline.run dirty with
+  | Ok st -> check Alcotest.bool "dirtied" true (st.Pipeline.cycles_rob_full > 0)
+  | Error e -> Alcotest.fail e);
+  let dirty_mem = Machine.memory (Pipeline.oracle dirty) in
+  Scratch.give dirty;
+  let after = evaluate_all () in
+  List.iteri
+    (fun i (a, b) ->
+      check Alcotest.bool (Printf.sprintf "candidate %d" i) true (a = b))
+    (List.combine fresh after);
+  (match Scratch.take () with
+  | Some p ->
+    check Alcotest.bool "ran on the dirtied buffers" true
+      (Machine.memory (Pipeline.oracle p) == dirty_mem);
+    Scratch.give p
+  | None -> Alcotest.fail "scratch pool empty");
+  List.iter Scratch.give pooled
+
 (* --------------------------------------------------- mutator moves *)
 
 let halt_index text =
@@ -735,6 +818,8 @@ let () =
             test_scratch_isolation;
           Alcotest.test_case "scratch memory per thread" `Quick
             test_scratch_threads;
+          Alcotest.test_case "evaluation is independent of scratch history"
+            `Quick test_scratch_history_independent;
         ] );
       ( "mutator",
         [

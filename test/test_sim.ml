@@ -65,6 +65,162 @@ let test_memory_clear () =
   M.write_byte m 10 1;
   check Alcotest.(list int) "tracking resumes" [ 0 ] (dirty_pages m)
 
+(* The page-by-page scrub, snapshot and restore [Memory] used before its
+   dirty-page walker, kept as the reference the walker must match: a
+   byte image plus one dirty flag per page, every page tested in turn. *)
+module Ref_memory = struct
+  let page = Bor_sim.Memory.page_bytes
+
+  type t = { bytes : Bytes.t; dirty : bool array }
+
+  let create ~size =
+    { bytes = Bytes.make size '\000';
+      dirty = Array.make ((size + page - 1) / page) false }
+
+  let write_byte t addr v =
+    t.dirty.(addr / page) <- true;
+    Bytes.set t.bytes addr (Char.chr (v land 0xff))
+
+  let write_word t addr v =
+    for i = 0 to 3 do
+      write_byte t (addr + i) (v lsr (8 * i))
+    done
+
+  let load_segment t ~base seg =
+    Bytes.blit seg 0 t.bytes base (Bytes.length seg);
+    if Bytes.length seg > 0 then
+      for p = base / page to (base + Bytes.length seg - 1) / page do
+        t.dirty.(p) <- true
+      done
+
+  let page_len t p = min page (Bytes.length t.bytes - (p * page))
+
+  let zero_dirty_pages t ~keep =
+    Array.iteri
+      (fun p d ->
+        if d && not keep.(p) then
+          Bytes.fill t.bytes (p * page) (page_len t p) '\000')
+      t.dirty
+
+  let clear t =
+    zero_dirty_pages t ~keep:(Array.make (Array.length t.dirty) false);
+    Array.fill t.dirty 0 (Array.length t.dirty) false
+
+  let snapshot t =
+    let pages = ref [] in
+    Array.iteri
+      (fun p d ->
+        if d then pages := (p, Bytes.sub t.bytes (p * page) (page_len t p)) :: !pages)
+      t.dirty;
+    (Array.copy t.dirty, List.rev !pages)
+
+  let restore t (dirty, pages) =
+    zero_dirty_pages t ~keep:dirty;
+    List.iter
+      (fun (p, b) -> Bytes.blit b 0 t.bytes (p * page) (Bytes.length b))
+      pages;
+    Array.blit dirty 0 t.dirty 0 (Array.length dirty)
+end
+
+type mem_op =
+  | Word of int * int
+  | Byte of int * int
+  | Segment of int * int * char
+
+(* Stores anywhere in the memory, the last page (short or whole) drawn
+   as often as the rest together, and segment loads spanning pages. *)
+let gen_mem_ops size =
+  let open QCheck.Gen in
+  let last = (size - 1) / Bor_sim.Memory.page_bytes * Bor_sim.Memory.page_bytes in
+  let addr = frequency [ (1, int_range 0 (size - 1)); (1, int_range last (size - 1)) ] in
+  list_size (int_bound 12)
+    (frequency
+       [
+         (3, map2 (fun a v -> Word (a land lnot 3, v)) addr int);
+         (3, map2 (fun a v -> Byte (a, v)) addr (int_bound 255));
+         ( 1,
+           map3
+             (fun a len c -> Segment (a, min len (size - a), c))
+             addr (int_bound (3 * Bor_sim.Memory.page_bytes)) printable );
+       ])
+
+let apply_mem_ops m r =
+  List.iter (function
+    | Word (a, v) ->
+      Bor_sim.Memory.write_word m a v;
+      Ref_memory.write_word r a v
+    | Byte (a, v) ->
+      Bor_sim.Memory.write_byte m a v;
+      Ref_memory.write_byte r a v
+    | Segment (a, len, c) ->
+      Bor_sim.Memory.load_segment m ~base:a (Bytes.make len c);
+      Ref_memory.load_segment r ~base:a (Bytes.make len c))
+
+(* Same bytes everywhere, and the same dirty pages with the same
+   contents, as the snapshot of each reports them. *)
+let same_memory what m r =
+  let module M = Bor_sim.Memory in
+  for addr = 0 to M.size m - 1 do
+    if M.read_byte m addr <> Char.code (Bytes.get r.Ref_memory.bytes addr) then
+      QCheck.Test.fail_reportf "%s: byte 0x%x differs" what addr
+  done;
+  let pages = Array.to_list (M.snapshot_pages (M.snapshot m)) in
+  let ref_pages = snd (Ref_memory.snapshot r) in
+  if
+    List.map fst pages <> List.map fst ref_pages
+    || List.map (fun (_, b) -> Bytes.to_string b) pages
+       <> List.map (fun (_, b) -> Bytes.to_string b) ref_pages
+  then QCheck.Test.fail_reportf "%s: dirty pages differ" what
+
+(* [clear], [snapshot] and [restore] through the dirty-page walker
+   agree with the page-by-page reference, on whole-page sizes and on a
+   memory whose last page is short and whose bitmap has spare bits. *)
+let prop_memory_walker =
+  let page = Bor_sim.Memory.page_bytes in
+  QCheck.Test.make ~name:"dirty-page walker = page-by-page" ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         let* size = oneofl [ 8 * page; (21 * page) + 100; 17 * page ] in
+         let* before = gen_mem_ops size in
+         let* after = gen_mem_ops size in
+         let* again = gen_mem_ops size in
+         return (size, before, after, again)))
+    (fun (size, before, after, again) ->
+      let m = Bor_sim.Memory.create ~size and r = Ref_memory.create ~size in
+      apply_mem_ops m r before;
+      same_memory "after writes" m r;
+      let snap = Bor_sim.Memory.snapshot m and ref_snap = Ref_memory.snapshot r in
+      apply_mem_ops m r after;
+      Bor_sim.Memory.restore m snap;
+      Ref_memory.restore r ref_snap;
+      same_memory "after restore" m r;
+      apply_mem_ops m r again;
+      Bor_sim.Memory.clear m;
+      Ref_memory.clear r;
+      same_memory "after clear" m r;
+      true)
+
+(* The scrub runs once per test vector and per oracle run: it must not
+   allocate, however many pages it zeroes. *)
+let test_memory_clear_allocates_nothing () =
+  let module M = Bor_sim.Memory in
+  let m = M.create ~size:Bor_sim.Machine.default_mem_size in
+  let dirty () =
+    List.iter
+      (fun a -> M.write_word m a 1)
+      [ 0; 5 * M.page_bytes; M.size m - 4 ]
+  in
+  dirty ();
+  M.clear m;
+  let words = ref 0. in
+  for _ = 1 to 100 do
+    dirty ();
+    let w0 = Gc.minor_words () in
+    M.clear m;
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  check (Alcotest.float 0.) "minor words over 100 clears" 0. !words
+
 (* ------------------------------------------------------------- Machine *)
 
 let test_arith_loop () =
@@ -509,6 +665,11 @@ let () =
           Alcotest.test_case "read/write" `Quick test_memory_rw;
           Alcotest.test_case "faults" `Quick test_memory_faults;
           Alcotest.test_case "clear = fresh" `Quick test_memory_clear;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 41 |])
+            prop_memory_walker;
+          Alcotest.test_case "clear allocates nothing" `Quick
+            test_memory_clear_allocates_nothing;
         ] );
       ( "machine",
         [

@@ -299,6 +299,8 @@ let gen_frame =
                    map (( ^ ) "-") (string_size ~gen:numeral (int_range 18 22));
                    return "-";
                    map (( ^ ) "\\u") (string_size ~gen:char (return 4));
+                   return "\\b";
+                   return "\\f";
                  ]) );
         ]
   in
@@ -324,10 +326,11 @@ let prop_json_decoder =
         | exception e ->
           QCheck.Test.fail_reportf "re-parse raised %s" (Printexc.to_string e)))
 
-(* A string literal as a client may write it: plain characters and
-   [\u] escapes in either hex case, the escapes drawn to hit the
-   surrogate ranges (paired, lone and reversed) as often as the rest. *)
-type piece = Lit of char | Esc of int
+(* A string literal as a client may write it: plain characters, the
+   backspace and form-feed escapes [\b] and [\f], and [\u] escapes in
+   either hex case, the [\u] escapes drawn to hit the surrogate ranges
+   (paired, lone and reversed) as often as the rest. *)
+type piece = Lit of char | Named of char | Esc of int
 
 let gen_escaped =
   QCheck.Gen.(
@@ -335,6 +338,7 @@ let gen_escaped =
       (frequency
          [
            (2, map (fun c -> Lit c) (oneofl [ 'a'; 'Z'; '0'; ' '; '~' ]));
+           (1, map (fun c -> Named c) (oneofl [ 'b'; 'f' ]));
            (2, map (fun u -> Esc u) (int_bound 0xFFFF));
            (1, map (fun u -> Esc u) (int_bound 0x7F));
            (2, map (fun u -> Esc u) (int_range 0xD800 0xDBFF));
@@ -350,6 +354,7 @@ let render_escaped pieces =
   List.iteri
     (fun i -> function
       | Lit c -> Buffer.add_char b c
+      | Named c -> Buffer.add_char b '\\'; Buffer.add_char b c
       | Esc u -> Printf.bprintf b (if i mod 2 = 0 then "\\u%04x" else "\\u%04X") u)
     pieces;
   Buffer.add_char b '"';
@@ -379,6 +384,9 @@ let reference_decode pieces =
   let rec go = function
     | [] -> Some (Buffer.contents b)
     | Lit c :: rest -> Buffer.add_char b c; go rest
+    | Named c :: rest ->
+      Buffer.add_char b (if c = 'b' then '\b' else '\012');
+      go rest
     | Esc h :: Esc l :: rest when high h && low l ->
       utf8 (0x10000 + ((h - 0xD800) * 0x400) + (l - 0xDC00));
       go rest
@@ -395,6 +403,14 @@ let prop_json_unicode_escapes =
       | Json.String s, Some r -> s = r
       | exception Json.Parse_error _ -> reference_decode pieces = None
       | _ -> false)
+
+(* RFC 8259 names two more control escapes than [\n], [\r] and [\t]:
+   [\b] (backspace) and [\f] (form feed). A client may write them. *)
+let test_json_backspace_formfeed () =
+  List.iter
+    (fun (src, want) ->
+      check Alcotest.bool src true (Json.of_string src = Json.String want))
+    [ ({|"a\bc"|}, "a\bc"); ({|"a\fc"|}, "a\012c"); ({|"\b\f"|}, "\b\012") ]
 
 let test_json_snapshot_roundtrip () =
   with_registry (fun () ->
@@ -541,6 +557,8 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 32 |])
             prop_json_unicode_escapes;
+          Alcotest.test_case "backspace and form-feed escapes" `Quick
+            test_json_backspace_formfeed;
           Alcotest.test_case "snapshot roundtrip" `Quick
             test_json_snapshot_roundtrip;
           Alcotest.test_case "nesting depth bound" `Quick

@@ -122,7 +122,7 @@ let test_predictor_history_recovery () =
 (* ------------------------------------------------------------ BTB / RAS *)
 
 let test_btb () =
-  let b = Bor_uarch.Btb.create ~entries:16 in
+  let b = Bor_uarch.Btb.create ~entries:16 () in
   check Alcotest.(option int) "cold miss" None (Bor_uarch.Btb.lookup b ~pc:0x40);
   Bor_uarch.Btb.insert b ~pc:0x40 ~target:0x999;
   check Alcotest.(option int) "hit" (Some 0x999)
@@ -1133,7 +1133,7 @@ let test_state_digests_track_state () =
   Bor_uarch.Predictor.update p ~pc:0x40 pr ~taken:true;
   check Alcotest.bool "predictor update changes the digest" false
     (d0 = Bor_uarch.Predictor.state_digest p);
-  let btb = Bor_uarch.Btb.create ~entries:64 in
+  let btb = Bor_uarch.Btb.create ~entries:64 () in
   let d0 = Bor_uarch.Btb.state_digest btb in
   Bor_uarch.Btb.insert btb ~pc:0x40 ~target:0x100;
   check Alcotest.bool "btb insert changes the digest" false
@@ -1508,7 +1508,11 @@ skip:   addi s1, s1, -1
 
 (* Dirties everything a retired pipeline hands on: it stores into its
    own text and over 16 KiB above its data segment, trains the
-   predictor on a data-dependent branch and fills the caches. *)
+   predictor on a data-dependent branch and fills the caches. Then a
+   run of independent loads that miss to memory fills the ROB, and a
+   call chain 40 deep (past the 32-entry RAS) halts without returning,
+   so the ROB and fetch-queue rings and their RAS snapshots are all
+   left holding stale entries. *)
 let reuse_dirty_src =
   {|
 main:   la   s2, main
@@ -1525,7 +1529,18 @@ loop:   sw   s1, 0(s2)
         jal  leaf
 skip:   addi s1, s1, -1
         bne  s1, zero, loop
-        halt
+        add  s6, s3, t4
+        add  s6, s6, t4
+        li   s1, 200
+fill:   lw   t0, 0(s6)
+        addi s6, s6, 64
+        addi s1, s1, -1
+        bne  s1, zero, fill
+        li   s7, 40
+deep:   addi s7, s7, -1
+        beq  s7, zero, done
+        jal  deep
+done:   halt
 leaf:   addi t5, t5, 1
         ret
         .data
@@ -1570,6 +1585,10 @@ buf:    .space 64
 let small_cfg =
   { Bor_uarch.Config.default with bimodal_entries = 1024; l2_size = 256 * 1024 }
 
+let ring_cfg =
+  { Bor_uarch.Config.default with
+    rob_entries = 40; fetch_queue = 8; ras_entries = 16; btb_entries = 256 }
+
 (* [create ~reuse:old] must be indistinguishable from a fresh [create]
    whatever [old] ran: the same warmed-state digests before and after a
    run, the same stats and cycles, the same final registers and the
@@ -1601,8 +1620,11 @@ let test_create_reuse_matches_fresh () =
       in
       (match Bor_uarch.Pipeline.run old with
       | Ok st ->
-        check Alcotest.bool (what ^ ": dirtied") true (st.cond_mispredicts > 0)
+        check Alcotest.bool (what ^ ": dirtied") true (st.cond_mispredicts > 0);
+        check Alcotest.bool (what ^ ": ROB filled") true (st.cycles_rob_full > 0)
       | Error e -> Alcotest.fail e);
+      check Alcotest.int (what ^ ": RAS full") old_config.ras_entries
+        (Bor_uarch.Ras.depth (Bor_uarch.Pipeline.warm old).ras);
       let _, (fb, fst_, fc, fa, fr, fj) =
         measure (fun () -> Bor_uarch.Pipeline.create ~config probe)
       in
@@ -1625,7 +1647,88 @@ let test_create_reuse_matches_fresh () =
       ("same geometry", Bor_uarch.Config.default, Bor_uarch.Config.default);
       ("smaller retired geometry", small_cfg, Bor_uarch.Config.default);
       ("larger retired geometry", Bor_uarch.Config.default, small_cfg);
+      ("other ring and RAS sizes", ring_cfg, Bor_uarch.Config.default);
+      ("retired into other ring sizes", Bor_uarch.Config.default, ring_cfg);
     ]
+
+(* With telemetry off, as in every opt filter and oracle run, a reuse
+   refills the retired buffers and allocates only the records around
+   them and the two instruction rings, which are always new: under
+   1,000 words, where rebuilding the rings and RAS snapshots cost over
+   16k. *)
+let test_create_reuse_allocates_records_only () =
+  let probe = assemble reuse_probe_src in
+  let (), _ =
+    Telemetry.isolated ~enabled:false (fun () ->
+        let p = ref (Bor_uarch.Pipeline.create (assemble reuse_dirty_src)) in
+        ignore (Bor_uarch.Pipeline.run !p);
+        p := Bor_uarch.Pipeline.create ~reuse:!p probe;
+        let n = 200 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          p := Bor_uarch.Pipeline.create ~reuse:!p probe
+        done;
+        let per_call = (Gc.minor_words () -. w0) /. Float.of_int n in
+        if per_call >= 1000. then
+          Alcotest.failf "create ~reuse allocates %.0f minor words per call"
+            per_call)
+  in
+  ()
+
+(* Resolved in the back end (the section 3.3 ablation), branch-on-randoms
+   enter the ROB past its full gate, so a run of them behind a load that
+   misses to memory outgrows the ring and the ROB doubles in place, handing its RAS snapshot buffers to the new slots.
+   Under the sanitizer (on here) the heavy tier checks that each buffer
+   stays with exactly one slot; it runs every 1024th simulated cycle that
+   is not skipped, hence the 300 iterations. Calls and returns in the
+   loop keep the snapshots in use. *)
+let test_rob_growth_keeps_ras_buffers () =
+  let brrs = String.concat "" (List.init 40 (fun _ -> "        brr  1/65536, tgt\n")) in
+  let src =
+    {|
+main:   la   s3, buf
+        li   t4, 65536
+        add  s3, s3, t4
+        li   s1, 300
+        li   t5, 4096
+loop:   lw   t0, 0(s3)
+        add  s3, s3, t5
+|}
+    ^ brrs
+    ^ {|tgt:    jal  leaf
+        addi s1, s1, -1
+        bne  s1, zero, loop
+        halt
+leaf:   ret
+        .data
+buf:    .space 64
+|}
+  in
+  let config =
+    { Bor_uarch.Config.default with rob_entries = 4; brr_resolve_in_backend = true }
+  in
+  let was = !Bor_check.Check.on in
+  Bor_check.Check.on := true;
+  Fun.protect
+    ~finally:(fun () -> Bor_check.Check.on := was)
+    (fun () ->
+      with_telemetry (fun () ->
+          let _, st = run_pipeline ~config (assemble src) in
+          check Alcotest.int "every brr retired" (300 * 40) st.brr_executed;
+          let occupancy =
+            match Telemetry.to_json () with
+            | Bor_telemetry.Json.Obj fields -> (
+              match List.assoc_opt "pipeline.rob.occupancy" fields with
+              | Some (Bor_telemetry.Json.Obj h) -> List.assoc_opt "max" h
+              | _ -> None)
+            | _ -> None
+          in
+          match occupancy with
+          | Some (Bor_telemetry.Json.Int n) ->
+            check Alcotest.bool
+              (Printf.sprintf "ROB grew past its 8 slots (max %d)" n)
+              true (n > 8)
+          | _ -> Alcotest.fail "no rob.occupancy histogram"))
 
 (* ---------------------------------------------- Sampled acceptance *)
 
@@ -1798,6 +1901,10 @@ let () =
             test_block_telemetry_matches_stats;
           Alcotest.test_case "create ~reuse = fresh create" `Quick
             test_create_reuse_matches_fresh;
+          Alcotest.test_case "create ~reuse allocates its records only" `Quick
+            test_create_reuse_allocates_records_only;
+          Alcotest.test_case "ROB growth keeps RAS buffers" `Quick
+            test_rob_growth_keeps_ras_buffers;
         ] );
       ( "sampled",
         [
