@@ -901,7 +901,10 @@ let convergent () =
    digest-excluded — but the cross-check is simulated behavior: both
    paths must leave bit-identical warmed structures and count the same
    warming mispredicts, or the experiment fails (the "identical"
-   column can only read "yes").
+   column can only read "yes"). The block path must also run nearly
+   everything: a kernel whose "fallback" single-steps exceed 1% of its
+   warmed instructions fails the row, since the single-step path alone
+   is fast enough to pass a throughput floor.
    BOR_WARM_FLOOR_MIPS=<float> turns the alu-loop row into a smoke
    gate: the run fails if block-mode throughput drops below the floor
    (the committed floor lives in .github/workflows/ci.yml). *)
@@ -948,6 +951,10 @@ let warming_row name prog =
     | Some bc -> Bor_uarch.Block.stats bc
     | None -> failwith (name ^ ": block cache never engaged")
   in
+  if bs.Bor_uarch.Block.fallback_steps * 100 > n_bc then
+    failwith
+      (Printf.sprintf "%s: %d of %d instructions single-stepped (over 1%%)"
+         name bs.Bor_uarch.Block.fallback_steps n_bc);
   let mips = Float.of_int n_bc /. d_bc /. 1e6 in
   ( mips,
     [

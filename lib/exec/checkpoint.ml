@@ -65,25 +65,41 @@ let restore ck ~program_digest p =
    dominated by the predictor tables either way), and 64-bit words
    round-trip OCaml ints exactly. *)
 
-let w_int b v = Buffer.add_int64_le b (Int64.of_int v)
+(* The encoder runs twice over one statement of the format: on a
+   sizing sink (empty [buf]) it only advances [pos], which sizes the
+   output exactly; on the second it writes into that one buffer. So
+   encoding allocates its output once, with no growth and no copy. *)
+type sink = { buf : Bytes.t; mutable pos : int }
 
-let w_array b a =
-  w_int b (Array.length a);
-  Array.iter (w_int b) a
+let sizing s = Bytes.length s.buf = 0
+
+let w_int s v =
+  if not (sizing s) then Bytes.set_int64_le s.buf s.pos (Int64.of_int v);
+  s.pos <- s.pos + 8
+
+let w_array s a =
+  w_int s (Array.length a);
+  if sizing s then s.pos <- s.pos + (8 * Array.length a)
+  else Array.iter (w_int s) a
 
 (* Predictor tables are bytes in memory but, like every other table,
    one word per counter on disk. *)
-let w_counters b c =
-  w_int b (Bytes.length c);
-  Bytes.iter (fun v -> w_int b (Char.code v)) c
+let w_counters s c =
+  w_int s (Bytes.length c);
+  if sizing s then s.pos <- s.pos + (8 * Bytes.length c)
+  else Bytes.iter (fun v -> w_int s (Char.code v)) c
 
-let w_string b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
+let w_raw s str =
+  if not (sizing s) then
+    Bytes.blit_string str 0 s.buf s.pos (String.length str);
+  s.pos <- s.pos + String.length str
 
-let to_string ck =
-  let b = Buffer.create (1 lsl 16) in
-  Buffer.add_string b magic;
+let w_string s str =
+  w_int s (String.length str);
+  w_raw s str
+
+let encode b ck =
+  w_raw b magic;
   w_int b version;
   w_string b ck.ck_program;
   w_int b ck.ck_arch.Machine.a_pc;
@@ -113,10 +129,18 @@ let to_string ck =
   Array.iter
     (fun (idx, bytes) ->
       w_int b idx;
-      w_string b (Bytes.to_string bytes))
-    pages;
-  let payload = Buffer.contents b in
-  payload ^ Sha256.digest payload
+      w_string b (Bytes.unsafe_to_string bytes))
+    pages
+
+(* The payload, then its SHA-256 stamp hashed where it lies. *)
+let to_string ck =
+  let size = { buf = Bytes.empty; pos = 0 } in
+  encode size ck;
+  let out = { buf = Bytes.create (size.pos + 64); pos = 0 } in
+  encode out ck;
+  let stamp = Sha256.digest_prefix (Bytes.unsafe_to_string out.buf) size.pos in
+  Bytes.blit_string stamp 0 out.buf size.pos 64;
+  Bytes.unsafe_to_string out.buf
 
 exception Malformed
 exception Bad_counter of int

@@ -17,20 +17,33 @@ let write_frame fd payload =
   write_all fd (Bytes.unsafe_to_string header) 0 8;
   write_all fd payload 0 len
 
-(* [None] only when EOF lands exactly between frames; inside a frame it
-   is a torn conversation and raises. *)
+(* The buffer grows as bytes arrive instead of taking a header's word
+   for the frame's length: a peer claiming [max_frame] bytes and
+   sending ten costs one [first_alloc] buffer, not the claim. A frame
+   that fits [first_alloc] (all normal traffic) is read into one
+   allocation with no copy. [None] only when EOF lands exactly between
+   frames; inside a frame it is a torn conversation and raises. *)
+let first_alloc = 1 lsl 20
+
 let read_exact fd n ~at_boundary =
-  let buf = Bytes.create n in
-  let rec loop pos =
+  let rec loop buf pos =
     if pos = n then Some (Bytes.unsafe_to_string buf)
     else
-      match Unix.read fd buf pos (n - pos) with
+      let buf =
+        if pos < Bytes.length buf then buf
+        else begin
+          let grown = Bytes.create (min n (2 * pos)) in
+          Bytes.blit buf 0 grown 0 pos;
+          grown
+        end
+      in
+      match Unix.read fd buf pos (Bytes.length buf - pos) with
       | 0 ->
           if pos = 0 && at_boundary then None
           else raise (Protocol_error "unexpected EOF mid-frame")
-      | got -> loop (pos + got)
+      | got -> loop buf (pos + got)
   in
-  loop 0
+  loop (Bytes.create (min n first_alloc)) 0
 
 let read_frame fd =
   match read_exact fd 8 ~at_boundary:true with

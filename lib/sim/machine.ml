@@ -133,7 +133,7 @@ let set_pc t pc = t.pc <- pc
 let unsafe_regs t = t.regs
 
 let has_site_hooks t =
-  t.site_hooks <> [] && Hashtbl.length t.site_index > 0
+  match t.site_hooks with [] -> false | _ -> Hashtbl.length t.site_index > 0
 let reg t r = t.regs.(Bor_isa.Reg.to_int r)
 
 let set_reg t r v =
@@ -177,96 +177,20 @@ let brr_outcome t freq =
    on the non-flambda compiler. *)
 let[@inline] rv regs r = Array.unsafe_get regs (Bor_isa.Reg.to_int r)
 
-let exec_brr t freq off =
-  t.stats.brr_executed <- t.stats.brr_executed + 1;
-  if brr_outcome t freq then begin
-    t.stats.brr_taken <- t.stats.brr_taken + 1;
-    t.pc <- t.pc + (4 * off)
-  end
-  else t.pc <- t.pc + 4
+(* The executors: the one body of each instruction kind the warmer
+   also dispatches on itself, taking the already-destructured fields.
+   [exec_decoded] runs them, so the functional model and the warmer
+   execute the same code. Each executes the instruction at the current
+   pc: the caller guarantees the machine is not halted, and site hooks
+   are the caller's to visit. Those without an exception handler are
+   [@inline], so [exec_decoded] pays no call for them (the non-flambda
+   compiler does not inline a function with a handler); with the calls,
+   a functional run of a branchy loop was about 2% slower. *)
 
-(* Execute one already-decoded instruction as the instruction at the
-   current pc. This is [step] minus the halted check, the fetch bounds
-   check and the site-hook lookup — the dispatch core, exported for the
-   sampled-simulation warmer, which has already fetched and
-   bounds-checked the instruction itself. The caller guarantees [i] is
-   the decoded instruction at [pc t], the machine is not halted, and no
-   site hooks are registered (they are not consulted here). *)
-let exec_decoded t (i : Bor_isa.Instr.t) =
-  let pc = t.pc in
-  let s = t.stats in
-  s.instructions <- s.instructions + 1;
-  let regs = t.regs in
-  let open Bor_isa.Instr in
-  match i with
-  | Alu (op, rd, rs1, rs2) ->
-    set_reg t rd (eval_alu op (rv regs rs1) (rv regs rs2));
-    t.pc <- pc + 4
-  | Alui (op, rd, rs1, imm) ->
-    set_reg t rd (eval_alu op (rv regs rs1) imm);
-    t.pc <- pc + 4
-  | Lui (rd, imm) ->
-    set_reg t rd (Bor_util.Bits.wrap32 (imm lsl 12));
-    t.pc <- pc + 4
-  | Load (w, rd, rs1, off) -> (
-    s.loads <- s.loads + 1;
-    let addr = rv regs rs1 + off in
-    (try
-       match w with
-       | Word -> set_reg t rd (Memory.read_word t.mem addr)
-       | Byte -> set_reg t rd (Memory.read_byte t.mem addr)
-     with Memory.Fault m -> fault pc "%s" m);
-    t.pc <- pc + 4)
-  | Store (w, rsrc, rbase, off) -> (
-    s.stores <- s.stores + 1;
-    let addr = rv regs rbase + off in
-    (try
-       match w with
-       | Word -> Memory.write_word t.mem addr (rv regs rsrc)
-       | Byte -> Memory.write_byte t.mem addr (rv regs rsrc)
-     with Memory.Fault m -> fault pc "%s" m);
-    t.pc <- pc + 4)
-  | Branch (c, rs1, rs2, off) ->
-    s.cond_branches <- s.cond_branches + 1;
-    if eval_cond c (rv regs rs1) (rv regs rs2) then begin
-      s.cond_taken <- s.cond_taken + 1;
-      t.pc <- pc + (4 * off)
-    end
-    else t.pc <- pc + 4
-  | Jal (rd, off) ->
-    set_reg t rd (pc + 4);
-    t.pc <- pc + (4 * off)
-  | Jalr (rd, rs1, imm) ->
-    let target = Bor_util.Bits.wrap32 (rv regs rs1 + imm) in
-    set_reg t rd (pc + 4);
-    t.pc <- target
-  | Brr (freq, off) -> exec_brr t freq off
-  | Brr_always off ->
-    s.brr_executed <- s.brr_executed + 1;
-    s.brr_taken <- s.brr_taken + 1;
-    t.pc <- pc + (4 * off)
-  | Rdlfsr rd ->
-    let v =
-      match t.mode with
-      | Hardware e | Trap_emulated e ->
-        Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr e)
-      | Fixed_interval | External _ -> 0
-    in
-    set_reg t rd v;
-    t.pc <- pc + 4
-  | Marker n ->
-    s.markers <- s.markers + 1;
-    List.iter (fun f -> f n) t.marker_hooks;
-    t.pc <- pc + 4
-  | Halt -> t.halted <- true
-  | Nop -> t.pc <- pc + 4
-
-(* Branch-on-random whose outcome the caller already decided (the
-   sampled-simulation warmer drives the LFSR engine itself): apply the
-   architectural effect directly, skipping the decide hook and the
-   per-instruction outcome channel. Same caller contract as
-   [exec_decoded]. *)
-let exec_brr_decided t ~taken ~offset =
+(* A branch-on-random's outcome comes from the caller: [brr_outcome]
+   on the functional path, the warmer's own LFSR engine when
+   warming. *)
+let[@inline] exec_brr_decided t ~taken ~offset =
   let s = t.stats in
   s.instructions <- s.instructions + 1;
   s.brr_executed <- s.brr_executed + 1;
@@ -276,13 +200,7 @@ let exec_brr_decided t ~taken ~offset =
   end
   else t.pc <- t.pc + 4
 
-(* Field-level executors for the event kinds the warmer dispatches on
-   itself. Each mirrors the corresponding [exec_decoded] arm exactly;
-   they exist so the warmer's own match is the only dispatch — the
-   fields it just destructured go straight in instead of through a
-   second full match. Same caller contract as [exec_decoded]. *)
-
-let exec_branch t c rs1 rs2 off =
+let[@inline] exec_branch t c rs1 rs2 off =
   let s = t.stats in
   s.instructions <- s.instructions + 1;
   s.cond_branches <- s.cond_branches + 1;
@@ -326,19 +244,78 @@ let exec_store t w rsrc rbase off =
   t.pc <- pc + 4;
   addr
 
-let exec_jal t rd off =
+let[@inline] exec_jal t rd off =
   t.stats.instructions <- t.stats.instructions + 1;
   let pc = t.pc in
   set_reg t rd (pc + 4);
   t.pc <- pc + (4 * off)
 
-let exec_jalr t rd rs1 imm =
+let[@inline] exec_jalr t rd rs1 imm =
   t.stats.instructions <- t.stats.instructions + 1;
   let pc = t.pc in
   let target = Bor_util.Bits.wrap32 (rv t.regs rs1 + imm) in
   set_reg t rd (pc + 4);
   t.pc <- target;
   target
+
+let[@inline] count_instruction t =
+  t.stats.instructions <- t.stats.instructions + 1
+
+(* [step] minus the halted check, the fetch bounds check and the site
+   lookup: every kind with an executor goes to it, the rest run here.
+   [pc] and [regs] are read before the dispatch, as one read per arm
+   ran an ALU loop about 4% slower. *)
+let exec_decoded t (i : Bor_isa.Instr.t) =
+  let pc = t.pc in
+  let regs = t.regs in
+  let open Bor_isa.Instr in
+  match i with
+  | Alu (op, rd, rs1, rs2) ->
+    count_instruction t;
+    set_reg t rd (eval_alu op (rv regs rs1) (rv regs rs2));
+    t.pc <- pc + 4
+  | Alui (op, rd, rs1, imm) ->
+    count_instruction t;
+    set_reg t rd (eval_alu op (rv regs rs1) imm);
+    t.pc <- pc + 4
+  | Lui (rd, imm) ->
+    count_instruction t;
+    set_reg t rd (Bor_util.Bits.wrap32 (imm lsl 12));
+    t.pc <- pc + 4
+  | Load (w, rd, rs1, off) -> ignore (exec_load t w rd rs1 off)
+  | Store (w, rsrc, rbase, off) -> ignore (exec_store t w rsrc rbase off)
+  | Branch (c, rs1, rs2, off) -> ignore (exec_branch t c rs1 rs2 off)
+  | Jal (rd, off) -> exec_jal t rd off
+  | Jalr (rd, rs1, imm) -> ignore (exec_jalr t rd rs1 imm)
+  | Brr (freq, off) ->
+    exec_brr_decided t ~taken:(brr_outcome t freq) ~offset:off
+  | Brr_always off -> exec_brr_decided t ~taken:true ~offset:off
+  | Rdlfsr rd ->
+    count_instruction t;
+    let v =
+      match t.mode with
+      | Hardware e | Trap_emulated e ->
+        Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr e)
+      | Fixed_interval | External _ -> 0
+    in
+    set_reg t rd v;
+    t.pc <- pc + 4
+  | Marker n ->
+    count_instruction t;
+    t.stats.markers <- t.stats.markers + 1;
+    List.iter (fun f -> f n) t.marker_hooks;
+    t.pc <- pc + 4
+  | Halt ->
+    count_instruction t;
+    t.halted <- true
+  | Nop ->
+    count_instruction t;
+    t.pc <- pc + 4
+
+let visit_site t pc =
+  match Hashtbl.find_opt t.site_index pc with
+  | Some id -> List.iter (fun f -> f id) t.site_hooks
+  | None -> ()
 
 let step t =
   if t.halted then ()
@@ -347,73 +324,18 @@ let step t =
     let idx = (pc - t.program.text_base) asr 2 in
     if pc land 3 <> 0 || idx < 0 || idx >= Array.length t.code then
       fault pc "fetch outside text segment";
-    (match t.site_hooks with
-    | [] -> () (* skip the site lookup entirely when nobody listens *)
-    | hooks -> (
-      match Hashtbl.find_opt t.site_index pc with
-      | Some id -> List.iter (fun f -> f id) hooks
-      | None -> ()));
+    (* Inline, so the common no-hook case costs no call. *)
+    (match t.site_hooks with [] -> () | _ -> visit_site t pc);
     match t.code.(idx) with
     | Illegal_word w -> (
       (* The §3.4 SIGILL path: the O/S vectors to the registered handler,
          which emulates the branch-on-random in software. *)
       match Bor_isa.Encoding.decode_illegal_brr w with
       | Some (freq, off) ->
-        let s = t.stats in
-        s.instructions <- s.instructions + 1;
-        s.traps <- s.traps + 1;
-        exec_brr t freq off
+        t.stats.traps <- t.stats.traps + 1;
+        exec_brr_decided t ~taken:(brr_outcome t freq) ~offset:off
       | None -> fault pc "illegal instruction 0x%08x" w)
     | Decoded i -> exec_decoded t i
-  end
-
-(* Fast-forward a straight-line stretch: consecutive register-only
-   instructions (ALU, ALU-immediate, LUI, NOP) execute in a tight loop
-   that skips the per-step halted check, site lookup and stats
-   increment. The loop stops *before* the first instruction of any
-   other kind — or any instrumented site address, misaligned/out-of-text
-   pc, or once [max_steps] ran — leaving it for the caller to handle
-   with [step]. Used by the sampled-simulation warmer, where dispatch
-   otherwise happens twice per instruction. *)
-let run_plain ?(max_steps = max_int) t =
-  if t.halted then 0
-  else begin
-    let code = t.code in
-    let base = t.program.text_base in
-    let len = Array.length code in
-    let regs = t.regs in
-    let check_sites =
-      t.site_hooks <> [] && Hashtbl.length t.site_index > 0
-    in
-    let open Bor_isa.Instr in
-    (* Tail-recursive with int accumulators — no ref cells on the
-       per-instruction path. Plain stretches are strictly sequential,
-       so the final pc is recovered as [start + 4n]. *)
-    let rec go p n =
-      if n >= max_steps then n
-      else
-        let idx = (p - base) asr 2 in
-        if p land 3 <> 0 || idx < 0 || idx >= len then n
-        else if check_sites && Hashtbl.mem t.site_index p then n
-        else
-          match Array.unsafe_get code idx with
-          | Decoded (Alu (op, rd, rs1, rs2)) ->
-            set_reg t rd (eval_alu op (rv regs rs1) (rv regs rs2));
-            go (p + 4) (n + 1)
-          | Decoded (Alui (op, rd, rs1, imm)) ->
-            set_reg t rd (eval_alu op (rv regs rs1) imm);
-            go (p + 4) (n + 1)
-          | Decoded (Lui (rd, imm)) ->
-            set_reg t rd (Bor_util.Bits.wrap32 (imm lsl 12));
-            go (p + 4) (n + 1)
-          | Decoded Nop -> go (p + 4) (n + 1)
-          | Decoded _ | Illegal_word _ -> n
-    in
-    let start = t.pc in
-    let n = go start 0 in
-    t.pc <- start + (4 * n);
-    t.stats.instructions <- t.stats.instructions + n;
-    n
   end
 
 (* Oracle self-consistency for the pipeline sanitizer: a corrupted

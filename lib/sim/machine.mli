@@ -150,55 +150,45 @@ val run : ?max_steps:int -> t -> (int, string) result
 (** Run to [halt] (or the step budget, default 1e9); returns the number
     of instructions executed, or a formatted fault. *)
 
+val visit_site : t -> int -> unit
+(** [visit_site t pc] fires the site hooks with [pc]'s site id when
+    [pc] is in the program's site table — what {!step} does before
+    each instruction. For the single-step warmer, which executes
+    through the executors below instead of {!step}. *)
+
+(** {2 Executors}
+
+    The one body of each instruction kind: {!step} runs every
+    instruction through {!exec_decoded}, which dispatches to the
+    field-level executors; the sampled-simulation warmer, which has
+    already fetched, bounds-checked and destructured the instruction,
+    calls them directly. Each executes the instruction at the current
+    pc, counted in {!stats}. The caller guarantees the instruction is
+    the decoded one at [pc t] and the machine is not halted; site hooks
+    are not consulted ({!visit_site}). Loads and stores raise {!Fault}
+    on memory faults. *)
+
 val exec_decoded : t -> Bor_isa.Instr.t -> unit
-(** Execute [i] as the instruction at the current pc: {!step} minus the
-    halted check, the fetch bounds check and the site-hook lookup. The
-    caller guarantees [i] is the decoded instruction at [pc t], the
-    machine is not halted, and no site hooks are registered (they are
-    not consulted). Exported for the sampled-simulation warmer, which
-    has already fetched and bounds-checked the instruction itself.
-    @raise Fault on memory faults. *)
+(** {!step} minus the halted check, the fetch bounds check and the
+    site lookup. *)
 
 val exec_brr_decided : t -> taken:bool -> offset:int -> unit
-(** Execute the branch-on-random at the current pc with its outcome
-    already decided by the caller, bypassing the machine's own decide
-    path (mode hooks are not consulted). Same caller contract as
-    {!exec_decoded}; used by the sampled-simulation warmer, which
-    drives the LFSR engine itself. *)
-
-(** Field-level executors for the event kinds the warmer dispatches on
-    itself: each behaves exactly like the corresponding {!exec_decoded}
-    arm, taking the already-destructured fields so the caller's match
-    is the only dispatch. Same caller contract as {!exec_decoded}. *)
+(** The branch-on-random with its outcome decided by the caller: the
+    machine's own decide path ({!brr_mode}) is not consulted. The
+    warmer drives its own LFSR engine. *)
 
 val exec_branch : t -> Bor_isa.Instr.cond -> Bor_isa.Reg.t -> Bor_isa.Reg.t -> int -> bool
-(** Execute the conditional branch at the current pc; returns whether
-    it was taken. *)
+(** The conditional branch; returns whether it was taken. *)
 
 val exec_load : t -> Bor_isa.Instr.width -> Bor_isa.Reg.t -> Bor_isa.Reg.t -> int -> int
-(** [exec_load t w rd rs1 off] executes the load at the current pc and
-    returns the effective address (computed before [rd] is written).
-    @raise Fault on memory faults. *)
+(** [exec_load t w rd rs1 off]; returns the effective address
+    (computed before [rd] is written). *)
 
 val exec_store : t -> Bor_isa.Instr.width -> Bor_isa.Reg.t -> Bor_isa.Reg.t -> int -> int
-(** [exec_store t w rsrc rbase off] executes the store at the current
-    pc and returns the effective address.
-    @raise Fault on memory faults. *)
+(** [exec_store t w rsrc rbase off]; returns the effective address. *)
 
 val exec_jal : t -> Bor_isa.Reg.t -> int -> unit
-(** Execute the jump-and-link at the current pc. *)
+(** The jump-and-link. *)
 
 val exec_jalr : t -> Bor_isa.Reg.t -> Bor_isa.Reg.t -> int -> int
-(** Execute the register-indirect jump at the current pc; returns the
-    jump target. *)
-
-val run_plain : ?max_steps:int -> t -> int
-(** Fast-forward consecutive straight-line register instructions (ALU,
-    ALU-immediate, LUI, NOP) in a tight loop; stops {e before} the
-    first instruction of any other kind, any instrumented site
-    address, a misaligned or out-of-text pc, or after [max_steps]
-    instructions. Returns how many executed ([pc] advanced by four per
-    instruction — the stretch is strictly sequential); the stopping
-    instruction is untouched, for the caller to run with {!step}.
-    Never raises. Used by the sampled-simulation warmer to execute
-    non-event instructions at near-native speed. *)
+(** The register-indirect jump; returns its target. *)

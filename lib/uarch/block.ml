@@ -312,7 +312,7 @@ let compile t idx pc =
     let il = p land w.lmask in
     if !cur_line = min_int then
       (* First line of the block: the MRU tracker may or may not
-         already hold it — the runtime check is [warm_run]'s [touch]. *)
+         already hold it — the runtime check is [warm_run]'s probe. *)
       emit (fun () ->
           if il <> w.iline then begin
             w.iline <- il;
@@ -545,19 +545,15 @@ let run t ~budget =
 
 (* The single-step reference path: execute on the oracle while updating
    the warmed structures exactly as a full-detail run would on the
-   correct path — no ROB, issue, or flush modelling. Three throughput
-   tricks, none of which changes the warmed state:
+   correct path — no ROB, issue, or flush modelling. Every instruction
+   runs through the oracle's own executor for its kind, after the site
+   lookup [Machine.step] would have made. Two throughput tricks, neither
+   of which changes the warmed state:
 
    - Consecutive accesses to the same cache line are deduplicated, on
      both the icache and dcache ports: re-touching the most recently
      used line is a strict no-op — it hits, changing neither contents
      nor the relative recency order that decides future evictions.
-   - Straight-line stretches (ALU/immediate/LUI/NOP runs) fast-forward
-     through [Machine.run_plain], which executes them in the oracle's
-     own tight loop. A stretch is strictly sequential, so its icache
-     footprint is the contiguous line range it crossed: sweeping that
-     range once per line afterwards reproduces exactly what
-     per-instruction MRU-deduplicated probes would have done.
    - The pc is tracked locally: every BRISC instruction except jalr
      either falls through or has a statically known target, so the
      per-instruction [Machine.pc] and [Machine.halted] calls disappear
@@ -574,116 +570,70 @@ let warm_run w budget =
     let ncode = Array.length code in
     let base = w.code_base in
     let lmask = w.lmask in
-    let line = lnot lmask + 1 in
     let hier = w.hier in
     let n = ref 0 in
     let pc = ref (Machine.pc m) in
     let iline = ref w.iline in
-    let touch p =
+    while !n < budget && !pc >= 0 do
+      let p = !pc in
+      let off = p - base in
       let il = p land lmask in
       if il <> !iline then begin
         iline := il;
         ignore (Hierarchy.access hier Hierarchy.I p)
-      end
-    in
-    while !n < budget && !pc >= 0 do
-      let p = !pc in
-      let off = p - base in
-      if off < 0 || off land 3 <> 0 || off lsr 2 >= ncode then begin
-        touch p;
-        Machine.step m;
-        (* unreachable: [step] faulted *)
-        pc := Machine.pc m;
-        incr n
-      end
-      else begin
-        let fall = p + 4 in
-        match Array.unsafe_get code (off lsr 2) with
-        | Alu _ | Alui _ | Lui _ | Nop ->
-          let k = Machine.run_plain ~max_steps:(budget - !n) m in
-          if k = 0 then begin
-            (* An instrumented site stopped the fast path before it ran
-               anything: execute that one instruction via [step] so its
-               hooks fire. *)
-            touch p;
-            Machine.step m;
-            pc := Machine.pc m;
-            incr n
-          end
-          else begin
-            (* Touch each icache line the stretch crossed, oldest
-               first. *)
-            let lastl = (p + (4 * (k - 1))) land lmask in
-            let a = ref (p land lmask) in
-            if !a = !iline then a := !a + line;
-            while !a <= lastl do
-              ignore (Hierarchy.access hier Hierarchy.I !a);
-              a := !a + line
-            done;
-            iline := lastl;
-            pc := p + (4 * k);
-            n := !n + k
-          end
-        | Branch (c, rs1, rs2, boff) ->
-          touch p;
-          let taken = Machine.exec_branch m c rs1 rs2 boff in
-          let target = p + (4 * boff) in
-          warm_branch w ~pc:p ~taken ~target;
-          pc := (if taken then target else fall);
-          incr n
-        | Jal (rd, joff) ->
-          touch p;
-          if Reg.equal rd Reg.ra then Ras.push w.ras fall;
-          Machine.exec_jal m rd joff;
-          pc := p + (4 * joff);
-          incr n
-        | Jalr (rd, rs1, imm) ->
-          touch p;
-          if is_return rd rs1 then ignore (Ras.pop_target w.ras);
-          pc := Machine.exec_jalr m rd rs1 imm;
-          incr n
-        | Brr (freq, boff) ->
-          touch p;
-          let outcome = Bor_core.Engine.decide w.engine freq in
-          let target = p + (4 * boff) in
-          if w.brr_in_pred then warm_branch w ~pc:p ~taken:outcome ~target;
-          (* The outcome is applied directly — no round trip through
-             the oracle's decide hook. *)
-          Machine.exec_brr_decided m ~taken:outcome ~offset:boff;
-          pc := (if outcome then target else fall);
-          incr n
-        | Brr_always joff ->
-          touch p;
-          Machine.exec_brr_decided m ~taken:true ~offset:joff;
-          pc := p + (4 * joff);
-          incr n
-        | Load (wd, rd, rs1, loff) ->
-          touch p;
-          touch_data w (Machine.exec_load m wd rd rs1 loff);
-          pc := fall;
-          incr n
-        | Store (wd, rsrc, rbase, soff) ->
-          touch p;
-          let addr = Machine.exec_store m wd rsrc rbase soff in
-          touch_data w addr;
-          (* Keep the block cache's self-modification contract uniform:
-             a fallback store into the text range flushes it too. *)
-          (match w.blocks with
-          | Some (bc, _) when in_text w addr -> bc.flush_pending <- true
-          | _ -> ());
-          pc := fall;
-          incr n
-        | Halt as instr ->
-          touch p;
-          Machine.exec_decoded m instr;
-          pc := -1;
-          incr n
-        | (Rdlfsr _ | Marker _) as instr ->
-          touch p;
-          Machine.exec_decoded m instr;
-          pc := fall;
-          incr n
-      end
+      end;
+      (if off < 0 || off land 3 <> 0 || off lsr 2 >= ncode then begin
+         Machine.step m;
+         (* unreachable: [step] faulted *)
+         pc := Machine.pc m
+       end
+       else begin
+         if Machine.has_site_hooks m then Machine.visit_site m p;
+         let fall = p + 4 in
+         match Array.unsafe_get code (off lsr 2) with
+         | Branch (c, rs1, rs2, boff) ->
+           let taken = Machine.exec_branch m c rs1 rs2 boff in
+           let target = p + (4 * boff) in
+           warm_branch w ~pc:p ~taken ~target;
+           pc := if taken then target else fall
+         | Jal (rd, joff) ->
+           if Reg.equal rd Reg.ra then Ras.push w.ras fall;
+           Machine.exec_jal m rd joff;
+           pc := p + (4 * joff)
+         | Jalr (rd, rs1, imm) ->
+           if is_return rd rs1 then ignore (Ras.pop_target w.ras);
+           pc := Machine.exec_jalr m rd rs1 imm
+         | Brr (freq, boff) ->
+           let outcome = Bor_core.Engine.decide w.engine freq in
+           let target = p + (4 * boff) in
+           if w.brr_in_pred then warm_branch w ~pc:p ~taken:outcome ~target;
+           (* The outcome is applied directly — no round trip through
+              the oracle's decide hook. *)
+           Machine.exec_brr_decided m ~taken:outcome ~offset:boff;
+           pc := if outcome then target else fall
+         | Brr_always joff ->
+           Machine.exec_brr_decided m ~taken:true ~offset:joff;
+           pc := p + (4 * joff)
+         | Load (wd, rd, rs1, loff) ->
+           touch_data w (Machine.exec_load m wd rd rs1 loff);
+           pc := fall
+         | Store (wd, rsrc, rbase, soff) ->
+           let addr = Machine.exec_store m wd rsrc rbase soff in
+           touch_data w addr;
+           (* Keep the block cache's self-modification contract uniform:
+              a fallback store into the text range flushes it too. *)
+           (match w.blocks with
+           | Some (bc, _) when in_text w addr -> bc.flush_pending <- true
+           | _ -> ());
+           pc := fall
+         | Halt ->
+           Machine.exec_decoded m Halt;
+           pc := -1
+         | (Alu _ | Alui _ | Lui _ | Nop | Rdlfsr _ | Marker _) as instr ->
+           Machine.exec_decoded m instr;
+           pc := fall
+       end);
+      incr n
     done;
     w.iline <- !iline;
     !n

@@ -185,6 +185,19 @@ let test_decode_allocates_once () =
       Alcotest.failf "decoding %d bytes allocated %.0f (%.2fx its size)"
         (String.length s) bytes ratio
 
+(* Encoding writes its output once: the allocation stays under twice
+   the output's size whatever the checkpoint holds. *)
+let test_encode_allocates_once () =
+  let _, _, ck = warmed_checkpoint (Lazy.force micro_prog) in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let s = Checkpoint.to_string ck in
+  let bytes = Gc.allocated_bytes () -. before in
+  let ratio = bytes /. float_of_int (String.length s) in
+  if ratio >= 2. then
+    Alcotest.failf "encoding %d bytes allocated %.0f (%.2fx its size)"
+      (String.length s) bytes ratio
+
 let restamp payload = payload ^ Bor_telemetry.Sha256.digest payload
 
 (* A small checkpoint (tiny tables, a short program) keeps each case
@@ -845,6 +858,8 @@ let () =
             test_serialized_roundtrip;
           Alcotest.test_case "decoding allocates its state only" `Quick
             test_decode_allocates_once;
+          Alcotest.test_case "encoding allocates its output once" `Quick
+            test_encode_allocates_once;
           Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 2026 |])

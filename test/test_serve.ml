@@ -113,6 +113,40 @@ let test_wire_rejects_garbage () =
   | _ -> Alcotest.fail "torn frame accepted");
   Unix.close d
 
+(* A header claiming a frame near [max_frame], ten payload bytes, then
+   EOF: the reader must pay for the bytes that arrived, not for the
+   claim, before it raises. *)
+let test_wire_claim_costs_nothing () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let header = Bytes.create 8 in
+  Bytes.set_int64_le header 0 (Int64.of_int (200 * 1024 * 1024));
+  ignore (Unix.write a header 0 8);
+  ignore (Unix.write_substring a "0123456789" 0 10);
+  Unix.close a;
+  let before = Gc.allocated_bytes () in
+  (match Wire.read_frame b with
+  | exception Wire.Protocol_error _ -> ()
+  | _ -> Alcotest.fail "torn frame accepted");
+  let allocated = Gc.allocated_bytes () -. before in
+  Unix.close b;
+  if allocated >= 2e6 then
+    Alcotest.failf "a 200 MiB claim with 10 bytes sent allocated %.0f bytes"
+      allocated;
+  (* A frame past the first buffer still arrives whole, through the
+     growing one. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let big =
+    String.init ((5 * 1024 * 1024 / 2) + 3) (fun i -> Char.chr (i land 255))
+  in
+  let writer = Domain.spawn (fun () -> Wire.write_frame a big) in
+  (match Wire.read_frame b with
+  | Some got ->
+    check Alcotest.bool "big frame round trip" true (String.equal got big)
+  | None -> Alcotest.fail "unexpected EOF");
+  Domain.join writer;
+  Unix.close a;
+  Unix.close b
+
 let test_hex_roundtrip () =
   let bytes = String.init 256 Char.chr in
   (match Wire.of_hex (Wire.to_hex bytes) with
@@ -1278,6 +1312,8 @@ let () =
         [
           Alcotest.test_case "frame round trip" `Quick test_wire_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
+          Alcotest.test_case "a frame's claimed length costs nothing" `Quick
+            test_wire_claim_costs_nothing;
           Alcotest.test_case "hex round trip" `Quick test_hex_roundtrip;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 30 |])

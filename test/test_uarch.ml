@@ -1201,10 +1201,10 @@ let test_warming_matches_full_detail () =
     (Bor_uarch.Pipeline.state_digests detail)
     (Bor_uarch.Pipeline.state_digests warm)
 
-(* Batched warming ([run_warming]: plain-stretch fast-forward, line
-   sweeps, MRU dedup) against the same program warmed one instruction
-   at a time ([warm_step]) — on branchy, loopy code where the batching
-   machinery actually triggers. Every structure digest and the final
+(* Batched warming ([run_warming]: the block cache, MRU dedup)
+   against the same program warmed one instruction at a time
+   ([warm_step]) — on branchy, loopy code where the batching machinery
+   actually triggers. Every structure digest and the final
    architectural state must agree. *)
 let test_warming_batching_equivalence () =
   let src =
@@ -1451,6 +1451,63 @@ let test_block_codegen_invalidation () =
     (Bor_uarch.Pipeline.state_digests stepped);
   check Alcotest.bool "the patch flushed the cache" true
     ((block_stats blocked).Bor_uarch.Block.invalidations >= 1)
+
+(* Site hooks send warming onto the single-step path, which must fire
+   them before every instruction as [Machine.step] does, whatever the
+   kind: a register op, a load, a store, a call, a branch and a
+   return, on both warming configurations. *)
+let test_warming_fires_site_hooks () =
+  let p =
+    assemble
+      {|
+main:   li   s1, 50
+        la   s2, buf
+loop:   site 1
+        addi t0, t0, 1
+        site 2
+        lw   t1, 0(s2)
+        site 3
+        sw   t0, 4(s2)
+        site 4
+        call leaf
+        site 5
+        addi s1, s1, -1
+        site 6
+        bne  s1, zero, loop
+        halt
+leaf:   xor  t2, t0, t1
+        site 7
+        ret
+        .data
+buf:    .space 16
+      |}
+  in
+  let counts_of m run =
+    let counts = Array.make 8 0 in
+    Bor_sim.Machine.on_site m (fun id -> counts.(id) <- counts.(id) + 1);
+    run ();
+    Array.to_list counts
+  in
+  let m = Bor_sim.Machine.create p in
+  let functional =
+    counts_of m (fun () ->
+        match Bor_sim.Machine.run m with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+  in
+  check Alcotest.(list int) "functional counts"
+    [ 0; 50; 50; 50; 50; 50; 50; 50 ] functional;
+  List.iter
+    (fun block ->
+      let t = Bor_uarch.Pipeline.create ~config:(warm_cfg block) p in
+      let warmed =
+        counts_of (Bor_uarch.Pipeline.oracle t) (fun () ->
+            ignore (Bor_uarch.Pipeline.run_warming t))
+      in
+      check Alcotest.(list int)
+        (Printf.sprintf "block=%b: warmed = functional" block)
+        functional warmed)
+    [ true; false ]
 
 (* warming.block.* is published from [Block.stats] at every exit of
    [run_warming]: after each [max_steps] slice the registry equals the
@@ -1897,6 +1954,8 @@ let () =
             test_block_store_invalidation;
           Alcotest.test_case "code patch flushes the cache" `Quick
             test_block_codegen_invalidation;
+          Alcotest.test_case "warming fires every site hook" `Quick
+            test_warming_fires_site_hooks;
           Alcotest.test_case "telemetry matches block stats" `Quick
             test_block_telemetry_matches_stats;
           Alcotest.test_case "create ~reuse = fresh create" `Quick
