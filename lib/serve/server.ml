@@ -157,6 +157,7 @@ let serve_connection sched fd =
 type conns = {
   cn_accepted : int Atomic.t;
   cn_proto_errors : int Atomic.t;
+  cn_io_errors : int Atomic.t;
   cn_active : int Atomic.t;
   tel : conns Telemetry.family;
   h_active : Telemetry.histogram;
@@ -169,6 +170,9 @@ let conns_counters =
     ("protocol_errors", "connections",
      "connections dropped on malformed traffic",
      fun c -> Atomic.get c.cn_proto_errors);
+    ("io_errors", "connections",
+     "connections dropped on an I/O failure or any other exception",
+     fun c -> Atomic.get c.cn_io_errors);
   |]
 
 let conns_create () =
@@ -176,6 +180,7 @@ let conns_create () =
   {
     cn_accepted = Atomic.make 0;
     cn_proto_errors = Atomic.make 0;
+    cn_io_errors = Atomic.make 0;
     cn_active = Atomic.make 0;
     tel = Telemetry.family scope conns_counters;
     h_active =
@@ -225,12 +230,15 @@ let run ~socket ?metrics_socket ?(on_ready = fun () -> ()) sched =
           let hm = Mutex.create () in
           let next_id = ref 0 in
           let handler id fd () =
-            (* A client that talks garbage or dies mid-frame only costs
-               its own connection. *)
+            (* A client that talks garbage, dies mid-frame or vanishes
+               before its reply only costs its own connection. Nothing
+               escapes this match, so the release below runs on every
+               exit. *)
             (match serve_connection sched fd with
             | should_stop -> if should_stop then Atomic.set stop true
-            | exception (Wire.Protocol_error _ | Unix.Unix_error _) ->
-                Atomic.incr conns.cn_proto_errors);
+            | exception Wire.Protocol_error _ ->
+                Atomic.incr conns.cn_proto_errors
+            | exception _ -> Atomic.incr conns.cn_io_errors);
             (try Unix.shutdown fd Unix.SHUTDOWN_ALL
              with Unix.Unix_error _ -> ());
             (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -21,9 +21,12 @@
     handler thread, so any number of clients can stream [status] polls
     or block in [result wait] while sampled windows run on the worker
     domains. A connection that talks garbage is dropped (counted in
-    [serve.conns.protocol_errors]); the server keeps serving. The
-    [serve.conns.*] telemetry family (accepted, protocol_errors, an
-    active-connections histogram) is maintained by the accept thread.
+    [serve.conns.protocol_errors]), and so is one whose I/O fails, such
+    as a reply to a client that has gone, or that raises anything else
+    (counted in [serve.conns.io_errors]); either way its socket is
+    closed and the server keeps serving. The [serve.conns.*] telemetry
+    family (accepted, protocol_errors, io_errors, an active-connections
+    histogram) is maintained by the accept thread.
 
     The optional metrics socket answers every connection with one
     plaintext {!Scheduler.metrics_text} dump and closes — no framing,

@@ -136,7 +136,7 @@ let has_site_hooks t =
   match t.site_hooks with [] -> false | _ -> Hashtbl.length t.site_index > 0
 let reg t r = t.regs.(Bor_isa.Reg.to_int r)
 
-let set_reg t r v =
+let[@inline] set_reg t r v =
   let i = Bor_isa.Reg.to_int r in
   if i <> 0 then t.regs.(i) <- Bor_util.Bits.wrap32 v
 

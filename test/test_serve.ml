@@ -1140,9 +1140,10 @@ let test_server_drops_malformed_frames () =
 
 (* A client that submits a slow job, asks for its result with [wait]
    and closes its socket before the answer: when the job finishes, the
-   reply fails as EPIPE and costs only that connection (without
-   [Server.run] ignoring SIGPIPE, the signal would end this whole test
-   binary). Afterwards stats still answers, and later connections find
+   reply fails as EPIPE and costs only that connection, counted as an
+   I/O error and not as a protocol error (without [Server.run]
+   ignoring SIGPIPE, the signal would end this whole test binary).
+   Afterwards stats still answers, and later connections find
    the vanished one gone: [serve.conns.active] observes 0 at an accept
    after it, not only at the first. *)
 let test_server_survives_vanished_waiter () =
@@ -1158,6 +1159,7 @@ let test_server_survives_vanished_waiter () =
         in
         ( r,
           Telemetry.find_counter "serve.conns.protocol_errors",
+          Telemetry.find_counter "serve.conns.io_errors",
           Json.member "serve.conns.active" (Telemetry.to_json ()) ))
   in
   while not (Atomic.get ready) do
@@ -1193,10 +1195,12 @@ let test_server_survives_vanished_waiter () =
     | Error e -> Alcotest.fail e
   done;
   ignore (Client.request ~socket Client.shutdown_request);
-  let r, errors, active = Domain.join server in
+  let r, protocol_errors, io_errors, active = Domain.join server in
   (match r with Ok () -> () | Error e -> Alcotest.fail e);
   check Alcotest.(option int) "the failed reply cost one connection" (Some 1)
-    errors;
+    io_errors;
+  check Alcotest.(option int) "a vanished client is no protocol error"
+    (Some 0) protocol_errors;
   let zeros =
     match Option.bind active (Json.member "buckets") with
     | Some (Json.List (b :: _)) when Json.member "le" b = Some (Json.Int 0) -> (
