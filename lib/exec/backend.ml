@@ -13,8 +13,8 @@ type t = {
   run : unit -> (report, string) result;
 }
 
-let functional ?brr_mode ?max_steps prog =
-  let m = Machine.create ?brr_mode prog in
+let functional ?mem ?brr_mode ?max_steps prog =
+  let m = Machine.create ?mem ?brr_mode prog in
   {
     machine = (fun () -> m);
     pipeline = None;

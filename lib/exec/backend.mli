@@ -32,7 +32,15 @@ type t = {
 }
 
 val functional :
-  ?brr_mode:Bor_sim.Machine.brr_mode -> ?max_steps:int -> Bor_isa.Program.t -> t
+  ?mem:Bor_sim.Memory.t ->
+  ?brr_mode:Bor_sim.Machine.brr_mode ->
+  ?max_steps:int ->
+  Bor_isa.Program.t ->
+  t
+(** [mem] is passed to {!Bor_sim.Machine.create}: the machine runs on
+    that memory, scrubbed to its fresh state, instead of allocating and
+    zero-filling a new one (say, {!Scratch.with_memory}'s). The caller
+    must be done with the backend before [mem] is used again. *)
 
 val detailed :
   ?config:Bor_uarch.Config.t ->

@@ -82,6 +82,19 @@ let w_array s a =
   if sizing s then s.pos <- s.pos + (8 * Array.length a)
   else Array.iter (w_int s) a
 
+(* Cache and BTB stores are bytes in memory, one native-endian word per
+   entry, and one little-endian word per entry on disk, like every
+   other table. *)
+let w_words s b =
+  let n = Bytes.length b / 8 in
+  w_int s n;
+  if sizing s then s.pos <- s.pos + (8 * n)
+  else
+    for i = 0 to n - 1 do
+      Bytes.set_int64_le s.buf s.pos (Bytes.get_int64_ne b (8 * i));
+      s.pos <- s.pos + 8
+    done
+
 (* Predictor tables are bytes in memory but, like every other table,
    one word per counter on disk. *)
 let w_counters s c =
@@ -110,15 +123,15 @@ let encode b ck =
   w_counters b ck.ck_pred.Predictor.s_gshare;
   w_counters b ck.ck_pred.Predictor.s_bimodal;
   w_counters b ck.ck_pred.Predictor.s_chooser;
-  w_array b ck.ck_btb.Btb.s_tags;
-  w_array b ck.ck_btb.Btb.s_targets;
+  w_words b ck.ck_btb.Btb.s_tags;
+  w_words b ck.ck_btb.Btb.s_targets;
   w_int b ck.ck_ras.Ras.s_top;
   w_int b ck.ck_ras.Ras.s_depth;
   w_array b ck.ck_ras.Ras.s_stack;
   let w_cache (c : Bor_uarch.Cache.state) =
     w_int b c.Bor_uarch.Cache.s_clock;
-    w_array b c.Bor_uarch.Cache.s_tags;
-    w_array b c.Bor_uarch.Cache.s_lru
+    w_words b c.Bor_uarch.Cache.s_tags;
+    w_words b c.Bor_uarch.Cache.s_lru
   in
   w_cache ck.ck_hier.Hierarchy.s_l1i;
   w_cache ck.ck_hier.Hierarchy.s_l1d;
@@ -181,6 +194,13 @@ let of_string s =
       n
     in
     let r_array () = Array.init (r_len 8) (fun _ -> r_int ()) in
+    let r_words () =
+      let b = Bytes.create (8 * r_len 8) in
+      for i = 0 to (Bytes.length b / 8) - 1 do
+        Bytes.set_int64_ne b (8 * i) (Int64.of_int (r_int ()))
+      done;
+      b
+    in
     let r_counters () =
       Bytes.init (r_len 8) (fun _ ->
           let v = r_int () in
@@ -210,15 +230,15 @@ let of_string s =
         let s_gshare = r_counters () in
         let s_bimodal = r_counters () in
         let s_chooser = r_counters () in
-        let b_tags = r_array () in
-        let b_targets = r_array () in
+        let b_tags = r_words () in
+        let b_targets = r_words () in
         let s_top = r_int () in
         let s_depth = r_int () in
         let s_stack = r_array () in
         let r_cache () =
           let s_clock = r_int () in
-          let s_tags = r_array () in
-          let s_lru = r_array () in
+          let s_tags = r_words () in
+          let s_lru = r_words () in
           { Bor_uarch.Cache.s_tags; s_lru; s_clock }
         in
         let s_l1i = r_cache () in

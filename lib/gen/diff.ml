@@ -1,6 +1,7 @@
 module Machine = Bor_sim.Machine
 module Pipeline = Bor_uarch.Pipeline
 module Backend = Bor_exec.Backend
+module Scratch = Bor_exec.Scratch
 module Sampled = Bor_exec.Sampled
 module Wqueue = Bor_exec.Wqueue
 module Check = Bor_check.Check
@@ -75,14 +76,19 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
     (* Every leg goes through the shared Bor_exec.Backend surface — the
        same constructors and run closures the CLI and bench drivers
        use. Functional reference: External mode fed by a private engine
-       gives the in-order branch-on-random stream. Any error here (step
-       budget, memory fault) is the program's own doing — skip. *)
+       gives the in-order branch-on-random stream. It runs on a pooled
+       pipeline's memory ([Scratch.with_memory]), scrubbed of only the
+       pages an earlier run dirtied, rather than on a new 8 MiB one
+       that must be zero-filled; its snapshot is taken before the
+       memory goes back. Any error here (step budget, memory fault) is
+       the program's own doing — skip. *)
     let reference =
+      Scratch.with_memory prog @@ fun mem ->
       let engine =
         Bor_core.Engine.create ~seed:config.Bor_uarch.Config.lfsr_seed ()
       in
       let b =
-        Backend.functional
+        Backend.functional ~mem
           ~brr_mode:(Machine.External (Bor_core.Engine.decide engine))
           ~max_steps prog
       in
@@ -112,8 +118,7 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
        compared, on every exit path ([Backend.pooled]): refilling a
        used 8 MiB memory and its tables costs a fraction of allocating
        new ones, and only one leg's pipeline is out of the pool at a
-       time. The functional reference above stays unpooled. What a leg
-       returns (its report) is a plain value. *)
+       time. What a leg returns (its report) is a plain value. *)
     let leg stage make =
       Backend.pooled make @@ fun b ->
       let r =

@@ -18,7 +18,8 @@
     from {!Bor_exec.Scratch} and retires it there once its final state
     has been compared, on every exit path, [Fail], [Budget] and
     exceptions included ({!Bor_exec.Backend.pooled}); the functional
-    reference is built fresh.
+    reference runs on a pooled pipeline's memory
+    ({!Bor_exec.Scratch.with_memory}), scrubbed to its fresh state.
 
     Used by both [test/gen_brisc.ml] (via QCheck) and the fuzzer, which
     additionally needs the three-way outcome split: a mutant that never

@@ -151,7 +151,12 @@ let export_arch t = { a_pc = t.pc; a_regs = Array.copy t.regs; a_halted = t.halt
 let import_arch t a =
   if Array.length a.a_regs <> Array.length t.regs then
     invalid_arg "Machine.import_arch: register-file width mismatch";
-  Array.blit a.a_regs 0 t.regs 0 (Array.length t.regs);
+  (* A loop typed [int array], not [Array.blit]: into a register file
+     on the major heap (a pooled pipeline's oracle) the blit goes
+     through [caml_modify] per word. *)
+  for i = 0 to Array.length t.regs - 1 do
+    Array.unsafe_set t.regs i (Array.unsafe_get a.a_regs i)
+  done;
   t.pc <- a.a_pc;
   t.halted <- a.a_halted
 let on_site t f = t.site_hooks <- f :: t.site_hooks

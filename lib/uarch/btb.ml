@@ -1,8 +1,12 @@
 module Telemetry = Bor_telemetry.Telemetry
 
+(* Tags and targets are raw bytes, one 8-byte native-endian word per
+   entry, for the reason [Cache] gives: a checkpoint capture or restore
+   and a [create ~reuse] refill are then one memcpy or memset each. *)
 type t = {
-  tags : int array;
-  targets : int array;
+  tags : Bytes.t;  (** entry pc; -1 = invalid *)
+  targets : Bytes.t;
+  mask : int;  (** entries - 1 *)
   tel_lookups : Telemetry.counter;
   tel_hits : Telemetry.counter;
   tel_inserts : Telemetry.counter;
@@ -13,31 +17,39 @@ let create ?reuse ~entries () =
   if entries <= 0 || not (Bor_util.Bits.is_power_of_two entries) then
     invalid_arg "Btb.create";
   let sc = Telemetry.scope "btb" in
+  let bytes = 8 * entries in
   let tags, targets =
     match reuse with
-    | Some old when Array.length old.tags = entries ->
-      Array.fill old.tags 0 entries (-1);
-      Array.fill old.targets 0 entries 0;
+    | Some old when Bytes.length old.tags = bytes ->
+      (* -1 is all ones in either byte order. *)
+      Bytes.fill old.tags 0 bytes '\xff';
+      Bytes.fill old.targets 0 bytes '\000';
       (old.tags, old.targets)
-    | _ -> (Array.make entries (-1), Array.make entries 0)
+    | _ -> (Bytes.make bytes '\xff', Bytes.make bytes '\000')
   in
-  { tags; targets;
+  { tags; targets; mask = entries - 1;
     tel_lookups = Telemetry.counter sc ~doc:"fetch-stage target lookups" "lookups";
     tel_hits = Telemetry.counter sc ~doc:"lookups returning a target" "hits";
     tel_inserts = Telemetry.counter sc ~doc:"targets installed at resolution" "inserts";
     tel_alias_evictions =
       Telemetry.counter sc ~doc:"inserts displacing a different pc" "alias_evictions" }
 
-let slot t pc = (pc lsr 2) land (Array.length t.tags - 1)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Unchecked: every index below is masked into [0, entries). *)
+let[@inline] word b i = Int64.to_int (get64 b (i lsl 3))
+let[@inline] set_word b i v = set64 b (i lsl 3) (Int64.of_int v)
+let[@inline] slot t pc = (pc lsr 2) land t.mask
 
 (* [lookup_target] is the hot-path variant: -1 instead of [None] so
    the fetch stage never allocates an option. *)
 let lookup_target t ~pc =
   Telemetry.incr t.tel_lookups;
   let i = slot t pc in
-  if t.tags.(i) = pc then begin
+  if word t.tags i = pc then begin
     Telemetry.incr t.tel_hits;
-    t.targets.(i)
+    word t.targets i
   end
   else -1
 
@@ -48,35 +60,35 @@ let lookup t ~pc =
 let insert t ~pc ~target =
   let i = slot t pc in
   Telemetry.incr t.tel_inserts;
-  if t.tags.(i) >= 0 && t.tags.(i) <> pc then
-    Telemetry.incr t.tel_alias_evictions;
-  t.tags.(i) <- pc;
-  t.targets.(i) <- target
+  let old = word t.tags i in
+  if old >= 0 && old <> pc then Telemetry.incr t.tel_alias_evictions;
+  set_word t.tags i pc;
+  set_word t.targets i target
 
-type state = { s_tags : int array; s_targets : int array }
+type state = { s_tags : Bytes.t; s_targets : Bytes.t }
 
 let export_state t =
-  { s_tags = Array.copy t.tags; s_targets = Array.copy t.targets }
+  { s_tags = Bytes.copy t.tags; s_targets = Bytes.copy t.targets }
 
 let import_state t s =
   if
-    Array.length s.s_tags <> Array.length t.tags
-    || Array.length s.s_targets <> Array.length t.targets
+    Bytes.length s.s_tags <> Bytes.length t.tags
+    || Bytes.length s.s_targets <> Bytes.length t.targets
   then invalid_arg "Btb.import_state: entry-count mismatch";
-  Array.blit s.s_tags 0 t.tags 0 (Array.length t.tags);
-  Array.blit s.s_targets 0 t.targets 0 (Array.length t.targets)
+  Bytes.blit s.s_tags 0 t.tags 0 (Bytes.length t.tags);
+  Bytes.blit s.s_targets 0 t.targets 0 (Bytes.length t.targets)
 
 let state_digest t =
-  let b = Buffer.create (Array.length t.tags * 8) in
-  Array.iteri
-    (fun i tag ->
-      if tag >= 0 then begin
-        Buffer.add_string b (string_of_int i);
-        Buffer.add_char b ':';
-        Buffer.add_string b (string_of_int tag);
-        Buffer.add_char b ':';
-        Buffer.add_string b (string_of_int t.targets.(i));
-        Buffer.add_char b ';'
-      end)
-    t.tags;
+  let b = Buffer.create (Bytes.length t.tags) in
+  for i = 0 to t.mask do
+    let tag = word t.tags i in
+    if tag >= 0 then begin
+      Buffer.add_string b (string_of_int i);
+      Buffer.add_char b ':';
+      Buffer.add_string b (string_of_int tag);
+      Buffer.add_char b ':';
+      Buffer.add_string b (string_of_int (word t.targets i));
+      Buffer.add_char b ';'
+    end
+  done;
   Bor_telemetry.Sha256.digest (Buffer.contents b)

@@ -10,7 +10,7 @@
 type t
 
 val create : ?reuse:t -> entries:int -> unit -> t
-(** An empty BTB. With [~reuse:old] of the same size, [old]'s arrays
+(** An empty BTB. With [~reuse:old] of the same size, [old]'s stores
     are refilled and taken over (fresh instruments; [old] must not be
     used again). *)
 
@@ -22,11 +22,14 @@ val lookup_target : t -> pc:int -> int
 
 val insert : t -> pc:int -> target:int -> unit
 
-type state = { s_tags : int array; s_targets : int array }
-(** The full target store. *)
+type state = { s_tags : Bytes.t; s_targets : Bytes.t }
+(** The full target store: per entry, one 8-byte native-endian word in
+    each of [s_tags] (the entry's pc, -1 when invalid) and [s_targets],
+    as the BTB holds them, so a capture or restore is one byte copy
+    each. *)
 
 val export_state : t -> state
-(** Deep copy of the target store. *)
+(** Copy of the target store. *)
 
 val import_state : t -> state -> unit
 (** Overwrite the target store.

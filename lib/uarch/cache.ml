@@ -4,6 +4,11 @@ type stats = {
   mutable evictions : int;
 }
 
+(* The tag and LRU stores are raw bytes, one 8-byte native-endian word
+   per way, rather than [int array]s: capturing, restoring and refilling
+   them (every checkpoint and every [create ~reuse]) is then one
+   memcpy or memset, where an array blit or fill into a store on the
+   major heap goes through the write barrier word by word. *)
 type t = {
   name : string;
   sets : int;
@@ -11,11 +16,19 @@ type t = {
   line_bytes : int;
   line_shift : int;  (** log2 line_bytes *)
   sets_shift : int;  (** log2 sets *)
-  tags : int array;  (** [set * assoc + way]; -1 = invalid *)
-  lru : int array;  (** smaller = older *)
+  tags : Bytes.t;  (** way [set * assoc + w]; -1 = invalid *)
+  lru : Bytes.t;  (** smaller = older *)
   mutable clock : int;
   stats : stats;
 }
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Unchecked: every way index below is [set * assoc + w] with
+   [set < sets] and [w < assoc], inside the [sets * assoc] words. *)
+let[@inline] word b i = Int64.to_int (get64 b (i lsl 3))
+let[@inline] set_word b i v = set64 b (i lsl 3) (Int64.of_int v)
 
 let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
   if size <= 0 || assoc <= 0 || line_bytes <= 0 then
@@ -28,14 +41,15 @@ let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
   if not (Bor_util.Bits.is_power_of_two sets) then
     invalid_arg "Cache.create: set count must be a power of two";
   let log2 n = Option.get (Bor_util.Bits.log2_exact n) in
-  let n = sets * assoc in
+  let bytes = 8 * sets * assoc in
   let tags, lru =
     match reuse with
-    | Some old when Array.length old.tags = n ->
-      Array.fill old.tags 0 n (-1);
-      Array.fill old.lru 0 n 0;
+    | Some old when Bytes.length old.tags = bytes ->
+      (* -1 is all ones in either byte order. *)
+      Bytes.fill old.tags 0 bytes '\xff';
+      Bytes.fill old.lru 0 bytes '\000';
       (old.tags, old.lru)
-    | _ -> (Array.make n (-1), Array.make n 0)
+    | _ -> (Bytes.make bytes '\xff', Bytes.make bytes '\000')
   in
   {
     name;
@@ -51,48 +65,60 @@ let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
   }
 
 (* The hot path avoids divisions (the geometry is all powers of two)
-   and allocation: [find] yields a slot index, -1 on a miss. *)
+   and allocation. *)
 
 let line_of t addr = addr lsr t.line_shift
 
-(* A [while] with a mutable index: a local [let rec] would cost a
-   closure allocation per call on the non-flambda compiler. *)
-let find t set tag =
-  let base = set * t.assoc in
-  let tags = t.tags in
-  let w = ref 0 in
-  let slot = ref (-1) in
-  while !slot < 0 && !w < t.assoc do
-    if Array.unsafe_get tags (base + !w) = tag then slot := base + !w
-    else incr w
+(* The ways of set [s] are the words [s * assoc] up to
+   [(s + 1) * assoc]; [key] is the tag as a raw word, converted once
+   rather than per way. A [while] with a mutable index: a local
+   [let rec] would cost a closure allocation per call on the
+   non-flambda compiler. [access] runs the same scan inline rather
+   than calling [find]: on an L1 hit the call costs more than the
+   scan. *)
+let find t set key =
+  let stop = (set + 1) * t.assoc in
+  let w = ref (set * t.assoc) in
+  while !w < stop && get64 t.tags (!w lsl 3) <> key do
+    incr w
   done;
-  !slot
+  !w < stop
 
 let probe t addr =
   let line = line_of t addr in
-  find t (line land (t.sets - 1)) (line lsr t.sets_shift) >= 0
+  find t (line land (t.sets - 1)) (Int64.of_int (line lsr t.sets_shift))
 
 let access t addr =
   let line = line_of t addr in
   let set = line land (t.sets - 1) in
-  let tag = line lsr t.sets_shift in
+  let key = Int64.of_int (line lsr t.sets_shift) in
   t.clock <- t.clock + 1;
   t.stats.accesses <- t.stats.accesses + 1;
-  let slot = find t set tag in
-  if slot >= 0 then begin
-    t.lru.(slot) <- t.clock;
+  let base = set * t.assoc in
+  let stop = base + t.assoc in
+  let w = ref base in
+  while !w < stop && get64 t.tags (!w lsl 3) <> key do
+    incr w
+  done;
+  if !w < stop then begin
+    set_word t.lru !w t.clock;
     true
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    let base = set * t.assoc in
-    let victim = ref base in
-    for w = 1 to t.assoc - 1 do
-      if t.lru.(base + w) < t.lru.(!victim) then victim := base + w
+    (* The victim is the way with the smallest stamp, the lowest on a
+       tie. *)
+    let victim = ref base and oldest = ref (word t.lru base) in
+    for w = base + 1 to stop - 1 do
+      let stamp = word t.lru w in
+      if stamp < !oldest then begin
+        victim := w;
+        oldest := stamp
+      end
     done;
-    if t.tags.(!victim) >= 0 then t.stats.evictions <- t.stats.evictions + 1;
-    t.tags.(!victim) <- tag;
-    t.lru.(!victim) <- t.clock;
+    if word t.tags !victim >= 0 then t.stats.evictions <- t.stats.evictions + 1;
+    set64 t.tags (!victim lsl 3) key;
+    set_word t.lru !victim t.clock;
     false
   end
 
@@ -118,23 +144,24 @@ let check ?cycle t =
   for set = 0 to t.sets - 1 do
     let base = set * t.assoc in
     for w = 0 to t.assoc - 1 do
-      let tag = t.tags.(base + w) in
+      let tag = word t.tags (base + w) in
       if tag >= 0 then begin
         (* A duplicated tag inside one set means [find] resolves
            arbitrarily — hits would depend on way scan order. *)
         for w' = w + 1 to t.assoc - 1 do
-          if t.tags.(base + w') = tag then
+          if word t.tags (base + w') = tag then
             fail "distinct-tags" "set %d holds tag %d in ways %d and %d" set
               tag w w'
         done;
-        let stamp = t.lru.(base + w) in
+        let stamp = word t.lru (base + w) in
         if stamp < 0 || stamp > t.clock then
           fail "lru-stamp-range" "set %d way %d: LRU stamp %d outside [0,%d]"
             set w stamp t.clock;
         (* Distinct stamps on valid ways keep LRU victim choice
            deterministic (ties would fall back to lowest way index). *)
         for w' = w + 1 to t.assoc - 1 do
-          if t.tags.(base + w') >= 0 && t.lru.(base + w') = stamp && stamp > 0
+          if word t.tags (base + w') >= 0 && word t.lru (base + w') = stamp
+             && stamp > 0
           then
             fail "lru-distinct" "set %d ways %d and %d share LRU stamp %d" set
               w w' stamp
@@ -144,18 +171,18 @@ let check ?cycle t =
   done;
   Check.count (t.sets * t.assoc)
 
-type state = { s_tags : int array; s_lru : int array; s_clock : int }
+type state = { s_tags : Bytes.t; s_lru : Bytes.t; s_clock : int }
 
 let export_state t =
-  { s_tags = Array.copy t.tags; s_lru = Array.copy t.lru; s_clock = t.clock }
+  { s_tags = Bytes.copy t.tags; s_lru = Bytes.copy t.lru; s_clock = t.clock }
 
 let import_state t s =
   if
-    Array.length s.s_tags <> Array.length t.tags
-    || Array.length s.s_lru <> Array.length t.lru
+    Bytes.length s.s_tags <> Bytes.length t.tags
+    || Bytes.length s.s_lru <> Bytes.length t.lru
   then invalid_arg ("Cache.import_state: geometry mismatch on " ^ t.name);
-  Array.blit s.s_tags 0 t.tags 0 (Array.length t.tags);
-  Array.blit s.s_lru 0 t.lru 0 (Array.length t.lru);
+  Bytes.blit s.s_tags 0 t.tags 0 (Bytes.length t.tags);
+  Bytes.blit s.s_lru 0 t.lru 0 (Bytes.length t.lru);
   t.clock <- s.s_clock
 
 let reset_stats t =
@@ -177,7 +204,7 @@ let state_digest t =
     let base = set * t.assoc in
     let n = ref 0 in
     for w = 0 to t.assoc - 1 do
-      let tag = t.tags.(base + w) in
+      let tag = word t.tags (base + w) in
       if tag >= 0 then begin
         ways.(!n) <- tag;
         incr n

@@ -17,9 +17,9 @@ val create :
     [assoc * line_bytes] into a power-of-two set count
     ([Invalid_argument] otherwise). [name] (default ["cache"]) names
     the cache in sanitizer diagnostics. With [~reuse:old] of the same
-    line count, [old]'s tag and LRU arrays are refilled to their empty
-    state and shared instead of allocated; statistics are always new.
-    [old] must not be used again. *)
+    line count, [old]'s tag and LRU stores are refilled to their empty
+    state (one memset each) and shared instead of allocated; statistics
+    are always new. [old] must not be used again. *)
 
 val access : t -> int -> bool
 (** [access t addr] touches the line containing [addr]; returns [true]
@@ -40,13 +40,16 @@ val check : ?cycle:int -> t -> unit
     the first broken invariant. Unconditional — callers gate on
     [!Bor_check.Check.on]. *)
 
-type state = { s_tags : int array; s_lru : int array; s_clock : int }
+type state = { s_tags : Bytes.t; s_lru : Bytes.t; s_clock : int }
 (** The replacement-relevant contents of the tag store: tags, LRU
     stamps and the LRU clock. Stats are excluded — a restored cache
-    counts from zero like a fresh one. *)
+    counts from zero like a fresh one. [s_tags] and [s_lru] are the
+    cache's own byte stores, one 8-byte native-endian word per way
+    (way [set * assoc + w]; a tag of -1 marks an invalid way), so a
+    capture or restore is one byte copy each. *)
 
 val export_state : t -> state
-(** Deep copy of the tag store. *)
+(** Copy of the tag store. *)
 
 val import_state : t -> state -> unit
 (** Overwrite the tag store.

@@ -815,6 +815,16 @@ let fetch t =
 
 let oracle_reg t r = Bor_sim.Machine.reg t.warm.oracle r
 
+(* The rename-table snapshot copies (one per mispredicted branch at
+   decode, one per squash). [Array.blit] does not know the elements
+   are ints, and into a pooled pipeline's tables, which live on the
+   major heap, it goes through [caml_modify] per word; a loop typed
+   [int array] stores directly. Both tables are [Reg.count] long. *)
+let blit_ints (src : int array) (dst : int array) =
+  for i = 0 to Array.length src - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
 let completes_at_decode (i : Bor_isa.Instr.t) =
   match i with
   | Bor_isa.Instr.Jal _ | Bor_isa.Instr.Brr_always _ | Bor_isa.Instr.Marker _
@@ -1138,7 +1148,7 @@ let decode_one t fslot =
     | Store _ | Branch _ | Brr _ | Brr_always _ | Marker _ | Halt | Nop ->
       ());
     if mispredict then
-      Array.blit t.producer 0 t.snap_producer 0 (Array.length t.producer);
+      blit_ints t.producer t.snap_producer;
     let completes = completes_at_decode instr in
     t.r_seq.(rslot) <- seq;
     t.r_epc.(rslot) <- fpc;
@@ -1324,7 +1334,7 @@ let squash t rp =
   t.rob_tail <- rp + 1;
   if t.issue_scan > t.rob_tail then t.issue_scan <- t.rob_tail;
   if t.r_flags.(rs) land rf_mispredict <> 0 then
-    Array.blit t.snap_producer 0 t.producer 0 (Array.length t.producer)
+    blit_ints t.snap_producer t.producer
   else begin
     (* Unpredicted jalr: nothing younger was fetched, the table only
        needs wrong-path entries dropped (there are none). *)

@@ -663,6 +663,84 @@ let test_diff_returns_pooled_pipelines () =
   back "failure";
   drain_pool ()
 
+(* The functional reference of the differential runs on a pooled
+   pipeline's memory. A run there must not see what an earlier program
+   left behind: [scratch_dirty_src] writes ones over the data and
+   stack words that [scratch_ref_src] reads before it writes them, and
+   the run on that memory must end in the registers, data bytes and
+   retirement counts of a run on a new memory. *)
+let scratch_dirty_src =
+  {|
+main:   li   s7, 512
+        li   t0, -1
+        mv   t1, gp
+fill:   sw   t0, 0(t1)
+        addi sp, sp, -4
+        sw   t0, 0(sp)
+        addi t1, t1, 4
+        addi s7, s7, -1
+        bne  s7, zero, fill
+        halt
+|}
+
+let scratch_ref_src =
+  {|
+main:   li   s7, 256
+        mv   t1, gp
+loop:   lw   t0, 0(t1)
+        add  a0, a0, t0
+        lw   t2, -8(sp)
+        add  a2, a2, t2
+        addi sp, sp, -4
+        brr  1/4, skip
+        addi a1, a1, 1
+skip:   sw   a1, 0(t1)
+        sw   a0, 0(sp)
+        addi t1, t1, 4
+        addi s7, s7, -1
+        bne  s7, zero, loop
+        halt
+        .data
+buf:    .space 1024
+|}
+
+let test_functional_on_scratch_memory () =
+  let prog = Bor_isa.Asm.assemble_exn scratch_ref_src in
+  let dirty = Bor_isa.Asm.assemble_exn scratch_dirty_src in
+  let db = prog.Bor_isa.Program.data_base in
+  let final ?mem prog =
+    let b = Backend.functional ?mem prog in
+    (match b.Backend.run () with Ok _ -> () | Error e -> Alcotest.fail e);
+    let m = b.Backend.machine () in
+    let mem = Machine.memory m in
+    ( Array.init Bor_isa.Reg.count (fun i ->
+          Machine.reg m (Bor_isa.Reg.of_int i)),
+      Bytes.init 1024 (fun i ->
+          Char.chr (Bor_sim.Memory.read_byte mem (db + i))),
+      Machine.stats m )
+  in
+  let fresh_regs, fresh_data, fresh_stats = final prog in
+  drain_pool ();
+  Bor_exec.Scratch.give (Pipeline.create dirty);
+  let dirtied =
+    Bor_exec.Scratch.with_memory dirty @@ fun mem ->
+    ignore (final ~mem dirty);
+    check Alcotest.int "dirtier left ones in the data segment" 0xff
+      (Bor_sim.Memory.read_byte mem db);
+    mem
+  in
+  let regs, data, stats =
+    Bor_exec.Scratch.with_memory prog @@ fun mem ->
+    if mem != dirtied then Alcotest.fail "the pool lent another memory";
+    final ~mem prog
+  in
+  drain_pool ();
+  check Alcotest.(array int) "registers" fresh_regs regs;
+  check Alcotest.bytes "data bytes" fresh_data data;
+  check Alcotest.bool "retirement stats" true (fresh_stats = stats);
+  check Alcotest.int "the reference read zeros" 0
+    fresh_regs.(Bor_isa.Reg.to_int (Bor_isa.Reg.a 2))
+
 (* ------------------------------------------------ frozen registries *)
 
 (* The whole telemetry registry of two fixed runs, pinned by SHA-256:
@@ -883,6 +961,8 @@ let () =
             test_pool_survives_failing_windows;
           Alcotest.test_case "differential legs retire their pipelines"
             `Quick test_diff_returns_pooled_pipelines;
+          Alcotest.test_case "functional run on a dirtied scratch memory"
+            `Quick test_functional_on_scratch_memory;
         ] );
       ( "telemetry",
         [

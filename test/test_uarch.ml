@@ -119,6 +119,168 @@ let test_predictor_history_recovery () =
     (((before lsl 1) lor 1) land 0xFFFF)
     (Bor_uarch.Predictor.ghist p)
 
+(* The int-array tag store [Cache] used to be, kept as the reference
+   its byte store must match access for access: same hits, same
+   victims, same stats, same digest. *)
+module Ref_cache = struct
+  type t = {
+    sets : int;
+    assoc : int;
+    line_bytes : int;
+    tags : int array;
+    lru : int array;
+    mutable clock : int;
+    mutable accesses : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create ~size ~assoc ~line_bytes =
+    let sets = size / line_bytes / assoc in
+    { sets; assoc; line_bytes; tags = Array.make (sets * assoc) (-1);
+      lru = Array.make (sets * assoc) 0; clock = 0; accesses = 0;
+      misses = 0; evictions = 0 }
+
+  let split t addr =
+    let line = addr / t.line_bytes in
+    (line mod t.sets, line / t.sets)
+
+  let find t set tag =
+    let rec go w =
+      if w = t.assoc then -1
+      else if t.tags.((set * t.assoc) + w) = tag then (set * t.assoc) + w
+      else go (w + 1)
+    in
+    go 0
+
+  let probe t addr =
+    let set, tag = split t addr in
+    find t set tag >= 0
+
+  let access t addr =
+    let set, tag = split t addr in
+    t.clock <- t.clock + 1;
+    t.accesses <- t.accesses + 1;
+    let slot = find t set tag in
+    if slot >= 0 then begin
+      t.lru.(slot) <- t.clock;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let base = set * t.assoc in
+      let victim = ref base in
+      for w = 1 to t.assoc - 1 do
+        if t.lru.(base + w) < t.lru.(!victim) then victim := base + w
+      done;
+      if t.tags.(!victim) >= 0 then t.evictions <- t.evictions + 1;
+      t.tags.(!victim) <- tag;
+      t.lru.(!victim) <- t.clock;
+      false
+    end
+
+  let reset_stats t =
+    t.accesses <- 0;
+    t.misses <- 0;
+    t.evictions <- 0
+
+  let state_digest t =
+    let b = Buffer.create (t.sets * 8) in
+    for set = 0 to t.sets - 1 do
+      let live =
+        List.sort compare
+          (List.filter (fun tag -> tag >= 0)
+             (List.init t.assoc (fun w -> t.tags.((set * t.assoc) + w))))
+      in
+      Buffer.add_string b (string_of_int set);
+      List.iter (fun tag -> Buffer.add_string b (":" ^ string_of_int tag)) live;
+      Buffer.add_char b ';'
+    done;
+    Bor_telemetry.Sha256.digest (Buffer.contents b)
+end
+
+(* The words of a byte store, as the [state] docs lay them out. *)
+let words b =
+  Array.init (Bytes.length b / 8) (fun i ->
+      Int64.to_int (Bytes.get_int64_ne b (8 * i)))
+
+type cache_op = Access of int | Probe of int
+
+let cache_geometries =
+  [ (1024, 1, 64); (2048, 2, 32); (4096, 8, 64); (512, 4, 16) ]
+
+(* Addresses over four times the cache's span, so sets conflict and
+   evict, plus a band of high addresses for wide tags. *)
+let gen_cache_ops size =
+  QCheck.Gen.(
+    list_size (int_range 0 300)
+      (let* addr =
+         frequency
+           [ (9, int_bound ((4 * size) - 1));
+             (1, map (fun a -> 0x7fff_0000 + a) (int_bound 0xffff)) ]
+       in
+       frequency [ (4, return (Access addr)); (1, return (Probe addr)) ]))
+
+(* [Cache] on byte stores = the int-array reference, on caches built
+   over dirtied ones with [~reuse]: every hit or miss and probe, the
+   stats, the resident-line digest and the exported words; then the
+   state is exported into another reused cache, must export back
+   unchanged, and the run goes on there against the reference. *)
+let prop_cache_matches_reference =
+  QCheck.Test.make ~name:"byte-backed cache = int-array reference" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         let* ((size, _, _) as geometry) = oneofl cache_geometries in
+         let* dirt = gen_cache_ops size in
+         let* first = gen_cache_ops size in
+         let* second = gen_cache_ops size in
+         return (geometry, dirt, first, second)))
+    (fun ((size, assoc, line_bytes), dirt, first, second) ->
+      let module C = Bor_uarch.Cache in
+      let create ?reuse () = C.create ?reuse ~size ~assoc ~line_bytes () in
+      let dirtied () =
+        let d = create () in
+        List.iter (function Access a | Probe a -> ignore (C.access d a)) dirt;
+        d
+      in
+      let r = Ref_cache.create ~size ~assoc ~line_bytes in
+      let run c ops =
+        List.iteri
+          (fun i op ->
+            let got, want =
+              match op with
+              | Access a -> (C.access c a, Ref_cache.access r a)
+              | Probe a -> (C.probe c a, Ref_cache.probe r a)
+            in
+            if got <> want then
+              QCheck.Test.fail_reportf "op %d: cache says %b, reference %b" i
+                got want)
+          ops;
+        let st = C.stats c in
+        if (st.accesses, st.misses, st.evictions)
+           <> (r.accesses, r.misses, r.evictions)
+        then
+          QCheck.Test.fail_reportf "stats %d/%d/%d, reference %d/%d/%d"
+            st.accesses st.misses st.evictions r.accesses r.misses
+            r.evictions;
+        if C.state_digest c <> Ref_cache.state_digest r then
+          QCheck.Test.fail_report "state digest differs";
+        let s = C.export_state c in
+        if words s.s_tags <> r.tags || words s.s_lru <> r.lru
+           || s.s_clock <> r.clock
+        then QCheck.Test.fail_report "exported words differ";
+        C.check c
+      in
+      let c = create ~reuse:(dirtied ()) () in
+      run c first;
+      let c' = create ~reuse:(dirtied ()) () in
+      C.import_state c' (C.export_state c);
+      if C.export_state c' <> C.export_state c then
+        QCheck.Test.fail_report "export -> import -> export changed the state";
+      Ref_cache.reset_stats r;
+      run c' second;
+      true)
+
 (* ------------------------------------------------------------ BTB / RAS *)
 
 let test_btb () =
@@ -131,6 +293,129 @@ let test_btb () =
   Bor_uarch.Btb.insert b ~pc:(0x40 + (16 * 4)) ~target:0x111;
   check Alcotest.(option int) "alias evicts" None
     (Bor_uarch.Btb.lookup b ~pc:0x40)
+
+(* The int-array BTB, kept as the reference for the byte-backed one. *)
+module Ref_btb = struct
+  type t = {
+    tags : int array;
+    targets : int array;
+    mutable lookups : int;
+    mutable hits : int;
+    mutable inserts : int;
+    mutable alias_evictions : int;
+  }
+
+  let create ~entries =
+    { tags = Array.make entries (-1); targets = Array.make entries 0;
+      lookups = 0; hits = 0; inserts = 0; alias_evictions = 0 }
+
+  let slot t pc = pc / 4 mod Array.length t.tags
+
+  let lookup_target t ~pc =
+    t.lookups <- t.lookups + 1;
+    let i = slot t pc in
+    if t.tags.(i) = pc then begin
+      t.hits <- t.hits + 1;
+      t.targets.(i)
+    end
+    else -1
+
+  let insert t ~pc ~target =
+    let i = slot t pc in
+    t.inserts <- t.inserts + 1;
+    if t.tags.(i) >= 0 && t.tags.(i) <> pc then
+      t.alias_evictions <- t.alias_evictions + 1;
+    t.tags.(i) <- pc;
+    t.targets.(i) <- target
+
+  let state_digest t =
+    let b = Buffer.create 64 in
+    Array.iteri
+      (fun i tag ->
+        if tag >= 0 then
+          Buffer.add_string b
+            (Printf.sprintf "%d:%d:%d;" i tag t.targets.(i)))
+      t.tags;
+    Bor_telemetry.Sha256.digest (Buffer.contents b)
+end
+
+type btb_op = Lookup of int | Insert of int * int
+
+let gen_btb_ops entries =
+  QCheck.Gen.(
+    list_size (int_range 0 200)
+      (let* pc = map (fun i -> 4 * i) (int_bound ((4 * entries) - 1)) in
+       frequency
+         [ (3, return (Lookup pc));
+           (2, map (fun target -> Insert (pc, target)) (int_bound 0x7fff_ffff)) ]))
+
+(* [Btb] on byte stores = the int-array reference, on BTBs built over
+   dirtied ones with [~reuse]: every lookup, the four telemetry
+   counters, the digest and the exported words; then an export ->
+   import -> export round trip into another reused BTB, and the run
+   goes on there. *)
+let prop_btb_matches_reference =
+  QCheck.Test.make ~name:"byte-backed BTB = int-array reference" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         let* entries = oneofl [ 1; 16; 64 ] in
+         let* dirt = gen_btb_ops entries in
+         let* first = gen_btb_ops entries in
+         let* second = gen_btb_ops entries in
+         return (entries, dirt, first, second)))
+    (fun (entries, dirt, first, second) ->
+      let module B = Bor_uarch.Btb in
+      let dirtied () =
+        let d = B.create ~entries () in
+        List.iter
+          (function
+            | Lookup pc -> ignore (B.lookup_target d ~pc)
+            | Insert (pc, target) -> B.insert d ~pc ~target)
+          dirt;
+        d
+      in
+      let r = Ref_btb.create ~entries in
+      let run b ops =
+        List.iteri
+          (fun i op ->
+            match op with
+            | Lookup pc ->
+              let got = B.lookup_target b ~pc
+              and want = Ref_btb.lookup_target r ~pc in
+              if got <> want then
+                QCheck.Test.fail_reportf "op %d: btb says %d, reference %d" i
+                  got want
+            | Insert (pc, target) ->
+              B.insert b ~pc ~target;
+              Ref_btb.insert r ~pc ~target)
+          ops;
+        let counter n = Option.value ~default:0 (Bor_telemetry.Telemetry.find_counter n) in
+        if
+          ( counter "btb.lookups", counter "btb.hits", counter "btb.inserts",
+            counter "btb.alias_evictions" )
+          <> (r.lookups, r.hits, r.inserts, r.alias_evictions)
+        then QCheck.Test.fail_report "telemetry counters differ";
+        if B.state_digest b <> Ref_btb.state_digest r then
+          QCheck.Test.fail_report "state digest differs";
+        let s = B.export_state b in
+        if words s.s_tags <> r.tags || words s.s_targets <> r.targets then
+          QCheck.Test.fail_report "exported words differ"
+      in
+      (* Donors count nowhere; the BTBs under test share one private
+         registry, so its counters run on across the round trip like
+         the reference's. *)
+      let donor = dirtied () and donor' = dirtied () in
+      fst
+        (Bor_telemetry.Telemetry.isolated ~enabled:true (fun () ->
+             let b = B.create ~reuse:donor ~entries () in
+             run b first;
+             let b' = B.create ~reuse:donor' ~entries () in
+             B.import_state b' (B.export_state b);
+             if B.export_state b' <> B.export_state b then
+               QCheck.Test.fail_report
+                 "export -> import -> export changed the state";
+             run b' second;
+             true)))
 
 let test_ras () =
   let r = Bor_uarch.Ras.create ~entries:4 in
@@ -1862,6 +2147,9 @@ let () =
           Alcotest.test_case "geometry" `Quick test_cache_geometry_checks;
           Alcotest.test_case "hierarchy latencies" `Quick
             test_hierarchy_latencies;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 35 |])
+            prop_cache_matches_reference;
         ] );
       ( "predictor",
         [
@@ -1874,6 +2162,9 @@ let () =
       ( "btb-ras",
         [
           Alcotest.test_case "btb" `Quick test_btb;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 36 |])
+            prop_btb_matches_reference;
           Alcotest.test_case "ras" `Quick test_ras;
         ] );
       ( "pipeline",
