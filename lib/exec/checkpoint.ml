@@ -1,21 +1,15 @@
 module Machine = Bor_sim.Machine
 module Memory = Bor_sim.Memory
 module Pipeline = Bor_uarch.Pipeline
-module Predictor = Bor_uarch.Predictor
-module Btb = Bor_uarch.Btb
-module Ras = Bor_uarch.Ras
-module Hierarchy = Bor_uarch.Hierarchy
+module Block = Bor_uarch.Block
+module Region = Bor_uarch.Region
 module Sha256 = Bor_telemetry.Sha256
 
 type t = {
   ck_program : string;
   ck_arch : Machine.arch;
   ck_mem : Memory.snapshot;
-  ck_lfsr : int;
-  ck_pred : Predictor.state;
-  ck_btb : Btb.state;
-  ck_ras : Ras.state;
-  ck_hier : Hierarchy.state;
+  ck_warm : (string * Region.value) list;
 }
 
 let version = 1
@@ -29,11 +23,7 @@ let capture ~program_digest p =
     ck_program = program_digest;
     ck_arch = Machine.export_arch w.oracle;
     ck_mem = Memory.snapshot (Machine.memory w.oracle);
-    ck_lfsr = Bor_lfsr.Lfsr.peek (Bor_core.Engine.lfsr w.engine);
-    ck_pred = Predictor.export_state w.pred;
-    ck_btb = Btb.export_state w.btb;
-    ck_ras = Ras.export_state w.ras;
-    ck_hier = Hierarchy.export_state w.hier;
+    ck_warm = Region.capture Block.regions w;
   }
 
 let restore ck ~program_digest p =
@@ -48,11 +38,7 @@ let restore ck ~program_digest p =
       let w = Pipeline.warm p in
       Machine.import_arch w.oracle ck.ck_arch;
       Memory.restore (Machine.memory w.oracle) ck.ck_mem;
-      Bor_lfsr.Lfsr.set_state (Bor_core.Engine.lfsr w.engine) ck.ck_lfsr;
-      Predictor.import_state w.pred ck.ck_pred;
-      Btb.import_state w.btb ck.ck_btb;
-      Ras.import_state w.ras ck.ck_ras;
-      Hierarchy.import_state w.hier ck.ck_hier;
+      Region.restore Block.regions w ck.ck_warm;
       Pipeline.resume_fetch p;
       Ok ()
     with Invalid_argument m ->
@@ -82,25 +68,22 @@ let w_array s a =
   if sizing s then s.pos <- s.pos + (8 * Array.length a)
   else Array.iter (w_int s) a
 
-(* Cache and BTB stores are bytes in memory, one native-endian word per
-   entry, and one little-endian word per entry on disk, like every
-   other table. *)
-let w_words s b =
-  let n = Bytes.length b / 8 in
+(* Every table is one little-endian word per entry on disk, whatever
+   its width in memory: a counter byte, or a native-endian word. *)
+let w_table s kind b =
+  let n = Bytes.length b / Region.width kind in
   w_int s n;
   if sizing s then s.pos <- s.pos + (8 * n)
   else
     for i = 0 to n - 1 do
-      Bytes.set_int64_le s.buf s.pos (Bytes.get_int64_ne b (8 * i));
+      let v =
+        match kind with
+        | Region.Counters -> Int64.of_int (Char.code (Bytes.get b i))
+        | Words -> Bytes.get_int64_ne b (8 * i)
+      in
+      Bytes.set_int64_le s.buf s.pos v;
       s.pos <- s.pos + 8
     done
-
-(* Predictor tables are bytes in memory but, like every other table,
-   one word per counter on disk. *)
-let w_counters s c =
-  w_int s (Bytes.length c);
-  if sizing s then s.pos <- s.pos + (8 * Bytes.length c)
-  else Bytes.iter (fun v -> w_int s (Char.code v)) c
 
 let w_raw s str =
   if not (sizing s) then
@@ -118,24 +101,11 @@ let encode b ck =
   w_int b ck.ck_arch.Machine.a_pc;
   w_int b (Bool.to_int ck.ck_arch.Machine.a_halted);
   w_array b ck.ck_arch.Machine.a_regs;
-  w_int b ck.ck_lfsr;
-  w_int b ck.ck_pred.Predictor.s_ghist;
-  w_counters b ck.ck_pred.Predictor.s_gshare;
-  w_counters b ck.ck_pred.Predictor.s_bimodal;
-  w_counters b ck.ck_pred.Predictor.s_chooser;
-  w_words b ck.ck_btb.Btb.s_tags;
-  w_words b ck.ck_btb.Btb.s_targets;
-  w_int b ck.ck_ras.Ras.s_top;
-  w_int b ck.ck_ras.Ras.s_depth;
-  w_array b ck.ck_ras.Ras.s_stack;
-  let w_cache (c : Bor_uarch.Cache.state) =
-    w_int b c.Bor_uarch.Cache.s_clock;
-    w_words b c.Bor_uarch.Cache.s_tags;
-    w_words b c.Bor_uarch.Cache.s_lru
-  in
-  w_cache ck.ck_hier.Hierarchy.s_l1i;
-  w_cache ck.ck_hier.Hierarchy.s_l1d;
-  w_cache ck.ck_hier.Hierarchy.s_l2;
+  List.iter
+    (function
+      | _, Region.Int v -> w_int b v
+      | _, Data (kind, t) -> w_table b kind t)
+    ck.ck_warm;
   w_int b (Memory.snapshot_size ck.ck_mem);
   let pages = Memory.snapshot_pages ck.ck_mem in
   w_int b (Array.length pages);
@@ -194,18 +164,20 @@ let of_string s =
       n
     in
     let r_array () = Array.init (r_len 8) (fun _ -> r_int ()) in
-    let r_words () =
-      let b = Bytes.create (8 * r_len 8) in
-      for i = 0 to (Bytes.length b / 8) - 1 do
-        Bytes.set_int64_ne b (8 * i) (Int64.of_int (r_int ()))
-      done;
-      b
-    in
-    let r_counters () =
-      Bytes.init (r_len 8) (fun _ ->
-          let v = r_int () in
-          if v < 0 || v > 3 then raise (Bad_counter v);
-          Char.unsafe_chr v)
+    let r_table kind =
+      let n = r_len 8 in
+      match kind with
+      | Region.Counters ->
+        Bytes.init n (fun _ ->
+            let v = r_int () in
+            if v < 0 || v > 3 then raise (Bad_counter v);
+            Char.unsafe_chr v)
+      | Words ->
+        let b = Bytes.create (8 * n) in
+        for i = 0 to n - 1 do
+          Bytes.set_int64_ne b (8 * i) (Int64.of_int (r_int ()))
+        done;
+        b
     in
     try
       if Sha256.digest_prefix s (len - 64) <> stamp then
@@ -225,25 +197,13 @@ let of_string s =
           match r_int () with 0 -> false | 1 -> true | _ -> raise Malformed
         in
         let a_regs = r_array () in
-        let ck_lfsr = r_int () in
-        let s_ghist = r_int () in
-        let s_gshare = r_counters () in
-        let s_bimodal = r_counters () in
-        let s_chooser = r_counters () in
-        let b_tags = r_words () in
-        let b_targets = r_words () in
-        let s_top = r_int () in
-        let s_depth = r_int () in
-        let s_stack = r_array () in
-        let r_cache () =
-          let s_clock = r_int () in
-          let s_tags = r_words () in
-          let s_lru = r_words () in
-          { Bor_uarch.Cache.s_tags; s_lru; s_clock }
+        let ck_warm =
+          List.map
+            (function
+              | Region.Scalar (n, _, _) -> (n, Region.Int (r_int ()))
+              | Table (n, kind, _) -> (n, Data (kind, r_table kind)))
+            Block.regions
         in
-        let s_l1i = r_cache () in
-        let s_l1d = r_cache () in
-        let s_l2 = r_cache () in
         (* The size sets the snapshot's dirty bitmap (one bit per
            page), so it is bounded before that is allocated: memory
            past 2^31 bytes is beyond what a 32-bit machine addresses. *)
@@ -261,11 +221,7 @@ let of_string s =
             ck_program;
             ck_arch = { Machine.a_pc; a_regs; a_halted };
             ck_mem = Memory.snapshot_of_pages ~size:mem_size pages;
-            ck_lfsr;
-            ck_pred = { Predictor.s_gshare; s_bimodal; s_chooser; s_ghist };
-            ck_btb = { Btb.s_tags = b_tags; s_targets = b_targets };
-            ck_ras = { Ras.s_stack; s_top; s_depth };
-            ck_hier = { Hierarchy.s_l1i; s_l1d; s_l2 };
+            ck_warm;
           }
         end
       end

@@ -1,12 +1,13 @@
 (** Versioned, digest-stamped execution checkpoints.
 
-    A checkpoint is the export of a pipeline's warm-state record
-    ({!Bor_uarch.Block.warm}: L1/L2 tag stores, BTB, tournament
-    predictor, RAS, LFSR) plus the complete architectural state of its
-    oracle (register file, pc, halt flag, written memory pages) at an
-    instruction boundary — everything needed to seed a freshly created
-    pipeline such that detailed execution from the checkpoint is a pure
-    function of the checkpoint. That purity is what {!Sampled} builds its
+    A checkpoint is the capture of a pipeline's warm-state record as
+    named regions ({!Bor_uarch.Block.regions}: LFSR, tournament
+    predictor, BTB, RAS, L1/L2 tag stores) plus the complete
+    architectural state of its oracle (register file, pc, halt flag,
+    written memory pages) at an instruction boundary — everything
+    needed to seed a freshly created pipeline such that detailed
+    execution from the checkpoint is a pure function of the
+    checkpoint. That purity is what {!Sampled} builds its
     domain-parallel window execution on, and what makes
     [bor checkpoint save/resume] reproducible.
 
@@ -26,11 +27,8 @@ type t = {
   ck_program : string;  (** hex digest of the program image *)
   ck_arch : Bor_sim.Machine.arch;
   ck_mem : Bor_sim.Memory.snapshot;
-  ck_lfsr : int;  (** LFSR register of the branch-on-random engine *)
-  ck_pred : Bor_uarch.Predictor.state;
-  ck_btb : Bor_uarch.Btb.state;
-  ck_ras : Bor_uarch.Ras.state;
-  ck_hier : Bor_uarch.Hierarchy.state;
+  ck_warm : (string * Bor_uarch.Region.value) list;
+      (** {!Bor_uarch.Block.regions}, captured in their order *)
 }
 
 val version : int
@@ -54,8 +52,9 @@ val restore :
     detail with {!Bor_uarch.Pipeline.resume_fetch}: fetch starts at the
     restored pc, and a checkpoint taken after the program halted leaves
     nothing to run. [Error] on a program-digest mismatch or a structure
-    geometry mismatch (pipeline built with a different configuration);
-    never raises. The pipeline's statistics and telemetry start from
+    geometry mismatch (pipeline built with a different configuration;
+    the diagnostic names the first region that does not fit); never
+    raises. The pipeline's statistics and telemetry start from
     zero, like any fresh pipeline's. *)
 
 val to_string : t -> string

@@ -151,6 +151,20 @@ let fresh_warm ?reuse ~brr_mode (config : Config.t)
     blocks = None;
   }
 
+let regions =
+  let lfsr w = Bor_core.Engine.lfsr w.engine in
+  Region.Scalar
+    ( "lfsr",
+      (fun w -> Bor_lfsr.Lfsr.peek (lfsr w)),
+      fun w v -> Bor_lfsr.Lfsr.set_state (lfsr w) v )
+  :: List.concat
+       [
+         Region.lift (fun w -> w.pred) Predictor.regions;
+         Region.lift ~prefix:"btb" (fun w -> w.btb) Btb.regions;
+         Region.lift ~prefix:"ras" (fun w -> w.ras) Ras.regions;
+         Region.lift (fun w -> w.hier) Hierarchy.regions;
+       ]
+
 let state_digests w =
   Hierarchy.state_digests w.hier
   @ [

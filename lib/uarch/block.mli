@@ -7,8 +7,8 @@
     it reads, the MRU line trackers, the warming mispredict count and
     the lazily built block translation cache. A {!Pipeline.t} embeds
     one ({!Pipeline.warm}) and runs its detailed core on the same
-    structures; a {!Bor_exec.Checkpoint} is the record's export plus
-    the oracle's architectural state.
+    structures; a {!Bor_exec.Checkpoint} is the record's {!regions}
+    captured, plus the oracle's architectural state.
 
     There are two warming paths. The single-step reference path
     ({!warm_step}) dispatches the oracle one decoded event at a time;
@@ -96,6 +96,14 @@ val fresh_warm :
     family. [~reuse:old] builds the oracle on [old]'s memory and the
     hierarchy, predictor and BTB on [old]'s tables (see
     {!Pipeline.create}). *)
+
+val regions : warm Region.t list
+(** Every warmed structure's {!Region}s, joined in checkpoint order:
+    [lfsr] (the engine's register); the predictor's [ghist], [gshare],
+    [bimodal] and [chooser]; [btb.tags] and [btb.targets]; [ras.top],
+    [ras.depth] and [ras.stack]; then [clock], [tags] and [lru] of
+    [l1i], [l1d] and [l2]. A {!Bor_exec.Checkpoint} captures, restores
+    and serializes exactly this list. *)
 
 val state_digests : warm -> (string * string) list
 (** One named digest per warmed structure: [l1i], [l1d], [l2],

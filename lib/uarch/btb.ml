@@ -17,17 +17,10 @@ let create ?reuse ~entries () =
   if entries <= 0 || not (Bor_util.Bits.is_power_of_two entries) then
     invalid_arg "Btb.create";
   let sc = Telemetry.scope "btb" in
-  let bytes = 8 * entries in
-  let tags, targets =
-    match reuse with
-    | Some old when Bytes.length old.tags = bytes ->
-      (* -1 is all ones in either byte order. *)
-      Bytes.fill old.tags 0 bytes '\xff';
-      Bytes.fill old.targets 0 bytes '\000';
-      (old.tags, old.targets)
-    | _ -> (Bytes.make bytes '\xff', Bytes.make bytes '\000')
-  in
-  { tags; targets; mask = entries - 1;
+  (* -1 is all ones in either byte order. *)
+  { tags = Region.table ?reuse (fun t -> t.tags) (8 * entries) '\xff';
+    targets = Region.table ?reuse (fun t -> t.targets) (8 * entries) '\000';
+    mask = entries - 1;
     tel_lookups = Telemetry.counter sc ~doc:"fetch-stage target lookups" "lookups";
     tel_hits = Telemetry.counter sc ~doc:"lookups returning a target" "hits";
     tel_inserts = Telemetry.counter sc ~doc:"targets installed at resolution" "inserts";
@@ -65,18 +58,9 @@ let insert t ~pc ~target =
   set_word t.tags i pc;
   set_word t.targets i target
 
-type state = { s_tags : Bytes.t; s_targets : Bytes.t }
-
-let export_state t =
-  { s_tags = Bytes.copy t.tags; s_targets = Bytes.copy t.targets }
-
-let import_state t s =
-  if
-    Bytes.length s.s_tags <> Bytes.length t.tags
-    || Bytes.length s.s_targets <> Bytes.length t.targets
-  then invalid_arg "Btb.import_state: entry-count mismatch";
-  Bytes.blit s.s_tags 0 t.tags 0 (Bytes.length t.tags);
-  Bytes.blit s.s_targets 0 t.targets 0 (Bytes.length t.targets)
+let regions =
+  Region.[ Table ("tags", Words, fun t -> t.tags);
+           Table ("targets", Words, fun t -> t.targets) ]
 
 let state_digest t =
   let b = Buffer.create (Bytes.length t.tags) in

@@ -22,18 +22,9 @@ val lookup_target : t -> pc:int -> int
 
 val insert : t -> pc:int -> target:int -> unit
 
-type state = { s_tags : Bytes.t; s_targets : Bytes.t }
-(** The full target store: per entry, one 8-byte native-endian word in
-    each of [s_tags] (the entry's pc, -1 when invalid) and [s_targets],
-    as the BTB holds them, so a capture or restore is one byte copy
-    each. *)
-
-val export_state : t -> state
-(** Copy of the target store. *)
-
-val import_state : t -> state -> unit
-(** Overwrite the target store.
-    @raise Invalid_argument on an entry-count mismatch. *)
+val regions : t Region.t list
+(** The full target store, in checkpoint order: per entry, one word in
+    [tags] (the entry's pc, -1 when invalid) and one in [targets]. *)
 
 val state_digest : t -> string
 (** SHA-256 of every valid (slot, pc, target) entry, for the

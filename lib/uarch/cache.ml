@@ -42,15 +42,6 @@ let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
     invalid_arg "Cache.create: set count must be a power of two";
   let log2 n = Option.get (Bor_util.Bits.log2_exact n) in
   let bytes = 8 * sets * assoc in
-  let tags, lru =
-    match reuse with
-    | Some old when Bytes.length old.tags = bytes ->
-      (* -1 is all ones in either byte order. *)
-      Bytes.fill old.tags 0 bytes '\xff';
-      Bytes.fill old.lru 0 bytes '\000';
-      (old.tags, old.lru)
-    | _ -> (Bytes.make bytes '\xff', Bytes.make bytes '\000')
-  in
   {
     name;
     sets;
@@ -58,8 +49,9 @@ let create ?reuse ?(name = "cache") ~size ~assoc ~line_bytes () =
     line_bytes;
     line_shift = log2 line_bytes;
     sets_shift = log2 sets;
-    tags;
-    lru;
+    (* -1 is all ones in either byte order. *)
+    tags = Region.table ?reuse (fun t -> t.tags) bytes '\xff';
+    lru = Region.table ?reuse (fun t -> t.lru) bytes '\000';
     clock = 0;
     stats = { accesses = 0; misses = 0; evictions = 0 };
   }
@@ -171,19 +163,13 @@ let check ?cycle t =
   done;
   Check.count (t.sets * t.assoc)
 
-type state = { s_tags : Bytes.t; s_lru : Bytes.t; s_clock : int }
-
-let export_state t =
-  { s_tags = Bytes.copy t.tags; s_lru = Bytes.copy t.lru; s_clock = t.clock }
-
-let import_state t s =
-  if
-    Bytes.length s.s_tags <> Bytes.length t.tags
-    || Bytes.length s.s_lru <> Bytes.length t.lru
-  then invalid_arg ("Cache.import_state: geometry mismatch on " ^ t.name);
-  Bytes.blit s.s_tags 0 t.tags 0 (Bytes.length t.tags);
-  Bytes.blit s.s_lru 0 t.lru 0 (Bytes.length t.lru);
-  t.clock <- s.s_clock
+let regions =
+  Region.
+    [
+      Scalar ("clock", (fun t -> t.clock), fun t v -> t.clock <- v);
+      Table ("tags", Words, fun t -> t.tags);
+      Table ("lru", Words, fun t -> t.lru);
+    ]
 
 let reset_stats t =
   t.stats.accesses <- 0;

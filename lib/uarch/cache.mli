@@ -40,20 +40,12 @@ val check : ?cycle:int -> t -> unit
     the first broken invariant. Unconditional — callers gate on
     [!Bor_check.Check.on]. *)
 
-type state = { s_tags : Bytes.t; s_lru : Bytes.t; s_clock : int }
-(** The replacement-relevant contents of the tag store: tags, LRU
-    stamps and the LRU clock. Stats are excluded — a restored cache
-    counts from zero like a fresh one. [s_tags] and [s_lru] are the
-    cache's own byte stores, one 8-byte native-endian word per way
-    (way [set * assoc + w]; a tag of -1 marks an invalid way), so a
-    capture or restore is one byte copy each. *)
-
-val export_state : t -> state
-(** Copy of the tag store. *)
-
-val import_state : t -> state -> unit
-(** Overwrite the tag store.
-    @raise Invalid_argument on a geometry mismatch. *)
+val regions : t Region.t list
+(** The replacement-relevant contents of the tag store, in checkpoint
+    order: the LRU clock, then the [tags] and [lru] stores, one word
+    per way (way [set * assoc + w]; a tag of -1 marks an invalid way).
+    Stats are excluded: a restored cache counts from zero like a fresh
+    one. *)
 
 val reset_stats : t -> unit
 val sets : t -> int

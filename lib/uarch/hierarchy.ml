@@ -69,19 +69,10 @@ let check ?cycle t =
       l1i.misses l1d.misses (l1i.misses + l1d.misses);
   Check.count 1
 
-type state = { s_l1i : Cache.state; s_l1d : Cache.state; s_l2 : Cache.state }
-
-let export_state t =
-  {
-    s_l1i = Cache.export_state t.l1i;
-    s_l1d = Cache.export_state t.l1d;
-    s_l2 = Cache.export_state t.l2;
-  }
-
-let import_state t s =
-  Cache.import_state t.l1i s.s_l1i;
-  Cache.import_state t.l1d s.s_l1d;
-  Cache.import_state t.l2 s.s_l2
+let regions =
+  List.concat_map
+    (fun (name, level) -> Region.lift ~prefix:name level Cache.regions)
+    [ ("l1i", fun t -> t.l1i); ("l1d", fun t -> t.l1d); ("l2", fun t -> t.l2) ]
 
 let state_digests t =
   [

@@ -31,12 +31,9 @@ val check : ?cycle:int -> t -> unit
     {!Bor_check.Check.Violation} on the first broken invariant.
     Unconditional — callers gate on [!Bor_check.Check.on]. *)
 
-type state = { s_l1i : Cache.state; s_l1d : Cache.state; s_l2 : Cache.state }
-(** Tag-store contents of all three levels (see {!Cache.state}). *)
-
-val export_state : t -> state
-val import_state : t -> state -> unit
-(** @raise Invalid_argument on any per-level geometry mismatch. *)
+val regions : t Region.t list
+(** {!Cache.regions} of [l1i], [l1d] and [l2], in that order, named
+    [l1i.clock], [l1i.tags] and so on. *)
 
 val state_digests : t -> (string * string) list
 (** [("l1i", d); ("l1d", d); ("l2", d)] per-level {!Cache.state_digest}

@@ -30,24 +30,15 @@ let taken (p : prediction) = p land 1 <> 0
 
 let none : prediction = 0
 
-(* A table of [n] counters at [init]: [old]'s when it has that size,
-   refilled, else a new one. *)
-let table old n init =
-  match old with
-  | Some b when Bytes.length b = n ->
-    Bytes.fill b 0 n init;
-    b
-  | _ -> Bytes.make n init
-
 let create ?reuse (c : Config.t) =
   if not (Bor_util.Bits.is_power_of_two c.bimodal_entries) then
     invalid_arg "Predictor.create: bimodal_entries must be a power of two";
   let sc = Telemetry.scope "predictor" in
-  let old f = Option.map f reuse in
+  let table = Region.table ?reuse in
   {
-    gshare = table (old (fun t -> t.gshare)) (1 lsl c.ghist_bits) '\001';
-    bimodal = table (old (fun t -> t.bimodal)) c.bimodal_entries '\001';
-    chooser = table (old (fun t -> t.chooser)) c.bimodal_entries '\002';
+    gshare = table (fun t -> t.gshare) (1 lsl c.ghist_bits) '\001';
+    bimodal = table (fun t -> t.bimodal) c.bimodal_entries '\001';
+    chooser = table (fun t -> t.chooser) c.bimodal_entries '\002';
     ghist_mask = Bor_util.Bits.mask c.ghist_bits;
     bimodal_mask = c.bimodal_entries - 1;
     snap_shift = 3 + c.ghist_bits;
@@ -115,31 +106,14 @@ let recover t (p : prediction) ~taken =
 let ghist t = t.ghist
 let restore_ghist t h = t.ghist <- h land t.ghist_mask
 
-type state = {
-  s_gshare : Bytes.t;
-  s_bimodal : Bytes.t;
-  s_chooser : Bytes.t;
-  s_ghist : int;
-}
-
-let export_state t =
-  {
-    s_gshare = Bytes.copy t.gshare;
-    s_bimodal = Bytes.copy t.bimodal;
-    s_chooser = Bytes.copy t.chooser;
-    s_ghist = t.ghist;
-  }
-
-let import_state t s =
-  if
-    Bytes.length s.s_gshare <> Bytes.length t.gshare
-    || Bytes.length s.s_bimodal <> Bytes.length t.bimodal
-    || Bytes.length s.s_chooser <> Bytes.length t.chooser
-  then invalid_arg "Predictor.import_state: table-size mismatch";
-  Bytes.blit s.s_gshare 0 t.gshare 0 (Bytes.length t.gshare);
-  Bytes.blit s.s_bimodal 0 t.bimodal 0 (Bytes.length t.bimodal);
-  Bytes.blit s.s_chooser 0 t.chooser 0 (Bytes.length t.chooser);
-  t.ghist <- s.s_ghist land t.ghist_mask
+let regions =
+  Region.
+    [
+      Scalar ("ghist", ghist, restore_ghist);
+      Table ("gshare", Counters, fun t -> t.gshare);
+      Table ("bimodal", Counters, fun t -> t.bimodal);
+      Table ("chooser", Counters, fun t -> t.chooser);
+    ]
 
 (* One byte per counter, then a separator per table: the same bytes the
    digest has always hashed. *)

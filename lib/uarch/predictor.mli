@@ -52,22 +52,10 @@ val restore_ghist : t -> int -> unit
     resolvers that never consulted the direction predictor, e.g.
     mispredicted returns). *)
 
-type state = {
-  s_gshare : Bytes.t;
-  s_bimodal : Bytes.t;
-  s_chooser : Bytes.t;
-  s_ghist : int;
-}
-(** All three counter tables plus the global history — the complete
-    predictive state (the telemetry counters are excluded). Each table
-    holds one counter (0..3) per byte. *)
-
-val export_state : t -> state
-(** Deep copy of the tables and history. *)
-
-val import_state : t -> state -> unit
-(** Overwrite the tables and history.
-    @raise Invalid_argument on a table-size mismatch. *)
+val regions : t Region.t list
+(** The complete predictive state, in checkpoint order: the global
+    history, then the gshare, bimodal and chooser counter tables (one
+    counter per byte). Telemetry counters are excluded. *)
 
 val state_digest : t -> string
 (** SHA-256 of all three counter tables plus the global history, for

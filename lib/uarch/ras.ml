@@ -126,18 +126,13 @@ let check_snapshot ?cycle s =
   check_shape ?cycle ~component:"ras" ~what:"snapshot"
     (Bytes.length s.s_stack / 8) s.s_top s.s_depth
 
-type state = { s_stack : int array; s_top : int; s_depth : int }
-
-let export_state t =
-  { s_stack = Array.init (entries t) (get t.stack); s_top = t.top;
-    s_depth = t.depth }
-
-let import_state t s =
-  if Array.length s.s_stack <> entries t then
-    invalid_arg "Ras.import_state: entry-count mismatch";
-  Array.iteri (set t.stack) s.s_stack;
-  t.top <- s.s_top;
-  t.depth <- s.s_depth
+let regions =
+  Region.
+    [
+      Scalar ("top", (fun t -> t.top), fun t v -> t.top <- v);
+      Scalar ("depth", depth, fun t v -> t.depth <- v);
+      Table ("stack", Words, fun t -> t.stack);
+    ]
 
 let state_digest t =
   let b = Buffer.create (t.depth * 8) in

@@ -46,17 +46,11 @@ val check_snapshot : ?cycle:int -> snapshot -> unit
 (** Same shape invariants for a snapshot — the pipeline audits every
     in-flight branch's saved stack with it. *)
 
-type state = { s_stack : int array; s_top : int; s_depth : int }
-(** Immutable copy of the full stack for checkpoints (unlike
-    {!snapshot}, which is a mutable pooled buffer private to the
-    pipeline's flush machinery). *)
-
-val export_state : t -> state
-(** Deep copy of the stack. *)
-
-val import_state : t -> state -> unit
-(** Overwrite the stack.
-    @raise Invalid_argument on an entry-count mismatch. *)
+val regions : t Region.t list
+(** The full stack for checkpoints, in checkpoint order: [top],
+    [depth], then the stack's words. Unlike {!snapshot}, a pooled
+    buffer private to the pipeline's flush machinery, these views
+    serve capture and restore. *)
 
 val state_digest : t -> string
 (** SHA-256 of the live entries (oldest to newest) and the depth, for

@@ -3,8 +3,9 @@
    Every committed reproducer in test/corpus/ is reassembled and run
    through the full ten-way differential property with the sanitizer
    enabled — once a fuzzer-found bug is fixed, its reproducer stays
-   here as a regression test forever. The suite passes trivially while
-   the corpus is empty.
+   here as a regression test forever. The group passes trivially while
+   that corpus is empty, so the superoptimizer's seed programs in
+   test/opt_corpus/ replay through the same differential as well.
 
    The round-trip group proves the corpus format is faithful: render a
    generated program with [Corpus.to_asm], reassemble it, and demand
@@ -48,14 +49,16 @@ let roundtrip seed () =
 
 let () =
   Bor_check.Check.set_enabled true;
+  let replays files =
+    List.map
+      (fun f -> Alcotest.test_case (Filename.basename f) `Quick (replay f))
+      files
+  in
   let corpus =
     match Corpus.files ~dir:"corpus" with
     | [] ->
       [ Alcotest.test_case "empty corpus" `Quick (fun () -> ()) ]
-    | files ->
-      List.map
-        (fun f -> Alcotest.test_case (Filename.basename f) `Quick (replay f))
-        files
+    | files -> replays files
   in
   let roundtrips =
     List.map
@@ -65,4 +68,8 @@ let () =
       [ 1; 7; 42; 1234; 99991 ]
   in
   Alcotest.run "corpus"
-    [ ("replay", corpus); ("roundtrip", roundtrips) ]
+    [
+      ("replay", corpus);
+      ("opt corpus replay", replays (Corpus.files ~dir:"opt_corpus"));
+      ("roundtrip", roundtrips);
+    ]

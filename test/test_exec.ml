@@ -8,6 +8,7 @@ module Backend = Bor_exec.Backend
 module Checkpoint = Bor_exec.Checkpoint
 module Sampled = Bor_exec.Sampled
 module Pipeline = Bor_uarch.Pipeline
+module Region = Bor_uarch.Region
 module Machine = Bor_sim.Machine
 module Telemetry = Bor_telemetry.Telemetry
 module Json = Bor_telemetry.Json
@@ -38,8 +39,8 @@ let plan_exn ?rank_bands ?ci_target s =
   | Error e -> Alcotest.fail e
 
 (* Warm a fresh pipeline partway into the program and capture it. *)
-let warmed_checkpoint ?(steps = 20_000) prog =
-  let p = Pipeline.create prog in
+let warmed_checkpoint ?config ?(steps = 20_000) prog =
+  let p = Pipeline.create ?config prog in
   ignore (Pipeline.run_warming ~max_steps:steps p);
   let digest = Checkpoint.program_digest prog in
   (p, digest, Checkpoint.capture ~program_digest:digest p)
@@ -51,10 +52,26 @@ let contains hay needle =
 
 (* ----------------------------------------------------- checkpoint *)
 
-let test_restore_matches_capture () =
+(* Tiny tables: cheap checkpoints, and a second geometry for the
+   restore test. *)
+let small_config =
+  {
+    Bor_uarch.Config.default with
+    ghist_bits = 6;
+    bimodal_entries = 64;
+    btb_entries = 16;
+    l1_size = 2048;
+    l2_size = 8192;
+  }
+
+(* Restoring brings back the whole captured state: the digests, and
+   also what they ignore by design (LRU stamps and clocks, RAS top and
+   depth, the global history), since a capture of the restored
+   pipeline serializes to the same bytes. *)
+let test_restore_matches_capture config () =
   let prog = Lazy.force micro_prog in
-  let src, digest, ck = warmed_checkpoint prog in
-  let dst = Pipeline.create prog in
+  let src, digest, ck = warmed_checkpoint ~config prog in
+  let dst = Pipeline.create ~config prog in
   (match Checkpoint.restore ck ~program_digest:digest dst with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -63,6 +80,9 @@ let test_restore_matches_capture () =
     "microarchitectural state digests"
     (Pipeline.state_digests src)
     (Pipeline.state_digests dst);
+  check Alcotest.bool "capture of the restored pipeline = the checkpoint" true
+    (Checkpoint.to_string (Checkpoint.capture ~program_digest:digest dst)
+    = Checkpoint.to_string ck);
   let ms = Pipeline.oracle src and md = Pipeline.oracle dst in
   check Alcotest.int "pc" (Machine.pc ms) (Machine.pc md);
   for i = 0 to Bor_isa.Reg.count - 1 do
@@ -204,18 +224,8 @@ let restamp payload = payload ^ Bor_telemetry.Sha256.digest payload
    cheap: every case hashes its input twice. *)
 let small_checkpoint =
   lazy
-    (let config =
-       {
-         Bor_uarch.Config.default with
-         ghist_bits = 6;
-         bimodal_entries = 64;
-         btb_entries = 16;
-         l1_size = 2048;
-         l2_size = 8192;
-       }
-     in
-     let prog = Lazy.force alu_prog in
-     let p = Pipeline.create ~config prog in
+    (let prog = Lazy.force alu_prog in
+     let p = Pipeline.create ~config:small_config prog in
      ignore (Pipeline.run_warming ~max_steps:5_000 p);
      Checkpoint.to_string
        (Checkpoint.capture ~program_digest:(Checkpoint.program_digest prog) p))
@@ -366,10 +376,44 @@ let test_rejects_bad_input () =
   (* The same position holding a legal value parses: the offset above
      really is a counter. *)
   match Checkpoint.of_string (restamped first_counter 3) with
-  | Ok ck' ->
-    check Alcotest.int "re-stamped legal counter read back" 3
-      (Char.code (Bytes.get ck'.Checkpoint.ck_pred.s_gshare 0))
+  | Ok ck' -> (
+    match List.assoc "gshare" ck'.Checkpoint.ck_warm with
+    | Region.Data (Counters, gshare) ->
+      check Alcotest.int "re-stamped legal counter read back" 3
+        (Char.code (Bytes.get gshare 0))
+    | _ -> Alcotest.fail "gshare is not a counter table")
   | Error e -> Alcotest.failf "legal re-stamped counter rejected: %s" e
+
+(* A checkpoint restored into a pipeline whose geometry differs in one
+   field is refused with an [Error] naming the first region that does
+   not fit, never an exception. *)
+let test_rejects_wrong_geometry () =
+  let prog = Lazy.force alu_prog in
+  let _, digest, ck = warmed_checkpoint ~steps:5_000 prog in
+  let d = Bor_uarch.Config.default in
+  List.iter
+    (fun (field, region, config) ->
+      let p = Pipeline.create ~config prog in
+      match Checkpoint.restore ck ~program_digest:digest p with
+      | exception e ->
+        Alcotest.failf "%s: raised %s" field (Printexc.to_string e)
+      | Ok () -> Alcotest.failf "%s: restored into another geometry" field
+      | Error e ->
+        check Alcotest.bool
+          (Printf.sprintf "%s: %S names %s" field e region)
+          true
+          (contains e "does not fit this pipeline configuration: "
+          && contains e (": " ^ region ^ " holds")))
+    [
+      ("ghist_bits", "gshare", { d with ghist_bits = d.ghist_bits - 1 });
+      ( "bimodal_entries",
+        "bimodal",
+        { d with bimodal_entries = d.bimodal_entries / 2 } );
+      ("btb_entries", "btb.tags", { d with btb_entries = d.btb_entries / 2 });
+      ("ras_entries", "ras.stack", { d with ras_entries = d.ras_entries / 2 });
+      ("l1_size", "l1i.tags", { d with l1_size = d.l1_size / 2 });
+      ("l2_size", "l2.tags", { d with l2_size = d.l2_size / 2 });
+    ]
 
 let test_rejects_wrong_program () =
   let _, _, ck = warmed_checkpoint (Lazy.force micro_prog) in
@@ -570,7 +614,14 @@ let test_pool_survives_failing_windows () =
      the window indexes out of bounds (or, under the sanitizer, fails
      the RAS shape check). *)
   let broken =
-    { ck with Checkpoint.ck_ras = { ck.ck_ras with s_top = 1 lsl 20 } }
+    {
+      ck with
+      Checkpoint.ck_warm =
+        List.map
+          (fun (name, v) ->
+            (name, if name = "ras.top" then Region.Int (1 lsl 20) else v))
+          ck.ck_warm;
+    }
   in
   let retired what =
     match Bor_exec.Scratch.take () with
@@ -927,7 +978,9 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "restore matches capture" `Quick
-            test_restore_matches_capture;
+            (test_restore_matches_capture Bor_uarch.Config.default);
+          Alcotest.test_case "restore matches capture, small geometry" `Quick
+            (test_restore_matches_capture small_config);
           Alcotest.test_case "resumed run deterministic" `Quick
             test_resumed_run_deterministic;
           Alcotest.test_case "resume after halt runs nothing" `Quick
@@ -946,6 +999,8 @@ let () =
             test_checkpoint_rebuilds_block_cache;
           Alcotest.test_case "rejects wrong program" `Quick
             test_rejects_wrong_program;
+          Alcotest.test_case "rejects wrong geometry" `Quick
+            test_rejects_wrong_geometry;
           Alcotest.test_case "frozen checkpoint bytes" `Quick
             test_frozen_checkpoint;
         ] );

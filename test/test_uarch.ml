@@ -199,7 +199,9 @@ module Ref_cache = struct
     Bor_telemetry.Sha256.digest (Buffer.contents b)
 end
 
-(* The words of a byte store, as the [state] docs lay them out. *)
+module Region = Bor_uarch.Region
+
+(* The words of a byte store, as the [regions] docs lay them out. *)
 let words b =
   Array.init (Bytes.length b / 8) (fun i ->
       Int64.to_int (Bytes.get_int64_ne b (8 * i)))
@@ -223,9 +225,10 @@ let gen_cache_ops size =
 
 (* [Cache] on byte stores = the int-array reference, on caches built
    over dirtied ones with [~reuse]: every hit or miss and probe, the
-   stats, the resident-line digest and the exported words; then the
-   state is exported into another reused cache, must export back
-   unchanged, and the run goes on there against the reference. *)
+   stats, the resident-line digest and the captured words and clock;
+   then the captured regions are restored into another reused cache,
+   must capture back unchanged, and the run goes on there against the
+   reference. *)
 let prop_cache_matches_reference =
   QCheck.Test.make ~name:"byte-backed cache = int-array reference" ~count:200
     (QCheck.make
@@ -265,18 +268,21 @@ let prop_cache_matches_reference =
             r.evictions;
         if C.state_digest c <> Ref_cache.state_digest r then
           QCheck.Test.fail_report "state digest differs";
-        let s = C.export_state c in
-        if words s.s_tags <> r.tags || words s.s_lru <> r.lru
-           || s.s_clock <> r.clock
-        then QCheck.Test.fail_report "exported words differ";
+        (match Region.capture C.regions c with
+        | Region.
+            [ ("clock", Int clock); ("tags", Data (Words, tags));
+              ("lru", Data (Words, lru)) ] ->
+          if words tags <> r.tags || words lru <> r.lru || clock <> r.clock
+          then QCheck.Test.fail_report "captured words differ"
+        | _ -> QCheck.Test.fail_report "unexpected cache regions");
         C.check c
       in
       let c = create ~reuse:(dirtied ()) () in
       run c first;
       let c' = create ~reuse:(dirtied ()) () in
-      C.import_state c' (C.export_state c);
-      if C.export_state c' <> C.export_state c then
-        QCheck.Test.fail_report "export -> import -> export changed the state";
+      Region.restore C.regions c' (Region.capture C.regions c);
+      if Region.capture C.regions c' <> Region.capture C.regions c then
+        QCheck.Test.fail_report "capture -> restore -> capture changed the state";
       Ref_cache.reset_stats r;
       run c' second;
       true)
@@ -351,8 +357,8 @@ let gen_btb_ops entries =
 
 (* [Btb] on byte stores = the int-array reference, on BTBs built over
    dirtied ones with [~reuse]: every lookup, the four telemetry
-   counters, the digest and the exported words; then an export ->
-   import -> export round trip into another reused BTB, and the run
+   counters, the digest and the captured words; then a capture ->
+   restore -> capture round trip into another reused BTB, and the run
    goes on there. *)
 let prop_btb_matches_reference =
   QCheck.Test.make ~name:"byte-backed BTB = int-array reference" ~count:200
@@ -397,9 +403,13 @@ let prop_btb_matches_reference =
         then QCheck.Test.fail_report "telemetry counters differ";
         if B.state_digest b <> Ref_btb.state_digest r then
           QCheck.Test.fail_report "state digest differs";
-        let s = B.export_state b in
-        if words s.s_tags <> r.tags || words s.s_targets <> r.targets then
-          QCheck.Test.fail_report "exported words differ"
+        match Region.capture B.regions b with
+        | Region.
+            [ ("tags", Data (Words, tags)); ("targets", Data (Words, targets)) ]
+          ->
+          if words tags <> r.tags || words targets <> r.targets then
+            QCheck.Test.fail_report "captured words differ"
+        | _ -> QCheck.Test.fail_report "unexpected BTB regions"
       in
       (* Donors count nowhere; the BTBs under test share one private
          registry, so its counters run on across the round trip like
@@ -410,10 +420,10 @@ let prop_btb_matches_reference =
              let b = B.create ~reuse:donor ~entries () in
              run b first;
              let b' = B.create ~reuse:donor' ~entries () in
-             B.import_state b' (B.export_state b);
-             if B.export_state b' <> B.export_state b then
+             Region.restore B.regions b' (Region.capture B.regions b);
+             if Region.capture B.regions b' <> Region.capture B.regions b then
                QCheck.Test.fail_report
-                 "export -> import -> export changed the state";
+                 "capture -> restore -> capture changed the state";
              run b' second;
              true)))
 
