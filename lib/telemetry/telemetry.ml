@@ -14,47 +14,35 @@
    so snapshots are pure functions of the simulated work — the property
    the bench digest check (@bench-check) is built on. *)
 
-type counter = {
-  c_name : string;
-  c_unit : string;
-  c_doc : string;
-  mutable c_value : int;
-  c_live : bool;
+type kind = Counter | Histogram | Span
+
+(* Every kind is one record. A counter's value is [count]; a histogram
+   keeps [count]/[sum]/[max] and its buckets; a span keeps
+   [count]/[sum] (its total)/[min]/[max]. Fields a kind does not use
+   stay at their zero ([min] at its [max_int] sentinel, [buckets]
+   empty), so reset, export and merge treat every kind alike. *)
+type instrument = {
+  name : string;
+  kind : kind;
+  unit_ : string;
+  doc : string;
+  mutable count : int;
+  mutable sum : int;
+  mutable min : int;
+  mutable max : int;
+  buckets : int array;
+  live : bool;
 }
+
+type counter = instrument
+type histogram = instrument
+type span = instrument
+type scope = string
 
 (* Power-of-two ("log2") buckets: bucket 0 counts value 0, bucket i
    counts values in [2^(i-1), 2^i - 1]. 63 buckets cover every
    non-negative OCaml int. *)
 let histogram_buckets = 63
-
-type histogram = {
-  h_name : string;
-  h_unit : string;
-  h_doc : string;
-  h_counts : int array;
-  mutable h_count : int;
-  mutable h_sum : int;
-  mutable h_max : int;
-  h_live : bool;
-}
-
-type span = {
-  s_name : string;
-  s_unit : string;
-  s_doc : string;
-  mutable s_count : int;
-  mutable s_total : int;
-  mutable s_min : int;
-  mutable s_max : int;
-  s_live : bool;
-}
-
-type instrument =
-  | Counter of counter
-  | Histogram of histogram
-  | Span of span
-
-type scope = string
 
 (* The registry is domain-local: each OCaml 5 domain sees its own
    enabled flag and instrument table, so worker domains (parallel
@@ -83,87 +71,58 @@ let clear () = Hashtbl.reset (state ()).registry
 
 let reset () =
   Hashtbl.iter
-    (fun _ instr ->
-      match instr with
-      | Counter c -> c.c_value <- 0
-      | Histogram h ->
-        Array.fill h.h_counts 0 histogram_buckets 0;
-        h.h_count <- 0;
-        h.h_sum <- 0;
-        h.h_max <- 0
-      | Span s ->
-        s.s_count <- 0;
-        s.s_total <- 0;
-        s.s_min <- max_int;
-        s.s_max <- 0)
+    (fun _ i ->
+      i.count <- 0;
+      i.sum <- 0;
+      i.min <- max_int;
+      i.max <- 0;
+      Array.fill i.buckets 0 (Array.length i.buckets) 0)
     (state ()).registry
 
 let scope name : scope = name
 
-let full_name sc name = sc ^ "." ^ name
-
-let register st name instr same =
+(* The registered instrument [name], made (zeroed) if there is none. *)
+let intern st kind name unit_ doc =
   match Hashtbl.find_opt st.registry name with
-  | Some existing -> (
-    match same existing with
-    | Some v -> v
-    | None -> invalid_arg ("Telemetry: " ^ name ^ " re-registered as a different kind"))
+  | Some i when i.kind = kind -> i
+  | Some _ -> invalid_arg ("Telemetry: " ^ name ^ " re-registered as a different kind")
   | None ->
-    Hashtbl.replace st.registry name instr;
-    (match same instr with Some v -> v | None -> assert false)
+    let buckets =
+      if kind = Histogram then Array.make histogram_buckets 0 else [||]
+    in
+    let i =
+      { name; kind; unit_; doc; count = 0; sum = 0; min = max_int; max = 0;
+        buckets; live = true }
+    in
+    Hashtbl.replace st.registry name i;
+    i
 
 (* Instruments made while the registry is disabled are never
    registered and never written (every recorder checks [live] first),
-   so each kind has one shared dead record and making one allocates
+   so all kinds share one dead record and making one allocates
    nothing: per-run components are made per test vector and per oracle
    run with telemetry off. *)
-let dead_counter =
-  { c_name = ""; c_unit = ""; c_doc = ""; c_value = 0; c_live = false }
+let dead =
+  { name = ""; kind = Counter; unit_ = ""; doc = ""; count = 0; sum = 0;
+    min = max_int; max = 0; buckets = [||]; live = false }
 
-let dead_histogram =
-  { h_name = ""; h_unit = ""; h_doc = ""; h_counts = [||];
-    h_count = 0; h_sum = 0; h_max = 0; h_live = false }
-
-let dead_span =
-  { s_name = ""; s_unit = ""; s_doc = "";
-    s_count = 0; s_total = 0; s_min = max_int; s_max = 0; s_live = false }
-
-let counter sc ?(unit_ = "events") ?(doc = "") name =
+let make kind sc unit_ doc name =
   let st = state () in
-  if not st.enabled then dead_counter
-  else
-    let n = full_name sc name in
-    let fresh =
-      { c_name = n; c_unit = unit_; c_doc = doc; c_value = 0; c_live = true }
-    in
-    register st n (Counter fresh) (function Counter c -> Some c | _ -> None)
+  if not st.enabled then dead else intern st kind (sc ^ "." ^ name) unit_ doc
+
+(* Each creator applies [make] fully: a partial application would
+   allocate a closure per call, registry off or not. *)
+let counter sc ?(unit_ = "events") ?(doc = "") name =
+  make Counter sc unit_ doc name
 
 let histogram sc ?(unit_ = "events") ?(doc = "") name =
-  let st = state () in
-  if not st.enabled then dead_histogram
-  else
-    let n = full_name sc name in
-    let fresh =
-      { h_name = n; h_unit = unit_; h_doc = doc;
-        h_counts = Array.make histogram_buckets 0;
-        h_count = 0; h_sum = 0; h_max = 0; h_live = true }
-    in
-    register st n (Histogram fresh) (function Histogram h -> Some h | _ -> None)
+  make Histogram sc unit_ doc name
 
-let span sc ?(unit_ = "cycles") ?(doc = "") name =
-  let st = state () in
-  if not st.enabled then dead_span
-  else
-    let n = full_name sc name in
-    let fresh =
-      { s_name = n; s_unit = unit_; s_doc = doc;
-        s_count = 0; s_total = 0; s_min = max_int; s_max = 0; s_live = true }
-    in
-    register st n (Span fresh) (function Span s -> Some s | _ -> None)
+let span sc ?(unit_ = "cycles") ?(doc = "") name = make Span sc unit_ doc name
 
-let incr c = if c.c_live then c.c_value <- c.c_value + 1
-let add c n = if c.c_live then c.c_value <- c.c_value + n
-let value c = c.c_value
+let incr c = if c.live then c.count <- c.count + 1
+let add c n = if c.live then c.count <- c.count + n
+let value c = c.count
 
 (* Counter families backed by a component's own counts: those counts
    are the only per-event store, and [last] is what makes [publish]
@@ -194,50 +153,45 @@ let publish p s =
 
 let restart p = Array.fill p.last 0 (Array.length p.last) 0
 
+(* A positive value's bucket is its bit length, so bucket i holds
+   [2^(i-1), 2^i - 1] with no bound to overflow. *)
 let bucket_of v =
-  if v <= 0 then 0
-  else
-    (* bucket i holds [2^(i-1), 2^i). *)
-    let rec go i b = if b > v then i else go (i + 1) (b * 2) in
-    go 1 2
+  let rec go i v = if v = 0 then i else go (i + 1) (v lsr 1) in
+  go 0 v
 
 let observe h v =
-  if h.h_live then begin
+  if h.live then begin
     let v = max 0 v in
-    h.h_counts.(bucket_of v) <- h.h_counts.(bucket_of v) + 1;
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum + v;
-    if v > h.h_max then h.h_max <- v
+    let b = bucket_of v in
+    h.buckets.(b) <- h.buckets.(b) + 1;
+    h.count <- h.count + 1;
+    h.sum <- h.sum + v;
+    if v > h.max then h.max <- v
   end
 
 let record s d =
-  if s.s_live then begin
+  if s.live then begin
     let d = max 0 d in
-    s.s_count <- s.s_count + 1;
-    s.s_total <- s.s_total + d;
-    if d < s.s_min then s.s_min <- d;
-    if d > s.s_max then s.s_max <- d
+    s.count <- s.count + 1;
+    s.sum <- s.sum + d;
+    if d < s.min then s.min <- d;
+    if d > s.max then s.max <- d
   end
 
 (* ------------------------------------------------------------ snapshots *)
 
-let name_of = function
-  | Counter c -> c.c_name
-  | Histogram h -> h.h_name
-  | Span s -> s.s_name
-
 let sorted_instruments () =
   Hashtbl.fold (fun _ i acc -> i :: acc) (state ()).registry []
-  |> List.sort (fun a b -> compare (name_of a) (name_of b))
+  |> List.sort (fun a b -> compare a.name b.name)
 
 let counters () =
   List.filter_map
-    (function Counter c -> Some (c.c_name, c.c_value) | _ -> None)
+    (fun i -> if i.kind = Counter then Some (i.name, i.count) else None)
     (sorted_instruments ())
 
 let find_counter name =
   match Hashtbl.find_opt (state ()).registry name with
-  | Some (Counter c) -> Some c.c_value
+  | Some i when i.kind = Counter -> Some i.count
   | _ -> None
 
 (* -------------------------------------------------- cross-domain merge *)
@@ -246,21 +200,16 @@ let find_counter name =
    to another domain, since it shares no mutable cell with the live
    registry. [absorb] folds one into the calling domain's registry,
    creating missing instruments; every merge operation (sum for
-   counters/histogram buckets/span totals, min/max for extrema) is
-   commutative and associative, so a parent absorbing per-window
-   exports in any order ends up with exactly the totals a
-   single-registry sequential run would have accumulated. *)
+   counts, sums and buckets, min/max for extrema) is commutative and
+   associative, so a parent absorbing per-window exports in any order
+   ends up with exactly the totals a single-registry sequential run
+   would have accumulated. *)
 
 type export = instrument list
 
 let export () =
   Hashtbl.fold
-    (fun _ i acc ->
-      (match i with
-      | Counter c -> Counter { c with c_value = c.c_value }
-      | Histogram h -> Histogram { h with h_counts = Array.copy h.h_counts }
-      | Span s -> Span { s with s_count = s.s_count })
-      :: acc)
+    (fun _ i acc -> { i with buckets = Array.copy i.buckets } :: acc)
     (state ()).registry []
 
 (* Swap in a fresh registry for the duration of [f]: the caller's own
@@ -285,97 +234,58 @@ let absorb ex =
   if st.enabled then
     List.iter
       (fun inc ->
-        match inc with
-        | Counter c ->
-          let local =
-            register st c.c_name
-              (Counter { c with c_value = 0; c_live = true })
-              (function Counter x -> Some x | _ -> None)
-          in
-          local.c_value <- local.c_value + c.c_value
-        | Histogram h ->
-          let local =
-            register st h.h_name
-              (Histogram
-                 {
-                   h with
-                   h_counts = Array.make histogram_buckets 0;
-                   h_count = 0;
-                   h_sum = 0;
-                   h_max = 0;
-                   h_live = true;
-                 })
-              (function Histogram x -> Some x | _ -> None)
-          in
-          for i = 0 to histogram_buckets - 1 do
-            local.h_counts.(i) <- local.h_counts.(i) + h.h_counts.(i)
-          done;
-          local.h_count <- local.h_count + h.h_count;
-          local.h_sum <- local.h_sum + h.h_sum;
-          if h.h_max > local.h_max then local.h_max <- h.h_max
-        | Span s ->
-          let local =
-            register st s.s_name
-              (Span
-                 {
-                   s with
-                   s_count = 0;
-                   s_total = 0;
-                   s_min = max_int;
-                   s_max = 0;
-                   s_live = true;
-                 })
-              (function Span x -> Some x | _ -> None)
-          in
-          local.s_count <- local.s_count + s.s_count;
-          local.s_total <- local.s_total + s.s_total;
-          (* The max_int empty-span sentinel survives the min merge. *)
-          if s.s_min < local.s_min then local.s_min <- s.s_min;
-          if s.s_max > local.s_max then local.s_max <- s.s_max)
+        let local = intern st inc.kind inc.name inc.unit_ inc.doc in
+        local.count <- local.count + inc.count;
+        local.sum <- local.sum + inc.sum;
+        (* The max_int empty-span sentinel survives the min merge. *)
+        if inc.min < local.min then local.min <- inc.min;
+        if inc.max > local.max then local.max <- inc.max;
+        Array.iteri
+          (fun b n -> local.buckets.(b) <- local.buckets.(b) + n)
+          inc.buckets)
       ex
 
-let histogram_json h =
-  (* Trailing empty buckets are trimmed so the JSON stays small; an
-     explicit bucket list keeps the digest stable against resizing. *)
-  let last = ref (-1) in
-  Array.iteri (fun i n -> if n > 0 then last := i) h.h_counts;
-  let buckets =
-    List.init (!last + 1) (fun i ->
-        Json.Obj
-          [
-            ("le", Json.Int (if i = 0 then 0 else (1 lsl i) - 1));
-            ("count", Json.Int h.h_counts.(i));
-          ])
-  in
-  Json.Obj
-    [
-      ("kind", Json.String "histogram");
-      ("unit", Json.String h.h_unit);
-      ("count", Json.Int h.h_count);
-      ("sum", Json.Int h.h_sum);
-      ("max", Json.Int h.h_max);
-      ("buckets", Json.List buckets);
-    ]
+(* A never-recorded span shows [min] 0, not its sentinel. *)
+let span_min s = if s.count = 0 then 0 else s.min
 
-let span_json s =
-  Json.Obj
-    [
-      ("kind", Json.String "span");
-      ("unit", Json.String s.s_unit);
-      ("count", Json.Int s.s_count);
-      ("total", Json.Int s.s_total);
-      ("min", Json.Int (if s.s_count = 0 then 0 else s.s_min));
-      ("max", Json.Int s.s_max);
-    ]
+let to_json_value i =
+  match i.kind with
+  | Counter -> Json.Int i.count
+  | Histogram ->
+    (* Trailing empty buckets are trimmed so the JSON stays small; an
+       explicit bucket list keeps the digest stable against resizing. *)
+    let last = ref (-1) in
+    Array.iteri (fun b n -> if n > 0 then last := b) i.buckets;
+    let buckets =
+      List.init (!last + 1) (fun b ->
+          Json.Obj
+            [
+              ("le", Json.Int (if b = 0 then 0 else (1 lsl b) - 1));
+              ("count", Json.Int i.buckets.(b));
+            ])
+    in
+    Json.Obj
+      [
+        ("kind", Json.String "histogram");
+        ("unit", Json.String i.unit_);
+        ("count", Json.Int i.count);
+        ("sum", Json.Int i.sum);
+        ("max", Json.Int i.max);
+        ("buckets", Json.List buckets);
+      ]
+  | Span ->
+    Json.Obj
+      [
+        ("kind", Json.String "span");
+        ("unit", Json.String i.unit_);
+        ("count", Json.Int i.count);
+        ("total", Json.Int i.sum);
+        ("min", Json.Int (span_min i));
+        ("max", Json.Int i.max);
+      ]
 
 let to_json () =
-  Json.Obj
-    (List.map
-       (function
-         | Counter c -> (c.c_name, Json.Int c.c_value)
-         | Histogram h -> (h.h_name, histogram_json h)
-         | Span s -> (s.s_name, span_json s))
-       (sorted_instruments ()))
+  Json.Obj (List.map (fun i -> (i.name, to_json_value i)) (sorted_instruments ()))
 
 let scope_of_name n =
   match String.rindex_opt n '.' with
@@ -386,30 +296,28 @@ let scope_of_name n =
    into the middle of its parent's names ("a.b.y" between "a.x" and
    "a.z") and split the parent's group in two. *)
 let pp ppf () =
-  let key i = (scope_of_name (name_of i), name_of i) in
+  let key i = (scope_of_name i.name, i.name) in
   let instruments =
     List.sort (fun a b -> compare (key a) (key b)) (sorted_instruments ())
   in
   let current = ref "" in
   Format.fprintf ppf "@[<v>";
   List.iteri
-    (fun i instr ->
-      let sc = scope_of_name (name_of instr) in
+    (fun n i ->
+      let sc = scope_of_name i.name in
       if sc <> !current then begin
-        if i > 0 then Format.fprintf ppf "@,";
+        if n > 0 then Format.fprintf ppf "@,";
         Format.fprintf ppf "[%s]@," sc;
         current := sc
       end;
-      match instr with
-      | Counter c ->
-        Format.fprintf ppf "  %-42s %12d %s@," c.c_name c.c_value c.c_unit
-      | Histogram h ->
-        Format.fprintf ppf "  %-42s count %d sum %d max %d (%s)@," h.h_name
-          h.h_count h.h_sum h.h_max h.h_unit
-      | Span s ->
+      match i.kind with
+      | Counter ->
+        Format.fprintf ppf "  %-42s %12d %s@," i.name i.count i.unit_
+      | Histogram ->
+        Format.fprintf ppf "  %-42s count %d sum %d max %d (%s)@," i.name
+          i.count i.sum i.max i.unit_
+      | Span ->
         Format.fprintf ppf "  %-42s count %d total %d min %d max %d (%s)@,"
-          s.s_name s.s_count s.s_total
-          (if s.s_count = 0 then 0 else s.s_min)
-          s.s_max s.s_unit)
+          i.name i.count i.sum (span_min i) i.max i.unit_)
     instruments;
   Format.fprintf ppf "@]"

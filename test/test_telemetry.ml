@@ -70,18 +70,97 @@ let test_disabled_records_nothing () =
       check Alcotest.string "empty registry json" "{}\n"
         (Json.to_string (Telemetry.to_json ())))
 
+(* One integer field of one instrument in the registry's JSON. *)
+let json_field name field =
+  match Json.member name (Telemetry.to_json ()) with
+  | None -> Alcotest.failf "%s missing from snapshot" name
+  | Some j -> (
+    match Json.member field j with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "%s: bad %s" name field)
+
+let json_buckets name =
+  match Json.member name (Telemetry.to_json ()) with
+  | Some j -> (
+    match Json.member "buckets" j with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.failf "%s: no bucket list" name)
+  | None -> Alcotest.failf "%s missing from snapshot" name
+
 let test_reset_keeps_registrations () =
   with_registry (fun () ->
       let sc = Telemetry.scope "t" in
       let c = Telemetry.counter sc "c" in
+      let h = Telemetry.histogram sc "h" in
+      let s = Telemetry.span sc "s" in
       Telemetry.add c 9;
+      List.iter (Telemetry.observe h) [ 0; 3; 100 ];
+      List.iter (Telemetry.record s) [ 2; 40 ];
       Telemetry.reset ();
       check Alcotest.int "zeroed" 0 (Telemetry.value c);
       check
         Alcotest.(list (pair string int))
         "still registered" [ ("t.c", 0) ] (Telemetry.counters ());
+      List.iter
+        (fun (name, field) ->
+          check Alcotest.int (name ^ " " ^ field) 0 (json_field name field))
+        [
+          ("t.h", "count"); ("t.h", "sum"); ("t.h", "max");
+          ("t.s", "count"); ("t.s", "total"); ("t.s", "min"); ("t.s", "max");
+        ];
+      check Alcotest.int "no buckets" 0 (List.length (json_buckets "t.h"));
       Telemetry.incr c;
-      check Alcotest.int "still live" 1 (Telemetry.value c))
+      check Alcotest.int "still live" 1 (Telemetry.value c);
+      (* A min of 5 after a reset means the empty-span sentinel is back,
+         not the 2 recorded before it. *)
+      Telemetry.record s 5;
+      check Alcotest.int "span min after reset" 5 (json_field "t.s" "min"))
+
+(* Two registries' exports absorbed in either order reproduce one
+   registry that saw every record: counters and histogram buckets add,
+   span extrema merge, and a span empty on one side (or both) keeps the
+   other side's min. *)
+let record_a () =
+  let sc = Telemetry.scope "t" in
+  Telemetry.add (Telemetry.counter sc "c") 3;
+  Telemetry.incr (Telemetry.counter sc "only_a");
+  List.iter (Telemetry.observe (Telemetry.histogram sc "h")) [ 0; 5; 1024 ];
+  Telemetry.record (Telemetry.span sc "s") 30;
+  Telemetry.record (Telemetry.span sc "half") 9;
+  ignore (Telemetry.span sc "empty")
+
+let record_b () =
+  let sc = Telemetry.scope "t" in
+  Telemetry.add (Telemetry.counter sc "c") 4;
+  List.iter (Telemetry.observe (Telemetry.histogram sc "h")) [ 7; 2 ];
+  List.iter (Telemetry.record (Telemetry.span sc "s")) [ 10; 50 ];
+  ignore (Telemetry.span sc "half");
+  ignore (Telemetry.span sc "empty")
+
+let test_export_absorb () =
+  let render () = Json.to_string (Telemetry.to_json ()) in
+  let single =
+    with_registry (fun () ->
+        record_a ();
+        record_b ();
+        render ())
+  in
+  let (), ea = Telemetry.isolated ~enabled:true record_a in
+  let (), eb = Telemetry.isolated ~enabled:true record_b in
+  List.iter
+    (fun (what, order) ->
+      with_registry (fun () ->
+          List.iter Telemetry.absorb order;
+          check Alcotest.string what single (render ());
+          check Alcotest.int "empty span min" 0 (json_field "t.empty" "min");
+          check Alcotest.int "half-empty span min" 9
+            (json_field "t.half" "min")))
+    [ ("a then b", [ ea; eb ]); ("b then a", [ eb; ea ]) ];
+  with_registry (fun () ->
+      ignore (Telemetry.counter (Telemetry.scope "t") "h");
+      Alcotest.check_raises "kind clash"
+        (Invalid_argument "Telemetry: t.h re-registered as a different kind")
+        (fun () -> Telemetry.absorb ea))
 
 let test_pp_groups_scopes () =
   (* By full name "a.b.y" sorts between "a.a" and "a.x"; the text dump
@@ -120,6 +199,20 @@ let test_histogram_buckets () =
           check Alcotest.int "bucket list trimmed to max" 12
             (List.length buckets)
         | _ -> Alcotest.fail "no bucket list"))
+
+(* The top bucket holds [2^61, 2^62 - 1]: observing its bounds must
+   return, and the bucket list then runs to the 63rd entry. *)
+let test_histogram_top_bucket () =
+  with_registry (fun () ->
+      let h = Telemetry.histogram (Telemetry.scope "t") "big" in
+      Telemetry.observe h (1 lsl 61);
+      Telemetry.observe h max_int;
+      let buckets = json_buckets "t.big" in
+      check Alcotest.int "63 buckets" 63 (List.length buckets);
+      let last = List.nth buckets 62 in
+      check Alcotest.bool "le = max_int, count 2" true
+        (Json.member "le" last = Some (Json.Int max_int)
+        && Json.member "count" last = Some (Json.Int 2)))
 
 let test_span_min_max () =
   with_registry (fun () ->
@@ -412,6 +505,28 @@ let test_json_backspace_formfeed () =
       check Alcotest.bool src true (Json.of_string src = Json.String want))
     [ ({|"a\bc"|}, "a\bc"); ({|"a\fc"|}, "a\012c"); ({|"\b\f"|}, "\b\012") ]
 
+(* The text [bor time --stats] prints, one line per kind: frozen. *)
+let test_pp_frozen () =
+  with_registry (fun () ->
+      let sc = Telemetry.scope "t" in
+      Telemetry.add (Telemetry.counter sc "hits") 42;
+      List.iter (Telemetry.observe (Telemetry.histogram sc ~unit_:"entries" "occ"))
+        [ 0; 3; 100 ];
+      List.iter (Telemetry.record (Telemetry.span sc "run")) [ 30; 10; 20 ];
+      ignore (Telemetry.span sc ~unit_:"instructions" "idle");
+      let expected =
+        String.concat "\n"
+          [
+            "[t]";
+            "  t.hits                                               42 events";
+            "  t.idle                                     count 0 total 0 min 0 max 0 (instructions)";
+            "  t.occ                                      count 3 sum 103 max 100 (entries)";
+            "  t.run                                      count 3 total 60 min 10 max 30 (cycles)";
+            "";
+          ]
+      in
+      check Alcotest.string "pp" expected (Format.asprintf "%a" Telemetry.pp ()))
+
 let test_json_snapshot_roundtrip () =
   with_registry (fun () ->
       let sc = Telemetry.scope "t" in
@@ -541,13 +656,18 @@ let () =
             test_reset_keeps_registrations;
           Alcotest.test_case "pp groups scopes" `Quick test_pp_groups_scopes;
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
+          Alcotest.test_case "histogram top bucket" `Quick
+            test_histogram_top_bucket;
           Alcotest.test_case "span min/max" `Quick test_span_min_max;
+          Alcotest.test_case "export/absorb every kind" `Quick
+            test_export_absorb;
         ] );
       ( "json",
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "frozen rendering" `Quick
             test_json_frozen_rendering;
+          Alcotest.test_case "frozen pp rendering" `Quick test_pp_frozen;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 30 |])
             prop_json_string_roundtrip;
